@@ -1,0 +1,143 @@
+"""Golden output digests: refactors must leave every artifact byte-identical.
+
+The runs use acceptance criterion 8's reduced scale (``SMALL_LAND``):
+``gen-archive`` plus the four experiments through the CLI, and one
+per-network ``gen-archive`` plus ``guided-search`` at the same scale, whose
+per-step genotype hashes are digested too (``steps.csv`` carries fitness
+only).  A change to any digest is a behaviour change: it needs a reason in
+``CHANGES.md`` and a re-baseline in the same change.  To print the current
+digests for a re-baseline::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Recorded on x86-64 with Python 3.11 and numpy 2.4; float artifacts are
+written with ``repr``, so another numpy build may round differently.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from archsmith.archive import load_archive
+from archsmith.cli import main
+from archsmith.experiments import GuidedSearchConfig, run_guided_search
+from archsmith.genotype import GenotypeConfig
+from archsmith.landscape import LandscapeConfig
+
+VOCAB = dict(arity=2, activations=("relu", "tanh"),
+             weight_inits=("xavier", "normal"))
+# Criterion 8's configuration, repeated here so the suite stays untouched.
+SMALL = GenotypeConfig.joint(**VOCAB, generator_depth_max=2,
+                             discriminator_depth_max=2)
+SMALL_LAND = LandscapeConfig(genotype=SMALL, family_seed=5, base_scale=10.0)
+# Per-network genotypes keep their default depth bounds (6/6).
+SMALL_PN = GenotypeConfig.per_network(**VOCAB)
+SMALL_PN_LAND = LandscapeConfig(genotype=SMALL_PN, family_seed=5,
+                                base_scale=10.0)
+
+GEN = {"problem_seeds": "0..2", "runs_per_problem": 2, "population": 8,
+       "generations": 4}
+EXPERIMENTS = {
+    "likelihood": {"n": 3, "min_scored": 6},
+    "sampling": {"train_seeds": "0..1", "holdout_seeds": "50..51", "n": 3,
+                 "n_each": 20},
+    "initialization": {"target_seed": 60, "replicates": 3, "population": 6,
+                       "generations": 3, "n": 3},
+    "guided-search": {"target_seed": 61, "replicates": 3, "budget": 12,
+                      "n": 3},
+}
+PN_GUIDED = {"target_seed": 61, "replicates": 3, "budget": 12, "n": 3}
+
+GOLDEN = {
+    "joint/archive.jsonl":
+        "1f4ff4bef38ffacf9fee02cce5f6c37054f638fd602908bf7a7daa7c157dff9f",
+    "joint/guided-search/steps.csv":
+        "d389ccacc0f7e9a2d3b8499c86c919ac994bebf9a26121799c68130612855a20",
+    "joint/guided-search/summary.json":
+        "73a162bf7ca22233770898d0731772ab804f8ade14f8a2a0fa86929aa134a76d",
+    "joint/initialization/generations.csv":
+        "053d04c5284d8b7a54a5296c7779641a1f92f8f86f4788619b89f26270160625",
+    "joint/initialization/summary.json":
+        "3c5cbe29cc07d69e5973bd0b5770c9a4d798b4a0f4510b4e9e3405d90ae1fa47",
+    "joint/likelihood/scores.csv":
+        "9ba48a2cc165459e92a8dbc95bd0ca7b56135f4f7ca434d74334a3142d3fb7a0",
+    "joint/likelihood/tests.csv":
+        "a105b8654db7295f1210ecf8149b67124d6f664f36ed9946665d11a98fa0f407",
+    "joint/sampling/samples.csv":
+        "4f8631b949d76b57feed63053d9de73f9955c0a8d0c1a1e880a85f97d3953879",
+    "joint/sampling/tests.csv":
+        "c7bc2846af0b1aa9c543838bd455ecb1133ff52a128213e2a637188afef18cc2",
+    "per-network/archive.jsonl":
+        "28bb610c9fd3e0ff4298d3b0b378e8f0011ce6c824ea5803ebb02f8827504027",
+    "per-network/guided-search/gan_hashes":
+        "7e58fbded536b05863d03c527f93d9e58e6b5cc7c050c2ca34d5a8cf054ed1e4",
+    "per-network/guided-search/steps.csv":
+        "e22412379fb2e567ba398511511336c2e269271fbe75a4a7719ad1e304fc9ab1",
+    "per-network/guided-search/summary.json":
+        "ea37327f7ddf1f26f909bc0fe9b9698c9eb3a4ddd340145713487d6b13afa02c",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_json(path: Path, obj) -> Path:
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _run(*argv) -> None:
+    code = main([str(a) for a in argv])
+    assert code == 0, f"archsmith {' '.join(map(str, argv))} exited {code}"
+
+
+def compute_digests(workdir: Path) -> dict[str, str]:
+    """sha256 of every artifact, keyed ``<run>/<file name>``."""
+    out: dict[str, str] = {}
+    runs = (("joint", SMALL_LAND, EXPERIMENTS),
+            ("per-network", SMALL_PN_LAND, {"guided-search": PN_GUIDED}))
+    for label, land, experiments in runs:
+        land_obj = land.to_json_obj()
+        archive = workdir / f"{label}-archive.jsonl"
+        _run("gen-archive", "--config",
+             _write_json(workdir / f"{label}-gen.json",
+                         {"landscape": land_obj, **GEN}),
+             "--out", archive)
+        out[f"{label}/archive.jsonl"] = _sha256(archive.read_bytes())
+        for exp_id, obj in experiments.items():
+            out_dir = workdir / f"{label}-{exp_id}"
+            _run("experiment", "--id", exp_id, "--archive", archive,
+                 "--config",
+                 _write_json(workdir / f"{label}-{exp_id}.json",
+                             {"landscape": land_obj, **obj}),
+                 "--out-dir", out_dir)
+            for path in sorted(out_dir.iterdir()):
+                out[f"{label}/{exp_id}/{path.name}"] = _sha256(
+                    path.read_bytes())
+
+    result = run_guided_search(
+        load_archive(workdir / "per-network-archive.jsonl"),
+        GuidedSearchConfig(landscape=SMALL_PN_LAND, **PN_GUIDED))
+    hashes = [[trace.start_hash] + [s.gan_hash for s in trace.steps]
+              for algorithm in sorted(result.traces)
+              for trace in result.traces[algorithm]]
+    out["per-network/guided-search/gan_hashes"] = _sha256(
+        json.dumps(hashes).encode())
+    return out
+
+
+def test_golden_digests(tmp_path):
+    got = compute_digests(tmp_path)
+    assert sorted(got) == sorted(GOLDEN), "artifact set changed"
+    changed = [name for name in GOLDEN if got[name] != GOLDEN[name]]
+    assert not changed, f"artifacts changed: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = compute_digests(Path(tmp))
+    json.dump(digests, sys.stdout, indent=4, sort_keys=True)
+    sys.stdout.write("\n")
