@@ -93,19 +93,25 @@ class BayesNet:
 
     ``cpts[i]`` has shape (n_parent_configs, cardinality_i); parent configs
     are indexed mixed-radix in the parent order of ``dag.parents[i]``.
+    The index plan for those lookups is computed once, at construction.
     """
 
     dag: Dag
     cpts: tuple[np.ndarray, ...]
     alpha: float
+    # Per variable: parent columns and their mixed-radix strides.
+    _plan: tuple[tuple[list[int], np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
+    _cards: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.cpts) != self.dag.n_variables:
             raise ValidationError("one CPT per variable required")
         cards = self.dag.cardinalities
+        plan = []
         for i, table in enumerate(self.cpts):
-            expected_rows = int(np.prod([cards[p] for p in self.dag.parents[i]],
-                                        dtype=np.int64)) if self.dag.parents[i] else 1
+            parents = self.dag.parents[i]
+            strides, expected_rows = _parent_strides(cards, parents)
             if table.shape != (expected_rows, cards[i]):
                 raise ValidationError(
                     f"CPT shape {table.shape} wrong for variable {i}")
@@ -113,6 +119,9 @@ class BayesNet:
                 raise ValidationError("CPT entries must be strictly positive")
             if not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
                 raise ValidationError("CPT rows must sum to 1")
+            plan.append((list(parents), strides))
+        object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_cards", np.asarray(cards, dtype=np.int64))
 
     @property
     def n_variables(self) -> int:
@@ -140,8 +149,10 @@ def mutual_information(data, i: int, j: int,
     arr = _as_data(data)
     if arr.shape[0] == 0:
         raise ValidationError("mutual information needs at least one row")
-    ci = int(cardinalities[i]) if cardinalities else int(arr[:, i].max()) + 1
-    cj = int(cardinalities[j]) if cardinalities else int(arr[:, j].max()) + 1
+    if cardinalities is None:
+        ci, cj = int(arr[:, i].max()) + 1, int(arr[:, j].max()) + 1
+    else:
+        ci, cj = int(cardinalities[i]), int(cardinalities[j])
     counts = np.zeros((ci, cj), dtype=np.float64)
     np.add.at(counts, (arr[:, i], arr[:, j]), 1.0)
     n = counts.sum()
@@ -286,9 +297,10 @@ def orient(edges: Iterable[tuple[int, int]],
 # Parameters and queries
 
 
-def _parent_strides(dag: Dag, var: int) -> tuple[np.ndarray, int]:
-    cards = dag.cardinalities
-    pcards = [cards[p] for p in dag.parents[var]]
+def _parent_strides(cards: Sequence[int],
+                    parents: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Mixed-radix strides of a parent list and its configuration count."""
+    pcards = [cards[p] for p in parents]
     strides = np.ones(len(pcards), dtype=np.int64)
     for i in range(len(pcards) - 2, -1, -1):
         strides[i] = strides[i + 1] * pcards[i + 1]
@@ -321,7 +333,7 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
                 raise ValidationError(f"value out of range in column {v}")
     tables = []
     for v in range(dag.n_variables):
-        strides, n_configs = _parent_strides(dag, v)
+        strides, n_configs = _parent_strides(cards, dag.parents[v])
         counts = np.zeros((n_configs, cards[v]), dtype=np.float64)
         if arr.shape[0] > 0:
             if dag.parents[v]:
@@ -335,11 +347,16 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
 
 
 def _validate_assignment(bn: BayesNet, arr: np.ndarray) -> None:
-    cards = np.asarray(bn.dag.cardinalities, dtype=np.int64)
     if arr.shape[-1] != bn.n_variables:
         raise ValidationError("assignment must cover every variable")
-    if np.any(arr < 0) or np.any(arr >= cards):
+    if np.any(arr < 0) or np.any(arr >= bn._cards):
         raise ValidationError("assignment value out of range")
+
+
+def _parent_configs(bn: BayesNet, var: int, arr: np.ndarray):
+    """CPT row of ``var`` for every row of ``arr``; 0 for a root."""
+    parents, strides = bn._plan[var]
+    return arr[:, parents] @ strides if parents else 0
 
 
 def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
@@ -348,12 +365,7 @@ def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
     _validate_assignment(bn, arr)
     total = np.zeros(arr.shape[0], dtype=np.float64)
     for v in range(bn.n_variables):
-        strides, _ = _parent_strides(bn.dag, v)
-        if bn.dag.parents[v]:
-            config = arr[:, list(bn.dag.parents[v])] @ strides
-        else:
-            config = np.zeros(arr.shape[0], dtype=np.int64)
-        total += np.log(bn.cpts[v][config, arr[:, v]])
+        total += np.log(bn.cpts[v][_parent_configs(bn, v, arr), arr[:, v]])
     return total
 
 
@@ -369,13 +381,8 @@ def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarra
         raise ValidationError("sample count must be >= 0")
     out = np.zeros((n, bn.n_variables), dtype=np.int64)
     for v in bn.dag.topological_order():
-        strides, _ = _parent_strides(bn.dag, v)
-        if bn.dag.parents[v]:
-            config = out[:, list(bn.dag.parents[v])] @ strides
-        else:
-            config = np.zeros(n, dtype=np.int64)
-        rows = bn.cpts[v][config]
-        cumulative = np.cumsum(rows, axis=1)
+        rows = bn.cpts[v][_parent_configs(bn, v, out)]
+        cumulative = np.cumsum(rows, axis=-1)
         draws = rng.random((n, 1))
         out[:, v] = (cumulative < draws).sum(axis=1)
     return out

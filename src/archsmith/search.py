@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -194,72 +195,103 @@ def neighbors(gan: GanSpec, config: GenotypeConfig) -> list[GanSpec]:
 # Vectorized neighborhoods (for scoring and evaluation in bulk)
 
 
+@lru_cache(maxsize=None)
 def _layer_blocks(config: GenotypeConfig, role: str) -> np.ndarray:
+    """Every layer of ``role`` as a (kind, activation, init, size) row.
+
+    Rows are in lexicographic order, so a layer's row index is its
+    mixed-radix code.  The array is shared, hence read-only.
+    """
     kinds = config.kinds(role)
     blocks = [(k, a, w, s)
               for k in range(len(kinds))
               for a in range(len(config.activations))
               for w in range(len(config.weight_inits))
               for s in range(config.arity)]
-    return np.array(blocks, dtype=np.int64)
+    out = np.array(blocks, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def neighbor_groups(key: DepthKey, values: np.ndarray,
                     config: GenotypeConfig) -> list[tuple[DepthKey, np.ndarray]]:
-    """One-mutation neighbors as per-depth-key row matrices.
+    """One-mutation neighbors as per-depth-key int64 row matrices.
 
     Equivalent to neighbors() on the unflattened genotype: rows are distinct
-    and the incumbent itself is excluded.  Groups come back sorted by key.
+    and the incumbent itself is excluded.  Groups come back sorted by key;
+    the change group lists slots in schema order and values ascending, and
+    every grow and shrink group is in strictly ascending lexicographic row
+    order.
+
+    No sort is needed for that order.  Inserting block B at position p
+    gives the same row as inserting it at p + 1 exactly when B equals layer
+    p, so the distinct inserts are those with B != layer p, plus every B at
+    p = depth.  Two of them at p < q first differ where B meets layer p, so
+    they compare as B against layer p.  Hence the order: for p ascending,
+    the blocks below layer p; then every block at p = depth; then, for p
+    descending, the blocks above layer p; each run in block order.
     """
     key = DepthKey(*key)
     values = np.asarray(values, dtype=np.int64)
     schema = joint_schema(config, key)
-    groups: dict[DepthKey, list[np.ndarray]] = {}
+    out: list[tuple[DepthKey, np.ndarray]] = []
 
-    change_rows = []
-    for j, slot in enumerate(schema.slots):
-        if slot.attr == "kind":
-            # layer kind is fixed at creation; only add/delete changes it
-            continue
-        for v in range(slot.cardinality):
-            if v != values[j]:
-                row = values.copy()
-                row[j] = v
-                change_rows.append(row)
-    if change_rows:
-        groups.setdefault(key, []).append(np.array(change_rows))
+    # layer kind is fixed at creation; only add/delete changes it
+    slots = [j for j, slot in enumerate(schema.slots) if slot.attr != "kind"]
+    cards = [schema.slots[j].cardinality for j in slots]
+    cols = np.repeat(slots, cards)
+    new = np.concatenate([np.arange(card) for card in cards])
+    keep = new != values[cols]
+    if keep.any():
+        change = np.tile(values, (int(keep.sum()), 1))
+        change[np.arange(len(change)), cols[keep]] = new[keep]
+        out.append((key, change))
 
+    flat = values.tolist()
     sections = ((ROLE_GENERATOR, key.d_g, 1),
                 (ROLE_DISCRIMINATOR, key.d_d, 1 + 4 * key.d_g))
     for role, depth, offset in sections:
-        grow = (DepthKey(key.d_g + 1, key.d_d) if role == ROLE_GENERATOR
-                else DepthKey(key.d_g, key.d_d + 1))
         if depth < config.depth_max(role):
-            blocks = _layer_blocks(config, role)
-            rows = []
-            for position in range(depth + 1):
-                cut = offset + 4 * position
-                left = np.tile(values[:cut], (len(blocks), 1))
-                right = np.tile(values[cut:], (len(blocks), 1))
-                rows.append(np.hstack([left, blocks, right]))
-            groups.setdefault(grow, []).append(
-                np.unique(np.vstack(rows), axis=0))
-        shrink = (DepthKey(key.d_g - 1, key.d_d) if role == ROLE_GENERATOR
-                  else DepthKey(key.d_g, key.d_d - 1))
+            grow = (DepthKey(key.d_g + 1, key.d_d) if role == ROLE_GENERATOR
+                    else DepthKey(key.d_g, key.d_d + 1))
+            out.append((grow, _grow_rows(values, depth, offset,
+                                         config, role)))
         if depth > 1:
-            rows = []
-            for position in range(depth):
-                cut = offset + 4 * position
-                rows.append(np.concatenate([values[:cut], values[cut + 4:]]))
-            groups.setdefault(shrink, []).append(
-                np.unique(np.array(rows), axis=0))
+            shrink = (DepthKey(key.d_g - 1, key.d_d) if role == ROLE_GENERATOR
+                      else DepthKey(key.d_g, key.d_d - 1))
+            cuts = range(offset, offset + 4 * depth, 4)
+            rows = sorted({tuple(flat[:c] + flat[c + 4:]) for c in cuts})
+            out.append((shrink, np.array(rows, dtype=np.int64)))
+    # The five keys (change, grow and shrink per network) never collide.
+    out.sort(key=lambda group: group[0])
+    return out
 
-    out = []
-    for group_key in sorted(groups):
-        stacked = np.vstack(groups[group_key])
-        if len(groups[group_key]) > 1:
-            stacked = np.unique(stacked, axis=0)
-        out.append((group_key, stacked))
+
+def _grow_rows(values: np.ndarray, depth: int, offset: int,
+               config: GenotypeConfig, role: str) -> np.ndarray:
+    """Distinct one-layer inserts into one network, lexicographically sorted.
+
+    The network's ``depth`` layers start at column ``offset`` of ``values``.
+    """
+    blocks = _layer_blocks(config, role)
+    radix = (len(config.kinds(role)), len(config.activations),
+             len(config.weight_inits), config.arity)
+    layers = values[offset:offset + 4 * depth].reshape(depth, 4)
+    codes = np.ravel_multi_index(layers.T, radix).tolist()
+    runs = ([(p, 0, codes[p]) for p in range(depth)]
+            + [(depth, 0, len(blocks))]
+            + [(p, codes[p] + 1, len(blocks))
+               for p in range(depth - 1, -1, -1)])
+    out = np.empty((depth * (len(blocks) - 1) + len(blocks),
+                    len(values) + 4), dtype=np.int64)
+    start = 0
+    for position, lo, hi in runs:
+        stop = start + hi - lo
+        cut = offset + 4 * position
+        out[start:stop, :cut] = values[:cut]
+        out[start:stop, cut:cut + 4] = blocks[lo:hi]
+        out[start:stop, cut + 4:] = values[cut:]
+        start = stop
     return out
 
 
@@ -270,6 +302,18 @@ def _row_to_gan(key: DepthKey, row: np.ndarray,
                              values=tuple(int(v) for v in row),
                              schema=schema)
     return unflatten_joint(vector, config)
+
+
+def _row_offsets(groups: list[tuple[DepthKey, np.ndarray]]) -> np.ndarray:
+    """Start of each group in the concatenated rows, plus the total."""
+    return np.cumsum([0] + [len(rows) for _, rows in groups])
+
+
+def _group_row(groups: list[tuple[DepthKey, np.ndarray]],
+               offsets: np.ndarray, index: int) -> tuple[DepthKey, np.ndarray]:
+    """Key and row of the ``index``-th row across the concatenated groups."""
+    slot = int(np.searchsorted(offsets, index, side="right") - 1)
+    return groups[slot][0], groups[slot][1][index - offsets[slot]]
 
 
 def random_minimal_gan(rng: np.random.Generator,
@@ -334,11 +378,9 @@ def random_hc(landscape: SurrogateLandscape, start: GanSpec, budget: int,
     for step in range(1, budget + 1):
         if groups is None:
             groups = neighbor_groups(key, values, config)
-            sizes = np.array([len(rows) for _, rows in groups])
-            offsets = np.concatenate([[0], np.cumsum(sizes)])
-        pick = int(rng.integers(offsets[-1]))
-        slot = int(np.searchsorted(offsets, pick, side="right") - 1)
-        cand_key, cand_row = groups[slot][0], groups[slot][1][pick - offsets[slot]]
+            offsets = _row_offsets(groups)
+        cand_key, cand_row = _group_row(groups, offsets,
+                                        int(rng.integers(offsets[-1])))
         fitness = float(landscape.evaluate_values(cand_key,
                                                   cand_row[None, :])[0])
         accepted = fitness < best
@@ -374,26 +416,22 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
     trace = SearchTrace(start_hash=gan_hash(start), start_fitness=best)
 
     def ranked(inc_key, inc_values):
+        """Neighbor groups, their row offsets, and the visiting order."""
         groups = neighbor_groups(inc_key, inc_values, config)
-        keys, rows, scores = [], [], []
-        for group_key, group_rows in groups:
-            _, normalized = metamodel.score_values(group_key, group_rows)
-            keys.extend([group_key] * len(group_rows))
-            rows.append(group_rows)
-            scores.append(normalized)
+        scores = [metamodel.score_values(group_key, group_rows)[1]
+                  for group_key, group_rows in groups]
         # Scores within 1e-6 count as tied so float summation noise
         # cannot leak a deterministic order into the tie break.
         score_vec = np.round(np.concatenate(scores) / 1e-6)
         tiebreak = rng.random(len(score_vec))
         order = np.lexsort((tiebreak, -score_vec))
-        flat_rows = [row for group_rows in rows for row in group_rows]
-        return [(keys[i], flat_rows[i]) for i in order]
+        return groups, _row_offsets(groups), order
 
-    queue = ranked(key, values)
+    groups, offsets, order = ranked(key, values)
     cursor = 0
     step = 0
     while step < budget:
-        if cursor >= len(queue):
+        if cursor >= len(order):
             # Incumbent neighborhood exhausted; no-op padding to budget.
             while step < budget:
                 step += 1
@@ -401,7 +439,7 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
                     step=step, gan_hash="", fitness=float("nan"),
                     accepted=False, best=best, exhausted=True))
             break
-        cand_key, cand_row = queue[cursor]
+        cand_key, cand_row = _group_row(groups, offsets, int(order[cursor]))
         cursor += 1
         step += 1
         fitness = float(landscape.evaluate_values(cand_key,
@@ -410,8 +448,8 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
         digest = gan_hash(_row_to_gan(cand_key, cand_row, config))
         if accepted:
             best = fitness
-            key, values = cand_key, np.asarray(cand_row, dtype=np.int64)
-            queue = ranked(key, values)
+            key, values = cand_key, cand_row
+            groups, offsets, order = ranked(key, values)
             cursor = 0
         trace.steps.append(TraceStep(step=step, gan_hash=digest,
                                      fitness=fitness, accepted=accepted,

@@ -102,6 +102,16 @@ class TestMutualInformation:
         assert np.allclose(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
 
+    @pytest.mark.parametrize("cards", [(2, 2, 2), [2, 2, 2],
+                                       np.array([2, 2, 2])],
+                             ids=["tuple", "list", "ndarray"])
+    def test_cardinality_sequence_types(self, cards):
+        data = chain_data(np.random.default_rng(3), 500)
+        assert mutual_information(data, 0, 1, cards) == \
+            mutual_information(data, 0, 1)
+        assert np.array_equal(mi_matrix(data, cards),
+                              mi_matrix(data, (2, 2, 2)))
+
     def test_small_sample_correction_value(self):
         corr = small_sample_correction((2, 3), n_rows=100)
         assert corr[0, 1] == pytest.approx(math.log(6) / 200)
@@ -312,6 +322,77 @@ class TestLogLikelihood:
         many = log_likelihood_many(bn, grid)
         for row, expected in zip(grid, many):
             assert log_likelihood(bn, row) == pytest.approx(expected)
+
+
+def mixed_parent_bn():
+    """fit_cpts net with roots, one-parent and multi-parent variables."""
+    cards = (3, 2, 4, 2, 3)
+    parents = ((), (), (0,), (0, 1, 2), (1,))
+    dag = Dag(variables=tuple((f"v{i}", c) for i, c in enumerate(cards)),
+              parents=parents)
+    rng = np.random.default_rng(31)
+    data = np.column_stack([rng.integers(0, c, size=60) for c in cards])
+    return fit_cpts(dag, data, alpha=0.5)
+
+
+def cpt_lookups(bn, rows):
+    """P(x_v | parents) per variable and row, by explicit mixed radix."""
+    cards = bn.dag.cardinalities
+    out = np.empty((bn.n_variables, len(rows)))
+    for v, parents in enumerate(bn.dag.parents):
+        for r, row in enumerate(rows):
+            config = 0
+            for p in parents:
+                config = config * cards[p] + int(row[p])
+            out[v, r] = bn.cpts[v][config, int(row[v])]
+    return out
+
+
+class TestIndexPlan:
+    def test_likelihood_equals_summed_cpt_lookups(self):
+        bn = mixed_parent_bn()
+        rows = np.indices(bn.dag.cardinalities).reshape(bn.n_variables, -1).T
+        expected = np.zeros(len(rows))
+        for probs in cpt_lookups(bn, rows):
+            expected += np.log(probs)
+        assert np.array_equal(log_likelihood_many(bn, rows), expected)
+
+    def test_samples_follow_cpt_rows_drawn_in_order(self):
+        bn = mixed_parent_bn()
+        got = pls_sample_many(bn, 200, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expected = np.zeros_like(got)
+        cards = bn.dag.cardinalities
+        for v in bn.dag.topological_order():
+            configs = [0] * len(expected)
+            for p in bn.dag.parents[v]:
+                configs = [c * cards[p] + int(x)
+                           for c, x in zip(configs, expected[:, p])]
+            cumulative = np.cumsum(bn.cpts[v][configs], axis=1)
+            expected[:, v] = (cumulative < rng.random((len(expected), 1))
+                              ).sum(axis=1)
+        assert np.array_equal(got, expected)
+
+    def test_plan_is_outside_equality_and_repr(self):
+        bn = mixed_parent_bn()
+        rebuilt = BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=bn.alpha)
+        assert rebuilt == bn
+        assert repr(rebuilt) == repr(bn)
+        assert "_plan" not in repr(bn) and "_cards" not in repr(bn)
+        assert BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=2.0) != bn
+
+    def test_persistence_round_trip_scores_exactly(self, tmp_path):
+        bn = mixed_parent_bn()
+        path = tmp_path / "model.bn"
+        save_bn(bn, path)
+        clone = load_bn(path)
+        assert bn_to_json_obj(clone) == bn_to_json_obj(bn)
+        rows = pls_sample_many(bn, 100, np.random.default_rng(6))
+        assert np.array_equal(log_likelihood_many(clone, rows),
+                              log_likelihood_many(bn, rows))
+        assert np.array_equal(
+            pls_sample_many(clone, 50, np.random.default_rng(7)),
+            pls_sample_many(bn, 50, np.random.default_rng(7)))
 
 
 class TestEnumerateJoint:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from archsmith.archive import Individual
 from archsmith.errors import ValidationError
@@ -200,6 +202,43 @@ class TestOperators:
                     got.add(gan_hash(unflatten_joint(vec, TINY)))
             expected = {gan_hash(h) for h in neighbors(gan, TINY)}
             assert got == expected
+
+    @pytest.mark.parametrize("config", [TINY, GenotypeConfig.per_network()],
+                             ids=["tiny", "per_network"])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1),
+           repeats=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_vector_groups_are_distinct_and_sorted(self, config, seed,
+                                                   repeats):
+        rng = np.random.default_rng(seed)
+        av = flatten_joint(random_gan(rng, config), config)
+        key = DepthKey(*av.depth_key)
+        values = np.array(av.values)
+        # Copy layer p onto layer p + 1 where asked: inserting next to
+        # equal adjacent layers is where the rows need deduplication.
+        layers = [(1 + 4 * p, 5 + 4 * p) for p in range(key.d_g - 1)]
+        layers += [(1 + 4 * (key.d_g + p), 5 + 4 * (key.d_g + p))
+                   for p in range(key.d_d - 1)]
+        for (lo, hi), copy in zip(layers, repeats):
+            if copy:
+                values[hi:hi + 4] = values[lo:hi]
+        gan = unflatten_joint(AttributeVector(
+            depth_key=key, values=tuple(int(v) for v in values),
+            schema=joint_schema(config, key)), config)
+
+        groups = neighbor_groups(key, values, config)
+        assert [k for k, _ in groups] == sorted(k for k, _ in groups)
+        assert sum(len(rows) for _, rows in groups) == \
+            len(neighbors(gan, config))
+        for group_key, rows in groups:
+            assert rows.dtype == np.int64
+            assert len({tuple(row) for row in rows.tolist()}) == len(rows)
+            if group_key != key:
+                step = np.diff(rows, axis=0)
+                first = np.argmax(step != 0, axis=1)
+                assert np.all(step[np.arange(len(step)), first] > 0), \
+                    f"group {group_key} is not strictly increasing"
 
     def test_random_minimal_gan(self):
         rng = np.random.default_rng(10)
