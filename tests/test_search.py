@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archsmith.archive import Individual
@@ -205,8 +205,7 @@ class TestOperators:
 
     @pytest.mark.parametrize("config", [TINY, GenotypeConfig.per_network()],
                              ids=["tiny", "per_network"])
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            repeats=st.lists(st.booleans(), min_size=12, max_size=12))
     def test_vector_groups_are_distinct_and_sorted(self, config, seed,
