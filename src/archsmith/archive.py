@@ -13,12 +13,19 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .genotype import DepthKey, GanSpec, GenotypeConfig, gan_hash, validate_gan
+from .genotype import (
+    DepthKey,
+    GanSpec,
+    GenotypeConfig,
+    sort_by_fitness,
+    validate_gan,
+)
 
 ARCHIVE_FORMAT = "archive-v1"
 SETS_FORMAT = "sets-v1"
@@ -58,6 +65,11 @@ class Individual:
             raise FormatError(f"bad archive record: {exc}") from exc
 
 
+def _ranked(individuals: Iterable[Individual]) -> list[Individual]:
+    """Ascending fitness, ties broken by the canonical genotype hash."""
+    return sort_by_fitness(individuals, key=attrgetter("gan", "fitness"))
+
+
 @dataclass
 class RunArchive:
     """Individuals grouped by run, plus the configuration they live in."""
@@ -81,8 +93,7 @@ class RunArchive:
     def content_hash(self) -> str:
         digest = hashlib.sha256()
         for run_id in sorted(self.runs):
-            for ind in sorted(self.runs[run_id],
-                              key=lambda i: (i.fitness, gan_hash(i.gan))):
+            for ind in _ranked(self.runs[run_id]):
                 digest.update(json.dumps(ind.to_json_obj(),
                                          sort_keys=True).encode())
         return digest.hexdigest()
@@ -143,6 +154,9 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                 diagnostics.append(f"line {lineno}: not valid JSON ({exc.msg})")
                 continue
             if isinstance(obj, dict) and obj.get("format") == ARCHIVE_FORMAT:
+                if "config" not in obj:
+                    raise FormatError(f"{path}: line {lineno}: "
+                                      f"{ARCHIVE_FORMAT} header has no config")
                 file_config = GenotypeConfig.from_json_obj(obj["config"])
                 continue
             try:
@@ -199,8 +213,7 @@ def extract_sets(archive: RunArchive, n: int, seed: int) -> EliteSets:
     random_set: list[Individual] = []
     overlap = 0
     for run_id in sorted(archive.runs):
-        individuals = sorted(archive.runs[run_id],
-                             key=lambda i: (i.fitness, gan_hash(i.gan)))
+        individuals = _ranked(archive.runs[run_id])
         if len(individuals) < 2 * n:
             raise ValidationError(
                 f"run {run_id!r} has {len(individuals)} individuals, "

@@ -8,7 +8,7 @@ with repr so reruns diff clean.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,7 +61,15 @@ def _optional_learn(obj: dict) -> LearnConfig | None:
 
 
 def _optional_ea(obj: dict) -> EaConfig:
-    return EaConfig(**obj["ea"]) if "ea" in obj else EaConfig()
+    """Parse a partial EA config; unstated keys take their defaults."""
+    if "ea" not in obj:
+        return EaConfig()
+    if not isinstance(obj["ea"], dict):
+        raise ValidationError("ea config must be a JSON object")
+    unknown = sorted(set(obj["ea"]) - {f.name for f in fields(EaConfig)})
+    if unknown:
+        raise ValidationError(f"unknown ea config key(s): {', '.join(unknown)}")
+    return EaConfig(**obj["ea"])
 
 
 def _write_csv(path, header, rows) -> None:
@@ -365,7 +373,7 @@ def run_sampling(archive: RunArchive,
         land = make_landscape(holdout_seed, config.landscape)
         fitness = {}
         for set_name, gans in batches:
-            values = [land.evaluate(g) for g in gans]
+            values = land.evaluate_many(gans)
             fitness[set_name] = values
             rows.extend(SampleRow(holdout_seed=holdout_seed,
                                   set_name=set_name, index=i, fitness=v)

@@ -12,9 +12,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import FormatError, ValidationError
+
+_T = TypeVar("_T")
 
 GENOTYPE_SCHEMA_VERSION = "v1"
 
@@ -246,6 +248,34 @@ def canonical_json(gan: GanSpec) -> str:
 
 def gan_hash(gan: GanSpec) -> str:
     return hashlib.sha256(canonical_json(gan).encode()).hexdigest()
+
+
+def sort_by_fitness(items: Iterable[_T],
+                    key: Callable[[_T], tuple[GanSpec, float]] | None = None
+                    ) -> list[_T]:
+    """Items by ascending fitness, ties broken by the genotype hash.
+
+    ``key`` maps an item to its ``(gan, fitness)`` pair; by default each
+    item is that pair.  The result equals the stable
+    ``sorted(items, key=lambda m: (fitness, gan_hash(gan)))``: a stable sort
+    on fitness leaves every run of equal fitness in input order, and only
+    those runs are re-sorted (stably) by hash, so a genotype is hashed only
+    when another item has exactly its fitness.
+    """
+    items = list(items)
+    pairs = items if key is None else [key(item) for item in items]
+    order = sorted(range(len(items)), key=lambda i: pairs[i][1])
+    start = 0
+    while start < len(order):
+        fitness = pairs[order[start]][1]
+        stop = start + 1
+        while stop < len(order) and pairs[order[stop]][1] == fitness:
+            stop += 1
+        if stop - start > 1:
+            order[start:stop] = sorted(order[start:stop],
+                                       key=lambda i: gan_hash(pairs[i][0]))
+        start = stop
+    return [items[i] for i in order]
 
 
 def validate_gan(gan: GanSpec, config: GenotypeConfig) -> None:

@@ -28,7 +28,6 @@ from .genotype import (
     ROLE_GENERATOR,
     flatten_joint,
     joint_schema,
-    validate_gan,
 )
 
 LANDSCAPE_FORMAT = "land-v1"
@@ -219,7 +218,7 @@ class SurrogateLandscape:
         if self.config.sigma_noise == 0:
             return 0.0
         text = (f"{self.config.family_seed}|{self.seed}|{key.d_g}|{key.d_d}|"
-                + ",".join(str(int(v)) for v in row))
+                + ",".join(map(str, row)))
         digest = hashlib.sha256(text.encode()).digest()
         u = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return self.config.sigma_noise * u
@@ -242,16 +241,35 @@ class SurrogateLandscape:
             total += table[values[:, ia], values[:, ib]]
         if self.config.sigma_noise > 0:
             total += np.fromiter(
-                (self._noise(key, row) for row in values),
+                (self._noise(key, row) for row in values.tolist()),
                 dtype=float, count=values.shape[0])
         return total
 
+    def evaluate_many(self, gans: Sequence[GanSpec]) -> list[float]:
+        """Fitness of each genotype, in order; raises on out-of-bounds depths.
+
+        Each genotype is flattened once, and the rows are evaluated with one
+        evaluate_values call per depth key.  Batching cannot change a float:
+        evaluate_values adds a row's terms elementwise, in a fixed order
+        (base, unary tables by slot, pair tables by pair), so no sum mixes
+        rows, and a row's noise is a hash of that row alone.
+        """
+        config = self.config.genotype
+        rows: dict[DepthKey, list[tuple[int, ...]]] = {}
+        where = []
+        for gan in gans:
+            av = flatten_joint(gan, config)
+            group = rows.setdefault(av.depth_key, [])
+            where.append((av.depth_key, len(group)))
+            group.append(av.values)
+        fitness = {key: self.evaluate_values(
+                       key, np.array(group, dtype=np.int64)).tolist()
+                   for key, group in rows.items()}
+        return [fitness[key][index] for key, index in where]
+
     def evaluate(self, gan: GanSpec) -> float:
         """Fitness of one genotype; raises on out-of-bounds depths."""
-        validate_gan(gan, self.config.genotype)
-        av = flatten_joint(gan, self.config.genotype)
-        row = np.array([av.values], dtype=np.int64)
-        return float(self.evaluate_values(DepthKey(*av.depth_key), row)[0])
+        return self.evaluate_many([gan])[0]
 
 
 def make_landscape(seed: int, config: LandscapeConfig) -> SurrogateLandscape:

@@ -31,6 +31,7 @@ from .genotype import (
     gan_hash,
     joint_schema,
     random_gan,
+    sort_by_fitness,
     unflatten_joint,
     validate_gan,
 )
@@ -78,12 +79,14 @@ class ChangeTrainFreq:
 MutationOp = Union[AddLayer, DeleteLayer, ChangeLayer, ChangeTrainFreq]
 
 
-def _layer_variants(config: GenotypeConfig, role: str) -> list[LayerSpec]:
-    return [LayerSpec(kind=k, activation=a, weight_init=w, size_bin=s)
-            for k in config.kinds(role)
-            for a in config.activations
-            for w in config.weight_inits
-            for s in range(config.arity)]
+@lru_cache(maxsize=None)
+def _layer_variants(config: GenotypeConfig,
+                    role: str) -> tuple[LayerSpec, ...]:
+    return tuple(LayerSpec(kind=k, activation=a, weight_init=w, size_bin=s)
+                 for k in config.kinds(role)
+                 for a in config.activations
+                 for w in config.weight_inits
+                 for s in range(config.arity))
 
 
 def _attr_index(config: GenotypeConfig, layer: LayerSpec, attr: str) -> int:
@@ -480,7 +483,7 @@ class Population:
         return min(f for _, f in self.members)
 
     def best(self) -> tuple[GanSpec, float]:
-        return min(self.members, key=lambda m: (m[1], gan_hash(m[0])))
+        return sort_by_fitness(self.members)[0]
 
 
 @dataclass(frozen=True)
@@ -533,16 +536,14 @@ def init_population(strategy: str, size: int,
         gans = metamodel.sample_many(rng, size)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    return Population([(gan, landscape.evaluate(gan)) for gan in gans])
+    return Population(list(zip(gans, landscape.evaluate_many(gans))))
 
 
 def _tournament(population: Population, rng: np.random.Generator,
                 k: int) -> GanSpec:
     picks = rng.choice(population.size, size=min(k, population.size),
                        replace=False)
-    chosen = min((population.members[int(i)] for i in picks),
-                 key=lambda m: (m[1], gan_hash(m[0])))
-    return chosen[0]
+    return sort_by_fitness(population.members[int(i)] for i in picks)[0][0]
 
 
 def _crossover(a: GanSpec, b: GanSpec) -> tuple[GanSpec, GanSpec]:
@@ -603,7 +604,13 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     The incoming population is generation 0; each later generation
     evaluates (size − elitism) fresh offspring and carries the elite over
     unevaluated, so total evaluations stay predictable.  ``on_evaluate``
-    is called with (gan, fitness) for every fresh evaluation.
+    is called with (gan, fitness) for every fresh evaluation, in offspring
+    order.
+
+    A generation's offspring are all bred before any is evaluated, then
+    evaluated in one batch.  That is the same run as evaluating each child
+    as it is bred: evaluation draws nothing from ``rng``, and tournaments
+    read only the previous population.
     """
     if generations < 1:
         raise ValidationError("generations must be >= 1")
@@ -614,9 +621,9 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     trace = [population.best_fitness]
     evaluations = 0
     for _ in range(generations):
-        offspring: list[tuple[GanSpec, float]] = []
+        children: list[GanSpec] = []
         need = size - config.elitism
-        while len(offspring) < need:
+        while len(children) < need:
             parent_a = _tournament(population, rng, config.tournament_size)
             parent_b = _tournament(population, rng, config.tournament_size)
             if rng.random() < config.crossover_rate:
@@ -624,17 +631,17 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
             else:
                 child_a, child_b = parent_a, parent_b
             for child in (child_a, child_b):
-                if len(offspring) >= need:
+                if len(children) >= need:
                     break
                 if rng.random() < config.mutation_rate:
                     child = mutate(child, gc, rng)
-                fitness = landscape.evaluate(child)
-                if on_evaluate is not None:
-                    on_evaluate(child, fitness)
-                offspring.append((child, fitness))
-                evaluations += 1
-        elite = sorted(population.members,
-                       key=lambda m: (m[1], gan_hash(m[0])))[:config.elitism]
+                children.append(child)
+        offspring = list(zip(children, landscape.evaluate_many(children)))
+        if on_evaluate is not None:
+            for child, fitness in offspring:
+                on_evaluate(child, fitness)
+        evaluations += len(offspring)
+        elite = sort_by_fitness(population.members)[:config.elitism]
         population = Population(elite + offspring)
         trace.append(population.best_fitness)
     return EaResult(best_per_generation=trace, population=population,

@@ -121,7 +121,6 @@ def _permute_statistic(ranks, sizes, statistic, observed):
     n_total = ranks.size
     count = 0
     total = 0
-    buffer = np.empty(n_total)
 
     def recurse(free: tuple[int, ...], group: int) -> None:
         nonlocal count, total
@@ -143,7 +142,6 @@ def _permute_statistic(ranks, sizes, statistic, observed):
 
     assigned: list[tuple[int, ...]] = []
     recurse(tuple(range(n_total)), 0)
-    del buffer
     return count, total
 
 

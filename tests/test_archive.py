@@ -107,6 +107,18 @@ class TestLoadSave:
         assert loaded.n_individuals == 1
         assert loaded.rejected == 1
 
+    def test_header_without_config_names_file_and_line(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "runs.jsonl"
+        with open(path, "w") as handle:
+            handle.write(json.dumps(
+                make_individual(rng, 1.0).to_json_obj()) + "\n")
+            handle.write(json.dumps({"format": "archive-v1"}) + "\n")
+        with pytest.raises(FormatError, match="line 2") as info:
+            load_archive(path)
+        assert str(path) in str(info.value)
+        assert "config" in str(info.value)
+
     def test_header_supplies_config(self, tmp_path):
         rng = np.random.default_rng(4)
         config = GenotypeConfig.per_network()

@@ -233,6 +233,19 @@ class TestGenArchiveAndExperiment:
             assert (dirs[0] / name).read_bytes() == \
                 (dirs[1] / name).read_bytes()
 
+    def test_unknown_ea_key_is_validation_error(self, tmp_path, capsys):
+        cfg = {"landscape": LAND.to_json_obj(), "problem_seeds": [0],
+               "runs_per_problem": 1, "population": 6, "generations": 2,
+               "ea": {"bogus": 1, "elitism": 2}}
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["gen-archive", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "a.jsonl")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "bogus" in err[0]
+        assert "elitism" not in err[0]
+
     def test_bad_config_is_validation_error(self, archive_path, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")

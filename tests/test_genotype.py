@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from archsmith.genotype import (
     gan_hash,
     joint_schema,
     load_genotypes,
+    random_gan,
+    sort_by_fitness,
     unflatten,
 )
 
@@ -265,3 +268,33 @@ class TestConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValidationError):
             GenotypeConfig(mode="stacked")
+
+
+class TestSortByFitness:
+    # Four distinct genotypes and three fitness values, so most draws hold
+    # both duplicate genotypes and distinct genotypes of equal fitness.
+    POOL = [random_gan(np.random.default_rng(seed), JOINT)
+            for seed in range(4)]
+
+    @given(st.lists(st.tuples(st.integers(0, 3),
+                              st.sampled_from([0.0, 0.25, 1.0])),
+                    max_size=12))
+    @settings(max_examples=200)
+    def test_equals_hash_keyed_stable_sort(self, draws):
+        # The tag tells apart equal (gan, fitness) items, so the
+        # comparison also checks stability.
+        items = [(self.POOL[g], f, tag) for tag, (g, f) in enumerate(draws)]
+        want = sorted(items, key=lambda m: (m[1], gan_hash(m[0])))
+        got = sort_by_fitness(items, key=lambda m: (m[0], m[1]))
+        assert [m[2] for m in got] == [m[2] for m in want]
+        pairs = [(gan, f) for gan, f, _ in items]
+        assert sort_by_fitness(pairs) == [(gan, f) for gan, f, _ in want]
+
+    def test_hashes_only_ties(self, monkeypatch):
+        import archsmith.genotype as genotype
+        calls = []
+        monkeypatch.setattr(genotype, "gan_hash",
+                            lambda gan: calls.append(gan) or "")
+        pairs = [(gan, float(i)) for i, gan in enumerate(self.POOL)]
+        sort_by_fitness(pairs + [(self.POOL[0], 0.0)])
+        assert calls == [self.POOL[0], self.POOL[0]]

@@ -271,3 +271,33 @@ class TestSerialization:
         path.write_text('{"format": "other"}')
         with pytest.raises(FormatError):
             load_landscape(path)
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_batch_equals_one_at_a_time(self, sigma):
+        land = make_landscape(4, LandscapeConfig(genotype=JOINT,
+                                                 family_seed=7,
+                                                 sigma_noise=sigma))
+        gans = random_probes(np.random.default_rng(8), JOINT, 60)
+        gans += gans[:5]
+        assert len({g.depth_key for g in gans}) > 6
+        batch = land.evaluate_many(gans)
+        assert batch == [land.evaluate(g) for g in gans]
+        rows = [flatten_joint(g, JOINT) for g in gans]
+        assert batch == [
+            float(land.evaluate_values(av.depth_key,
+                                       np.array([av.values]))[0])
+            for av in rows]
+        assert all(type(f) is float for f in batch)
+
+    def test_empty_batch(self):
+        land = make_landscape(0, noiseless())
+        assert land.evaluate_many([]) == []
+
+    def test_out_of_bounds_genotype_rejected(self):
+        land = make_landscape(0, noiseless(genotype=TINY))
+        rng = np.random.default_rng(5)
+        deep = random_gan(rng, JOINT, depth_key=DepthKey(2, 1))
+        with pytest.raises(ValidationError):
+            land.evaluate_many([random_gan(rng, TINY), deep])

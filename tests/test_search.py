@@ -13,6 +13,7 @@ from archsmith.errors import ValidationError
 from archsmith.genotype import (
     AttributeVector,
     DepthKey,
+    GanSpec,
     GenotypeConfig,
     ROLE_GENERATOR,
     flatten_joint,
@@ -477,6 +478,89 @@ class TestPopulationAndEa:
                       config=EaConfig(elitism=4))
         with pytest.raises(ValidationError):
             EaConfig(crossover_rate=1.5)
+
+
+    @pytest.mark.parametrize("seed,config", [
+        (30, EaConfig()),
+        (31, EaConfig(crossover_rate=1.0, mutation_rate=0.3, elitism=2)),
+        (32, EaConfig(tournament_size=3, mutation_rate=0.5, elitism=0)),
+    ])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_ea_matches_per_child_reference(self, seed, config, coarse):
+        # Tournaments and elite sorts meet fitness ties between copies of a
+        # genotype; rounded fitness makes distinct genotypes tie as well.
+        land = tiny_landscape(seed=seed, sigma=0.05)
+        if coarse:
+            land = CoarseLandscape(land)
+        pop = init_population("random", 7, land, np.random.default_rng(seed))
+        got, want = [], []
+        result = simple_ea(land, pop, 6, np.random.default_rng(seed + 1),
+                           config=config,
+                           on_evaluate=lambda g, f: got.append((g, f)))
+        trace, members = reference_ea(land, pop, 6,
+                                      np.random.default_rng(seed + 1),
+                                      config, want.append)
+        assert got == want
+        assert all(type(f) is float for _, f in got)
+        assert result.best_per_generation == trace
+        assert result.population.members == members
+        assert result.evaluations == len(want)
+
+
+class CoarseLandscape:
+    """A landscape whose fitness is rounded to a whole number."""
+
+    def __init__(self, land):
+        self.land = land
+        self.config = land.config
+
+    def evaluate_many(self, gans):
+        return [float(round(f)) for f in self.land.evaluate_many(gans)]
+
+    def evaluate(self, gan):
+        return self.evaluate_many([gan])[0]
+
+
+def reference_ea(land, population, generations, rng, config, record):
+    """simple_ea as one evaluation per bred child, hashing every tie-break.
+
+    Returns the best fitness per generation and the final members; calls
+    ``record`` with each (gan, fitness) as it is evaluated.
+    """
+    members = list(population.members)
+    rank = lambda m: (m[1], gan_hash(m[0]))
+    trace = [min(f for _, f in members)]
+    for _ in range(generations):
+        offspring = []
+        need = len(members) - config.elitism
+        while len(offspring) < need:
+            parents = []
+            for _ in range(2):
+                picks = rng.choice(len(members),
+                                   size=min(config.tournament_size,
+                                            len(members)),
+                                   replace=False)
+                parents.append(min((members[int(i)] for i in picks),
+                                   key=rank)[0])
+            a, b = parents
+            if rng.random() < config.crossover_rate:
+                a, b = (GanSpec(generator=a.generator,
+                                discriminator=b.discriminator,
+                                train_freq_bin=a.train_freq_bin),
+                        GanSpec(generator=b.generator,
+                                discriminator=a.discriminator,
+                                train_freq_bin=b.train_freq_bin))
+            for child in (a, b):
+                if len(offspring) >= need:
+                    break
+                if rng.random() < config.mutation_rate:
+                    child = mutate(child, TINY, rng)
+                fitness = land.evaluate(child)
+                record((child, fitness))
+                offspring.append((child, fitness))
+        members = sorted(members, key=rank)[:config.elitism] + offspring
+        trace.append(min(f for _, f in members))
+    return trace, members
 
 
 def gan_hash_half(net):
