@@ -527,8 +527,10 @@ def reference_ea(land, population, generations, rng, config, record):
     Returns the best fitness per generation and the final members; calls
     ``record`` with each (gan, fitness) as it is evaluated.
     """
+    def rank(member):
+        return member[1], gan_hash(member[0])
+
     members = list(population.members)
-    rank = lambda m: (m[1], gan_hash(m[0]))
     trace = [min(f for _, f in members)]
     for _ in range(generations):
         offspring = []
