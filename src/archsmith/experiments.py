@@ -373,7 +373,7 @@ def run_sampling(archive: RunArchive,
         land = make_landscape(holdout_seed, config.landscape)
         fitness = {}
         for set_name, gans in batches:
-            values = land.evaluate_many(gans)
+            values = [land.evaluate(g) for g in gans]
             fitness[set_name] = values
             rows.extend(SampleRow(holdout_seed=holdout_seed,
                                   set_name=set_name, index=i, fitness=v)

@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import FormatError, ValidationError
@@ -262,20 +263,15 @@ def sort_by_fitness(items: Iterable[_T],
     those runs are re-sorted (stably) by hash, so a genotype is hashed only
     when another item has exactly its fitness.
     """
-    items = list(items)
-    pairs = items if key is None else [key(item) for item in items]
-    order = sorted(range(len(items)), key=lambda i: pairs[i][1])
-    start = 0
-    while start < len(order):
-        fitness = pairs[order[start]][1]
-        stop = start + 1
-        while stop < len(order) and pairs[order[stop]][1] == fitness:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(order[start:stop],
-                                       key=lambda i: gan_hash(pairs[i][0]))
-        start = stop
-    return [items[i] for i in order]
+    pair = (lambda item: item) if key is None else key
+    ranked = sorted(items, key=lambda item: pair(item)[1])
+    result: list[_T] = []
+    for _, run in groupby(ranked, key=lambda item: pair(item)[1]):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda item: gan_hash(pair(item)[0]))
+        result.extend(run)
+    return result
 
 
 def validate_gan(gan: GanSpec, config: GenotypeConfig) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,6 +115,27 @@ def _position_from_str(text: str) -> Position:
     return (section, int(layer), attr)
 
 
+class _Terms(NamedTuple):
+    """One depth key's term tables, laid out for gathering.
+
+    ``unary`` holds every slot's table end to end, and slot j's value v
+    sits at ``unary[unary_start[j] + v]``.  ``pairwise`` holds every pair
+    table, raveled, end to end: pair k over slots (a, b) keeps its value
+    for (u, v) at ``pairwise[pair_start[k] + u * pair_stride[k] + v]``.
+    The per-slot and per-pair arrays are columns, to broadcast over rows.
+    """
+
+    base: float
+    cards: np.ndarray
+    unary: np.ndarray
+    unary_start: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    pair_stride: np.ndarray
+    pairwise: np.ndarray
+    pair_start: np.ndarray
+
+
 class SurrogateLandscape:
     """Additive planted-pattern fitness: base(depth) + unary + pairwise + noise.
 
@@ -139,7 +160,7 @@ class SurrogateLandscape:
         self._pairwise = {p: np.asarray(t, dtype=float)
                           for p, t in pairwise.items()}
         self._base = dict(base)
-        self._compiled: dict[DepthKey, tuple] = {}
+        self._compiled: dict[DepthKey, _Terms] = {}
 
     # -- structure accessors -------------------------------------------------
 
@@ -199,7 +220,7 @@ class SurrogateLandscape:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _compile(self, key: DepthKey):
+    def _compile(self, key: DepthKey) -> _Terms:
         cached = self._compiled.get(key)
         if cached is not None:
             return cached
@@ -207,10 +228,25 @@ class SurrogateLandscape:
         pos_list = [(s.section, s.layer, s.attr) for s in schema.slots]
         index = {p: i for i, p in enumerate(pos_list)}
         unary = [self._unary[p] for p in pos_list]
-        pair_terms = [(index[a], index[b], self._pairwise[(a, b)])
-                      for a, b in self._pairs
-                      if a in index and b in index]
-        compiled = (self._base[key], unary, pair_terms)
+        pairs = [(index[a], index[b], self._pairwise[(a, b)])
+                 for a, b in self._pairs if a in index and b in index]
+        cards = np.array([len(t) for t in unary], dtype=np.int64)
+        pair_tables = [t.ravel() for _, _, t in pairs]
+        pair_sizes = np.array([len(t) for t in pair_tables], dtype=np.int64)
+
+        def column(items):
+            return np.array(items, dtype=np.int64).reshape(-1, 1)
+
+        compiled = _Terms(
+            base=self._base[key],
+            cards=column(cards),
+            unary=np.concatenate(unary),
+            unary_start=column(np.cumsum(cards) - cards),
+            pair_a=np.array([a for a, _, _ in pairs], dtype=np.int64),
+            pair_b=np.array([b for _, b, _ in pairs], dtype=np.int64),
+            pair_stride=column([t.shape[1] for _, _, t in pairs]),
+            pairwise=np.concatenate(pair_tables + [np.empty(0)]),
+            pair_start=column(np.cumsum(pair_sizes) - pair_sizes))
         self._compiled[key] = compiled
         return compiled
 
@@ -225,7 +261,15 @@ class SurrogateLandscape:
 
     def evaluate_values(self, key: DepthKey,
                         values: np.ndarray) -> np.ndarray:
-        """Fitness for a batch of slot-value rows at one depth key."""
+        """Fitness for a batch of slot-value rows at one depth key.
+
+        A row's fitness is base + each unary term in slot order + each
+        pairwise term in pair order + noise, added left to right.  The
+        terms of all rows are gathered into one (term, row) array and
+        summed with ``np.add.accumulate`` down the term axis, which adds
+        strictly in that order.  So a row's float depends on that row
+        alone, whatever the batch size.
+        """
         key = DepthKey(*key)
         if key not in self._base:
             raise ValidationError(f"unsupported depth key {tuple(key)}")
@@ -233,43 +277,28 @@ class SurrogateLandscape:
         if values.ndim != 2 or values.shape[1] != len(
                 joint_schema(self.config.genotype, key)):
             raise ValidationError("values shape does not match the schema")
-        base, unary, pair_terms = self._compile(key)
-        total = np.full(values.shape[0], base, dtype=float)
-        for j, table in enumerate(unary):
-            total += table[values[:, j]]
-        for ia, ib, table in pair_terms:
-            total += table[values[:, ia], values[:, ib]]
+        t = self._compile(key)
+        columns = values.T
+        if not ((columns >= 0) & (columns < t.cards)).all():
+            raise ValidationError("slot value outside its cardinality")
+        n_unary = len(t.cards)
+        terms = np.empty((1 + n_unary + len(t.pair_a), values.shape[0]))
+        terms[0] = t.base
+        terms[1:1 + n_unary] = t.unary[columns + t.unary_start]
+        terms[1 + n_unary:] = t.pairwise[columns[t.pair_a] * t.pair_stride
+                                         + columns[t.pair_b] + t.pair_start]
+        total = np.add.accumulate(terms, axis=0)[-1]
         if self.config.sigma_noise > 0:
             total += np.fromiter(
                 (self._noise(key, row) for row in values.tolist()),
                 dtype=float, count=values.shape[0])
         return total
 
-    def evaluate_many(self, gans: Sequence[GanSpec]) -> list[float]:
-        """Fitness of each genotype, in order; raises on out-of-bounds depths.
-
-        Each genotype is flattened once, and the rows are evaluated with one
-        evaluate_values call per depth key.  Batching cannot change a float:
-        evaluate_values adds a row's terms elementwise, in a fixed order
-        (base, unary tables by slot, pair tables by pair), so no sum mixes
-        rows, and a row's noise is a hash of that row alone.
-        """
-        config = self.config.genotype
-        rows: dict[DepthKey, list[tuple[int, ...]]] = {}
-        where = []
-        for gan in gans:
-            av = flatten_joint(gan, config)
-            group = rows.setdefault(av.depth_key, [])
-            where.append((av.depth_key, len(group)))
-            group.append(av.values)
-        fitness = {key: self.evaluate_values(
-                       key, np.array(group, dtype=np.int64)).tolist()
-                   for key, group in rows.items()}
-        return [fitness[key][index] for key, index in where]
-
     def evaluate(self, gan: GanSpec) -> float:
         """Fitness of one genotype; raises on out-of-bounds depths."""
-        return self.evaluate_many([gan])[0]
+        av = flatten_joint(gan, self.config.genotype)
+        row = np.array([av.values], dtype=np.int64)
+        return float(self.evaluate_values(av.depth_key, row)[0])
 
 
 def make_landscape(seed: int, config: LandscapeConfig) -> SurrogateLandscape:

@@ -483,7 +483,7 @@ class Population:
         return min(f for _, f in self.members)
 
     def best(self) -> tuple[GanSpec, float]:
-        return sort_by_fitness(self.members)[0]
+        return min(self.members, key=lambda m: (m[1], gan_hash(m[0])))
 
 
 @dataclass(frozen=True)
@@ -536,7 +536,7 @@ def init_population(strategy: str, size: int,
         gans = metamodel.sample_many(rng, size)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    return Population(list(zip(gans, landscape.evaluate_many(gans))))
+    return Population([(gan, landscape.evaluate(gan)) for gan in gans])
 
 
 def _tournament(population: Population, rng: np.random.Generator,
@@ -604,13 +604,7 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     The incoming population is generation 0; each later generation
     evaluates (size − elitism) fresh offspring and carries the elite over
     unevaluated, so total evaluations stay predictable.  ``on_evaluate``
-    is called with (gan, fitness) for every fresh evaluation, in offspring
-    order.
-
-    A generation's offspring are all bred before any is evaluated, then
-    evaluated in one batch.  That is the same run as evaluating each child
-    as it is bred: evaluation draws nothing from ``rng``, and tournaments
-    read only the previous population.
+    is called with (gan, fitness) for every fresh evaluation.
     """
     if generations < 1:
         raise ValidationError("generations must be >= 1")
@@ -621,9 +615,9 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     trace = [population.best_fitness]
     evaluations = 0
     for _ in range(generations):
-        children: list[GanSpec] = []
+        offspring: list[tuple[GanSpec, float]] = []
         need = size - config.elitism
-        while len(children) < need:
+        while len(offspring) < need:
             parent_a = _tournament(population, rng, config.tournament_size)
             parent_b = _tournament(population, rng, config.tournament_size)
             if rng.random() < config.crossover_rate:
@@ -631,16 +625,15 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
             else:
                 child_a, child_b = parent_a, parent_b
             for child in (child_a, child_b):
-                if len(children) >= need:
+                if len(offspring) >= need:
                     break
                 if rng.random() < config.mutation_rate:
                     child = mutate(child, gc, rng)
-                children.append(child)
-        offspring = list(zip(children, landscape.evaluate_many(children)))
-        if on_evaluate is not None:
-            for child, fitness in offspring:
-                on_evaluate(child, fitness)
-        evaluations += len(offspring)
+                fitness = landscape.evaluate(child)
+                if on_evaluate is not None:
+                    on_evaluate(child, fitness)
+                offspring.append((child, fitness))
+                evaluations += 1
         elite = sort_by_fitness(population.members)[:config.elitism]
         population = Population(elite + offspring)
         trace.append(population.best_fitness)

@@ -1,5 +1,6 @@
 """Planted-pattern surrogate landscapes."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -273,31 +274,63 @@ class TestSerialization:
             load_landscape(path)
 
 
-class TestEvaluateMany:
+def reference_fitness(land, key, row):
+    """base + unary terms by slot + pair terms by pair + noise, in order."""
+    schema = joint_schema(land.config.genotype, key)
+    index = {(s.section, s.layer, s.attr): i
+             for i, s in enumerate(schema.slots)}
+    total = land.base_penalty(key)
+    for pos, i in index.items():
+        total += float(land.unary_table(pos)[row[i]])
+    for a, b in land.pairs:
+        if a in index and b in index:
+            total += float(land.pairwise_table((a, b))[row[index[a]],
+                                                       row[index[b]]])
+    config = land.config
+    if config.sigma_noise > 0:
+        text = (f"{config.family_seed}|{land.seed}|{key.d_g}|{key.d_d}|"
+                + ",".join(str(v) for v in row))
+        digest = hashlib.sha256(text.encode()).digest()
+        total += (config.sigma_noise
+                  * (int.from_bytes(digest[:8], "big") / 2.0 ** 64))
+    return total
+
+
+class TestEvaluateValues:
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
-    def test_batch_equals_one_at_a_time(self, sigma):
+    def test_equals_sequential_reference_at_every_batch_size(self, sigma):
         land = make_landscape(4, LandscapeConfig(genotype=JOINT,
                                                  family_seed=7,
                                                  sigma_noise=sigma))
-        gans = random_probes(np.random.default_rng(8), JOINT, 60)
-        gans += gans[:5]
-        assert len({g.depth_key for g in gans}) > 6
-        batch = land.evaluate_many(gans)
-        assert batch == [land.evaluate(g) for g in gans]
-        rows = [flatten_joint(g, JOINT) for g in gans]
-        assert batch == [
-            float(land.evaluate_values(av.depth_key,
-                                       np.array([av.values]))[0])
-            for av in rows]
-        assert all(type(f) is float for f in batch)
+        gans = random_probes(np.random.default_rng(8), JOINT, 200)
+        rows = {}
+        for av in (flatten_joint(g, JOINT) for g in gans):
+            rows.setdefault(av.depth_key, []).append(av.values)
+        assert len(rows) > 6
+        for key, group in rows.items():
+            want = [reference_fitness(land, key, row) for row in group]
+            batch = land.evaluate_values(key, np.array(group))
+            assert batch.tolist() == want
+            assert [float(land.evaluate_values(key, np.array([row]))[0])
+                    for row in group] == want
+        assert ([land.evaluate(g) for g in gans]
+                == [reference_fitness(land, g.depth_key,
+                                      flatten_joint(g, JOINT).values)
+                    for g in gans])
 
     def test_empty_batch(self):
         land = make_landscape(0, noiseless())
-        assert land.evaluate_many([]) == []
+        key = DepthKey(2, 3)
+        empty = np.zeros((0, len(joint_schema(JOINT, key))), dtype=np.int64)
+        assert land.evaluate_values(key, empty).shape == (0,)
 
-    def test_out_of_bounds_genotype_rejected(self):
+    @pytest.mark.parametrize("value", [-1, "card"])
+    def test_value_outside_cardinality_rejected(self, value):
         land = make_landscape(0, noiseless(genotype=TINY))
-        rng = np.random.default_rng(5)
-        deep = random_gan(rng, JOINT, depth_key=DepthKey(2, 1))
-        with pytest.raises(ValidationError):
-            land.evaluate_many([random_gan(rng, TINY), deep])
+        key = DepthKey(1, 1)
+        schema = joint_schema(TINY, key)
+        row = np.zeros((2, len(schema)), dtype=np.int64)
+        row[1, -1] = (schema.slots[-1].cardinality if value == "card"
+                      else value)
+        with pytest.raises(ValidationError, match="cardinality"):
+            land.evaluate_values(key, row)

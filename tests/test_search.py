@@ -479,7 +479,6 @@ class TestPopulationAndEa:
         with pytest.raises(ValidationError):
             EaConfig(crossover_rate=1.5)
 
-
     @pytest.mark.parametrize("seed,config", [
         (30, EaConfig()),
         (31, EaConfig(crossover_rate=1.0, mutation_rate=0.3, elitism=2)),
@@ -514,11 +513,8 @@ class CoarseLandscape:
         self.land = land
         self.config = land.config
 
-    def evaluate_many(self, gans):
-        return [float(round(f)) for f in self.land.evaluate_many(gans)]
-
     def evaluate(self, gan):
-        return self.evaluate_many([gan])[0]
+        return float(round(self.land.evaluate(gan)))
 
 
 def reference_ea(land, population, generations, rng, config, record):
