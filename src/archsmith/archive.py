@@ -23,6 +23,7 @@ from .genotype import (
     DepthKey,
     GanSpec,
     GenotypeConfig,
+    LayerPool,
     sort_by_fitness,
     validate_gan,
 )
@@ -55,13 +56,14 @@ class Individual:
                 "fitness": self.fitness, "gan": self.gan.to_json_obj()}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Individual":
+    def from_json_obj(cls, obj: dict,
+                      pool: LayerPool | None = None) -> "Individual":
         try:
-            return cls(gan=GanSpec.from_json_obj(obj["gan"]),
+            return cls(gan=GanSpec.from_json_obj(obj["gan"], pool),
                        fitness=float(obj["fitness"]),
                        run_id=str(obj["run_id"]),
                        problem_id=str(obj["problem_id"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad archive record: {exc}") from exc
 
 
@@ -137,12 +139,14 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
     A leading ``archive-v1`` header supplies the genotype configuration
     unless ``config`` overrides it.  Records whose genotypes fall outside
     the configured space are rejected and counted.  An archive with no
-    loadable runs at all is an error.
+    loadable runs at all is an error.  Equal layers of the loaded genotypes
+    are one shared object (``LayerPool``).
     """
     runs: dict[str, list[Individual]] = {}
     diagnostics: list[str] = []
     rejected = 0
     file_config = None
+    pool = LayerPool(config or GenotypeConfig.joint())
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -158,9 +162,11 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                     raise FormatError(f"{path}: line {lineno}: "
                                       f"{ARCHIVE_FORMAT} header has no config")
                 file_config = GenotypeConfig.from_json_obj(obj["config"])
+                if config is None:
+                    pool = LayerPool(file_config)
                 continue
             try:
-                ind = Individual.from_json_obj(obj)
+                ind = Individual.from_json_obj(obj, pool)
             except (FormatError, ValidationError) as exc:
                 diagnostics.append(f"line {lineno}: {exc}")
                 continue
@@ -254,8 +260,7 @@ def save_sets(sets: EliteSets, path) -> None:
         "random": [i.to_json_obj() for i in sets.random],
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_sets(path) -> EliteSets:

@@ -440,8 +440,7 @@ def bn_from_json_obj(obj: dict) -> BayesNet:
 
 def save_bn(bn: BayesNet, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(bn_to_json_obj(bn), handle)
-        handle.write("\n")
+        handle.write(json.dumps(bn_to_json_obj(bn)) + "\n")
 
 
 def load_bn(path) -> BayesNet:

@@ -268,6 +268,16 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _cell(row, column, parse, path, reader):
+    """``parse(row[column])``, or a ValidationError naming where it failed."""
+    try:
+        return parse(row[column])
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{path}: row at line {reader.line_num}: column {column!r} "
+            f"holds {row[column]!r}, not a number") from None
+
+
 def _final_values(path, group_by, value, member):
     """One value per (group, member): the row with the largest step."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -286,9 +296,9 @@ def _final_values(path, group_by, value, member):
         latest = {}
         for row in reader:
             key = (row[group_by], row[member])
-            step = int(row[step_col]) if step_col else 0
+            step = _cell(row, step_col, int, path, reader) if step_col else 0
             if key not in latest or step >= latest[key][0]:
-                latest[key] = (step, float(row[value]))
+                latest[key] = (step, _cell(row, value, float, path, reader))
     groups: dict[str, list[float]] = {}
     for (group, _), (_, val) in sorted(latest.items()):
         groups.setdefault(group, []).append(val)

@@ -50,11 +50,24 @@ def parse_seed_range(value) -> tuple[int, ...]:
     raise ValidationError(f"bad seed list {value!r}")
 
 
+def _required(obj: dict, name: str):
+    """``obj[name]``, or a ValidationError naming the missing field."""
+    if not isinstance(obj, dict):
+        raise ValidationError("config must be a JSON object")
+    if name not in obj:
+        raise ValidationError(f"config has no {name!r} field")
+    return obj[name]
+
+
+def _landscape(obj: dict) -> LandscapeConfig:
+    return LandscapeConfig.from_json_obj(_required(obj, "landscape"))
+
+
 def _optional_learn(obj: dict) -> LearnConfig | None:
     """Parse a partial learn config; unstated keys take their defaults."""
     if "learn" not in obj:
         return None
-    genotype = LandscapeConfig.from_json_obj(obj["landscape"]).genotype
+    genotype = _landscape(obj).genotype
     merged = LearnConfig(genotype=genotype).to_json_obj()
     merged.update(obj["learn"])
     return LearnConfig.from_json_obj(merged)
@@ -124,6 +137,7 @@ class ArchiveGenConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ArchiveGenConfig":
+        landscape = _landscape(obj)
         kwargs = {}
         if "problem_seeds" in obj:
             kwargs["problem_seeds"] = parse_seed_range(obj["problem_seeds"])
@@ -131,8 +145,7 @@ class ArchiveGenConfig:
                      "base_seed"):
             if name in obj:
                 kwargs[name] = int(obj[name])
-        return cls(landscape=LandscapeConfig.from_json_obj(obj["landscape"]),
-                   ea=_optional_ea(obj), **kwargs)
+        return cls(landscape=landscape, ea=_optional_ea(obj), **kwargs)
 
 
 def generate_archive(config: ArchiveGenConfig) -> RunArchive:
@@ -177,10 +190,10 @@ class LikelihoodConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LikelihoodConfig":
+        landscape = _landscape(obj)
         kwargs = {name: int(obj[name])
                   for name in ("n", "seed", "min_scored") if name in obj}
-        return cls(landscape=LandscapeConfig.from_json_obj(obj["landscape"]),
-                   learn=_optional_learn(obj), **kwargs)
+        return cls(landscape=landscape, learn=_optional_learn(obj), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -303,12 +316,13 @@ class SamplingConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SamplingConfig":
+        landscape = _landscape(obj)
         kwargs = {name: int(obj[name])
                   for name in ("n", "n_each", "seed") if name in obj}
         if "holdout_seeds" in obj:
             kwargs["holdout_seeds"] = parse_seed_range(obj["holdout_seeds"])
-        return cls(landscape=LandscapeConfig.from_json_obj(obj["landscape"]),
-                   train_seeds=parse_seed_range(obj["train_seeds"]),
+        return cls(landscape=landscape,
+                   train_seeds=parse_seed_range(_required(obj, "train_seeds")),
                    learn=_optional_learn(obj), **kwargs)
 
 
@@ -427,12 +441,12 @@ class InitializationConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InitializationConfig":
+        landscape = _landscape(obj)
         kwargs = {name: int(obj[name])
                   for name in ("target_seed", "replicates", "population",
                                "generations", "n", "seed") if name in obj}
-        return cls(landscape=LandscapeConfig.from_json_obj(obj["landscape"]),
-                   ea=_optional_ea(obj), learn=_optional_learn(obj),
-                   **kwargs)
+        return cls(landscape=landscape, ea=_optional_ea(obj),
+                   learn=_optional_learn(obj), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -532,11 +546,11 @@ class GuidedSearchConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GuidedSearchConfig":
+        landscape = _landscape(obj)
         kwargs = {name: int(obj[name])
                   for name in ("target_seed", "replicates", "budget", "n",
                                "seed") if name in obj}
-        return cls(landscape=LandscapeConfig.from_json_obj(obj["landscape"]),
-                   learn=_optional_learn(obj), **kwargs)
+        return cls(landscape=landscape, learn=_optional_learn(obj), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -179,7 +179,7 @@ class LayerSpec:
             return cls(kind=obj["kind"], activation=obj["activation"],
                        weight_init=obj["weight_init"],
                        size_bin=int(obj["size_bin"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad layer record: {exc}") from exc
 
 
@@ -199,12 +199,55 @@ class DnnSpec:
                 "layers": [layer.to_json_obj() for layer in self.layers]}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "DnnSpec":
+    def from_json_obj(cls, obj: dict,
+                      pool: LayerPool | None = None) -> "DnnSpec":
+        make = LayerSpec.from_json_obj if pool is None else pool.layer
         try:
-            layers = tuple(LayerSpec.from_json_obj(l) for l in obj["layers"])
+            layers = tuple(make(l) for l in obj["layers"])
             return cls(role=obj["role"], layers=layers)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad network record: {exc}") from exc
+
+
+class LayerPool:
+    """Shares equal ``LayerSpec``s among the genotypes parsed in one load.
+
+    A loaded archive repeats a few hundred distinct layers tens of thousands
+    of times; parsing through a pool keeps one object per distinct layer.
+    Only layers inside ``config``'s vocabulary enter the pool, keyed by
+    their parsed fields, so it never holds more than the vocabulary's
+    layers (225 for the joint default) whatever the input.  Any other layer
+    is parsed afresh by ``LayerSpec.from_json_obj``, with its usual errors,
+    and left for ``validate_gan`` to reject.
+    """
+
+    def __init__(self, config: GenotypeConfig) -> None:
+        # Tuples, not sets: a parsed field may be an unhashable JSON list.
+        self._kinds = config.generator_kinds + config.discriminator_kinds
+        self._activations = config.activations
+        self._weight_inits = config.weight_inits
+        self._arity = config.arity
+        self._layers: dict[tuple, LayerSpec] = {}
+
+    def layer(self, obj: dict) -> LayerSpec:
+        """The pooled layer equal to ``LayerSpec.from_json_obj(obj)``."""
+        try:
+            found = self._layers.get((obj["kind"], obj["activation"],
+                                      obj["weight_init"], obj["size_bin"]))
+        except (KeyError, TypeError):
+            found = None
+        # A raw key that only compares equal (size_bin 1.0 or true for 1)
+        # finds the layer its fields parse to, so any hit is the right one.
+        if found is not None:
+            return found
+        layer = LayerSpec.from_json_obj(obj)
+        if (layer.kind in self._kinds and layer.activation in self._activations
+                and layer.weight_init in self._weight_inits
+                and 0 <= layer.size_bin < self._arity):
+            key = (layer.kind, layer.activation, layer.weight_init,
+                   layer.size_bin)
+            return self._layers.setdefault(key, layer)
+        return layer
 
 
 @dataclass(frozen=True)
@@ -228,18 +271,27 @@ class GanSpec:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "GanSpec":
+    def from_json_obj(cls, obj: dict,
+                      pool: LayerPool | None = None) -> "GanSpec":
         version = obj.get("schema")
         if version != GENOTYPE_SCHEMA_VERSION:
             raise FormatError(f"unsupported genotype schema tag {version!r}")
         try:
             return cls(
-                generator=DnnSpec.from_json_obj(obj["generator"]),
-                discriminator=DnnSpec.from_json_obj(obj["discriminator"]),
+                generator=DnnSpec.from_json_obj(obj["generator"], pool),
+                discriminator=DnnSpec.from_json_obj(obj["discriminator"],
+                                                    pool),
                 train_freq_bin=int(obj["train_freq_bin"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad genotype record: {exc}") from exc
+
+    @cached_property
+    def _sha256(self) -> str:
+        # The spec is frozen, so its hash is computed once per object.  The
+        # value lives in the instance dict, outside the dataclass fields, so
+        # equality, hash() and repr do not see it.
+        return hashlib.sha256(canonical_json(self).encode()).hexdigest()
 
 
 def canonical_json(gan: GanSpec) -> str:
@@ -248,7 +300,8 @@ def canonical_json(gan: GanSpec) -> str:
 
 
 def gan_hash(gan: GanSpec) -> str:
-    return hashlib.sha256(canonical_json(gan).encode()).hexdigest()
+    """sha256 of ``canonical_json(gan)``, computed once per object."""
+    return gan._sha256
 
 
 def sort_by_fitness(items: Iterable[_T],

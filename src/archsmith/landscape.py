@@ -416,8 +416,8 @@ def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
 
 def save_landscape(land: SurrogateLandscape, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(landscape_to_json_obj(land), handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(landscape_to_json_obj(land), sort_keys=True)
+                     + "\n")
 
 
 def load_landscape(path) -> SurrogateLandscape:

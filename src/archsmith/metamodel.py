@@ -580,8 +580,10 @@ def metamodel_from_json_obj(obj: dict) -> Metamodel:
 
 def save_metamodel(m: Metamodel, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(metamodel_to_json_obj(m), handle, sort_keys=True)
-        handle.write("\n")
+        # One json.dumps call runs the C encoder; json.dump would stream
+        # the same bytes through the pure-Python one, several times slower.
+        handle.write(json.dumps(metamodel_to_json_obj(m), sort_keys=True)
+                     + "\n")
 
 
 def load_metamodel(path) -> Metamodel:

@@ -482,9 +482,6 @@ class Population:
     def best_fitness(self) -> float:
         return min(f for _, f in self.members)
 
-    def best(self) -> tuple[GanSpec, float]:
-        return min(self.members, key=lambda m: (m[1], gan_hash(m[0])))
-
 
 @dataclass(frozen=True)
 class EaConfig:

@@ -119,6 +119,50 @@ class TestLoadSave:
         assert str(path) in str(info.value)
         assert "config" in str(info.value)
 
+    def test_equal_layers_load_as_one_object(self, tmp_path):
+        rng = np.random.default_rng(6)
+        archive = make_archive(rng, n_runs=3, run_size=40)
+        path = tmp_path / "runs.jsonl"
+        save_archive(archive, path)
+        loaded = load_archive(path)
+        assert loaded == archive
+        assert loaded.content_hash() == archive.content_hash()
+        layers = [layer for ind in loaded.all_individuals()
+                  for net in (ind.gan.generator, ind.gan.discriminator)
+                  for layer in net.layers]
+        shared = {}
+        assert all(shared.setdefault(layer, layer) is layer
+                   for layer in layers)
+        assert len(shared) < len(layers)
+
+    def test_malformed_layer_records_keep_line_diagnostics(self, tmp_path):
+        rng = np.random.default_rng(7)
+        archive = make_archive(rng, n_runs=1, run_size=10)
+        path = tmp_path / "runs.jsonl"
+        save_archive(archive, path)
+        lines = path.read_text().splitlines()
+        for lineno, edit in ((3, lambda l: l.pop("activation")),
+                             (4, lambda l: l.update(size_bin="x")),
+                             (5, lambda l: l.update(kind=["dense"]))):
+            obj = json.loads(lines[lineno - 1])
+            edit(obj["gan"]["generator"]["layers"][0])
+            lines[lineno - 1] = json.dumps(obj)
+        obj = json.loads(lines[5])
+        obj["fitness"] = "abc"
+        lines[5] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_archive(path)
+        assert loaded.diagnostics[:3] == [
+            "line 3: bad layer record: 'activation'",
+            "line 4: bad layer record: invalid literal for int() with "
+            "base 10: 'x'",
+            "line 6: bad archive record: could not convert string to "
+            "float: 'abc'",
+        ]
+        assert loaded.rejected == 1
+        assert "layer kind ['dense'] not legal" in loaded.diagnostics[3]
+        assert loaded.n_individuals == 10 - 4
+
     def test_header_supplies_config(self, tmp_path):
         rng = np.random.default_rng(4)
         config = GenotypeConfig.per_network()
@@ -248,6 +292,23 @@ class TestSetsIO:
                                    random=sets.random, n=3, seed=4,
                                    overlap_count=sets.overlap_count,
                                    config=CONFIG)
+
+    def test_bytes_equal_json_dump(self, tmp_path):
+        rng = np.random.default_rng(16)
+        sets = extract_sets(make_archive(rng, n_runs=2, run_size=10), n=3,
+                            seed=4)
+        path = tmp_path / "sets.json"
+        save_sets(sets, path)
+        doc = {"format": "sets-v1", "n": 3, "seed": 4,
+               "overlap_count": sets.overlap_count,
+               "config": CONFIG.to_json_obj(),
+               **{name: [i.to_json_obj() for i in sets.by_name(name)]
+                  for name in ("first", "second", "random")}}
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, sort_keys=True)
+            handle.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "sets.json"

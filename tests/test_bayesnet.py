@@ -463,6 +463,16 @@ class TestSerialization:
         for ours, theirs in zip(bn.cpts, clone.cpts):
             assert np.array_equal(ours, theirs)
 
+    def test_bytes_equal_json_dump(self, tmp_path):
+        bn = random_bn(np.random.default_rng(22))
+        path = tmp_path / "model.bn"
+        save_bn(bn, path)
+        reference = tmp_path / "reference.bn"
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(bn_to_json_obj(bn), handle)
+            handle.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_format_tag_present(self):
         obj = bn_to_json_obj(manual_chain_bn())
         assert obj["format"] == "bn-v1"

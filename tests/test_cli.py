@@ -246,6 +246,36 @@ class TestGenArchiveAndExperiment:
         assert err[0].startswith("error:") and "bogus" in err[0]
         assert "elitism" not in err[0]
 
+    @pytest.mark.parametrize("command", ["gen-archive", "likelihood",
+                                         "sampling", "initialization",
+                                         "guided-search"])
+    def test_empty_config_names_landscape(self, command, archive_path,
+                                          tmp_path, capsys):
+        cfg_path = tmp_path / "empty.json"
+        cfg_path.write_text("{}")
+        if command == "gen-archive":
+            argv = ["gen-archive", "--out", str(tmp_path / "a.jsonl")]
+        else:
+            argv = ["experiment", "--id", command,
+                    "--archive", str(archive_path),
+                    "--out-dir", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "'landscape'" in err[0]
+
+    def test_sampling_config_without_train_seeds(self, archive_path,
+                                                 tmp_path, capsys):
+        cfg_path = tmp_path / "sampling.json"
+        cfg_path.write_text(json.dumps({"landscape": LAND.to_json_obj()}))
+        assert main(["experiment", "--id", "sampling",
+                     "--archive", str(archive_path),
+                     "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "'train_seeds'" in err[0]
+
     def test_bad_config_is_validation_error(self, archive_path, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
@@ -298,6 +328,23 @@ class TestAnalyze:
         assert main(["analyze", "--traces", str(steps_csv),
                      "--test", "kw", "--value", "loss",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("column", ["best", "step"])
+    def test_non_numeric_cell_names_file_row_and_column(
+            self, steps_csv, tmp_path, capsys, column):
+        with open(steps_csv, newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[4][rows[0].index(column)] = "n/a"
+        with open(steps_csv, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        assert main(["analyze", "--traces", str(steps_csv),
+                     "--test", "kw", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert str(steps_csv) in err[0]
+        assert "line 5" in err[0] and repr(column) in err[0]
+        assert "'n/a'" in err[0]
 
     def test_unknown_flag_is_validation_error(self):
         assert main(["analyze", "--bogus"]) == 1

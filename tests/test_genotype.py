@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import itertools
 import json
 import math
 
@@ -14,6 +17,7 @@ from archsmith.genotype import (
     DnnSpec,
     GanSpec,
     GenotypeConfig,
+    LayerPool,
     LayerSpec,
     canonical_json,
     discretize,
@@ -298,3 +302,88 @@ class TestSortByFitness:
         pairs = [(gan, float(i)) for i, gan in enumerate(self.POOL)]
         sort_by_fitness(pairs + [(self.POOL[0], 0.0)])
         assert calls == [self.POOL[0], self.POOL[0]]
+
+
+class TestGanHashCache:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([JOINT, PER_NET]))
+    @settings(max_examples=100)
+    def test_equals_sha256_of_canonical_json(self, seed, config):
+        gan = random_gan(np.random.default_rng(seed), config)
+        want = hashlib.sha256(canonical_json(gan).encode()).hexdigest()
+        assert gan_hash(gan) == want
+        assert gan_hash(gan) == want
+        assert gan_hash(dataclasses.replace(gan)) == want
+        other = dataclasses.replace(gan, train_freq_bin=(
+            gan.train_freq_bin + 1) % config.arity)
+        assert gan_hash(other) == hashlib.sha256(
+            canonical_json(other).encode()).hexdigest()
+        assert gan_hash(gan) == want
+
+    def test_hashed_once_per_object(self, monkeypatch):
+        import archsmith.genotype as genotype
+        calls = []
+        encode = genotype.canonical_json
+        monkeypatch.setattr(genotype, "canonical_json",
+                            lambda gan: calls.append(gan) or encode(gan))
+        gan = make_gan(2, 3)
+        twin = make_gan(2, 3)
+        assert gan_hash(gan) == gan_hash(gan) == gan_hash(twin)
+        assert len(calls) == 2
+
+    def test_cache_leaves_eq_hash_and_repr_alone(self):
+        gan = make_gan(2, 3, train=1)
+        twin = GanSpec.from_json_obj(gan.to_json_obj())
+        before = (repr(gan), hash(gan))
+        gan_hash(gan)
+        assert (repr(gan), hash(gan)) == before
+        assert gan == twin and twin == gan
+        assert hash(gan) == hash(twin) and repr(gan) == repr(twin)
+        assert [f.name for f in dataclasses.fields(gan)] == [
+            "generator", "discriminator", "train_freq_bin"]
+        assert dataclasses.asdict(gan) == dataclasses.asdict(twin)
+
+
+class TestLayerPool:
+    def test_equal_layers_are_one_object(self):
+        pool = LayerPool(JOINT)
+        obj = make_layer(JOINT.generator_kinds, 3).to_json_obj()
+        first = pool.layer(obj)
+        assert first == LayerSpec.from_json_obj(obj)
+        assert pool.layer(dict(obj)) is first
+        # Raw values that only compare equal parse to the same layer.
+        assert pool.layer(dict(obj, size_bin=3.0)) is first
+        assert pool.layer(dict(obj, size_bin="3")) is first
+
+    def test_holds_at_most_the_vocabulary(self):
+        pool = LayerPool(JOINT)
+        kinds = sorted(set(JOINT.generator_kinds + JOINT.discriminator_kinds))
+        legal = [dict(kind=k, activation=a, weight_init=w, size_bin=b)
+                 for k, a, w, b in itertools.product(
+                     kinds, JOINT.activations, JOINT.weight_inits,
+                     range(JOINT.arity))]
+        pooled = {id(pool.layer(dict(obj, size_bin=spelling(obj["size_bin"]))))
+                  for obj in legal
+                  for spelling in (int, float, str)}
+        assert len(pooled) == len(legal) == 225
+        # Layers outside the vocabulary are parsed but never pooled.
+        for i in range(3):
+            for bad in (dict(legal[0], activation=f"act{i}"),
+                        dict(legal[0], size_bin=JOINT.arity + i),
+                        dict(legal[0], kind=["dense"])):
+                assert pool.layer(bad) == LayerSpec.from_json_obj(bad)
+                assert pool.layer(bad) is not pool.layer(bad)
+        assert len(pool._layers) == 225
+
+    @pytest.mark.parametrize("bad", [
+        {"kind": "dense", "activation": "relu", "weight_init": "xavier"},
+        {"kind": "dense", "activation": "relu", "weight_init": "xavier",
+         "size_bin": "x"},
+        ["dense", "relu", "xavier", 0],
+        None,
+    ])
+    def test_malformed_record_raises_like_from_json_obj(self, bad):
+        with pytest.raises(FormatError) as want:
+            LayerSpec.from_json_obj(bad)
+        with pytest.raises(FormatError) as got:
+            LayerPool(JOINT).layer(bad)
+        assert str(got.value) == str(want.value)

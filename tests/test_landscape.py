@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from archsmith.genotype import (
 )
 from archsmith.landscape import (
     LandscapeConfig,
+    landscape_to_json_obj,
     load_landscape,
     make_landscape,
     save_landscape,
@@ -260,6 +262,17 @@ class TestSerialization:
         rng = np.random.default_rng(8)
         for gan in random_probes(rng, JOINT, 100):
             assert loaded.evaluate(gan) == land.evaluate(gan)
+
+    def test_bytes_equal_json_dump(self, tmp_path):
+        land = make_landscape(17, LandscapeConfig(genotype=JOINT,
+                                                  family_seed=3))
+        path = tmp_path / "land.json"
+        save_landscape(land, path)
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(landscape_to_json_obj(land), handle, sort_keys=True)
+            handle.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "land.json"

@@ -1,6 +1,7 @@
 """Two-level metamodel: learning, scoring, sampling, persistence."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from archsmith.metamodel import (
     Metamodel,
     learn,
     load_metamodel,
+    metamodel_to_json_obj,
     provenance_mismatch,
     save_metamodel,
 )
@@ -294,6 +296,21 @@ class TestPersistence:
             a, b = model.score(gan), loaded.score(gan)
             assert a.log_prob == b.log_prob
             assert a.normalized == b.normalized
+
+    @pytest.mark.parametrize("config", [TINY, TINY_PN],
+                             ids=["joint", "per_network"])
+    def test_bytes_equal_json_dump(self, tmp_path, config):
+        rng = np.random.default_rng(19)
+        model = learn(make_individuals(rng, config, 60),
+                      LearnConfig(genotype=config),
+                      provenance={"archive_hash": "abc"})
+        path = tmp_path / "model.mm"
+        save_metamodel(model, path)
+        reference = tmp_path / "reference.mm"
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(metamodel_to_json_obj(model), handle, sort_keys=True)
+            handle.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(17)
