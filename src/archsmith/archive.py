@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .genotype import (
     GanSpec,
     GenotypeConfig,
     LayerPool,
+    _gan_json,
+    _value_json,
     sort_by_fitness,
     validate_gan,
 )
@@ -67,6 +69,38 @@ class Individual:
             raise FormatError(f"bad archive record: {exc}") from exc
 
 
+def _record_texts(individuals: Iterable[Individual]) -> Iterator[str]:
+    """``json.dumps(ind.to_json_obj(), sort_keys=True)`` of each individual.
+
+    The text is built from fragments in sorted-key order.  Layer texts and
+    the ``problem_id``/``run_id`` tail are encoded once per distinct value
+    (the tail only for ``str`` ids, whose equal values encode alike) and
+    cached for this call only, so the cache is bounded by the genotype
+    vocabulary and the number of runs.
+    """
+    texts: dict = {}
+    tails: dict[tuple[str, str], str] = {}
+    for ind in individuals:
+        ids = (ind.problem_id, ind.run_id)
+        plain = type(ids[0]) is str and type(ids[1]) is str
+        tail = tails.get(ids) if plain else None
+        if tail is None:
+            tail = json.dumps({"problem_id": ids[0], "run_id": ids[1]},
+                              sort_keys=True)[1:]
+            if plain:
+                tails[ids] = tail
+        yield (f'{{"fitness": {_value_json(ind.fitness)}, '
+               f'"gan": {_gan_json(ind.gan, texts)}, {tail}')
+
+
+def _digest(individuals: Iterable[Individual]) -> str:
+    """sha256 over the concatenated record texts of ``individuals``."""
+    digest = hashlib.sha256()
+    for text in _record_texts(individuals):
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
 def _ranked(individuals: Iterable[Individual]) -> list[Individual]:
     """Ascending fitness, ties broken by the canonical genotype hash."""
     return sort_by_fitness(individuals, key=attrgetter("gan", "fitness"))
@@ -93,12 +127,9 @@ class RunArchive:
         return [ind for run in self.runs.values() for ind in run]
 
     def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        for run_id in sorted(self.runs):
-            for ind in _ranked(self.runs[run_id]):
-                digest.update(json.dumps(ind.to_json_obj(),
-                                         sort_keys=True).encode())
-        return digest.hexdigest()
+        """sha256 of the record texts, runs by id, each run ranked."""
+        return _digest(ind for run_id in sorted(self.runs)
+                       for ind in _ranked(self.runs[run_id]))
 
 
 @dataclass
@@ -127,10 +158,8 @@ def save_archive(archive: RunArchive, path) -> None:
         header = {"format": ARCHIVE_FORMAT,
                   "config": archive.config.to_json_obj()}
         handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for run_id in archive.runs:
-            for ind in archive.runs[run_id]:
-                handle.write(json.dumps(ind.to_json_obj(), sort_keys=True)
-                             + "\n")
+        for text in _record_texts(archive.all_individuals()):
+            handle.write(text + "\n")
 
 
 def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
@@ -286,8 +315,4 @@ def load_sets(path) -> EliteSets:
 
 
 def sets_content_hash(sets: EliteSets) -> str:
-    digest = hashlib.sha256()
-    for name in ("first", "second", "random"):
-        for ind in sets.by_name(name):
-            digest.update(json.dumps(ind.to_json_obj(), sort_keys=True).encode())
-    return digest.hexdigest()
+    return _digest(sets.first + sets.second + sets.random)

@@ -28,6 +28,7 @@ from .experiments import (
     run_initialization,
     run_likelihood,
     run_sampling,
+    write_csv,
     write_guided_csv,
     write_initialization_csv,
     write_likelihood_csv,
@@ -35,7 +36,7 @@ from .experiments import (
     write_sampling_csv,
     write_sampling_tests_csv,
 )
-from .genotype import GanSpec, GenotypeConfig
+from .genotype import GanSpec, GenotypeConfig, dump_genotypes
 from .landscape import LandscapeConfig, load_landscape, make_landscape
 from .metamodel import (
     LearnConfig,
@@ -49,8 +50,13 @@ from .stats import dunn, kruskal_wallis, rank_sum
 
 logger = logging.getLogger(__name__)
 
-EXPERIMENT_IDS = ("likelihood", "sampling", "initialization",
-                  "guided-search")
+EXPERIMENT_CONFIGS = {
+    "likelihood": LikelihoodConfig,
+    "sampling": SamplingConfig,
+    "initialization": InitializationConfig,
+    "guided-search": GuidedSearchConfig,
+}
+EXPERIMENT_IDS = tuple(EXPERIMENT_CONFIGS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,21 +72,6 @@ def _read_json(path) -> dict:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _write_rows(path, header, rows) -> None:
-    handle = sys.stdout if path is None else open(path, "w",
-                                                  encoding="utf-8",
-                                                  newline="")
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
-    finally:
-        if path is not None:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +147,7 @@ def cmd_score(args) -> int:
             rows.append((index, b.depth_key.d_g, b.depth_key.d_d,
                          b.log_prob, b.normalized))
         header = ["index", "d_g", "d_d", "log_prob", "normalized"]
-    _write_rows(args.out, header, rows)
+    write_csv(args.out, header, rows)
     return 0
 
 
@@ -164,10 +155,7 @@ def cmd_sample(args) -> int:
     model = load_metamodel(args.model)
     rng = np.random.default_rng(args.seed)
     gans = model.sample_many(rng, args.n)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for gan in gans:
-            handle.write(json.dumps(gan.to_json_obj(), sort_keys=True))
-            handle.write("\n")
+    dump_genotypes(gans, args.out)
     logger.info("sampled %d genotypes", args.n)
     return 0
 
@@ -219,28 +207,31 @@ def _write_summary(obj, path) -> None:
 
 
 def cmd_experiment(args) -> int:
+    # The config is checked before the archive is parsed, so a bad config
+    # fails fast.
+    if args.id not in EXPERIMENT_CONFIGS:
+        raise ValidationError(f"unknown experiment id {args.id!r}")
+    config = EXPERIMENT_CONFIGS[args.id].from_json_obj(_read_json(args.config))
     archive = load_archive(args.archive)
-    obj = _read_json(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
 
     def path(name):
         return os.path.join(args.out_dir, name)
 
     if args.id == "likelihood":
-        result = run_likelihood(archive, LikelihoodConfig.from_json_obj(obj))
+        result = run_likelihood(archive, config)
         write_likelihood_csv(result, path("scores.csv"))
         write_likelihood_tests_csv(result, path("tests.csv"))
         logger.info("likelihood: %d rows, %d tested keys",
                     len(result.rows), len(result.key_tests))
     elif args.id == "sampling":
-        result = run_sampling(archive, SamplingConfig.from_json_obj(obj))
+        result = run_sampling(archive, config)
         write_sampling_csv(result, path("samples.csv"))
         write_sampling_tests_csv(result, path("tests.csv"))
         logger.info("sampling: %d rows over %d holdouts",
                     len(result.rows), len(result.tests))
     elif args.id == "initialization":
-        result = run_initialization(
-            archive, InitializationConfig.from_json_obj(obj))
+        result = run_initialization(archive, config)
         write_initialization_csv(result, path("generations.csv"))
         _write_summary(
             {"median_gen0": result.summary.median_gen0,
@@ -251,9 +242,8 @@ def cmd_experiment(args) -> int:
                  result.summary.p_final_random_vs_metamodel},
             path("summary.json"))
         logger.info("initialization: %d rows", len(result.rows))
-    elif args.id == "guided-search":
-        result = run_guided_search(
-            archive, GuidedSearchConfig.from_json_obj(obj))
+    else:
+        result = run_guided_search(archive, config)
         write_guided_csv(result, path("steps.csv"))
         _write_summary(
             {"median_final": result.summary.median_final,
@@ -263,8 +253,6 @@ def cmd_experiment(args) -> int:
                  result.summary.median_half_improvement},
             path("summary.json"))
         logger.info("guided-search: %d rows", len(result.rows))
-    else:
-        raise ValidationError(f"unknown experiment id {args.id!r}")
     return 0
 
 
@@ -314,22 +302,22 @@ def cmd_analyze(args) -> int:
     data = [groups[name] for name in names]
     if args.test == "kw":
         r = kruskal_wallis(data)
-        _write_rows(args.out, ["test", "groups", "statistic", "p_value"],
-                    [("kw", ";".join(names), r.statistic, r.p_value)])
+        write_csv(args.out, ["test", "groups", "statistic", "p_value"],
+                  [("kw", ";".join(names), r.statistic, r.p_value)])
     elif args.test == "dunn":
         r = dunn(data)
         rows = [(names[i], names[j], float(r.z[i, j]), float(r.p_raw[i, j]),
                  float(r.p_bonferroni[i, j]))
                 for i in range(len(names)) for j in range(i + 1, len(names))]
-        _write_rows(args.out,
-                    ["group_a", "group_b", "z", "p_raw", "p_bonferroni"],
-                    rows)
+        write_csv(args.out,
+                  ["group_a", "group_b", "z", "p_raw", "p_bonferroni"],
+                  rows)
     else:
         if len(names) != 2:
             raise ValidationError("ranksum compares exactly two groups")
         r = rank_sum(data[0], data[1])
-        _write_rows(args.out, ["test", "groups", "statistic", "p_value"],
-                    [("ranksum", ";".join(names), r.statistic, r.p_value)])
+        write_csv(args.out, ["test", "groups", "statistic", "p_value"],
+                  [("ranksum", ";".join(names), r.statistic, r.p_value)])
     return 0
 
 

@@ -8,12 +8,13 @@ with repr so reruns diff clean.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
-from .errors import ValidationError
+from .errors import ValidationError, parse_field
 from .genotype import GanSpec, random_gan
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
@@ -46,7 +47,10 @@ def parse_seed_range(value) -> tuple[int, ...]:
             raise ValidationError(f"empty seed range {value!r}")
         return tuple(range(lo, hi + 1))
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+        try:
+            return tuple(int(v) for v in value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"bad seed list {value!r}") from None
     raise ValidationError(f"bad seed list {value!r}")
 
 
@@ -57,6 +61,12 @@ def _required(obj: dict, name: str):
     if name not in obj:
         raise ValidationError(f"config has no {name!r} field")
     return obj[name]
+
+
+def _ints(obj: dict, names: tuple[str, ...]) -> dict[str, int]:
+    """The fields of ``names`` present in ``obj``, each parsed as an int."""
+    return {name: parse_field(obj, name, int, "config")
+            for name in names if name in obj}
 
 
 def _landscape(obj: dict) -> LandscapeConfig:
@@ -82,16 +92,27 @@ def _optional_ea(obj: dict) -> EaConfig:
     unknown = sorted(set(obj["ea"]) - {f.name for f in fields(EaConfig)})
     if unknown:
         raise ValidationError(f"unknown ea config key(s): {', '.join(unknown)}")
+    for name, value in obj["ea"].items():
+        if not isinstance(value, (int, float)):
+            raise ValidationError(
+                f"bad ea config: field {name!r} is {value!r}, not a number")
     return EaConfig(**obj["ea"])
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+def write_csv(path, header, rows) -> None:
+    """CSV with floats written by ``repr``; ``path`` None writes to stdout."""
+    handle = sys.stdout if path is None else open(path, "w",
+                                                  encoding="utf-8",
+                                                  newline="")
+    try:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in row])
+    finally:
+        if path is not None:
+            handle.close()
 
 
 def _default_learn(landscape: LandscapeConfig,
@@ -138,13 +159,10 @@ class ArchiveGenConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ArchiveGenConfig":
         landscape = _landscape(obj)
-        kwargs = {}
+        kwargs = _ints(obj, ("runs_per_problem", "population", "generations",
+                             "base_seed"))
         if "problem_seeds" in obj:
             kwargs["problem_seeds"] = parse_seed_range(obj["problem_seeds"])
-        for name in ("runs_per_problem", "population", "generations",
-                     "base_seed"):
-            if name in obj:
-                kwargs[name] = int(obj[name])
         return cls(landscape=landscape, ea=_optional_ea(obj), **kwargs)
 
 
@@ -191,8 +209,7 @@ class LikelihoodConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LikelihoodConfig":
         landscape = _landscape(obj)
-        kwargs = {name: int(obj[name])
-                  for name in ("n", "seed", "min_scored") if name in obj}
+        kwargs = _ints(obj, ("n", "seed", "min_scored"))
         return cls(landscape=landscape, learn=_optional_learn(obj), **kwargs)
 
 
@@ -276,20 +293,20 @@ def run_likelihood(archive: RunArchive,
 
 
 def write_likelihood_csv(result: LikelihoodResult, path) -> None:
-    _write_csv(path,
-               ["set", "run_id", "problem_id", "d_g", "d_d", "log_prob",
-                "normalized"],
-               [(r.set_name, r.run_id, r.problem_id, r.d_g, r.d_d,
-                 r.log_prob, r.normalized) for r in result.rows])
+    write_csv(path,
+              ["set", "run_id", "problem_id", "d_g", "d_d", "log_prob",
+               "normalized"],
+              [(r.set_name, r.run_id, r.problem_id, r.d_g, r.d_d,
+                r.log_prob, r.normalized) for r in result.rows])
 
 
 def write_likelihood_tests_csv(result: LikelihoodResult, path) -> None:
-    _write_csv(path,
-               ["d_g", "d_d", "n_first", "n_second", "n_random", "h", "p",
-                "p_first_second", "p_first_random", "p_second_random"],
-               [(t.d_g, t.d_d, t.n_first, t.n_second, t.n_random, t.h, t.p,
-                 t.p_first_second, t.p_first_random, t.p_second_random)
-                for t in result.key_tests])
+    write_csv(path,
+              ["d_g", "d_d", "n_first", "n_second", "n_random", "h", "p",
+               "p_first_second", "p_first_random", "p_second_random"],
+              [(t.d_g, t.d_d, t.n_first, t.n_second, t.n_random, t.h, t.p,
+                t.p_first_second, t.p_first_random, t.p_second_random)
+               for t in result.key_tests])
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +334,7 @@ class SamplingConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SamplingConfig":
         landscape = _landscape(obj)
-        kwargs = {name: int(obj[name])
-                  for name in ("n", "n_each", "seed") if name in obj}
+        kwargs = _ints(obj, ("n", "n_each", "seed"))
         if "holdout_seeds" in obj:
             kwargs["holdout_seeds"] = parse_seed_range(obj["holdout_seeds"])
         return cls(landscape=landscape,
@@ -405,18 +421,18 @@ def run_sampling(archive: RunArchive,
 
 
 def write_sampling_csv(result: SamplingResult, path) -> None:
-    _write_csv(path, ["holdout_seed", "set", "index", "fitness"],
-               [(r.holdout_seed, r.set_name, r.index, r.fitness)
-                for r in result.rows])
+    write_csv(path, ["holdout_seed", "set", "index", "fitness"],
+              [(r.holdout_seed, r.set_name, r.index, r.fitness)
+               for r in result.rows])
 
 
 def write_sampling_tests_csv(result: SamplingResult, path) -> None:
-    _write_csv(path,
-               ["holdout_seed", "median_sampled", "median_first",
-                "median_random", "p_sampled_vs_random", "p_sampled_vs_first"],
-               [(t.holdout_seed, t.median_sampled, t.median_first,
-                 t.median_random, t.p_sampled_vs_random,
-                 t.p_sampled_vs_first) for t in result.tests])
+    write_csv(path,
+              ["holdout_seed", "median_sampled", "median_first",
+               "median_random", "p_sampled_vs_random", "p_sampled_vs_first"],
+              [(t.holdout_seed, t.median_sampled, t.median_first,
+                t.median_random, t.p_sampled_vs_random,
+                t.p_sampled_vs_first) for t in result.tests])
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +458,8 @@ class InitializationConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InitializationConfig":
         landscape = _landscape(obj)
-        kwargs = {name: int(obj[name])
-                  for name in ("target_seed", "replicates", "population",
-                               "generations", "n", "seed") if name in obj}
+        kwargs = _ints(obj, ("target_seed", "replicates", "population",
+                             "generations", "n", "seed"))
         return cls(landscape=landscape, ea=_optional_ea(obj),
                    learn=_optional_learn(obj), **kwargs)
 
@@ -521,9 +536,9 @@ def run_initialization(archive: RunArchive,
 
 
 def write_initialization_csv(result: InitializationResult, path) -> None:
-    _write_csv(path, ["strategy", "replicate", "generation", "best"],
-               [(r.strategy, r.replicate, r.generation, r.best)
-                for r in result.rows])
+    write_csv(path, ["strategy", "replicate", "generation", "best"],
+              [(r.strategy, r.replicate, r.generation, r.best)
+               for r in result.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +562,8 @@ class GuidedSearchConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GuidedSearchConfig":
         landscape = _landscape(obj)
-        kwargs = {name: int(obj[name])
-                  for name in ("target_seed", "replicates", "budget", "n",
-                               "seed") if name in obj}
+        kwargs = _ints(obj, ("target_seed", "replicates", "budget", "n",
+                             "seed"))
         return cls(landscape=landscape, learn=_optional_learn(obj), **kwargs)
 
 
@@ -633,8 +647,8 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
 
 
 def write_guided_csv(result: GuidedSearchResult, path) -> None:
-    _write_csv(path,
-               ["algorithm", "replicate", "step", "fitness", "best",
-                "accepted"],
-               [(r.algorithm, r.replicate, r.step, r.fitness, r.best,
-                 int(r.accepted)) for r in result.rows])
+    write_csv(path,
+              ["algorithm", "replicate", "step", "fitness", "best",
+               "accepted"],
+              [(r.algorithm, r.replicate, r.step, r.fitness, r.best,
+                int(r.accepted)) for r in result.rows])

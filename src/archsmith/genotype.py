@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, parse_field
 
 _T = TypeVar("_T")
 
@@ -141,19 +142,22 @@ class GenotypeConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GenotypeConfig":
+        what = "genotype config"
         try:
             return cls(
                 mode=obj["mode"],
-                arity=int(obj["arity"]),
+                arity=parse_field(obj, "arity", int, what),
                 activations=tuple(obj["activations"]),
                 weight_inits=tuple(obj["weight_inits"]),
                 generator_kinds=tuple(obj["generator_kinds"]),
                 discriminator_kinds=tuple(obj["discriminator_kinds"]),
-                generator_depth_max=int(obj["generator_depth_max"]),
-                discriminator_depth_max=int(obj["discriminator_depth_max"]),
+                generator_depth_max=parse_field(obj, "generator_depth_max",
+                                                int, what),
+                discriminator_depth_max=parse_field(
+                    obj, "discriminator_depth_max", int, what),
             )
         except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad genotype config: {exc}") from exc
+            raise FormatError(f"bad {what}: {exc}") from exc
 
     def fingerprint(self) -> str:
         doc = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -626,10 +630,72 @@ def unflatten(vector_or_pair, config: GenotypeConfig) -> GanSpec:
 # Serialization (line-delimited records, schema tag v1)
 
 
+_SCHEMA_JSON = json.dumps(GENOTYPE_SCHEMA_VERSION)
+_ROLE_JSON = {role: json.dumps(role) for role in ROLES}
+_PLAIN_LAYER = (str, str, str, int)
+
+
+def _value_json(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, without the call's overhead
+    for an int or a finite float (``json`` writes any float, ``np.float64``
+    included, with ``float.__repr__``)."""
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, sort_keys=True)
+
+
+def _network_json(net: DnnSpec, texts: dict) -> str:
+    """``json.dumps(net.to_json_obj(), sort_keys=True)``; see ``_gan_json``.
+
+    ``texts`` holds the text of plain layers only (three ``str`` fields and
+    an ``int`` size bin) and is read only with an ``int`` size bin: equal
+    ``str`` fields encode alike, while ``1``, ``1.0`` and ``True`` compare
+    equal but encode differently.
+    """
+    parts = []
+    for layer in net.layers:
+        key = (layer.kind, layer.activation, layer.weight_init, layer.size_bin)
+        text = None
+        if type(key[3]) is int:
+            try:
+                text = texts.get(key)
+            except TypeError:  # an unhashable field, such as a list
+                pass
+        if text is None:
+            text = json.dumps(layer.to_json_obj(), sort_keys=True)
+            if tuple(map(type, key)) == _PLAIN_LAYER:
+                texts[key] = text
+        parts.append(text)
+    role = net.role
+    role_text = _ROLE_JSON.get(role) if type(role) is str else None
+    if role_text is None:
+        role_text = _value_json(role)
+    return f'{{"layers": [{", ".join(parts)}], "role": {role_text}}}'
+
+
+def _gan_json(gan: GanSpec, texts: dict) -> str:
+    """``json.dumps(gan.to_json_obj(), sort_keys=True)``, built from fragments.
+
+    The keys are written in sorted order, and each layer's text is encoded
+    once per distinct value into ``texts``, a cache the caller keeps for one
+    encoding call (never per object or per module), so it holds at most the
+    vocabulary's layers.
+    """
+    return (f'{{"discriminator": {_network_json(gan.discriminator, texts)}, '
+            f'"generator": {_network_json(gan.generator, texts)}, '
+            f'"schema": {_SCHEMA_JSON}, '
+            f'"train_freq_bin": {_value_json(gan.train_freq_bin)}}}')
+
+
 def dump_genotypes(gans: Iterable[GanSpec], path) -> None:
+    """Write one ``json.dumps(gan.to_json_obj(), sort_keys=True)`` line per
+    genotype."""
+    texts: dict = {}
     with open(path, "w", encoding="utf-8") as handle:
         for gan in gans:
-            handle.write(json.dumps(gan.to_json_obj(), sort_keys=True) + "\n")
+            handle.write(_gan_json(gan, texts) + "\n")
 
 
 def load_genotypes(path) -> Iterator[GanSpec]:

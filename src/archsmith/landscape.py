@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, parse_field
 from .genotype import (
     DepthKey,
     GanSpec,
@@ -80,19 +80,21 @@ class LandscapeConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LandscapeConfig":
+        what = "landscape config"
         try:
             return cls(
                 genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
-                family_seed=int(obj["family_seed"]),
-                sigma_noise=float(obj["sigma_noise"]),
-                margin=float(obj["margin"]),
-                base_scale=float(obj["base_scale"]),
-                flip_prob=float(obj["flip_prob"]),
-                jitter=float(obj["jitter"]),
-                n_pairs=None if obj["n_pairs"] is None else int(obj["n_pairs"]),
+                family_seed=parse_field(obj, "family_seed", int, what),
+                sigma_noise=parse_field(obj, "sigma_noise", float, what),
+                margin=parse_field(obj, "margin", float, what),
+                base_scale=parse_field(obj, "base_scale", float, what),
+                flip_prob=parse_field(obj, "flip_prob", float, what),
+                jitter=parse_field(obj, "jitter", float, what),
+                n_pairs=(None if obj["n_pairs"] is None
+                         else parse_field(obj, "n_pairs", int, what)),
             )
         except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad landscape config: {exc}") from exc
+            raise FormatError(f"bad {what}: {exc}") from exc
 
 
 def _max_key(config: GenotypeConfig) -> DepthKey:

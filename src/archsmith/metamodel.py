@@ -32,7 +32,7 @@ from .bayesnet import (
     pls_sample_many,
     small_sample_correction,
 )
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, parse_field
 from .genotype import (
     AttributeVector,
     DepthKey,
@@ -98,18 +98,20 @@ class LearnConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LearnConfig":
+        what = "learn config"
         try:
             return cls(
                 genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
                 structure=obj["structure"],
-                min_samples=int(obj["min_samples"]),
-                alpha=float(obj["alpha"]),
-                super_pseudocount=float(obj["super_pseudocount"]),
-                dpi_tolerance=float(obj["dpi_tolerance"]),
+                min_samples=parse_field(obj, "min_samples", int, what),
+                alpha=parse_field(obj, "alpha", float, what),
+                super_pseudocount=parse_field(obj, "super_pseudocount",
+                                              float, what),
+                dpi_tolerance=parse_field(obj, "dpi_tolerance", float, what),
                 mi_correction=bool(obj["mi_correction"]),
             )
         except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad learn config: {exc}") from exc
+            raise FormatError(f"bad {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)

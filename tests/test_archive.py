@@ -1,9 +1,12 @@
 """Archive loading and First/Second/Random extraction."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from archsmith.archive import (
     EliteSets,
@@ -16,11 +19,24 @@ from archsmith.archive import (
     save_archive,
     save_sets,
     sets_content_hash,
+    _record_texts,
 )
 from archsmith.errors import FormatError, ValidationError
-from archsmith.genotype import DepthKey, GenotypeConfig, gan_hash, random_gan
+from archsmith.experiments import ArchiveGenConfig, generate_archive
+from archsmith.genotype import (
+    DepthKey,
+    DnnSpec,
+    GanSpec,
+    GenotypeConfig,
+    LayerSpec,
+    _gan_json,
+    gan_hash,
+    random_gan,
+)
+from archsmith.landscape import LandscapeConfig
 
 CONFIG = GenotypeConfig.joint()
+PER_NET = GenotypeConfig.per_network()
 
 
 def make_individual(rng, fitness, run_id="r0", problem_id="p0",
@@ -321,3 +337,176 @@ class TestSetsIO:
         path.write_text(json.dumps({"format": "other"}))
         with pytest.raises(FormatError):
             load_sets(path)
+
+
+# ---------------------------------------------------------------------------
+# Record encoding: the fragment encoder against the json.dumps formula
+
+
+def reference_text(ind):
+    return json.dumps(ind.to_json_obj(), sort_keys=True)
+
+
+def reference_digest(individuals):
+    digest = hashlib.sha256()
+    for ind in individuals:
+        digest.update(reference_text(ind).encode())
+    return digest.hexdigest()
+
+
+def reference_content_hash(archive):
+    return reference_digest(
+        ind for run_id in sorted(archive.runs)
+        for ind in sorted(archive.runs[run_id],
+                          key=lambda i: (i.fitness, gan_hash(i.gan))))
+
+
+def reference_archive_bytes(archive):
+    header = {"format": "archive-v1", "config": archive.config.to_json_obj()}
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [reference_text(ind) for run in archive.runs.values()
+              for ind in run]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def reference_sets_hash(sets):
+    return reference_digest(sets.first + sets.second + sets.random)
+
+
+def layers_of(individuals):
+    return [layer for ind in individuals
+            for net in (ind.gan.generator, ind.gan.discriminator)
+            for layer in net.layers]
+
+
+@pytest.fixture(scope="module")
+def acceptance_archive():
+    # The 30-run, 12,000-record joint archive of the acceptance suite.
+    land = LandscapeConfig(genotype=CONFIG, family_seed=7)
+    return generate_archive(ArchiveGenConfig(landscape=land))
+
+
+def odd_archive():
+    """Out-of-vocabulary layers, equal values of different types, ids
+    that need escaping and every kind of fitness the encoder special-cases."""
+    layers = [
+        LayerSpec("dense", "relu", "xavier", 1),
+        LayerSpec("dense", "relu", "xavier", True),
+        LayerSpec("dense", "relu", "xavier", 1.0),
+        LayerSpec("lstm", "swish", "he", 99),
+        LayerSpec(["dense"], "relu", "xavier", 0),
+        LayerSpec("d\u00e9\"nse\\", "r\u00e9 lu", "x\u2028y", 2**70),
+        LayerSpec(1, 1.0, True, 1),
+        LayerSpec(True, 1, 1.0, 1),
+        LayerSpec("dense", "relu", "xavier", np.float64(1.0)),
+        LayerSpec("dense", "relu", "xavier", -0.0),
+    ]
+    roles = ["generator", "discriminator", "gen\"erator", 0, True, "\u00e9"]
+    trains = [0, True, 2.5, -0.0, 10**30]
+    fitnesses = [0.5, -0.0, 0.0, 1e-300, 1e300, np.float64(0.1), 3, True,
+                 np.float64(-0.0)]
+    problem_ids = ["p\"0", "\u03c0", 1, True, 1.0, "p\\0"]
+    runs = {}
+    for r, run_id in enumerate(["r\"0", "r\u00e90", "r 1"]):
+        run = []
+        for i in range(12):
+            j = 3 * r + i
+            gen = DnnSpec(roles[j % len(roles)],
+                          tuple(layers[(j + k) % len(layers)]
+                                for k in range(j % 4)))
+            disc = DnnSpec(roles[(j + 1) % len(roles)],
+                           tuple(layers[(2 * j + k) % len(layers)]
+                                 for k in range(1 + j % 3)))
+            gan = GanSpec(generator=gen, discriminator=disc,
+                          train_freq_bin=trains[j % len(trains)])
+            run.append(Individual(gan=gan,
+                                  fitness=fitnesses[j % len(fitnesses)],
+                                  run_id=run_id,
+                                  problem_id=problem_ids[j % len(problem_ids)]))
+        runs[run_id] = run
+    return RunArchive(runs=runs, config=CONFIG)
+
+
+FITNESS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324]),
+    st.integers(-2**63, 2**63 - 1),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.booleans(),
+)
+# Quotes, backslashes, control and non-ASCII characters need escaping.
+ID_CHARS = st.one_of(st.sampled_from("\"\\'\n\x00\u00e9\u20ac\U0001f600"),
+                     st.characters())
+IDS = st.text(ID_CHARS, max_size=8)
+
+
+@st.composite
+def individual_lists(draw):
+    id_pairs = draw(st.lists(st.tuples(IDS, IDS), min_size=1,
+                             max_size=3))
+    config = draw(st.sampled_from([CONFIG, PER_NET]))
+    individuals = []
+    for _ in range(draw(st.integers(1, 5))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        problem_id, run_id = draw(st.sampled_from(id_pairs))
+        individuals.append(Individual(gan=random_gan(rng, config),
+                                      fitness=draw(FITNESS), run_id=run_id,
+                                      problem_id=problem_id))
+    return individuals
+
+
+class TestRecordEncoding:
+    @given(individual_lists())
+    def test_equals_json_dumps(self, individuals):
+        want = [reference_text(ind) for ind in individuals]
+        assert list(_record_texts(individuals)) == want
+        texts = {}
+        for ind in individuals:
+            assert _gan_json(ind.gan, texts) == json.dumps(
+                ind.gan.to_json_obj(), sort_keys=True)
+
+    def test_odd_records_equal_json_dumps(self):
+        individuals = odd_archive().all_individuals()
+        assert list(_record_texts(individuals)) == [
+            reference_text(ind) for ind in individuals]
+
+    @pytest.mark.parametrize("source", ["generated", "loaded", "odd"])
+    def test_archive_outputs_equal_reference(self, source,
+                                             acceptance_archive, tmp_path):
+        archive = (odd_archive() if source == "odd"
+                   else acceptance_archive)
+        path = tmp_path / "runs.jsonl"
+        if source == "loaded":
+            save_archive(archive, path)
+            archive = load_archive(path)
+        assert archive.content_hash() == reference_content_hash(archive)
+        save_archive(archive, path)
+        assert path.read_bytes() == reference_archive_bytes(archive)
+        if source == "odd":
+            sets = EliteSets(first=archive.runs["r\"0"],
+                             second=archive.runs["r 1"],
+                             random=archive.runs["r\u00e90"][::2], n=12,
+                             seed=0, overlap_count=0, config=CONFIG)
+        else:
+            sets = extract_sets(archive, n=10, seed=0)
+        assert sets_content_hash(sets) == reference_sets_hash(sets)
+
+    def test_each_layer_value_encoded_once_per_call(self, acceptance_archive,
+                                                    tmp_path, monkeypatch):
+        layers = layers_of(acceptance_archive.all_individuals())
+        distinct = set(layers)
+        # Equal layers are distinct objects here, so a cache keyed by
+        # object would encode far more often than once per value.
+        assert len({id(layer) for layer in layers}) > 10 * len(distinct)
+        acceptance_archive.content_hash()  # rank once: gan hashes cached
+        encode = LayerSpec.to_json_obj
+        calls = []
+        monkeypatch.setattr(LayerSpec, "to_json_obj",
+                            lambda layer: calls.append(layer) or encode(layer))
+        for run in (acceptance_archive.content_hash,
+                    acceptance_archive.content_hash,
+                    lambda: save_archive(acceptance_archive,
+                                         tmp_path / "runs.jsonl")):
+            calls.clear()
+            run()
+            assert len(calls) == len(distinct)

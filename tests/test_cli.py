@@ -119,6 +119,16 @@ class TestLearnScoreSample:
                      "--genotypes", str(samples), "--out", str(out)]) == 0
         assert len(read_csv(out)) == 20
 
+    def test_sample_writes_json_dumps_lines(self, model_path, tmp_path):
+        samples = tmp_path / "samples.jsonl"
+        assert main(["sample", "--model", str(model_path), "--n", "20",
+                     "--seed", "5", "--out", str(samples)]) == 0
+        gans = load_metamodel(model_path).sample_many(
+            np.random.default_rng(5), 20)
+        want = "".join(json.dumps(gan.to_json_obj(), sort_keys=True) + "\n"
+                       for gan in gans)
+        assert samples.read_bytes() == want.encode()
+
     def test_sample_deterministic(self, model_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (a, b):
@@ -283,6 +293,63 @@ class TestGenArchiveAndExperiment:
                      "--archive", str(archive_path),
                      "--config", str(cfg_path),
                      "--out-dir", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("command,where,field", [
+        ("likelihood", None, "n"),
+        ("sampling", None, "n_each"),
+        ("initialization", None, "generations"),
+        ("guided-search", None, "budget"),
+        ("gen-archive", None, "population"),
+        ("likelihood", "landscape", "sigma_noise"),
+        ("gen-archive", "landscape", "family_seed"),
+        ("likelihood", "genotype", "arity"),
+        ("gen-archive", "genotype", "discriminator_depth_max"),
+        ("likelihood", "learn", "alpha"),
+        ("initialization", "ea", "elitism"),
+    ])
+    def test_non_numeric_field_is_one_error_line(self, command, where, field,
+                                                 archive_path, tmp_path,
+                                                 capsys):
+        cfg = {"landscape": LAND.to_json_obj(), "train_seeds": [0]}
+        targets = {None: cfg, "landscape": cfg["landscape"],
+                   "genotype": cfg["landscape"]["genotype"]}
+        target = (targets[where] if where in targets
+                  else cfg.setdefault(where, {}))
+        target[field] = "ten" if where is None else "x"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        if command == "gen-archive":
+            argv = ["gen-archive", "--out", str(tmp_path / "a.jsonl")]
+        else:
+            argv = ["experiment", "--id", command,
+                    "--archive", str(archive_path),
+                    "--out-dir", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and repr(field) in err[0]
+
+    def test_bad_seed_list_is_one_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({"landscape": LAND.to_json_obj(),
+                                        "problem_seeds": [0, "one"]}))
+        assert main(["gen-archive", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "a.jsonl")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "seed list" in err[0]
+
+    def test_config_checked_before_archive(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"landscape": LAND.to_json_obj(),
+                                        "n": "ten"}))
+        assert main(["experiment", "--id", "likelihood",
+                     "--archive", str(tmp_path / "missing.jsonl"),
+                     "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "'n'" in err[0]
 
 
 class TestAnalyze:

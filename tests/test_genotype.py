@@ -233,6 +233,15 @@ class TestSerialization:
         dump_genotypes(gans, path)
         assert list(load_genotypes(path)) == gans
 
+    def test_bytes_equal_json_dumps(self, tmp_path):
+        gans = [random_gan(np.random.default_rng(seed), config)
+                for seed in range(20) for config in (JOINT, PER_NET)]
+        path = tmp_path / "gans.jsonl"
+        dump_genotypes(gans, path)
+        want = "".join(json.dumps(gan.to_json_obj(), sort_keys=True) + "\n"
+                       for gan in gans)
+        assert path.read_bytes() == want.encode()
+
     def test_records_carry_schema_tag(self, tmp_path):
         path = tmp_path / "gans.jsonl"
         dump_genotypes([make_gan()], path)
