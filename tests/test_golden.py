@@ -4,8 +4,11 @@ The runs use acceptance criterion 8's reduced scale (``SMALL_LAND``):
 ``gen-archive`` plus the four experiments through the CLI, and one
 per-network ``gen-archive`` plus ``guided-search`` at the same scale, whose
 per-step genotype hashes are digested too (``steps.csv`` carries fitness
-only).  A change to any digest is a behaviour change: it needs a reason in
-``CHANGES.md`` and a re-baseline in the same change.  To print the current
+only).  On both archives the ``learn``, ``sample`` and ``score`` commands
+run as well (the archive and the sampled genotypes are both scored), and
+the saved uniform metamodel of each genotype mode is digested.  A change
+to any digest is a behaviour change: it needs a reason in ``CHANGES.md``
+and a re-baseline in the same change.  To print the current
 digests for a re-baseline::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,6 +27,7 @@ from archsmith.cli import main
 from archsmith.experiments import GuidedSearchConfig, run_guided_search
 from archsmith.genotype import GenotypeConfig
 from archsmith.landscape import LandscapeConfig
+from archsmith.metamodel import LearnConfig, Metamodel, save_metamodel
 
 VOCAB = dict(arity=2, activations=("relu", "tanh"),
              weight_inits=("xavier", "normal"))
@@ -52,6 +56,14 @@ PN_GUIDED = {"target_seed": 61, "replicates": 3, "budget": 12, "n": 3}
 GOLDEN = {
     "joint/archive.jsonl":
         "1f4ff4bef38ffacf9fee02cce5f6c37054f638fd602908bf7a7daa7c157dff9f",
+    "joint/cli/model.json":
+        "b31d9dc784a1fe2b0bfe05bc89fde5ad3cd9f72258c54443613cf2579c17f096",
+    "joint/cli/samples.jsonl":
+        "a36f9af9cdb9d0ae84657293e8d064025129579024cb22916853edc70cd5ca2c",
+    "joint/cli/score-archive.csv":
+        "f447fdcca827df1f959cb52bf735b478d81bf075bb2827e353d8e0c72d6d832c",
+    "joint/cli/score-samples.csv":
+        "70e2cc51279ecf1f48472c4e959d1acb18077c3625cf3ba8dc6825893dc9982c",
     "joint/guided-search/steps.csv":
         "d389ccacc0f7e9a2d3b8499c86c919ac994bebf9a26121799c68130612855a20",
     "joint/guided-search/summary.json":
@@ -68,14 +80,26 @@ GOLDEN = {
         "4f8631b949d76b57feed63053d9de73f9955c0a8d0c1a1e880a85f97d3953879",
     "joint/sampling/tests.csv":
         "c7bc2846af0b1aa9c543838bd455ecb1133ff52a128213e2a637188afef18cc2",
+    "joint/uniform.json":
+        "4e28ef82ca33c090405421c3684942621ecd46806a68fd57593bbc5fda0dd87d",
     "per-network/archive.jsonl":
         "28bb610c9fd3e0ff4298d3b0b378e8f0011ce6c824ea5803ebb02f8827504027",
+    "per-network/cli/model.json":
+        "579f2732c89a63be1e7290ac6cfef007c087f24eae553e570317c258c496b898",
+    "per-network/cli/samples.jsonl":
+        "4d44368f6d9a5f002b811b7ad1dda72eacabfbfac994b852d7b7d7343757afc3",
+    "per-network/cli/score-archive.csv":
+        "a9c46627a1d8cf51a0cee944a00b6af6af235b35acb99d78ed4cd600e3469a72",
+    "per-network/cli/score-samples.csv":
+        "3d75e0b749e0bd7aa0cd4934baeb77b0b8aed450dac372e8c92b36cf9ec14e59",
     "per-network/guided-search/gan_hashes":
         "7e58fbded536b05863d03c527f93d9e58e6b5cc7c050c2ca34d5a8cf054ed1e4",
     "per-network/guided-search/steps.csv":
         "e22412379fb2e567ba398511511336c2e269271fbe75a4a7719ad1e304fc9ab1",
     "per-network/guided-search/summary.json":
         "ea37327f7ddf1f26f909bc0fe9b9698c9eb3a4ddd340145713487d6b13afa02c",
+    "per-network/uniform.json":
+        "2c57e13d1abc02488057c666f155bfdc780973a94d58ab5c997ace3b07369ed0",
 }
 
 
@@ -106,6 +130,22 @@ def compute_digests(workdir: Path) -> dict[str, str]:
                          {"landscape": land_obj, **GEN}),
              "--out", archive)
         out[f"{label}/archive.jsonl"] = _sha256(archive.read_bytes())
+        cli = {name: workdir / f"{label}-{name}" for name in
+               ("model.json", "samples.jsonl", "score-archive.csv",
+                "score-samples.csv")}
+        _run("learn", "--archive", archive, "--n", 3, "--seed", 0,
+             "--out", cli["model.json"])
+        _run("sample", "--model", cli["model.json"], "--n", 50,
+             "--out", cli["samples.jsonl"])
+        for scored, genotypes in (("archive", archive),
+                                  ("samples", cli["samples.jsonl"])):
+            _run("score", "--model", cli["model.json"], "--genotypes",
+                 genotypes, "--out", cli[f"score-{scored}.csv"])
+        for name, path in cli.items():
+            out[f"{label}/cli/{name}"] = _sha256(path.read_bytes())
+        uniform = workdir / f"{label}-uniform.json"
+        save_metamodel(Metamodel.uniform(LearnConfig(land.genotype)), uniform)
+        out[f"{label}/uniform.json"] = _sha256(uniform.read_bytes())
         for exp_id, obj in experiments.items():
             out_dir = workdir / f"{label}-{exp_id}"
             _run("experiment", "--id", exp_id, "--archive", archive,
