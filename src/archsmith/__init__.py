@@ -21,10 +21,8 @@ from .bayesnet import (
     enumerate_joint,
     fit_cpts,
     orient,
-    log_likelihood,
     log_likelihood_many,
     mi_matrix,
-    pls_sample,
     pls_sample_many,
 )
 from .errors import ArchsmithError, FormatError, ValidationError
@@ -65,7 +63,6 @@ from .search import (
     init_population,
     load_traces,
     mutate,
-    neighbors,
     random_hc,
     random_minimal_gan,
     save_traces,
@@ -116,14 +113,11 @@ __all__ = [
     "load_landscape",
     "load_metamodel",
     "load_traces",
-    "log_likelihood",
     "log_likelihood_many",
     "make_landscape",
     "mi_matrix",
     "mutate",
-    "neighbors",
     "orient",
-    "pls_sample",
     "pls_sample_many",
     "provenance_mismatch",
     "random_gan",

@@ -14,13 +14,12 @@ import json
 import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 from .genotype import (
-    DepthKey,
     GanSpec,
     GenotypeConfig,
     LayerPool,
@@ -31,7 +30,6 @@ from .genotype import (
 )
 
 ARCHIVE_FORMAT = "archive-v1"
-SETS_FORMAT = "sets-v1"
 
 logger = logging.getLogger(__name__)
 
@@ -48,10 +46,6 @@ class Individual:
     def __post_init__(self) -> None:
         if not np.isfinite(self.fitness):
             raise ValidationError(f"fitness must be finite, got {self.fitness}")
-
-    @property
-    def depth_key(self) -> DepthKey:
-        return self.gan.depth_key
 
     def to_json_obj(self) -> dict:
         return {"run_id": self.run_id, "problem_id": self.problem_id,
@@ -93,14 +87,6 @@ def _record_texts(individuals: Iterable[Individual]) -> Iterator[str]:
                f'"gan": {_gan_json(ind.gan, texts)}, {tail}')
 
 
-def _digest(individuals: Iterable[Individual]) -> str:
-    """sha256 over the concatenated record texts of ``individuals``."""
-    digest = hashlib.sha256()
-    for text in _record_texts(individuals):
-        digest.update(text.encode())
-    return digest.hexdigest()
-
-
 def _ranked(individuals: Iterable[Individual]) -> list[Individual]:
     """Ascending fitness, ties broken by the canonical genotype hash."""
     return sort_by_fitness(individuals, key=attrgetter("gan", "fitness"))
@@ -128,8 +114,11 @@ class RunArchive:
 
     def content_hash(self) -> str:
         """sha256 of the record texts, runs by id, each run ranked."""
-        return _digest(ind for run_id in sorted(self.runs)
-                       for ind in _ranked(self.runs[run_id]))
+        digest = hashlib.sha256()
+        for text in _record_texts(ind for run_id in sorted(self.runs)
+                                  for ind in _ranked(self.runs[run_id])):
+            digest.update(text.encode())
+        return digest.hexdigest()
 
 
 @dataclass
@@ -263,56 +252,3 @@ def extract_sets(archive: RunArchive, n: int, seed: int) -> EliteSets:
             random_set.append(individuals[index])
     return EliteSets(first=first, second=second, random=random_set, n=n,
                      seed=seed, overlap_count=overlap, config=archive.config)
-
-
-def filter_depths(individuals: Sequence[Individual],
-                  allowed: Iterable[DepthKey]) -> tuple[list[Individual], float]:
-    """Keep individuals whose depth key is allowed; report the kept fraction."""
-    allowed_set = {DepthKey(*k) for k in allowed}
-    kept = [ind for ind in individuals if ind.depth_key in allowed_set]
-    fraction = len(kept) / len(individuals) if individuals else 1.0
-    if fraction < 1.0:
-        logger.info("filter_depths kept %d/%d individuals (%.1f%%)",
-                    len(kept), len(individuals), 100 * fraction)
-    return kept, fraction
-
-
-def save_sets(sets: EliteSets, path) -> None:
-    doc = {
-        "format": SETS_FORMAT,
-        "n": sets.n,
-        "seed": sets.seed,
-        "overlap_count": sets.overlap_count,
-        "config": sets.config.to_json_obj(),
-        "first": [i.to_json_obj() for i in sets.first],
-        "second": [i.to_json_obj() for i in sets.second],
-        "random": [i.to_json_obj() for i in sets.random],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def load_sets(path) -> EliteSets:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"corrupt sets file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != SETS_FORMAT:
-        raise FormatError(f"expected a {SETS_FORMAT} document")
-    try:
-        return EliteSets(
-            first=[Individual.from_json_obj(o) for o in doc["first"]],
-            second=[Individual.from_json_obj(o) for o in doc["second"]],
-            random=[Individual.from_json_obj(o) for o in doc["random"]],
-            n=int(doc["n"]),
-            seed=int(doc["seed"]),
-            overlap_count=int(doc["overlap_count"]),
-            config=GenotypeConfig.from_json_obj(doc["config"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad {SETS_FORMAT} document: {exc}") from exc
-
-
-def sets_content_hash(sets: EliteSets) -> str:
-    return _digest(sets.first + sets.second + sets.random)

@@ -8,7 +8,6 @@ All information quantities are in nats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -369,12 +368,6 @@ def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
     return total
 
 
-def log_likelihood(bn: BayesNet, assignment: Sequence[int]) -> float:
-    """Joint log-probability of one full assignment."""
-    arr = np.asarray(assignment, dtype=np.int64).reshape(1, -1)
-    return float(log_likelihood_many(bn, arr)[0])
-
-
 def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarray:
     """Forward-sample ``n`` full assignments in topological order."""
     if n < 0:
@@ -386,11 +379,6 @@ def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarra
         draws = rng.random((n, 1))
         out[:, v] = (cumulative < draws).sum(axis=1)
     return out
-
-
-def pls_sample(bn: BayesNet, rng: np.random.Generator) -> tuple[int, ...]:
-    """One forward sample (probabilistic logic sampling step)."""
-    return tuple(int(v) for v in pls_sample_many(bn, 1, rng)[0])
 
 
 def enumerate_joint(bn: BayesNet,
@@ -436,17 +424,3 @@ def bn_from_json_obj(obj: dict) -> BayesNet:
         return BayesNet(dag=dag, cpts=cpts, alpha=float(obj["alpha"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {BN_FORMAT} document: {exc}") from exc
-
-
-def save_bn(bn: BayesNet, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(bn_to_json_obj(bn)) + "\n")
-
-
-def load_bn(path) -> BayesNet:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"corrupt {BN_FORMAT} file: {exc}") from exc
-    return bn_from_json_obj(obj)

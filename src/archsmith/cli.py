@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .archive import extract_sets, load_archive, save_archive
+from .archive import load_archive, save_archive
 from .errors import ValidationError
 from .experiments import (
     ArchiveGenConfig,
@@ -24,6 +24,7 @@ from .experiments import (
     LikelihoodConfig,
     SamplingConfig,
     generate_archive,
+    learn_from_first,
     run_guided_search,
     run_initialization,
     run_likelihood,
@@ -36,11 +37,10 @@ from .experiments import (
     write_sampling_csv,
     write_sampling_tests_csv,
 )
-from .genotype import GanSpec, GenotypeConfig, dump_genotypes
+from .genotype import GenotypeConfig, dump_genotypes, load_genotypes
 from .landscape import LandscapeConfig, load_landscape, make_landscape
 from .metamodel import (
     LearnConfig,
-    learn,
     load_metamodel,
     provenance_mismatch,
     save_metamodel,
@@ -99,22 +99,11 @@ def cmd_learn(args) -> int:
     learn_config = LearnConfig.from_json_obj(merged)
     if learn_config.genotype.fingerprint() != archive.config.fingerprint():
         raise ValidationError("config genotype does not match the archive")
-    sets = extract_sets(archive, args.n, args.seed)
-    model = learn(sets.first, learn_config,
-                  provenance={"archive_hash": archive.content_hash(),
-                              "elite_n": args.n, "elite_seed": args.seed})
+    sets, model = learn_from_first(archive, args.n, args.seed, learn_config)
     save_metamodel(model, args.out)
     logger.info("learned from %d elites (%d runs); structure=%s",
                 len(sets.first), archive.n_runs, learn_config.structure)
     return 0
-
-
-def _iter_genotype_lines(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 def cmd_score(args) -> int:
@@ -124,9 +113,8 @@ def cmd_score(args) -> int:
     rows = []
     try:
         head = json.loads(first_line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{args.genotypes}: not valid JSON ({exc})") from exc
+    except json.JSONDecodeError:
+        head = None  # not an archive; load_genotypes names the bad line
     if isinstance(head, dict) and "format" in head:
         archive = load_archive(args.genotypes)
         warning = provenance_mismatch(model,
@@ -142,8 +130,8 @@ def cmd_score(args) -> int:
         header = ["run_id", "problem_id", "d_g", "d_d", "log_prob",
                   "normalized"]
     else:
-        for index, obj in enumerate(_iter_genotype_lines(args.genotypes)):
-            b = model.score(GanSpec.from_json_obj(obj))
+        for index, gan in enumerate(load_genotypes(args.genotypes)):
+            b = model.score(gan)
             rows.append((index, b.depth_key.d_g, b.depth_key.d_d,
                          b.log_prob, b.normalized))
         header = ["index", "d_g", "d_d", "log_prob", "normalized"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
-from .errors import ValidationError, parse_field
+from .errors import ValidationError, integer, number, parse_field
 from .genotype import GanSpec, random_gan
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
@@ -48,7 +48,7 @@ def parse_seed_range(value) -> tuple[int, ...]:
         return tuple(range(lo, hi + 1))
     if isinstance(value, (list, tuple)):
         try:
-            return tuple(int(v) for v in value)
+            return tuple(integer(v) for v in value)
         except (TypeError, ValueError):
             raise ValidationError(f"bad seed list {value!r}") from None
     raise ValidationError(f"bad seed list {value!r}")
@@ -65,7 +65,7 @@ def _required(obj: dict, name: str):
 
 def _ints(obj: dict, names: tuple[str, ...]) -> dict[str, int]:
     """The fields of ``names`` present in ``obj``, each parsed as an int."""
-    return {name: parse_field(obj, name, int, "config")
+    return {name: parse_field(obj, name, integer, "config")
             for name in names if name in obj}
 
 
@@ -92,11 +92,11 @@ def _optional_ea(obj: dict) -> EaConfig:
     unknown = sorted(set(obj["ea"]) - {f.name for f in fields(EaConfig)})
     if unknown:
         raise ValidationError(f"unknown ea config key(s): {', '.join(unknown)}")
-    for name, value in obj["ea"].items():
-        if not isinstance(value, (int, float)):
-            raise ValidationError(
-                f"bad ea config: field {name!r} is {value!r}, not a number")
-    return EaConfig(**obj["ea"])
+    ints = ("tournament_size", "elitism")
+    return EaConfig(**{
+        name: parse_field(obj["ea"], name,
+                          integer if name in ints else number, "ea config")
+        for name in obj["ea"]})
 
 
 def write_csv(path, header, rows) -> None:
@@ -128,6 +128,20 @@ def _default_learn(landscape: LandscapeConfig,
 
 def _archive_problem_ids(archive: RunArchive) -> set[str]:
     return {ind.problem_id for ind in archive.all_individuals()}
+
+
+def learn_from_first(archive: RunArchive, n: int, seed: int,
+                     learn_config: LearnConfig) -> tuple[EliteSets, Metamodel]:
+    """The elite sets of ``archive``, and the metamodel learned on First.
+
+    The model's provenance records the archive hash and the elite-set
+    parameters, so a later ``score`` can tell which archive it came from.
+    """
+    sets = extract_sets(archive, n, seed)
+    model = learn(sets.first, learn_config,
+                  provenance={"archive_hash": archive.content_hash(),
+                              "elite_n": n, "elite_seed": seed})
+    return sets, model
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +268,9 @@ def run_likelihood(archive: RunArchive,
     individuals were scored in total get a Kruskal-Wallis test over the
     per-set log probabilities plus Dunn pairwise p-values.
     """
-    learn_config = _default_learn(config.landscape, config.learn)
-    sets = extract_sets(archive, config.n, config.seed)
-    model = learn(sets.first, learn_config,
-                  provenance={"archive_hash": archive.content_hash(),
-                              "elite_n": config.n})
+    sets, model = learn_from_first(
+        archive, config.n, config.seed,
+        _default_learn(config.landscape, config.learn))
     rows: list[ScoreRow] = []
     for set_name in SET_NAMES:
         for ind in sets.by_name(set_name):
@@ -384,11 +396,9 @@ def run_sampling(archive: RunArchive,
                   if inds and inds[0].problem_id in train_ids}
     if not train_runs:
         raise ValidationError("no archive runs match the train seeds")
-    train_archive = RunArchive(runs=train_runs, config=archive.config)
-    sets = extract_sets(train_archive, config.n, config.seed)
-    model = learn(sets.first, learn_config,
-                  provenance={"archive_hash": train_archive.content_hash(),
-                              "elite_n": config.n})
+    sets, model = learn_from_first(
+        RunArchive(runs=train_runs, config=archive.config), config.n,
+        config.seed, learn_config)
     rng = np.random.default_rng([config.seed, len(config.train_seeds)])
     sampled = model.sample_many(rng, config.n_each)
     picks = rng.integers(len(sets.first), size=config.n_each)
@@ -501,10 +511,8 @@ def run_initialization(archive: RunArchive,
     if str(config.target_seed) in _archive_problem_ids(archive):
         raise ValidationError(
             f"target seed {config.target_seed} appears in the archive")
-    sets = extract_sets(archive, config.n, config.seed)
-    model = learn(sets.first, learn_config,
-                  provenance={"archive_hash": archive.content_hash(),
-                              "elite_n": config.n})
+    sets, model = learn_from_first(archive, config.n, config.seed,
+                                   learn_config)
     elite_gans = [ind.gan for ind in sets.first]
     land = make_landscape(config.target_seed, config.landscape)
     rows: list[GenerationRow] = []
@@ -605,10 +613,8 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
         raise ValidationError(
             f"target seed {config.target_seed} appears in the archive")
     if metamodel is None:
-        sets = extract_sets(archive, config.n, config.seed)
-        metamodel = learn(sets.first, learn_config,
-                          provenance={"archive_hash": archive.content_hash(),
-                                      "elite_n": config.n})
+        _, metamodel = learn_from_first(archive, config.n, config.seed,
+                                        learn_config)
     elif (metamodel.config.fingerprint()
           != config.landscape.genotype.fingerprint()):
         raise ValidationError("metamodel genotype does not match landscape")

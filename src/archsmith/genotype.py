@@ -1,4 +1,4 @@
-"""GAN genotype encoding: layer/network/GAN specs, discretization, flattening.
+"""GAN genotype encoding: layer/network/GAN specs and flattening.
 
 A GAN genotype is a pair of layered network specs (generator, discriminator)
 plus one global train-frequency bin.  For model fitting the genotype is
@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import FormatError, ValidationError, parse_field
+from .errors import FormatError, ValidationError, integer, parse_field
 
 _T = TypeVar("_T")
 
@@ -146,15 +146,15 @@ class GenotypeConfig:
         try:
             return cls(
                 mode=obj["mode"],
-                arity=parse_field(obj, "arity", int, what),
+                arity=parse_field(obj, "arity", integer, what),
                 activations=tuple(obj["activations"]),
                 weight_inits=tuple(obj["weight_inits"]),
                 generator_kinds=tuple(obj["generator_kinds"]),
                 discriminator_kinds=tuple(obj["discriminator_kinds"]),
                 generator_depth_max=parse_field(obj, "generator_depth_max",
-                                                int, what),
+                                                integer, what),
                 discriminator_depth_max=parse_field(
-                    obj, "discriminator_depth_max", int, what),
+                    obj, "discriminator_depth_max", integer, what),
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad {what}: {exc}") from exc
@@ -277,6 +277,9 @@ class GanSpec:
     @classmethod
     def from_json_obj(cls, obj: dict,
                       pool: LayerPool | None = None) -> "GanSpec":
+        if not isinstance(obj, dict):
+            raise FormatError(f"genotype record must be a JSON object, "
+                              f"not {type(obj).__name__}")
         version = obj.get("schema")
         if version != GENOTYPE_SCHEMA_VERSION:
             raise FormatError(f"unsupported genotype schema tag {version!r}")
@@ -397,76 +400,6 @@ def random_gan(rng, config: GenotypeConfig,
 
 
 # ---------------------------------------------------------------------------
-# Discretization
-
-
-@dataclass(frozen=True)
-class DiscretizationScheme:
-    """Ascending cut points for one continuous attribute.
-
-    A value maps to the number of cut points strictly below it, so the bins
-    are exhaustive over the real line with open-ended extremes.
-    """
-
-    cuts: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.cuts, self.cuts[1:])):
-            raise ValidationError("cut points must be strictly ascending")
-
-    @property
-    def arity(self) -> int:
-        return len(self.cuts) + 1
-
-
-def fit_discretization(values: Sequence[float], k: int) -> DiscretizationScheme:
-    """Fit equal-frequency cut points for ``k`` requested bins.
-
-    Cut ``i`` is the midpoint between the order statistics around position
-    ``floor(i * n / k)``, which keeps bin occupancies within one of each
-    other.  Boundaries falling inside a run of duplicated values collapse,
-    reducing the arity.
-
-    Args:
-        values: raw attribute observations, at least one.
-        k: requested number of bins, >= 1.
-
-    Returns:
-        A DiscretizationScheme with at most ``k - 1`` cuts.
-    """
-    if len(values) == 0:
-        raise ValidationError("cannot fit discretization on an empty sample")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    ordered = sorted(float(v) for v in values)
-    n = len(ordered)
-    cuts: list[float] = []
-    for i in range(1, k):
-        pos = (i * n) // k
-        if pos < 1 or pos > n - 1:
-            continue
-        lo, hi = ordered[pos - 1], ordered[pos]
-        if lo == hi:
-            # Boundary inside a run of duplicates separates nothing.
-            continue
-        cut = (lo + hi) / 2.0
-        if not cuts or cut > cuts[-1]:
-            cuts.append(cut)
-    return DiscretizationScheme(cuts=tuple(cuts))
-
-
-def discretize(value: float, scheme: DiscretizationScheme) -> int:
-    """Bin index of ``value``: the number of cuts strictly below it."""
-    index = 0
-    for cut in scheme.cuts:
-        if cut < value:
-            index += 1
-        else:
-            break
-    return index
-
-
-# ---------------------------------------------------------------------------
 # Flattening
 
 
@@ -560,27 +493,6 @@ def flatten_joint(gan: GanSpec, config: GenotypeConfig) -> AttributeVector:
                            schema=joint_schema(config, key))
 
 
-def flatten(gan: GanSpec, config: GenotypeConfig):
-    """Flatten per the configured mode.
-
-    Joint mode returns one AttributeVector; per-network mode returns a
-    (generator, discriminator) pair whose concatenation equals the joint
-    vector.
-    """
-    joint = flatten_joint(gan, config)
-    if config.mode == MODE_JOINT:
-        return joint
-    gen_schema = network_schema(config, ROLE_GENERATOR, gan.generator.depth)
-    disc_schema = network_schema(config, ROLE_DISCRIMINATOR,
-                                 gan.discriminator.depth)
-    split = len(gen_schema)
-    gen_av = AttributeVector(depth_key=gen_schema.key,
-                             values=joint.values[:split], schema=gen_schema)
-    disc_av = AttributeVector(depth_key=disc_schema.key,
-                              values=joint.values[split:], schema=disc_schema)
-    return gen_av, disc_av
-
-
 def _layers_from_values(config: GenotypeConfig, role: str,
                         values: Sequence[int]) -> tuple[LayerSpec, ...]:
     kinds = config.kinds(role)
@@ -612,18 +524,6 @@ def unflatten_joint(vector: AttributeVector, config: GenotypeConfig) -> GanSpec:
     )
     validate_gan(gan, config)
     return gan
-
-
-def unflatten(vector_or_pair, config: GenotypeConfig) -> GanSpec:
-    """Inverse of flatten for either mode."""
-    if isinstance(vector_or_pair, AttributeVector):
-        return unflatten_joint(vector_or_pair, config)
-    gen_av, disc_av = vector_or_pair
-    key = DepthKey(gen_av.depth_key[1], disc_av.depth_key[1])
-    joint = AttributeVector(depth_key=key,
-                            values=gen_av.values + disc_av.values,
-                            schema=joint_schema(config, key))
-    return unflatten_joint(joint, config)
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +599,18 @@ def dump_genotypes(gans: Iterable[GanSpec], path) -> None:
 
 
 def load_genotypes(path) -> Iterator[GanSpec]:
+    """The genotype of each non-blank line; a bad line raises a
+    FormatError naming the file and the line."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                gan = GanSpec.from_json_obj(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: not valid JSON: {exc}") from exc
-            yield GanSpec.from_json_obj(obj)
+                raise FormatError(f"{path}: line {lineno}: not valid JSON: "
+                                  f"{exc}") from exc
+            except FormatError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+            yield gan

@@ -17,7 +17,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, parse_field
+from .errors import (
+    FormatError,
+    ValidationError,
+    integer,
+    number,
+    parse_field,
+)
 from .genotype import (
     DepthKey,
     GanSpec,
@@ -84,14 +90,14 @@ class LandscapeConfig:
         try:
             return cls(
                 genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
-                family_seed=parse_field(obj, "family_seed", int, what),
-                sigma_noise=parse_field(obj, "sigma_noise", float, what),
-                margin=parse_field(obj, "margin", float, what),
-                base_scale=parse_field(obj, "base_scale", float, what),
-                flip_prob=parse_field(obj, "flip_prob", float, what),
-                jitter=parse_field(obj, "jitter", float, what),
+                family_seed=parse_field(obj, "family_seed", integer, what),
+                sigma_noise=parse_field(obj, "sigma_noise", number, what),
+                margin=parse_field(obj, "margin", number, what),
+                base_scale=parse_field(obj, "base_scale", number, what),
+                flip_prob=parse_field(obj, "flip_prob", number, what),
+                jitter=parse_field(obj, "jitter", number, what),
                 n_pairs=(None if obj["n_pairs"] is None
-                         else parse_field(obj, "n_pairs", int, what)),
+                         else parse_field(obj, "n_pairs", integer, what)),
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad {what}: {exc}") from exc

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -20,7 +21,6 @@ from scipy.special import logsumexp
 from .archive import Individual
 from .bayesnet import (
     BayesNet,
-    Dag,
     aracne_skeleton,
     bn_from_json_obj,
     bn_to_json_obj,
@@ -32,17 +32,22 @@ from .bayesnet import (
     pls_sample_many,
     small_sample_correction,
 )
-from .errors import FormatError, ValidationError, parse_field
+from .errors import (
+    FormatError,
+    ValidationError,
+    boolean,
+    integer,
+    number,
+    parse_field,
+)
 from .genotype import (
     AttributeVector,
     DepthKey,
     GanSpec,
     GenotypeConfig,
     MODE_JOINT,
-    ROLE_DISCRIMINATOR,
-    ROLE_GENERATOR,
+    ROLES,
     Schema,
-    flatten,
     flatten_joint,
     joint_schema,
     network_schema,
@@ -84,6 +89,8 @@ class LearnConfig:
             raise ValidationError("alpha must be > 0")
         if self.super_pseudocount <= 0:
             raise ValidationError("super_pseudocount must be > 0")
+        if not 0 <= self.dpi_tolerance <= 1:
+            raise ValidationError("dpi_tolerance must lie in [0, 1]")
 
     def to_json_obj(self) -> dict:
         return {
@@ -103,12 +110,13 @@ class LearnConfig:
             return cls(
                 genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
                 structure=obj["structure"],
-                min_samples=parse_field(obj, "min_samples", int, what),
-                alpha=parse_field(obj, "alpha", float, what),
+                min_samples=parse_field(obj, "min_samples", integer, what),
+                alpha=parse_field(obj, "alpha", number, what),
                 super_pseudocount=parse_field(obj, "super_pseudocount",
-                                              float, what),
-                dpi_tolerance=parse_field(obj, "dpi_tolerance", float, what),
-                mi_correction=bool(obj["mi_correction"]),
+                                              number, what),
+                dpi_tolerance=parse_field(obj, "dpi_tolerance", number, what),
+                mi_correction=parse_field(obj, "mi_correction", boolean,
+                                          what),
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad {what}: {exc}") from exc
@@ -186,12 +194,6 @@ class ScoreBreakdown:
         return self.log_prob / self.n_variables
 
 
-def _edgeless_bn(schema: Schema, rows: np.ndarray, alpha: float) -> BayesNet:
-    variables = tuple((s.name, s.cardinality) for s in schema.slots)
-    dag = Dag(variables=variables, parents=tuple(() for _ in variables))
-    return fit_cpts(dag, rows, alpha=alpha)
-
-
 def learn_submodel(schema: Schema, rows: np.ndarray,
                    config: LearnConfig) -> Submodel:
     """Fit one depth group: BN structure when the sample supports it.
@@ -200,28 +202,78 @@ def learn_submodel(schema: Schema, rows: np.ndarray,
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(schema))
     n = rows.shape[0]
-    if n == 0:
-        bn = _edgeless_bn(schema, rows, config.alpha)
-        return Submodel(key=tuple(schema.key), schema=schema, bn=bn,
-                        n_train=0, method=METHOD_UNIFORM)
     if n < config.min_samples:
-        bn = _edgeless_bn(schema, rows, config.alpha)
-        return Submodel(key=tuple(schema.key), schema=schema, bn=bn,
-                        n_train=n, method=METHOD_MARGINALS)
-    cards = schema.cardinalities
-    mi = mi_matrix(rows, cards)
-    if config.structure == STRUCTURE_ARACNE:
-        correction = (small_sample_correction(cards, n)
-                      if config.mi_correction else None)
-        edges = aracne_skeleton(mi, dpi_tolerance=config.dpi_tolerance,
-                                threshold_correction=correction)
+        # Independent smoothed marginals; uniform rows when n is 0.
+        edges, method = [], METHOD_MARGINALS if n else METHOD_UNIFORM
     else:
-        edges = chow_liu(mi)
+        cards = schema.cardinalities
+        mi = mi_matrix(rows, cards)
+        if config.structure == STRUCTURE_ARACNE:
+            correction = (small_sample_correction(cards, n)
+                          if config.mi_correction else None)
+            edges = aracne_skeleton(mi, dpi_tolerance=config.dpi_tolerance,
+                                    threshold_correction=correction)
+        else:
+            edges = chow_liu(mi)
+        method = config.structure
     variables = tuple((s.name, s.cardinality) for s in schema.slots)
-    dag = orient(edges, variables)
-    bn = fit_cpts(dag, rows, alpha=config.alpha)
+    bn = fit_cpts(orient(edges, variables), rows, alpha=config.alpha)
     return Submodel(key=tuple(schema.key), schema=schema, bn=bn,
-                    n_train=n, method=config.structure)
+                    n_train=n, method=method)
+
+
+class _Part(NamedTuple):
+    """One supermodel and the submodels beneath it.
+
+    ``support`` lists the depth values the supermodel weighs; ``keys`` and
+    ``schemas`` give the submodel key and slot layout of each value, and
+    ``index`` maps every depth key to the support index it takes.
+    """
+
+    name: str
+    support: tuple
+    keys: tuple
+    schemas: tuple[Schema, ...]
+    index: dict
+
+
+@lru_cache(maxsize=None)
+def _parts(gc: GenotypeConfig) -> tuple[_Part, ...]:
+    """The supermodels of ``gc``'s mode, in joint-vector column order.
+
+    Joint mode has one supermodel over depth keys; per-network mode has one
+    per role over that role's depths, the generator's first.  The table is
+    cached per configuration and shared, so callers only read it.
+    """
+    depth_keys = gc.depth_keys()
+    if gc.mode == MODE_JOINT:
+        return (_Part("joint", depth_keys, tuple(map(tuple, depth_keys)),
+                      tuple(joint_schema(gc, key) for key in depth_keys),
+                      {key: i for i, key in enumerate(depth_keys)}),)
+    parts = []
+    for axis, role in enumerate(ROLES):
+        depths = tuple(range(1, gc.depth_max(role) + 1))
+        parts.append(_Part(
+            role, depths, tuple((role, depth) for depth in depths),
+            tuple(network_schema(gc, role, depth) for depth in depths),
+            {key: key[axis] - 1 for key in depth_keys}))
+    return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def _plans(gc: GenotypeConfig) -> dict[DepthKey, tuple]:
+    """Per depth key, one ``(part, support index, joint columns)`` entry
+    for each part."""
+    plans = {}
+    for key in gc.depth_keys():
+        plan, start = [], 0
+        for part in _parts(gc):
+            index = part.index[key]
+            stop = start + len(part.schemas[index])
+            plan.append((part, index, slice(start, stop)))
+            start = stop
+        plans[key] = tuple(plan)
+    return plans
 
 
 class Metamodel:
@@ -233,48 +285,41 @@ class Metamodel:
                  provenance: dict | None = None):
         self.learn_config = learn_config
         self.config = learn_config.genotype
-        self.mode = self.config.mode
+        self._parts = _parts(self.config)
+        self._plans = _plans(self.config)
         self.supermodels = dict(supermodels)
         self.submodels = dict(submodels)
         self.provenance = dict(provenance or {})
         self._validate()
 
     def _validate(self) -> None:
-        gc = self.config
-        if self.mode == MODE_JOINT:
-            if set(self.supermodels) != {"joint"}:
-                raise ValidationError("joint mode needs one supermodel")
-            expected = {tuple(k) for k in gc.depth_keys()}
-        else:
-            if set(self.supermodels) != {ROLE_GENERATOR, ROLE_DISCRIMINATOR}:
-                raise ValidationError("per-network mode needs two supermodels")
-            expected = {(ROLE_GENERATOR, d)
-                        for d in range(1, gc.generator_depth_max + 1)}
-            expected |= {(ROLE_DISCRIMINATOR, d)
-                         for d in range(1, gc.discriminator_depth_max + 1)}
-        if set(self.submodels) != expected:
+        parts = self._parts
+        names = [part.name for part in parts]
+        if set(self.supermodels) != set(names):
+            raise ValidationError(f"{self.config.mode} mode needs the "
+                                  f"supermodels {', '.join(names)}")
+        for part in parts:
+            if self.supermodels[part.name].support != part.support:
+                raise ValidationError(
+                    f"supermodel {part.name!r} does not cover the "
+                    f"configured depths in order")
+        if set(self.submodels) != {key for part in parts for key in part.keys}:
             raise ValidationError("every supported key needs a submodel")
 
     # -- scoring -------------------------------------------------------------
 
     def _joint_parts(self, key: DepthKey) -> tuple[float, list]:
         """Supermodel log mass and the submodel split plan for one key."""
-        gc = self.config
-        if self.mode == MODE_JOINT:
-            log_super = self.supermodels["joint"].log_prob(DepthKey(*key))
-            plan = [(self.submodels[tuple(key)], slice(None))]
-            return log_super, plan
-        split = len(network_schema(gc, ROLE_GENERATOR, key.d_g))
-        log_super = (self.supermodels[ROLE_GENERATOR].log_prob(key.d_g)
-                     + self.supermodels[ROLE_DISCRIMINATOR].log_prob(key.d_d))
-        plan = [(self.submodels[(ROLE_GENERATOR, key.d_g)], slice(0, split)),
-                (self.submodels[(ROLE_DISCRIMINATOR, key.d_d)],
-                 slice(split, None))]
+        log_super, plan = 0.0, []
+        for part, index, cols in self._plans[key]:
+            log_super += self.supermodels[part.name].log_prob(
+                part.support[index])
+            plan.append((self.submodels[part.keys[index]], cols))
         return log_super, plan
 
     @property
     def n_depth_variables(self) -> int:
-        return 1 if self.mode == MODE_JOINT else 2
+        return len(self._parts)
 
     def score_values(self, key: DepthKey,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,67 +351,44 @@ class Metamodel:
 
     # -- sampling ------------------------------------------------------------
 
-    def _sample_joint(self, rng: np.random.Generator,
-                      count: int) -> list[GanSpec]:
-        super_ = self.supermodels["joint"]
-        picks = super_.sample_indices(rng, count)
-        out: list[GanSpec | None] = [None] * count
-        for idx in range(len(super_.support)):
-            where = np.flatnonzero(picks == idx)
-            if where.size == 0:
-                continue
-            key = DepthKey(*super_.support[idx])
-            submodel = self.submodels[tuple(key)]
-            rows = pls_sample_many(submodel.bn, where.size, rng)
-            schema = submodel.schema
-            for slot, row in zip(where, rows):
-                av_row = tuple(int(v) for v in row)
-                vector = _attribute_vector(schema, key, av_row)
-                out[slot] = unflatten_joint(vector, self.config)
-        return [g for g in out if g is not None]
-
-    def _sample_per_network(self, rng: np.random.Generator,
-                            count: int) -> list[GanSpec]:
-        gc = self.config
-        halves: dict[str, list] = {}
-        depth_draws: dict[str, np.ndarray] = {}
-        for role in (ROLE_GENERATOR, ROLE_DISCRIMINATOR):
-            super_ = self.supermodels[role]
-            picks = super_.sample_indices(rng, count)
-            depth_draws[role] = picks
-            rows: list = [None] * count
-            for idx in range(len(super_.support)):
-                where = np.flatnonzero(picks == idx)
-                if where.size == 0:
-                    continue
-                depth = super_.support[idx]
-                submodel = self.submodels[(role, depth)]
-                sampled = pls_sample_many(submodel.bn, where.size, rng)
-                for slot, row in zip(where, sampled):
-                    rows[slot] = tuple(int(v) for v in row)
-            halves[role] = rows
-        out = []
-        for i in range(count):
-            d_g = self.supermodels[ROLE_GENERATOR].support[
-                depth_draws[ROLE_GENERATOR][i]]
-            d_d = self.supermodels[ROLE_DISCRIMINATOR].support[
-                depth_draws[ROLE_DISCRIMINATOR][i]]
-            key = DepthKey(int(d_g), int(d_d))
-            values = halves[ROLE_GENERATOR][i] + halves[ROLE_DISCRIMINATOR][i]
-            vector = _attribute_vector(joint_schema(gc, key), key, values)
-            out.append(unflatten_joint(vector, gc))
-        return out
-
     def sample_many(self, rng: np.random.Generator,
                     count: int) -> list[GanSpec]:
-        """Draw genotypes by ancestral sampling; deterministic given rng."""
+        """Draw genotypes by ancestral sampling; deterministic given rng.
+
+        Part by part, the supermodel draws every depth first, then each
+        submodel samples the rows that drew its depth.
+        """
         if count < 0:
             raise ValidationError("count must be >= 0")
         if count == 0:
             return []
-        if self.mode == MODE_JOINT:
-            return self._sample_joint(rng, count)
-        return self._sample_per_network(rng, count)
+        gc = self.config
+        parts = self._parts
+        picks, part_rows = [], []
+        for part in parts:
+            drawn = self.supermodels[part.name].sample_indices(rng, count)
+            rows: list = [None] * count
+            for index, key in enumerate(part.keys):
+                where = np.flatnonzero(drawn == index)
+                if where.size == 0:
+                    continue
+                sampled = pls_sample_many(self.submodels[key].bn, where.size,
+                                          rng)
+                for slot, row in zip(where, sampled):
+                    rows[slot] = tuple(int(v) for v in row)
+            picks.append(drawn)
+            part_rows.append(rows)
+        # The depth key that each combination of part draws stands for.
+        depth_keys = {tuple(part.index[key] for part in parts): key
+                      for key in gc.depth_keys()}
+        out = []
+        for i in range(count):
+            key = depth_keys[tuple(int(drawn[i]) for drawn in picks)]
+            values = sum((rows[i] for rows in part_rows), ())
+            out.append(unflatten_joint(
+                AttributeVector(depth_key=key, values=values,
+                                schema=joint_schema(gc, key)), gc))
+        return out
 
     def sample(self, rng: np.random.Generator) -> GanSpec:
         return self.sample_many(rng, 1)[0]
@@ -383,28 +405,14 @@ class Metamodel:
         here, because the supermodel term amortizes over more variables
         at deeper keys and would systematically favour them.
         """
-        gc = learn_config.genotype
         submodels: dict[tuple, Submodel] = {}
         parts: dict[str, tuple[tuple, np.ndarray, np.ndarray]] = {}
-        if gc.mode == MODE_JOINT:
-            keys = gc.depth_keys()
-            schemas = [joint_schema(gc, key) for key in keys]
-            for key, schema in zip(keys, schemas):
-                submodels[tuple(key)] = learn_submodel(
+        for part in _parts(learn_config.genotype):
+            for key, schema in zip(part.keys, part.schemas):
+                submodels[key] = learn_submodel(
                     schema, np.empty((0, len(schema)), dtype=np.int64),
                     learn_config)
-            parts["joint"] = (tuple(keys), *_schema_volumes(schemas))
-        else:
-            for role, depth_max in ((ROLE_GENERATOR, gc.generator_depth_max),
-                                    (ROLE_DISCRIMINATOR,
-                                     gc.discriminator_depth_max)):
-                depths = tuple(range(1, depth_max + 1))
-                schemas = [network_schema(gc, role, depth) for depth in depths]
-                for depth, schema in zip(depths, schemas):
-                    submodels[(role, depth)] = learn_submodel(
-                        schema, np.empty((0, len(schema)), dtype=np.int64),
-                        learn_config)
-                parts[role] = (depths, *_schema_volumes(schemas))
+            parts[part.name] = (part.support, *_schema_volumes(part.schemas))
         return cls(learn_config=learn_config,
                    supermodels=_neutral_supermodels(parts),
                    submodels=submodels, provenance={"uniform": True})
@@ -445,10 +453,6 @@ def _neutral_supermodels(
     return out
 
 
-def _attribute_vector(schema: Schema, key, values) -> AttributeVector:
-    return AttributeVector(depth_key=key, values=tuple(values), schema=schema)
-
-
 def learn(individuals: Sequence[Individual], config: LearnConfig,
           provenance: dict | None = None) -> Metamodel:
     """Learn the metamodel from an elite set.
@@ -461,45 +465,23 @@ def learn(individuals: Sequence[Individual], config: LearnConfig,
     if not individuals:
         raise ValidationError("cannot learn from an empty set")
     gc = config.genotype
+    parts, plans = _parts(gc), _plans(gc)
+    rows_by_key: dict[tuple, list] = {key: [] for part in parts
+                                      for key in part.keys}
+    for ind in individuals:
+        av = flatten_joint(ind.gan, gc)
+        for part, index, cols in plans[av.depth_key]:
+            rows_by_key[part.keys[index]].append(av.values[cols])
     supermodels: dict[str, Categorical] = {}
     submodels: dict[tuple, Submodel] = {}
-    if gc.mode == MODE_JOINT:
-        keys = gc.depth_keys()
-        rows_by_key: dict[tuple, list] = {tuple(k): [] for k in keys}
-        for ind in individuals:
-            av = flatten_joint(ind.gan, gc)
-            rows_by_key[tuple(av.depth_key)].append(av.values)
-        counts = [len(rows_by_key[tuple(k)]) for k in keys]
-        supermodels["joint"] = Categorical.from_counts(
-            keys, counts, config.super_pseudocount)
-        for key in keys:
-            schema = joint_schema(gc, key)
-            rows = np.array(rows_by_key[tuple(key)],
+    for part in parts:
+        counts = [len(rows_by_key[key]) for key in part.keys]
+        supermodels[part.name] = Categorical.from_counts(
+            part.support, counts, config.super_pseudocount)
+        for key, schema in zip(part.keys, part.schemas):
+            rows = np.array(rows_by_key[key],
                             dtype=np.int64).reshape(-1, len(schema))
-            submodels[tuple(key)] = learn_submodel(schema, rows, config)
-    else:
-        role_rows: dict[tuple, list] = {}
-        role_depths = {ROLE_GENERATOR: gc.generator_depth_max,
-                       ROLE_DISCRIMINATOR: gc.discriminator_depth_max}
-        for role, depth_max in role_depths.items():
-            for depth in range(1, depth_max + 1):
-                role_rows[(role, depth)] = []
-        for ind in individuals:
-            gen_av, disc_av = flatten(ind.gan, gc)
-            role_rows[(ROLE_GENERATOR, ind.gan.generator.depth)].append(
-                gen_av.values)
-            role_rows[(ROLE_DISCRIMINATOR, ind.gan.discriminator.depth)].append(
-                disc_av.values)
-        for role, depth_max in role_depths.items():
-            depths = tuple(range(1, depth_max + 1))
-            counts = [len(role_rows[(role, d)]) for d in depths]
-            supermodels[role] = Categorical.from_counts(
-                depths, counts, config.super_pseudocount)
-            for depth in depths:
-                schema = network_schema(gc, role, depth)
-                rows = np.array(role_rows[(role, depth)],
-                                dtype=np.int64).reshape(-1, len(schema))
-                submodels[(role, depth)] = learn_submodel(schema, rows, config)
+            submodels[key] = learn_submodel(schema, rows, config)
     meta = dict(provenance or {})
     meta.update({
         "n_individuals": len(individuals),
@@ -520,10 +502,6 @@ def learn(individuals: Sequence[Individual], config: LearnConfig,
 # Persistence
 
 
-def _encode_key(key: tuple) -> list:
-    return list(key)
-
-
 def _decode_key(obj) -> tuple:
     if len(obj) == 2 and isinstance(obj[0], str):
         return (obj[0], int(obj[1]))
@@ -538,7 +516,7 @@ def metamodel_to_json_obj(m: Metamodel) -> dict:
     subs = []
     for key in sorted(m.submodels):
         sub = m.submodels[key]
-        subs.append({"key": _encode_key(key), "n_train": sub.n_train,
+        subs.append({"key": list(key), "n_train": sub.n_train,
                      "method": sub.method, "bn": bn_to_json_obj(sub.bn)})
     return {
         "format": MM_FORMAT,

@@ -105,30 +105,6 @@ def _attr_cardinality(config: GenotypeConfig, attr: str) -> int:
             "size_bin": config.arity}[attr]
 
 
-def legal_ops(gan: GanSpec, config: GenotypeConfig) -> list[MutationOp]:
-    """Every operator application that keeps the genotype within bounds."""
-    ops: list[MutationOp] = []
-    for net in (gan.generator, gan.discriminator):
-        role, depth = net.role, net.depth
-        if depth < config.depth_max(role):
-            for position in range(depth + 1):
-                for layer in _layer_variants(config, role):
-                    ops.append(AddLayer(role, position, layer))
-        if depth > 1:
-            for position in range(depth):
-                ops.append(DeleteLayer(role, position))
-        for position, layer in enumerate(net.layers):
-            for attr in MUTABLE_LAYER_ATTRS:
-                current = _attr_index(config, layer, attr)
-                for value in range(_attr_cardinality(config, attr)):
-                    if value != current:
-                        ops.append(ChangeLayer(role, position, attr, value))
-    for value in range(config.arity):
-        if value != gan.train_freq_bin:
-            ops.append(ChangeTrainFreq(value))
-    return ops
-
-
 def _net_of(gan: GanSpec, role: str) -> DnnSpec:
     return gan.generator if role == ROLE_GENERATOR else gan.discriminator
 
@@ -181,19 +157,6 @@ def apply_op(gan: GanSpec, op: MutationOp,
     return result
 
 
-def neighbors(gan: GanSpec, config: GenotypeConfig) -> list[GanSpec]:
-    """Distinct genotypes one operator away, excluding the genotype itself."""
-    seen = {gan_hash(gan)}
-    out = []
-    for op in legal_ops(gan, config):
-        candidate = apply_op(gan, op, config)
-        digest = gan_hash(candidate)
-        if digest not in seen:
-            seen.add(digest)
-            out.append(candidate)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Vectorized neighborhoods (for scoring and evaluation in bulk)
 
@@ -220,8 +183,8 @@ def neighbor_groups(key: DepthKey, values: np.ndarray,
                     config: GenotypeConfig) -> list[tuple[DepthKey, np.ndarray]]:
     """One-mutation neighbors as per-depth-key int64 row matrices.
 
-    Equivalent to neighbors() on the unflattened genotype: rows are distinct
-    and the incumbent itself is excluded.  Groups come back sorted by key;
+    Equivalent to applying every ``legal_ops`` operator to the unflattened
+    genotype: rows are distinct and the incumbent itself is excluded.  Groups come back sorted by key;
     the change group lists slots in schema order and values ascending, and
     every grow and shrink group is in strictly ascending lexicographic row
     order.

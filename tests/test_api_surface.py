@@ -1,0 +1,94 @@
+"""Public API surface: every public module-level function and class has a
+caller in the package itself or in the benchmark harness.
+
+A public name that only tests call is dead weight: it has to be kept
+working and documented, yet nothing the tool does depends on it.  The
+allowlist names the exceptions and why each one stays.
+"""
+
+import ast
+from functools import lru_cache
+from pathlib import Path
+
+import archsmith
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "archsmith"
+
+ALLOWED = {
+    "enumerate_joint": "imported by the acceptance suite (criterion 1)",
+    "save_landscape": "writes the file that `search --landscape` reads",
+    "load_traces": "reads the trace file that `search` writes",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _references(tree, module_names) -> list[set[str]]:
+    """Per top-level statement of ``tree``, the names it uses: bare names,
+    imported names, and attributes of an imported package module
+    (``experiments.run_likelihood``)."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name in module_names}
+    out = []
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                found.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                found.add(node.attr)
+        out.append(found)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _unreferenced() -> tuple[str, ...]:
+    """Public top-level functions and classes that no other statement of
+    the package, and nothing in ``perfbench/``, refers to."""
+    modules = _modules()
+    refs = {name: _references(tree, set(modules))
+            for name, tree in modules.items()}
+    harness = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        harness.update(*_references(tree, set(modules)))
+    missing = []
+    for module, tree in modules.items():
+        used = set(harness)
+        for other, statements in refs.items():
+            if other != module:
+                used.update(*statements)
+        for node, own in zip(tree.body, refs[module]):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not any(node.name in found
+                                for found in refs[module] if found is not own)
+                    and node.name not in used):
+                missing.append(node.name)
+    return tuple(sorted(missing))
+
+
+def test_every_public_definition_has_a_caller():
+    unexplained = sorted(set(_unreferenced()) - set(ALLOWED))
+    assert not unexplained, (
+        f"public names called only from tests: {unexplained}; delete them, "
+        f"make them private, or add them to ALLOWED with a reason")
+
+
+def test_allowlist_is_current():
+    # An entry whose name has gained a caller, or no longer exists, goes.
+    assert list(_unreferenced()) == sorted(ALLOWED)
+
+
+def test_all_lists_only_importable_names():
+    assert all(hasattr(archsmith, name) for name in archsmith.__all__)

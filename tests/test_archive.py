@@ -9,16 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from archsmith.archive import (
-    EliteSets,
     Individual,
     RunArchive,
     extract_sets,
-    filter_depths,
     load_archive,
-    load_sets,
     save_archive,
-    save_sets,
-    sets_content_hash,
     _record_texts,
 )
 from archsmith.errors import FormatError, ValidationError
@@ -252,7 +247,7 @@ class TestExtractSets:
         shuffled.write_text("\n".join([header] + records) + "\n")
         a = extract_sets(load_archive(path), n=5, seed=3)
         b = extract_sets(load_archive(shuffled), n=5, seed=3)
-        assert sets_content_hash(a) == sets_content_hash(b)
+        assert (a.first, a.second, a.random) == (b.first, b.second, b.random)
 
     def test_equal_fitness_ties_broken_by_hash(self):
         rng = np.random.default_rng(11)
@@ -273,70 +268,6 @@ class TestExtractSets:
         observed = sum(1 for i in sets.random
                        if (i.fitness, gan_hash(i.gan)) in elite)
         assert sets.overlap_count == observed
-
-
-class TestFilterDepths:
-    def test_identity_and_empty(self):
-        rng = np.random.default_rng(13)
-        inds = [make_individual(rng, float(i)) for i in range(10)]
-        kept, frac = filter_depths(inds, CONFIG.depth_keys())
-        assert kept == inds and frac == 1.0
-        kept, frac = filter_depths(inds, [])
-        assert kept == [] and frac == 0.0
-
-    def test_single_key(self):
-        rng = np.random.default_rng(14)
-        inds = [make_individual(rng, 0.0, depth_key=DepthKey(1, 1))
-                for _ in range(3)]
-        inds += [make_individual(rng, 0.0, depth_key=DepthKey(2, 3))
-                 for _ in range(7)]
-        kept, frac = filter_depths(inds, [DepthKey(1, 1)])
-        assert len(kept) == 3
-        assert all(i.depth_key == DepthKey(1, 1) for i in kept)
-        assert frac == pytest.approx(0.3)
-
-
-class TestSetsIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        archive = make_archive(rng, n_runs=2, run_size=10)
-        sets = extract_sets(archive, n=3, seed=4)
-        path = tmp_path / "sets.json"
-        save_sets(sets, path)
-        loaded = load_sets(path)
-        assert loaded == EliteSets(first=sets.first, second=sets.second,
-                                   random=sets.random, n=3, seed=4,
-                                   overlap_count=sets.overlap_count,
-                                   config=CONFIG)
-
-    def test_bytes_equal_json_dump(self, tmp_path):
-        rng = np.random.default_rng(16)
-        sets = extract_sets(make_archive(rng, n_runs=2, run_size=10), n=3,
-                            seed=4)
-        path = tmp_path / "sets.json"
-        save_sets(sets, path)
-        doc = {"format": "sets-v1", "n": 3, "seed": 4,
-               "overlap_count": sets.overlap_count,
-               "config": CONFIG.to_json_obj(),
-               **{name: [i.to_json_obj() for i in sets.by_name(name)]
-                  for name in ("first", "second", "random")}}
-        reference = tmp_path / "reference.json"
-        with open(reference, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True)
-            handle.write("\n")
-        assert path.read_bytes() == reference.read_bytes()
-
-    def test_corrupt_rejected(self, tmp_path):
-        path = tmp_path / "sets.json"
-        path.write_text("{not json")
-        with pytest.raises(FormatError, match="corrupt"):
-            load_sets(path)
-
-    def test_wrong_tag_rejected(self, tmp_path):
-        path = tmp_path / "sets.json"
-        path.write_text(json.dumps({"format": "other"}))
-        with pytest.raises(FormatError):
-            load_sets(path)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +298,6 @@ def reference_archive_bytes(archive):
     lines += [reference_text(ind) for run in archive.runs.values()
               for ind in run]
     return "".join(line + "\n" for line in lines).encode()
-
-
-def reference_sets_hash(sets):
-    return reference_digest(sets.first + sets.second + sets.random)
 
 
 def layers_of(individuals):
@@ -482,14 +409,6 @@ class TestRecordEncoding:
         assert archive.content_hash() == reference_content_hash(archive)
         save_archive(archive, path)
         assert path.read_bytes() == reference_archive_bytes(archive)
-        if source == "odd":
-            sets = EliteSets(first=archive.runs["r\"0"],
-                             second=archive.runs["r 1"],
-                             random=archive.runs["r\u00e90"][::2], n=12,
-                             seed=0, overlap_count=0, config=CONFIG)
-        else:
-            sets = extract_sets(archive, n=10, seed=0)
-        assert sets_content_hash(sets) == reference_sets_hash(sets)
 
     def test_each_layer_value_encoded_once_per_call(self, acceptance_archive,
                                                     tmp_path, monkeypatch):

@@ -16,15 +16,11 @@ from archsmith.bayesnet import (
     chow_liu,
     enumerate_joint,
     fit_cpts,
-    load_bn,
-    log_likelihood,
     log_likelihood_many,
     mi_matrix,
     mutual_information,
     orient,
-    pls_sample,
     pls_sample_many,
-    save_bn,
     small_sample_correction,
 )
 from archsmith.errors import FormatError, ValidationError
@@ -290,24 +286,30 @@ def random_bn(rng, max_vars=4, max_card=4):
     return BayesNet(dag=dag, cpts=tuple(cpts), alpha=1.0)
 
 
+def one_row_log_likelihood(bn, assignment):
+    """The log-likelihood of one assignment, as a one-row batch."""
+    (value,) = log_likelihood_many(bn, [assignment])
+    return float(value)
+
+
 class TestLogLikelihood:
     def test_independent_uniform_pair(self):
         dag = Dag(variables=(("a", 5), ("b", 5)), parents=((), ()))
         bn = fit_cpts(dag, np.empty((0, 2)), alpha=1.0)
-        assert log_likelihood(bn, (2, 4)) == pytest.approx(math.log(1 / 25),
-                                                           abs=1e-12)
+        assert one_row_log_likelihood(bn, (2, 4)) == pytest.approx(
+            math.log(1 / 25), abs=1e-12)
 
     def test_chain_example(self):
-        assert log_likelihood(manual_chain_bn(), (1, 1)) == pytest.approx(
-            math.log(0.35), abs=1e-12)
+        assert one_row_log_likelihood(manual_chain_bn(), (1, 1)) == (
+            pytest.approx(math.log(0.35), abs=1e-12))
 
     def test_out_of_range_assignment_rejected(self):
         with pytest.raises(ValidationError, match="range"):
-            log_likelihood(manual_chain_bn(), (1, 2))
+            one_row_log_likelihood(manual_chain_bn(), (1, 2))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):
-            log_likelihood(manual_chain_bn(), (1,))
+            one_row_log_likelihood(manual_chain_bn(), (1,))
 
     def test_probabilities_sum_to_one_on_random_nets(self):
         rng = np.random.default_rng(11)
@@ -321,7 +323,7 @@ class TestLogLikelihood:
         grid = np.array(list(product(range(2), range(2))))
         many = log_likelihood_many(bn, grid)
         for row, expected in zip(grid, many):
-            assert log_likelihood(bn, row) == pytest.approx(expected)
+            assert one_row_log_likelihood(bn, row) == expected
 
 
 def mixed_parent_bn():
@@ -381,11 +383,9 @@ class TestIndexPlan:
         assert "_plan" not in repr(bn) and "_cards" not in repr(bn)
         assert BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=2.0) != bn
 
-    def test_persistence_round_trip_scores_exactly(self, tmp_path):
+    def test_persistence_round_trip_scores_exactly(self):
         bn = mixed_parent_bn()
-        path = tmp_path / "model.bn"
-        save_bn(bn, path)
-        clone = load_bn(path)
+        clone = json_round_trip(bn)
         assert bn_to_json_obj(clone) == bn_to_json_obj(bn)
         rows = pls_sample_many(bn, 100, np.random.default_rng(6))
         assert np.array_equal(log_likelihood_many(clone, rows),
@@ -431,7 +431,7 @@ class TestPlsSample:
                 np.array([[1 - eps, eps], [eps, 1 - eps]]))
         bn = BayesNet(dag=dag, cpts=cpts, alpha=1.0)
         rng = np.random.default_rng(0)
-        assert pls_sample(bn, rng) == (1, 1)
+        assert pls_sample_many(bn, 1, rng).tolist() == [[1, 1]]
 
     def test_chain_empirical_close_to_enumeration(self):
         rng = np.random.default_rng(9)
@@ -446,32 +446,26 @@ class TestPlsSample:
 
     def test_full_assignment_returned(self):
         bn = manual_chain_bn()
-        sample = pls_sample(bn, np.random.default_rng(2))
+        (sample,) = pls_sample_many(bn, 1, np.random.default_rng(2))
         assert len(sample) == 2
         assert all(0 <= v < 2 for v in sample)
 
 
+def json_round_trip(bn):
+    """``bn`` written to JSON text and read back, as a metamodel file
+    stores it."""
+    return bn_from_json_obj(json.loads(json.dumps(bn_to_json_obj(bn))))
+
+
 class TestSerialization:
-    def test_round_trip_is_bit_exact(self, tmp_path):
+    def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(21)
         bn = random_bn(rng)
-        path = tmp_path / "model.bn"
-        save_bn(bn, path)
-        clone = load_bn(path)
+        clone = json_round_trip(bn)
         assert clone.dag == bn.dag
         assert clone.alpha == bn.alpha
         for ours, theirs in zip(bn.cpts, clone.cpts):
             assert np.array_equal(ours, theirs)
-
-    def test_bytes_equal_json_dump(self, tmp_path):
-        bn = random_bn(np.random.default_rng(22))
-        path = tmp_path / "model.bn"
-        save_bn(bn, path)
-        reference = tmp_path / "reference.bn"
-        with open(reference, "w", encoding="utf-8") as handle:
-            json.dump(bn_to_json_obj(bn), handle)
-            handle.write("\n")
-        assert path.read_bytes() == reference.read_bytes()
 
     def test_format_tag_present(self):
         obj = bn_to_json_obj(manual_chain_bn())
@@ -483,12 +477,18 @@ class TestSerialization:
         with pytest.raises(FormatError):
             bn_from_json_obj(obj)
 
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "model.bn"
-        save_bn(manual_chain_bn(), path)
-        path.write_text(path.read_text()[:40])
-        with pytest.raises(FormatError, match="corrupt"):
-            load_bn(path)
+    def test_truncated_document_rejected(self):
+        for field in ("variables", "parents", "cpts", "alpha"):
+            obj = bn_to_json_obj(manual_chain_bn())
+            del obj[field]
+            with pytest.raises(FormatError, match="bad bn-v1 document"):
+                bn_from_json_obj(obj)
+
+    def test_corrupt_cpt_rejected(self):
+        obj = bn_to_json_obj(manual_chain_bn())
+        obj["cpts"][0] = [["x", "y"]]
+        with pytest.raises(FormatError, match="bad bn-v1 document"):
+            bn_from_json_obj(obj)
 
 
 class TestDag:

@@ -129,6 +129,26 @@ class TestLearnScoreSample:
                        for gan in gans)
         assert samples.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("lines,bad", [
+        (["GAN", "{not json"], "line 2: not valid JSON"),
+        (["5", "GAN"], "line 1: genotype record must be a JSON object"),
+        (["GAN", "5"], "line 2: genotype record must be a JSON object"),
+    ], ids=["malformed-second", "number-first", "number-second"])
+    def test_score_bad_genotype_line_is_one_error_line(
+            self, lines, bad, model_path, tmp_path, capsys):
+        gan = random_gan(np.random.default_rng(4), SMALL)
+        genotypes = tmp_path / "gans.jsonl"
+        genotypes.write_text("".join(
+            (json.dumps(gan.to_json_obj()) if line == "GAN" else line) + "\n"
+            for line in lines))
+        capsys.readouterr()
+        assert main(["score", "--model", str(model_path),
+                     "--genotypes", str(genotypes),
+                     "--out", str(tmp_path / "scores.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and bad in err[0]
+
     def test_sample_deterministic(self, model_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (a, b):
@@ -325,6 +345,29 @@ class TestGenArchiveAndExperiment:
                     "--archive", str(archive_path),
                     "--out-dir", str(tmp_path / "o")]
         assert main(argv + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and repr(field) in err[0]
+
+    @pytest.mark.parametrize("where,field,value", [
+        (None, "n", 2.9),
+        (None, "n", True),
+        ("learn", "min_samples", True),
+        ("learn", "mi_correction", "false"),
+        ("learn", "alpha", True),
+        ("landscape", "flip_prob", "0.5"),
+    ])
+    def test_wrong_typed_field_is_one_error_line(self, where, field, value,
+                                                 archive_path, tmp_path,
+                                                 capsys):
+        cfg = {"landscape": LAND.to_json_obj()}
+        (cfg.setdefault(where, {}) if where else cfg)[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--id", "likelihood",
+                     "--archive", str(archive_path),
+                     "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and repr(field) in err[0]

@@ -186,6 +186,24 @@ class TestInitialization:
         with pytest.raises(ValidationError):
             run_initialization(small_archive, config)
 
+    @pytest.mark.parametrize("ea,bad", [
+        ({"elitism": 1.5}, "'elitism'"),
+        ({"tournament_size": True}, "'tournament_size'"),
+        ({"mutation_rate": True}, "'mutation_rate'"),
+        ({"crossover_rate": "0.5"}, "'crossover_rate'"),
+    ])
+    def test_ea_fields_parse_strictly(self, ea, bad):
+        with pytest.raises(ValidationError, match=bad):
+            InitializationConfig.from_json_obj(
+                {"landscape": LAND.to_json_obj(), "ea": ea})
+
+    def test_ea_integral_floats_accepted(self):
+        config = InitializationConfig.from_json_obj(
+            {"landscape": LAND.to_json_obj(),
+             "ea": {"elitism": 2.0, "mutation_rate": 1}})
+        assert config.ea.elitism == 2 and type(config.ea.elitism) is int
+        assert config.ea.mutation_rate == 1.0
+
     def test_deterministic(self, small_archive, tmp_path):
         config = InitializationConfig(landscape=LAND, target_seed=61,
                                       replicates=2, population=6,

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,107 +12,25 @@ from archsmith.errors import FormatError, ValidationError
 from archsmith.genotype import (
     AttributeVector,
     DepthKey,
-    DiscretizationScheme,
     DnnSpec,
     GanSpec,
     GenotypeConfig,
     LayerPool,
     LayerSpec,
     canonical_json,
-    discretize,
     dump_genotypes,
-    fit_discretization,
-    flatten,
     flatten_joint,
     gan_hash,
     joint_schema,
     load_genotypes,
+    network_schema,
     random_gan,
     sort_by_fitness,
-    unflatten,
+    unflatten_joint,
 )
 
 JOINT = GenotypeConfig.joint()
 PER_NET = GenotypeConfig.per_network()
-
-
-def brute_force_quantile_cuts(values, k):
-    """Independent oracle: midpoints at the floor(i*n/k) order-statistic
-    boundaries, dropping boundaries that separate nothing."""
-    ordered = sorted(values)
-    n = len(ordered)
-    cuts = []
-    for i in range(1, k):
-        pos = (i * n) // k
-        if 1 <= pos <= n - 1 and ordered[pos - 1] < ordered[pos]:
-            cuts.append((ordered[pos - 1] + ordered[pos]) / 2.0)
-    return sorted(set(cuts))
-
-
-class TestFitDiscretization:
-    def test_hundred_integers_five_bins(self):
-        values = list(range(1, 101))
-        assert brute_force_quantile_cuts(values, 5) == [20.5, 40.5, 60.5, 80.5]
-        scheme = fit_discretization(values, k=5)
-        assert scheme.cuts == (20.5, 40.5, 60.5, 80.5)
-        assert scheme.arity == 5
-
-    def test_constant_sample_collapses_to_single_bin(self):
-        scheme = fit_discretization([7, 7, 7, 7], k=5)
-        assert scheme.cuts == ()
-        assert scheme.arity == 1
-
-    def test_two_values_two_bins(self):
-        scheme = fit_discretization([0, 10], k=2)
-        assert scheme.cuts == (5.0,)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_discretization([], k=3)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200),
-           st.integers(1, 8))
-    def test_matches_brute_force_oracle(self, values, k):
-        scheme = fit_discretization(values, k)
-        assert list(scheme.cuts) == brute_force_quantile_cuts(values, k)
-
-    @given(st.sets(st.integers(-10_000, 10_000), min_size=2, max_size=120),
-           st.integers(2, 7))
-    def test_occupancies_balanced_without_duplicates(self, unique_values, k):
-        values = sorted(unique_values)
-        scheme = fit_discretization(values, k)
-        counts = [0] * scheme.arity
-        for v in values:
-            counts[discretize(v, scheme)] += 1
-        filled = [c for c in counts if c > 0]
-        n = len(values)
-        if scheme.arity == k:
-            assert max(filled) - min(filled) <= math.ceil(n / k) - (n // k) + 1
-
-
-class TestDiscretize:
-    SCHEME = DiscretizationScheme(cuts=(20.5, 40.5, 60.5, 80.5))
-
-    def test_low_value(self):
-        assert discretize(3, self.SCHEME) == 0
-
-    def test_mid_value(self):
-        assert discretize(50, self.SCHEME) == 2
-
-    def test_huge_value_lands_in_last_bin(self):
-        assert discretize(1e9, self.SCHEME) == 4
-
-    def test_value_equal_to_cut_stays_below(self):
-        assert discretize(20.5, self.SCHEME) == 0
-
-    @given(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9))
-    def test_monotone(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        assert discretize(lo, self.SCHEME) <= discretize(hi, self.SCHEME)
-
-    def test_cuts_must_ascend(self):
-        with pytest.raises(ValidationError):
-            DiscretizationScheme(cuts=(1.0, 1.0))
 
 
 def make_layer(role_kinds, i=0):
@@ -169,13 +86,13 @@ class TestFlatten:
                             + ["discriminator"] * 4)
 
     def test_per_network_halves_partition_joint_vector(self):
-        gan = make_gan(2, 3, train=4)
-        joint_av = flatten_joint(gan, PER_NET)
-        gen_av, disc_av = flatten(gan, PER_NET)
-        assert gen_av.values + disc_av.values == joint_av.values
-        assert gen_av.depth_key == ("generator", 2)
-        assert disc_av.depth_key == ("discriminator", 3)
-        assert gen_av.schema.slots[0].name == "train_freq"
+        joint = joint_schema(PER_NET, DepthKey(2, 3))
+        gen = network_schema(PER_NET, "generator", 2)
+        disc = network_schema(PER_NET, "discriminator", 3)
+        assert gen.slots + disc.slots == joint.slots
+        assert gen.key == ("generator", 2)
+        assert disc.key == ("discriminator", 3)
+        assert gen.slots[0].name == "train_freq"
 
     def test_depth_outside_bounds_rejected(self):
         with pytest.raises(ValidationError, match="unsupported depth"):
@@ -202,14 +119,14 @@ class TestFlatten:
     @given(gan_strategy(JOINT))
     @settings(max_examples=200)
     def test_joint_round_trip(self, gan):
-        av = flatten(gan, JOINT)
-        assert unflatten(av, JOINT) == gan
+        av = flatten_joint(gan, JOINT)
+        assert unflatten_joint(av, JOINT) == gan
 
     @given(gan_strategy(PER_NET))
     @settings(max_examples=200)
     def test_per_network_round_trip(self, gan):
-        pair = flatten(gan, PER_NET)
-        assert unflatten(pair, PER_NET) == gan
+        av = flatten_joint(gan, PER_NET)
+        assert unflatten_joint(av, PER_NET) == gan
 
     @given(gan_strategy(JOINT))
     def test_every_value_within_cardinality(self, gan):
@@ -260,6 +177,14 @@ class TestSerialization:
         path = tmp_path / "gans.jsonl"
         path.write_text("{not json\n")
         with pytest.raises(FormatError, match="line 1"):
+            list(load_genotypes(path))
+
+    @pytest.mark.parametrize("text", ["5", "[]", '"gan"', "null"])
+    def test_non_object_line_reports_line_number(self, tmp_path, text):
+        path = tmp_path / "gans.jsonl"
+        path.write_text(canonical_json(make_gan()) + "\n" + text + "\n")
+        with pytest.raises(FormatError, match="line 2: genotype record must "
+                                              "be a JSON object"):
             list(load_genotypes(path))
 
     @given(gan_strategy(JOINT))

@@ -24,6 +24,7 @@ from archsmith.metamodel import (
     Metamodel,
     learn,
     load_metamodel,
+    metamodel_from_json_obj,
     metamodel_to_json_obj,
     provenance_mismatch,
     save_metamodel,
@@ -323,6 +324,18 @@ class TestPersistence:
         with pytest.raises(FormatError, match="corrupt"):
             load_metamodel(path)
 
+    @pytest.mark.parametrize("config", [TINY, TINY_PN],
+                             ids=["joint", "per_network"])
+    def test_supermodel_support_must_follow_the_configuration(self, config):
+        model = learn(make_individuals(np.random.default_rng(18), config, 30),
+                      LearnConfig(genotype=config))
+        doc = metamodel_to_json_obj(model)
+        for entry in doc["supermodels"].values():
+            entry["keys"].reverse()
+            entry["probs"].reverse()
+        with pytest.raises(ValidationError, match="does not cover"):
+            metamodel_from_json_obj(doc)
+
     def test_wrong_tag_rejected(self, tmp_path):
         path = tmp_path / "model.mm"
         path.write_text('{"format": "bn-v1"}')
@@ -338,6 +351,13 @@ class TestPersistence:
         assert "archive" in provenance_mismatch(model, archive_hash="xyz")
         assert "genotype" in provenance_mismatch(model, genotype=JOINT)
         assert provenance_mismatch(model, genotype=TINY) is None
+
+
+class TestLearnConfig:
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.5, 7.0])
+    def test_dpi_tolerance_outside_unit_interval_rejected(self, tolerance):
+        with pytest.raises(ValidationError, match="dpi_tolerance"):
+            LearnConfig(genotype=TINY, dpi_tolerance=tolerance)
 
 
 class TestCategorical:

@@ -15,6 +15,7 @@ from archsmith.genotype import (
     DepthKey,
     GanSpec,
     GenotypeConfig,
+    MUTABLE_LAYER_ATTRS,
     ROLE_GENERATOR,
     flatten_joint,
     gan_hash,
@@ -35,15 +36,16 @@ from archsmith.search import (
     apply_op,
     guided_hc,
     init_population,
-    legal_ops,
     load_traces,
     mutate,
     neighbor_groups,
-    neighbors,
     random_hc,
     random_minimal_gan,
     save_traces,
     simple_ea,
+    _attr_cardinality,
+    _attr_index,
+    _layer_variants,
 )
 
 DEFAULT = GenotypeConfig.joint()
@@ -60,6 +62,45 @@ def tiny_landscape(seed=0, family_seed=3, sigma=0.0, **overrides):
     config = LandscapeConfig(genotype=TINY, family_seed=family_seed,
                              sigma_noise=sigma, **overrides)
     return make_landscape(seed, config)
+
+
+def legal_ops(gan, config):
+    """Oracle: every operator application that keeps the genotype within
+    bounds."""
+    ops = []
+    for net in (gan.generator, gan.discriminator):
+        role, depth = net.role, net.depth
+        if depth < config.depth_max(role):
+            for position in range(depth + 1):
+                for layer in _layer_variants(config, role):
+                    ops.append(AddLayer(role, position, layer))
+        if depth > 1:
+            for position in range(depth):
+                ops.append(DeleteLayer(role, position))
+        for position, layer in enumerate(net.layers):
+            for attr in MUTABLE_LAYER_ATTRS:
+                current = _attr_index(config, layer, attr)
+                for value in range(_attr_cardinality(config, attr)):
+                    if value != current:
+                        ops.append(ChangeLayer(role, position, attr, value))
+    for value in range(config.arity):
+        if value != gan.train_freq_bin:
+            ops.append(ChangeTrainFreq(value))
+    return ops
+
+
+def neighbors(gan, config):
+    """Oracle: distinct genotypes one operator away, excluding the genotype
+    itself, built object by object with ``legal_ops`` and ``apply_op``."""
+    seen = {gan_hash(gan)}
+    out = []
+    for op in legal_ops(gan, config):
+        candidate = apply_op(gan, op, config)
+        digest = gan_hash(candidate)
+        if digest not in seen:
+            seen.add(digest)
+            out.append(candidate)
+    return out
 
 
 def enumerate_space(config):
