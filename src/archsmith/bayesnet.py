@@ -8,6 +8,7 @@ All information quantities are in nats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -92,35 +93,61 @@ class BayesNet:
 
     ``cpts[i]`` has shape (n_parent_configs, cardinality_i); parent configs
     are indexed mixed-radix in the parent order of ``dag.parents[i]``.
-    The index plan for those lookups is computed once, at construction.
+
+    Construction compiles the network once.  All tables (arrays or nested
+    lists) are copied end to end into one read-only float64 array, and
+    ``cpts[i]`` become 2-D views into it; tables that already are such
+    views are kept, not copied.  Cell ``(config, x_i)`` of variable ``i``
+    sits at ``offset_i + config * card_i + x_i``, so the cells a row ``x``
+    reads are ``x @ M + offsets``, with the mixed-radix index matrix
+    ``M[p, i] = stride_p * card_i`` for each parent ``p`` of ``i`` and
+    ``M[i, i] = 1``.
     """
 
     dag: Dag
     cpts: tuple[np.ndarray, ...]
     alpha: float
-    # Per variable: parent columns and their mixed-radix strides.
-    _plan: tuple[tuple[list[int], np.ndarray], ...] = field(
-        init=False, repr=False, compare=False)
+    _flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _radix: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _cards: np.ndarray = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not 0 < self.alpha < math.inf:
+            raise ValidationError("alpha must be a positive finite number")
+        if self.dag.n_variables == 0:
+            raise ValidationError("a network needs at least one variable")
         if len(self.cpts) != self.dag.n_variables:
             raise ValidationError("one CPT per variable required")
-        cards = self.dag.cardinalities
-        plan = []
-        for i, table in enumerate(self.cpts):
-            parents = self.dag.parents[i]
-            strides, expected_rows = _parent_strides(cards, parents)
-            if table.shape != (expected_rows, cards[i]):
-                raise ValidationError(
-                    f"CPT shape {table.shape} wrong for variable {i}")
-            if np.any(table <= 0):
-                raise ValidationError("CPT entries must be strictly positive")
-            if not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
-                raise ValidationError("CPT rows must sum to 1")
-            plan.append((list(parents), strides))
-        object.__setattr__(self, "_plan", tuple(plan))
-        object.__setattr__(self, "_cards", np.asarray(cards, dtype=np.int64))
+        radix, offsets, shapes = _layout(self.dag)
+        flat = _packed_base(self.cpts, offsets, shapes)
+        if flat is None:
+            # One table at a time, so a loaded document's lists are never
+            # all held as arrays besides the flat copy.
+            flat = np.empty(offsets[-1])
+            views = _views(flat, offsets, shapes)
+            for i, (view, table) in enumerate(zip(views, self.cpts)):
+                table = np.asarray(table, dtype=np.float64)
+                if table.shape != view.shape:
+                    raise ValidationError(
+                        f"CPT shape {table.shape} wrong for variable {i}")
+                view[...] = table
+            flat.flags.writeable = False
+            object.__setattr__(self, "cpts", _views(flat, offsets, shapes))
+        if not flat.min() > 0:  # a NaN minimum fails too
+            raise ValidationError("CPT entries must be strictly positive")
+        row_cards = np.repeat([c for _, c in shapes], [r for r, _ in shapes])
+        row_sums = np.add.reduceat(flat, np.cumsum(row_cards) - row_cards)
+        if not np.allclose(row_sums, 1.0, atol=1e-9):
+            raise ValidationError("CPT rows must sum to 1")
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_radix", radix)
+        object.__setattr__(self, "_offsets",
+                           np.array(offsets[:-1], dtype=np.float64)[:, None])
+        object.__setattr__(self, "_cards",
+                           np.asarray(self.dag.cardinalities, dtype=np.uint64))
+        object.__setattr__(self, "_order", self.dag.topological_order())
 
     @property
     def n_variables(self) -> int:
@@ -296,14 +323,48 @@ def orient(edges: Iterable[tuple[int, int]],
 # Parameters and queries
 
 
-def _parent_strides(cards: Sequence[int],
-                    parents: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Mixed-radix strides of a parent list and its configuration count."""
-    pcards = [cards[p] for p in parents]
-    strides = np.ones(len(pcards), dtype=np.int64)
-    for i in range(len(pcards) - 2, -1, -1):
-        strides[i] = strides[i + 1] * pcards[i + 1]
-    return strides, int(np.prod(pcards, dtype=np.int64)) if pcards else 1
+def _layout(dag: Dag) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
+    """The flat CPT layout of ``dag``: its mixed-radix index matrix M (float
+    64, exact for every index below 2**53), the first cell of each table
+    followed by the total cell count, and each table's shape."""
+    cards = dag.cardinalities
+    radix = np.zeros((len(cards), len(cards)))
+    offsets, shapes, size = [], [], 0
+    for v, parents in enumerate(dag.parents):
+        radix[v, v] = 1.0
+        step = cards[v]
+        for p in reversed(parents):
+            radix[p, v] = step
+            step *= cards[p]
+        offsets.append(size)
+        shapes.append((step // cards[v], cards[v]))
+        size += step
+    return radix, offsets + [size], shapes
+
+
+def _views(flat: np.ndarray, offsets: Sequence[int],
+           shapes: Sequence[tuple[int, int]]) -> tuple[np.ndarray, ...]:
+    return tuple(flat[o:o + r * c].reshape(r, c)
+                 for o, (r, c) in zip(offsets, shapes))
+
+
+def _packed_base(tables: Sequence, offsets: Sequence[int],
+                 shapes: Sequence[tuple[int, int]]) -> np.ndarray | None:
+    """The read-only float64 array that ``tables`` are the layout's views
+    of, end to end; None if there is none."""
+    base = getattr(tables[0], "base", None)
+    if not (isinstance(base, np.ndarray) and base.ndim == 1
+            and base.dtype == np.float64 and not base.flags.writeable
+            and base.size == offsets[-1]):
+        return None
+    address = base.__array_interface__["data"][0]
+    for table, offset, shape in zip(tables, offsets, shapes):
+        if (getattr(table, "base", None) is not base
+                or table.shape != shape or not table.flags.c_contiguous
+                or table.__array_interface__["data"][0]
+                != address + offset * base.itemsize):
+            return None
+    return base
 
 
 def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
@@ -311,6 +372,8 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
 
     P(x = v | pa = c) = (count(v, c) + alpha) / (count(c) + alpha * card(x));
     parent configurations never observed fall back to the uniform row.
+    All cells are counted with one ``np.bincount`` over the flat layout, and
+    each table's rows are normalised in place in the flat array.
 
     Args:
         dag: network structure.
@@ -324,61 +387,62 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
         arr = arr.reshape(0, dag.n_variables)
     if arr.ndim != 2 or arr.shape[1] != dag.n_variables:
         raise ValidationError("data must have one column per variable")
-    cards = dag.cardinalities
-    if arr.shape[0] > 0:
-        for v in range(dag.n_variables):
-            col = arr[:, v]
-            if col.min() < 0 or col.max() >= cards[v]:
-                raise ValidationError(f"value out of range in column {v}")
-    tables = []
-    for v in range(dag.n_variables):
-        strides, n_configs = _parent_strides(cards, dag.parents[v])
-        counts = np.zeros((n_configs, cards[v]), dtype=np.float64)
-        if arr.shape[0] > 0:
-            if dag.parents[v]:
-                config = arr[:, list(dag.parents[v])] @ strides
-            else:
-                config = np.zeros(arr.shape[0], dtype=np.int64)
-            np.add.at(counts, (config, arr[:, v]), 1.0)
-        counts += alpha
-        tables.append(counts / counts.sum(axis=1, keepdims=True))
-    return BayesNet(dag=dag, cpts=tuple(tables), alpha=float(alpha))
-
-
-def _validate_assignment(bn: BayesNet, arr: np.ndarray) -> None:
-    if arr.shape[-1] != bn.n_variables:
-        raise ValidationError("assignment must cover every variable")
-    if np.any(arr < 0) or np.any(arr >= bn._cards):
-        raise ValidationError("assignment value out of range")
-
-
-def _parent_configs(bn: BayesNet, var: int, arr: np.ndarray):
-    """CPT row of ``var`` for every row of ``arr``; 0 for a root."""
-    parents, strides = bn._plan[var]
-    return arr[:, parents] @ strides if parents else 0
+    # A negative value viewed as uint64 is huge: one test checks both ends.
+    bad = arr.view(np.uint64) >= np.asarray(dag.cardinalities, np.uint64)
+    if bad.any():
+        column = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise ValidationError(f"value out of range in column {column}")
+    radix, offsets, shapes = _layout(dag)
+    cells = (arr @ radix + offsets[:-1]).astype(np.intp).ravel()
+    # Float counts (sums of 1.0, so exact) let the smoothing run in place;
+    # bincount returns int64 for empty data even with weights.
+    flat = np.bincount(cells, weights=np.ones(cells.size),
+                       minlength=offsets[-1]).astype(np.float64, copy=False)
+    flat += alpha
+    for table in _views(flat, offsets, shapes):
+        table /= table.sum(axis=1, keepdims=True)
+    flat.flags.writeable = False
+    return BayesNet(dag=dag, cpts=_views(flat, offsets, shapes),
+                    alpha=float(alpha))
 
 
 def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
-    """Vectorized joint log-likelihood, one value per row."""
+    """Vectorized joint log-likelihood, one value per row.
+
+    The cells are gathered one column per row, and the log-probabilities are
+    added strictly in variable order (``np.add.accumulate``), so each value
+    is bit for bit the running sum ``total += log P(x_v | pa_v)`` over
+    v = 0, 1, ...
+    """
     arr = _as_data(data)
-    _validate_assignment(bn, arr)
-    total = np.zeros(arr.shape[0], dtype=np.float64)
-    for v in range(bn.n_variables):
-        total += np.log(bn.cpts[v][_parent_configs(bn, v, arr), arr[:, v]])
-    return total
+    if arr.shape[1] != bn.n_variables:
+        raise ValidationError("assignment must cover every variable")
+    # A negative value viewed as uint64 is huge: one test checks both ends.
+    if (arr.view(np.uint64) >= bn._cards).any():
+        raise ValidationError("assignment value out of range")
+    probs = bn._flat[(bn._radix.T @ arr.T + bn._offsets).astype(np.intp)]
+    return np.add.accumulate(np.log(probs, out=probs), axis=0)[-1].copy()
 
 
 def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Forward-sample ``n`` full assignments in topological order."""
+    """Forward-sample ``n`` full assignments in topological order.
+
+    Each variable draws one uniform per row and takes the number of
+    cumulative CPT-row probabilities below it as its value.
+    """
     if n < 0:
         raise ValidationError("sample count must be >= 0")
-    out = np.zeros((n, bn.n_variables), dtype=np.int64)
-    for v in bn.dag.topological_order():
-        rows = bn.cpts[v][_parent_configs(bn, v, out)]
-        cumulative = np.cumsum(rows, axis=-1)
-        draws = rng.random((n, 1))
-        out[:, v] = (cumulative < draws).sum(axis=1)
-    return out
+    cards = bn.dag.cardinalities
+    out = np.zeros((bn.n_variables, n))  # one row per variable
+    for v in bn._order:
+        # Variables not yet sampled are 0, so M's column gives each row's
+        # first cell within the table: config * card.
+        start = int(bn._offsets[v, 0])
+        first = (bn._radix[:, v] @ out).astype(np.intp)
+        cells = np.add.outer(np.arange(start, start + cards[v]), first)
+        cumulative = np.cumsum(bn._flat[cells], axis=0)
+        out[v] = (cumulative < rng.random(n)).sum(axis=0)
+    return out.T.astype(np.int64, order="C")
 
 
 def enumerate_joint(bn: BayesNet,
@@ -420,7 +484,7 @@ def bn_from_json_obj(obj: dict) -> BayesNet:
         dag = Dag(variables=tuple((str(n), int(c)) for n, c in obj["variables"]),
                   parents=tuple(tuple(int(p) for p in ps)
                                 for ps in obj["parents"]))
-        cpts = tuple(np.asarray(t, dtype=np.float64) for t in obj["cpts"])
-        return BayesNet(dag=dag, cpts=cpts, alpha=float(obj["alpha"]))
+        return BayesNet(dag=dag, cpts=tuple(obj["cpts"]),
+                        alpha=float(obj["alpha"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {BN_FORMAT} document: {exc}") from exc

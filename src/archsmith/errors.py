@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the config field parsers
 that raise them."""
 
+import math
+
 
 class ArchsmithError(Exception):
     """Base class for errors raised by this package."""
@@ -24,9 +26,12 @@ def integer(value) -> int:
 
 
 def number(value) -> float:
-    """``value`` as a float: an int or a float, never a bool."""
+    """``value`` as a finite float: an int or a float, never a bool, NaN or
+    infinity (Python's JSON reader accepts ``NaN`` and ``Infinity``)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(value)
+    if not math.isfinite(value):
+        raise ValueError(value)
     return float(value)
 
 

@@ -10,6 +10,7 @@ the metamodel scores genotypes, samples new ones and persists to a single
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -132,8 +133,8 @@ class Categorical:
     def __post_init__(self) -> None:
         if len(self.support) != len(self.probs) or not self.support:
             raise ValidationError("support and probs must align and be non-empty")
-        if any(p <= 0 for p in self.probs):
-            raise ValidationError("probabilities must be positive")
+        if not all(0 < p < math.inf for p in self.probs):
+            raise ValidationError("probabilities must be positive and finite")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValidationError("probabilities must sum to 1")
 

@@ -337,50 +337,153 @@ def mixed_parent_bn():
     return fit_cpts(dag, data, alpha=0.5)
 
 
+def mixed_radix_configs(dag, v, rows):
+    """CPT row of variable ``v`` for every row: its parents' values read as
+    one mixed-radix number, first parent most significant."""
+    cards = dag.cardinalities
+    config = np.zeros(len(rows), dtype=np.int64)
+    for p in dag.parents[v]:
+        config = config * cards[p] + rows[:, p]
+    return config
+
+
 def cpt_lookups(bn, rows):
     """P(x_v | parents) per variable and row, by explicit mixed radix."""
-    cards = bn.dag.cardinalities
-    out = np.empty((bn.n_variables, len(rows)))
-    for v, parents in enumerate(bn.dag.parents):
-        for r, row in enumerate(rows):
-            config = 0
-            for p in parents:
-                config = config * cards[p] + int(row[p])
-            out[v, r] = bn.cpts[v][config, int(row[v])]
+    rows = np.asarray(rows, dtype=np.int64)
+    return np.array([bn.cpts[v][mixed_radix_configs(bn.dag, v, rows),
+                                rows[:, v]]
+                     for v in range(bn.n_variables)]).reshape(-1, len(rows))
+
+
+def oracle_log_likelihood(bn, rows):
+    """The per-variable loop: one running sum of log P(x_v | pa_v)."""
+    total = np.zeros(len(rows))
+    for probs in cpt_lookups(bn, rows):
+        total += np.log(probs)
+    return total
+
+
+def oracle_cpts(dag, rows, alpha):
+    """Smoothed CPTs counted one variable at a time with ``np.add.at``."""
+    cards = dag.cardinalities
+    tables = []
+    for v, parents in enumerate(dag.parents):
+        counts = np.zeros((math.prod(cards[p] for p in parents), cards[v]))
+        np.add.at(counts, (mixed_radix_configs(dag, v, rows), rows[:, v]),
+                  1.0)
+        counts += alpha
+        tables.append(counts / counts.sum(axis=1, keepdims=True))
+    return tables
+
+
+def oracle_sample(bn, n, rng):
+    """Forward sampling one variable at a time in topological order, one
+    uniform per row and variable."""
+    out = np.zeros((n, bn.n_variables), dtype=np.int64)
+    for v in bn.dag.topological_order():
+        cumulative = np.cumsum(
+            bn.cpts[v][mixed_radix_configs(bn.dag, v, out)], axis=1)
+        out[:, v] = (cumulative < rng.random((n, 1))).sum(axis=1)
     return out
 
 
+@st.composite
+def nets_with_data(draw, max_vars=12):
+    """A DAG whose variables take their parents (none, one or several, in
+    any order) from earlier in a random order, with training rows too few
+    to see most parent configurations, query rows and an alpha that is
+    mostly not 1."""
+    n = draw(st.integers(1, max_vars))
+    cards = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    parents = [()] * n
+    for pos, v in enumerate(order):
+        chosen = draw(st.lists(st.sampled_from(order[:pos]), unique=True,
+                               max_size=min(pos, 3))) if pos else []
+        parents[v] = tuple(chosen)
+    dag = Dag(variables=tuple((f"v{i}", c) for i, c in enumerate(cards)),
+              parents=tuple(parents))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = rng.integers(0, cards, size=(draw(st.integers(0, 12)), n))
+    queries = rng.integers(0, cards, size=(draw(st.integers(1, 20)), n))
+    alpha = draw(st.sampled_from([0.3, 0.5, 1.0, 1.7, 1e-3]))
+    return dag, train, queries, alpha
+
+
 class TestIndexPlan:
+    @given(nets_with_data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_variable_oracle(self, case):
+        dag, train, queries, alpha = case
+        bn = fit_cpts(dag, train, alpha=alpha)
+        for table, expected in zip(bn.cpts, oracle_cpts(dag, train, alpha)):
+            assert table.tobytes() == expected.tobytes()
+        assert (log_likelihood_many(bn, queries).tobytes()
+                == oracle_log_likelihood(bn, queries).tobytes())
+        assert np.array_equal(
+            pls_sample_many(bn, 30, np.random.default_rng(len(queries))),
+            oracle_sample(bn, 30, np.random.default_rng(len(queries))))
+
+    def test_wide_net_adds_variables_in_order(self):
+        # Past 8 columns a pairwise row sum rounds differently from the
+        # running sum, so this catches any reordering of the additions.
+        cards = (3, 2, 4, 2, 3) * 3
+        parents = tuple(() if v < 2 else (v - 2, v - 1) for v in range(15))
+        dag = Dag(variables=tuple((f"v{i}", c) for i, c in enumerate(cards)),
+                  parents=parents)
+        rng = np.random.default_rng(8)
+        bn = fit_cpts(dag, rng.integers(0, cards, size=(40, 15)), alpha=0.7)
+        rows = rng.integers(0, cards, size=(500, 15))
+        assert (log_likelihood_many(bn, rows).tobytes()
+                == oracle_log_likelihood(bn, rows).tobytes())
+
     def test_likelihood_equals_summed_cpt_lookups(self):
         bn = mixed_parent_bn()
         rows = np.indices(bn.dag.cardinalities).reshape(bn.n_variables, -1).T
-        expected = np.zeros(len(rows))
-        for probs in cpt_lookups(bn, rows):
-            expected += np.log(probs)
-        assert np.array_equal(log_likelihood_many(bn, rows), expected)
+        assert np.array_equal(log_likelihood_many(bn, rows),
+                              oracle_log_likelihood(bn, rows))
 
     def test_samples_follow_cpt_rows_drawn_in_order(self):
         bn = mixed_parent_bn()
         got = pls_sample_many(bn, 200, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        expected = np.zeros_like(got)
-        cards = bn.dag.cardinalities
-        for v in bn.dag.topological_order():
-            configs = [0] * len(expected)
-            for p in bn.dag.parents[v]:
-                configs = [c * cards[p] + int(x)
-                           for c, x in zip(configs, expected[:, p])]
-            cumulative = np.cumsum(bn.cpts[v][configs], axis=1)
-            expected[:, v] = (cumulative < rng.random((len(expected), 1))
-                              ).sum(axis=1)
+        expected = oracle_sample(bn, 200, np.random.default_rng(5))
         assert np.array_equal(got, expected)
+
+    def test_out_of_range_rejected_on_a_column_slice(self):
+        bn = mixed_parent_bn()
+        cards = bn.dag.cardinalities
+        wide = np.full((4, 2 * bn.n_variables), -7, dtype=np.int64)
+        rows = wide[:, ::2]  # strided columns, as score_values passes them
+        rows[:] = 0
+        assert not rows.flags.c_contiguous
+        assert np.array_equal(log_likelihood_many(bn, rows),
+                              log_likelihood_many(bn, rows.copy()))
+        for v, card in enumerate(cards):
+            for bad in (-1, card):
+                rows[2, v] = bad
+                with pytest.raises(ValidationError, match="range"):
+                    log_likelihood_many(bn, rows)
+                rows[2, v] = 0
+
+    def test_cpts_are_read_only_views_of_one_array(self):
+        bn = random_bn(np.random.default_rng(12), max_vars=5)
+        offset = 0
+        for table in bn.cpts:
+            assert table.base is bn._flat and not table.flags.writeable
+            assert np.array_equal(table.ravel(),
+                                  bn._flat[offset:offset + table.size])
+            offset += table.size
+        assert offset == bn._flat.size
 
     def test_plan_is_outside_equality_and_repr(self):
         bn = mixed_parent_bn()
         rebuilt = BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=bn.alpha)
         assert rebuilt == bn
         assert repr(rebuilt) == repr(bn)
-        assert "_plan" not in repr(bn) and "_cards" not in repr(bn)
+        for name in ("_flat", "_radix", "_offsets", "_cards", "_order"):
+            assert name not in repr(bn)
+        # Tables that already are the flat array's views are not copied.
+        assert rebuilt._flat is bn._flat
         assert BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=2.0) != bn
 
     def test_persistence_round_trip_scores_exactly(self):
@@ -393,6 +496,26 @@ class TestIndexPlan:
         assert np.array_equal(
             pls_sample_many(clone, 50, np.random.default_rng(7)),
             pls_sample_many(bn, 50, np.random.default_rng(7)))
+
+
+class TestBayesNetChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_non_positive_or_non_finite_cell_rejected(self, bad):
+        bn = manual_chain_bn()
+        tables = [table.copy() for table in bn.cpts]
+        tables[1][1, 0] = bad
+        with pytest.raises(ValidationError, match="CPT"):
+            BayesNet(dag=bn.dag, cpts=tuple(tables), alpha=1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        bn = manual_chain_bn()
+        with pytest.raises(ValidationError, match="alpha"):
+            BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=alpha)
+
+    def test_network_without_variables_rejected(self):
+        with pytest.raises(ValidationError, match="at least one variable"):
+            BayesNet(dag=Dag(variables=(), parents=()), cpts=(), alpha=1.0)
 
 
 class TestEnumerateJoint:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,83 @@ class TestLearnScoreSample:
             assert main(["sample", "--model", str(model_path), "--n", "10",
                          "--seed", "7", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def one_error_line(capsys, *needles):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert all(needle in err[0] for needle in needles), err[0]
+
+
+class TestNonFiniteNumbers:
+    """Python's JSON reader accepts NaN and Infinity; configs and model files
+    holding them are rejected with one error line."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("super_pseudocount", math.nan),
+        ("alpha", math.inf),
+        ("dpi_tolerance", -math.inf),
+    ])
+    def test_learn_config(self, field, value, archive_path, tmp_path,
+                          capsys):
+        cfg_path = tmp_path / "learn.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(["learn", "--archive", str(archive_path), "--n", "3",
+                     "--config", str(cfg_path), "--out", str(out)]) == 1
+        one_error_line(capsys, repr(field))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where,field,value", [
+        ("landscape", "sigma_noise", math.nan),
+        ("ea", "mutation_rate", math.inf),
+        ("learn", "alpha", math.nan),
+    ])
+    def test_experiment_config(self, where, field, value, archive_path,
+                               tmp_path, capsys):
+        cfg = {"landscape": LAND.to_json_obj()}
+        cfg.setdefault(where, {})[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["experiment", "--id", "initialization",
+                     "--archive", str(archive_path),
+                     "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, repr(field))
+
+    @pytest.fixture(params=["supermodel", "cpt", "alpha"])
+    def nan_model_path(self, request, model_path, tmp_path):
+        doc = json.loads(model_path.read_text())
+        if request.param == "supermodel":
+            doc["supermodels"]["joint"]["probs"][0] = math.nan
+        elif request.param == "cpt":
+            doc["submodels"][0]["bn"]["cpts"][0][0][0] = math.nan
+        else:
+            doc["submodels"][0]["bn"]["alpha"] = math.inf
+        path = tmp_path / "nan-model.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_model_file_score(self, nan_model_path, archive_path, tmp_path,
+                              capsys):
+        out = tmp_path / "scores.csv"
+        capsys.readouterr()
+        assert main(["score", "--model", str(nan_model_path),
+                     "--genotypes", str(archive_path),
+                     "--out", str(out)]) == 1
+        one_error_line(capsys, "positive")
+        assert not out.exists()
+
+    def test_model_file_sample(self, nan_model_path, tmp_path, capsys):
+        out = tmp_path / "samples.jsonl"
+        capsys.readouterr()
+        assert main(["sample", "--model", str(nan_model_path), "--n", "5",
+                     "--seed", "1", "--out", str(out)]) == 1
+        one_error_line(capsys, "positive")
+        assert not out.exists()
 
 
 class TestSearch:

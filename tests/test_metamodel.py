@@ -369,6 +369,11 @@ class TestCategorical:
         with pytest.raises(ValidationError):
             Categorical(support=(1, 2), probs=(1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            Categorical(support=(1, 2), probs=(bad, 0.5))
+
     def test_unknown_key(self):
         cat = Categorical(support=(1, 2), probs=(0.5, 0.5))
         with pytest.raises(ValidationError, match="unsupported depth"):
