@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, integer, parse_value
 
-BN_FORMAT = "bn-v1"
+BN_FORMAT = "bn-v2"
+BN_FORMAT_V1 = "bn-v1"
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
@@ -87,31 +88,44 @@ class Dag:
         return tuple(order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BayesNet:
     """A Dag plus one conditional probability table per variable.
 
-    ``cpts[i]`` has shape (n_parent_configs, cardinality_i); parent configs
-    are indexed mixed-radix in the parent order of ``dag.parents[i]``.
+    A table is whole or keyed.  A whole table ``cpts[i]`` has one row per
+    parent configuration, shape (n_parent_configs, cardinality_i); the
+    configurations are numbered mixed-radix in the parent order of
+    ``dag.parents[i]``, the first parent most significant.  A keyed table
+    (``codes[i]`` is not None) stores only the rows of the configurations
+    that ``codes[i]`` lists, as sorted configuration numbers: row ``j`` of
+    ``cpts[i]`` belongs to configuration ``codes[i][j]``.  Every other
+    configuration reads the variable's uniform row, the row ``fit_cpts``
+    gives a configuration it never saw: ``alpha`` in every cell, divided by
+    the row's sum.  ``codes`` None means every table is whole.
 
-    Construction compiles the network once.  All tables (arrays or nested
-    lists) are copied end to end into one read-only float64 array, and
-    ``cpts[i]`` become 2-D views into it; tables that already are such
-    views are kept, not copied.  Cell ``(config, x_i)`` of variable ``i``
-    sits at ``offset_i + config * card_i + x_i``, so the cells a row ``x``
-    reads are ``x @ M + offsets``, with the mixed-radix index matrix
+    Construction compiles the network once.  All stored rows (arrays or
+    nested lists), each keyed table followed by its uniform row, are
+    copied end to end into one read-only float64 array, and ``cpts[i]``
+    become 2-D views into it; tables that already are such views are kept,
+    not copied.  A row ``x`` reads, for a whole table, cell
+    ``offset_i + config * card_i + x_i``: the cells of a batch are
+    ``x @ M + offsets`` with the mixed-radix index matrix
     ``M[p, i] = stride_p * card_i`` for each parent ``p`` of ``i`` and
-    ``M[i, i] = 1``.
+    ``M[i, i] = 1``.  For a keyed table, column ``i`` of ``M`` holds the
+    bare strides and ``offsets[i]`` the table's code base (the
+    configuration counts of the keyed tables before it), so ``x @ M``
+    gives a code that one ``np.searchsorted`` over all keyed tables' codes
+    turns into a stored row or, if absent, the uniform row.
     """
 
     dag: Dag
     cpts: tuple[np.ndarray, ...]
     alpha: float
-    _flat: np.ndarray = field(init=False, repr=False, compare=False)
-    _radix: np.ndarray = field(init=False, repr=False, compare=False)
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    _cards: np.ndarray = field(init=False, repr=False, compare=False)
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    codes: tuple[np.ndarray | None, ...] | None = None
+    _flat: np.ndarray = field(init=False, repr=False)
+    _plan: "_Plan" = field(init=False, repr=False)
+    _cards: np.ndarray = field(init=False, repr=False)
+    _order: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
@@ -120,34 +134,69 @@ class BayesNet:
             raise ValidationError("a network needs at least one variable")
         if len(self.cpts) != self.dag.n_variables:
             raise ValidationError("one CPT per variable required")
-        radix, offsets, shapes = _layout(self.dag)
-        flat = _packed_base(self.cpts, offsets, shapes)
+        if self.codes is None:
+            codes = (None,) * self.dag.n_variables
+        elif len(self.codes) != self.dag.n_variables:
+            raise ValidationError("one code list (or None) per variable "
+                                  "required")
+        else:
+            codes = tuple(None if c is None else _code_array(c, name)
+                          for c, (name, _) in zip(self.codes,
+                                                  self.dag.variables))
+        object.__setattr__(self, "codes", codes)
+        plan = _compile(self.dag, codes)
+        uniform = [(int(miss), _uniform_row(self.dag.variables[v][1],
+                                            self.alpha))
+                   for v, miss in zip(plan.keyed, plan.misses[:, 0])]
+        flat = _packed_base(self.cpts, plan, uniform)
         if flat is None:
+            for i, (table, (rows, _)) in enumerate(zip(self.cpts,
+                                                       plan.shapes)):
+                if len(table) != rows:
+                    raise ValidationError(
+                        f"CPT of variable {i} has {len(table)} rows, "
+                        f"not {rows}")
             # One table at a time, so a loaded document's lists are never
             # all held as arrays besides the flat copy.
-            flat = np.empty(offsets[-1])
-            views = _views(flat, offsets, shapes)
-            for i, (view, table) in enumerate(zip(views, self.cpts)):
-                table = np.asarray(table, dtype=np.float64)
+            flat = np.empty(plan.size)
+            for i, (view, table) in enumerate(zip(_views(flat, plan),
+                                                  self.cpts)):
+                if view.size == 0:
+                    continue  # a keyed table without rows; its length is 0
+                table = np.asarray(table)
+                if table.dtype.kind not in "fiu":
+                    raise TypeError(
+                        f"CPT of variable {i} holds {table.dtype.name} "
+                        f"values, not numbers")
                 if table.shape != view.shape:
                     raise ValidationError(
                         f"CPT shape {table.shape} wrong for variable {i}")
                 view[...] = table
+            for start, row in uniform:
+                flat[start:start + row.size] = row.ravel()
             flat.flags.writeable = False
-            object.__setattr__(self, "cpts", _views(flat, offsets, shapes))
+            object.__setattr__(self, "cpts", _views(flat, plan))
         if not flat.min() > 0:  # a NaN minimum fails too
             raise ValidationError("CPT entries must be strictly positive")
-        row_cards = np.repeat([c for _, c in shapes], [r for r, _ in shapes])
+        row_cards = np.repeat(self.dag.cardinalities, plan.rows)
         row_sums = np.add.reduceat(flat, np.cumsum(row_cards) - row_cards)
         if not np.allclose(row_sums, 1.0, atol=1e-9):
             raise ValidationError("CPT rows must sum to 1")
         object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "_radix", radix)
-        object.__setattr__(self, "_offsets",
-                           np.array(offsets[:-1], dtype=np.float64)[:, None])
+        object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_cards",
                            np.asarray(self.dag.cardinalities, dtype=np.uint64))
         object.__setattr__(self, "_order", self.dag.topological_order())
+
+    def __eq__(self, other) -> bool:
+        """Same DAG, alpha, keyed codes and table bytes."""
+        if not isinstance(other, BayesNet):
+            return NotImplemented
+        return (self.dag == other.dag and self.alpha == other.alpha
+                and all((a is None) == (b is None)
+                        and (a is None or np.array_equal(a, b))
+                        for a, b in zip(self.codes, other.codes))
+                and self._flat.tobytes() == other._flat.tobytes())
 
     @property
     def n_variables(self) -> int:
@@ -323,48 +372,160 @@ def orient(edges: Iterable[tuple[int, int]],
 # Parameters and queries
 
 
-def _layout(dag: Dag) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
-    """The flat CPT layout of ``dag``: its mixed-radix index matrix M (float
-    64, exact for every index below 2**53), the first cell of each table
-    followed by the total cell count, and each table's shape."""
+# Every integer up to 2**53 is exact in float64, and so are sums and
+# products of such integers that stay below it: the cell indices and
+# configuration codes below are computed with float64 matrix products.
+_EXACT = 2 ** 53
+
+
+class _Plan(NamedTuple):
+    """The compiled layout of a network's tables (see ``BayesNet``)."""
+
+    radix: np.ndarray       # (V, V) index and code matrix M
+    offsets: np.ndarray     # (V, 1) first cell (whole) or code base (keyed)
+    keyed: np.ndarray       # the keyed variables, ascending
+    slot: tuple[int, ...]   # each variable's position in ``keyed``, or -1
+    keys: np.ndarray        # every keyed code plus its base, sorted, then inf
+    hits: np.ndarray        # the first cell of the row each key names
+    misses: np.ndarray      # (keyed, 1) first cell of each uniform row
+    starts: tuple[int, ...]               # first cell of each table
+    shapes: tuple[tuple[int, int], ...]   # stored rows x cardinality
+    rows: tuple[int, ...]   # rows in the flat array: stored, plus uniform
+    size: int               # cells in the flat array
+
+
+def _code_array(codes, name: str) -> np.ndarray:
+    """``codes`` as a read-only 1-D int64 array (kept if it is one)."""
+    arr = np.asarray(codes)
+    if arr.size == 0:
+        arr = np.zeros(0, dtype=np.int64).reshape(arr.shape)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or (
+            arr.size and arr.max() >= _EXACT):
+        raise ValidationError(
+            f"variable {name!r}: codes must be a list of integers below "
+            f"its configuration count")
+    if arr.dtype != np.int64 or arr.flags.writeable:
+        arr = arr.astype(np.int64)
+        arr.flags.writeable = False
+    return arr
+
+
+_NO_CODES = np.zeros(0, dtype=np.int64)  # a keyed table with no rows yet
+_NO_CODES.flags.writeable = False
+
+
+def _compile(dag: Dag, codes: Sequence[np.ndarray | None]) -> _Plan:
+    """The flat layout of ``dag`` with the keyed tables that ``codes``
+    gives; raises if a code is out of order or range, or if the keyed
+    tables' configurations cannot all be numbered exactly."""
     cards = dag.cardinalities
-    radix = np.zeros((len(cards), len(cards)))
-    offsets, shapes, size = [], [], 0
-    for v, parents in enumerate(dag.parents):
-        radix[v, v] = 1.0
-        step = cards[v]
+    entries: list[tuple[int, int, int]] = []  # (row, column, value) of M
+    offsets, slot, keyed, keys, hits, misses = [], [], [], [], [], []
+    starts, shapes, rows = [], [], []
+    size = base = 0
+    for v, ((name, card), parents, code) in enumerate(
+            zip(dag.variables, dag.parents, codes)):
+        # A whole table's column of M counts cells, a keyed one's codes.
+        stride = scale = card if code is None else 1
         for p in reversed(parents):
-            radix[p, v] = step
-            step *= cards[p]
-        offsets.append(size)
-        shapes.append((step // cards[v], cards[v]))
-        size += step
-    return radix, offsets + [size], shapes
+            entries.append((p, v, stride))
+            stride *= cards[p]
+        configs = stride // scale
+        if (configs if code is None else base + configs) > _EXACT:
+            raise ValidationError(
+                f"variable {name!r}: its {configs} parent configurations "
+                f"cannot be numbered exactly")
+        starts.append(size)
+        if code is None:
+            entries.append((v, v, 1))
+            offsets.append(size)
+            slot.append(-1)
+            shapes.append((configs, card))
+            rows.append(configs)
+            size += configs * card
+            continue
+        if code.size and (code[0] < 0 or code[-1] >= configs
+                          or (np.diff(code) <= 0).any()):
+            raise ValidationError(
+                f"variable {name!r}: codes must be increasing, distinct "
+                f"and below {configs}")
+        offsets.append(base)
+        slot.append(len(keyed))
+        keyed.append(v)
+        keys.append(code + base)
+        hits.append(size + card * np.arange(code.size))
+        shapes.append((code.size, card))
+        rows.append(code.size + 1)
+        size += code.size * card
+        misses.append(size)
+        size += card
+        base += configs
+    radix = np.zeros((len(cards), len(cards)))
+    if entries:
+        at = np.array(entries, dtype=np.float64)
+        radix[at[:, 0].astype(np.intp), at[:, 1].astype(np.intp)] = at[:, 2]
+    return _Plan(
+        radix=radix, offsets=np.array(offsets, dtype=np.float64)[:, None],
+        keyed=np.array(keyed, dtype=np.intp), slot=tuple(slot),
+        keys=np.concatenate(keys + [[np.inf]]).astype(np.float64),
+        hits=np.concatenate(hits + [[0]]).astype(np.float64),
+        misses=np.array(misses, dtype=np.float64).reshape(-1, 1),
+        starts=tuple(starts), shapes=tuple(shapes), rows=tuple(rows),
+        size=size)
 
 
-def _views(flat: np.ndarray, offsets: Sequence[int],
-           shapes: Sequence[tuple[int, int]]) -> tuple[np.ndarray, ...]:
-    return tuple(flat[o:o + r * c].reshape(r, c)
-                 for o, (r, c) in zip(offsets, shapes))
+def _uniform_row(card: int, alpha: float) -> np.ndarray:
+    """The row of a parent configuration without data, computed as
+    ``fit_cpts`` normalises every row: smoothed zero counts over their
+    sum."""
+    row = np.full((1, card), alpha)
+    return row / row.sum(axis=1, keepdims=True)
 
 
-def _packed_base(tables: Sequence, offsets: Sequence[int],
-                 shapes: Sequence[tuple[int, int]]) -> np.ndarray | None:
-    """The read-only float64 array that ``tables`` are the layout's views
-    of, end to end; None if there is none."""
+def _views(flat: np.ndarray, plan: _Plan,
+           uniform: bool = False) -> tuple[np.ndarray, ...]:
+    """Each table's stored rows (with its uniform row, if asked) as a
+    2-D view of ``flat``."""
+    rows = plan.rows if uniform else [stored for stored, _ in plan.shapes]
+    return tuple(flat[start:start + r * card].reshape(r, card)
+                 for start, r, (_, card) in zip(plan.starts, rows,
+                                                plan.shapes))
+
+
+def _packed_base(tables: Sequence, plan: _Plan,
+                 uniform: Sequence[tuple[int, np.ndarray]],
+                 ) -> np.ndarray | None:
+    """The read-only float64 array that ``tables`` are the plan's views of,
+    holding the right uniform rows; None if there is none."""
     base = getattr(tables[0], "base", None)
     if not (isinstance(base, np.ndarray) and base.ndim == 1
             and base.dtype == np.float64 and not base.flags.writeable
-            and base.size == offsets[-1]):
+            and base.size == plan.size):
         return None
     address = base.__array_interface__["data"][0]
-    for table, offset, shape in zip(tables, offsets, shapes):
+    for table, start, shape in zip(tables, plan.starts, plan.shapes):
         if (getattr(table, "base", None) is not base
                 or table.shape != shape or not table.flags.c_contiguous
                 or table.__array_interface__["data"][0]
-                != address + offset * base.itemsize):
+                != address + start * base.itemsize):
+            return None
+    for start, row in uniform:
+        if base[start:start + row.size].tobytes() != row.tobytes():
             return None
     return base
+
+
+def _cells(plan: _Plan, arr: np.ndarray) -> np.ndarray:
+    """The flat cell (as a float64) that each variable reads for each row,
+    shape (variables, rows)."""
+    cells = plan.radix.T @ arr.T + plan.offsets
+    if plan.keyed.size:
+        keyed = plan.keyed
+        codes = cells[keyed]
+        pos = np.searchsorted(plan.keys, codes)
+        cells[keyed] = (np.where(plan.keys[pos] == codes, plan.hits[pos],
+                                 plan.misses) + arr.T[keyed])
+    return cells
 
 
 def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
@@ -372,8 +533,12 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
 
     P(x = v | pa = c) = (count(v, c) + alpha) / (count(c) + alpha * card(x));
     parent configurations never observed fall back to the uniform row.
-    All cells are counted with one ``np.bincount`` over the flat layout, and
-    each table's rows are normalised in place in the flat array.
+    A table stays whole when it has at most ``max(1, n)`` parent
+    configurations for ``n`` rows of data; a larger one is keyed and keeps
+    only the rows of the configurations the data holds, so no table has
+    more than ``max(1, n)`` rows.  All cells are counted with one
+    ``np.bincount`` over the flat layout, and each table's rows are
+    normalised in place in the flat array.
 
     Args:
         dag: network structure.
@@ -392,18 +557,30 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
     if bad.any():
         column = int(np.flatnonzero(bad.any(axis=0))[0])
         raise ValidationError(f"value out of range in column {column}")
-    radix, offsets, shapes = _layout(dag)
-    cells = (arr @ radix + offsets[:-1]).astype(np.intp).ravel()
+    cards, limit = dag.cardinalities, max(1, arr.shape[0])
+    codes = [_NO_CODES if math.prod(cards[p] for p in ps) > limit else None
+             for ps in dag.parents]
+    plan = _compile(dag, codes)
+    if plan.keyed.size:
+        bases = plan.offsets[plan.keyed]
+        found = np.unique(plan.radix.T[plan.keyed] @ arr.T + bases)
+        cuts = np.searchsorted(found, bases[1:, 0])
+        for v, base, part in zip(plan.keyed, bases[:, 0],
+                                 np.split(found, cuts)):
+            codes[v] = _code_array((part - base).astype(np.int64),
+                                   dag.variables[v][0])
+        plan = _compile(dag, codes)
+    cells = _cells(plan, arr).astype(np.intp).ravel()
     # Float counts (sums of 1.0, so exact) let the smoothing run in place;
     # bincount returns int64 for empty data even with weights.
     flat = np.bincount(cells, weights=np.ones(cells.size),
-                       minlength=offsets[-1]).astype(np.float64, copy=False)
+                       minlength=plan.size).astype(np.float64, copy=False)
     flat += alpha
-    for table in _views(flat, offsets, shapes):
+    for table in _views(flat, plan, uniform=True):
         table /= table.sum(axis=1, keepdims=True)
     flat.flags.writeable = False
-    return BayesNet(dag=dag, cpts=_views(flat, offsets, shapes),
-                    alpha=float(alpha))
+    return BayesNet(dag=dag, cpts=_views(flat, plan), alpha=float(alpha),
+                    codes=tuple(codes))
 
 
 def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
@@ -412,7 +589,8 @@ def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
     The cells are gathered one column per row, and the log-probabilities are
     added strictly in variable order (``np.add.accumulate``), so each value
     is bit for bit the running sum ``total += log P(x_v | pa_v)`` over
-    v = 0, 1, ...
+    v = 0, 1, ...  Keyed tables cost one ``np.searchsorted`` over their
+    codes; a network without them runs one gather.
     """
     arr = _as_data(data)
     if arr.shape[1] != bn.n_variables:
@@ -420,7 +598,7 @@ def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
     # A negative value viewed as uint64 is huge: one test checks both ends.
     if (arr.view(np.uint64) >= bn._cards).any():
         raise ValidationError("assignment value out of range")
-    probs = bn._flat[(bn._radix.T @ arr.T + bn._offsets).astype(np.intp)]
+    probs = bn._flat[_cells(bn._plan, arr).astype(np.intp)]
     return np.add.accumulate(np.log(probs, out=probs), axis=0)[-1].copy()
 
 
@@ -433,13 +611,17 @@ def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarra
     if n < 0:
         raise ValidationError("sample count must be >= 0")
     cards = bn.dag.cardinalities
+    plan = bn._plan
     out = np.zeros((bn.n_variables, n))  # one row per variable
     for v in bn._order:
         # Variables not yet sampled are 0, so M's column gives each row's
-        # first cell within the table: config * card.
-        start = int(bn._offsets[v, 0])
-        first = (bn._radix[:, v] @ out).astype(np.intp)
-        cells = np.add.outer(np.arange(start, start + cards[v]), first)
+        # first cell (whole table) or configuration code (keyed table).
+        first = plan.radix[:, v] @ out + plan.offsets[v, 0]
+        if plan.slot[v] >= 0:
+            pos = np.searchsorted(plan.keys, first)
+            first = np.where(plan.keys[pos] == first, plan.hits[pos],
+                             plan.misses[plan.slot[v], 0])
+        cells = np.add.outer(np.arange(cards[v]), first.astype(np.intp))
         cumulative = np.cumsum(bn._flat[cells], axis=0)
         out[v] = (cumulative < rng.random(n)).sum(axis=0)
     return out.T.astype(np.int64, order="C")
@@ -464,7 +646,8 @@ def enumerate_joint(bn: BayesNet,
 
 
 # ---------------------------------------------------------------------------
-# Serialization (format tag bn-v1, full-precision decimal entries)
+# Serialization (format tag bn-v2, full-precision decimal entries; bn-v1,
+# which has only whole tables, is still read)
 
 
 def bn_to_json_obj(bn: BayesNet) -> dict:
@@ -473,18 +656,40 @@ def bn_to_json_obj(bn: BayesNet) -> dict:
         "alpha": bn.alpha,
         "variables": [[name, card] for name, card in bn.dag.variables],
         "parents": [list(ps) for ps in bn.dag.parents],
+        "codes": [None if code is None else code.tolist()
+                  for code in bn.codes],
         "cpts": [table.tolist() for table in bn.cpts],
     }
 
 
 def bn_from_json_obj(obj: dict) -> BayesNet:
-    if not isinstance(obj, dict) or obj.get("format") != BN_FORMAT:
-        raise FormatError(f"expected a {BN_FORMAT} document")
+    tag = obj.get("format") if isinstance(obj, dict) else None
+    if tag not in (BN_FORMAT, BN_FORMAT_V1):
+        raise FormatError(f"expected a {BN_FORMAT} or {BN_FORMAT_V1} "
+                          f"document")
+    what = f"{tag} document"
     try:
-        dag = Dag(variables=tuple((str(n), int(c)) for n, c in obj["variables"]),
-                  parents=tuple(tuple(int(p) for p in ps)
-                                for ps in obj["parents"]))
-        return BayesNet(dag=dag, cpts=tuple(obj["cpts"]),
-                        alpha=float(obj["alpha"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad {BN_FORMAT} document: {exc}") from exc
+        dag = Dag(variables=tuple(
+            (str(name), parse_value(card, integer,
+                                    f"{what}: cardinality of {name!r}"))
+            for name, card in obj["variables"]),
+            parents=tuple(
+                tuple(parse_value(p, integer,
+                                  f"{what}: parent of variable {v}")
+                      for p in ps)
+                for v, ps in enumerate(obj["parents"])))
+        codes = None
+        if tag == BN_FORMAT:
+            codes = tuple(
+                None if code is None else np.array(
+                    [parse_value(c, integer, f"{what}: code of variable {v}")
+                     for c in code], dtype=np.int64)
+                for v, code in enumerate(obj["codes"]))
+        alpha = obj["alpha"]
+        # alpha's range is BayesNet's to check; its type is checked here.
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            raise TypeError(f"alpha {alpha!r} is not a number")
+        return BayesNet(dag=dag, cpts=tuple(obj["cpts"]), alpha=float(alpha),
+                        codes=codes)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc

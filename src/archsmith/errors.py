@@ -42,12 +42,17 @@ def boolean(value) -> bool:
     return value
 
 
-def parse_field(obj: dict, name: str, parse, what: str):
-    """``parse(obj[name])``, or a FormatError naming the field of ``what``
-    whose value ``parse`` rejects.  A missing field raises ``KeyError``."""
-    value = obj[name]
+def parse_value(value, parse, what: str):
+    """``parse(value)``, or a FormatError naming ``what`` if ``parse``
+    rejects it."""
     try:
         return parse(value)
     except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"bad {what}: field {name!r} is {value!r}, "
-                          f"not a valid {parse.__name__}") from None
+        raise FormatError(f"bad {what} is {value!r}, not a valid "
+                          f"{parse.__name__}") from None
+
+
+def parse_field(obj: dict, name: str, parse, what: str):
+    """``parse(obj[name])``, or a FormatError naming the field of ``what``
+    whose value ``parse`` rejects.  A missing field raises ``KeyError``."""
+    return parse_value(obj[name], parse, f"{what}: field {name!r}")

@@ -4,7 +4,7 @@ A supermodel distributes mass over architecture depths and one Bayesian
 network submodel per depth key (joint mode) or per role and depth
 (per-network mode) models the remaining slots.  Learned from elite sets,
 the metamodel scores genotypes, samples new ones and persists to a single
-``mm-v1`` document.
+``mm-v2`` document.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from .genotype import (
     unflatten_joint,
 )
 
-MM_FORMAT = "mm-v1"
+MM_FORMAT = "mm-v2"
+MM_FORMAT_V1 = "mm-v1"  # whole CPTs only; still read
 
 STRUCTURE_ARACNE = "aracne"
 STRUCTURE_CHOW_LIU = "chow_liu"
@@ -63,6 +64,7 @@ STRUCTURES = (STRUCTURE_ARACNE, STRUCTURE_CHOW_LIU)
 
 METHOD_MARGINALS = "marginals"
 METHOD_UNIFORM = "uniform"
+METHODS = STRUCTURES + (METHOD_MARGINALS, METHOD_UNIFORM)
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,12 @@ class Submodel:
         expected = tuple((s.name, s.cardinality) for s in self.schema.slots)
         if self.bn.dag.variables != expected:
             raise ValidationError("submodel variables do not match the schema")
+        if self.n_train < 0:
+            raise ValidationError(f"submodel {list(self.key)}: n_train is "
+                                  f"{self.n_train}, not a count")
+        if self.method not in METHODS:
+            raise ValidationError(f"submodel {list(self.key)}: unknown "
+                                  f"method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -292,6 +300,14 @@ class Metamodel:
         self.submodels = dict(submodels)
         self.provenance = dict(provenance or {})
         self._validate()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Metamodel):
+            return NotImplemented
+        return (self.learn_config == other.learn_config
+                and self.supermodels == other.supermodels
+                and self.submodels == other.submodels
+                and self.provenance == other.provenance)
 
     def _validate(self) -> None:
         parts = self._parts
@@ -503,12 +519,6 @@ def learn(individuals: Sequence[Individual], config: LearnConfig,
 # Persistence
 
 
-def _decode_key(obj) -> tuple:
-    if len(obj) == 2 and isinstance(obj[0], str):
-        return (obj[0], int(obj[1]))
-    return tuple(int(v) for v in obj)
-
-
 def metamodel_to_json_obj(m: Metamodel) -> dict:
     supers = {}
     for name, cat in m.supermodels.items():
@@ -528,35 +538,59 @@ def metamodel_to_json_obj(m: Metamodel) -> dict:
     }
 
 
+def _json_key(key) -> str:
+    """The JSON text of a supermodel support value or submodel key, for
+    looking up a document's keys in the part table."""
+    return json.dumps(list(key) if isinstance(key, tuple) else key)
+
+
 def metamodel_from_json_obj(obj: dict) -> Metamodel:
-    if not isinstance(obj, dict) or obj.get("format") != MM_FORMAT:
-        raise FormatError(f"expected a {MM_FORMAT} document")
+    """Read an ``mm-v2`` document (or an ``mm-v1`` one, whose networks hold
+    whole tables only).  Supermodel supports and submodel keys are read
+    through the part table of the document's genotype configuration, so a
+    depth or key the configuration lacks is rejected."""
+    tag = obj.get("format") if isinstance(obj, dict) else None
+    if tag not in (MM_FORMAT, MM_FORMAT_V1):
+        raise FormatError(f"expected a {MM_FORMAT} or {MM_FORMAT_V1} "
+                          f"document")
     try:
         learn_config = LearnConfig.from_json_obj(obj["learn"])
-        gc = learn_config.genotype
+        parts = _parts(learn_config.genotype)
+        names = [part.name for part in parts]
+        if sorted(obj["supermodels"]) != sorted(names):
+            raise FormatError(f"{learn_config.genotype.mode} mode needs the "
+                              f"supermodels {', '.join(names)}")
         supermodels = {}
-        for name, doc in obj["supermodels"].items():
-            if name == "joint":
-                support = tuple(DepthKey(*k) for k in doc["keys"])
-            else:
-                support = tuple(int(k) for k in doc["keys"])
-            supermodels[name] = Categorical(support=support,
-                                            probs=tuple(doc["probs"]))
+        for part in parts:
+            doc = obj["supermodels"][part.name]
+            if ([_json_key(k) for k in doc["keys"]]
+                    != [_json_key(k) for k in part.support]):
+                raise FormatError(f"supermodel {part.name!r} does not cover "
+                                  f"the configured depths in order")
+            supermodels[part.name] = Categorical(support=part.support,
+                                                 probs=tuple(doc["probs"]))
+        schemas = {_json_key(key): (key, schema) for part in parts
+                   for key, schema in zip(part.keys, part.schemas)}
         submodels = {}
         for entry in obj["submodels"]:
-            key = _decode_key(entry["key"])
-            if isinstance(key[0], str):
-                schema = network_schema(gc, key[0], key[1])
-            else:
-                schema = joint_schema(gc, DepthKey(*key))
-            submodels[key] = Submodel(key=key, schema=schema,
-                                      bn=bn_from_json_obj(entry["bn"]),
-                                      n_train=int(entry["n_train"]),
-                                      method=entry["method"])
+            text = _json_key(entry["key"])
+            if text not in schemas:
+                raise FormatError(f"submodel key {text} is not a depth of "
+                                  f"the configured genotype")
+            key, schema = schemas[text]
+            if key in submodels:
+                raise FormatError(f"submodel key {text} appears twice")
+            submodels[key] = Submodel(
+                key=key, schema=schema, bn=bn_from_json_obj(entry["bn"]),
+                n_train=parse_field(entry, "n_train", integer,
+                                    f"submodel {text}"),
+                method=entry["method"])
+        if not isinstance(obj["provenance"], dict):
+            raise FormatError("provenance must be a JSON object")
         return Metamodel(learn_config=learn_config, supermodels=supermodels,
                          submodels=submodels, provenance=obj["provenance"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad {MM_FORMAT} document: {exc}") from exc
+        raise FormatError(f"bad {tag} document: {exc}") from exc
 
 
 def save_metamodel(m: Metamodel, path) -> None:

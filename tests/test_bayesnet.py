@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -24,6 +25,8 @@ from archsmith.bayesnet import (
     small_sample_correction,
 )
 from archsmith.errors import FormatError, ValidationError
+from archsmith.genotype import DepthKey, GenotypeConfig, joint_schema
+from archsmith.metamodel import LearnConfig, learn_submodel
 
 
 def brute_force_mi(column_a, column_b):
@@ -347,24 +350,25 @@ def mixed_radix_configs(dag, v, rows):
     return config
 
 
-def cpt_lookups(bn, rows):
-    """P(x_v | parents) per variable and row, by explicit mixed radix."""
+def cpt_lookups(dag, tables, rows):
+    """P(x_v | parents) per variable and row from whole tables, by explicit
+    mixed radix."""
     rows = np.asarray(rows, dtype=np.int64)
-    return np.array([bn.cpts[v][mixed_radix_configs(bn.dag, v, rows),
-                                rows[:, v]]
-                     for v in range(bn.n_variables)]).reshape(-1, len(rows))
+    return np.array([tables[v][mixed_radix_configs(dag, v, rows), rows[:, v]]
+                     for v in range(dag.n_variables)]).reshape(-1, len(rows))
 
 
-def oracle_log_likelihood(bn, rows):
+def oracle_log_likelihood(dag, tables, rows):
     """The per-variable loop: one running sum of log P(x_v | pa_v)."""
     total = np.zeros(len(rows))
-    for probs in cpt_lookups(bn, rows):
+    for probs in cpt_lookups(dag, tables, rows):
         total += np.log(probs)
     return total
 
 
 def oracle_cpts(dag, rows, alpha):
-    """Smoothed CPTs counted one variable at a time with ``np.add.at``."""
+    """Whole smoothed CPTs, counted one variable at a time with
+    ``np.add.at``."""
     cards = dag.cardinalities
     tables = []
     for v, parents in enumerate(dag.parents):
@@ -376,23 +380,31 @@ def oracle_cpts(dag, rows, alpha):
     return tables
 
 
-def oracle_sample(bn, n, rng):
-    """Forward sampling one variable at a time in topological order, one
-    uniform per row and variable."""
-    out = np.zeros((n, bn.n_variables), dtype=np.int64)
-    for v in bn.dag.topological_order():
+def oracle_sample(dag, tables, n, rng):
+    """Forward sampling from whole tables one variable at a time in
+    topological order, one uniform per row and variable."""
+    out = np.zeros((n, dag.n_variables), dtype=np.int64)
+    for v in dag.topological_order():
         cumulative = np.cumsum(
-            bn.cpts[v][mixed_radix_configs(bn.dag, v, out)], axis=1)
+            tables[v][mixed_radix_configs(dag, v, out)], axis=1)
         out[:, v] = (cumulative < rng.random((n, 1))).sum(axis=1)
     return out
+
+
+def bn_v1_document(dag, tables, alpha):
+    """A ``bn-v1`` document, the format that holds whole tables only."""
+    return {"format": "bn-v1", "alpha": alpha,
+            "variables": [list(v) for v in dag.variables],
+            "parents": [list(ps) for ps in dag.parents],
+            "cpts": [table.tolist() for table in tables]}
 
 
 @st.composite
 def nets_with_data(draw, max_vars=12):
     """A DAG whose variables take their parents (none, one or several, in
     any order) from earlier in a random order, with training rows too few
-    to see most parent configurations, query rows and an alpha that is
-    mostly not 1."""
+    to see most parent configurations (so many tables are keyed), query
+    rows and an alpha that is mostly not 1."""
     n = draw(st.integers(1, max_vars))
     cards = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
@@ -405,7 +417,10 @@ def nets_with_data(draw, max_vars=12):
               parents=tuple(parents))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     train = rng.integers(0, cards, size=(draw(st.integers(0, 12)), n))
-    queries = rng.integers(0, cards, size=(draw(st.integers(1, 20)), n))
+    # Random rows mostly reach unseen configurations; the training rows
+    # reach the stored rows of keyed tables.
+    queries = np.vstack([
+        rng.integers(0, cards, size=(draw(st.integers(1, 20)), n)), train])
     alpha = draw(st.sampled_from([0.3, 0.5, 1.0, 1.7, 1e-3]))
     return dag, train, queries, alpha
 
@@ -416,13 +431,28 @@ class TestIndexPlan:
     def test_matches_per_variable_oracle(self, case):
         dag, train, queries, alpha = case
         bn = fit_cpts(dag, train, alpha=alpha)
-        for table, expected in zip(bn.cpts, oracle_cpts(dag, train, alpha)):
-            assert table.tobytes() == expected.tobytes()
-        assert (log_likelihood_many(bn, queries).tobytes()
-                == oracle_log_likelihood(bn, queries).tobytes())
+        dense = oracle_cpts(dag, train, alpha)
+        for v, (table, code, whole) in enumerate(zip(bn.cpts, bn.codes,
+                                                     dense)):
+            if len(whole) <= max(1, len(train)):
+                assert code is None
+                assert table.tobytes() == whole.tobytes()
+            else:
+                seen = np.unique(mixed_radix_configs(dag, v, train))
+                assert np.array_equal(code, seen)
+                assert table.tobytes() == whole[seen].tobytes()
+        expected = oracle_log_likelihood(dag, dense, queries).tobytes()
+        assert log_likelihood_many(bn, queries).tobytes() == expected
         assert np.array_equal(
             pls_sample_many(bn, 30, np.random.default_rng(len(queries))),
-            oracle_sample(bn, 30, np.random.default_rng(len(queries))))
+            oracle_sample(dag, dense, 30,
+                          np.random.default_rng(len(queries))))
+        # A bn-v1 document of the whole oracle tables scores the same
+        # bytes, and the bn-v2 round trip is the same network.
+        old = bn_from_json_obj(json.loads(json.dumps(
+            bn_v1_document(dag, dense, alpha))))
+        assert log_likelihood_many(old, queries).tobytes() == expected
+        assert json_round_trip(bn) == bn
 
     def test_wide_net_adds_variables_in_order(self):
         # Past 8 columns a pairwise row sum rounds differently from the
@@ -435,18 +465,19 @@ class TestIndexPlan:
         bn = fit_cpts(dag, rng.integers(0, cards, size=(40, 15)), alpha=0.7)
         rows = rng.integers(0, cards, size=(500, 15))
         assert (log_likelihood_many(bn, rows).tobytes()
-                == oracle_log_likelihood(bn, rows).tobytes())
+                == oracle_log_likelihood(dag, bn.cpts, rows).tobytes())
 
     def test_likelihood_equals_summed_cpt_lookups(self):
         bn = mixed_parent_bn()
         rows = np.indices(bn.dag.cardinalities).reshape(bn.n_variables, -1).T
         assert np.array_equal(log_likelihood_many(bn, rows),
-                              oracle_log_likelihood(bn, rows))
+                              oracle_log_likelihood(bn.dag, bn.cpts, rows))
 
     def test_samples_follow_cpt_rows_drawn_in_order(self):
         bn = mixed_parent_bn()
         got = pls_sample_many(bn, 200, np.random.default_rng(5))
-        expected = oracle_sample(bn, 200, np.random.default_rng(5))
+        expected = oracle_sample(bn.dag, bn.cpts, 200,
+                                 np.random.default_rng(5))
         assert np.array_equal(got, expected)
 
     def test_out_of_range_rejected_on_a_column_slice(self):
@@ -480,7 +511,7 @@ class TestIndexPlan:
         rebuilt = BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=bn.alpha)
         assert rebuilt == bn
         assert repr(rebuilt) == repr(bn)
-        for name in ("_flat", "_radix", "_offsets", "_cards", "_order"):
+        for name in ("_flat", "_plan", "_cards", "_order"):
             assert name not in repr(bn)
         # Tables that already are the flat array's views are not copied.
         assert rebuilt._flat is bn._flat
@@ -496,6 +527,121 @@ class TestIndexPlan:
         assert np.array_equal(
             pls_sample_many(clone, 50, np.random.default_rng(7)),
             pls_sample_many(bn, 50, np.random.default_rng(7)))
+
+
+def keyed_chain_bn(alpha=0.5):
+    """a (card 6) -> b (card 3) fitted on two rows: b's table has 6
+    configurations for 2 rows, so it is keyed and keeps rows a=1 and a=4."""
+    dag = Dag(variables=(("a", 6), ("b", 3)), parents=((), (0,)))
+    return fit_cpts(dag, np.array([[4, 2], [1, 0]]), alpha=alpha)
+
+
+class TestKeyedTables:
+    def test_unseen_configurations_read_the_whole_tables_uniform_row(self):
+        # Past 8 cells a row sum is pairwise, so a uniform row computed
+        # any other way (1 / card, say) would differ in the last bit.
+        for card in range(1, 41):
+            dag = Dag(variables=(("a", 3), ("b", card)), parents=((), (0,)))
+            train = np.array([[1, card - 1]])
+            queries = np.array([[a, b] for a in range(3)
+                                for b in range(card)])
+            for alpha in (0.3, 0.5, 1.0, 1.7, 1e-3, 0.1, 7.3):
+                bn = fit_cpts(dag, train, alpha=alpha)
+                assert bn.codes[1].tolist() == [1]
+                dense = oracle_cpts(dag, train, alpha)
+                assert (log_likelihood_many(bn, queries).tobytes()
+                        == oracle_log_likelihood(dag, dense,
+                                                 queries).tobytes())
+                assert json_round_trip(bn) == bn
+
+    def test_whole_up_to_one_configuration_per_row(self):
+        dag = Dag(variables=(("a", 3), ("b", 2)), parents=((), (0,)))
+        assert fit_cpts(dag, np.zeros((3, 2), int)).codes == (None, None)
+        bn = fit_cpts(dag, np.zeros((2, 2), int))
+        assert bn.codes[0] is None and bn.codes[1].tolist() == [0]
+        assert bn.cpts[1].shape == (1, 2)
+        # Without data every table with parents keeps no rows at all.
+        empty = fit_cpts(dag, np.empty((0, 2), int))
+        assert empty.cpts[1].shape == (0, 2)
+        assert empty.cpts[0].shape == (1, 3)
+        assert np.array_equal(log_likelihood_many(empty, [[2, 1]]),
+                              [math.log(1 / 3) + math.log(1 / 2)])
+
+    def test_memory_follows_the_data_not_the_parent_configurations(self):
+        # Ten uniform rows on the deepest joint key (29 slots) give ARACNE
+        # nodes with ten parents; whole tables would take 24.7 M cells.
+        gc = GenotypeConfig.joint()
+        schema = joint_schema(gc, DepthKey(3, 4))
+        cards = schema.cardinalities
+        rows = np.random.default_rng(2).integers(0, cards, size=(10, 29))
+        tracemalloc.start()
+        try:
+            bn = learn_submodel(schema, rows, LearnConfig(genotype=gc)).bn
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole = sum(math.prod(cards[p] for p in ps) * cards[v]
+                    for v, ps in enumerate(bn.dag.parents))
+        assert whole > 2 * 10**7
+        for table, card in zip(bn.cpts, cards):
+            assert table.size <= 10 * card
+        assert peak < 2 * 10**6  # bytes; whole tables need 0.2 GB
+        assert np.isfinite(log_likelihood_many(bn, rows)).all()
+
+    def test_configurations_must_be_numbered_exactly(self):
+        # 54 binary parents: 2**54 configurations, past float64's integers.
+        variables = tuple((f"v{i}", 2) for i in range(55))
+        dag = Dag(variables=variables,
+                  parents=((),) * 54 + (tuple(range(54)),))
+        with pytest.raises(ValidationError, match="'v54'.*exactly"):
+            fit_cpts(dag, np.zeros((1, 55), int))
+        smaller = Dag(variables=variables[:54],
+                      parents=((),) * 53 + (tuple(range(53)),))
+        bn = fit_cpts(smaller, np.ones((1, 54), int))
+        assert bn.codes[53].tolist() == [2**53 - 1]
+        assert log_likelihood_many(bn, np.ones((1, 54), int))[0] < 0
+
+    @pytest.mark.parametrize("codes", [[4, 1], [1, 1], [1, 6], [-1, 4],
+                                       [1.0, 4.0], [[1, 4]]],
+                             ids=["unsorted", "repeated", "too-big",
+                                  "negative", "float", "nested"])
+    def test_bad_codes_rejected(self, codes):
+        bn = keyed_chain_bn()
+        with pytest.raises(ValidationError, match="'b'.*codes"):
+            BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=bn.alpha,
+                     codes=(None, np.array(codes)))
+
+    def test_rows_must_match_codes(self):
+        bn = keyed_chain_bn()
+        with pytest.raises(ValidationError, match="variable 1 has 2 rows"):
+            BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=bn.alpha,
+                     codes=(None, np.array([1, 3, 4])))
+
+
+class TestEquality:
+    def test_equal_after_a_bn_v1_round_trip(self):
+        bn = manual_chain_bn()
+        clone = bn_from_json_obj(json.loads(json.dumps(
+            bn_v1_document(bn.dag, bn.cpts, bn.alpha))))
+        assert clone.cpts[1] is not bn.cpts[1]
+        assert clone == bn and not clone != bn
+
+    def test_equal_after_a_bn_v2_round_trip(self):
+        bn = keyed_chain_bn()
+        clone = json_round_trip(bn)
+        assert clone._flat is not bn._flat
+        assert clone == bn and not clone != bn
+
+    def test_one_changed_cell_is_unequal(self):
+        bn = keyed_chain_bn()
+        doc = json.loads(json.dumps(bn_to_json_obj(bn)))
+        doc["cpts"][1][0][0] += 1e-12  # rows still sum to 1 within 1e-9
+        assert bn_from_json_obj(doc) != bn
+        doc = bn_to_json_obj(bn)
+        doc["codes"][1] = [1, 5]
+        assert bn_from_json_obj(doc) != bn
+        assert fit_cpts(bn.dag, [[4, 2], [1, 0]], alpha=0.7) != bn
+        assert bn != "a network"
 
 
 class TestBayesNetChecks:
@@ -592,25 +738,49 @@ class TestSerialization:
 
     def test_format_tag_present(self):
         obj = bn_to_json_obj(manual_chain_bn())
-        assert obj["format"] == "bn-v1"
+        assert obj["format"] == "bn-v2"
 
     def test_wrong_tag_rejected(self):
         obj = bn_to_json_obj(manual_chain_bn())
-        obj["format"] = "bn-v2"
+        obj["format"] = "bn-v3"
         with pytest.raises(FormatError):
             bn_from_json_obj(obj)
 
     def test_truncated_document_rejected(self):
-        for field in ("variables", "parents", "cpts", "alpha"):
+        for field in ("variables", "parents", "codes", "cpts", "alpha"):
             obj = bn_to_json_obj(manual_chain_bn())
             del obj[field]
-            with pytest.raises(FormatError, match="bad bn-v1 document"):
+            with pytest.raises(FormatError, match="bad bn-v2 document"):
                 bn_from_json_obj(obj)
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("variables", 0, 1), 2.9, "cardinality of 'a' is 2.9"),
+        (("variables", 0, 1), True, "True"),
+        (("parents", 1, 0), 0.5, "parent of variable 1 is 0.5"),
+        (("parents", 1, 0), 7, "parent index out of range"),
+        (("codes", 1, 0), 1.5, "1.5"),
+        (("codes", 1, 0), "1", "code of variable 1 is '1'"),
+        (("codes", 1), [4, 1], "increasing"),
+        (("codes", 1), [1, 1], "distinct"),
+        (("codes", 1), [1, 6], "below 6"),
+        (("alpha",), "0.5", "alpha"),
+        (("cpts", 0, 0), ["0.5", "0.5"], "not numbers"),
+    ], ids=["card-float", "card-bool", "parent-float", "parent-range",
+            "code-float", "code-string", "codes-unsorted", "codes-repeated",
+            "codes-too-big", "alpha-string", "cells-string"])
+    def test_fields_are_strict(self, path, value, message):
+        obj = json.loads(json.dumps(bn_to_json_obj(keyed_chain_bn())))
+        target = obj
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ValidationError, match=message):
+            bn_from_json_obj(obj)
 
     def test_corrupt_cpt_rejected(self):
         obj = bn_to_json_obj(manual_chain_bn())
         obj["cpts"][0] = [["x", "y"]]
-        with pytest.raises(FormatError, match="bad bn-v1 document"):
+        with pytest.raises(FormatError, match="bad bn-v2 document"):
             bn_from_json_obj(obj)
 
 

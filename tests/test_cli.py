@@ -1,18 +1,22 @@
 """End-to-end tests of the command-line surface (exit codes, artifacts)."""
 
+import copy
 import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from archsmith.archive import Individual, RunArchive, load_archive, save_archive
 from archsmith.cli import main
 from archsmith.experiments import ArchiveGenConfig, generate_archive
 from archsmith.genotype import GenotypeConfig, gan_hash, random_gan
 from archsmith.landscape import LandscapeConfig, make_landscape, save_landscape
-from archsmith.metamodel import load_metamodel
+from archsmith.metamodel import LearnConfig, load_metamodel
+from test_metamodel import mm_v1_document
 
 SMALL = GenotypeConfig.joint(
     arity=2,
@@ -233,6 +237,302 @@ class TestNonFiniteNumbers:
                      "--seed", "1", "--out", str(out)]) == 1
         one_error_line(capsys, "positive")
         assert not out.exists()
+
+
+def keyed_entry(doc):
+    """(submodel index, variable) of the first keyed table with at least
+    two stored rows in a model document."""
+    for i, entry in enumerate(doc["submodels"]):
+        for v, code in enumerate(entry["bn"]["codes"]):
+            if code is not None and len(code) >= 2:
+                return i, v
+    raise AssertionError("the model has no keyed table with two rows")
+
+
+class TestStrictModelFiles:
+    """Hand-edited model files with a non-integral, negative or out-of-range
+    integer field, or bad configuration codes, are rejected."""
+
+    @pytest.fixture(params=["n_train-float", "n_train-negative",
+                            "cardinality-float", "parent-out-of-range",
+                            "codes-unsorted", "codes-repeated",
+                            "code-too-big", "code-float"])
+    def edited(self, request, model_path, tmp_path):
+        doc = json.loads(model_path.read_text())
+        i, v = keyed_entry(doc)
+        bn = doc["submodels"][i]["bn"]
+        codes = bn["codes"][v]
+        edit = request.param
+        if edit == "n_train-float":
+            doc["submodels"][i]["n_train"], needle = -3.7, "-3.7"
+        elif edit == "n_train-negative":
+            doc["submodels"][i]["n_train"], needle = -3, "not a count"
+        elif edit == "cardinality-float":
+            bn["variables"][v][1], needle = 2.9, "cardinality"
+        elif edit == "parent-out-of-range":
+            bn["parents"][v][0], needle = 99, "parent index out of range"
+        elif edit == "codes-unsorted":
+            codes.reverse()
+            needle = "increasing"
+        elif edit == "codes-repeated":
+            codes[1], needle = codes[0], "distinct"
+        elif edit == "code-too-big":
+            codes[-1], needle = 10**6, "below"
+        else:
+            codes[0], needle = 0.5, "code of variable"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path, needle
+
+    def test_score(self, edited, archive_path, tmp_path, capsys):
+        path, needle = edited
+        out = tmp_path / "scores.csv"
+        capsys.readouterr()
+        assert main(["score", "--model", str(path), "--genotypes",
+                     str(archive_path), "--out", str(out)]) == 1
+        one_error_line(capsys, needle)
+        assert not out.exists()
+
+    def test_sample(self, edited, tmp_path, capsys):
+        path, needle = edited
+        out = tmp_path / "samples.jsonl"
+        capsys.readouterr()
+        assert main(["sample", "--model", str(path), "--n", "5",
+                     "--out", str(out)]) == 1
+        one_error_line(capsys, needle)
+        assert not out.exists()
+
+
+# Values of the wrong type for a field of each kind, and the fields that
+# every input requires (deletable) or merely types.
+INTS = ("x", 2.5, None, True)
+NUMBERS = ("x", None, True)
+OBJECTS = ("x", 5, None)
+DELETE = object()
+
+
+def _fields(prefix, fields, deletable=True):
+    return [(prefix + path, wrong, deletable) for path, wrong in fields]
+
+
+GENOTYPE = [((), OBJECTS), (("mode",), OBJECTS), (("arity",), INTS),
+            (("generator_depth_max",), INTS), (("activations",), (5, None))]
+LANDSCAPE = ([(("genotype",) + path, wrong) for path, wrong in GENOTYPE]
+             + [(("family_seed",), INTS), (("sigma_noise",), NUMBERS),
+                (("flip_prob",), NUMBERS), (("n_pairs",), ("x", 2.5, True))])
+IN_CONFIG = [(("landscape",), OBJECTS, True)] + _fields(("landscape",),
+                                                        LANDSCAPE)
+
+
+def model_fields(doc):
+    """Every required field of a metamodel document, with wrong values."""
+    fields = [(("format",), OBJECTS), (("learn",), OBJECTS),
+              (("learn", "alpha"), NUMBERS), (("learn", "structure"), OBJECTS),
+              (("learn", "genotype", "arity"), INTS),
+              (("provenance",), OBJECTS), (("supermodels",), OBJECTS),
+              (("supermodels", "joint"), OBJECTS),
+              (("supermodels", "joint", "keys"), OBJECTS),
+              (("supermodels", "joint", "probs"), OBJECTS),
+              (("submodels",), OBJECTS)]
+    for i, entry in enumerate(doc["submodels"]):
+        bn = ("submodels", i, "bn")
+        fields += [(("submodels", i, "key"), OBJECTS),
+                   (("submodels", i, "n_train"), INTS + (-1,)),
+                   (("submodels", i, "method"), OBJECTS), (bn, OBJECTS)]
+        fields += [(bn + (name,), NUMBERS if name == "alpha" else OBJECTS)
+                   for name in ("format", "alpha", "variables", "parents",
+                                "codes", "cpts") if name in entry["bn"]]
+        fields += [(bn + ("variables", v, 1), INTS)
+                   for v in range(len(entry["bn"]["variables"]))]
+        fields.append((bn + ("cpts", 0, 0, 0), ("x", None, True)))
+    return _fields((), fields)
+
+
+def edit(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` replaced by ``value``,
+    or deleted."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+def broken_json(draw, doc, fields):
+    """The text of ``doc`` cut short, without a required field, or with a
+    field of the wrong type."""
+    text = json.dumps(doc)
+    kinds = ["malformed", "wrong type"]
+    if any(deletable for _, _, deletable in fields):
+        kinds.append("missing")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "malformed":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    path, wrong, _ = draw(st.sampled_from(
+        [f for f in fields if kind == "wrong type" or f[2]]))
+    value = DELETE if kind == "missing" else draw(st.sampled_from(wrong))
+    return json.dumps(edit(doc, path, value))
+
+
+def broken_archive(draw, lines):
+    """An archive whose header is broken; the records stay intact, but a
+    header cut short leaves no loadable line."""
+    header = json.loads(lines[0])
+    text = broken_json(draw, header, _fields(("config",),
+                                             GENOTYPE))
+    try:
+        json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    return "\n".join([text] + lines[1:]) + "\n"
+
+
+def broken_steps(draw, text):
+    """A trace CSV without a column the default analysis needs, with a
+    non-numeric cell, or empty."""
+    rows = list(csv.reader(text.splitlines()))
+    kind = draw(st.sampled_from(["missing", "wrong type", "empty"]))
+    if kind == "empty":
+        return ""
+    if kind == "missing":
+        drop = rows[0].index(draw(st.sampled_from(
+            ["algorithm", "replicate", "best"])))
+        rows = [row[:drop] + row[drop + 1:] for row in rows]
+    else:
+        column = rows[0].index(draw(st.sampled_from(["best", "step"])))
+        rows[draw(st.integers(1, len(rows) - 1))][column] = "n/a"
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def write(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+class TestMalformedInputs:
+    """Property: every subcommand, given an input that is not valid JSON,
+    lacks a required field or holds a field of the wrong type, exits 1 or
+    2 with exactly one error line and no traceback.  Model inputs are
+    ``mm-v2`` files and ``mm-v1`` files of the same model."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, archive_path, model_path):
+        work = tmp_path_factory.mktemp("malformed")
+        model = json.loads(model_path.read_text())
+        samples = work / "samples.jsonl"
+        assert main(["sample", "--model", str(model_path), "--n", "5",
+                     "--out", str(samples)]) == 0
+        steps = work / "steps.csv"
+        assert main(["experiment", "--id", "guided-search",
+                     "--archive", str(archive_path), "--config",
+                     str(write(work / "g.json", {
+                         "landscape": LAND.to_json_obj(), "target_seed": 70,
+                         "replicates": 2, "budget": 4, "n": 3})),
+                     "--out-dir", str(work)]) == 0
+        return {
+            "work": work, "archive": archive_path, "model": model_path,
+            "archive_lines": archive_path.read_text().splitlines(),
+            "models": {"mm-v2": model, "mm-v1": mm_v1_document(
+                load_metamodel(model_path))},
+            "samples": samples.read_text(), "steps": steps.read_text(),
+            "landscape": LAND.to_json_obj(),
+            "learn": LearnConfig(genotype=SMALL).to_json_obj(),
+        }
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_error_line(self, data, inputs, capsys):
+        draw, work = data.draw, inputs["work"]
+        command = draw(st.sampled_from(
+            ["ingest", "learn", "score", "sample", "search", "gen-archive",
+             "experiment", "analyze"]))
+        bad = work / "bad-input"
+        out = ["--out", str(work / "out")]
+
+        def bad_model():
+            doc = inputs["models"][draw(st.sampled_from(["mm-v2", "mm-v1"]))]
+            bad.write_text(broken_json(draw, doc, model_fields(doc)))
+            return ["--model", str(bad)]
+
+        if command == "ingest":
+            bad.write_text(broken_archive(draw, inputs["archive_lines"]))
+            argv = ["ingest", "--raw", str(bad)] + out
+        elif command == "learn":
+            if draw(st.booleans()):
+                bad.write_text(broken_archive(draw, inputs["archive_lines"]))
+                argv = ["--archive", str(bad)]
+            else:
+                bad.write_text(broken_json(draw, inputs["learn"], _fields(
+                    (), [(("alpha",), NUMBERS), (("min_samples",), INTS),
+                         (("structure",), OBJECTS),
+                         (("mi_correction",), OBJECTS),
+                         (("genotype", "arity"), INTS)], deletable=False)))
+                argv = ["--archive", str(inputs["archive"]),
+                        "--config", str(bad)]
+            argv = ["learn", "--n", "3"] + argv + out
+        elif command == "score":
+            if draw(st.booleans()):
+                argv = bad_model() + ["--genotypes", str(inputs["archive"])]
+            else:
+                text = inputs["samples"]
+                # An empty file holds no genotypes, which is no error.
+                bad.write_text(text[:draw(st.integers(1, text.index("\n")
+                                                      - 1))])
+                argv = ["--model", str(inputs["model"]),
+                        "--genotypes", str(bad)]
+            argv = ["score"] + argv + out
+        elif command == "sample":
+            argv = ["sample", "--n", "3"] + bad_model() + out
+        elif command == "search":
+            if draw(st.booleans()):
+                bad.write_text(broken_json(
+                    draw, inputs["landscape"],
+                    [((), OBJECTS, False)] + _fields((), LANDSCAPE)))
+                argv = ["--landscape-config", str(bad)]
+            else:
+                argv = ["--landscape-config",
+                        str(write(work / "land.json", inputs["landscape"])),
+                        "--algorithm", "guided"] + bad_model()
+            argv = ["search", "--budget", "3"] + argv + out
+        elif command == "gen-archive":
+            config = {"landscape": inputs["landscape"],
+                      "problem_seeds": "0..1", "population": 6,
+                      "generations": 2}
+            bad.write_text(broken_json(draw, config, IN_CONFIG + _fields(
+                (), [(("population",), INTS), (("generations",), INTS),
+                     (("problem_seeds",), ("x", None, 5, [0.5]))],
+                deletable=False)))
+            argv = ["gen-archive", "--config", str(bad)] + out
+        elif command == "experiment":
+            config = {"landscape": inputs["landscape"], "train_seeds": [0],
+                      "n": 3}
+            experiment = draw(st.sampled_from(
+                ["likelihood", "sampling", "initialization",
+                 "guided-search"]))
+            fields = IN_CONFIG + [(("n",), INTS, False)]
+            if experiment == "sampling":
+                fields.append((("train_seeds",), ("x", None, 5), True))
+            bad.write_text(broken_json(draw, config, fields))
+            argv = ["experiment", "--id", experiment, "--archive",
+                    str(inputs["archive"]), "--config", str(bad),
+                    "--out-dir", str(work / "out-dir")]
+        else:
+            bad.write_text(broken_steps(draw, inputs["steps"]))
+            argv = ["analyze", "--traces", str(bad), "--test", "kw"] + out
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (1, 2), (argv, bad.read_text()[:300])
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], err
+        assert "Traceback" not in err
 
 
 class TestSearch:

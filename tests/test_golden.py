@@ -57,7 +57,7 @@ GOLDEN = {
     "joint/archive.jsonl":
         "1f4ff4bef38ffacf9fee02cce5f6c37054f638fd602908bf7a7daa7c157dff9f",
     "joint/cli/model.json":
-        "b31d9dc784a1fe2b0bfe05bc89fde5ad3cd9f72258c54443613cf2579c17f096",
+        "9032adbf4ad25b76a5b8c973dc98eed8d477a68ac84716510b066628003beb95",
     "joint/cli/samples.jsonl":
         "a36f9af9cdb9d0ae84657293e8d064025129579024cb22916853edc70cd5ca2c",
     "joint/cli/score-archive.csv":
@@ -81,11 +81,11 @@ GOLDEN = {
     "joint/sampling/tests.csv":
         "c7bc2846af0b1aa9c543838bd455ecb1133ff52a128213e2a637188afef18cc2",
     "joint/uniform.json":
-        "4e28ef82ca33c090405421c3684942621ecd46806a68fd57593bbc5fda0dd87d",
+        "f1d5b098ab9e05ab29477e5835cca605beeebc8a635ef08498ec6499ac257564",
     "per-network/archive.jsonl":
         "28bb610c9fd3e0ff4298d3b0b378e8f0011ce6c824ea5803ebb02f8827504027",
     "per-network/cli/model.json":
-        "579f2732c89a63be1e7290ac6cfef007c087f24eae553e570317c258c496b898",
+        "cfecd8e8aaf562ba3d163592567ebdc406482ef251138328cccc1ecba1ca5147",
     "per-network/cli/samples.jsonl":
         "4d44368f6d9a5f002b811b7ad1dda72eacabfbfac994b852d7b7d7343757afc3",
     "per-network/cli/score-archive.csv":
@@ -99,7 +99,7 @@ GOLDEN = {
     "per-network/guided-search/summary.json":
         "ea37327f7ddf1f26f909bc0fe9b9698c9eb3a4ddd340145713487d6b13afa02c",
     "per-network/uniform.json":
-        "2c57e13d1abc02488057c666f155bfdc780973a94d58ab5c997ace3b07369ed0",
+        "df332856e06842d598e50541f2bd31ec67d0b557a46d304869e9142e3f7a8365",
 }
 
 

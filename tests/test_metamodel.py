@@ -29,6 +29,7 @@ from archsmith.metamodel import (
     provenance_mismatch,
     save_metamodel,
 )
+from test_bayesnet import bn_v1_document
 
 JOINT = GenotypeConfig.joint()
 TINY = GenotypeConfig.joint(arity=2, activations=("relu", "tanh"),
@@ -292,6 +293,7 @@ class TestPersistence:
         path = tmp_path / "model.mm"
         save_metamodel(model, path)
         loaded = load_metamodel(path)
+        assert loaded == model
         assert loaded.provenance["archive_hash"] == "abc"
         for gan in (random_gan(rng, config) for _ in range(100)):
             a, b = model.score(gan), loaded.score(gan)
@@ -351,6 +353,133 @@ class TestPersistence:
         assert "archive" in provenance_mismatch(model, archive_hash="xyz")
         assert "genotype" in provenance_mismatch(model, genotype=JOINT)
         assert provenance_mismatch(model, genotype=TINY) is None
+
+
+def whole_tables(bn):
+    """Every table of ``bn`` with one row per parent configuration: the
+    configurations a keyed table does not store get smoothed zero counts,
+    normalised as ``fit_cpts`` normalises every row."""
+    tables = []
+    for v, (table, code) in enumerate(zip(bn.cpts, bn.codes)):
+        if code is not None:
+            configs = math.prod(bn.dag.cardinalities[p]
+                                for p in bn.dag.parents[v])
+            whole = np.full((configs, table.shape[1]), bn.alpha)
+            whole /= whole.sum(axis=1, keepdims=True)
+            whole[code] = table
+            table = whole
+        tables.append(table)
+    return tables
+
+
+def mm_v1_document(model):
+    """``model`` as the ``mm-v1`` document of its whole tables."""
+    doc = metamodel_to_json_obj(model)
+    doc["format"] = "mm-v1"
+    for entry in doc["submodels"]:
+        bn = model.submodels[tuple(entry["key"])].bn
+        entry["bn"] = bn_v1_document(bn.dag, whole_tables(bn), bn.alpha)
+    return json.loads(json.dumps(doc))
+
+
+def keyed_model(config):
+    """A model learned from twelve genotypes of one depth key: ARACNE gives
+    some slots more parent configurations than rows, so their tables are
+    keyed."""
+    rng = np.random.default_rng(23)
+    model = learn(make_individuals(rng, config, 12, depth_key=DepthKey(2, 2)),
+                  LearnConfig(genotype=config, alpha=0.7))
+    assert any(code is not None for sub in model.submodels.values()
+               for code in sub.bn.codes)
+    return model
+
+
+class TestFormats:
+    @pytest.mark.parametrize("config", [JOINT, GenotypeConfig.per_network()],
+                             ids=["joint", "per_network"])
+    def test_mm_v1_of_whole_tables_scores_the_same_bytes(self, tmp_path,
+                                                         config):
+        model = keyed_model(config)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(mm_v1_document(model)))
+        old = load_metamodel(path)
+        assert all(code is None for sub in old.submodels.values()
+                   for code in sub.bn.codes)
+        rng = np.random.default_rng(4)
+        for key in config.depth_keys():
+            cards = joint_schema(config, key).cardinalities
+            rows = rng.integers(0, cards, size=(200, len(cards)))
+            for ours, theirs in zip(model.score_values(key, rows),
+                                    old.score_values(key, rows)):
+                assert ours.tobytes() == theirs.tobytes()
+        assert (old.sample_many(np.random.default_rng(3), 200)
+                == model.sample_many(np.random.default_rng(3), 200))
+
+    def test_mm_v2_is_smaller_and_equal_after_a_round_trip(self, tmp_path):
+        model = keyed_model(JOINT)
+        path = tmp_path / "model.json"
+        save_metamodel(model, path)
+        assert json.loads(path.read_text())["format"] == "mm-v2"
+        assert load_metamodel(path) == model
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(mm_v1_document(model)))
+        assert path.stat().st_size < old.stat().st_size / 5
+
+    def test_equal_after_an_mm_v1_round_trip(self):
+        model = Metamodel.uniform(LearnConfig(genotype=TINY_PN))
+        assert metamodel_from_json_obj(mm_v1_document(model)) == model
+
+    def test_one_changed_cell_is_unequal(self):
+        model = keyed_model(JOINT)
+        doc = json.loads(json.dumps(metamodel_to_json_obj(model)))
+        assert metamodel_from_json_obj(doc) == model
+        doc["submodels"][5]["bn"]["cpts"][0][0][0] += 1e-12
+        assert metamodel_from_json_obj(doc) != model
+
+
+class TestModelFileChecks:
+    @pytest.fixture()
+    def doc(self):
+        return json.loads(json.dumps(metamodel_to_json_obj(
+            keyed_model(JOINT))))
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"n_train": -3.7}, "'n_train' is -3.7"),
+        ({"n_train": "3"}, "'n_train' is '3'"),
+        ({"n_train": -3}, "n_train is -3, not a count"),
+        ({"method": "bogus"}, "unknown method 'bogus'"),
+        ({"key": [1.0, 1]}, r"key \[1.0, 1\] is not a depth"),
+        ({"key": [9, 9]}, r"key \[9, 9\] is not a depth"),
+        ({"key": ["generator", 1]}, "is not a depth"),
+    ], ids=["n_train-float", "n_train-string", "n_train-negative",
+            "method", "key-float", "key-unknown", "key-other-mode"])
+    def test_bad_submodel_entry_rejected(self, doc, edit, message):
+        doc["submodels"][0].update(edit)
+        with pytest.raises(ValidationError, match=message):
+            metamodel_from_json_obj(doc)
+
+    def test_repeated_key_rejected(self, doc):
+        doc["submodels"].append(doc["submodels"][0])
+        with pytest.raises(FormatError, match=r"key \[1, 1\] appears twice"):
+            metamodel_from_json_obj(doc)
+
+    def test_supermodel_outside_the_mode_rejected(self, doc):
+        doc["supermodels"]["generator"] = doc["supermodels"]["joint"]
+        with pytest.raises(FormatError, match="needs the supermodels joint"):
+            metamodel_from_json_obj(doc)
+
+    def test_per_network_key_outside_the_configured_depths(self):
+        doc = metamodel_to_json_obj(Metamodel.uniform(
+            LearnConfig(genotype=TINY_PN)))
+        doc["submodels"][0]["key"] = ["generator", 9]
+        with pytest.raises(FormatError, match="not a depth"):
+            metamodel_from_json_obj(doc)
+
+    @pytest.mark.parametrize("provenance", [[], "x", None])
+    def test_provenance_must_be_an_object(self, doc, provenance):
+        doc["provenance"] = provenance
+        with pytest.raises(FormatError, match="provenance"):
+            metamodel_from_json_obj(doc)
 
 
 class TestLearnConfig:
