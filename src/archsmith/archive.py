@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, number, parse_field, string
 from .genotype import (
     GanSpec,
     GenotypeConfig,
@@ -54,12 +54,13 @@ class Individual:
     @classmethod
     def from_json_obj(cls, obj: dict,
                       pool: LayerPool | None = None) -> "Individual":
+        what = "archive record"
         try:
             return cls(gan=GanSpec.from_json_obj(obj["gan"], pool),
-                       fitness=float(obj["fitness"]),
-                       run_id=str(obj["run_id"]),
-                       problem_id=str(obj["problem_id"]))
-        except (KeyError, TypeError, ValueError) as exc:
+                       fitness=parse_field(obj, "fitness", number, what),
+                       run_id=parse_field(obj, "run_id", string, what),
+                       problem_id=parse_field(obj, "problem_id", string, what))
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"bad archive record: {exc}") from exc
 
 

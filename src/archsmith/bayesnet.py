@@ -106,8 +106,7 @@ class BayesNet:
     Construction compiles the network once.  All stored rows (arrays or
     nested lists), each keyed table followed by its uniform row, are
     copied end to end into one read-only float64 array, and ``cpts[i]``
-    become 2-D views into it; tables that already are such views are kept,
-    not copied.  A row ``x`` reads, for a whole table, cell
+    become 2-D views into it.  A row ``x`` reads, for a whole table, cell
     ``offset_i + config * card_i + x_i``: the cells of a batch are
     ``x @ M + offsets`` with the mixed-radix index matrix
     ``M[p, i] = stride_p * card_i`` for each parent ``p`` of ``i`` and
@@ -148,34 +147,28 @@ class BayesNet:
         uniform = [(int(miss), _uniform_row(self.dag.variables[v][1],
                                             self.alpha))
                    for v, miss in zip(plan.keyed, plan.misses[:, 0])]
-        flat = _packed_base(self.cpts, plan, uniform)
-        if flat is None:
-            for i, (table, (rows, _)) in enumerate(zip(self.cpts,
-                                                       plan.shapes)):
-                if len(table) != rows:
-                    raise ValidationError(
-                        f"CPT of variable {i} has {len(table)} rows, "
-                        f"not {rows}")
-            # One table at a time, so a loaded document's lists are never
-            # all held as arrays besides the flat copy.
-            flat = np.empty(plan.size)
-            for i, (view, table) in enumerate(zip(_views(flat, plan),
-                                                  self.cpts)):
-                if view.size == 0:
-                    continue  # a keyed table without rows; its length is 0
-                table = np.asarray(table)
-                if table.dtype.kind not in "fiu":
-                    raise TypeError(
-                        f"CPT of variable {i} holds {table.dtype.name} "
-                        f"values, not numbers")
-                if table.shape != view.shape:
-                    raise ValidationError(
-                        f"CPT shape {table.shape} wrong for variable {i}")
-                view[...] = table
-            for start, row in uniform:
-                flat[start:start + row.size] = row.ravel()
-            flat.flags.writeable = False
-            object.__setattr__(self, "cpts", _views(flat, plan))
+        for i, (table, (rows, _)) in enumerate(zip(self.cpts, plan.shapes)):
+            if len(table) != rows:
+                raise ValidationError(
+                    f"CPT of variable {i} has {len(table)} rows, not {rows}")
+        # One table at a time, so a loaded document's lists are never all
+        # held as arrays besides the flat copy.
+        flat = np.empty(plan.size)
+        for i, (view, table) in enumerate(zip(_views(flat, plan), self.cpts)):
+            if view.size == 0:
+                continue  # a keyed table without rows; its length is 0
+            table = np.asarray(table)
+            if table.dtype.kind not in "fiu":
+                raise TypeError(f"CPT of variable {i} holds "
+                                f"{table.dtype.name} values, not numbers")
+            if table.shape != view.shape:
+                raise ValidationError(
+                    f"CPT shape {table.shape} wrong for variable {i}")
+            view[...] = table
+        for start, row in uniform:
+            flat[start:start + row.size] = row.ravel()
+        flat.flags.writeable = False
+        object.__setattr__(self, "cpts", _views(flat, plan))
         if not flat.min() > 0:  # a NaN minimum fails too
             raise ValidationError("CPT entries must be strictly positive")
         row_cards = np.repeat(self.dag.cardinalities, plan.rows)
@@ -344,26 +337,18 @@ def aracne_skeleton(mi: np.ndarray, mi_threshold: float = 0.0,
 
 
 def orient(edges: Iterable[tuple[int, int]],
-           variables: Sequence[tuple[str, int]],
-           canonical_order: Sequence[int] | None = None) -> Dag:
-    """Direct every undirected edge from earlier to later in the order.
-
-    The default canonical order is the variable index order itself, which is
-    the schema order for flattened genotypes.  Acyclicity is guaranteed
-    because edge direction follows one global total order.
+           variables: Sequence[tuple[str, int]]) -> Dag:
+    """Direct every undirected edge from the lower variable index to the
+    higher, which is the schema order for flattened genotypes.  Acyclicity
+    is guaranteed because edge direction follows one global total order.
     """
     n = len(variables)
-    order = list(range(n)) if canonical_order is None else list(canonical_order)
-    if sorted(order) != list(range(n)):
-        raise ValidationError("canonical_order must be a permutation of all variables")
-    position = {v: pos for pos, v in enumerate(order)}
     parents: list[set[int]] = [set() for _ in range(n)]
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise ValidationError(f"bad edge ({a}, {b})")
         # Edges are undirected; (a, b) and (b, a) describe the same edge.
-        parent, child = (a, b) if position[a] < position[b] else (b, a)
-        parents[child].add(parent)
+        parents[max(a, b)].add(min(a, b))
     return Dag(variables=tuple(variables),
                parents=tuple(tuple(sorted(ps)) for ps in parents))
 
@@ -492,29 +477,6 @@ def _views(flat: np.ndarray, plan: _Plan,
                                                 plan.shapes))
 
 
-def _packed_base(tables: Sequence, plan: _Plan,
-                 uniform: Sequence[tuple[int, np.ndarray]],
-                 ) -> np.ndarray | None:
-    """The read-only float64 array that ``tables`` are the plan's views of,
-    holding the right uniform rows; None if there is none."""
-    base = getattr(tables[0], "base", None)
-    if not (isinstance(base, np.ndarray) and base.ndim == 1
-            and base.dtype == np.float64 and not base.flags.writeable
-            and base.size == plan.size):
-        return None
-    address = base.__array_interface__["data"][0]
-    for table, start, shape in zip(tables, plan.starts, plan.shapes):
-        if (getattr(table, "base", None) is not base
-                or table.shape != shape or not table.flags.c_contiguous
-                or table.__array_interface__["data"][0]
-                != address + start * base.itemsize):
-            return None
-    for start, row in uniform:
-        if base[start:start + row.size].tobytes() != row.tobytes():
-            return None
-    return base
-
-
 def _cells(plan: _Plan, arr: np.ndarray) -> np.ndarray:
     """The flat cell (as a float64) that each variable reads for each row,
     shape (variables, rows)."""
@@ -578,7 +540,6 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
     flat += alpha
     for table in _views(flat, plan, uniform=True):
         table /= table.sum(axis=1, keepdims=True)
-    flat.flags.writeable = False
     return BayesNet(dag=dag, cpts=_views(flat, plan), alpha=float(alpha),
                     codes=tuple(codes))
 
@@ -627,19 +588,18 @@ def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarra
     return out.T.astype(np.int64, order="C")
 
 
-def enumerate_joint(bn: BayesNet,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
+def enumerate_joint(bn: BayesNet) -> tuple[np.ndarray, np.ndarray]:
     """All assignments and their probabilities, for small state spaces.
 
     Returns (assignments, probabilities) where assignments has one row per
-    joint state in row-major order.  Raises when the state space exceeds
-    ``cap`` (default 1e6).
+    joint state in row-major order.  Raises, before allocating anything,
+    when the state space exceeds ``DEFAULT_ENUMERATION_CAP`` (1e6).
     """
     cards = bn.dag.cardinalities
-    size = int(np.prod(cards, dtype=np.int64))
-    if size > cap:
-        raise ValidationError(
-            f"state space {size} exceeds enumeration cap {cap}")
+    size = math.prod(cards)
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise ValidationError(f"state space {size} exceeds enumeration cap "
+                              f"{DEFAULT_ENUMERATION_CAP}")
     grids = np.indices(cards).reshape(len(cards), size).T
     probs = np.exp(log_likelihood_many(bn, grids))
     return grids, probs

@@ -42,6 +42,13 @@ def boolean(value) -> bool:
     return value
 
 
+def string(value) -> str:
+    """``value`` itself, if it is a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
 def parse_value(value, parse, what: str):
     """``parse(value)``, or a FormatError naming ``what`` if ``parse``
     rejects it."""

@@ -2,8 +2,9 @@
 
 A GAN genotype is a pair of layered network specs (generator, discriminator)
 plus one global train-frequency bin.  For model fitting the genotype is
-flattened into a fixed-order vector of small categorical values whose layout
-depends only on the depth key (generator depth, discriminator depth).
+flattened into its depth key (generator depth, discriminator depth) and a
+row: a fixed-order tuple of small categorical values whose layout depends
+only on the depth key.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ class LayerSpec:
         try:
             return cls(kind=obj["kind"], activation=obj["activation"],
                        weight_init=obj["weight_init"],
-                       size_bin=int(obj["size_bin"]))
-        except (KeyError, TypeError, ValueError) as exc:
+                       size_bin=parse_field(obj, "size_bin", integer,
+                                            "layer record"))
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"bad layer record: {exc}") from exc
 
 
@@ -236,12 +238,13 @@ class LayerPool:
     def layer(self, obj: dict) -> LayerSpec:
         """The pooled layer equal to ``LayerSpec.from_json_obj(obj)``."""
         try:
-            found = self._layers.get((obj["kind"], obj["activation"],
-                                      obj["weight_init"], obj["size_bin"]))
+            raw = (obj["kind"], obj["activation"], obj["weight_init"],
+                   obj["size_bin"])
+            # Only an int size bin is looked up raw: true compares equal to
+            # 1, yet the parse rejects it.
+            found = self._layers.get(raw) if type(raw[3]) is int else None
         except (KeyError, TypeError):
             found = None
-        # A raw key that only compares equal (size_bin 1.0 or true for 1)
-        # finds the layer its fields parse to, so any hit is the right one.
         if found is not None:
             return found
         layer = LayerSpec.from_json_obj(obj)
@@ -288,9 +291,10 @@ class GanSpec:
                 generator=DnnSpec.from_json_obj(obj["generator"], pool),
                 discriminator=DnnSpec.from_json_obj(obj["discriminator"],
                                                     pool),
-                train_freq_bin=int(obj["train_freq_bin"]),
+                train_freq_bin=parse_field(obj, "train_freq_bin", integer,
+                                           "genotype record"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"bad genotype record: {exc}") from exc
 
     @cached_property
@@ -418,23 +422,6 @@ class Schema:
         return tuple(slot.cardinality for slot in self.slots)
 
 
-@dataclass(frozen=True)
-class AttributeVector:
-    """A flattened genotype (or genotype half): values aligned to a schema."""
-
-    depth_key: tuple
-    values: tuple[int, ...]
-    schema: Schema
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.schema):
-            raise ValidationError("value count does not match schema")
-        for value, slot in zip(self.values, self.schema.slots):
-            if not 0 <= value < slot.cardinality:
-                raise ValidationError(
-                    f"value {value} outside cardinality of slot {slot.name}")
-
-
 def _layer_slots(config: GenotypeConfig, role: str, depth: int) -> list[Slot]:
     prefix = "g" if role == ROLE_GENERATOR else "d"
     kinds = config.kinds(role)
@@ -482,48 +469,49 @@ def _network_values(config: GenotypeConfig, net: DnnSpec) -> list[int]:
     return values
 
 
-def flatten_joint(gan: GanSpec, config: GenotypeConfig) -> AttributeVector:
-    """Flatten a GAN into the joint vector for its depth key."""
+def flatten_joint(gan: GanSpec,
+                  config: GenotypeConfig) -> tuple[DepthKey, tuple[int, ...]]:
+    """The depth key of ``gan`` and its row: one value per slot of the
+    key's joint schema."""
     validate_gan(gan, config)
-    key = gan.depth_key
     values = ([gan.train_freq_bin]
               + _network_values(config, gan.generator)
               + _network_values(config, gan.discriminator))
-    return AttributeVector(depth_key=key, values=tuple(values),
-                           schema=joint_schema(config, key))
+    return gan.depth_key, tuple(values)
 
 
 def _layers_from_values(config: GenotypeConfig, role: str,
                         values: Sequence[int]) -> tuple[LayerSpec, ...]:
     kinds = config.kinds(role)
-    layers = []
-    for offset in range(0, len(values), 4):
-        kind_i, act_i, init_i, size = values[offset:offset + 4]
-        layers.append(LayerSpec(kind=kinds[kind_i],
-                                activation=config.activations[act_i],
-                                weight_init=config.weight_inits[init_i],
-                                size_bin=int(size)))
-    return tuple(layers)
+    return tuple(LayerSpec(kind=kinds[values[offset]],
+                           activation=config.activations[values[offset + 1]],
+                           weight_init=config.weight_inits[values[offset + 2]],
+                           size_bin=values[offset + 3])
+                 for offset in range(0, len(values), 4))
 
 
-def unflatten_joint(vector: AttributeVector, config: GenotypeConfig) -> GanSpec:
-    """Inverse of flatten_joint."""
-    key = DepthKey(*vector.depth_key)
-    if joint_schema(config, key) != vector.schema:
-        raise ValidationError("vector schema does not match the configuration")
-    d_g = key.d_g
-    values = vector.values
-    gan = GanSpec(
-        generator=DnnSpec(ROLE_GENERATOR,
-                          _layers_from_values(config, ROLE_GENERATOR,
-                                              values[1:1 + 4 * d_g])),
-        discriminator=DnnSpec(ROLE_DISCRIMINATOR,
-                              _layers_from_values(config, ROLE_DISCRIMINATOR,
-                                                  values[1 + 4 * d_g:])),
-        train_freq_bin=int(values[0]),
+def unflatten_joint(key: DepthKey, values: Sequence[int],
+                    config: GenotypeConfig) -> GanSpec:
+    """Inverse of flatten_joint: the genotype whose row at ``key`` is
+    ``values`` (a sequence of ints or a 1-D integer array)."""
+    key = DepthKey(*key)
+    slots = joint_schema(config, key).slots
+    values = [int(v) for v in values]
+    if len(values) != len(slots):
+        raise ValidationError(f"{len(values)} values for the {len(slots)} "
+                              f"slots of depth key {tuple(key)}")
+    for value, slot in zip(values, slots):
+        if not 0 <= value < slot.cardinality:
+            raise ValidationError(
+                f"value {value} outside cardinality of slot {slot.name}")
+    split = 1 + 4 * key.d_g
+    return GanSpec(
+        generator=DnnSpec(ROLE_GENERATOR, _layers_from_values(
+            config, ROLE_GENERATOR, values[1:split])),
+        discriminator=DnnSpec(ROLE_DISCRIMINATOR, _layers_from_values(
+            config, ROLE_DISCRIMINATOR, values[split:])),
+        train_freq_bin=values[0],
     )
-    validate_gan(gan, config)
-    return gan
 
 
 # ---------------------------------------------------------------------------

@@ -304,9 +304,9 @@ class SurrogateLandscape:
 
     def evaluate(self, gan: GanSpec) -> float:
         """Fitness of one genotype; raises on out-of-bounds depths."""
-        av = flatten_joint(gan, self.config.genotype)
-        row = np.array([av.values], dtype=np.int64)
-        return float(self.evaluate_values(av.depth_key, row)[0])
+        key, values = flatten_joint(gan, self.config.genotype)
+        return float(self.evaluate_values(
+            key, np.array([values], dtype=np.int64))[0])
 
 
 def make_landscape(seed: int, config: LandscapeConfig) -> SurrogateLandscape:

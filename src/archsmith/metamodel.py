@@ -42,7 +42,6 @@ from .errors import (
     parse_field,
 )
 from .genotype import (
-    AttributeVector,
     DepthKey,
     GanSpec,
     GenotypeConfig,
@@ -325,14 +324,17 @@ class Metamodel:
 
     # -- scoring -------------------------------------------------------------
 
-    def _joint_parts(self, key: DepthKey) -> tuple[float, list]:
-        """Supermodel log mass and the submodel split plan for one key."""
-        log_super, plan = 0.0, []
+    def _log_parts(self, key: DepthKey,
+                   values: np.ndarray) -> tuple[float, np.ndarray]:
+        """The supermodels' log mass of ``key`` and the submodels' log
+        likelihood of each row of ``values``, each summed in plan order."""
+        log_super, log_sub = 0.0, 0.0
         for part, index, cols in self._plans[key]:
             log_super += self.supermodels[part.name].log_prob(
                 part.support[index])
-            plan.append((self.submodels[part.keys[index]], cols))
-        return log_super, plan
+            log_sub += log_likelihood_many(
+                self.submodels[part.keys[index]].bn, values[:, cols])
+        return log_super, log_sub
 
     @property
     def n_depth_variables(self) -> int:
@@ -340,31 +342,25 @@ class Metamodel:
 
     def score_values(self, key: DepthKey,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log_prob, normalized) for a batch of joint vectors at one key."""
+        """(log_prob, normalized) for a batch of joint rows at one key."""
         key = DepthKey(*key)
         values = np.asarray(values, dtype=np.int64)
         schema = joint_schema(self.config, key)
         if values.ndim != 2 or values.shape[1] != len(schema):
             raise ValidationError("values shape does not match the schema")
-        log_super, plan = self._joint_parts(key)
-        log_prob = np.full(values.shape[0], log_super, dtype=float)
-        for submodel, cols in plan:
-            log_prob += log_likelihood_many(submodel.bn, values[:, cols])
-        normalized = log_prob / (self.n_depth_variables + len(schema))
-        return log_prob, normalized
+        log_super, log_sub = self._log_parts(key, values)
+        log_prob = log_super + log_sub
+        return log_prob, log_prob / (self.n_depth_variables + len(schema))
 
     def score(self, gan: GanSpec) -> ScoreBreakdown:
-        """Log probability of one genotype under the metamodel."""
-        av = flatten_joint(gan, self.config)
-        key = DepthKey(*av.depth_key)
-        log_super, plan = self._joint_parts(key)
-        row = np.array([av.values], dtype=np.int64)
-        log_sub = 0.0
-        for submodel, cols in plan:
-            log_sub += float(log_likelihood_many(submodel.bn, row[:, cols])[0])
-        return ScoreBreakdown(log_super=log_super, log_sub=log_sub,
+        """Log probability of one genotype under the metamodel; bit for bit
+        the row's ``score_values``."""
+        key, values = flatten_joint(gan, self.config)
+        log_super, log_sub = self._log_parts(
+            key, np.array([values], dtype=np.int64))
+        return ScoreBreakdown(log_super=log_super, log_sub=float(log_sub[0]),
                               depth_key=key,
-                              n_variables=self.n_depth_variables + len(av.values))
+                              n_variables=self.n_depth_variables + len(values))
 
     # -- sampling ------------------------------------------------------------
 
@@ -391,8 +387,8 @@ class Metamodel:
                     continue
                 sampled = pls_sample_many(self.submodels[key].bn, where.size,
                                           rng)
-                for slot, row in zip(where, sampled):
-                    rows[slot] = tuple(int(v) for v in row)
+                for slot, row in zip(where, sampled.tolist()):
+                    rows[slot] = row
             picks.append(drawn)
             part_rows.append(rows)
         # The depth key that each combination of part draws stands for.
@@ -401,10 +397,8 @@ class Metamodel:
         out = []
         for i in range(count):
             key = depth_keys[tuple(int(drawn[i]) for drawn in picks)]
-            values = sum((rows[i] for rows in part_rows), ())
-            out.append(unflatten_joint(
-                AttributeVector(depth_key=key, values=values,
-                                schema=joint_schema(gc, key)), gc))
+            values = [v for rows in part_rows for v in rows[i]]
+            out.append(unflatten_joint(key, values, gc))
         return out
 
     def sample(self, rng: np.random.Generator) -> GanSpec:
@@ -486,9 +480,9 @@ def learn(individuals: Sequence[Individual], config: LearnConfig,
     rows_by_key: dict[tuple, list] = {key: [] for part in parts
                                       for key in part.keys}
     for ind in individuals:
-        av = flatten_joint(ind.gan, gc)
-        for part, index, cols in plans[av.depth_key]:
-            rows_by_key[part.keys[index]].append(av.values[cols])
+        key, values = flatten_joint(ind.gan, gc)
+        for part, index, cols in plans[key]:
+            rows_by_key[part.keys[index]].append(values[cols])
     supermodels: dict[str, Categorical] = {}
     submodels: dict[tuple, Submodel] = {}
     for part in parts:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import ValidationError
 from .genotype import (
-    AttributeVector,
     DepthKey,
     DnnSpec,
     GanSpec,
@@ -261,15 +260,6 @@ def _grow_rows(values: np.ndarray, depth: int, offset: int,
     return out
 
 
-def _row_to_gan(key: DepthKey, row: np.ndarray,
-                config: GenotypeConfig) -> GanSpec:
-    schema = joint_schema(config, key)
-    vector = AttributeVector(depth_key=key,
-                             values=tuple(int(v) for v in row),
-                             schema=schema)
-    return unflatten_joint(vector, config)
-
-
 def _row_offsets(groups: list[tuple[DepthKey, np.ndarray]]) -> np.ndarray:
     """Start of each group in the concatenated rows, plus the total."""
     return np.cumsum([0] + [len(rows) for _, rows in groups])
@@ -325,40 +315,66 @@ class SearchTrace:
         return sum(1 for s in self.steps if not s.exhausted)
 
 
-def random_hc(landscape: SurrogateLandscape, start: GanSpec, budget: int,
-              rng: np.random.Generator) -> SearchTrace:
-    """Uniform-neighbor hill climbing with strict-improvement acceptance.
+def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
+           visits: Callable[[DepthKey, np.ndarray],
+                            Iterator[tuple[DepthKey, np.ndarray]]]
+           ) -> SearchTrace:
+    """Hill climbing with strict-improvement acceptance.
 
-    The start is evaluated at step 0 outside the budget; the trace then
-    holds exactly ``budget`` neighbor evaluations.
+    ``visits(key, values)`` gives the neighbors of the incumbent row, as
+    ``(key, row)`` pairs in the order they are to be evaluated; it is asked
+    again after every accepted move.  The start is evaluated at step 0
+    outside the budget, and the trace holds exactly ``budget`` steps: when
+    ``visits`` runs out, the rest are padding flagged exhausted.
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     config = landscape.config.genotype
-    av = flatten_joint(start, config)
-    key = DepthKey(*av.depth_key)
-    values = np.array(av.values, dtype=np.int64)
+    key, values = flatten_joint(start, config)
     best = landscape.evaluate(start)
     trace = SearchTrace(start_hash=gan_hash(start), start_fitness=best)
-    groups = None
+    candidates = visits(key, np.array(values, dtype=np.int64))
     for step in range(1, budget + 1):
-        if groups is None:
-            groups = neighbor_groups(key, values, config)
-            offsets = _row_offsets(groups)
-        cand_key, cand_row = _group_row(groups, offsets,
-                                        int(rng.integers(offsets[-1])))
+        candidate = next(candidates, None)
+        if candidate is None:
+            # Incumbent neighborhood exhausted; no-op padding to budget.
+            trace.steps.extend(
+                TraceStep(step=pad, gan_hash="", fitness=float("nan"),
+                          accepted=False, best=best, exhausted=True)
+                for pad in range(step, budget + 1))
+            break
+        cand_key, cand_row = candidate
         fitness = float(landscape.evaluate_values(cand_key,
                                                   cand_row[None, :])[0])
         accepted = fitness < best
-        digest = gan_hash(_row_to_gan(cand_key, cand_row, config))
+        digest = gan_hash(unflatten_joint(cand_key, cand_row, config))
         if accepted:
             best = fitness
-            key, values = cand_key, cand_row.copy()
-            groups = None
+            candidates = visits(cand_key, cand_row)
         trace.steps.append(TraceStep(step=step, gan_hash=digest,
                                      fitness=fitness, accepted=accepted,
                                      best=best))
     return trace
+
+
+def random_hc(landscape: SurrogateLandscape, start: GanSpec, budget: int,
+              rng: np.random.Generator) -> SearchTrace:
+    """Uniform-neighbor hill climbing with strict-improvement acceptance.
+
+    Each step draws a neighbor of the incumbent uniformly, with
+    replacement.  The start is evaluated at step 0 outside the budget; the
+    trace then holds exactly ``budget`` neighbor evaluations.
+    """
+    config = landscape.config.genotype
+
+    def uniform(key, values):
+        # A generator: the neighborhood is built at the first draw.
+        groups = neighbor_groups(key, values, config)
+        offsets = _row_offsets(groups)
+        while True:
+            yield _group_row(groups, offsets, int(rng.integers(offsets[-1])))
+
+    return _climb(landscape, start, budget, uniform)
 
 
 def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
@@ -372,18 +388,11 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
     visited the search stops and the trace is padded with rows flagged
     exhausted.
     """
-    if budget < 1:
-        raise ValidationError("budget must be >= 1")
     config = landscape.config.genotype
-    av = flatten_joint(start, config)
-    key = DepthKey(*av.depth_key)
-    values = np.array(av.values, dtype=np.int64)
-    best = landscape.evaluate(start)
-    trace = SearchTrace(start_hash=gan_hash(start), start_fitness=best)
 
-    def ranked(inc_key, inc_values):
-        """Neighbor groups, their row offsets, and the visiting order."""
-        groups = neighbor_groups(inc_key, inc_values, config)
+    def ranked(key, values):
+        # Ranked at once, so the tie-break draw follows each acceptance.
+        groups = neighbor_groups(key, values, config)
         scores = [metamodel.score_values(group_key, group_rows)[1]
                   for group_key, group_rows in groups]
         # Scores within 1e-6 count as tied so float summation noise
@@ -391,36 +400,10 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
         score_vec = np.round(np.concatenate(scores) / 1e-6)
         tiebreak = rng.random(len(score_vec))
         order = np.lexsort((tiebreak, -score_vec))
-        return groups, _row_offsets(groups), order
+        offsets = _row_offsets(groups)
+        return (_group_row(groups, offsets, int(index)) for index in order)
 
-    groups, offsets, order = ranked(key, values)
-    cursor = 0
-    step = 0
-    while step < budget:
-        if cursor >= len(order):
-            # Incumbent neighborhood exhausted; no-op padding to budget.
-            while step < budget:
-                step += 1
-                trace.steps.append(TraceStep(
-                    step=step, gan_hash="", fitness=float("nan"),
-                    accepted=False, best=best, exhausted=True))
-            break
-        cand_key, cand_row = _group_row(groups, offsets, int(order[cursor]))
-        cursor += 1
-        step += 1
-        fitness = float(landscape.evaluate_values(cand_key,
-                                                  cand_row[None, :])[0])
-        accepted = fitness < best
-        digest = gan_hash(_row_to_gan(cand_key, cand_row, config))
-        if accepted:
-            best = fitness
-            key, values = cand_key, cand_row
-            groups, offsets, order = ranked(key, values)
-            cursor = 0
-        trace.steps.append(TraceStep(step=step, gan_hash=digest,
-                                     fitness=fitness, accepted=accepted,
-                                     best=best))
-    return trace
+    return _climb(landscape, start, budget, ranked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Public API surface: every public module-level function and class has a
-caller in the package itself or in the benchmark harness.
+caller in the package itself or in the benchmark harness, and every private
+module-level function, class and constant has a user in the package.
 
 A public name that only tests call is dead weight: it has to be kept
 working and documented, yet nothing the tool does depends on it.  The
@@ -51,17 +52,35 @@ def _references(tree, module_names) -> list[set[str]]:
     return out
 
 
+def _defined(statement, private: bool) -> list[str]:
+    """The names a top-level statement defines: public functions and
+    classes, or private functions, classes and constants (no dunders)."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif private and isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target])
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        return []
+    return [name for name in names
+            if name.startswith("_") == private and not name.startswith("__")]
+
+
 @lru_cache(maxsize=None)
-def _unreferenced() -> tuple[str, ...]:
-    """Public top-level functions and classes that no other statement of
-    the package, and nothing in ``perfbench/``, refers to."""
+def _unreferenced(private: bool = False) -> tuple[str, ...]:
+    """Top-level definitions that no other statement of the package refers
+    to.  A public one also counts as used when ``perfbench/`` refers to
+    it; a private one must be used inside the package."""
     modules = _modules()
     refs = {name: _references(tree, set(modules))
             for name, tree in modules.items()}
     harness = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        harness.update(*_references(tree, set(modules)))
+    if not private:
+        for path in sorted((ROOT / "perfbench").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            harness.update(*_references(tree, set(modules)))
     missing = []
     for module, tree in modules.items():
         used = set(harness)
@@ -69,12 +88,11 @@ def _unreferenced() -> tuple[str, ...]:
             if other != module:
                 used.update(*statements)
         for node, own in zip(tree.body, refs[module]):
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and not any(node.name in found
-                                for found in refs[module] if found is not own)
-                    and node.name not in used):
-                missing.append(node.name)
+            for name in _defined(node, private):
+                if (not any(name in found for found in refs[module]
+                            if found is not own)
+                        and name not in used):
+                    missing.append(f"{module}.{name}" if private else name)
     return tuple(sorted(missing))
 
 
@@ -83,6 +101,13 @@ def test_every_public_definition_has_a_caller():
     assert not unexplained, (
         f"public names called only from tests: {unexplained}; delete them, "
         f"make them private, or add them to ALLOWED with a reason")
+
+
+def test_every_private_definition_is_used():
+    unused = _unreferenced(private=True)
+    assert not unused, (
+        f"private names that nothing in the package uses: {list(unused)}; "
+        f"delete them")
 
 
 def test_allowlist_is_current():

@@ -165,14 +165,46 @@ class TestLoadSave:
         loaded = load_archive(path)
         assert loaded.diagnostics[:3] == [
             "line 3: bad layer record: 'activation'",
-            "line 4: bad layer record: invalid literal for int() with "
-            "base 10: 'x'",
-            "line 6: bad archive record: could not convert string to "
-            "float: 'abc'",
+            "line 4: bad layer record: field 'size_bin' is 'x', not a "
+            "valid integer",
+            "line 6: bad archive record: field 'fitness' is 'abc', not a "
+            "valid number",
         ]
         assert loaded.rejected == 1
         assert "layer kind ['dense'] not legal" in loaded.diagnostics[3]
         assert loaded.n_individuals == 10 - 4
+
+    def test_loose_record_fields_are_skipped_by_line_and_field(self,
+                                                               tmp_path):
+        # Each of these once loaded as the int, float or str it coerces to.
+        edits = [
+            ("size_bin", lambda o: o["gan"]["generator"]["layers"][0], 1.9),
+            ("size_bin", lambda o: o["gan"]["discriminator"]["layers"][0],
+             "3"),
+            ("size_bin", lambda o: o["gan"]["generator"]["layers"][0], True),
+            ("train_freq_bin", lambda o: o["gan"], 2.7),
+            ("fitness", lambda o: o, "1.5"),
+            ("fitness", lambda o: o, True),
+            ("run_id", lambda o: o, None),
+            ("problem_id", lambda o: o, 7),
+        ]
+        rng = np.random.default_rng(8)
+        archive = make_archive(rng, n_runs=1, run_size=len(edits) + 2)
+        path = tmp_path / "runs.jsonl"
+        save_archive(archive, path)
+        lines = path.read_text().splitlines()
+        for lineno, (name, where, value) in enumerate(edits, start=2):
+            obj = json.loads(lines[lineno - 1])
+            where(obj)[name] = value
+            lines[lineno - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_archive(path)
+        assert loaded.n_individuals == 2 and loaded.rejected == 0
+        assert len(loaded.diagnostics) == len(edits)
+        for lineno, ((name, _, value), message) in enumerate(
+                zip(edits, loaded.diagnostics), start=2):
+            assert message.startswith(f"line {lineno}: bad ")
+            assert f"field {name!r} is {value!r}, not a valid" in message
 
     def test_header_supplies_config(self, tmp_path):
         rng = np.random.default_rng(4)

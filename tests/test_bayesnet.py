@@ -204,14 +204,6 @@ class TestOrient:
         dag = orient([(0, 1), (1, 3)], self.VARS)
         assert dag.parents == ((), (0,), (), (1,))
 
-    def test_custom_order_reverses(self):
-        dag = orient([(0, 1)], self.VARS, canonical_order=[1, 0, 2, 3])
-        assert dag.parents[0] == (1,)
-
-    def test_non_permutation_rejected(self):
-        with pytest.raises(ValidationError, match="permutation"):
-            orient([(0, 1)], self.VARS, canonical_order=[0, 0, 2, 3])
-
     @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                    max_size=12))
     @settings(max_examples=60)
@@ -513,8 +505,6 @@ class TestIndexPlan:
         assert repr(rebuilt) == repr(bn)
         for name in ("_flat", "_plan", "_cards", "_order"):
             assert name not in repr(bn)
-        # Tables that already are the flat array's views are not copied.
-        assert rebuilt._flat is bn._flat
         assert BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=2.0) != bn
 
     def test_persistence_round_trip_scores_exactly(self):
@@ -678,11 +668,21 @@ class TestEnumerateJoint:
         assert np.allclose(probs, np.exp(log_likelihood_many(bn, grids)))
 
     def test_cap_enforced(self):
-        dag = Dag(variables=tuple((f"v{i}", 4) for i in range(4)),
-                  parents=((), (), (), ()))
-        bn = fit_cpts(dag, np.empty((0, 4)), alpha=1.0)
-        with pytest.raises(ValidationError, match="cap"):
-            enumerate_joint(bn, cap=100)
+        # 2**20 states pass the 10**6 cap, and 2**64 would wrap to 0 in
+        # int64.  Enumerating 2**20 states takes over 100 MB, so a small
+        # traced peak shows that the check comes before any allocation.
+        for n_vars in (20, 64):
+            dag = Dag(variables=tuple((f"v{i}", 2) for i in range(n_vars)),
+                      parents=((),) * n_vars)
+            bn = fit_cpts(dag, np.empty((0, n_vars)), alpha=1.0)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValidationError, match="cap"):
+                    enumerate_joint(bn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
 
 
 class TestPlsSample:

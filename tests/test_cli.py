@@ -154,6 +154,18 @@ class TestLearnScoreSample:
         assert len(err) == 1
         assert err[0].startswith("error:") and bad in err[0]
 
+    def test_score_fractional_size_bin_is_one_error_line(
+            self, model_path, tmp_path, capsys):
+        obj = random_gan(np.random.default_rng(4), SMALL).to_json_obj()
+        obj["generator"]["layers"][0]["size_bin"] = 1.9
+        genotypes = tmp_path / "gans.jsonl"
+        genotypes.write_text(json.dumps(obj) + "\n")
+        capsys.readouterr()
+        assert main(["score", "--model", str(model_path),
+                     "--genotypes", str(genotypes),
+                     "--out", str(tmp_path / "scores.csv")]) == 1
+        one_error_line(capsys, "line 1", "'size_bin' is 1.9")
+
     def test_sample_deterministic(self, model_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (a, b):

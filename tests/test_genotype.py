@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from archsmith.errors import FormatError, ValidationError
 from archsmith.genotype import (
-    AttributeVector,
     DepthKey,
     DnnSpec,
     GanSpec,
@@ -71,13 +70,15 @@ def gan_strategy(config):
 
 class TestFlatten:
     def test_minimal_gan_has_nine_slots(self):
-        av = flatten_joint(make_gan(1, 1), JOINT)
-        assert len(av.schema) == 9
-        assert av.schema.slots[0].name == "train_freq"
+        key, values = flatten_joint(make_gan(1, 1), JOINT)
+        schema = joint_schema(JOINT, key)
+        assert key == DepthKey(1, 1)
+        assert len(values) == len(schema) == 9
+        assert schema.slots[0].name == "train_freq"
 
     def test_deepest_joint_gan_has_twenty_nine_slots(self):
-        av = flatten_joint(make_gan(3, 4), JOINT)
-        assert len(av.schema) == 29
+        key, values = flatten_joint(make_gan(3, 4), JOINT)
+        assert len(values) == len(joint_schema(JOINT, key)) == 29
 
     def test_slot_order_global_then_generator_then_discriminator(self):
         schema = joint_schema(JOINT, DepthKey(2, 1))
@@ -119,19 +120,23 @@ class TestFlatten:
     @given(gan_strategy(JOINT))
     @settings(max_examples=200)
     def test_joint_round_trip(self, gan):
-        av = flatten_joint(gan, JOINT)
-        assert unflatten_joint(av, JOINT) == gan
+        key, values = flatten_joint(gan, JOINT)
+        assert unflatten_joint(key, values, JOINT) == gan
+        assert unflatten_joint(key, np.array(values), JOINT) == gan
 
     @given(gan_strategy(PER_NET))
     @settings(max_examples=200)
     def test_per_network_round_trip(self, gan):
-        av = flatten_joint(gan, PER_NET)
-        assert unflatten_joint(av, PER_NET) == gan
+        key, values = flatten_joint(gan, PER_NET)
+        assert unflatten_joint(key, values, PER_NET) == gan
 
     @given(gan_strategy(JOINT))
     def test_every_value_within_cardinality(self, gan):
-        av = flatten_joint(gan, JOINT)
-        for value, slot in zip(av.values, av.schema.slots):
+        key, values = flatten_joint(gan, JOINT)
+        slots = joint_schema(JOINT, key).slots
+        assert len(values) == len(slots)
+        for value, slot in zip(values, slots):
+            assert type(value) is int
             assert 0 <= value < slot.cardinality
 
     def test_vector_outside_cardinality_rejected(self):
@@ -139,8 +144,32 @@ class TestFlatten:
         values = [0] * len(schema)
         values[0] = JOINT.arity  # one past the last train-frequency bin
         with pytest.raises(ValidationError):
-            AttributeVector(depth_key=DepthKey(1, 1), values=tuple(values),
-                            schema=schema)
+            unflatten_joint(DepthKey(1, 1), tuple(values), JOINT)
+
+    @pytest.mark.parametrize("config", [JOINT, PER_NET],
+                             ids=["joint", "per_network"])
+    @pytest.mark.parametrize("as_array", [False, True],
+                             ids=["tuple", "int64"])
+    def test_every_slot_rejects_minus_one_and_its_cardinality(self, config,
+                                                              as_array):
+        # -1 must not wrap to a vocabulary's last entry.
+        key = DepthKey(2, 3)
+        slots = joint_schema(config, key).slots
+        for j, slot in enumerate(slots):
+            for bad in (-1, slot.cardinality):
+                values = [0] * len(slots)
+                values[j] = bad
+                row = np.array(values, dtype=np.int64) if as_array \
+                    else tuple(values)
+                with pytest.raises(ValidationError, match=slot.name):
+                    unflatten_joint(key, row, config)
+
+    def test_row_length_must_match_the_key(self):
+        values = [0] * len(joint_schema(JOINT, DepthKey(1, 2)))
+        with pytest.raises(ValidationError, match="slots"):
+            unflatten_joint(DepthKey(1, 1), values, JOINT)
+        with pytest.raises(ValidationError, match="unsupported depth"):
+            unflatten_joint(DepthKey(4, 1), values, JOINT)
 
 
 class TestSerialization:
@@ -284,9 +313,14 @@ class TestLayerPool:
         first = pool.layer(obj)
         assert first == LayerSpec.from_json_obj(obj)
         assert pool.layer(dict(obj)) is first
-        # Raw values that only compare equal parse to the same layer.
+        # An integral float parses to the same layer.  A string or a
+        # boolean size bin is rejected, even though "3" is the text of the
+        # pooled size bin 3 and true compares equal to the pooled 1.
         assert pool.layer(dict(obj, size_bin=3.0)) is first
-        assert pool.layer(dict(obj, size_bin="3")) is first
+        pool.layer(dict(obj, size_bin=1))
+        for bad in ("3", True):
+            with pytest.raises(FormatError, match="size_bin"):
+                pool.layer(dict(obj, size_bin=bad))
 
     def test_holds_at_most_the_vocabulary(self):
         pool = LayerPool(JOINT)
@@ -297,7 +331,7 @@ class TestLayerPool:
                      range(JOINT.arity))]
         pooled = {id(pool.layer(dict(obj, size_bin=spelling(obj["size_bin"]))))
                   for obj in legal
-                  for spelling in (int, float, str)}
+                  for spelling in (int, float)}
         assert len(pooled) == len(legal) == 225
         # Layers outside the vocabulary are parsed but never pooled.
         for i in range(3):

@@ -122,18 +122,17 @@ class TestAdditivity:
         land = make_landscape(9, noiseless())
         rng = np.random.default_rng(4)
         for gan in random_probes(rng, JOINT, 200):
-            av = flatten_joint(gan, JOINT)
-            key = DepthKey(*av.depth_key)
+            key, values = flatten_joint(gan, JOINT)
             schema = joint_schema(JOINT, key)
             pos = [(s.section, s.layer, s.attr) for s in schema.slots]
             expected = land.base_penalty(key)
-            for p, v in zip(pos, av.values):
+            for p, v in zip(pos, values):
                 expected += land.unary_table(p)[v]
             index = {p: i for i, p in enumerate(pos)}
             for a, b in land.pairs:
                 if a in index and b in index:
                     expected += land.pairwise_table((a, b))[
-                        av.values[index[a]], av.values[index[b]]]
+                        values[index[a]], values[index[b]]]
             assert land.evaluate(gan) == pytest.approx(expected, abs=1e-9)
 
     def test_pair_count_default(self):
@@ -187,7 +186,7 @@ class TestNoise:
         key = DepthKey(3, 4)
         rng = np.random.default_rng(6)
         probes = [random_gan(rng, JOINT, depth_key=key) for _ in range(1000)]
-        values = np.array([flatten_joint(g, JOINT).values for g in probes])
+        values = np.array([flatten_joint(g, JOINT)[1] for g in probes])
         hamming = (values != land.planted_values(key)).sum(axis=1)
         fitness = land.evaluate_values(key, values)
         assert np.corrcoef(hamming, fitness)[0, 1] > 0.6
@@ -317,8 +316,8 @@ class TestEvaluateValues:
                                                  sigma_noise=sigma))
         gans = random_probes(np.random.default_rng(8), JOINT, 200)
         rows = {}
-        for av in (flatten_joint(g, JOINT) for g in gans):
-            rows.setdefault(av.depth_key, []).append(av.values)
+        for key, values in (flatten_joint(g, JOINT) for g in gans):
+            rows.setdefault(key, []).append(values)
         assert len(rows) > 6
         for key, group in rows.items():
             want = [reference_fitness(land, key, row) for row in group]
@@ -328,7 +327,7 @@ class TestEvaluateValues:
                     for row in group] == want
         assert ([land.evaluate(g) for g in gans]
                 == [reference_fitness(land, g.depth_key,
-                                      flatten_joint(g, JOINT).values)
+                                      flatten_joint(g, JOINT)[1])
                     for g in gans])
 
     def test_empty_batch(self):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from archsmith.archive import Individual
 from archsmith.errors import ValidationError
 from archsmith.genotype import (
-    AttributeVector,
     DepthKey,
     GanSpec,
     GenotypeConfig,
@@ -110,8 +109,7 @@ def enumerate_space(config):
         schema = joint_schema(config, key)
         for values in itertools.product(
                 *[range(c) for c in schema.cardinalities]):
-            av = AttributeVector(depth_key=key, values=values, schema=schema)
-            out.append(unflatten_joint(av, config))
+            out.append(unflatten_joint(key, values, config))
     return out
 
 
@@ -126,13 +124,13 @@ def is_one_op_apart(g, h, config):
     """Edit relation defined directly on genotype structure."""
     if gan_hash(g) == gan_hash(h):
         return False
-    a, b = flatten_joint(g, config), flatten_joint(h, config)
-    if a.depth_key == b.depth_key:
-        diff = [slot for slot, x, y in zip(a.schema.slots, a.values, b.values)
+    (gk, a), (hk, b) = flatten_joint(g, config), flatten_joint(h, config)
+    if gk == hk:
+        diff = [slot for slot, x, y in zip(joint_schema(config, gk).slots,
+                                           a, b)
                 if x != y]
         # layer kind is fixed at creation; only add/delete can change it
         return len(diff) == 1 and diff[0].attr != "kind"
-    gk, hk = DepthKey(*a.depth_key), DepthKey(*b.depth_key)
     if gk.d_g == hk.d_g and abs(gk.d_d - hk.d_d) == 1:
         if (g.generator, g.train_freq_bin) != (h.generator, h.train_freq_bin):
             return False
@@ -231,17 +229,12 @@ class TestOperators:
         rng = np.random.default_rng(9)
         for _ in range(10):
             gan = random_gan(rng, TINY)
-            av = flatten_joint(gan, TINY)
-            groups = neighbor_groups(DepthKey(*av.depth_key),
-                                     np.array(av.values), TINY)
+            key, values = flatten_joint(gan, TINY)
+            groups = neighbor_groups(key, np.array(values), TINY)
             got = set()
-            for key, rows in groups:
-                schema = joint_schema(TINY, key)
+            for group_key, rows in groups:
                 for row in rows:
-                    vec = AttributeVector(depth_key=key,
-                                          values=tuple(int(v) for v in row),
-                                          schema=schema)
-                    got.add(gan_hash(unflatten_joint(vec, TINY)))
+                    got.add(gan_hash(unflatten_joint(group_key, row, TINY)))
             expected = {gan_hash(h) for h in neighbors(gan, TINY)}
             assert got == expected
 
@@ -253,9 +246,8 @@ class TestOperators:
     def test_vector_groups_are_distinct_and_sorted(self, config, seed,
                                                    repeats):
         rng = np.random.default_rng(seed)
-        av = flatten_joint(random_gan(rng, config), config)
-        key = DepthKey(*av.depth_key)
-        values = np.array(av.values)
+        key, values = flatten_joint(random_gan(rng, config), config)
+        values = np.array(values)
         # Copy layer p onto layer p + 1 where asked: inserting next to
         # equal adjacent layers is where the rows need deduplication.
         layers = [(1 + 4 * p, 5 + 4 * p) for p in range(key.d_g - 1)]
@@ -264,9 +256,7 @@ class TestOperators:
         for (lo, hi), copy in zip(layers, repeats):
             if copy:
                 values[hi:hi + 4] = values[lo:hi]
-        gan = unflatten_joint(AttributeVector(
-            depth_key=key, values=tuple(int(v) for v in values),
-            schema=joint_schema(config, key)), config)
+        gan = unflatten_joint(key, values, config)
 
         groups = neighbor_groups(key, values, config)
         assert [k for k, _ in groups] == sorted(k for k, _ in groups)
