@@ -22,9 +22,9 @@ from .errors import FormatError, ValidationError, number, parse_field, string
 from .genotype import (
     GanSpec,
     GenotypeConfig,
-    LayerPool,
     _gan_json,
     _value_json,
+    gan_hash,
     sort_by_fitness,
     validate_gan,
 )
@@ -53,10 +53,10 @@ class Individual:
 
     @classmethod
     def from_json_obj(cls, obj: dict,
-                      pool: LayerPool | None = None) -> "Individual":
+                      config: GenotypeConfig | None = None) -> "Individual":
         what = "archive record"
         try:
-            return cls(gan=GanSpec.from_json_obj(obj["gan"], pool),
+            return cls(gan=GanSpec.from_json_obj(obj["gan"], config),
                        fitness=parse_field(obj, "fitness", number, what),
                        run_id=parse_field(obj, "run_id", string, what),
                        problem_id=parse_field(obj, "problem_id", string, what))
@@ -90,7 +90,8 @@ def _record_texts(individuals: Iterable[Individual]) -> Iterator[str]:
 
 def _ranked(individuals: Iterable[Individual]) -> list[Individual]:
     """Ascending fitness, ties broken by the canonical genotype hash."""
-    return sort_by_fitness(individuals, key=attrgetter("gan", "fitness"))
+    return sort_by_fitness(individuals, attrgetter("fitness"),
+                           lambda ind: gan_hash(ind.gan))
 
 
 @dataclass
@@ -158,14 +159,15 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
     A leading ``archive-v1`` header supplies the genotype configuration
     unless ``config`` overrides it.  Records whose genotypes fall outside
     the configured space are rejected and counted.  An archive with no
-    loadable runs at all is an error.  Equal layers of the loaded genotypes
-    are one shared object (``LayerPool``).
+    loadable runs at all is an error.  Each in-vocabulary layer of the
+    loaded genotypes is the layer table's object, so equal layers are one
+    shared object.
     """
     runs: dict[str, list[Individual]] = {}
     diagnostics: list[str] = []
     rejected = 0
     file_config = None
-    pool = LayerPool(config or GenotypeConfig.joint())
+    layer_config = config or GenotypeConfig.joint()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -182,10 +184,10 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                                       f"{ARCHIVE_FORMAT} header has no config")
                 file_config = GenotypeConfig.from_json_obj(obj["config"])
                 if config is None:
-                    pool = LayerPool(file_config)
+                    layer_config = file_config
                 continue
             try:
-                ind = Individual.from_json_obj(obj, pool)
+                ind = Individual.from_json_obj(obj, layer_config)
             except (FormatError, ValidationError) as exc:
                 diagnostics.append(f"line {lineno}: {exc}")
                 continue

@@ -15,7 +15,7 @@ import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
 from .errors import ValidationError, integer, number, parse_field
-from .genotype import GanSpec, random_gan
+from .genotype import DepthKey, random_gan, unflatten_joint
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
 from .search import (
@@ -183,6 +183,7 @@ class ArchiveGenConfig:
 def generate_archive(config: ArchiveGenConfig) -> RunArchive:
     """Run a seeded EA per (problem, run) and log every evaluation."""
     runs: dict[str, list[Individual]] = {}
+    gc = config.landscape.genotype
     for problem_seed in config.problem_seeds:
         land = make_landscape(problem_seed, config.landscape)
         problem_id = str(problem_seed)
@@ -192,20 +193,20 @@ def generate_archive(config: ArchiveGenConfig) -> RunArchive:
                 [config.base_seed, problem_seed, run_index])
             record: list[Individual] = []
 
-            def log(gan: GanSpec, fitness: float,
+            def log(key: DepthKey, row: tuple[int, ...], fitness: float,
                     _run_id=run_id, _record=record) -> None:
-                _record.append(Individual(gan=gan, fitness=fitness,
-                                          run_id=_run_id,
-                                          problem_id=problem_id))
+                _record.append(Individual(
+                    gan=unflatten_joint(key, row, gc), fitness=fitness,
+                    run_id=_run_id, problem_id=problem_id))
 
             population = init_population("random", config.population, land,
                                          rng)
-            for gan, fitness in population.members:
-                log(gan, fitness)
+            for member in population.members:
+                log(*member)
             simple_ea(land, population, config.generations, rng,
                       config=config.ea, on_evaluate=log)
             runs[run_id] = record
-    return RunArchive(runs=runs, config=config.landscape.genotype)
+    return RunArchive(runs=runs, config=gc)
 
 
 # ---------------------------------------------------------------------------

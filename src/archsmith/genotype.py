@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import FormatError, ValidationError, integer, parse_field
@@ -35,9 +35,6 @@ DISCRIMINATOR_KINDS = ("dense", "conv")
 MODE_JOINT = "joint"
 MODE_PER_NETWORK = "per_network"
 MODES = (MODE_JOINT, MODE_PER_NETWORK)
-
-# Layer attributes that ChangeLayer may rewrite; kind is add/delete-only.
-MUTABLE_LAYER_ATTRS = ("activation", "weight_init", "size_bin")
 
 
 class DepthKey(NamedTuple):
@@ -206,55 +203,15 @@ class DnnSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict,
-                      pool: LayerPool | None = None) -> "DnnSpec":
-        make = LayerSpec.from_json_obj if pool is None else pool.layer
+                      config: GenotypeConfig | None = None) -> "DnnSpec":
+        """The network of ``obj``; with ``config``, each layer inside its
+        vocabulary is the layer table's own object (``_vocabulary_layer``)."""
+        known = {} if config is None else _layers_by_fields(config)
         try:
-            layers = tuple(make(l) for l in obj["layers"])
+            layers = tuple(_vocabulary_layer(l, known) for l in obj["layers"])
             return cls(role=obj["role"], layers=layers)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad network record: {exc}") from exc
-
-
-class LayerPool:
-    """Shares equal ``LayerSpec``s among the genotypes parsed in one load.
-
-    A loaded archive repeats a few hundred distinct layers tens of thousands
-    of times; parsing through a pool keeps one object per distinct layer.
-    Only layers inside ``config``'s vocabulary enter the pool, keyed by
-    their parsed fields, so it never holds more than the vocabulary's
-    layers (225 for the joint default) whatever the input.  Any other layer
-    is parsed afresh by ``LayerSpec.from_json_obj``, with its usual errors,
-    and left for ``validate_gan`` to reject.
-    """
-
-    def __init__(self, config: GenotypeConfig) -> None:
-        # Tuples, not sets: a parsed field may be an unhashable JSON list.
-        self._kinds = config.generator_kinds + config.discriminator_kinds
-        self._activations = config.activations
-        self._weight_inits = config.weight_inits
-        self._arity = config.arity
-        self._layers: dict[tuple, LayerSpec] = {}
-
-    def layer(self, obj: dict) -> LayerSpec:
-        """The pooled layer equal to ``LayerSpec.from_json_obj(obj)``."""
-        try:
-            raw = (obj["kind"], obj["activation"], obj["weight_init"],
-                   obj["size_bin"])
-            # Only an int size bin is looked up raw: true compares equal to
-            # 1, yet the parse rejects it.
-            found = self._layers.get(raw) if type(raw[3]) is int else None
-        except (KeyError, TypeError):
-            found = None
-        if found is not None:
-            return found
-        layer = LayerSpec.from_json_obj(obj)
-        if (layer.kind in self._kinds and layer.activation in self._activations
-                and layer.weight_init in self._weight_inits
-                and 0 <= layer.size_bin < self._arity):
-            key = (layer.kind, layer.activation, layer.weight_init,
-                   layer.size_bin)
-            return self._layers.setdefault(key, layer)
-        return layer
 
 
 @dataclass(frozen=True)
@@ -279,7 +236,7 @@ class GanSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict,
-                      pool: LayerPool | None = None) -> "GanSpec":
+                      config: GenotypeConfig | None = None) -> "GanSpec":
         if not isinstance(obj, dict):
             raise FormatError(f"genotype record must be a JSON object, "
                               f"not {type(obj).__name__}")
@@ -288,9 +245,9 @@ class GanSpec:
             raise FormatError(f"unsupported genotype schema tag {version!r}")
         try:
             return cls(
-                generator=DnnSpec.from_json_obj(obj["generator"], pool),
+                generator=DnnSpec.from_json_obj(obj["generator"], config),
                 discriminator=DnnSpec.from_json_obj(obj["discriminator"],
-                                                    pool),
+                                                    config),
                 train_freq_bin=parse_field(obj, "train_freq_bin", integer,
                                            "genotype record"),
             )
@@ -315,25 +272,23 @@ def gan_hash(gan: GanSpec) -> str:
     return gan._sha256
 
 
-def sort_by_fitness(items: Iterable[_T],
-                    key: Callable[[_T], tuple[GanSpec, float]] | None = None
-                    ) -> list[_T]:
+def sort_by_fitness(items: Iterable[_T], fitness: Callable[[_T], float],
+                    digest: Callable[[_T], str]) -> list[_T]:
     """Items by ascending fitness, ties broken by the genotype hash.
 
-    ``key`` maps an item to its ``(gan, fitness)`` pair; by default each
-    item is that pair.  The result equals the stable
-    ``sorted(items, key=lambda m: (fitness, gan_hash(gan)))``: a stable sort
+    ``fitness`` and ``digest`` map an item to its fitness and to its
+    genotype's ``gan_hash``.  The result equals the stable
+    ``sorted(items, key=lambda m: (fitness(m), digest(m)))``: a stable sort
     on fitness leaves every run of equal fitness in input order, and only
-    those runs are re-sorted (stably) by hash, so a genotype is hashed only
-    when another item has exactly its fitness.
+    those runs are re-sorted (stably) by hash, so ``digest`` is called only
+    for an item that another item ties on fitness.
     """
-    pair = (lambda item: item) if key is None else key
-    ranked = sorted(items, key=lambda item: pair(item)[1])
+    ranked = sorted(items, key=fitness)
     result: list[_T] = []
-    for _, run in groupby(ranked, key=lambda item: pair(item)[1]):
+    for _, run in groupby(ranked, key=fitness):
         run = list(run)
         if len(run) > 1:
-            run.sort(key=lambda item: gan_hash(pair(item)[0]))
+            run.sort(key=digest)
         result.extend(run)
     return result
 
@@ -369,18 +324,76 @@ def validate_gan(gan: GanSpec, config: GenotypeConfig) -> None:
             f"train_freq_bin {gan.train_freq_bin} outside [0, {config.arity})")
 
 
+# ---------------------------------------------------------------------------
+# Layer table: the vocabulary's layers, listed once
+
+
+def _layer_radix(config: GenotypeConfig, role: str) -> tuple[int, int, int, int]:
+    """Cardinalities of a layer's (kind, activation, weight_init, size_bin)
+    indices; a layer's code is its indices read in this mixed radix."""
+    return (len(config.kinds(role)), len(config.activations),
+            len(config.weight_inits), config.arity)
+
+
+@lru_cache(maxsize=None)
+def _layers_by_fields(config: GenotypeConfig) -> dict[tuple, LayerSpec]:
+    """One object per layer of the vocabulary, of either role, keyed by
+    its fields (kind, activation, weight_init, size_bin)."""
+    kinds = dict.fromkeys(config.generator_kinds + config.discriminator_kinds)
+    return {fields: LayerSpec(*fields) for fields in product(
+        kinds, config.activations, config.weight_inits, range(config.arity))}
+
+
+@lru_cache(maxsize=None)
+def _layer_table(config: GenotypeConfig,
+                 role: str) -> tuple[LayerSpec, ...]:
+    """The layers ``role`` may hold, indexed by layer code.
+
+    Generated, unflattened and loaded genotypes all take their in-vocabulary
+    layers from ``_layers_by_fields``, so equal layers are one object.
+    """
+    known = _layers_by_fields(config)
+    return tuple(known[fields] for fields in product(
+        config.kinds(role), config.activations, config.weight_inits,
+        range(config.arity)))
+
+
+def _vocabulary_layer(obj: dict, known: dict[tuple, LayerSpec]) -> LayerSpec:
+    """``LayerSpec.from_json_obj(obj)``, as the object of ``known``
+    (``_layers_by_fields``) when the layer lies inside the vocabulary.
+
+    A layer outside it is parsed afresh, with the parse's usual errors, and
+    left for ``validate_gan`` to reject.
+    """
+    try:
+        fields = (obj["kind"], obj["activation"], obj["weight_init"],
+                  obj["size_bin"])
+        # Only an int size bin is looked up raw: true compares equal to
+        # 1, yet the parse rejects it.
+        found = known.get(fields) if type(fields[3]) is int else None
+    except (KeyError, TypeError):  # a missing or unhashable field
+        found = None
+    if found is not None:
+        return found
+    layer = LayerSpec.from_json_obj(obj)
+    try:
+        return known.get((layer.kind, layer.activation, layer.weight_init,
+                          layer.size_bin), layer)
+    except TypeError:
+        return layer
+
+
 def _random_network(rng, config: GenotypeConfig, role: str,
                     depth: int) -> DnnSpec:
-    kinds = config.kinds(role)
-    layers = tuple(
-        LayerSpec(kind=kinds[rng.integers(len(kinds))],
-                  activation=config.activations[
-                      rng.integers(len(config.activations))],
-                  weight_init=config.weight_inits[
-                      rng.integers(len(config.weight_inits))],
-                  size_bin=int(rng.integers(config.arity)))
-        for _ in range(depth))
-    return DnnSpec(role=role, layers=layers)
+    table = _layer_table(config, role)
+    radix = _layer_radix(config, role)
+    layers = []
+    for _ in range(depth):
+        code = 0
+        for card in radix:
+            code = code * card + int(rng.integers(card))
+        layers.append(table[code])
+    return DnnSpec(role=role, layers=tuple(layers))
 
 
 def random_gan(rng, config: GenotypeConfig,
@@ -482,11 +495,10 @@ def flatten_joint(gan: GanSpec,
 
 def _layers_from_values(config: GenotypeConfig, role: str,
                         values: Sequence[int]) -> tuple[LayerSpec, ...]:
-    kinds = config.kinds(role)
-    return tuple(LayerSpec(kind=kinds[values[offset]],
-                           activation=config.activations[values[offset + 1]],
-                           weight_init=config.weight_inits[values[offset + 2]],
-                           size_bin=values[offset + 3])
+    table = _layer_table(config, role)
+    _, n_act, n_init, arity = _layer_radix(config, role)
+    return tuple(table[((values[offset] * n_act + values[offset + 1]) * n_init
+                        + values[offset + 2]) * arity + values[offset + 3]]
                  for offset in range(0, len(values), 4))
 
 

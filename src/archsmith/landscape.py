@@ -23,17 +23,15 @@ from .errors import (
     integer,
     number,
     parse_field,
+    parse_value,
 )
 from .genotype import (
     DepthKey,
     GanSpec,
     GenotypeConfig,
-    LayerSpec,
-    DnnSpec,
-    ROLE_DISCRIMINATOR,
-    ROLE_GENERATOR,
     flatten_joint,
     joint_schema,
+    unflatten_joint,
 )
 
 LANDSCAPE_FORMAT = "land-v1"
@@ -206,25 +204,8 @@ class SurrogateLandscape:
                          for s in schema.slots], dtype=np.int64)
 
     def planted_gan(self, key: DepthKey) -> GanSpec:
-        key = DepthKey(*key)
-        gc = self.config.genotype
-
-        def build(role: str, section: str, depth: int) -> DnnSpec:
-            kinds = gc.kinds(role)
-            layers = []
-            for layer in range(depth):
-                val = lambda attr: self._planted[(section, layer, attr)]
-                layers.append(LayerSpec(
-                    kind=kinds[val("kind")],
-                    activation=gc.activations[val("activation")],
-                    weight_init=gc.weight_inits[val("weight_init")],
-                    size_bin=val("size_bin")))
-            return DnnSpec(role=role, layers=tuple(layers))
-
-        return GanSpec(
-            generator=build(ROLE_GENERATOR, "generator", key.d_g),
-            discriminator=build(ROLE_DISCRIMINATOR, "discriminator", key.d_d),
-            train_freq_bin=self._planted[("global", -1, "train_freq")])
+        return unflatten_joint(key, self.planted_values(key),
+                               self.config.genotype)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -394,24 +375,36 @@ def landscape_to_json_obj(land: SurrogateLandscape) -> dict:
 
 
 def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
+    what = f"{LANDSCAPE_FORMAT} document"
     if not isinstance(obj, dict) or obj.get("format") != LANDSCAPE_FORMAT:
-        raise FormatError(f"expected a {LANDSCAPE_FORMAT} document")
+        raise FormatError(f"expected a {what}")
+
+    def slot_values(name: str) -> dict[Position, int]:
+        return {_position_from_str(t): parse_value(
+                    v, integer, f"{what}: {name} value {t!r}")
+                for t, v in obj[name].items()}
+
     try:
         config = LandscapeConfig.from_json_obj(obj["config"])
+        target_key = DepthKey(*(parse_value(d, integer,
+                                            f"{what}: target_key entry")
+                                for d in obj["target_key"]))
+        if target_key not in config.genotype.depth_keys():
+            raise FormatError(f"bad {what}: target_key {list(target_key)} "
+                              f"is not a depth key of its genotype config")
         pairs = tuple((_position_from_str(a), _position_from_str(b))
                       for a, b in obj["pairs"])
         base = {}
         for text, value in obj["base"].items():
             d_g, d_d = text.split(",")
-            base[DepthKey(int(d_g), int(d_d))] = float(value)
+            base[DepthKey(int(d_g), int(d_d))] = parse_value(
+                value, number, f"{what}: base value {text!r}")
         return SurrogateLandscape(
-            seed=int(obj["seed"]),
+            seed=parse_field(obj, "seed", integer, what),
             config=config,
-            target_key=DepthKey(*obj["target_key"]),
-            master={_position_from_str(t): int(v)
-                    for t, v in obj["master"].items()},
-            planted={_position_from_str(t): int(v)
-                     for t, v in obj["planted"].items()},
+            target_key=target_key,
+            master=slot_values("master"),
+            planted=slot_values("planted"),
             unary={_position_from_str(t): np.array(v, dtype=float)
                    for t, v in obj["unary"].items()},
             pairs=pairs,
@@ -419,7 +412,7 @@ def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
                       for pair, table in zip(pairs, obj["pairwise"])},
             base=base)
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad {LANDSCAPE_FORMAT} document: {exc}") from exc
+        raise FormatError(f"bad {what}: {exc}") from exc
 
 
 def save_landscape(land: SurrogateLandscape, path) -> None:

@@ -1,38 +1,36 @@
-"""Mutation operators, hill climbing and a minimal evolutionary loop.
+"""Mutation, hill climbing and a minimal evolutionary loop.
 
-Search minimizes landscape fitness over genotypes.  Neighborhoods are the
-distinct results of one mutation operator application; random hill climbing
-draws neighbors uniformly while guided hill climbing ranks them by the
-metamodel's normalized score.  All procedures are deterministic given their
-generator.
+Search minimizes landscape fitness over genotypes, held as ``(DepthKey,
+row)`` pairs.  Neighborhoods are the distinct results of one mutation move;
+random hill climbing draws neighbors uniformly while guided hill climbing
+ranks them by the metamodel's normalized score.  All procedures are
+deterministic given their generator.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .genotype import (
     DepthKey,
-    DnnSpec,
     GanSpec,
     GenotypeConfig,
-    LayerSpec,
-    MUTABLE_LAYER_ATTRS,
     ROLE_DISCRIMINATOR,
     ROLE_GENERATOR,
+    _layer_radix,
     flatten_joint,
     gan_hash,
     joint_schema,
     random_gan,
     sort_by_fitness,
     unflatten_joint,
-    validate_gan,
 )
 from .landscape import SurrogateLandscape
 from .metamodel import Metamodel
@@ -44,136 +42,17 @@ STRATEGIES = (STRATEGY_RANDOM, STRATEGY_FROM_FIRST, STRATEGY_FROM_METAMODEL)
 
 
 # ---------------------------------------------------------------------------
-# Mutation operators
-
-
-@dataclass(frozen=True)
-class AddLayer:
-    role: str
-    position: int
-    layer: LayerSpec
-
-
-@dataclass(frozen=True)
-class DeleteLayer:
-    role: str
-    position: int
-
-
-@dataclass(frozen=True)
-class ChangeLayer:
-    """Set one mutable attribute of one layer to a new vocabulary index."""
-
-    role: str
-    position: int
-    attr: str
-    value: int
-
-
-@dataclass(frozen=True)
-class ChangeTrainFreq:
-    value: int
-
-
-MutationOp = Union[AddLayer, DeleteLayer, ChangeLayer, ChangeTrainFreq]
-
-
-@lru_cache(maxsize=None)
-def _layer_variants(config: GenotypeConfig,
-                    role: str) -> tuple[LayerSpec, ...]:
-    return tuple(LayerSpec(kind=k, activation=a, weight_init=w, size_bin=s)
-                 for k in config.kinds(role)
-                 for a in config.activations
-                 for w in config.weight_inits
-                 for s in range(config.arity))
-
-
-def _attr_index(config: GenotypeConfig, layer: LayerSpec, attr: str) -> int:
-    if attr == "activation":
-        return config.activations.index(layer.activation)
-    if attr == "weight_init":
-        return config.weight_inits.index(layer.weight_init)
-    if attr == "size_bin":
-        return layer.size_bin
-    raise ValidationError(f"unknown mutable attribute {attr!r}")
-
-
-def _attr_cardinality(config: GenotypeConfig, attr: str) -> int:
-    return {"activation": len(config.activations),
-            "weight_init": len(config.weight_inits),
-            "size_bin": config.arity}[attr]
-
-
-def _net_of(gan: GanSpec, role: str) -> DnnSpec:
-    return gan.generator if role == ROLE_GENERATOR else gan.discriminator
-
-
-def _with_net(gan: GanSpec, role: str, net: DnnSpec) -> GanSpec:
-    if role == ROLE_GENERATOR:
-        return replace(gan, generator=net)
-    return replace(gan, discriminator=net)
-
-
-def apply_op(gan: GanSpec, op: MutationOp,
-             config: GenotypeConfig) -> GanSpec:
-    """Apply one operator; the result is validated against the bounds."""
-    if isinstance(op, ChangeTrainFreq):
-        result = replace(gan, train_freq_bin=op.value)
-    elif isinstance(op, AddLayer):
-        net = _net_of(gan, op.role)
-        if not 0 <= op.position <= net.depth:
-            raise ValidationError(f"bad insert position {op.position}")
-        layers = (net.layers[:op.position] + (op.layer,)
-                  + net.layers[op.position:])
-        result = _with_net(gan, op.role, replace(net, layers=layers))
-    elif isinstance(op, DeleteLayer):
-        net = _net_of(gan, op.role)
-        if net.depth <= 1:
-            raise ValidationError("cannot delete the last layer")
-        if not 0 <= op.position < net.depth:
-            raise ValidationError(f"bad delete position {op.position}")
-        layers = net.layers[:op.position] + net.layers[op.position + 1:]
-        result = _with_net(gan, op.role, replace(net, layers=layers))
-    elif isinstance(op, ChangeLayer):
-        net = _net_of(gan, op.role)
-        if not 0 <= op.position < net.depth:
-            raise ValidationError(f"bad layer position {op.position}")
-        layer = net.layers[op.position]
-        if op.attr == "activation":
-            layer = replace(layer, activation=config.activations[op.value])
-        elif op.attr == "weight_init":
-            layer = replace(layer, weight_init=config.weight_inits[op.value])
-        elif op.attr == "size_bin":
-            layer = replace(layer, size_bin=op.value)
-        else:
-            raise ValidationError(f"unknown mutable attribute {op.attr!r}")
-        layers = (net.layers[:op.position] + (layer,)
-                  + net.layers[op.position + 1:])
-        result = _with_net(gan, op.role, replace(net, layers=layers))
-    else:
-        raise ValidationError(f"unknown operator {op!r}")
-    validate_gan(result, config)
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Vectorized neighborhoods (for scoring and evaluation in bulk)
 
 
 @lru_cache(maxsize=None)
 def _layer_blocks(config: GenotypeConfig, role: str) -> np.ndarray:
-    """Every layer of ``role`` as a (kind, activation, init, size) row.
-
-    Rows are in lexicographic order, so a layer's row index is its
-    mixed-radix code.  The array is shared, hence read-only.
+    """Row c is the (kind, activation, init, size) indices of layer code c,
+    the layer ``genotype._layer_table`` lists at c; so the rows are in
+    lexicographic order.  The array is shared, hence read-only.
     """
-    kinds = config.kinds(role)
-    blocks = [(k, a, w, s)
-              for k in range(len(kinds))
-              for a in range(len(config.activations))
-              for w in range(len(config.weight_inits))
-              for s in range(config.arity)]
-    out = np.array(blocks, dtype=np.int64)
+    radix = _layer_radix(config, role)
+    out = np.indices(radix, dtype=np.int64).reshape(len(radix), -1).T
     out.flags.writeable = False
     return out
 
@@ -182,11 +61,11 @@ def neighbor_groups(key: DepthKey, values: np.ndarray,
                     config: GenotypeConfig) -> list[tuple[DepthKey, np.ndarray]]:
     """One-mutation neighbors as per-depth-key int64 row matrices.
 
-    Equivalent to applying every ``legal_ops`` operator to the unflattened
-    genotype: rows are distinct and the incumbent itself is excluded.  Groups come back sorted by key;
-    the change group lists slots in schema order and values ascending, and
-    every grow and shrink group is in strictly ascending lexicographic row
-    order.
+    Every genotype one ``mutate`` move away (any kind, any parameters):
+    rows are distinct and the incumbent itself is excluded.  Groups come
+    back sorted by key; the change group lists slots in schema order and
+    values ascending, and every grow and shrink group is in strictly
+    ascending lexicographic row order.
 
     No sort is needed for that order.  Inserting block B at position p
     gives the same row as inserting it at p + 1 exactly when B equals layer
@@ -239,8 +118,7 @@ def _grow_rows(values: np.ndarray, depth: int, offset: int,
     The network's ``depth`` layers start at column ``offset`` of ``values``.
     """
     blocks = _layer_blocks(config, role)
-    radix = (len(config.kinds(role)), len(config.activations),
-             len(config.weight_inits), config.arity)
+    radix = _layer_radix(config, role)
     layers = values[offset:offset + 4 * depth].reshape(depth, 4)
     codes = np.ravel_multi_index(layers.T, radix).tolist()
     runs = ([(p, 0, codes[p]) for p in range(depth)]
@@ -323,7 +201,8 @@ def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
 
     ``visits(key, values)`` gives the neighbors of the incumbent row, as
     ``(key, row)`` pairs in the order they are to be evaluated; it is asked
-    again after every accepted move.  The start is evaluated at step 0
+    again after every accepted move, except one on the budget's last step,
+    whose neighbors no step would visit.  The start is evaluated at step 0
     outside the budget, and the trace holds exactly ``budget`` steps: when
     ``visits`` runs out, the rest are padding flagged exhausted.
     """
@@ -350,7 +229,8 @@ def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
         digest = gan_hash(unflatten_joint(cand_key, cand_row, config))
         if accepted:
             best = fitness
-            candidates = visits(cand_key, cand_row)
+            if step < budget:
+                candidates = visits(cand_key, cand_row)
         trace.steps.append(TraceStep(step=step, gan_hash=digest,
                                      fitness=fitness, accepted=accepted,
                                      best=best))
@@ -412,9 +292,9 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
 
 @dataclass
 class Population:
-    """Fixed-size list of evaluated genotypes."""
+    """Fixed-size list of evaluated genotypes, as (key, row, fitness)."""
 
-    members: list[tuple[GanSpec, float]]
+    members: list[tuple[DepthKey, tuple[int, ...], float]]
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -426,7 +306,7 @@ class Population:
 
     @property
     def best_fitness(self) -> float:
-        return min(f for _, f in self.members)
+        return min(f for _, _, f in self.members)
 
 
 @dataclass(frozen=True)
@@ -479,75 +359,103 @@ def init_population(strategy: str, size: int,
         gans = metamodel.sample_many(rng, size)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    return Population([(gan, landscape.evaluate(gan)) for gan in gans])
+    members = []
+    for gan in gans:
+        fitness = landscape.evaluate(gan)
+        members.append((*flatten_joint(gan, config), fitness))
+    return Population(members)
 
 
-def _tournament(population: Population, rng: np.random.Generator,
-                k: int) -> GanSpec:
+def _ranked(members, config: GenotypeConfig) -> list:
+    """``(key, row, fitness)`` members by ascending fitness, ties broken by
+    the hash of the genotype, built only for tied rows."""
+    return sort_by_fitness(
+        members, itemgetter(2),
+        lambda m: gan_hash(unflatten_joint(m[0], m[1], config)))
+
+
+def _tournament(population: Population, rng: np.random.Generator, k: int,
+                config: GenotypeConfig) -> tuple[DepthKey, tuple[int, ...]]:
     picks = rng.choice(population.size, size=min(k, population.size),
                        replace=False)
-    return sort_by_fitness(population.members[int(i)] for i in picks)[0][0]
+    key, row, _ = _ranked([population.members[int(i)] for i in picks],
+                          config)[0]
+    return key, row
 
 
-def _crossover(a: GanSpec, b: GanSpec) -> tuple[GanSpec, GanSpec]:
-    # Swap whole networks; train frequency travels with the generator.
-    return (GanSpec(generator=a.generator, discriminator=b.discriminator,
-                    train_freq_bin=a.train_freq_bin),
-            GanSpec(generator=b.generator, discriminator=a.discriminator,
-                    train_freq_bin=b.train_freq_bin))
+def _crossover(a: tuple[DepthKey, tuple[int, ...]],
+               b: tuple[DepthKey, tuple[int, ...]]):
+    """Swap whole networks; train frequency travels with the generator."""
+    (key_a, row_a), (key_b, row_b) = a, b
+    cut_a, cut_b = 1 + 4 * key_a.d_g, 1 + 4 * key_b.d_g
+    return ((DepthKey(key_a.d_g, key_b.d_d), row_a[:cut_a] + row_b[cut_b:]),
+            (DepthKey(key_b.d_g, key_a.d_d), row_b[:cut_b] + row_a[cut_a:]))
 
 
-def mutate(gan: GanSpec, config: GenotypeConfig,
-           rng: np.random.Generator) -> GanSpec:
-    """One random operator: uniform over applicable kinds, then parameters."""
+def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
+           rng: np.random.Generator) -> tuple[DepthKey, tuple[int, ...]]:
+    """One random move: uniform over the kinds the depths allow, then its
+    parameters.
+
+    The kinds are change (one layer's activation, weight init or size
+    bin), train_freq, add (a layer of the vocabulary, inserted) and delete
+    (one layer).  A change or train_freq shift is uniform over the other
+    values of its slot.  Returns the new genotype's key and row.
+    """
+    key = DepthKey(*key)
+    values = list(row)
+    depths = {ROLE_GENERATOR: key.d_g, ROLE_DISCRIMINATOR: key.d_d}
+    offsets = {ROLE_GENERATOR: 1, ROLE_DISCRIMINATOR: 1 + 4 * key.d_g}
     kinds = ["change", "train_freq"]
-    if (gan.generator.depth < config.generator_depth_max
-            or gan.discriminator.depth < config.discriminator_depth_max):
+    if any(depths[r] < config.depth_max(r) for r in depths):
         kinds.append("add")
-    if gan.generator.depth > 1 or gan.discriminator.depth > 1:
+    if any(d > 1 for d in depths.values()):
         kinds.append("delete")
     kind = kinds[int(rng.integers(len(kinds)))]
     if kind == "train_freq":
         shift = int(rng.integers(1, config.arity)) if config.arity > 1 else 0
-        op: MutationOp = ChangeTrainFreq(
-            (gan.train_freq_bin + shift) % config.arity)
-    elif kind == "add":
-        roles = [r for r, net in ((ROLE_GENERATOR, gan.generator),
-                                  (ROLE_DISCRIMINATOR, gan.discriminator))
-                 if net.depth < config.depth_max(r)]
-        role = roles[int(rng.integers(len(roles)))]
-        net = _net_of(gan, role)
-        variants = _layer_variants(config, role)
-        op = AddLayer(role, int(rng.integers(net.depth + 1)),
-                      variants[int(rng.integers(len(variants)))])
+        values[0] = (values[0] + shift) % config.arity
+        return key, tuple(values)
+    if kind == "add":
+        roles = [r for r in depths if depths[r] < config.depth_max(r)]
+        grow = 1
     elif kind == "delete":
-        roles = [r for r, net in ((ROLE_GENERATOR, gan.generator),
-                                  (ROLE_DISCRIMINATOR, gan.discriminator))
-                 if net.depth > 1]
-        role = roles[int(rng.integers(len(roles)))]
-        op = DeleteLayer(role, int(rng.integers(_net_of(gan, role).depth)))
+        roles = [r for r in depths if depths[r] > 1]
+        grow = -1
     else:
-        role = (ROLE_GENERATOR, ROLE_DISCRIMINATOR)[int(rng.integers(2))]
-        net = _net_of(gan, role)
-        position = int(rng.integers(net.depth))
-        attr = MUTABLE_LAYER_ATTRS[int(rng.integers(len(MUTABLE_LAYER_ATTRS)))]
-        card = _attr_cardinality(config, attr)
-        current = _attr_index(config, net.layers[position], attr)
+        roles = [ROLE_GENERATOR, ROLE_DISCRIMINATOR]
+        grow = 0
+    role = roles[int(rng.integers(len(roles)))]
+    depth = depths[role]
+    position = int(rng.integers(depth + 1 if grow > 0 else depth))
+    cut = offsets[role] + 4 * position
+    if grow > 0:
+        blocks = _layer_blocks(config, role)
+        values[cut:cut] = blocks[int(rng.integers(len(blocks)))].tolist()
+    elif grow < 0:
+        del values[cut:cut + 4]
+    else:
+        attr = int(rng.integers(3))
+        card = _layer_radix(config, role)[1 + attr]
         shift = int(rng.integers(1, card)) if card > 1 else 0
-        op = ChangeLayer(role, position, attr, (current + shift) % card)
-    return apply_op(gan, op, config)
+        values[cut + 1 + attr] = (values[cut + 1 + attr] + shift) % card
+    if role == ROLE_GENERATOR:
+        key = DepthKey(key.d_g + grow, key.d_d)
+    else:
+        key = DepthKey(key.d_g, key.d_d + grow)
+    return key, tuple(values)
 
 
 def simple_ea(landscape: SurrogateLandscape, population: Population,
               generations: int, rng: np.random.Generator,
               config: EaConfig = EaConfig(),
               on_evaluate=None) -> EaResult:
-    """Tournament EA with whole-network crossover and single-op mutation.
+    """Tournament EA with whole-network crossover and single-move mutation.
 
     The incoming population is generation 0; each later generation
     evaluates (size − elitism) fresh offspring and carries the elite over
     unevaluated, so total evaluations stay predictable.  ``on_evaluate``
-    is called with (gan, fitness) for every fresh evaluation.
+    is called with (key, row, fitness) for every fresh evaluation.
     """
     if generations < 1:
         raise ValidationError("generations must be >= 1")
@@ -558,26 +466,27 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     trace = [population.best_fitness]
     evaluations = 0
     for _ in range(generations):
-        offspring: list[tuple[GanSpec, float]] = []
+        offspring: list[tuple[DepthKey, tuple[int, ...], float]] = []
         need = size - config.elitism
         while len(offspring) < need:
-            parent_a = _tournament(population, rng, config.tournament_size)
-            parent_b = _tournament(population, rng, config.tournament_size)
+            parent_a = _tournament(population, rng, config.tournament_size, gc)
+            parent_b = _tournament(population, rng, config.tournament_size, gc)
             if rng.random() < config.crossover_rate:
-                child_a, child_b = _crossover(parent_a, parent_b)
+                children = _crossover(parent_a, parent_b)
             else:
-                child_a, child_b = parent_a, parent_b
-            for child in (child_a, child_b):
+                children = (parent_a, parent_b)
+            for key, row in children:
                 if len(offspring) >= need:
                     break
                 if rng.random() < config.mutation_rate:
-                    child = mutate(child, gc, rng)
-                fitness = landscape.evaluate(child)
+                    key, row = mutate(key, row, gc, rng)
+                fitness = float(landscape.evaluate_values(
+                    key, np.array([row], dtype=np.int64))[0])
                 if on_evaluate is not None:
-                    on_evaluate(child, fitness)
-                offspring.append((child, fitness))
+                    on_evaluate(key, row, fitness)
+                offspring.append((key, row, fitness))
                 evaluations += 1
-        elite = sort_by_fitness(population.members)[:config.elitism]
+        elite = _ranked(population.members, gc)[:config.elitism]
         population = Population(elite + offspring)
         trace.append(population.best_fitness)
     return EaResult(best_per_generation=trace, population=population,

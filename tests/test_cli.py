@@ -577,6 +577,37 @@ class TestSearch:
                      "--algorithm", "guided", "--budget", "5",
                      "--out", str(tmp_path / "t.csv")]) == 1
 
+    @pytest.mark.parametrize("field,edit", [
+        ("seed", lambda doc: doc.update(seed=3.7)),
+        ("seed", lambda doc: doc.update(seed=True)),
+        ("target_key", lambda doc: doc.update(target_key=[1.5, "x"])),
+        ("target_key", lambda doc: doc.update(target_key=[2, True])),
+        ("target_key", lambda doc: doc.update(target_key=[3, 1])),
+        ("master", lambda doc: doc["master"].update({"global:-1:train_freq":
+                                                     1.5})),
+        ("planted", lambda doc: doc["planted"].update({"global:-1:train_freq":
+                                                       "1"})),
+        ("base", lambda doc: doc["base"].update({"1,1": "1.5"})),
+    ], ids=["seed-float", "seed-bool", "target_key-float", "target_key-bool",
+            "target_key-unknown", "master-float", "planted-string",
+            "base-string"])
+    def test_malformed_landscape_file_rejected(self, field, edit, tmp_path,
+                                               capsys):
+        land_path = tmp_path / "land.json"
+        save_landscape(make_landscape(12, LAND), land_path)
+        doc = json.loads(land_path.read_text())
+        edit(doc)
+        land_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["search", "--landscape", str(land_path),
+                     "--algorithm", "random", "--budget", "3",
+                     "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert field in err[0]
+        assert not (tmp_path / "t.csv").exists()
+
     def test_landscape_source_required(self, tmp_path):
         assert main(["search", "--algorithm", "random",
                      "--out", str(tmp_path / "t.csv")]) == 1

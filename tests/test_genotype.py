@@ -14,8 +14,9 @@ from archsmith.genotype import (
     DnnSpec,
     GanSpec,
     GenotypeConfig,
-    LayerPool,
     LayerSpec,
+    _layer_table,
+    _layers_by_fields,
     canonical_json,
     dump_genotypes,
     flatten_joint,
@@ -252,18 +253,18 @@ class TestSortByFitness:
         # comparison also checks stability.
         items = [(self.POOL[g], f, tag) for tag, (g, f) in enumerate(draws)]
         want = sorted(items, key=lambda m: (m[1], gan_hash(m[0])))
-        got = sort_by_fitness(items, key=lambda m: (m[0], m[1]))
+        got = sort_by_fitness(items, lambda m: m[1], lambda m: gan_hash(m[0]))
         assert [m[2] for m in got] == [m[2] for m in want]
         pairs = [(gan, f) for gan, f, _ in items]
-        assert sort_by_fitness(pairs) == [(gan, f) for gan, f, _ in want]
+        assert sort_by_fitness(pairs, lambda m: m[1],
+                               lambda m: gan_hash(m[0])) == [
+            (gan, f) for gan, f, _ in want]
 
-    def test_hashes_only_ties(self, monkeypatch):
-        import archsmith.genotype as genotype
+    def test_hashes_only_ties(self):
         calls = []
-        monkeypatch.setattr(genotype, "gan_hash",
-                            lambda gan: calls.append(gan) or "")
         pairs = [(gan, float(i)) for i, gan in enumerate(self.POOL)]
-        sort_by_fitness(pairs + [(self.POOL[0], 0.0)])
+        sort_by_fitness(pairs + [(self.POOL[0], 0.0)], lambda m: m[1],
+                        lambda m: calls.append(m[0]) or "")
         assert calls == [self.POOL[0], self.POOL[0]]
 
 
@@ -306,41 +307,50 @@ class TestGanHashCache:
         assert dataclasses.asdict(gan) == dataclasses.asdict(twin)
 
 
+def parse_layer(obj, config=JOINT):
+    """One layer record parsed as ``load_archive`` parses it."""
+    return DnnSpec.from_json_obj({"role": "generator", "layers": [obj]},
+                                 config).layers[0]
+
+
 class TestLayerPool:
+    """Parsed layers inside the vocabulary come from one shared pool, the
+    layer table's objects (``_layers_by_fields``)."""
+
     def test_equal_layers_are_one_object(self):
-        pool = LayerPool(JOINT)
         obj = make_layer(JOINT.generator_kinds, 3).to_json_obj()
-        first = pool.layer(obj)
+        first = parse_layer(obj)
         assert first == LayerSpec.from_json_obj(obj)
-        assert pool.layer(dict(obj)) is first
+        assert parse_layer(dict(obj)) is first
         # An integral float parses to the same layer.  A string or a
         # boolean size bin is rejected, even though "3" is the text of the
-        # pooled size bin 3 and true compares equal to the pooled 1.
-        assert pool.layer(dict(obj, size_bin=3.0)) is first
-        pool.layer(dict(obj, size_bin=1))
+        # shared size bin 3 and true compares equal to the shared 1.
+        assert parse_layer(dict(obj, size_bin=3.0)) is first
+        parse_layer(dict(obj, size_bin=1))
         for bad in ("3", True):
             with pytest.raises(FormatError, match="size_bin"):
-                pool.layer(dict(obj, size_bin=bad))
+                parse_layer(dict(obj, size_bin=bad))
 
     def test_holds_at_most_the_vocabulary(self):
-        pool = LayerPool(JOINT)
         kinds = sorted(set(JOINT.generator_kinds + JOINT.discriminator_kinds))
         legal = [dict(kind=k, activation=a, weight_init=w, size_bin=b)
                  for k, a, w, b in itertools.product(
                      kinds, JOINT.activations, JOINT.weight_inits,
                      range(JOINT.arity))]
-        pooled = {id(pool.layer(dict(obj, size_bin=spelling(obj["size_bin"]))))
+        shared = {id(parse_layer(dict(obj, size_bin=spelling(obj["size_bin"]))))
                   for obj in legal
                   for spelling in (int, float)}
-        assert len(pooled) == len(legal) == 225
-        # Layers outside the vocabulary are parsed but never pooled.
+        assert len(shared) == len(legal) == 225
+        # Layers outside the vocabulary are parsed but never shared.
         for i in range(3):
             for bad in (dict(legal[0], activation=f"act{i}"),
                         dict(legal[0], size_bin=JOINT.arity + i),
                         dict(legal[0], kind=["dense"])):
-                assert pool.layer(bad) == LayerSpec.from_json_obj(bad)
-                assert pool.layer(bad) is not pool.layer(bad)
-        assert len(pool._layers) == 225
+                assert parse_layer(bad) == LayerSpec.from_json_obj(bad)
+                assert parse_layer(bad) is not parse_layer(bad)
+        assert len(_layers_by_fields(JOINT)) == 225
+        assert shared == {id(layer) for layer in
+                          _layers_by_fields(JOINT).values()}
 
     @pytest.mark.parametrize("bad", [
         {"kind": "dense", "activation": "relu", "weight_init": "xavier"},
@@ -353,5 +363,27 @@ class TestLayerPool:
         with pytest.raises(FormatError) as want:
             LayerSpec.from_json_obj(bad)
         with pytest.raises(FormatError) as got:
-            LayerPool(JOINT).layer(bad)
+            parse_layer(bad)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("config", [JOINT, PER_NET])
+    def test_generated_and_loaded_layers_are_the_table_s(self, config):
+        rng = np.random.default_rng(0)
+        tables = {role: _layer_table(config, role)
+                  for role in ("generator", "discriminator")}
+        for _ in range(20):
+            gan = random_gan(rng, config)
+            key, values = flatten_joint(gan, config)
+            for copy in (gan, unflatten_joint(key, values, config),
+                         GanSpec.from_json_obj(gan.to_json_obj(), config)):
+                for net in (copy.generator, copy.discriminator):
+                    ids = {id(layer) for layer in tables[net.role]}
+                    assert all(id(layer) in ids for layer in net.layers)
+        # Code order: the table lists the layers by (kind, activation,
+        # weight_init, size_bin) index, lexicographically.
+        table = tables["discriminator"]
+        assert table == tuple(sorted(table, key=lambda layer: (
+            config.discriminator_kinds.index(layer.kind),
+            config.activations.index(layer.activation),
+            config.weight_inits.index(layer.weight_init), layer.size_bin)))
+        assert len(set(table)) == len(table) == 2 * 5 * 3 * 5

@@ -4,7 +4,9 @@ The runs use acceptance criterion 8's reduced scale (``SMALL_LAND``):
 ``gen-archive`` plus the four experiments through the CLI, and one
 per-network ``gen-archive`` plus ``guided-search`` at the same scale, whose
 per-step genotype hashes are digested too (``steps.csv`` carries fitness
-only).  On both archives the ``learn``, ``sample`` and ``score`` commands
+only).  One more ``gen-archive`` plus ``initialization`` at the same scale
+runs in the default joint space (``DEFAULT_LAND``), whose arity and
+vocabularies reach every mutation kind.  On the first two archives the ``learn``, ``sample`` and ``score`` commands
 run as well (the archive and the sampled genotypes are both scored), and
 the saved uniform metamodel of each genotype mode is digested.  A change
 to any digest is a behaviour change: it needs a reason in ``CHANGES.md``
@@ -52,8 +54,15 @@ EXPERIMENTS = {
                       "n": 3},
 }
 PN_GUIDED = {"target_seed": 61, "replicates": 3, "budget": 12, "n": 3}
+DEFAULT_LAND = LandscapeConfig(genotype=GenotypeConfig.joint(), family_seed=7)
 
 GOLDEN = {
+    "default/archive.jsonl":
+        "650773cf3a990fa42933c36169dad88b82b04df8b63db9e4d83568c25a5820ce",
+    "default/initialization/generations.csv":
+        "f57b08451904101263352c5ca6aeef8bf7a5d1dffe64c75c073225234828ef0d",
+    "default/initialization/summary.json":
+        "95d18a12b5103763479ffd65819e88e6ee2e0afae7fc37ccc5869bcb68efc01b",
     "joint/archive.jsonl":
         "1f4ff4bef38ffacf9fee02cce5f6c37054f638fd602908bf7a7daa7c157dff9f",
     "joint/cli/model.json":
@@ -120,9 +129,11 @@ def _run(*argv) -> None:
 def compute_digests(workdir: Path) -> dict[str, str]:
     """sha256 of every artifact, keyed ``<run>/<file name>``."""
     out: dict[str, str] = {}
-    runs = (("joint", SMALL_LAND, EXPERIMENTS),
-            ("per-network", SMALL_PN_LAND, {"guided-search": PN_GUIDED}))
-    for label, land, experiments in runs:
+    runs = (("joint", SMALL_LAND, EXPERIMENTS, True),
+            ("per-network", SMALL_PN_LAND, {"guided-search": PN_GUIDED}, True),
+            ("default", DEFAULT_LAND,
+             {"initialization": EXPERIMENTS["initialization"]}, False))
+    for label, land, experiments, with_cli in runs:
         land_obj = land.to_json_obj()
         archive = workdir / f"{label}-archive.jsonl"
         _run("gen-archive", "--config",
@@ -130,22 +141,24 @@ def compute_digests(workdir: Path) -> dict[str, str]:
                          {"landscape": land_obj, **GEN}),
              "--out", archive)
         out[f"{label}/archive.jsonl"] = _sha256(archive.read_bytes())
-        cli = {name: workdir / f"{label}-{name}" for name in
+        cli = {} if not with_cli else {name: workdir / f"{label}-{name}" for name in
                ("model.json", "samples.jsonl", "score-archive.csv",
                 "score-samples.csv")}
-        _run("learn", "--archive", archive, "--n", 3, "--seed", 0,
-             "--out", cli["model.json"])
-        _run("sample", "--model", cli["model.json"], "--n", 50,
-             "--out", cli["samples.jsonl"])
-        for scored, genotypes in (("archive", archive),
-                                  ("samples", cli["samples.jsonl"])):
-            _run("score", "--model", cli["model.json"], "--genotypes",
-                 genotypes, "--out", cli[f"score-{scored}.csv"])
-        for name, path in cli.items():
-            out[f"{label}/cli/{name}"] = _sha256(path.read_bytes())
-        uniform = workdir / f"{label}-uniform.json"
-        save_metamodel(Metamodel.uniform(LearnConfig(land.genotype)), uniform)
-        out[f"{label}/uniform.json"] = _sha256(uniform.read_bytes())
+        if with_cli:
+            _run("learn", "--archive", archive, "--n", 3, "--seed", 0,
+                 "--out", cli["model.json"])
+            _run("sample", "--model", cli["model.json"], "--n", 50,
+                 "--out", cli["samples.jsonl"])
+            for scored, genotypes in (("archive", archive),
+                                      ("samples", cli["samples.jsonl"])):
+                _run("score", "--model", cli["model.json"], "--genotypes",
+                     genotypes, "--out", cli[f"score-{scored}.csv"])
+            for name, path in cli.items():
+                out[f"{label}/cli/{name}"] = _sha256(path.read_bytes())
+            uniform = workdir / f"{label}-uniform.json"
+            save_metamodel(Metamodel.uniform(LearnConfig(land.genotype)),
+                           uniform)
+            out[f"{label}/uniform.json"] = _sha256(uniform.read_bytes())
         for exp_id, obj in experiments.items():
             out_dir = workdir / f"{label}-{exp_id}"
             _run("experiment", "--id", exp_id, "--archive", archive,

@@ -1,20 +1,32 @@
-"""Tests for mutation operators, hill climbing, and the EA loop."""
+"""Tests for mutation, hill climbing, and the EA loop.
+
+The object-level operators below (``AddLayer`` … ``apply_op``,
+``legal_ops``, ``neighbors`` and ``mutate_oracle``) build one-mutation
+moves on ``GanSpec`` trees.  The package works on ``(DepthKey, row)``
+pairs only; these are the oracle that ``neighbor_groups``, ``mutate`` and
+the EA's crossover are checked against.
+"""
 
 import itertools
 import math
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Union
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archsmith import search
 from archsmith.archive import Individual
 from archsmith.errors import ValidationError
 from archsmith.genotype import (
     DepthKey,
     GanSpec,
     GenotypeConfig,
-    MUTABLE_LAYER_ATTRS,
+    LayerSpec,
+    ROLE_DISCRIMINATOR,
     ROLE_GENERATOR,
     flatten_joint,
     gan_hash,
@@ -26,13 +38,9 @@ from archsmith.genotype import (
 from archsmith.landscape import LandscapeConfig, make_landscape
 from archsmith.metamodel import LearnConfig, Metamodel, learn
 from archsmith.search import (
-    AddLayer,
-    ChangeLayer,
-    ChangeTrainFreq,
-    DeleteLayer,
     EaConfig,
     Population,
-    apply_op,
+    _crossover,
     guided_hc,
     init_population,
     load_traces,
@@ -42,12 +50,10 @@ from archsmith.search import (
     random_minimal_gan,
     save_traces,
     simple_ea,
-    _attr_cardinality,
-    _attr_index,
-    _layer_variants,
 )
 
 DEFAULT = GenotypeConfig.joint()
+PER_NET = GenotypeConfig.per_network()
 TINY = GenotypeConfig.joint(
     arity=2,
     activations=("relu", "tanh"),
@@ -61,6 +67,171 @@ def tiny_landscape(seed=0, family_seed=3, sigma=0.0, **overrides):
     config = LandscapeConfig(genotype=TINY, family_seed=family_seed,
                              sigma_noise=sigma, **overrides)
     return make_landscape(seed, config)
+
+
+# ---------------------------------------------------------------------------
+# Object-level operators (the oracle)
+
+
+# Layer attributes that ChangeLayer may rewrite; kind is add/delete-only.
+MUTABLE_LAYER_ATTRS = ("activation", "weight_init", "size_bin")
+
+
+@dataclass(frozen=True)
+class AddLayer:
+    role: str
+    position: int
+    layer: LayerSpec
+
+
+@dataclass(frozen=True)
+class DeleteLayer:
+    role: str
+    position: int
+
+
+@dataclass(frozen=True)
+class ChangeLayer:
+    """Set one mutable attribute of one layer to a new vocabulary index."""
+
+    role: str
+    position: int
+    attr: str
+    value: int
+
+
+@dataclass(frozen=True)
+class ChangeTrainFreq:
+    value: int
+
+
+MutationOp = Union[AddLayer, DeleteLayer, ChangeLayer, ChangeTrainFreq]
+
+
+@lru_cache(maxsize=None)
+def _layer_variants(config, role):
+    return tuple(LayerSpec(kind=k, activation=a, weight_init=w, size_bin=s)
+                 for k in config.kinds(role)
+                 for a in config.activations
+                 for w in config.weight_inits
+                 for s in range(config.arity))
+
+
+def _attr_index(config, layer, attr):
+    if attr == "activation":
+        return config.activations.index(layer.activation)
+    if attr == "weight_init":
+        return config.weight_inits.index(layer.weight_init)
+    if attr == "size_bin":
+        return layer.size_bin
+    raise ValidationError(f"unknown mutable attribute {attr!r}")
+
+
+def _attr_cardinality(config, attr):
+    return {"activation": len(config.activations),
+            "weight_init": len(config.weight_inits),
+            "size_bin": config.arity}[attr]
+
+
+def _net_of(gan, role):
+    return gan.generator if role == ROLE_GENERATOR else gan.discriminator
+
+
+def _with_net(gan, role, net):
+    if role == ROLE_GENERATOR:
+        return replace(gan, generator=net)
+    return replace(gan, discriminator=net)
+
+
+def apply_op(gan, op, config):
+    """Apply one operator; the result is validated against the bounds."""
+    if isinstance(op, ChangeTrainFreq):
+        result = replace(gan, train_freq_bin=op.value)
+    elif isinstance(op, AddLayer):
+        net = _net_of(gan, op.role)
+        if not 0 <= op.position <= net.depth:
+            raise ValidationError(f"bad insert position {op.position}")
+        layers = (net.layers[:op.position] + (op.layer,)
+                  + net.layers[op.position:])
+        result = _with_net(gan, op.role, replace(net, layers=layers))
+    elif isinstance(op, DeleteLayer):
+        net = _net_of(gan, op.role)
+        if net.depth <= 1:
+            raise ValidationError("cannot delete the last layer")
+        if not 0 <= op.position < net.depth:
+            raise ValidationError(f"bad delete position {op.position}")
+        layers = net.layers[:op.position] + net.layers[op.position + 1:]
+        result = _with_net(gan, op.role, replace(net, layers=layers))
+    elif isinstance(op, ChangeLayer):
+        net = _net_of(gan, op.role)
+        if not 0 <= op.position < net.depth:
+            raise ValidationError(f"bad layer position {op.position}")
+        layer = net.layers[op.position]
+        if op.attr == "activation":
+            layer = replace(layer, activation=config.activations[op.value])
+        elif op.attr == "weight_init":
+            layer = replace(layer, weight_init=config.weight_inits[op.value])
+        elif op.attr == "size_bin":
+            layer = replace(layer, size_bin=op.value)
+        else:
+            raise ValidationError(f"unknown mutable attribute {op.attr!r}")
+        layers = (net.layers[:op.position] + (layer,)
+                  + net.layers[op.position + 1:])
+        result = _with_net(gan, op.role, replace(net, layers=layers))
+    else:
+        raise ValidationError(f"unknown operator {op!r}")
+    validate_gan(result, config)
+    return result
+
+
+def mutate_oracle(gan, config, rng):
+    """One random operator: uniform over applicable kinds, then parameters.
+
+    Returns the mutated genotype and the operator applied.
+    """
+    kinds = ["change", "train_freq"]
+    if (gan.generator.depth < config.generator_depth_max
+            or gan.discriminator.depth < config.discriminator_depth_max):
+        kinds.append("add")
+    if gan.generator.depth > 1 or gan.discriminator.depth > 1:
+        kinds.append("delete")
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "train_freq":
+        shift = int(rng.integers(1, config.arity)) if config.arity > 1 else 0
+        op = ChangeTrainFreq((gan.train_freq_bin + shift) % config.arity)
+    elif kind == "add":
+        roles = [r for r, net in ((ROLE_GENERATOR, gan.generator),
+                                  (ROLE_DISCRIMINATOR, gan.discriminator))
+                 if net.depth < config.depth_max(r)]
+        role = roles[int(rng.integers(len(roles)))]
+        net = _net_of(gan, role)
+        variants = _layer_variants(config, role)
+        op = AddLayer(role, int(rng.integers(net.depth + 1)),
+                      variants[int(rng.integers(len(variants)))])
+    elif kind == "delete":
+        roles = [r for r, net in ((ROLE_GENERATOR, gan.generator),
+                                  (ROLE_DISCRIMINATOR, gan.discriminator))
+                 if net.depth > 1]
+        role = roles[int(rng.integers(len(roles)))]
+        op = DeleteLayer(role, int(rng.integers(_net_of(gan, role).depth)))
+    else:
+        role = (ROLE_GENERATOR, ROLE_DISCRIMINATOR)[int(rng.integers(2))]
+        net = _net_of(gan, role)
+        position = int(rng.integers(net.depth))
+        attr = MUTABLE_LAYER_ATTRS[int(rng.integers(len(MUTABLE_LAYER_ATTRS)))]
+        card = _attr_cardinality(config, attr)
+        current = _attr_index(config, net.layers[position], attr)
+        shift = int(rng.integers(1, card)) if card > 1 else 0
+        op = ChangeLayer(role, position, attr, (current + shift) % card)
+    return apply_op(gan, op, config), op
+
+
+def crossover_oracle(a, b):
+    """Swap whole networks; train frequency travels with the generator."""
+    return (GanSpec(generator=a.generator, discriminator=b.discriminator,
+                    train_freq_bin=a.train_freq_bin),
+            GanSpec(generator=b.generator, discriminator=a.discriminator,
+                    train_freq_bin=b.train_freq_bin))
 
 
 def legal_ops(gan, config):
@@ -213,10 +384,10 @@ class TestOperators:
 
     def test_random_mutations_stay_valid(self):
         rng = np.random.default_rng(7)
-        gan = random_gan(rng, DEFAULT)
+        key, row = flatten_joint(random_gan(rng, DEFAULT), DEFAULT)
         for _ in range(10_000):
-            gan = mutate(gan, DEFAULT, rng)
-            validate_gan(gan, DEFAULT)
+            key, row = mutate(key, row, DEFAULT, rng)
+            validate_gan(unflatten_joint(key, row, DEFAULT), DEFAULT)
 
     def test_all_ops_valid_everywhere(self):
         rng = np.random.default_rng(8)
@@ -270,6 +441,50 @@ class TestOperators:
                 first = np.argmax(step != 0, axis=1)
                 assert np.all(step[np.arange(len(step)), first] > 0), \
                     f"group {group_key} is not strictly increasing"
+
+    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY],
+                             ids=["joint", "per_network", "tiny"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
+    def test_row_mutate_matches_oracle(self, config, seed, steps):
+        # A chain of moves from one draw: the rows must give the oracle's
+        # genotype and leave the generator exactly where the oracle does.
+        gan = random_gan(np.random.default_rng(seed), config)
+        key, row = flatten_joint(gan, config)
+        rng_row = np.random.default_rng(seed + 1)
+        rng_obj = np.random.default_rng(seed + 1)
+        for _ in range(steps):
+            key, row = mutate(key, row, config, rng_row)
+            gan, _ = mutate_oracle(gan, config, rng_obj)
+            assert (key, row) == flatten_joint(gan, config)
+            assert type(key) is DepthKey and type(row) is tuple
+            assert rng_row.bit_generator.state == rng_obj.bit_generator.state
+
+    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY],
+                             ids=["joint", "per_network", "tiny"])
+    def test_row_mutate_reaches_every_kind(self, config):
+        kinds = set()
+        rng_row, rng_obj = np.random.default_rng(40), np.random.default_rng(40)
+        gan = random_gan(np.random.default_rng(41), config)
+        key, row = flatten_joint(gan, config)
+        for _ in range(300):
+            key, row = mutate(key, row, config, rng_row)
+            gan, op = mutate_oracle(gan, config, rng_obj)
+            assert (key, row) == flatten_joint(gan, config)
+            kinds.add(type(op))
+        assert rng_row.bit_generator.state == rng_obj.bit_generator.state
+        assert kinds == {AddLayer, DeleteLayer, ChangeLayer, ChangeTrainFreq}
+
+    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY],
+                             ids=["joint", "per_network", "tiny"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_row_crossover_matches_oracle(self, config, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_gan(rng, config), random_gan(rng, config)
+        got = _crossover(flatten_joint(a, config), flatten_joint(b, config))
+        want = crossover_oracle(a, b)
+        assert list(got) == [flatten_joint(g, config) for g in want]
 
     def test_random_minimal_gan(self):
         rng = np.random.default_rng(10)
@@ -347,6 +562,27 @@ class TestGuidedHc:
         trace = guided_hc(land, model, start, 3, np.random.default_rng(3))
         assert trace.steps[0].gan_hash == gan_hash(target)
 
+    def test_accept_on_last_step_ranks_nothing_more(self, monkeypatch):
+        # The best neighbor carries all the model's mass, so the one-step
+        # climb evaluates and accepts it; its neighborhood, which no step
+        # would visit, is never built.  A climb that re-ranked after that
+        # acceptance would make two calls.
+        land = tiny_landscape(seed=7)
+        start = random_gan(np.random.default_rng(13), TINY,
+                           depth_key=DepthKey(1, 2))
+        target = min(neighbors(start, TINY), key=land.evaluate)
+        model = learn([Individual(gan=target, fitness=1.0, run_id="r",
+                                  problem_id="p")],
+                      LearnConfig(genotype=TINY, alpha=0.01))
+        calls = []
+        build = search.neighbor_groups
+        monkeypatch.setattr(search, "neighbor_groups",
+                            lambda *args: calls.append(args) or build(*args))
+        trace = guided_hc(land, model, start, 1, np.random.default_rng(3))
+        assert trace.steps[-1].accepted
+        assert trace.steps[-1].gan_hash == gan_hash(target)
+        assert len(calls) == 1
+
     def test_exhaustion_pads_trace(self):
         land = tiny_landscape(seed=8)
         start = land.planted_gan(land.target_key)
@@ -415,7 +651,8 @@ class TestPopulationAndEa:
         land = tiny_landscape(seed=11)
         pop = init_population("random", 8, land, np.random.default_rng(7))
         assert pop.size == 8
-        for gan, fitness in pop.members:
+        for key, row, fitness in pop.members:
+            gan = unflatten_joint(key, row, TINY)
             validate_gan(gan, TINY)
             assert fitness == land.evaluate(gan)
 
@@ -426,7 +663,8 @@ class TestPopulationAndEa:
         pop = init_population("from_first", 10, land,
                               np.random.default_rng(8), elite=elite)
         allowed = {gan_hash(g) for g in elite}
-        assert all(gan_hash(g) in allowed for g, _ in pop.members)
+        assert all(gan_hash(unflatten_joint(k, r, TINY)) in allowed
+                   for k, r, _ in pop.members)
         with pytest.raises(ValidationError):
             init_population("from_first", 4, land, np.random.default_rng(9),
                             elite=[])
@@ -439,7 +677,8 @@ class TestPopulationAndEa:
                       LearnConfig(genotype=TINY, alpha=0.01))
         pop = init_population("from_metamodel", 30, land,
                               np.random.default_rng(10), metamodel=model)
-        hits = sum(gan_hash(g) == gan_hash(anchor) for g, _ in pop.members)
+        hits = sum(gan_hash(unflatten_joint(k, r, TINY)) == gan_hash(anchor)
+                   for k, r, _ in pop.members)
         assert hits >= 10
         with pytest.raises(ValidationError):
             init_population("from_metamodel", 4, land,
@@ -464,7 +703,8 @@ class TestPopulationAndEa:
         land = tiny_landscape(seed=15)
         rng = np.random.default_rng(18)
         gans = [random_gan(rng, TINY) for _ in range(6)]
-        pop = Population([(g, land.evaluate(g)) for g in gans])
+        pop = Population([(*flatten_joint(g, TINY), land.evaluate(g))
+                          for g in gans])
         gen_pool = {(gan_hash_half(g.generator), g.train_freq_bin)
                     for g in gans}
         disc_pool = {gan_hash_half(g.discriminator) for g in gans}
@@ -473,7 +713,8 @@ class TestPopulationAndEa:
                            config=EaConfig(crossover_rate=1.0,
                                            mutation_rate=0.0))
         offspring = result.population.members[1:]
-        for gan, _ in offspring:
+        for key, row, _ in offspring:
+            gan = unflatten_joint(key, row, TINY)
             assert (gan_hash_half(gan.generator),
                     gan.train_freq_bin) in gen_pool
             assert gan_hash_half(gan.discriminator) in disc_pool
@@ -495,8 +736,10 @@ class TestPopulationAndEa:
         r1 = simple_ea(land, pop, 3, np.random.default_rng(22))
         r2 = simple_ea(land, pop, 3, np.random.default_rng(22))
         assert r1.best_per_generation == r2.best_per_generation
-        h1 = sorted(gan_hash(g) for g, _ in r1.population.members)
-        h2 = sorted(gan_hash(g) for g, _ in r2.population.members)
+        h1 = sorted(gan_hash(unflatten_joint(k, r, TINY))
+                    for k, r, _ in r1.population.members)
+        h2 = sorted(gan_hash(unflatten_joint(k, r, TINY))
+                    for k, r, _ in r2.population.members)
         assert h1 == h2
 
     def test_ea_rejects_bad_settings(self):
@@ -524,16 +767,22 @@ class TestPopulationAndEa:
             land = CoarseLandscape(land)
         pop = init_population("random", 7, land, np.random.default_rng(seed))
         got, want = [], []
+
+        def record(key, row, fitness):
+            assert type(key) is DepthKey and type(row) is tuple
+            got.append((unflatten_joint(key, row, TINY), fitness))
+
         result = simple_ea(land, pop, 6, np.random.default_rng(seed + 1),
-                           config=config,
-                           on_evaluate=lambda g, f: got.append((g, f)))
-        trace, members = reference_ea(land, pop, 6,
+                           config=config, on_evaluate=record)
+        start = [(unflatten_joint(k, r, TINY), f) for k, r, f in pop.members]
+        trace, members = reference_ea(land, start, 6,
                                       np.random.default_rng(seed + 1),
                                       config, want.append)
         assert got == want
         assert all(type(f) is float for _, f in got)
         assert result.best_per_generation == trace
-        assert result.population.members == members
+        assert [(unflatten_joint(k, r, TINY), f)
+                for k, r, f in result.population.members] == members
         assert result.evaluations == len(want)
 
 
@@ -547,9 +796,14 @@ class CoarseLandscape:
     def evaluate(self, gan):
         return float(round(self.land.evaluate(gan)))
 
+    def evaluate_values(self, key, values):
+        # np.round rounds half to even, as round does.
+        return np.round(self.land.evaluate_values(key, values))
 
-def reference_ea(land, population, generations, rng, config, record):
-    """simple_ea as one evaluation per bred child, hashing every tie-break.
+
+def reference_ea(land, members, generations, rng, config, record):
+    """simple_ea on ``(gan, fitness)`` members, with the object operators
+    and one ``evaluate`` per bred child, hashing every tie-break.
 
     Returns the best fitness per generation and the final members; calls
     ``record`` with each (gan, fitness) as it is evaluated.
@@ -557,7 +811,7 @@ def reference_ea(land, population, generations, rng, config, record):
     def rank(member):
         return member[1], gan_hash(member[0])
 
-    members = list(population.members)
+    members = list(members)
     trace = [min(f for _, f in members)]
     for _ in range(generations):
         offspring = []
@@ -573,17 +827,12 @@ def reference_ea(land, population, generations, rng, config, record):
                                    key=rank)[0])
             a, b = parents
             if rng.random() < config.crossover_rate:
-                a, b = (GanSpec(generator=a.generator,
-                                discriminator=b.discriminator,
-                                train_freq_bin=a.train_freq_bin),
-                        GanSpec(generator=b.generator,
-                                discriminator=a.discriminator,
-                                train_freq_bin=b.train_freq_bin))
+                a, b = crossover_oracle(a, b)
             for child in (a, b):
                 if len(offspring) >= need:
                     break
                 if rng.random() < config.mutation_rate:
-                    child = mutate(child, TINY, rng)
+                    child, _ = mutate_oracle(child, TINY, rng)
                 fitness = land.evaluate(child)
                 record((child, fitness))
                 offspring.append((child, fitness))
