@@ -61,7 +61,6 @@ from .search import (
     SearchTrace,
     guided_hc,
     init_population,
-    load_traces,
     mutate,
     random_hc,
     random_minimal_gan,
@@ -112,7 +111,6 @@ __all__ = [
     "load_archive",
     "load_landscape",
     "load_metamodel",
-    "load_traces",
     "log_likelihood_many",
     "make_landscape",
     "mi_matrix",

@@ -376,10 +376,13 @@ def _ranked(members, config: GenotypeConfig) -> list:
 
 def _tournament(population: Population, rng: np.random.Generator, k: int,
                 config: GenotypeConfig) -> tuple[DepthKey, tuple[int, ...]]:
+    """The fittest of k distinct picks; ``_ranked`` orders only exact ties."""
     picks = rng.choice(population.size, size=min(k, population.size),
                        replace=False)
-    key, row, _ = _ranked([population.members[int(i)] for i in picks],
-                          config)[0]
+    entrants = [population.members[int(i)] for i in picks]
+    best = min(fitness for _, _, fitness in entrants)
+    tied = [m for m in entrants if m[2] == best]
+    key, row, _ = tied[0] if len(tied) == 1 else _ranked(tied, config)[0]
     return key, row
 
 
@@ -446,6 +449,23 @@ def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
     return key, tuple(values)
 
 
+def _evaluate_rows(landscape: SurrogateLandscape,
+                   genotypes: Sequence[tuple[DepthKey, tuple[int, ...]]]
+                   ) -> list[float]:
+    """Fitness of each ``(key, row)``, with one ``evaluate_values`` call
+    per distinct key, in the order the keys first appear."""
+    by_key: dict[DepthKey, list[int]] = {}
+    for index, (key, _) in enumerate(genotypes):
+        by_key.setdefault(key, []).append(index)
+    out = [0.0] * len(genotypes)
+    for key, indices in by_key.items():
+        rows = np.array([genotypes[i][1] for i in indices], dtype=np.int64)
+        for i, fitness in zip(indices,
+                              landscape.evaluate_values(key, rows).tolist()):
+            out[i] = fitness
+    return out
+
+
 def simple_ea(landscape: SurrogateLandscape, population: Population,
               generations: int, rng: np.random.Generator,
               config: EaConfig = EaConfig(),
@@ -454,8 +474,13 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
 
     The incoming population is generation 0; each later generation
     evaluates (size − elitism) fresh offspring and carries the elite over
-    unevaluated, so total evaluations stay predictable.  ``on_evaluate``
-    is called with (key, row, fitness) for every fresh evaluation.
+    unevaluated, so total evaluations stay predictable.  A generation
+    breeds all its offspring first, then evaluates them with one
+    ``evaluate_values`` call per depth key.  Evaluation draws nothing from
+    ``rng``, and a row's fitness does not depend on its batch, so the
+    result is that of evaluating each child as it is bred.
+    ``on_evaluate`` is called with (key, row, fitness) for every fresh
+    evaluation, after the generation's batch, in breeding order.
     """
     if generations < 1:
         raise ValidationError("generations must be >= 1")
@@ -463,29 +488,30 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     size = population.size
     if config.elitism >= size:
         raise ValidationError("elitism must leave room for offspring")
+    need = size - config.elitism
     trace = [population.best_fitness]
     evaluations = 0
     for _ in range(generations):
-        offspring: list[tuple[DepthKey, tuple[int, ...], float]] = []
-        need = size - config.elitism
-        while len(offspring) < need:
+        children: list[tuple[DepthKey, tuple[int, ...]]] = []
+        while len(children) < need:
             parent_a = _tournament(population, rng, config.tournament_size, gc)
             parent_b = _tournament(population, rng, config.tournament_size, gc)
             if rng.random() < config.crossover_rate:
-                children = _crossover(parent_a, parent_b)
+                pair = _crossover(parent_a, parent_b)
             else:
-                children = (parent_a, parent_b)
-            for key, row in children:
-                if len(offspring) >= need:
+                pair = (parent_a, parent_b)
+            for key, row in pair:
+                if len(children) >= need:
                     break
                 if rng.random() < config.mutation_rate:
                     key, row = mutate(key, row, gc, rng)
-                fitness = float(landscape.evaluate_values(
-                    key, np.array([row], dtype=np.int64))[0])
-                if on_evaluate is not None:
-                    on_evaluate(key, row, fitness)
-                offspring.append((key, row, fitness))
-                evaluations += 1
+                children.append((key, row))
+        offspring = [(key, row, fitness) for (key, row), fitness
+                     in zip(children, _evaluate_rows(landscape, children))]
+        if on_evaluate is not None:
+            for member in offspring:
+                on_evaluate(*member)
+        evaluations += len(offspring)
         elite = _ranked(population.members, gc)[:config.elitism]
         population = Population(elite + offspring)
         trace.append(population.best_fitness)
@@ -512,19 +538,3 @@ def save_traces(traces: Sequence[tuple[int, SearchTrace]], path) -> None:
                 writer.writerow([seed, s.step, repr(s.fitness), repr(s.best),
                                  int(s.accepted)])
 
-
-def load_traces(path) -> dict[int, list[dict]]:
-    """Rows grouped by seed, typed back into numbers."""
-    out: dict[int, list[dict]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != list(TRACE_COLUMNS):
-            raise ValidationError(f"unexpected trace columns {reader.fieldnames}")
-        for row in reader:
-            out.setdefault(int(row["seed"]), []).append({
-                "step": int(row["step"]),
-                "fitness": float(row["fitness"]),
-                "best": float(row["best"]),
-                "accepted": bool(int(row["accepted"])),
-            })
-    return out

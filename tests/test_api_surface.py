@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "archsmith"
 ALLOWED = {
     "enumerate_joint": "imported by the acceptance suite (criterion 1)",
     "save_landscape": "writes the file that `search --landscape` reads",
-    "load_traces": "reads the trace file that `search` writes",
 }
 
 

@@ -10,8 +10,10 @@ vocabularies reach every mutation kind.  On the first two archives the ``learn``
 run as well (the archive and the sampled genotypes are both scored), and
 the saved uniform metamodel of each genotype mode is digested.  A change
 to any digest is a behaviour change: it needs a reason in ``CHANGES.md``
-and a re-baseline in the same change.  To print the current
-digests for a re-baseline::
+and a re-baseline in the same change.  Two more digests pin the
+acceptance-scale archives: ``generate_archive`` with ``ArchiveGenConfig``
+defaults on ``DEFAULT_LAND``, for base seeds 0 and 1, as ``save_archive``
+writes them.  To print the current digests for a re-baseline::
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,9 +26,14 @@ import json
 import sys
 from pathlib import Path
 
-from archsmith.archive import load_archive
+from archsmith.archive import load_archive, save_archive
 from archsmith.cli import main
-from archsmith.experiments import GuidedSearchConfig, run_guided_search
+from archsmith.experiments import (
+    ArchiveGenConfig,
+    GuidedSearchConfig,
+    generate_archive,
+    run_guided_search,
+)
 from archsmith.genotype import GenotypeConfig
 from archsmith.landscape import LandscapeConfig
 from archsmith.metamodel import LearnConfig, Metamodel, save_metamodel
@@ -111,6 +118,12 @@ GOLDEN = {
         "df332856e06842d598e50541f2bd31ec67d0b557a46d304869e9142e3f7a8365",
 }
 
+# save_archive digests of the acceptance-scale archives, by base seed.
+ARCHIVE_GOLDEN = {
+    0: "84b36f45362f25d09a688c8be0b78dc8a3072fbe4a6d9601d5c48651836f0382",
+    1: "27d744e13dc1d82fd1a53cee57232be81ed286c5f2bfa5df3f5e8b58b00c7e0e",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -181,6 +194,21 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     return out
 
 
+def archive_digests(workdir: Path) -> dict[int, str]:
+    """sha256 of each acceptance-scale archive, keyed by base seed."""
+    out = {}
+    for base_seed in sorted(ARCHIVE_GOLDEN):
+        path = workdir / f"acceptance-{base_seed}.jsonl"
+        save_archive(generate_archive(ArchiveGenConfig(
+            landscape=DEFAULT_LAND, base_seed=base_seed)), path)
+        out[base_seed] = _sha256(path.read_bytes())
+    return out
+
+
+def test_acceptance_archive_digests(tmp_path):
+    assert archive_digests(tmp_path) == ARCHIVE_GOLDEN
+
+
 def test_golden_digests(tmp_path):
     got = compute_digests(tmp_path)
     assert sorted(got) == sorted(GOLDEN), "artifact set changed"
@@ -192,5 +220,7 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         digests = compute_digests(Path(tmp))
+        digests.update((f"acceptance/base-seed-{seed}.jsonl", digest)
+                       for seed, digest in archive_digests(Path(tmp)).items())
     json.dump(digests, sys.stdout, indent=4, sort_keys=True)
     sys.stdout.write("\n")

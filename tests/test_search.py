@@ -7,8 +7,10 @@ pairs only; these are the oracle that ``neighbor_groups``, ``mutate`` and
 the EA's crossover are checked against.
 """
 
+import csv
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Union
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archsmith import search
+from archsmith.cli import _final_values
 from archsmith.archive import Individual
 from archsmith.errors import ValidationError
 from archsmith.genotype import (
@@ -43,7 +46,6 @@ from archsmith.search import (
     _crossover,
     guided_hc,
     init_population,
-    load_traces,
     mutate,
     neighbor_groups,
     random_hc,
@@ -785,6 +787,71 @@ class TestPopulationAndEa:
                 for k, r, f in result.population.members] == members
         assert result.evaluations == len(want)
 
+    @pytest.mark.parametrize("seed,config", [
+        (33, EaConfig(mutation_rate=1.0)),
+        (34, EaConfig(crossover_rate=1.0, mutation_rate=1.0, elitism=2)),
+    ])
+    def test_ea_evaluates_one_batch_per_key_per_generation(self, seed, config,
+                                                           monkeypatch):
+        # Every child is mutated once, so mutate's results are the children
+        # in the order they were bred.
+        land = make_landscape(seed, LandscapeConfig(genotype=DEFAULT,
+                                                    family_seed=7))
+        pop = init_population("random", 12, land, np.random.default_rng(seed))
+        counting = CountingLandscape(land)
+        bred, seen, calls_before = [], [], []
+
+        def breed(*args):
+            child = mutate(*args)
+            bred.append(child)
+            return child
+
+        def record(key, row, fitness):
+            seen.append((key, row, fitness))
+            calls_before.append(len(counting.calls))
+
+        monkeypatch.setattr(search, "mutate", breed)
+        generations = 5
+        simple_ea(counting, pop, generations, np.random.default_rng(seed + 1),
+                  config=config, on_evaluate=record)
+        assert [(k, r) for k, r, _ in seen] == bred
+        assert not any(name == "evaluate" for name, _, _ in counting.calls)
+        need = pop.size - config.elitism
+        assert len(seen) == generations * need
+        start = 0
+        for gen in range(generations):
+            children = seen[gen * need:(gen + 1) * need]
+            stop = calls_before[gen * need]
+            # Every child of the generation is evaluated before the first
+            # is reported, and none of the next generation's is.
+            assert calls_before[gen * need:(gen + 1) * need] == [stop] * need
+            calls = counting.calls[start:stop]
+            counts = Counter(key for key, _, _ in children)
+            assert len(calls) == len(counts)
+            assert {key: n for _, key, n in calls} == counts
+            for key, row, fitness in children:
+                assert fitness == float(land.evaluate_values(
+                    key, np.array([row]))[0])
+            start = stop
+        assert start == len(counting.calls)
+
+
+class CountingLandscape:
+    """A landscape that logs each evaluation call as (name, key, rows)."""
+
+    def __init__(self, land):
+        self.land = land
+        self.config = land.config
+        self.calls = []
+
+    def evaluate(self, gan):
+        self.calls.append(("evaluate", None, 1))
+        return self.land.evaluate(gan)
+
+    def evaluate_values(self, key, values):
+        self.calls.append(("evaluate_values", key, len(values)))
+        return self.land.evaluate_values(key, values)
+
 
 class CoarseLandscape:
     """A landscape whose fitness is rounded to a whole number."""
@@ -845,6 +912,23 @@ def gan_hash_half(net):
     return (net.role, net.layers)
 
 
+def read_traces(path):
+    """Rows of a ``save_traces`` file grouped by seed, typed back into
+    numbers."""
+    out = {}
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert reader.fieldnames == list(search.TRACE_COLUMNS)
+        for row in reader:
+            out.setdefault(int(row["seed"]), []).append({
+                "step": int(row["step"]),
+                "fitness": float(row["fitness"]),
+                "best": float(row["best"]),
+                "accepted": bool(int(row["accepted"])),
+            })
+    return out
+
+
 class TestTraceIo:
     def test_round_trip(self, tmp_path):
         land = tiny_landscape(seed=18)
@@ -855,7 +939,7 @@ class TestTraceIo:
             traces.append((seed, random_hc(land, start, 15, rng)))
         path = tmp_path / "traces.csv"
         save_traces(traces, path)
-        loaded = load_traces(path)
+        loaded = read_traces(path)
         assert sorted(loaded) == [0, 1, 2]
         for seed, trace in traces:
             rows = loaded[seed]
@@ -885,12 +969,13 @@ class TestTraceIo:
                           np.random.default_rng(27))
         path = tmp_path / "t.csv"
         save_traces([(0, trace)], path)
-        rows = load_traces(path)[0]
+        rows = read_traces(path)[0]
         assert math.isnan(rows[-1]["fitness"])
         assert rows[-1]["best"] == trace.start_fitness
 
     def test_bad_columns_rejected(self, tmp_path):
+        # ``analyze`` reads trace files through ``cli._final_values``.
         path = tmp_path / "bad.csv"
         path.write_text("seed,step,value\n0,0,1.0\n")
         with pytest.raises(ValidationError):
-            load_traces(path)
+            _final_values(path, None, "best", None)
