@@ -9,6 +9,7 @@ All information quantities are in nats.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -57,10 +58,6 @@ class Dag:
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(card for _, card in self.variables)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs, sorted."""
-        return sorted((p, c) for c, ps in enumerate(self.parents) for p in ps)
-
     def topological_order(self) -> tuple[int, ...]:
         """Kahn's algorithm, smallest index first for determinism."""
         n = len(self.variables)
@@ -78,11 +75,7 @@ class Dag:
             for child in children[node]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    # Insertion keeps the ready list sorted.
-                    lo = 0
-                    while lo < len(ready) and ready[lo] < child:
-                        lo += 1
-                    ready.insert(lo, child)
+                    insort(ready, child)
         if len(order) != n:
             raise ValidationError("graph contains a cycle")
         return tuple(order)
@@ -208,7 +201,7 @@ def _as_data(data) -> np.ndarray:
 
 
 def mutual_information(data, i: int, j: int,
-                       cardinalities: Sequence[int] | None = None) -> float:
+                       cardinalities: Sequence[int]) -> float:
     """Plug-in mutual information (nats) between columns ``i`` and ``j``.
 
     Zero-count cells contribute nothing; the result is clamped at 0 so
@@ -217,10 +210,7 @@ def mutual_information(data, i: int, j: int,
     arr = _as_data(data)
     if arr.shape[0] == 0:
         raise ValidationError("mutual information needs at least one row")
-    if cardinalities is None:
-        ci, cj = int(arr[:, i].max()) + 1, int(arr[:, j].max()) + 1
-    else:
-        ci, cj = int(cardinalities[i]), int(cardinalities[j])
+    ci, cj = int(cardinalities[i]), int(cardinalities[j])
     counts = np.zeros((ci, cj), dtype=np.float64)
     np.add.at(counts, (arr[:, i], arr[:, j]), 1.0)
     n = counts.sum()
@@ -295,14 +285,13 @@ def chow_liu(mi: np.ndarray) -> list[tuple[int, int]]:
     return sorted(edges[: n - 1])
 
 
-def aracne_skeleton(mi: np.ndarray, mi_threshold: float = 0.0,
-                    dpi_tolerance: float = 0.1,
+def aracne_skeleton(mi: np.ndarray, dpi_tolerance: float = 0.1,
                     threshold_correction: np.ndarray | None = None,
                     ) -> list[tuple[int, int]]:
     """ARACNE skeleton: MI thresholding followed by DPI triangle pruning.
 
     An edge survives thresholding when its (optionally bias-corrected) MI is
-    strictly above ``mi_threshold``.  Every triangle of surviving edges is
+    strictly positive.  Every triangle of surviving edges is
     then scanned: the weakest edge (i, j) is marked for removal when
     ``mi[i, j] < (1 - dpi_tolerance) * min(mi[i, k], mi[j, k])``.  Marks are
     computed against the original MI matrix and applied only after all
@@ -310,7 +299,6 @@ def aracne_skeleton(mi: np.ndarray, mi_threshold: float = 0.0,
 
     Args:
         mi: symmetric pairwise MI matrix.
-        mi_threshold: minimum corrected MI for an edge to be considered.
         dpi_tolerance: epsilon in [0, 1]; 1 disables pruning entirely.
         threshold_correction: per-pair penalty subtracted before
             thresholding only (DPI still compares raw MI values).
@@ -323,7 +311,7 @@ def aracne_skeleton(mi: np.ndarray, mi_threshold: float = 0.0,
         raise ValidationError("dpi_tolerance must lie in [0, 1]")
     corrected = mi if threshold_correction is None else mi - threshold_correction
     edges = {(i, j) for i, j in combinations(range(n), 2)
-             if corrected[i, j] > mi_threshold}
+             if corrected[i, j] > 0.0}
     marked: set[tuple[int, int]] = set()
     for i, j, k in combinations(range(n), 3):
         triangle = [(i, j), (i, k), (j, k)]

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .archive import load_archive, save_archive
-from .errors import ValidationError
+from .errors import ValidationError, seed as parse_seed
 from .experiments import (
     ArchiveGenConfig,
     GuidedSearchConfig,
@@ -64,6 +64,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
+
+
+def seed(text: str) -> int:
+    """A seed flag's type; argparse names it when it rejects a value."""
+    return parse_seed(int(text))
 
 
 def _read_json(path) -> dict:
@@ -197,8 +202,6 @@ def _write_summary(obj, path) -> None:
 def cmd_experiment(args) -> int:
     # The config is checked before the archive is parsed, so a bad config
     # fails fast.
-    if args.id not in EXPERIMENT_CONFIGS:
-        raise ValidationError(f"unknown experiment id {args.id!r}")
     config = EXPERIMENT_CONFIGS[args.id].from_json_obj(_read_json(args.config))
     archive = load_archive(args.archive)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -315,7 +318,7 @@ def cmd_analyze(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=seed, default=0,
                         help="seed for every stochastic choice")
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output path")
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--landscape", help="saved landscape file")
     p.add_argument("--landscape-config", help="landscape config JSON")
-    p.add_argument("--landscape-seed", type=int, default=0)
+    p.add_argument("--landscape-seed", type=seed, default=0)
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("gen-archive", parents=[common],

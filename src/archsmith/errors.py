@@ -25,6 +25,14 @@ def integer(value) -> int:
     return int(value)
 
 
+def seed(value) -> int:
+    """``value`` as an int that numpy's seed sequences accept: one >= 0."""
+    value = integer(value)
+    if value < 0:
+        raise ValueError(value)
+    return value
+
+
 def number(value) -> float:
     """``value`` as a finite float: an int or a float, never a bool, NaN or
     infinity (Python's JSON reader accepts ``NaN`` and ``Infinity``)."""
@@ -47,6 +55,13 @@ def string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(value)
     return value
+
+
+def vocabulary(value) -> tuple[str, ...]:
+    """``value`` as a tuple, if it is a JSON list of strings."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return tuple(map(string, value))
 
 
 def parse_value(value, parse, what: str):

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
-from .errors import ValidationError, integer, number, parse_field
+from .errors import ValidationError, integer, number, parse_field, seed
 from .genotype import DepthKey, random_gan, unflatten_joint
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
@@ -34,13 +34,14 @@ ALGORITHMS = ("random", "guided")
 
 
 def parse_seed_range(value) -> tuple[int, ...]:
-    """Seeds as a list of ints or a "lo..hi" inclusive range string."""
+    """Seeds as a list of ints or a "lo..hi" inclusive range string; no
+    seed may be negative."""
     if isinstance(value, str):
         parts = value.split("..")
         if len(parts) != 2:
             raise ValidationError(f"bad seed range {value!r}, want 'lo..hi'")
         try:
-            lo, hi = int(parts[0]), int(parts[1])
+            lo, hi = seed(int(parts[0])), seed(int(parts[1]))
         except ValueError as exc:
             raise ValidationError(f"bad seed range {value!r}") from exc
         if hi < lo:
@@ -48,7 +49,7 @@ def parse_seed_range(value) -> tuple[int, ...]:
         return tuple(range(lo, hi + 1))
     if isinstance(value, (list, tuple)):
         try:
-            return tuple(integer(v) for v in value)
+            return tuple(seed(v) for v in value)
         except (TypeError, ValueError):
             raise ValidationError(f"bad seed list {value!r}") from None
     raise ValidationError(f"bad seed list {value!r}")
@@ -63,23 +64,26 @@ def _required(obj: dict, name: str):
     return obj[name]
 
 
-def _ints(obj: dict, names: tuple[str, ...]) -> dict[str, int]:
-    """The fields of ``names`` present in ``obj``, each parsed as an int."""
-    return {name: parse_field(obj, name, integer, "config")
-            for name in names if name in obj}
+def _section(obj: dict, name: str, config_class) -> dict:
+    """``obj[name]``, which must be a JSON object whose keys all name
+    fields of ``config_class``."""
+    section = obj[name]
+    if not isinstance(section, dict):
+        raise ValidationError(f"{name} config must be a JSON object")
+    unknown = sorted(set(section) - {f.name for f in fields(config_class)})
+    if unknown:
+        raise ValidationError(
+            f"unknown {name} config key(s): {', '.join(unknown)}")
+    return section
 
 
-def _landscape(obj: dict) -> LandscapeConfig:
-    return LandscapeConfig.from_json_obj(_required(obj, "landscape"))
-
-
-def _optional_learn(obj: dict) -> LearnConfig | None:
+def _optional_learn(obj: dict, genotype) -> LearnConfig | None:
     """Parse a partial learn config; unstated keys take their defaults."""
     if "learn" not in obj:
         return None
-    genotype = _landscape(obj).genotype
+    section = _section(obj, "learn", LearnConfig)
     merged = LearnConfig(genotype=genotype).to_json_obj()
-    merged.update(obj["learn"])
+    merged.update(section)
     return LearnConfig.from_json_obj(merged)
 
 
@@ -87,16 +91,37 @@ def _optional_ea(obj: dict) -> EaConfig:
     """Parse a partial EA config; unstated keys take their defaults."""
     if "ea" not in obj:
         return EaConfig()
-    if not isinstance(obj["ea"], dict):
-        raise ValidationError("ea config must be a JSON object")
-    unknown = sorted(set(obj["ea"]) - {f.name for f in fields(EaConfig)})
-    if unknown:
-        raise ValidationError(f"unknown ea config key(s): {', '.join(unknown)}")
+    section = _section(obj, "ea", EaConfig)
     ints = ("tournament_size", "elitism")
     return EaConfig(**{
-        name: parse_field(obj["ea"], name,
+        name: parse_field(section, name,
                           integer if name in ints else number, "ea config")
-        for name in obj["ea"]})
+        for name in section})
+
+
+def _from_json_obj(cls, obj: dict):
+    """An experiment config from its JSON object.  ``landscape`` and every
+    field without a default are required; ``learn`` and ``ea`` are partial
+    sections; ``*_seeds`` fields are seed lists or ranges; every other
+    field is an int, and a ``seed`` or ``*_seed`` one is not negative."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name == "landscape":
+            kwargs[f.name] = LandscapeConfig.from_json_obj(
+                _required(obj, f.name))
+        elif f.name == "learn":
+            kwargs[f.name] = _optional_learn(obj,
+                                             kwargs["landscape"].genotype)
+        elif f.name == "ea":
+            kwargs[f.name] = _optional_ea(obj)
+        elif f.name.endswith("_seeds"):
+            if f.name in obj or f.default is MISSING:
+                kwargs[f.name] = parse_seed_range(_required(obj, f.name))
+        elif f.name in obj:
+            kwargs[f.name] = parse_field(
+                obj, f.name, seed if f.name.endswith("seed") else integer,
+                "config")
+    return cls(**kwargs)
 
 
 def write_csv(path, header, rows) -> None:
@@ -170,14 +195,7 @@ class ArchiveGenConfig:
         if self.generations < 1:
             raise ValidationError("generations must be >= 1")
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ArchiveGenConfig":
-        landscape = _landscape(obj)
-        kwargs = _ints(obj, ("runs_per_problem", "population", "generations",
-                             "base_seed"))
-        if "problem_seeds" in obj:
-            kwargs["problem_seeds"] = parse_seed_range(obj["problem_seeds"])
-        return cls(landscape=landscape, ea=_optional_ea(obj), **kwargs)
+    from_json_obj = classmethod(_from_json_obj)
 
 
 def generate_archive(config: ArchiveGenConfig) -> RunArchive:
@@ -221,11 +239,7 @@ class LikelihoodConfig:
     min_scored: int = 30
     learn: LearnConfig | None = None
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LikelihoodConfig":
-        landscape = _landscape(obj)
-        kwargs = _ints(obj, ("n", "seed", "min_scored"))
-        return cls(landscape=landscape, learn=_optional_learn(obj), **kwargs)
+    from_json_obj = classmethod(_from_json_obj)
 
 
 @dataclass(frozen=True)
@@ -344,15 +358,7 @@ class SamplingConfig:
         if self.n_each < 1:
             raise ValidationError("n_each must be >= 1")
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SamplingConfig":
-        landscape = _landscape(obj)
-        kwargs = _ints(obj, ("n", "n_each", "seed"))
-        if "holdout_seeds" in obj:
-            kwargs["holdout_seeds"] = parse_seed_range(obj["holdout_seeds"])
-        return cls(landscape=landscape,
-                   train_seeds=parse_seed_range(_required(obj, "train_seeds")),
-                   learn=_optional_learn(obj), **kwargs)
+    from_json_obj = classmethod(_from_json_obj)
 
 
 @dataclass(frozen=True)
@@ -466,13 +472,7 @@ class InitializationConfig:
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "InitializationConfig":
-        landscape = _landscape(obj)
-        kwargs = _ints(obj, ("target_seed", "replicates", "population",
-                             "generations", "n", "seed"))
-        return cls(landscape=landscape, ea=_optional_ea(obj),
-                   learn=_optional_learn(obj), **kwargs)
+    from_json_obj = classmethod(_from_json_obj)
 
 
 @dataclass(frozen=True)
@@ -568,12 +568,7 @@ class GuidedSearchConfig:
         if self.replicates < 1 or self.budget < 2:
             raise ValidationError("bad replicates or budget")
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GuidedSearchConfig":
-        landscape = _landscape(obj)
-        kwargs = _ints(obj, ("target_seed", "replicates", "budget", "n",
-                             "seed"))
-        return cls(landscape=landscape, learn=_optional_learn(obj), **kwargs)
+    from_json_obj = classmethod(_from_json_obj)
 
 
 @dataclass(frozen=True)

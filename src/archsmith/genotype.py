@@ -17,7 +17,8 @@ from functools import cached_property, lru_cache
 from itertools import groupby, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import FormatError, ValidationError, integer, parse_field
+from .errors import (FormatError, ValidationError, integer, parse_field,
+                     vocabulary)
 
 _T = TypeVar("_T")
 
@@ -145,10 +146,13 @@ class GenotypeConfig:
             return cls(
                 mode=obj["mode"],
                 arity=parse_field(obj, "arity", integer, what),
-                activations=tuple(obj["activations"]),
-                weight_inits=tuple(obj["weight_inits"]),
-                generator_kinds=tuple(obj["generator_kinds"]),
-                discriminator_kinds=tuple(obj["discriminator_kinds"]),
+                activations=parse_field(obj, "activations", vocabulary, what),
+                weight_inits=parse_field(obj, "weight_inits", vocabulary,
+                                         what),
+                generator_kinds=parse_field(obj, "generator_kinds",
+                                            vocabulary, what),
+                discriminator_kinds=parse_field(obj, "discriminator_kinds",
+                                                vocabulary, what),
                 generator_depth_max=parse_field(obj, "generator_depth_max",
                                                 integer, what),
                 discriminator_depth_max=parse_field(

@@ -24,6 +24,7 @@ from .errors import (
     number,
     parse_field,
     parse_value,
+    seed,
 )
 from .genotype import (
     DepthKey,
@@ -31,7 +32,6 @@ from .genotype import (
     GenotypeConfig,
     flatten_joint,
     joint_schema,
-    unflatten_joint,
 )
 
 LANDSCAPE_FORMAT = "land-v1"
@@ -88,7 +88,7 @@ class LandscapeConfig:
         try:
             return cls(
                 genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
-                family_seed=parse_field(obj, "family_seed", integer, what),
+                family_seed=parse_field(obj, "family_seed", seed, what),
                 sigma_noise=parse_field(obj, "sigma_noise", number, what),
                 margin=parse_field(obj, "margin", number, what),
                 base_scale=parse_field(obj, "base_scale", number, what),
@@ -114,11 +114,6 @@ def _all_positions(config: GenotypeConfig) -> tuple[tuple[Position, int], ...]:
 
 def _position_str(pos: Position) -> str:
     return f"{pos[0]}:{pos[1]}:{pos[2]}"
-
-
-def _position_from_str(text: str) -> Position:
-    section, layer, attr = text.split(":")
-    return (section, int(layer), attr)
 
 
 class _Terms(NamedTuple):
@@ -168,44 +163,9 @@ class SurrogateLandscape:
         self._base = dict(base)
         self._compiled: dict[DepthKey, _Terms] = {}
 
-    # -- structure accessors -------------------------------------------------
-
-    @property
-    def positions(self) -> tuple[Position, ...]:
-        return tuple(self._unary)
-
     @property
     def pairs(self) -> tuple[tuple[Position, Position], ...]:
         return self._pairs
-
-    def unary_table(self, pos: Position) -> np.ndarray:
-        return self._unary[pos].copy()
-
-    def pairwise_table(self, pair: tuple[Position, Position]) -> np.ndarray:
-        return self._pairwise[pair].copy()
-
-    def base_penalty(self, key: DepthKey) -> float:
-        return self._base[DepthKey(*key)]
-
-    def planted_value(self, pos: Position) -> int:
-        return self._planted[pos]
-
-    def master_value(self, pos: Position) -> int:
-        return self._master[pos]
-
-    def analytic_minimum(self, key: DepthKey) -> float:
-        """Fitness of the planted pattern at ``key`` when sigma_noise = 0."""
-        return self._base[DepthKey(*key)]
-
-    def planted_values(self, key: DepthKey) -> np.ndarray:
-        """Planted slot values aligned with the joint schema at ``key``."""
-        schema = joint_schema(self.config.genotype, DepthKey(*key))
-        return np.array([self._planted[(s.section, s.layer, s.attr)]
-                         for s in schema.slots], dtype=np.int64)
-
-    def planted_gan(self, key: DepthKey) -> GanSpec:
-        return unflatten_joint(key, self.planted_values(key),
-                               self.config.genotype)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -375,42 +335,72 @@ def landscape_to_json_obj(land: SurrogateLandscape) -> dict:
 
 
 def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
+    """Parse a landscape document, checking it against its genotype config:
+    ``unary``, ``master`` and ``planted`` hold one entry per slot position of
+    the deepest schema, ``base`` one per depth key, and every table's shape
+    matches its slots' cardinalities."""
     what = f"{LANDSCAPE_FORMAT} document"
     if not isinstance(obj, dict) or obj.get("format") != LANDSCAPE_FORMAT:
         raise FormatError(f"expected a {what}")
 
-    def slot_values(name: str) -> dict[Position, int]:
-        return {_position_from_str(t): parse_value(
-                    v, integer, f"{what}: {name} value {t!r}")
-                for t, v in obj[name].items()}
+    def keyed(name: str, keys: dict, parse) -> dict:
+        """``obj[name]``, keyed by exactly the texts of ``keys``; each value
+        parsed by ``parse(value, text)`` and keyed by what its text names."""
+        entries = obj[name]
+        if not isinstance(entries, dict) or set(entries) != set(keys):
+            raise FormatError(f"bad {what}: {name} keys do not match the "
+                              f"genotype config")
+        return {keys[text]: parse(value, text)
+                for text, value in entries.items()}
+
+    def table(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+        cells = np.array(value, dtype=object)
+        if cells.shape != shape:
+            raise FormatError(f"bad {what}: {name} has shape {cells.shape}, "
+                              f"not {shape}")
+        return np.array([parse_value(v, number, f"{what}: {name} entry")
+                         for v in cells.flat], dtype=float).reshape(shape)
+
+    def slot_value(name: str):
+        return lambda value, text: parse_value(
+            value, integer, f"{what}: {name} value {text!r}")
 
     try:
         config = LandscapeConfig.from_json_obj(obj["config"])
+        slots = _all_positions(config.genotype)
+        positions = {_position_str(p): p for p, _ in slots}
+        cards = {_position_str(p): card for p, card in slots}
         target_key = DepthKey(*(parse_value(d, integer,
                                             f"{what}: target_key entry")
                                 for d in obj["target_key"]))
         if target_key not in config.genotype.depth_keys():
             raise FormatError(f"bad {what}: target_key {list(target_key)} "
                               f"is not a depth key of its genotype config")
-        pairs = tuple((_position_from_str(a), _position_from_str(b))
-                      for a, b in obj["pairs"])
-        base = {}
-        for text, value in obj["base"].items():
-            d_g, d_d = text.split(",")
-            base[DepthKey(int(d_g), int(d_d))] = parse_value(
-                value, number, f"{what}: base value {text!r}")
+        pairs, tables = obj["pairs"], obj["pairwise"]
+        if not (isinstance(pairs, list) and isinstance(tables, list)
+                and len(pairs) == len(tables)
+                and all(isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(t, str) and t in positions
+                                for t in pair) for pair in pairs)):
+            raise FormatError(f"bad {what}: pairs must list two slot "
+                              f"positions per pairwise table")
         return SurrogateLandscape(
-            seed=parse_field(obj, "seed", integer, what),
+            seed=parse_field(obj, "seed", seed, what),
             config=config,
             target_key=target_key,
-            master=slot_values("master"),
-            planted=slot_values("planted"),
-            unary={_position_from_str(t): np.array(v, dtype=float)
-                   for t, v in obj["unary"].items()},
-            pairs=pairs,
-            pairwise={pair: np.array(table, dtype=float)
-                      for pair, table in zip(pairs, obj["pairwise"])},
-            base=base)
+            master=keyed("master", positions, slot_value("master")),
+            planted=keyed("planted", positions, slot_value("planted")),
+            unary=keyed("unary", positions, lambda value, text: table(
+                value, (cards[text],), f"unary table {text!r}")),
+            pairs=tuple((positions[a], positions[b]) for a, b in pairs),
+            pairwise={(positions[a], positions[b]): table(
+                          value, (cards[a], cards[b]),
+                          f"pairwise table {a}/{b}")
+                      for (a, b), value in zip(pairs, tables)},
+            base=keyed("base", {f"{k.d_g},{k.d_d}": k
+                                for k in config.genotype.depth_keys()},
+                       lambda value, text: parse_value(
+                           value, number, f"{what}: base value {text!r}")))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
 

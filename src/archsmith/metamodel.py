@@ -604,16 +604,14 @@ def load_metamodel(path) -> Metamodel:
     return metamodel_from_json_obj(doc)
 
 
-def provenance_mismatch(m: Metamodel, archive_hash: str | None = None,
-                        genotype: GenotypeConfig | None = None) -> str | None:
+def provenance_mismatch(m: Metamodel, archive_hash: str,
+                        genotype: GenotypeConfig) -> str | None:
     """Describe a provenance mismatch, or None when everything lines up."""
     problems = []
-    if archive_hash is not None:
-        recorded = m.provenance.get("archive_hash")
-        if recorded is not None and recorded != archive_hash:
-            problems.append("archive hash differs from the one learned from")
-    if genotype is not None:
-        recorded = m.provenance.get("genotype_fingerprint")
-        if recorded is not None and recorded != genotype.fingerprint():
-            problems.append("genotype configuration differs")
+    recorded = m.provenance.get("archive_hash")
+    if recorded is not None and recorded != archive_hash:
+        problems.append("archive hash differs from the one learned from")
+    recorded = m.provenance.get("genotype_fingerprint")
+    if recorded is not None and recorded != genotype.fingerprint():
+        problems.append("genotype configuration differs")
     return "; ".join(problems) or None

@@ -40,6 +40,9 @@ STRATEGY_FROM_FIRST = "from_first"
 STRATEGY_FROM_METAMODEL = "from_metamodel"
 STRATEGIES = (STRATEGY_RANDOM, STRATEGY_FROM_FIRST, STRATEGY_FROM_METAMODEL)
 
+# The flat genotype form: a depth key and one value per slot of its schema.
+Genotype = tuple[DepthKey, tuple[int, ...]]
+
 
 # ---------------------------------------------------------------------------
 # Vectorized neighborhoods (for scoring and evaluation in bulk)
@@ -162,8 +165,11 @@ def random_minimal_gan(rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One step of a climb; ``genotype`` is the ``(key, row)`` it
+    evaluated, None on exhausted padding."""
+
     step: int
-    gan_hash: str
+    genotype: Genotype | None
     fitness: float
     accepted: bool
     best: float
@@ -174,7 +180,7 @@ class TraceStep:
 class SearchTrace:
     """Evaluation-by-evaluation record; step 0 is the start genotype."""
 
-    start_hash: str
+    start: Genotype
     start_fitness: float
     steps: list[TraceStep] = field(default_factory=list)
 
@@ -208,17 +214,16 @@ def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
-    config = landscape.config.genotype
-    key, values = flatten_joint(start, config)
+    key, values = flatten_joint(start, landscape.config.genotype)
     best = landscape.evaluate(start)
-    trace = SearchTrace(start_hash=gan_hash(start), start_fitness=best)
+    trace = SearchTrace(start=(key, values), start_fitness=best)
     candidates = visits(key, np.array(values, dtype=np.int64))
     for step in range(1, budget + 1):
         candidate = next(candidates, None)
         if candidate is None:
             # Incumbent neighborhood exhausted; no-op padding to budget.
             trace.steps.extend(
-                TraceStep(step=pad, gan_hash="", fitness=float("nan"),
+                TraceStep(step=pad, genotype=None, fitness=float("nan"),
                           accepted=False, best=best, exhausted=True)
                 for pad in range(step, budget + 1))
             break
@@ -226,12 +231,13 @@ def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
         fitness = float(landscape.evaluate_values(cand_key,
                                                   cand_row[None, :])[0])
         accepted = fitness < best
-        digest = gan_hash(unflatten_joint(cand_key, cand_row, config))
         if accepted:
             best = fitness
             if step < budget:
                 candidates = visits(cand_key, cand_row)
-        trace.steps.append(TraceStep(step=step, gan_hash=digest,
+        # A tuple copy: a view would keep the whole neighborhood alive.
+        genotype = (cand_key, tuple(cand_row.tolist()))
+        trace.steps.append(TraceStep(step=step, genotype=genotype,
                                      fitness=fitness, accepted=accepted,
                                      best=best))
     return trace
@@ -375,7 +381,7 @@ def _ranked(members, config: GenotypeConfig) -> list:
 
 
 def _tournament(population: Population, rng: np.random.Generator, k: int,
-                config: GenotypeConfig) -> tuple[DepthKey, tuple[int, ...]]:
+                config: GenotypeConfig) -> Genotype:
     """The fittest of k distinct picks; ``_ranked`` orders only exact ties."""
     picks = rng.choice(population.size, size=min(k, population.size),
                        replace=False)
@@ -386,8 +392,7 @@ def _tournament(population: Population, rng: np.random.Generator, k: int,
     return key, row
 
 
-def _crossover(a: tuple[DepthKey, tuple[int, ...]],
-               b: tuple[DepthKey, tuple[int, ...]]):
+def _crossover(a: Genotype, b: Genotype):
     """Swap whole networks; train frequency travels with the generator."""
     (key_a, row_a), (key_b, row_b) = a, b
     cut_a, cut_b = 1 + 4 * key_a.d_g, 1 + 4 * key_b.d_g
@@ -396,7 +401,7 @@ def _crossover(a: tuple[DepthKey, tuple[int, ...]],
 
 
 def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
-           rng: np.random.Generator) -> tuple[DepthKey, tuple[int, ...]]:
+           rng: np.random.Generator) -> Genotype:
     """One random move: uniform over the kinds the depths allow, then its
     parameters.
 
@@ -450,8 +455,7 @@ def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
 
 
 def _evaluate_rows(landscape: SurrogateLandscape,
-                   genotypes: Sequence[tuple[DepthKey, tuple[int, ...]]]
-                   ) -> list[float]:
+                   genotypes: Sequence[Genotype]) -> list[float]:
     """Fitness of each ``(key, row)``, with one ``evaluate_values`` call
     per distinct key, in the order the keys first appear."""
     by_key: dict[DepthKey, list[int]] = {}
@@ -492,7 +496,7 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     trace = [population.best_fitness]
     evaluations = 0
     for _ in range(generations):
-        children: list[tuple[DepthKey, tuple[int, ...]]] = []
+        children: list[Genotype] = []
         while len(children) < need:
             parent_a = _tournament(population, rng, config.tournament_size, gc)
             parent_b = _tournament(population, rng, config.tournament_size, gc)

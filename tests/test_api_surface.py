@@ -1,5 +1,6 @@
 """Public API surface: every public module-level function and class has a
-caller in the package itself or in the benchmark harness, and every private
+caller in the package itself or in the benchmark harness, every public
+method and property of a public class has a user there, and every private
 module-level function, class and constant has a user in the package.
 
 A public name that only tests call is dead weight: it has to be kept
@@ -8,6 +9,8 @@ allowlist names the exceptions and why each one stays.
 """
 
 import ast
+import importlib
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,6 +23,11 @@ ALLOWED = {
     "enumerate_joint": "imported by the acceptance suite (criterion 1)",
     "save_landscape": "writes the file that `search --landscape` reads",
 }
+
+
+def _harness_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def _modules():
@@ -77,8 +85,7 @@ def _unreferenced(private: bool = False) -> tuple[str, ...]:
             for name, tree in modules.items()}
     harness = set()
     if not private:
-        for path in sorted((ROOT / "perfbench").glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+        for tree in _harness_trees():
             harness.update(*_references(tree, set(modules)))
     missing = []
     for module, tree in modules.items():
@@ -116,3 +123,60 @@ def test_allowlist_is_current():
 
 def test_all_lists_only_importable_names():
     assert all(hasattr(archsmith, name) for name in archsmith.__all__)
+
+
+def _unused_members() -> list[str]:
+    """Public methods and properties of public package classes whose name
+    appears nowhere in the package as an attribute outside their own
+    definition, nor in the benchmark harness as an attribute or a string
+    (its tracer patches methods by name)."""
+    harness = {node.attr if isinstance(node, ast.Attribute) else node.value
+               for tree in _harness_trees() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               or (isinstance(node, ast.Constant)
+                   and isinstance(node.value, str))}
+
+    def attributes(tree) -> Counter:
+        return Counter(node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute))
+
+    modules = _modules()
+    package = sum(map(attributes, modules.values()), Counter())
+    unused = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for member in cls.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("_")
+                        and member.name not in harness
+                        and package[member.name]
+                        == attributes(member)[member.name]):
+                    unused.append(f"{module}.{cls.name}.{member.name}")
+    return unused
+
+
+def test_every_public_member_has_a_user():
+    unused = _unused_members()
+    assert not unused, (
+        f"public methods and properties that only tests use: {unused}; "
+        f"delete them or make them private")
+
+
+def test_tracer_patch_list_names_existing_members():
+    # ``Tracer.install`` looks each entry up in the class ``__dict__``; a
+    # deleted member would break the benchmark, not the tier-1 tests.
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(
+        encoding="utf-8"))
+    methods = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "METHODS"
+                           for t in node.targets))
+    assert methods
+    for layer, entries in methods.items():
+        module = importlib.import_module(f"archsmith.{layer}")
+        for cls_name, method in entries:
+            assert method in vars(getattr(module, cls_name)), (
+                f"perfbench/tracer.py patches {layer}.{cls_name}.{method}, "
+                f"which does not exist")

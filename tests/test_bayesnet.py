@@ -59,13 +59,13 @@ class TestMutualInformation:
     def test_independent_uniform_near_zero(self):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 3, size=(50_000, 2))
-        assert mutual_information(data, 0, 1) < 0.01
+        assert mutual_information(data, 0, 1, (3, 3)) < 0.01
 
     def test_identical_fair_binary_is_ln_two(self):
         x = np.array([0, 1] * 500)
         data = np.column_stack([x, x])
-        assert mutual_information(data, 0, 1) == pytest.approx(math.log(2),
-                                                               abs=1e-12)
+        assert mutual_information(data, 0, 1, (2, 2)) == pytest.approx(
+            math.log(2), abs=1e-12)
 
     def test_deterministic_three_level_is_ln_three(self):
         x = np.array([0, 1, 2] * 300)
@@ -73,15 +73,15 @@ class TestMutualInformation:
         data = np.column_stack([x, mapping[x]])
         expected = brute_force_mi(list(data[:, 0]), list(data[:, 1]))
         assert expected == pytest.approx(math.log(3), abs=1e-12)
-        assert mutual_information(data, 0, 1) == pytest.approx(math.log(3),
-                                                               abs=1e-12)
+        assert mutual_information(data, 0, 1, (3, 3)) == pytest.approx(
+            math.log(3), abs=1e-12)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
                     min_size=1, max_size=60))
     @settings(max_examples=60)
     def test_matches_brute_force_oracle(self, pairs):
         data = np.array(pairs)
-        ours = mutual_information(data, 0, 1)
+        ours = mutual_information(data, 0, 1, (4, 3))
         oracle = brute_force_mi([p[0] for p in pairs], [p[1] for p in pairs])
         assert ours == pytest.approx(oracle, abs=1e-12)
         assert ours >= 0.0
@@ -91,8 +91,8 @@ class TestMutualInformation:
     @settings(max_examples=40)
     def test_symmetry(self, pairs):
         data = np.array(pairs)
-        assert mutual_information(data, 0, 1) == pytest.approx(
-            mutual_information(data, 1, 0), abs=1e-12)
+        assert mutual_information(data, 0, 1, (3, 3)) == pytest.approx(
+            mutual_information(data, 1, 0, (3, 3)), abs=1e-12)
 
     def test_matrix_is_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(1)
@@ -107,7 +107,7 @@ class TestMutualInformation:
     def test_cardinality_sequence_types(self, cards):
         data = chain_data(np.random.default_rng(3), 500)
         assert mutual_information(data, 0, 1, cards) == \
-            mutual_information(data, 0, 1)
+            mutual_information(data, 0, 1, (2, 2, 2))
         assert np.array_equal(mi_matrix(data, cards),
                               mi_matrix(data, (2, 2, 2)))
 
@@ -170,8 +170,12 @@ class TestAracne:
 
     def test_two_variables_threshold_only(self):
         mi = np.array([[0.0, 0.2], [0.2, 0.0]])
-        assert aracne_skeleton(mi, mi_threshold=0.0) == [(0, 1)]
-        assert aracne_skeleton(mi, mi_threshold=0.25) == []
+        assert aracne_skeleton(mi) == [(0, 1)]
+        # An edge needs corrected MI strictly above zero.
+        for penalty, edges in ((0.15, [(0, 1)]), (0.2, []), (0.25, [])):
+            correction = np.full((2, 2), penalty)
+            assert aracne_skeleton(mi, threshold_correction=correction) \
+                == edges
 
     def test_tolerance_one_disables_pruning(self):
         rng = np.random.default_rng(3)
@@ -788,11 +792,6 @@ class TestDag:
     def test_cycle_rejected(self):
         with pytest.raises(ValidationError, match="cycle"):
             Dag(variables=(("a", 2), ("b", 2)), parents=((1,), (0,)))
-
-    def test_edges_listing(self):
-        dag = Dag(variables=(("a", 2), ("b", 2), ("c", 2)),
-                  parents=((), (0,), (0, 1)))
-        assert dag.edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_topological_order_deterministic(self):
         dag = Dag(variables=tuple((f"v{i}", 2) for i in range(4)),

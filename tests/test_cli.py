@@ -328,7 +328,8 @@ def _fields(prefix, fields, deletable=True):
 
 
 GENOTYPE = [((), OBJECTS), (("mode",), OBJECTS), (("arity",), INTS),
-            (("generator_depth_max",), INTS), (("activations",), (5, None))]
+            (("generator_depth_max",), INTS),
+            (("activations",), (5, None, "relu", [1], [None]))]
 LANDSCAPE = ([(("genotype",) + path, wrong) for path, wrong in GENOTYPE]
              + [(("family_seed",), INTS), (("sigma_noise",), NUMBERS),
                 (("flip_prob",), NUMBERS), (("n_pairs",), ("x", 2.5, True))])
@@ -588,9 +589,29 @@ class TestSearch:
         ("planted", lambda doc: doc["planted"].update({"global:-1:train_freq":
                                                        "1"})),
         ("base", lambda doc: doc["base"].update({"1,1": "1.5"})),
+        ("seed", lambda doc: doc.update(seed=-1)),
+        ("family_seed", lambda doc: doc["config"].update(family_seed=-2)),
+        ("unary", lambda doc: doc["unary"].pop("global:-1:train_freq")),
+        ("unary", lambda doc: doc["unary"]["global:-1:train_freq"].append(
+            0.5)),
+        ("unary", lambda doc: doc["unary"]["global:-1:train_freq"].__setitem__(
+            0, "0.5")),
+        ("master", lambda doc: doc["master"].pop("generator:0:kind")),
+        ("planted", lambda doc: doc["planted"].update({"generator:5:kind":
+                                                       0})),
+        ("pairwise", lambda doc: doc["pairwise"].__setitem__(0, [[0.5]])),
+        ("pairwise", lambda doc: doc["pairwise"][0].pop()),
+        ("pairs", lambda doc: doc["pairs"].pop()),
+        ("pairs", lambda doc: doc["pairs"][0].__setitem__(0,
+                                                          "generator:5:kind")),
+        ("base", lambda doc: doc["base"].pop("1,1")),
+        ("base", lambda doc: doc["base"].update({"3,1": 1.5})),
     ], ids=["seed-float", "seed-bool", "target_key-float", "target_key-bool",
             "target_key-unknown", "master-float", "planted-string",
-            "base-string"])
+            "base-string", "seed-negative", "family_seed-negative",
+            "unary-missing", "unary-long", "unary-string", "master-missing",
+            "planted-extra", "pairwise-1x1", "pairwise-short-table",
+            "pairs-short", "pairs-unknown", "base-missing", "base-extra"])
     def test_malformed_landscape_file_rejected(self, field, edit, tmp_path,
                                                capsys):
         land_path = tmp_path / "land.json"
@@ -697,6 +718,23 @@ class TestGenArchiveAndExperiment:
         assert err[0].startswith("error:") and "bogus" in err[0]
         assert "elitism" not in err[0]
 
+    @pytest.mark.parametrize("learn,needle", [
+        ([1], "learn config must be a JSON object"),
+        ("ab", "learn config must be a JSON object"),
+        ({"bogus": 1, "alpha": 2.0}, "unknown learn config key(s): bogus"),
+    ], ids=["list", "string", "unknown-key"])
+    def test_learn_section_parsed_like_ea(self, learn, needle, archive_path,
+                                          tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"landscape": LAND.to_json_obj(),
+                                        "learn": learn}))
+        assert main(["experiment", "--id", "likelihood",
+                     "--archive", str(archive_path),
+                     "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {needle}"]
+
     @pytest.mark.parametrize("command", ["gen-archive", "likelihood",
                                          "sampling", "initialization",
                                          "guided-search"])
@@ -777,12 +815,19 @@ class TestGenArchiveAndExperiment:
         ("learn", "mi_correction", "false"),
         ("learn", "alpha", True),
         ("landscape", "flip_prob", "0.5"),
+        ("genotype", "activations", "relu"),
+        ("genotype", "activations", ["relu", 1]),
+        ("genotype", "weight_inits", ["xavier", None]),
+        ("genotype", "generator_kinds", {"dense": 1}),
+        ("genotype", "discriminator_kinds", 5),
     ])
     def test_wrong_typed_field_is_one_error_line(self, where, field, value,
                                                  archive_path, tmp_path,
                                                  capsys):
         cfg = {"landscape": LAND.to_json_obj()}
-        (cfg.setdefault(where, {}) if where else cfg)[field] = value
+        target = (cfg["landscape"]["genotype"] if where == "genotype"
+                  else cfg.setdefault(where, {}) if where else cfg)
+        target[field] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["experiment", "--id", "likelihood",
@@ -814,6 +859,58 @@ class TestGenArchiveAndExperiment:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "'n'" in err[0]
+
+
+class TestNegativeSeeds:
+    """numpy's seed sequences take no negative seed, so every place that
+    reads a seed rejects one with one error line, not numpy's traceback."""
+
+    @pytest.mark.parametrize("command,where,field,value,needle", [
+        ("gen-archive", None, "base_seed", -1, "'base_seed'"),
+        ("gen-archive", None, "problem_seeds", "-3..-1", "seed range"),
+        ("gen-archive", None, "problem_seeds", [0, -1], "seed list"),
+        ("gen-archive", "landscape", "family_seed", -1, "'family_seed'"),
+        ("likelihood", None, "seed", -1, "'seed'"),
+        ("sampling", None, "train_seeds", [-1], "seed list"),
+        ("sampling", None, "holdout_seeds", "-2..-1", "seed range"),
+        ("initialization", None, "target_seed", -1, "'target_seed'"),
+        ("guided-search", None, "seed", -4, "'seed'"),
+    ])
+    def test_config_field(self, command, where, field, value, needle,
+                          archive_path, tmp_path, capsys):
+        cfg = {"landscape": LAND.to_json_obj(), "train_seeds": [0],
+               "problem_seeds": [0], "runs_per_problem": 1,
+               "population": 6, "generations": 2}
+        (cfg[where] if where else cfg)[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        if command == "gen-archive":
+            argv = ["gen-archive", "--out", str(tmp_path / "a.jsonl")]
+        else:
+            argv = ["experiment", "--id", command,
+                    "--archive", str(archive_path),
+                    "--out-dir", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and needle in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--seed", "-3"],
+        ["search", "--seed", "-3"],
+        ["search", "--landscape-seed", "-1"],
+    ], ids=["sample-seed", "search-seed", "search-landscape-seed"])
+    def test_flag(self, argv, model_path, tmp_path, capsys):
+        land = tmp_path / "land.json"
+        land.write_text(json.dumps(LAND.to_json_obj()))
+        extra = (["--model", str(model_path)] if argv[0] == "sample"
+                 else ["--landscape-config", str(land)])
+        out = tmp_path / "out"
+        assert main(argv + extra + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and argv[1] in err[0]
+        assert not out.exists()
 
 
 class TestAnalyze:

@@ -226,7 +226,7 @@ class TestGuidedSearch:
         for rep in range(3):
             r_trace = result.traces["random"][rep]
             g_trace = result.traces["guided"][rep]
-            assert r_trace.start_hash == g_trace.start_hash
+            assert r_trace.start == g_trace.start
             assert r_trace.start_fitness == g_trace.start_fitness
         assert set(result.summary.median_final) == {"random", "guided"}
         assert 0 <= result.summary.p_final_guided_vs_random <= 1

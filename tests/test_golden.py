@@ -34,7 +34,7 @@ from archsmith.experiments import (
     generate_archive,
     run_guided_search,
 )
-from archsmith.genotype import GenotypeConfig
+from archsmith.genotype import GenotypeConfig, gan_hash, unflatten_joint
 from archsmith.landscape import LandscapeConfig
 from archsmith.metamodel import LearnConfig, Metamodel, save_metamodel
 
@@ -186,7 +186,15 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     result = run_guided_search(
         load_archive(workdir / "per-network-archive.jsonl"),
         GuidedSearchConfig(landscape=SMALL_PN_LAND, **PN_GUIDED))
-    hashes = [[trace.start_hash] + [s.gan_hash for s in trace.steps]
+    genotype = SMALL_PN_LAND.genotype
+
+    def digest(key_row):
+        # Exhausted padding records no genotype; the digest hashes "".
+        return "" if key_row is None else gan_hash(
+            unflatten_joint(*key_row, genotype))
+
+    hashes = [[digest(trace.start)] + [digest(s.genotype)
+                                       for s in trace.steps]
               for algorithm in sorted(result.traces)
               for trace in result.traces[algorithm]]
     out["per-network/guided-search/gan_hashes"] = _sha256(

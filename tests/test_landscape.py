@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from archsmith.genotype import (
     flatten_joint,
     joint_schema,
     random_gan,
+    unflatten_joint,
 )
 from archsmith.landscape import (
     LandscapeConfig,
@@ -39,6 +41,42 @@ def noiseless(genotype=JOINT, **overrides):
 
 def random_probes(rng, config, count):
     return [random_gan(rng, config) for _ in range(count)]
+
+
+def structure(land):
+    """A landscape's tables and patterns, read through its JSON form and
+    keyed as the package keys them: ``base`` by depth key, ``unary``,
+    ``master`` and ``planted`` by slot position, ``pairwise`` by pair."""
+    obj = landscape_to_json_obj(land)
+
+    def position(text):
+        section, layer, attr = text.split(":")
+        return section, int(layer), attr
+
+    def by_position(name, convert):
+        return {position(t): convert(v) for t, v in obj[name].items()}
+
+    return SimpleNamespace(
+        base={DepthKey(*map(int, text.split(","))): value
+              for text, value in obj["base"].items()},
+        unary=by_position("unary", np.array),
+        master=by_position("master", int),
+        planted=by_position("planted", int),
+        pairwise={(position(a), position(b)): np.array(table)
+                  for (a, b), table in zip(obj["pairs"], obj["pairwise"])})
+
+
+def planted_values(land, key):
+    """Planted slot values aligned with the joint schema at ``key``."""
+    planted = structure(land).planted
+    schema = joint_schema(land.config.genotype, key)
+    return np.array([planted[(s.section, s.layer, s.attr)]
+                     for s in schema.slots], dtype=np.int64)
+
+
+def planted_gan(land, key):
+    return unflatten_joint(key, planted_values(land, key),
+                           land.config.genotype)
 
 
 class TestDeterminism:
@@ -74,10 +112,10 @@ class TestDeterminism:
 class TestPlantedPattern:
     def test_planted_hits_analytic_minimum_per_key(self):
         land = make_landscape(11, noiseless())
+        base = structure(land).base
         for key in JOINT.depth_keys():
-            fitness = land.evaluate(land.planted_gan(key))
-            assert fitness == pytest.approx(land.analytic_minimum(key),
-                                            abs=1e-12)
+            fitness = land.evaluate(planted_gan(land, key))
+            assert fitness == pytest.approx(base[key], abs=1e-12)
 
     def test_exhaustive_tiny_space_argmin_is_planted(self):
         config = noiseless(genotype=TINY)
@@ -88,7 +126,7 @@ class TestPlantedPattern:
             *[range(c) for c in schema.cardinalities])), dtype=np.int64)
         fitness = land.evaluate_values(key, grid)
         best = int(np.argmin(fitness))
-        assert np.array_equal(grid[best], land.planted_values(key))
+        assert np.array_equal(grid[best], planted_values(land, key))
         rest = np.delete(fitness, best)
         assert rest.min() >= fitness[best] + config.margin - 1e-9
 
@@ -96,7 +134,7 @@ class TestPlantedPattern:
         land = make_landscape(6, noiseless())
         for key in (DepthKey(1, 1), DepthKey(3, 4), land.target_key):
             schema = joint_schema(JOINT, key)
-            planted = land.planted_values(key)
+            planted = planted_values(land, key)
             base_fit = land.evaluate_values(key, planted[None, :])[0]
             for j, card in enumerate(schema.cardinalities):
                 for w in range(card):
@@ -120,24 +158,25 @@ class TestAdditivity:
     def test_fitness_matches_table_sum_oracle(self):
         # Recompute base + unary + pairwise directly from the exposed tables.
         land = make_landscape(9, noiseless())
+        tables = structure(land)
         rng = np.random.default_rng(4)
         for gan in random_probes(rng, JOINT, 200):
             key, values = flatten_joint(gan, JOINT)
             schema = joint_schema(JOINT, key)
             pos = [(s.section, s.layer, s.attr) for s in schema.slots]
-            expected = land.base_penalty(key)
+            expected = tables.base[key]
             for p, v in zip(pos, values):
-                expected += land.unary_table(p)[v]
+                expected += tables.unary[p][v]
             index = {p: i for i, p in enumerate(pos)}
             for a, b in land.pairs:
                 if a in index and b in index:
-                    expected += land.pairwise_table((a, b))[
+                    expected += tables.pairwise[(a, b)][
                         values[index[a]], values[index[b]]]
             assert land.evaluate(gan) == pytest.approx(expected, abs=1e-9)
 
     def test_pair_count_default(self):
         land = make_landscape(0, LandscapeConfig(genotype=JOINT))
-        assert len(land.positions) == 29
+        assert len(structure(land).unary) == 29
         assert len(land.pairs) == 14
 
     def test_no_pairs_when_zero(self):
@@ -165,7 +204,7 @@ class TestNoise:
         key = DepthKey(3, 4)
         schema = joint_schema(JOINT, key)
         cards = np.array(schema.cardinalities)
-        planted = land.planted_values(key)
+        planted = planted_values(land, key)
         rng = np.random.default_rng(6)
         rows = []
         for _ in range(1000):
@@ -187,7 +226,7 @@ class TestNoise:
         rng = np.random.default_rng(6)
         probes = [random_gan(rng, JOINT, depth_key=key) for _ in range(1000)]
         values = np.array([flatten_joint(g, JOINT)[1] for g in probes])
-        hamming = (values != land.planted_values(key)).sum(axis=1)
+        hamming = (values != planted_values(land, key)).sum(axis=1)
         fitness = land.evaluate_values(key, values)
         assert np.corrcoef(hamming, fitness)[0, 1] > 0.6
 
@@ -199,23 +238,22 @@ class TestFamilyStructure:
         b = make_landscape(200, config)
         assert a.target_key == b.target_key
         assert a.pairs == b.pairs
-        assert all(a.master_value(p) == b.master_value(p)
-                   for p in a.positions)
+        assert structure(a).master == structure(b).master
 
     def test_flip_fraction_tracks_flip_prob(self):
         config = LandscapeConfig(genotype=JOINT, flip_prob=0.2)
         flips = []
         for seed in range(40):
             land = make_landscape(seed, config)
-            flips.append(np.mean([land.planted_value(p) != land.master_value(p)
-                                  for p in land.positions]))
+            tables = structure(land)
+            flips.append(np.mean([tables.planted[p] != tables.master[p]
+                                  for p in tables.unary]))
         assert 0.1 < np.mean(flips) < 0.3
 
     def test_families_differ(self):
         a = make_landscape(0, LandscapeConfig(genotype=JOINT, family_seed=1))
         b = make_landscape(0, LandscapeConfig(genotype=JOINT, family_seed=2))
-        assert any(a.master_value(p) != b.master_value(p)
-                   for p in a.positions)
+        assert structure(a).master != structure(b).master
 
     def test_target_key_interior(self):
         for family in range(25):
@@ -291,13 +329,14 @@ def reference_fitness(land, key, row):
     schema = joint_schema(land.config.genotype, key)
     index = {(s.section, s.layer, s.attr): i
              for i, s in enumerate(schema.slots)}
-    total = land.base_penalty(key)
+    tables = structure(land)
+    total = tables.base[key]
     for pos, i in index.items():
-        total += float(land.unary_table(pos)[row[i]])
+        total += float(tables.unary[pos][row[i]])
     for a, b in land.pairs:
         if a in index and b in index:
-            total += float(land.pairwise_table((a, b))[row[index[a]],
-                                                       row[index[b]]])
+            total += float(tables.pairwise[(a, b)][row[index[a]],
+                                                   row[index[b]]])
     config = land.config
     if config.sigma_noise > 0:
         text = (f"{config.family_seed}|{land.seed}|{key.d_g}|{key.d_d}|"

@@ -345,10 +345,12 @@ class TestPersistence:
         model = learn(make_individuals(rng, TINY, 30),
                       LearnConfig(genotype=TINY),
                       provenance={"archive_hash": "abc"})
-        assert provenance_mismatch(model, archive_hash="abc") is None
-        assert "archive" in provenance_mismatch(model, archive_hash="xyz")
-        assert "genotype" in provenance_mismatch(model, genotype=JOINT)
-        assert provenance_mismatch(model, genotype=TINY) is None
+        assert provenance_mismatch(model, "abc", TINY) is None
+        assert provenance_mismatch(model, "xyz", TINY) == (
+            "archive hash differs from the one learned from")
+        assert provenance_mismatch(model, "abc", JOINT) == (
+            "genotype configuration differs")
+        assert "; " in provenance_mismatch(model, "xyz", JOINT)
 
 
 def whole_tables(bn):

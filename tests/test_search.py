@@ -53,6 +53,7 @@ from archsmith.search import (
     save_traces,
     simple_ea,
 )
+from test_landscape import planted_gan
 
 DEFAULT = GenotypeConfig.joint()
 PER_NET = GenotypeConfig.per_network()
@@ -506,6 +507,17 @@ class TestRandomHc:
         assert trace.evaluations == 25
         assert trace.start_fitness == land.evaluate(start)
 
+    def test_steps_record_the_rows_they_evaluated(self):
+        land = tiny_landscape(seed=3)
+        rng = np.random.default_rng(9)
+        start = random_gan(rng, TINY)
+        trace = random_hc(land, start, budget=30, rng=rng)
+        assert trace.start == flatten_joint(start, TINY)
+        for s in trace.steps:
+            key, row = s.genotype
+            assert type(row) is tuple and all(type(v) is int for v in row)
+            assert land.evaluate_values(key, np.array([row]))[0] == s.fitness
+
     def test_best_is_monotone(self):
         land = tiny_landscape(seed=2)
         rng = np.random.default_rng(1)
@@ -517,7 +529,7 @@ class TestRandomHc:
 
     def test_start_at_optimum_accepts_nothing(self):
         land = tiny_landscape(seed=4)
-        start = land.planted_gan(land.target_key)
+        start = planted_gan(land, land.target_key)
         rng = np.random.default_rng(2)
         trace = random_hc(land, start, budget=40, rng=rng)
         assert not any(s.accepted for s in trace.steps)
@@ -533,11 +545,11 @@ class TestRandomHc:
     def test_first_step_draws_from_start_neighborhood(self):
         land = tiny_landscape(seed=6)
         start = random_gan(np.random.default_rng(12), TINY)
-        allowed = {gan_hash(h) for h in neighbors(start, TINY)}
+        allowed = {flatten_joint(h, TINY) for h in neighbors(start, TINY)}
         seen = set()
         for seed in range(30):
             trace = random_hc(land, start, 1, np.random.default_rng(seed))
-            seen.add(trace.steps[0].gan_hash)
+            seen.add(trace.steps[0].genotype)
         assert seen <= allowed
         assert len(seen) > 5
 
@@ -562,7 +574,7 @@ class TestGuidedHc:
                                   problem_id="p")],
                       LearnConfig(genotype=TINY, alpha=0.01))
         trace = guided_hc(land, model, start, 3, np.random.default_rng(3))
-        assert trace.steps[0].gan_hash == gan_hash(target)
+        assert trace.steps[0].genotype == flatten_joint(target, TINY)
 
     def test_accept_on_last_step_ranks_nothing_more(self, monkeypatch):
         # The best neighbor carries all the model's mass, so the one-step
@@ -582,12 +594,12 @@ class TestGuidedHc:
                             lambda *args: calls.append(args) or build(*args))
         trace = guided_hc(land, model, start, 1, np.random.default_rng(3))
         assert trace.steps[-1].accepted
-        assert trace.steps[-1].gan_hash == gan_hash(target)
+        assert trace.steps[-1].genotype == flatten_joint(target, TINY)
         assert len(calls) == 1
 
     def test_exhaustion_pads_trace(self):
         land = tiny_landscape(seed=8)
-        start = land.planted_gan(land.target_key)
+        start = planted_gan(land, land.target_key)
         n_neighbors = len(neighbors(start, TINY))
         budget = n_neighbors + 10
         trace = guided_hc(land, uniform_metamodel(), start, budget,
@@ -598,10 +610,12 @@ class TestGuidedHc:
         assert all(s.exhausted and not s.accepted for s in padding)
         assert all(math.isnan(s.fitness) for s in padding)
         assert all(s.best == trace.start_fitness for s in padding)
+        assert all(s.genotype is None for s in padding)
         real = trace.steps[:n_neighbors]
         assert not any(s.exhausted for s in real)
         # every neighbor evaluated exactly once
-        assert len({s.gan_hash for s in real}) == n_neighbors
+        assert ({s.genotype for s in real}
+                == {flatten_joint(h, TINY) for h in neighbors(start, TINY)})
 
     def test_accept_resets_neighborhood(self):
         land = tiny_landscape(seed=9)
@@ -963,7 +977,7 @@ class TestTraceIo:
 
     def test_nan_padding_survives(self, tmp_path):
         land = tiny_landscape(seed=20)
-        start = land.planted_gan(land.target_key)
+        start = planted_gan(land, land.target_key)
         budget = len(neighbors(start, TINY)) + 5
         trace = guided_hc(land, uniform_metamodel(), start, budget,
                           np.random.default_rng(27))
