@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -20,13 +22,15 @@ import numpy as np
 
 from .errors import FormatError, ValidationError, number, parse_field, string
 from .genotype import (
+    DepthKey,
     GanSpec,
     GenotypeConfig,
-    _gan_json,
-    _value_json,
+    _gan_text,
+    _text_tables,
+    flatten_joint,
     gan_hash,
     sort_by_fitness,
-    validate_gan,
+    unflatten_joint,
 )
 
 ARCHIVE_FORMAT = "archive-v1"
@@ -36,46 +40,77 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Individual:
-    """One evaluated genotype from one run; lower fitness is better."""
+    """One evaluated genotype from one run; lower fitness is better.
 
-    gan: GanSpec
+    The genotype is its depth key and its row in ``config``'s joint
+    schema.  ``gan`` builds the tree on first read, and the hash that
+    breaks fitness ties is computed once per individual.
+    """
+
+    key: DepthKey
+    row: tuple[int, ...]
     fitness: float
     run_id: str
     problem_id: str
+    config: GenotypeConfig = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.fitness):
+        if not math.isfinite(self.fitness):
             raise ValidationError(f"fitness must be finite, got {self.fitness}")
 
-    def to_json_obj(self) -> dict:
-        return {"run_id": self.run_id, "problem_id": self.problem_id,
-                "fitness": self.fitness, "gan": self.gan.to_json_obj()}
+    @cached_property
+    def gan(self) -> GanSpec:
+        return unflatten_joint(self.key, self.row, self.config)
 
-    @classmethod
-    def from_json_obj(cls, obj: dict,
-                      config: GenotypeConfig | None = None) -> "Individual":
-        what = "archive record"
-        try:
-            return cls(gan=GanSpec.from_json_obj(obj["gan"], config),
-                       fitness=parse_field(obj, "fitness", number, what),
-                       run_id=parse_field(obj, "run_id", string, what),
-                       problem_id=parse_field(obj, "problem_id", string, what))
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad archive record: {exc}") from exc
+    @cached_property
+    def _hash(self) -> str:
+        return gan_hash(self.key, self.row, self.config)
+
+
+def _parse_record(obj, config: GenotypeConfig) -> tuple:
+    """The ``(gan, fitness, run_id, problem_id)`` of one archive record;
+    each layer inside ``config``'s vocabulary is the layer table's object."""
+    what = "archive record"
+    try:
+        return (GanSpec.from_json_obj(obj["gan"], config),
+                parse_field(obj, "fitness", number, what),
+                parse_field(obj, "run_id", string, what),
+                parse_field(obj, "problem_id", string, what))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad archive record: {exc}") from exc
+
+
+def _value_json(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, without the call's overhead
+    for an int or a finite float (``json`` writes any float, ``np.float64``
+    included, with ``float.__repr__``)."""
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, sort_keys=True)
 
 
 def _record_texts(individuals: Iterable[Individual]) -> Iterator[str]:
-    """``json.dumps(ind.to_json_obj(), sort_keys=True)`` of each individual.
+    """The record of each individual: ``json.dumps`` with ``sort_keys`` of
+    ``{"fitness", "gan", "problem_id", "run_id"}``, the genotype as
+    ``gan.to_json_obj()``, written from its key and row.
 
-    The text is built from fragments in sorted-key order.  Layer texts and
-    the ``problem_id``/``run_id`` tail are encoded once per distinct value
-    (the tail only for ``str`` ids, whose equal values encode alike) and
-    cached for this call only, so the cache is bounded by the genotype
-    vocabulary and the number of runs.
+    The text is built from fragments in sorted-key order: layer texts
+    from the config's table (``genotype._text_tables``), and network
+    texts and the ``problem_id``/``run_id`` tail (the tail only for
+    ``str`` ids, whose equal values encode alike) once per distinct value,
+    cached for this call only, so the caches are bounded by the genotype
+    space and the number of runs.
     """
-    texts: dict = {}
     tails: dict[tuple[str, str], str] = {}
+    networks: dict[GenotypeConfig, tuple[dict, dict]] = {}
+    config = None
     for ind in individuals:
+        if ind.config is not config:
+            config = ind.config
+            tables = _text_tables(config, False)
+            cache = networks.setdefault(config, ({}, {}))
         ids = (ind.problem_id, ind.run_id)
         plain = type(ids[0]) is str and type(ids[1]) is str
         tail = tails.get(ids) if plain else None
@@ -85,13 +120,13 @@ def _record_texts(individuals: Iterable[Individual]) -> Iterator[str]:
             if plain:
                 tails[ids] = tail
         yield (f'{{"fitness": {_value_json(ind.fitness)}, '
-               f'"gan": {_gan_json(ind.gan, texts)}, {tail}')
+               f'"gan": {_gan_text(ind.key, ind.row, tables, cache)}, {tail}')
 
 
 def _ranked(individuals: Iterable[Individual]) -> list[Individual]:
     """Ascending fitness, ties broken by the canonical genotype hash."""
     return sort_by_fitness(individuals, attrgetter("fitness"),
-                           lambda ind: gan_hash(ind.gan))
+                           attrgetter("_hash"))
 
 
 @dataclass
@@ -159,11 +194,11 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
     A leading ``archive-v1`` header supplies the genotype configuration
     unless ``config`` overrides it.  Records whose genotypes fall outside
     the configured space are rejected and counted.  An archive with no
-    loadable runs at all is an error.  Each in-vocabulary layer of the
-    loaded genotypes is the layer table's object, so equal layers are one
-    shared object.
+    loadable runs at all is an error.  Each record is parsed into a tree,
+    whose in-vocabulary layers are the layer table's objects, and held as
+    its key and row once the tree is checked and flattened.
     """
-    runs: dict[str, list[Individual]] = {}
+    records: dict[str, list[tuple]] = {}
     diagnostics: list[str] = []
     rejected = 0
     file_config = None
@@ -187,30 +222,31 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                     layer_config = file_config
                 continue
             try:
-                ind = Individual.from_json_obj(obj, layer_config)
+                record = _parse_record(obj, layer_config)
             except (FormatError, ValidationError) as exc:
                 diagnostics.append(f"line {lineno}: {exc}")
                 continue
-            runs.setdefault(ind.run_id, []).append(ind)
+            records.setdefault(record[2], []).append(record)
     effective = config or file_config or GenotypeConfig.joint()
-    checked: dict[str, list[Individual]] = {}
-    for run_id, individuals in runs.items():
+    runs: dict[str, list[Individual]] = {}
+    for run_id, parsed in records.items():
         kept = []
-        for ind in individuals:
+        for gan, fitness, _, problem_id in parsed:
             try:
-                validate_gan(ind.gan, effective)
+                key, row = flatten_joint(gan, effective)
             except ValidationError as exc:
                 rejected += 1
                 diagnostics.append(f"run {run_id}: rejected record ({exc})")
                 continue
-            kept.append(ind)
+            kept.append(Individual(key, row, fitness, run_id, problem_id,
+                                   effective))
         if kept:
-            checked[run_id] = kept
-    if not checked:
+            runs[run_id] = kept
+    if not runs:
         raise ValidationError(f"no runs loadable from {path}")
     for message in diagnostics:
         logger.warning("%s: %s", path, message)
-    return RunArchive(runs=checked, config=effective,
+    return RunArchive(runs=runs, config=effective,
                       diagnostics=diagnostics, rejected=rejected)
 
 

@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .experiments import (
     SamplingConfig,
     generate_archive,
     learn_from_first,
+    parse_learn_config,
     run_guided_search,
     run_initialization,
     run_likelihood,
@@ -40,7 +42,6 @@ from .experiments import (
 from .genotype import GenotypeConfig, dump_genotypes, load_genotypes
 from .landscape import LandscapeConfig, load_landscape, make_landscape
 from .metamodel import (
-    LearnConfig,
     load_metamodel,
     provenance_mismatch,
     save_metamodel,
@@ -96,12 +97,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_learn(args) -> int:
     archive = load_archive(args.archive)
-    merged = LearnConfig(genotype=archive.config).to_json_obj()
-    if args.config:
-        merged.update(_read_json(args.config))
+    learn_config = parse_learn_config(
+        _read_json(args.config) if args.config else {}, archive.config)
     if args.structure:
-        merged["structure"] = args.structure
-    learn_config = LearnConfig.from_json_obj(merged)
+        learn_config = replace(learn_config, structure=args.structure)
     if learn_config.genotype.fingerprint() != archive.config.fingerprint():
         raise ValidationError("config genotype does not match the archive")
     sets, model = learn_from_first(archive, args.n, args.seed, learn_config)

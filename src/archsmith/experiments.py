@@ -15,7 +15,7 @@ import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
 from .errors import ValidationError, integer, number, parse_field, seed
-from .genotype import DepthKey, random_gan, unflatten_joint
+from .genotype import DepthKey, random_gan
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
 from .search import (
@@ -64,10 +64,9 @@ def _required(obj: dict, name: str):
     return obj[name]
 
 
-def _section(obj: dict, name: str, config_class) -> dict:
-    """``obj[name]``, which must be a JSON object whose keys all name
-    fields of ``config_class``."""
-    section = obj[name]
+def _section(section, name: str, config_class) -> dict:
+    """``section``, which must be a JSON object whose keys all name fields
+    of ``config_class``; ``name`` names it in errors."""
     if not isinstance(section, dict):
         raise ValidationError(f"{name} config must be a JSON object")
     unknown = sorted(set(section) - {f.name for f in fields(config_class)})
@@ -77,13 +76,11 @@ def _section(obj: dict, name: str, config_class) -> dict:
     return section
 
 
-def _optional_learn(obj: dict, genotype) -> LearnConfig | None:
-    """Parse a partial learn config; unstated keys take their defaults."""
-    if "learn" not in obj:
-        return None
-    section = _section(obj, "learn", LearnConfig)
+def parse_learn_config(section, genotype) -> LearnConfig:
+    """A partial learn config, a JSON object of ``LearnConfig`` fields;
+    unstated keys take their defaults, ``genotype`` that of ``genotype``."""
     merged = LearnConfig(genotype=genotype).to_json_obj()
-    merged.update(section)
+    merged.update(_section(section, "learn", LearnConfig))
     return LearnConfig.from_json_obj(merged)
 
 
@@ -91,7 +88,7 @@ def _optional_ea(obj: dict) -> EaConfig:
     """Parse a partial EA config; unstated keys take their defaults."""
     if "ea" not in obj:
         return EaConfig()
-    section = _section(obj, "ea", EaConfig)
+    section = _section(obj["ea"], "ea", EaConfig)
     ints = ("tournament_size", "elitism")
     return EaConfig(**{
         name: parse_field(section, name,
@@ -103,15 +100,22 @@ def _from_json_obj(cls, obj: dict):
     """An experiment config from its JSON object.  ``landscape`` and every
     field without a default are required; ``learn`` and ``ea`` are partial
     sections; ``*_seeds`` fields are seed lists or ranges; every other
-    field is an int, and a ``seed`` or ``*_seed`` one is not negative."""
+    field is an int, and a ``seed`` or ``*_seed`` one is not negative.
+    A key that names no field is rejected."""
+    if not isinstance(obj, dict):
+        raise ValidationError("config must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs = {}
     for f in fields(cls):
         if f.name == "landscape":
             kwargs[f.name] = LandscapeConfig.from_json_obj(
                 _required(obj, f.name))
         elif f.name == "learn":
-            kwargs[f.name] = _optional_learn(obj,
-                                             kwargs["landscape"].genotype)
+            if "learn" in obj:
+                kwargs[f.name] = parse_learn_config(
+                    obj["learn"], kwargs["landscape"].genotype)
         elif f.name == "ea":
             kwargs[f.name] = _optional_ea(obj)
         elif f.name.endswith("_seeds"):
@@ -213,9 +217,8 @@ def generate_archive(config: ArchiveGenConfig) -> RunArchive:
 
             def log(key: DepthKey, row: tuple[int, ...], fitness: float,
                     _run_id=run_id, _record=record) -> None:
-                _record.append(Individual(
-                    gan=unflatten_joint(key, row, gc), fitness=fitness,
-                    run_id=_run_id, problem_id=problem_id))
+                _record.append(Individual(key, row, fitness, _run_id,
+                                          problem_id, gc))
 
             population = init_population("random", config.population, land,
                                          rng)
@@ -279,6 +282,8 @@ def run_likelihood(archive: RunArchive,
                    config: LikelihoodConfig) -> LikelihoodResult:
     """Extract elite sets, learn on First, score all three sets.
 
+    Each set is scored with one ``score_values`` call per depth key.
+
     Depth keys where every set is represented and at least ``min_scored``
     individuals were scored in total get a Kruskal-Wallis test over the
     per-set log probabilities plus Dunn pairwise p-values.
@@ -288,14 +293,22 @@ def run_likelihood(archive: RunArchive,
         _default_learn(config.landscape, config.learn))
     rows: list[ScoreRow] = []
     for set_name in SET_NAMES:
-        for ind in sets.by_name(set_name):
-            breakdown = model.score(ind.gan)
-            rows.append(ScoreRow(
-                set_name=set_name, run_id=ind.run_id,
-                problem_id=ind.problem_id,
-                d_g=breakdown.depth_key.d_g, d_d=breakdown.depth_key.d_d,
-                log_prob=breakdown.log_prob,
-                normalized=breakdown.normalized))
+        individuals = sets.by_name(set_name)
+        by_key: dict[DepthKey, list[int]] = {}
+        for index, ind in enumerate(individuals):
+            by_key.setdefault(ind.key, []).append(index)
+        scores: list = [None] * len(individuals)
+        for key, indices in by_key.items():
+            values = np.array([individuals[i].row for i in indices],
+                              dtype=np.int64)
+            log_probs, normalized = model.score_values(key, values)
+            for i, lp, nz in zip(indices, log_probs.tolist(),
+                                 normalized.tolist()):
+                scores[i] = (lp, nz)
+        rows.extend(ScoreRow(set_name=set_name, run_id=ind.run_id,
+                             problem_id=ind.problem_id, d_g=ind.key.d_g,
+                             d_d=ind.key.d_d, log_prob=lp, normalized=nz)
+                    for ind, (lp, nz) in zip(individuals, scores))
     key_tests: list[KeyTest] = []
     for key in sorted({(r.d_g, r.d_d) for r in rows}):
         groups = [[r.log_prob for r in rows

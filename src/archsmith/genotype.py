@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -258,22 +257,14 @@ class GanSpec:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad genotype record: {exc}") from exc
 
-    @cached_property
-    def _sha256(self) -> str:
-        # The spec is frozen, so its hash is computed once per object.  The
-        # value lives in the instance dict, outside the dataclass fields, so
-        # equality, hash() and repr do not see it.
-        return hashlib.sha256(canonical_json(self).encode()).hexdigest()
 
-
-def canonical_json(gan: GanSpec) -> str:
-    """Canonical single-line encoding used for hashing and tie-breaks."""
-    return json.dumps(gan.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
-
-def gan_hash(gan: GanSpec) -> str:
-    """sha256 of ``canonical_json(gan)``, computed once per object."""
-    return gan._sha256
+def gan_hash(key: DepthKey, row: Sequence[int],
+             config: GenotypeConfig) -> str:
+    """A genotype's identity: the sha256 of its canonical JSON, the
+    compact, sorted-key ``json.dumps`` of the ``to_json_obj()`` of
+    ``unflatten_joint(key, row, config)``, written from the row."""
+    text = _gan_text(key, tuple(row), _text_tables(config, True), ({}, {}))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def sort_by_fitness(items: Iterable[_T], fitness: Callable[[_T], float],
@@ -475,15 +466,15 @@ def joint_schema(config: GenotypeConfig, key: DepthKey) -> Schema:
     return Schema(key=key, slots=gen.slots + disc.slots)
 
 
-def _network_values(config: GenotypeConfig, net: DnnSpec) -> list[int]:
-    kinds = config.kinds(net.role)
-    values = []
-    for layer in net.layers:
-        values.append(kinds.index(layer.kind))
-        values.append(config.activations.index(layer.activation))
-        values.append(config.weight_inits.index(layer.weight_init))
-        values.append(layer.size_bin)
-    return values
+@lru_cache(maxsize=None)
+def _layer_values(config: GenotypeConfig) -> dict[str, dict[tuple, tuple]]:
+    """Per role, the four row values of each layer the role may hold,
+    keyed by the layer's fields (kind, activation, weight_init,
+    size_bin)."""
+    return {role: dict(zip(product(config.kinds(role), config.activations,
+                                   config.weight_inits, range(config.arity)),
+                           product(*map(range, _layer_radix(config, role)))))
+            for role in ROLES}
 
 
 def flatten_joint(gan: GanSpec,
@@ -491,9 +482,13 @@ def flatten_joint(gan: GanSpec,
     """The depth key of ``gan`` and its row: one value per slot of the
     key's joint schema."""
     validate_gan(gan, config)
-    values = ([gan.train_freq_bin]
-              + _network_values(config, gan.generator)
-              + _network_values(config, gan.discriminator))
+    tables = _layer_values(config)
+    values = [gan.train_freq_bin]
+    for net in (gan.generator, gan.discriminator):
+        table = tables[net.role]
+        for layer in net.layers:
+            values.extend(table[layer.kind, layer.activation,
+                                layer.weight_init, layer.size_bin])
     return gan.depth_key, tuple(values)
 
 
@@ -534,72 +529,76 @@ def unflatten_joint(key: DepthKey, values: Sequence[int],
 # Serialization (line-delimited records, schema tag v1)
 
 
-_SCHEMA_JSON = json.dumps(GENOTYPE_SCHEMA_VERSION)
-_ROLE_JSON = {role: json.dumps(role) for role in ROLES}
-_PLAIN_LAYER = (str, str, str, int)
+class _Texts(NamedTuple):
+    """The fragments of a genotype's sorted-key JSON text, written with one
+    pair of separators: for each role, generator first, every layer's
+    text keyed by the layer's four row values, and the text around the
+    layers; and the text around the two networks and the train bin."""
+
+    item: str
+    layers: tuple[dict[tuple[int, ...], str], dict[tuple[int, ...], str]]
+    around_layers: tuple[tuple[str, str], tuple[str, str]]
+    around_networks: tuple[str, str, str]
 
 
-def _value_json(value) -> str:
-    """``json.dumps(value, sort_keys=True)``, without the call's overhead
-    for an int or a finite float (``json`` writes any float, ``np.float64``
-    included, with ``float.__repr__``)."""
-    if type(value) is int:
-        return repr(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value, sort_keys=True)
+@lru_cache(maxsize=None)
+def _text_tables(config: GenotypeConfig, compact: bool) -> _Texts:
+    """The text fragments of ``config``'s genotypes, written with
+    ``json.dumps``'s default separators or, if ``compact``, with
+    ``(",", ":")``.  The layer tables hold only the vocabulary's layers."""
+    item, colon = separators = (",", ":") if compact else (", ", ": ")
+    return _Texts(
+        item=item,
+        layers=tuple(
+            {values: json.dumps(LayerSpec(*fields).to_json_obj(),
+                                sort_keys=True, separators=separators)
+             for fields, values in _layer_values(config)[role].items()}
+            for role in ROLES),
+        around_layers=tuple((f'{{"layers"{colon}[',
+                             f']{item}"role"{colon}{json.dumps(role)}}}')
+                            for role in ROLES),
+        around_networks=(
+            f'{{"discriminator"{colon}', f'{item}"generator"{colon}',
+            f'{item}"schema"{colon}{json.dumps(GENOTYPE_SCHEMA_VERSION)}'
+            f'{item}"train_freq_bin"{colon}'))
 
 
-def _network_json(net: DnnSpec, texts: dict) -> str:
-    """``json.dumps(net.to_json_obj(), sort_keys=True)``; see ``_gan_json``.
+def _gan_text(key: DepthKey, row: tuple[int, ...], texts: _Texts,
+              networks: tuple[dict, dict]) -> str:
+    """``json.dumps(unflatten_joint(key, row, config).to_json_obj(),
+    sort_keys=True, separators=...)`` for ``texts = _text_tables(config,
+    compact)``, written from the row's layer texts; no tree is built.
 
-    ``texts`` holds the text of plain layers only (three ``str`` fields and
-    an ``int`` size bin) and is read only with an ``int`` size bin: equal
-    ``str`` fields encode alike, while ``1``, ``1.0`` and ``True`` compare
-    equal but encode differently.
+    ``networks`` is a pair of caches (generator, discriminator), kept by
+    the caller for one encoding call over one config's texts, of each
+    distinct network's text by its values.
     """
-    parts = []
-    for layer in net.layers:
-        key = (layer.kind, layer.activation, layer.weight_init, layer.size_bin)
-        text = None
-        if type(key[3]) is int:
-            try:
-                text = texts.get(key)
-            except TypeError:  # an unhashable field, such as a list
-                pass
-        if text is None:
-            text = json.dumps(layer.to_json_obj(), sort_keys=True)
-            if tuple(map(type, key)) == _PLAIN_LAYER:
-                texts[key] = text
-        parts.append(text)
-    role = net.role
-    role_text = _ROLE_JSON.get(role) if type(role) is str else None
-    if role_text is None:
-        role_text = _value_json(role)
-    return f'{{"layers": [{", ".join(parts)}], "role": {role_text}}}'
+    item, layers, around, (before, between, after) = texts
+    split = 1 + 4 * key[0]
+    gen, disc = row[1:split], row[split:]
+    gen_text = networks[0].get(gen)
+    if gen_text is None:
+        gen_text = networks[0][gen] = _network_text(gen, layers[0],
+                                                    around[0], item)
+    disc_text = networks[1].get(disc)
+    if disc_text is None:
+        disc_text = networks[1][disc] = _network_text(disc, layers[1],
+                                                      around[1], item)
+    return f"{before}{disc_text}{between}{gen_text}{after}{row[0]}}}"
 
 
-def _gan_json(gan: GanSpec, texts: dict) -> str:
-    """``json.dumps(gan.to_json_obj(), sort_keys=True)``, built from fragments.
-
-    The keys are written in sorted order, and each layer's text is encoded
-    once per distinct value into ``texts``, a cache the caller keeps for one
-    encoding call (never per object or per module), so it holds at most the
-    vocabulary's layers.
-    """
-    return (f'{{"discriminator": {_network_json(gan.discriminator, texts)}, '
-            f'"generator": {_network_json(gan.generator, texts)}, '
-            f'"schema": {_SCHEMA_JSON}, '
-            f'"train_freq_bin": {_value_json(gan.train_freq_bin)}}}')
+def _network_text(values: tuple[int, ...], layers: dict,
+                  around: tuple[str, str], item: str) -> str:
+    return around[0] + item.join([layers[values[i:i + 4]] for i in
+                                  range(0, len(values), 4)]) + around[1]
 
 
 def dump_genotypes(gans: Iterable[GanSpec], path) -> None:
     """Write one ``json.dumps(gan.to_json_obj(), sort_keys=True)`` line per
     genotype."""
-    texts: dict = {}
     with open(path, "w", encoding="utf-8") as handle:
         for gan in gans:
-            handle.write(_gan_json(gan, texts) + "\n")
+            handle.write(json.dumps(gan.to_json_obj(), sort_keys=True) + "\n")
 
 
 def load_genotypes(path) -> Iterator[GanSpec]:

@@ -471,7 +471,8 @@ def learn(individuals: Sequence[Individual], config: LearnConfig,
     Individuals are grouped by depth key (joint mode) or each half by role
     and depth (per-network mode); the supermodel smooths the group counts
     with the configured pseudocount, so every supported depth stays
-    reachable when sampling.
+    reachable when sampling.  Their rows are read as they are, so every
+    individual must carry the learn config's genotype config.
     """
     if not individuals:
         raise ValidationError("cannot learn from an empty set")
@@ -480,9 +481,12 @@ def learn(individuals: Sequence[Individual], config: LearnConfig,
     rows_by_key: dict[tuple, list] = {key: [] for part in parts
                                       for key in part.keys}
     for ind in individuals:
-        key, values = flatten_joint(ind.gan, gc)
-        for part, index, cols in plans[key]:
-            rows_by_key[part.keys[index]].append(values[cols])
+        if ind.config != gc:
+            raise ValidationError(
+                "an individual's genotype config differs from the learn "
+                "config's genotype config")
+        for part, index, cols in plans[ind.key]:
+            rows_by_key[part.keys[index]].append(ind.row[cols])
     supermodels: dict[str, Categorical] = {}
     submodels: dict[tuple, Submodel] = {}
     for part in parts:

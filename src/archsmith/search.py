@@ -30,7 +30,6 @@ from .genotype import (
     joint_schema,
     random_gan,
     sort_by_fitness,
-    unflatten_joint,
 )
 from .landscape import SurrogateLandscape
 from .metamodel import Metamodel
@@ -374,10 +373,9 @@ def init_population(strategy: str, size: int,
 
 def _ranked(members, config: GenotypeConfig) -> list:
     """``(key, row, fitness)`` members by ascending fitness, ties broken by
-    the hash of the genotype, built only for tied rows."""
-    return sort_by_fitness(
-        members, itemgetter(2),
-        lambda m: gan_hash(unflatten_joint(m[0], m[1], config)))
+    the hash of the genotype, computed only for tied rows."""
+    return sort_by_fitness(members, itemgetter(2),
+                           lambda m: gan_hash(m[0], m[1], config))
 
 
 def _tournament(population: Population, rng: np.random.Generator, k: int,

@@ -180,3 +180,33 @@ def test_tracer_patch_list_names_existing_members():
             assert method in vars(getattr(module, cls_name)), (
                 f"perfbench/tracer.py patches {layer}.{cls_name}.{method}, "
                 f"which does not exist")
+
+
+def _uses(tree, name: str) -> list[str]:
+    """Where ``tree`` uses ``name`` as a bare name, an attribute or an
+    imported alias: the dotted path of the enclosing classes and
+    functions, ``"<module>"`` at the top level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias)
+                    and (node.asname or node.name) == name)):
+            found.append(".".join(where) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, ())
+    return found
+
+
+def test_archive_and_search_build_no_trees():
+    # Archive individuals and search members are (key, row) pairs; only a
+    # caller that reads ``Individual.gan`` gets a tree built.
+    modules = _modules()
+    assert sorted(set(_uses(modules["archive"], "unflatten_joint"))) == [
+        "<module>", "Individual.gan"]
+    assert _uses(modules["search"], "unflatten_joint") == []

@@ -2,44 +2,73 @@
 
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import archsmith
 from archsmith.archive import (
     Individual,
     RunArchive,
     extract_sets,
     load_archive,
     save_archive,
+    _parse_record,
     _record_texts,
 )
 from archsmith.errors import FormatError, ValidationError
 from archsmith.experiments import ArchiveGenConfig, generate_archive
 from archsmith.genotype import (
     DepthKey,
-    DnnSpec,
-    GanSpec,
     GenotypeConfig,
     LayerSpec,
-    _gan_json,
-    gan_hash,
+    _text_tables,
+    flatten_joint,
     random_gan,
 )
 from archsmith.landscape import LandscapeConfig
+
+from test_genotype import SMALL, TINY, tree_hash
 
 CONFIG = GenotypeConfig.joint()
 PER_NET = GenotypeConfig.per_network()
 
 
+def individual(gan, fitness, run_id="r0", problem_id="p0", config=CONFIG):
+    """The archive individual of a tree."""
+    return Individual(*flatten_joint(gan, config), fitness, run_id,
+                      problem_id, config)
+
+
+def record_obj(ind):
+    """An individual's archive record as a JSON object, through its tree:
+    the oracle of the row encoder."""
+    return {"run_id": ind.run_id, "problem_id": ind.problem_id,
+            "fitness": ind.fitness, "gan": ind.gan.to_json_obj()}
+
+
 def make_individual(rng, fitness, run_id="r0", problem_id="p0",
                     depth_key=None, config=CONFIG):
-    gan = random_gan(rng, config, depth_key=depth_key)
-    return Individual(gan=gan, fitness=fitness, run_id=run_id,
-                      problem_id=problem_id)
+    return individual(random_gan(rng, config, depth_key=depth_key), fitness,
+                      run_id, problem_id, config)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``genotype.<name>`` made through any package
+    module that imports it."""
+    calls = []
+    original = getattr(archsmith.genotype, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in vars(archsmith).values():
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def make_archive(rng, n_runs, run_size, config=CONFIG):
@@ -58,8 +87,11 @@ class TestIndividual:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         ind = make_individual(rng, 0.25)
-        again = Individual.from_json_obj(ind.to_json_obj())
+        gan, fitness, run_id, problem_id = _parse_record(record_obj(ind),
+                                                         CONFIG)
+        again = individual(gan, fitness, run_id, problem_id)
         assert again == ind
+        assert again.gan == ind.gan == gan
 
     def test_nonfinite_fitness_rejected(self):
         rng = np.random.default_rng(0)
@@ -70,10 +102,18 @@ class TestIndividual:
 
     def test_missing_field_rejected(self):
         rng = np.random.default_rng(0)
-        obj = make_individual(rng, 1.0).to_json_obj()
+        obj = record_obj(make_individual(rng, 1.0))
         del obj["fitness"]
         with pytest.raises(FormatError):
-            Individual.from_json_obj(obj)
+            _parse_record(obj, CONFIG)
+
+    def test_tree_built_on_first_read_only(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        ind = make_individual(rng, 0.5)
+        calls = count_calls(monkeypatch, "unflatten_joint")
+        first = ind.gan
+        assert ind.gan is first and len(calls) == 1
+        assert flatten_joint(first, CONFIG) == (ind.key, ind.row)
 
 
 class TestLoadSave:
@@ -87,6 +127,31 @@ class TestLoadSave:
         assert all(len(v) == 12 for v in loaded.runs.values())
         assert loaded.config == CONFIG
         assert loaded.content_hash() == archive.content_hash()
+
+    @pytest.mark.parametrize("config", [CONFIG, PER_NET, SMALL])
+    def test_save_load_save_is_byte_identical(self, tmp_path, config):
+        archive = make_archive(np.random.default_rng(4), 3, 10, config)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_archive(archive, first)
+        save_archive(load_archive(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_loaded_individuals_build_no_tree_until_read(self, tmp_path,
+                                                         monkeypatch):
+        archive = make_archive(np.random.default_rng(5), 2, 12)
+        path = tmp_path / "runs.jsonl"
+        save_archive(archive, path)
+        want = archive.runs["run001"][4].gan
+        calls = count_calls(monkeypatch, "unflatten_joint")
+        loaded = load_archive(path)
+        loaded.content_hash()
+        extract_sets(loaded, n=3, seed=0)
+        save_archive(loaded, tmp_path / "again.jsonl")
+        assert calls == []
+        ind = loaded.runs["run001"][4]
+        assert "gan" not in vars(ind)
+        assert ind.gan == want and ind.gan is ind.gan
+        assert len(calls) == 1
 
     def test_corrupt_line_reported_with_number(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -114,7 +179,7 @@ class TestLoadSave:
         path = tmp_path / "runs.jsonl"
         with open(path, "w") as handle:
             for ind in (ok, deep):
-                handle.write(json.dumps(ind.to_json_obj()) + "\n")
+                handle.write(json.dumps(record_obj(ind)) + "\n")
         loaded = load_archive(path, config=CONFIG)
         assert loaded.n_individuals == 1
         assert loaded.rejected == 1
@@ -124,7 +189,7 @@ class TestLoadSave:
         path = tmp_path / "runs.jsonl"
         with open(path, "w") as handle:
             handle.write(json.dumps(
-                make_individual(rng, 1.0).to_json_obj()) + "\n")
+                record_obj(make_individual(rng, 1.0))) + "\n")
             handle.write(json.dumps({"format": "archive-v1"}) + "\n")
         with pytest.raises(FormatError, match="line 2") as info:
             load_archive(path)
@@ -258,8 +323,9 @@ class TestExtractSets:
         for trial in range(20):
             archive = make_archive(rng, n_runs=3, run_size=11)
             sets = extract_sets(archive, n=4, seed=trial)
-            first_keys = {(i.fitness, gan_hash(i.gan)) for i in sets.first}
-            second_keys = {(i.fitness, gan_hash(i.gan)) for i in sets.second}
+            first_keys = {(i.fitness, tree_hash(i.gan)) for i in sets.first}
+            second_keys = {(i.fitness, tree_hash(i.gan))
+                           for i in sets.second}
             assert not first_keys & second_keys
             for run_id in archive.runs:
                 run_first = [i for i in sets.first if i.run_id == run_id]
@@ -287,7 +353,7 @@ class TestExtractSets:
         inds = [make_individual(rng, 1.0, run_id="r0") for _ in range(4)]
         runs = {"r0": inds}
         sets = extract_sets(RunArchive(runs=runs, config=CONFIG), n=2, seed=0)
-        expected = sorted(inds, key=lambda i: gan_hash(i.gan))
+        expected = sorted(inds, key=lambda i: tree_hash(i.gan))
         assert sets.first == expected[:2]
         assert sets.second == expected[2:4]
 
@@ -296,10 +362,10 @@ class TestExtractSets:
         archive = make_archive(rng, n_runs=5, run_size=12)
         n = 4
         sets = extract_sets(archive, n=n, seed=2)
-        elite = {(i.fitness, gan_hash(i.gan))
+        elite = {(i.fitness, tree_hash(i.gan))
                  for i in sets.first + sets.second}
         observed = sum(1 for i in sets.random
-                       if (i.fitness, gan_hash(i.gan)) in elite)
+                       if (i.fitness, tree_hash(i.gan)) in elite)
         assert sets.overlap_count == observed
 
 
@@ -308,7 +374,7 @@ class TestExtractSets:
 
 
 def reference_text(ind):
-    return json.dumps(ind.to_json_obj(), sort_keys=True)
+    return json.dumps(record_obj(ind), sort_keys=True)
 
 
 def reference_digest(individuals):
@@ -322,7 +388,7 @@ def reference_content_hash(archive):
     return reference_digest(
         ind for run_id in sorted(archive.runs)
         for ind in sorted(archive.runs[run_id],
-                          key=lambda i: (i.fitness, gan_hash(i.gan))))
+                          key=lambda i: (i.fitness, tree_hash(i.gan))))
 
 
 def reference_archive_bytes(archive):
@@ -333,26 +399,6 @@ def reference_archive_bytes(archive):
     return "".join(line + "\n" for line in lines).encode()
 
 
-def layers_of(individuals):
-    return [layer for ind in individuals
-            for net in (ind.gan.generator, ind.gan.discriminator)
-            for layer in net.layers]
-
-
-def with_layer_copies(archive):
-    """``archive`` with every layer replaced by an equal, fresh object."""
-    def copy(net):
-        return replace(net, layers=tuple(replace(layer)
-                                         for layer in net.layers))
-
-    runs = {run_id: [replace(ind, gan=replace(
-                ind.gan, generator=copy(ind.gan.generator),
-                discriminator=copy(ind.gan.discriminator)))
-                     for ind in run]
-            for run_id, run in archive.runs.items()}
-    return RunArchive(runs=runs, config=archive.config)
-
-
 @pytest.fixture(scope="module")
 def acceptance_archive():
     # The 30-run, 12,000-record joint archive of the acceptance suite.
@@ -361,42 +407,20 @@ def acceptance_archive():
 
 
 def odd_archive():
-    """Out-of-vocabulary layers, equal values of different types, ids
-    that need escaping and every kind of fitness the encoder special-cases."""
-    layers = [
-        LayerSpec("dense", "relu", "xavier", 1),
-        LayerSpec("dense", "relu", "xavier", True),
-        LayerSpec("dense", "relu", "xavier", 1.0),
-        LayerSpec("lstm", "swish", "he", 99),
-        LayerSpec(["dense"], "relu", "xavier", 0),
-        LayerSpec("d\u00e9\"nse\\", "r\u00e9 lu", "x\u2028y", 2**70),
-        LayerSpec(1, 1.0, True, 1),
-        LayerSpec(True, 1, 1.0, 1),
-        LayerSpec("dense", "relu", "xavier", np.float64(1.0)),
-        LayerSpec("dense", "relu", "xavier", -0.0),
-    ]
-    roles = ["generator", "discriminator", "gen\"erator", 0, True, "\u00e9"]
-    trains = [0, True, 2.5, -0.0, 10**30]
+    """Ids that need escaping, ids of other types, and every kind of
+    fitness the encoder special-cases."""
     fitnesses = [0.5, -0.0, 0.0, 1e-300, 1e300, np.float64(0.1), 3, True,
                  np.float64(-0.0)]
     problem_ids = ["p\"0", "\u03c0", 1, True, 1.0, "p\\0"]
+    rng = np.random.default_rng(13)
     runs = {}
     for r, run_id in enumerate(["r\"0", "r\u00e90", "r 1"]):
         run = []
         for i in range(12):
             j = 3 * r + i
-            gen = DnnSpec(roles[j % len(roles)],
-                          tuple(layers[(j + k) % len(layers)]
-                                for k in range(j % 4)))
-            disc = DnnSpec(roles[(j + 1) % len(roles)],
-                           tuple(layers[(2 * j + k) % len(layers)]
-                                 for k in range(1 + j % 3)))
-            gan = GanSpec(generator=gen, discriminator=disc,
-                          train_freq_bin=trains[j % len(trains)])
-            run.append(Individual(gan=gan,
-                                  fitness=fitnesses[j % len(fitnesses)],
-                                  run_id=run_id,
-                                  problem_id=problem_ids[j % len(problem_ids)]))
+            run.append(make_individual(
+                rng, fitnesses[j % len(fitnesses)], run_id,
+                problem_ids[j % len(problem_ids)]))
         runs[run_id] = run
     return RunArchive(runs=runs, config=CONFIG)
 
@@ -418,14 +442,13 @@ IDS = st.text(ID_CHARS, max_size=8)
 def individual_lists(draw):
     id_pairs = draw(st.lists(st.tuples(IDS, IDS), min_size=1,
                              max_size=3))
-    config = draw(st.sampled_from([CONFIG, PER_NET]))
+    config = draw(st.sampled_from([CONFIG, PER_NET, SMALL, TINY]))
     individuals = []
     for _ in range(draw(st.integers(1, 5))):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         problem_id, run_id = draw(st.sampled_from(id_pairs))
-        individuals.append(Individual(gan=random_gan(rng, config),
-                                      fitness=draw(FITNESS), run_id=run_id,
-                                      problem_id=problem_id))
+        individuals.append(make_individual(rng, draw(FITNESS), run_id,
+                                           problem_id, config=config))
     return individuals
 
 
@@ -434,10 +457,14 @@ class TestRecordEncoding:
     def test_equals_json_dumps(self, individuals):
         want = [reference_text(ind) for ind in individuals]
         assert list(_record_texts(individuals)) == want
-        texts = {}
-        for ind in individuals:
-            assert _gan_json(ind.gan, texts) == json.dumps(
-                ind.gan.to_json_obj(), sort_keys=True)
+
+    def test_mixed_configs_equal_json_dumps(self):
+        rng = np.random.default_rng(14)
+        individuals = [make_individual(rng, 0.5, config=config)
+                       for _ in range(5) for config in (CONFIG, PER_NET,
+                                                        SMALL, TINY)]
+        assert list(_record_texts(individuals)) == [
+            reference_text(ind) for ind in individuals]
 
     def test_odd_records_equal_json_dumps(self):
         individuals = odd_archive().all_individuals()
@@ -457,24 +484,40 @@ class TestRecordEncoding:
         save_archive(archive, path)
         assert path.read_bytes() == reference_archive_bytes(archive)
 
+    def test_generate_rank_and_save_build_no_tree(self, tmp_path,
+                                                  monkeypatch):
+        calls = count_calls(monkeypatch, "unflatten_joint")
+        land = LandscapeConfig(genotype=SMALL, family_seed=5)
+        archive = generate_archive(ArchiveGenConfig(
+            landscape=land, problem_seeds=(0, 1), runs_per_problem=2,
+            population=8, generations=4))
+        archive.content_hash()
+        extract_sets(archive, n=3, seed=0)
+        save_archive(archive, tmp_path / "runs.jsonl")
+        assert archive.n_individuals == 2 * 2 * (8 + 4 * 7)
+        assert calls == []
+
     def test_each_layer_value_encoded_once_per_call(self, acceptance_archive,
                                                     tmp_path, monkeypatch):
-        # Generated genotypes share the layer table's objects, so every
-        # layer is copied here into an object of its own.
-        archive = with_layer_copies(acceptance_archive)
-        layers = layers_of(archive.all_individuals())
-        distinct = set(layers)
-        # Equal layers are distinct objects here, so a cache keyed by
-        # object would encode far more often than once per value.
-        assert len({id(layer) for layer in layers}) > 10 * len(distinct)
-        archive.content_hash()  # rank once: gan hashes cached
+        # Layer texts come from one table per config and separators, so
+        # each layer of the vocabulary is encoded once, then never again.
         encode = LayerSpec.to_json_obj
         calls = []
         monkeypatch.setattr(LayerSpec, "to_json_obj",
                             lambda layer: calls.append(layer) or encode(layer))
-        for run in (archive.content_hash,
-                    archive.content_hash,
-                    lambda: save_archive(archive, tmp_path / "runs.jsonl")):
+        _text_tables.cache_clear()
+        try:
+            extract_sets(acceptance_archive, n=10, seed=0)
+            acceptance_archive.content_hash()
+            tables = [_text_tables(CONFIG, compact)[1]
+                      for compact in (False, True)]
+            assert len(calls) == sum(len(t) for pair in tables for t in pair)
+            assert [len(t) for t in tables[0]] == [2 * 5 * 3 * 5] * 2
             calls.clear()
-            run()
-            assert len(calls) == len(distinct)
+            for run in (acceptance_archive.content_hash,
+                        lambda: save_archive(acceptance_archive,
+                                             tmp_path / "runs.jsonl")):
+                run()
+                assert calls == []
+        finally:
+            _text_tables.cache_clear()

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from archsmith.archive import Individual, RunArchive, load_archive, save_archive
+from archsmith.archive import RunArchive, load_archive, save_archive
 from archsmith.cli import main
 from archsmith.experiments import ArchiveGenConfig, generate_archive
-from archsmith.genotype import GenotypeConfig, gan_hash, random_gan
+from archsmith.genotype import GenotypeConfig, random_gan
 from archsmith.landscape import LandscapeConfig, make_landscape, save_landscape
 from archsmith.metamodel import LearnConfig, load_metamodel
+from test_archive import individual
 from test_metamodel import mm_v1_document
 
 SMALL = GenotypeConfig.joint(
@@ -101,8 +102,8 @@ class TestLearnScoreSample:
     def test_score_warns_on_foreign_archive(self, model_path, tmp_path,
                                             caplog):
         rng = np.random.default_rng(3)
-        inds = [Individual(gan=random_gan(rng, SMALL), fitness=float(i),
-                           run_id="r0", problem_id="9") for i in range(4)]
+        inds = [individual(random_gan(rng, SMALL), float(i), "r0", "9",
+                           SMALL) for i in range(4)]
         other = RunArchive(runs={"r0": inds}, config=SMALL)
         other_path = tmp_path / "other.jsonl"
         save_archive(other, other_path)
@@ -458,6 +459,21 @@ class TestMalformedInputs:
             "learn": LearnConfig(genotype=SMALL).to_json_obj(),
         }
 
+    @pytest.mark.parametrize("text,needle", [
+        ("[1]", "learn config must be a JSON object"),
+        ('{"bogus": 1}', "unknown learn config key(s): bogus"),
+    ], ids=["list", "unknown-key"])
+    def test_learn_config_file_parsed_strictly(self, text, needle, inputs,
+                                               capsys):
+        bad = inputs["work"] / "learn.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["learn", "--archive", str(inputs["archive"]),
+                     "--config", str(bad),
+                     "--out", str(inputs["work"] / "m.json")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {needle}"]
+
     @given(data=st.data())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -524,13 +540,13 @@ class TestMalformedInputs:
                 deletable=False)))
             argv = ["gen-archive", "--config", str(bad)] + out
         elif command == "experiment":
-            config = {"landscape": inputs["landscape"], "train_seeds": [0],
-                      "n": 3}
             experiment = draw(st.sampled_from(
                 ["likelihood", "sampling", "initialization",
                  "guided-search"]))
+            config = {"landscape": inputs["landscape"], "n": 3}
             fields = IN_CONFIG + [(("n",), INTS, False)]
             if experiment == "sampling":
+                config["train_seeds"] = [0]
                 fields.append((("train_seeds",), ("x", None, 5), True))
             bad.write_text(broken_json(draw, config, fields))
             argv = ["experiment", "--id", experiment, "--archive",
@@ -735,6 +751,31 @@ class TestGenArchiveAndExperiment:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {needle}"]
 
+    @pytest.mark.parametrize("command,key", [
+        ("gen-archive", "populaton"),
+        ("likelihood", "min_scorde"),
+        ("sampling", "holdout_seed"),
+        ("initialization", "replicate"),
+        ("guided-search", "budgett"),
+    ])
+    def test_unknown_top_level_key_named(self, command, key, archive_path,
+                                         tmp_path, capsys):
+        # A misspelt field once ran silently with the field's default.
+        cfg = {"landscape": LAND.to_json_obj(), key: 6, "zz": 1}
+        if command == "sampling":
+            cfg["train_seeds"] = [0]
+        cfg_path = write(tmp_path / "cfg.json", cfg)
+        if command == "gen-archive":
+            argv = ["gen-archive", "--out", str(tmp_path / "a.jsonl")]
+        else:
+            argv = ["experiment", "--id", command,
+                    "--archive", str(archive_path),
+                    "--out-dir", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: unknown config key(s): {key}, zz"]
+        assert not (tmp_path / "a.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["gen-archive", "likelihood",
                                          "sampling", "initialization",
                                          "guided-search"])
@@ -789,7 +830,9 @@ class TestGenArchiveAndExperiment:
     def test_non_numeric_field_is_one_error_line(self, command, where, field,
                                                  archive_path, tmp_path,
                                                  capsys):
-        cfg = {"landscape": LAND.to_json_obj(), "train_seeds": [0]}
+        cfg = {"landscape": LAND.to_json_obj()}
+        if command == "sampling":
+            cfg["train_seeds"] = [0]
         targets = {None: cfg, "landscape": cfg["landscape"],
                    "genotype": cfg["landscape"]["genotype"]}
         target = (targets[where] if where in targets
@@ -878,9 +921,12 @@ class TestNegativeSeeds:
     ])
     def test_config_field(self, command, where, field, value, needle,
                           archive_path, tmp_path, capsys):
-        cfg = {"landscape": LAND.to_json_obj(), "train_seeds": [0],
-               "problem_seeds": [0], "runs_per_problem": 1,
-               "population": 6, "generations": 2}
+        cfg = {"landscape": LAND.to_json_obj()}
+        if command == "gen-archive":
+            cfg.update(problem_seeds=[0], runs_per_problem=1, population=6,
+                       generations=2)
+        if command == "sampling":
+            cfg["train_seeds"] = [0]
         (cfg[where] if where else cfg)[field] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -13,6 +13,7 @@ from archsmith.experiments import (
     InitializationConfig,
     LikelihoodConfig,
     SamplingConfig,
+    ScoreRow,
     generate_archive,
     run_guided_search,
     run_initialization,
@@ -94,6 +95,21 @@ class TestLikelihood:
         for test in result.key_tests:
             assert 0 <= test.p <= 1
             assert test.n_first + test.n_second + test.n_random >= 6
+
+    def test_rows_equal_per_genotype_score(self, small_archive):
+        # Each set is scored in one batch per depth key; the oracle scores
+        # one genotype at a time, and the floats must be the same bits.
+        config = LikelihoodConfig(landscape=LAND, n=4, seed=5, min_scored=6)
+        result = run_likelihood(small_archive, config)
+        want = []
+        for set_name in ("first", "second", "random"):
+            for ind in result.sets.by_name(set_name):
+                b = result.metamodel.score(ind.gan)
+                want.append(ScoreRow(set_name, ind.run_id, ind.problem_id,
+                                     b.depth_key.d_g, b.depth_key.d_d,
+                                     b.log_prob, b.normalized))
+        assert len({(r.d_g, r.d_d) for r in want}) > 1
+        assert result.rows == want
 
     def test_key_filter_respects_min(self, small_archive):
         strict = run_likelihood(small_archive,

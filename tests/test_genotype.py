@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archsmith import archive
+from archsmith.archive import Individual, RunArchive, extract_sets
 from archsmith.errors import FormatError, ValidationError
 from archsmith.genotype import (
     DepthKey,
@@ -17,7 +19,6 @@ from archsmith.genotype import (
     LayerSpec,
     _layer_table,
     _layers_by_fields,
-    canonical_json,
     dump_genotypes,
     flatten_joint,
     gan_hash,
@@ -31,6 +32,24 @@ from archsmith.genotype import (
 
 JOINT = GenotypeConfig.joint()
 PER_NET = GenotypeConfig.per_network()
+SMALL = GenotypeConfig.joint(arity=2, activations=("relu", "tanh"),
+                             weight_inits=("xavier", "normal"),
+                             generator_depth_max=2, discriminator_depth_max=2)
+TINY = GenotypeConfig.joint(arity=3, activations=("relu", "tanh"),
+                            weight_inits=("xavier",), generator_depth_max=2,
+                            discriminator_depth_max=2)
+SPACES = [JOINT, PER_NET, SMALL, TINY]
+
+
+def canonical_json(gan):
+    """The tree's canonical text, the test oracle of ``gan_hash``."""
+    return json.dumps(gan.to_json_obj(), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def tree_hash(gan):
+    """sha256 of ``canonical_json(gan)``, the hash of a tree's row."""
+    return hashlib.sha256(canonical_json(gan).encode()).hexdigest()
 
 
 def make_layer(role_kinds, i=0):
@@ -221,7 +240,8 @@ class TestSerialization:
     @settings(max_examples=50)
     def test_hash_stable_under_json_round_trip(self, gan):
         clone = GanSpec.from_json_obj(json.loads(canonical_json(gan)))
-        assert gan_hash(clone) == gan_hash(gan)
+        assert (gan_hash(*flatten_joint(clone, JOINT), JOINT)
+                == gan_hash(*flatten_joint(gan, JOINT), JOINT))
 
 
 class TestConfig:
@@ -252,12 +272,12 @@ class TestSortByFitness:
         # The tag tells apart equal (gan, fitness) items, so the
         # comparison also checks stability.
         items = [(self.POOL[g], f, tag) for tag, (g, f) in enumerate(draws)]
-        want = sorted(items, key=lambda m: (m[1], gan_hash(m[0])))
-        got = sort_by_fitness(items, lambda m: m[1], lambda m: gan_hash(m[0]))
+        want = sorted(items, key=lambda m: (m[1], tree_hash(m[0])))
+        got = sort_by_fitness(items, lambda m: m[1], lambda m: tree_hash(m[0]))
         assert [m[2] for m in got] == [m[2] for m in want]
         pairs = [(gan, f) for gan, f, _ in items]
         assert sort_by_fitness(pairs, lambda m: m[1],
-                               lambda m: gan_hash(m[0])) == [
+                               lambda m: tree_hash(m[0])) == [
             (gan, f) for gan, f, _ in want]
 
     def test_hashes_only_ties(self):
@@ -269,42 +289,53 @@ class TestSortByFitness:
 
 
 class TestGanHashCache:
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([JOINT, PER_NET]))
-    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SPACES))
+    @settings(max_examples=200)
     def test_equals_sha256_of_canonical_json(self, seed, config):
+        # The row hash against the tree's canonical JSON, the oracle.
         gan = random_gan(np.random.default_rng(seed), config)
-        want = hashlib.sha256(canonical_json(gan).encode()).hexdigest()
-        assert gan_hash(gan) == want
-        assert gan_hash(gan) == want
-        assert gan_hash(dataclasses.replace(gan)) == want
+        key, row = flatten_joint(gan, config)
+        want = tree_hash(gan)
+        assert gan_hash(key, row, config) == want
+        assert gan_hash(key, np.array(row), config) == want
+        assert gan_hash(key, list(row), config) == want
         other = dataclasses.replace(gan, train_freq_bin=(
             gan.train_freq_bin + 1) % config.arity)
-        assert gan_hash(other) == hashlib.sha256(
-            canonical_json(other).encode()).hexdigest()
-        assert gan_hash(gan) == want
+        assert gan_hash(*flatten_joint(other, config), config) == (
+            tree_hash(other))
 
     def test_hashed_once_per_object(self, monkeypatch):
-        import archsmith.genotype as genotype
+        # An archive individual hashes its row once, however often it is
+        # ranked.
+        rng = np.random.default_rng(3)
+        inds = [Individual(*flatten_joint(random_gan(rng, JOINT), JOINT),
+                           1.0, "r0", "p0", JOINT) for _ in range(6)]
         calls = []
-        encode = genotype.canonical_json
-        monkeypatch.setattr(genotype, "canonical_json",
-                            lambda gan: calls.append(gan) or encode(gan))
-        gan = make_gan(2, 3)
-        twin = make_gan(2, 3)
-        assert gan_hash(gan) == gan_hash(gan) == gan_hash(twin)
-        assert len(calls) == 2
+        monkeypatch.setattr(archive, "gan_hash",
+                            lambda *args: calls.append(args) or gan_hash(*args))
+        run = RunArchive(runs={"r0": inds}, config=JOINT)
+        for _ in range(3):
+            extract_sets(run, n=3, seed=0)
+            run.content_hash()
+        assert sorted(args[:2] for args in calls) == sorted(
+            (i.key, i.row) for i in inds)
 
     def test_cache_leaves_eq_hash_and_repr_alone(self):
         gan = make_gan(2, 3, train=1)
-        twin = GanSpec.from_json_obj(gan.to_json_obj())
-        before = (repr(gan), hash(gan))
-        gan_hash(gan)
-        assert (repr(gan), hash(gan)) == before
-        assert gan == twin and twin == gan
-        assert hash(gan) == hash(twin) and repr(gan) == repr(twin)
-        assert [f.name for f in dataclasses.fields(gan)] == [
-            "generator", "discriminator", "train_freq_bin"]
-        assert dataclasses.asdict(gan) == dataclasses.asdict(twin)
+        ind = Individual(*flatten_joint(gan, JOINT), 0.5, "r0", "p0", JOINT)
+        twin = Individual(*flatten_joint(
+            GanSpec.from_json_obj(gan.to_json_obj()), JOINT), 0.5, "r0", "p0",
+            JOINT)
+        before = (repr(ind), hash(ind))
+        assert ind._hash == tree_hash(gan) and ind.gan == gan
+        assert (repr(ind), hash(ind)) == before
+        assert ind == twin and twin == ind and hash(ind) == hash(twin)
+        assert repr(ind).startswith("Individual(key=")
+        assert "config" not in repr(ind)
+        assert [f.name for f in dataclasses.fields(ind)] == [
+            "key", "row", "fitness", "run_id", "problem_id", "config"]
+        # The config is not compared: equal rows are equal individuals.
+        assert dataclasses.replace(ind, config=PER_NET) == ind
 
 
 def parse_layer(obj, config=JOINT):

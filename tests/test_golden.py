@@ -34,7 +34,7 @@ from archsmith.experiments import (
     generate_archive,
     run_guided_search,
 )
-from archsmith.genotype import GenotypeConfig, gan_hash, unflatten_joint
+from archsmith.genotype import GenotypeConfig, gan_hash
 from archsmith.landscape import LandscapeConfig
 from archsmith.metamodel import LearnConfig, Metamodel, save_metamodel
 
@@ -190,8 +190,7 @@ def compute_digests(workdir: Path) -> dict[str, str]:
 
     def digest(key_row):
         # Exhausted padding records no genotype; the digest hashes "".
-        return "" if key_row is None else gan_hash(
-            unflatten_joint(*key_row, genotype))
+        return "" if key_row is None else gan_hash(*key_row, genotype)
 
     hashes = [[digest(trace.start)] + [digest(s.genotype)
                                        for s in trace.steps]

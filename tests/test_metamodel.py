@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from archsmith.genotype import (
     flatten_joint,
     joint_schema,
     random_gan,
-    unflatten_joint,
     validate_gan,
 )
 from archsmith.metamodel import (
@@ -30,6 +30,7 @@ from archsmith.metamodel import (
     provenance_mismatch,
     save_metamodel,
 )
+from test_archive import individual
 from test_bayesnet import bn_v1_document
 
 JOINT = GenotypeConfig.joint()
@@ -45,8 +46,8 @@ def make_individuals(rng, config, count, depth_key=None):
     out = []
     for i in range(count):
         gan = random_gan(rng, config, depth_key=depth_key)
-        out.append(Individual(gan=gan, fitness=float(rng.uniform(0, 1)),
-                              run_id=f"r{i % 7}", problem_id="p0"))
+        out.append(individual(gan, float(rng.uniform(0, 1)), f"r{i % 7}",
+                              "p0", config))
     return out
 
 
@@ -74,6 +75,19 @@ class TestLearn:
         # 12 keys, pseudocount 1: (50 + 1) / (50 + 12) on the occupied key.
         assert super_.prob(DepthKey(1, 1)) == pytest.approx(51 / 62, abs=1e-12)
         assert super_.prob(DepthKey(3, 4)) == pytest.approx(1 / 62, abs=1e-12)
+
+    @pytest.mark.parametrize("other", [JOINT, TINY_PN], ids=["vocabulary",
+                                                         "mode"])
+    def test_individual_from_another_config_rejected(self, other):
+        # TINY's rows are legal in both other spaces, yet they mean other
+        # genotypes there (JOINT) or another model grouping (TINY_PN).
+        rng = np.random.default_rng(2)
+        inds = make_individuals(rng, TINY, 20)
+        stray = replace(inds[3], config=other)
+        assert stray == inds[3]
+        with pytest.raises(ValidationError, match="genotype config"):
+            learn(inds[:3] + [stray] + inds[4:], LearnConfig(genotype=TINY))
+        learn(inds, LearnConfig(genotype=TINY))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
@@ -147,8 +161,7 @@ class TestPlantedRecovery:
             rows = pls_sample_many(bn, 5000, rng)
             for row in rows:
                 individuals.append(Individual(
-                    gan=unflatten_joint(key, row, config), fitness=0.0,
-                    run_id="r0", problem_id="p0"))
+                    key, tuple(row.tolist()), 0.0, "r0", "p0", config))
         model = learn(individuals, LearnConfig(genotype=config, alpha=1.0))
         for key, bn in planted.items():
             sub = model.submodels[key]

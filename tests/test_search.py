@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from archsmith import search
 from archsmith.cli import _final_values
-from archsmith.archive import Individual
 from archsmith.errors import ValidationError
 from archsmith.genotype import (
     DepthKey,
@@ -53,6 +52,8 @@ from archsmith.search import (
     save_traces,
     simple_ea,
 )
+from test_archive import individual
+from test_genotype import tree_hash
 from test_landscape import planted_gan
 
 DEFAULT = GenotypeConfig.joint()
@@ -265,11 +266,11 @@ def legal_ops(gan, config):
 def neighbors(gan, config):
     """Oracle: distinct genotypes one operator away, excluding the genotype
     itself, built object by object with ``legal_ops`` and ``apply_op``."""
-    seen = {gan_hash(gan)}
+    seen = {tree_hash(gan)}
     out = []
     for op in legal_ops(gan, config):
         candidate = apply_op(gan, op, config)
-        digest = gan_hash(candidate)
+        digest = tree_hash(candidate)
         if digest not in seen:
             seen.add(digest)
             out.append(candidate)
@@ -296,7 +297,7 @@ def one_insertion_away(short, long):
 
 def is_one_op_apart(g, h, config):
     """Edit relation defined directly on genotype structure."""
-    if gan_hash(g) == gan_hash(h):
+    if tree_hash(g) == tree_hash(h):
         return False
     (gk, a), (hk, b) = flatten_joint(g, config), flatten_joint(h, config)
     if gk == hk:
@@ -361,15 +362,15 @@ class TestOperators:
 
     def test_neighbors_match_edit_relation(self):
         space = enumerate_space(TINY)
-        by_hash = {gan_hash(g): g for g in space}
+        by_hash = {tree_hash(g): g for g in space}
         assert len(by_hash) == 512 + 8192
         rng = np.random.default_rng(5)
         picks = rng.choice(len(space), size=4, replace=False)
         for i in picks:
             g = space[int(i)]
-            expected = {gan_hash(h) for h in space
+            expected = {tree_hash(h) for h in space
                         if is_one_op_apart(g, h, TINY)}
-            got = {gan_hash(h) for h in neighbors(g, TINY)}
+            got = {tree_hash(h) for h in neighbors(g, TINY)}
             assert got == expected
 
     def test_change_moves_are_symmetric(self):
@@ -380,10 +381,10 @@ class TestOperators:
                    if isinstance(op, (ChangeLayer, ChangeTrainFreq))]
             op = ops[int(rng.integers(len(ops)))]
             h = apply_op(g, op, DEFAULT)
-            back = {gan_hash(apply_op(h, rev, DEFAULT))
+            back = {tree_hash(apply_op(h, rev, DEFAULT))
                     for rev in legal_ops(h, DEFAULT)
                     if isinstance(rev, (ChangeLayer, ChangeTrainFreq))}
-            assert gan_hash(g) in back
+            assert tree_hash(g) in back
 
     def test_random_mutations_stay_valid(self):
         rng = np.random.default_rng(7)
@@ -408,8 +409,8 @@ class TestOperators:
             got = set()
             for group_key, rows in groups:
                 for row in rows:
-                    got.add(gan_hash(unflatten_joint(group_key, row, TINY)))
-            expected = {gan_hash(h) for h in neighbors(gan, TINY)}
+                    got.add(gan_hash(group_key, row, TINY))
+            expected = {tree_hash(h) for h in neighbors(gan, TINY)}
             assert got == expected
 
     @pytest.mark.parametrize("config", [TINY, GenotypeConfig.per_network()],
@@ -570,8 +571,7 @@ class TestGuidedHc:
         rng = np.random.default_rng(13)
         start = random_gan(rng, TINY, depth_key=DepthKey(1, 2))
         target = neighbors(start, TINY)[7]
-        model = learn([Individual(gan=target, fitness=1.0, run_id="r",
-                                  problem_id="p")],
+        model = learn([individual(target, 1.0, "r", "p", TINY)],
                       LearnConfig(genotype=TINY, alpha=0.01))
         trace = guided_hc(land, model, start, 3, np.random.default_rng(3))
         assert trace.steps[0].genotype == flatten_joint(target, TINY)
@@ -585,8 +585,7 @@ class TestGuidedHc:
         start = random_gan(np.random.default_rng(13), TINY,
                            depth_key=DepthKey(1, 2))
         target = min(neighbors(start, TINY), key=land.evaluate)
-        model = learn([Individual(gan=target, fitness=1.0, run_id="r",
-                                  problem_id="p")],
+        model = learn([individual(target, 1.0, "r", "p", TINY)],
                       LearnConfig(genotype=TINY, alpha=0.01))
         calls = []
         build = search.neighbor_groups
@@ -646,8 +645,8 @@ class TestGuidedHc:
             land_i = tiny_landscape(seed=seed)
             best = min(enumerate_space(TINY), key=land_i.evaluate,
                        default=None)
-            train_inds.append(Individual(gan=best, fitness=land_i.evaluate(best),
-                                         run_id=f"r{seed}", problem_id=str(seed)))
+            train_inds.append(individual(best, land_i.evaluate(best),
+                                         f"r{seed}", str(seed), TINY))
         model = learn(train_inds, LearnConfig(genotype=TINY, alpha=0.5))
         land = tiny_landscape(seed=22)
         finals_guided, finals_uniform = [], []
@@ -678,8 +677,8 @@ class TestPopulationAndEa:
         elite = [random_gan(rng, TINY) for _ in range(5)]
         pop = init_population("from_first", 10, land,
                               np.random.default_rng(8), elite=elite)
-        allowed = {gan_hash(g) for g in elite}
-        assert all(gan_hash(unflatten_joint(k, r, TINY)) in allowed
+        allowed = {tree_hash(g) for g in elite}
+        assert all(gan_hash(k, r, TINY) in allowed
                    for k, r, _ in pop.members)
         with pytest.raises(ValidationError):
             init_population("from_first", 4, land, np.random.default_rng(9),
@@ -688,12 +687,11 @@ class TestPopulationAndEa:
     def test_init_from_metamodel(self):
         land = tiny_landscape(seed=13)
         anchor = random_gan(np.random.default_rng(17), TINY)
-        model = learn([Individual(gan=anchor, fitness=0.5, run_id="r",
-                                  problem_id="p")],
+        model = learn([individual(anchor, 0.5, "r", "p", TINY)],
                       LearnConfig(genotype=TINY, alpha=0.01))
         pop = init_population("from_metamodel", 30, land,
                               np.random.default_rng(10), metamodel=model)
-        hits = sum(gan_hash(unflatten_joint(k, r, TINY)) == gan_hash(anchor)
+        hits = sum(gan_hash(k, r, TINY) == tree_hash(anchor)
                    for k, r, _ in pop.members)
         assert hits >= 10
         with pytest.raises(ValidationError):
@@ -752,9 +750,9 @@ class TestPopulationAndEa:
         r1 = simple_ea(land, pop, 3, np.random.default_rng(22))
         r2 = simple_ea(land, pop, 3, np.random.default_rng(22))
         assert r1.best_per_generation == r2.best_per_generation
-        h1 = sorted(gan_hash(unflatten_joint(k, r, TINY))
+        h1 = sorted(gan_hash(k, r, TINY)
                     for k, r, _ in r1.population.members)
-        h2 = sorted(gan_hash(unflatten_joint(k, r, TINY))
+        h2 = sorted(gan_hash(k, r, TINY)
                     for k, r, _ in r2.population.members)
         assert h1 == h2
 
@@ -890,7 +888,7 @@ def reference_ea(land, members, generations, rng, config, record):
     ``record`` with each (gan, fitness) as it is evaluated.
     """
     def rank(member):
-        return member[1], gan_hash(member[0])
+        return member[1], tree_hash(member[0])
 
     members = list(members)
     trace = [min(f for _, f in members)]
