@@ -34,9 +34,9 @@ from .genotype import (
     DnnSpec,
     flatten_joint,
     gan_hash,
+    parse_genotype,
     random_gan,
     unflatten_joint,
-    validate_gan,
 )
 from .landscape import (
     LandscapeConfig,
@@ -116,6 +116,7 @@ __all__ = [
     "mi_matrix",
     "mutate",
     "orient",
+    "parse_genotype",
     "pls_sample_many",
     "provenance_mismatch",
     "random_gan",
@@ -128,5 +129,4 @@ __all__ = [
     "save_traces",
     "simple_ea",
     "unflatten_joint",
-    "validate_gan",
 ]

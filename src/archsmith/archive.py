@@ -25,9 +25,11 @@ from .genotype import (
     DepthKey,
     GanSpec,
     GenotypeConfig,
+    _flatten_fields,
     _gan_text,
+    _layer_values,
+    _record_fields,
     _text_tables,
-    flatten_joint,
     gan_hash,
     sort_by_fitness,
     unflatten_joint,
@@ -67,12 +69,12 @@ class Individual:
         return gan_hash(self.key, self.row, self.config)
 
 
-def _parse_record(obj, config: GenotypeConfig) -> tuple:
-    """The ``(gan, fitness, run_id, problem_id)`` of one archive record;
-    each layer inside ``config``'s vocabulary is the layer table's object."""
+def _parse_record(obj) -> tuple:
+    """The ``(_record_fields(obj["gan"]), fitness, run_id, problem_id)`` of
+    an archive record; a record of the wrong shape raises a FormatError."""
     what = "archive record"
     try:
-        return (GanSpec.from_json_obj(obj["gan"], config),
+        return (_record_fields(obj["gan"]),
                 parse_field(obj, "fitness", number, what),
                 parse_field(obj, "run_id", string, what),
                 parse_field(obj, "problem_id", string, what))
@@ -191,23 +193,22 @@ def save_archive(archive: RunArchive, path) -> None:
 def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
     """Parse an archive file, skipping bad lines with per-line diagnostics.
 
-    A leading ``archive-v1`` header supplies the genotype configuration
-    unless ``config`` overrides it.  Records whose genotypes fall outside
-    the configured space are rejected and counted.  An archive with no
-    loadable runs at all is an error.  Each record is parsed into a tree,
-    whose in-vocabulary layers are the layer table's objects, and held as
-    its key and row once the tree is checked and flattened.
+    An ``archive-v1`` header, which must be the first line that is not
+    blank, supplies the genotype configuration unless ``config``
+    overrides it.  Each record is read straight into its key and row.
+    Records whose genotypes fall outside the configured space are rejected
+    and counted, after every line's diagnostics, by run.  An archive with
+    no loadable runs at all is an error.
     """
-    records: dict[str, list[tuple]] = {}
+    by_run: dict[str, tuple[list[Individual], list[str]]] = {}
     diagnostics: list[str] = []
-    rejected = 0
-    file_config = None
-    layer_config = config or GenotypeConfig.joint()
+    file_config = tables = first = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            first = first or lineno
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -217,37 +218,37 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                 if "config" not in obj:
                     raise FormatError(f"{path}: line {lineno}: "
                                       f"{ARCHIVE_FORMAT} header has no config")
+                if lineno != first:
+                    raise FormatError(f"{path}: line {lineno}: "
+                                      f"{ARCHIVE_FORMAT} header after line "
+                                      f"{first}; a header must come first")
                 file_config = GenotypeConfig.from_json_obj(obj["config"])
-                if config is None:
-                    layer_config = file_config
                 continue
+            if tables is None:
+                effective = config or file_config or GenotypeConfig.joint()
+                tables = _layer_values(effective)
             try:
-                record = _parse_record(obj, layer_config)
-            except (FormatError, ValidationError) as exc:
+                fields, fitness, run_id, problem_id = _parse_record(obj)
+            except FormatError as exc:
                 diagnostics.append(f"line {lineno}: {exc}")
                 continue
-            records.setdefault(record[2], []).append(record)
-    effective = config or file_config or GenotypeConfig.joint()
-    runs: dict[str, list[Individual]] = {}
-    for run_id, parsed in records.items():
-        kept = []
-        for gan, fitness, _, problem_id in parsed:
+            kept, rejects = by_run.setdefault(run_id, ([], []))
             try:
-                key, row = flatten_joint(gan, effective)
+                key, row = _flatten_fields(*fields, effective, tables)
             except ValidationError as exc:
-                rejected += 1
-                diagnostics.append(f"run {run_id}: rejected record ({exc})")
+                rejects.append(f"run {run_id}: rejected record ({exc})")
                 continue
             kept.append(Individual(key, row, fitness, run_id, problem_id,
                                    effective))
-        if kept:
-            runs[run_id] = kept
+    rejections = [text for _, rejects in by_run.values() for text in rejects]
+    diagnostics += rejections
+    runs = {run_id: kept for run_id, (kept, _) in by_run.items() if kept}
     if not runs:
         raise ValidationError(f"no runs loadable from {path}")
     for message in diagnostics:
         logger.warning("%s: %s", path, message)
-    return RunArchive(runs=runs, config=effective,
-                      diagnostics=diagnostics, rejected=rejected)
+    return RunArchive(runs=runs, config=effective, diagnostics=diagnostics,
+                      rejected=len(rejections))
 
 
 def _run_rng(seed: int, run_id: str) -> np.random.Generator:

@@ -39,7 +39,8 @@ from .experiments import (
     write_sampling_csv,
     write_sampling_tests_csv,
 )
-from .genotype import GenotypeConfig, dump_genotypes, load_genotypes
+from .genotype import (GenotypeConfig, dump_genotypes, flatten_joint,
+                       load_genotypes, unflatten_joint)
 from .landscape import LandscapeConfig, load_landscape, make_landscape
 from .metamodel import (
     load_metamodel,
@@ -114,7 +115,6 @@ def cmd_score(args) -> int:
     model = load_metamodel(args.model)
     with open(args.genotypes, "r", encoding="utf-8") as handle:
         first_line = handle.readline()
-    rows = []
     try:
         head = json.loads(first_line)
     except json.JSONDecodeError:
@@ -126,18 +126,20 @@ def cmd_score(args) -> int:
                                       genotype=archive.config)
         if warning:
             logger.warning("provenance mismatch: %s", warning)
-        for run_id in sorted(archive.runs):
-            for ind in archive.runs[run_id]:
-                b = model.score(ind.gan)
-                rows.append((run_id, ind.problem_id, b.depth_key.d_g,
-                             b.depth_key.d_d, b.log_prob, b.normalized))
+        inds = [ind for run_id in sorted(archive.runs)
+                for ind in archive.runs[run_id]]
+        genotypes = [(ind.key, ind.row) for ind in inds]
+        if archive.config != model.config:  # rows of another space
+            genotypes = [flatten_joint(unflatten_joint(*pair, archive.config),
+                                       model.config) for pair in genotypes]
+        rows = [(ind.run_id, ind.problem_id, *ind.key, lp, nz)
+                for ind, (lp, nz) in zip(inds, model.score_many(genotypes))]
         header = ["run_id", "problem_id", "d_g", "d_d", "log_prob",
                   "normalized"]
     else:
-        for index, gan in enumerate(load_genotypes(args.genotypes)):
-            b = model.score(gan)
-            rows.append((index, b.depth_key.d_g, b.depth_key.d_d,
-                         b.log_prob, b.normalized))
+        genotypes = list(load_genotypes(args.genotypes, model.config))
+        rows = [(index, *key, lp, nz) for index, ((key, _), (lp, nz))
+                in enumerate(zip(genotypes, model.score_many(genotypes)))]
         header = ["index", "d_g", "d_d", "log_prob", "normalized"]
     write_csv(args.out, header, rows)
     return 0

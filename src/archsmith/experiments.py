@@ -282,7 +282,7 @@ def run_likelihood(archive: RunArchive,
                    config: LikelihoodConfig) -> LikelihoodResult:
     """Extract elite sets, learn on First, score all three sets.
 
-    Each set is scored with one ``score_values`` call per depth key.
+    Each set is scored with one ``score_many`` call.
 
     Depth keys where every set is represented and at least ``min_scored``
     individuals were scored in total get a Kruskal-Wallis test over the
@@ -294,17 +294,7 @@ def run_likelihood(archive: RunArchive,
     rows: list[ScoreRow] = []
     for set_name in SET_NAMES:
         individuals = sets.by_name(set_name)
-        by_key: dict[DepthKey, list[int]] = {}
-        for index, ind in enumerate(individuals):
-            by_key.setdefault(ind.key, []).append(index)
-        scores: list = [None] * len(individuals)
-        for key, indices in by_key.items():
-            values = np.array([individuals[i].row for i in indices],
-                              dtype=np.int64)
-            log_probs, normalized = model.score_values(key, values)
-            for i, lp, nz in zip(indices, log_probs.tolist(),
-                                 normalized.tolist()):
-                scores[i] = (lp, nz)
+        scores = model.score_many([(ind.key, ind.row) for ind in individuals])
         rows.extend(ScoreRow(set_name=set_name, run_id=ind.run_id,
                              problem_id=ind.problem_id, d_g=ind.key.d_g,
                              d_d=ind.key.d_d, log_prob=lp, normalized=nz)

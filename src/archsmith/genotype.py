@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (FormatError, ValidationError, integer, parse_field,
@@ -42,6 +43,10 @@ class DepthKey(NamedTuple):
 
     d_g: int
     d_d: int
+
+
+# The flat genotype form: a depth key and one value per slot of its schema.
+Genotype = tuple[DepthKey, tuple[int, ...]]
 
 
 class Slot(NamedTuple):
@@ -178,16 +183,6 @@ class LayerSpec:
         return {"kind": self.kind, "activation": self.activation,
                 "weight_init": self.weight_init, "size_bin": self.size_bin}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LayerSpec":
-        try:
-            return cls(kind=obj["kind"], activation=obj["activation"],
-                       weight_init=obj["weight_init"],
-                       size_bin=parse_field(obj, "size_bin", integer,
-                                            "layer record"))
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad layer record: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class DnnSpec:
@@ -196,25 +191,9 @@ class DnnSpec:
     role: str
     layers: tuple[LayerSpec, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     def to_json_obj(self) -> dict:
         return {"role": self.role,
                 "layers": [layer.to_json_obj() for layer in self.layers]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict,
-                      config: GenotypeConfig | None = None) -> "DnnSpec":
-        """The network of ``obj``; with ``config``, each layer inside its
-        vocabulary is the layer table's own object (``_vocabulary_layer``)."""
-        known = {} if config is None else _layers_by_fields(config)
-        try:
-            layers = tuple(_vocabulary_layer(l, known) for l in obj["layers"])
-            return cls(role=obj["role"], layers=layers)
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad network record: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -225,10 +204,6 @@ class GanSpec:
     discriminator: DnnSpec
     train_freq_bin: int
 
-    @property
-    def depth_key(self) -> DepthKey:
-        return DepthKey(self.generator.depth, self.discriminator.depth)
-
     def to_json_obj(self) -> dict:
         return {
             "schema": GENOTYPE_SCHEMA_VERSION,
@@ -236,26 +211,6 @@ class GanSpec:
             "generator": self.generator.to_json_obj(),
             "discriminator": self.discriminator.to_json_obj(),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict,
-                      config: GenotypeConfig | None = None) -> "GanSpec":
-        if not isinstance(obj, dict):
-            raise FormatError(f"genotype record must be a JSON object, "
-                              f"not {type(obj).__name__}")
-        version = obj.get("schema")
-        if version != GENOTYPE_SCHEMA_VERSION:
-            raise FormatError(f"unsupported genotype schema tag {version!r}")
-        try:
-            return cls(
-                generator=DnnSpec.from_json_obj(obj["generator"], config),
-                discriminator=DnnSpec.from_json_obj(obj["discriminator"],
-                                                    config),
-                train_freq_bin=parse_field(obj, "train_freq_bin", integer,
-                                           "genotype record"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad genotype record: {exc}") from exc
 
 
 def gan_hash(key: DepthKey, row: Sequence[int],
@@ -288,37 +243,6 @@ def sort_by_fitness(items: Iterable[_T], fitness: Callable[[_T], float],
     return result
 
 
-def validate_gan(gan: GanSpec, config: GenotypeConfig) -> None:
-    """Raise ValidationError unless ``gan`` lies inside the configured space."""
-    for net in (gan.generator, gan.discriminator):
-        if net.role not in ROLES:
-            raise ValidationError(f"unknown role {net.role!r}")
-        if not 1 <= net.depth <= config.depth_max(net.role):
-            raise ValidationError(
-                f"unsupported depth {net.depth} for {net.role} "
-                f"(bounds 1..{config.depth_max(net.role)})")
-        kinds = config.kinds(net.role)
-        for i, layer in enumerate(net.layers):
-            if layer.kind not in kinds:
-                raise ValidationError(
-                    f"layer kind {layer.kind!r} not legal for {net.role} "
-                    f"(layer {i})")
-            if layer.activation not in config.activations:
-                raise ValidationError(f"unknown activation {layer.activation!r}")
-            if layer.weight_init not in config.weight_inits:
-                raise ValidationError(f"unknown weight_init {layer.weight_init!r}")
-            if not 0 <= layer.size_bin < config.arity:
-                raise ValidationError(
-                    f"size_bin {layer.size_bin} outside [0, {config.arity})")
-    if gan.generator.role != ROLE_GENERATOR:
-        raise ValidationError("first network must have the generator role")
-    if gan.discriminator.role != ROLE_DISCRIMINATOR:
-        raise ValidationError("second network must have the discriminator role")
-    if not 0 <= gan.train_freq_bin < config.arity:
-        raise ValidationError(
-            f"train_freq_bin {gan.train_freq_bin} outside [0, {config.arity})")
-
-
 # ---------------------------------------------------------------------------
 # Layer table: the vocabulary's layers, listed once
 
@@ -331,51 +255,16 @@ def _layer_radix(config: GenotypeConfig, role: str) -> tuple[int, int, int, int]
 
 
 @lru_cache(maxsize=None)
-def _layers_by_fields(config: GenotypeConfig) -> dict[tuple, LayerSpec]:
-    """One object per layer of the vocabulary, of either role, keyed by
-    its fields (kind, activation, weight_init, size_bin)."""
-    kinds = dict.fromkeys(config.generator_kinds + config.discriminator_kinds)
-    return {fields: LayerSpec(*fields) for fields in product(
-        kinds, config.activations, config.weight_inits, range(config.arity))}
-
-
-@lru_cache(maxsize=None)
 def _layer_table(config: GenotypeConfig,
                  role: str) -> tuple[LayerSpec, ...]:
-    """The layers ``role`` may hold, indexed by layer code.
-
-    Generated, unflattened and loaded genotypes all take their in-vocabulary
-    layers from ``_layers_by_fields``, so equal layers are one object.
-    """
-    known = _layers_by_fields(config)
-    return tuple(known[fields] for fields in product(
-        config.kinds(role), config.activations, config.weight_inits,
-        range(config.arity)))
-
-
-def _vocabulary_layer(obj: dict, known: dict[tuple, LayerSpec]) -> LayerSpec:
-    """``LayerSpec.from_json_obj(obj)``, as the object of ``known``
-    (``_layers_by_fields``) when the layer lies inside the vocabulary.
-
-    A layer outside it is parsed afresh, with the parse's usual errors, and
-    left for ``validate_gan`` to reject.
-    """
-    try:
-        fields = (obj["kind"], obj["activation"], obj["weight_init"],
-                  obj["size_bin"])
-        # Only an int size bin is looked up raw: true compares equal to
-        # 1, yet the parse rejects it.
-        found = known.get(fields) if type(fields[3]) is int else None
-    except (KeyError, TypeError):  # a missing or unhashable field
-        found = None
-    if found is not None:
-        return found
-    layer = LayerSpec.from_json_obj(obj)
-    try:
-        return known.get((layer.kind, layer.activation, layer.weight_init,
-                          layer.size_bin), layer)
-    except TypeError:
-        return layer
+    """The layers ``role`` may hold, indexed by layer code; generated and
+    unflattened genotypes take their layers from here, and a layer both
+    roles may hold is one object."""
+    shared = {} if role == ROLE_GENERATOR else dict(zip(
+        _layer_values(config)[ROLE_GENERATOR],
+        _layer_table(config, ROLE_GENERATOR)))
+    return tuple(shared.get(fields) or LayerSpec(*fields)
+                 for fields in _layer_values(config)[role])
 
 
 def _random_network(rng, config: GenotypeConfig, role: str,
@@ -466,6 +355,9 @@ def joint_schema(config: GenotypeConfig, key: DepthKey) -> Schema:
     return Schema(key=key, slots=gen.slots + disc.slots)
 
 
+_LAYER_FIELDS = attrgetter("kind", "activation", "weight_init", "size_bin")
+
+
 @lru_cache(maxsize=None)
 def _layer_values(config: GenotypeConfig) -> dict[str, dict[tuple, tuple]]:
     """Per role, the four row values of each layer the role may hold,
@@ -477,19 +369,69 @@ def _layer_values(config: GenotypeConfig) -> dict[str, dict[tuple, tuple]]:
             for role in ROLES}
 
 
-def flatten_joint(gan: GanSpec,
-                  config: GenotypeConfig) -> tuple[DepthKey, tuple[int, ...]]:
+def flatten_joint(gan: GanSpec, config: GenotypeConfig) -> Genotype:
     """The depth key of ``gan`` and its row: one value per slot of the
-    key's joint schema."""
-    validate_gan(gan, config)
-    tables = _layer_values(config)
-    values = [gan.train_freq_bin]
-    for net in (gan.generator, gan.discriminator):
-        table = tables[net.role]
-        for layer in net.layers:
-            values.extend(table[layer.kind, layer.activation,
-                                layer.weight_init, layer.size_bin])
-    return gan.depth_key, tuple(values)
+    key's joint schema.  A genotype outside ``config``'s space raises a
+    ValidationError."""
+    nets = tuple((net.role, list(map(_LAYER_FIELDS, net.layers)))
+                 for net in (gan.generator, gan.discriminator))
+    return _flatten_fields(nets, gan.train_freq_bin, config,
+                           _layer_values(config))
+
+
+def _flatten_fields(nets, train, config: GenotypeConfig, tables) -> Genotype:
+    """The key and row of a genotype given as ``nets``, ``((role, layers),
+    (role, layers))`` with each layer its fields, and its train bin, for
+    ``tables = _layer_values(config)``: one lookup per layer, and only on
+    a miss the checks of ``_space_error``, whose fault is raised."""
+    (g_role, g_layers), (d_role, d_layers) = nets
+    if (g_role == ROLE_GENERATOR and d_role == ROLE_DISCRIMINATOR
+            and 0 < len(g_layers) <= config.generator_depth_max
+            and 0 < len(d_layers) <= config.discriminator_depth_max
+            and train in range(config.arity)):
+        g_table, d_table = tables[ROLE_GENERATOR], tables[ROLE_DISCRIMINATOR]
+        values = [train]
+        try:
+            for fields in g_layers:
+                values += g_table[fields]
+            for fields in d_layers:
+                values += d_table[fields]
+            return DepthKey(len(g_layers), len(d_layers)), tuple(values)
+        except (KeyError, TypeError):  # a layer outside the vocabulary
+            pass
+    raise _space_error(nets, train, config)
+
+
+def _space_error(nets, train, config: GenotypeConfig) -> ValidationError:
+    """The first fault that puts a genotype's fields outside ``config``'s
+    space: each network's role, depth and layers, generator first, then
+    the roles' order, then the train bin."""
+    for role, layers in nets:
+        if role not in ROLES:
+            return ValidationError(f"unknown role {role!r}")
+        bound = config.depth_max(role)
+        if not 1 <= len(layers) <= bound:
+            return ValidationError(f"unsupported depth {len(layers)} for "
+                                   f"{role} (bounds 1..{bound})")
+        kinds = config.kinds(role)
+        for i, (kind, activation, weight_init, size_bin) in enumerate(layers):
+            if kind not in kinds:
+                return ValidationError(
+                    f"layer kind {kind!r} not legal for {role} (layer {i})")
+            if activation not in config.activations:
+                return ValidationError(f"unknown activation {activation!r}")
+            if weight_init not in config.weight_inits:
+                return ValidationError(f"unknown weight_init {weight_init!r}")
+            if size_bin not in range(config.arity):
+                return ValidationError(
+                    f"size_bin {size_bin} outside [0, {config.arity})")
+    for (role, _), want, nth in zip(nets, ROLES, ("first", "second")):
+        if role != want:
+            return ValidationError(f"{nth} network must have the {want} role")
+    if train not in range(config.arity):
+        return ValidationError(
+            f"train_freq_bin {train} outside [0, {config.arity})")
+    return ValidationError("layer fields outside the layer tables")
 
 
 def _layers_from_values(config: GenotypeConfig, role: str,
@@ -593,6 +535,55 @@ def _network_text(values: tuple[int, ...], layers: dict,
                                   range(0, len(values), 4)]) + around[1]
 
 
+def parse_genotype(obj, config: GenotypeConfig) -> Genotype:
+    """The depth key and row of a genotype record (a ``json.loads``
+    result), the inverse of the row writer.  A record of the wrong shape
+    raises a FormatError, and a genotype outside ``config``'s space a
+    ValidationError, each naming its first fault."""
+    return _flatten_fields(*_record_fields(obj), config, _layer_values(config))
+
+
+def _record_fields(obj) -> tuple[tuple, int]:
+    """The ``(nets, train)`` of a genotype record, as ``_flatten_fields``
+    takes them, with int bins (an integral float such as ``1.0`` is read);
+    a record of the wrong shape raises the FormatError of its first fault."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"genotype record must be a JSON object, "
+                          f"not {type(obj).__name__}")
+    version = obj.get("schema")
+    if version != GENOTYPE_SCHEMA_VERSION:
+        raise FormatError(f"unsupported genotype schema tag {version!r}")
+    try:
+        return ((_network_fields(obj["generator"]),
+                 _network_fields(obj["discriminator"])),
+                _bin(obj, "train_freq_bin", "genotype record"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad genotype record: {exc}") from exc
+
+
+def _network_fields(obj) -> tuple:
+    try:
+        layers = [_layer_fields(layer) for layer in obj["layers"]]
+        return obj["role"], layers
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad network record: {exc}") from exc
+
+
+def _layer_fields(obj) -> tuple:
+    try:
+        return (obj["kind"], obj["activation"], obj["weight_init"],
+                _bin(obj, "size_bin", "layer record"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad layer record: {exc}") from exc
+
+
+def _bin(obj: dict, name: str, what: str) -> int:
+    """``obj[name]`` if it is an int, else parsed as one."""
+    value = obj[name]
+    return value if type(value) is int else parse_field(obj, name, integer,
+                                                        what)
+
+
 def dump_genotypes(gans: Iterable[GanSpec], path) -> None:
     """Write one ``json.dumps(gan.to_json_obj(), sort_keys=True)`` line per
     genotype."""
@@ -601,19 +592,20 @@ def dump_genotypes(gans: Iterable[GanSpec], path) -> None:
             handle.write(json.dumps(gan.to_json_obj(), sort_keys=True) + "\n")
 
 
-def load_genotypes(path) -> Iterator[GanSpec]:
-    """The genotype of each non-blank line; a bad line raises a
-    FormatError naming the file and the line."""
+def load_genotypes(path, config: GenotypeConfig) -> Iterator[Genotype]:
+    """The ``parse_genotype`` of each non-blank line; a bad line raises a
+    FormatError, or a ValidationError if its genotype lies outside
+    ``config``'s space, naming the file and the line."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                gan = GanSpec.from_json_obj(json.loads(line))
+                genotype = parse_genotype(json.loads(line), config)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: line {lineno}: not valid JSON: "
                                   f"{exc}") from exc
-            except FormatError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-            yield gan
+            except ValidationError as exc:
+                raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
+            yield genotype

@@ -44,6 +44,7 @@ from .errors import (
 from .genotype import (
     DepthKey,
     GanSpec,
+    Genotype,
     GenotypeConfig,
     MODE_JOINT,
     ROLES,
@@ -351,6 +352,20 @@ class Metamodel:
         log_super, log_sub = self._log_parts(key, values)
         log_prob = log_super + log_sub
         return log_prob, log_prob / (self.n_depth_variables + len(schema))
+
+    def score_many(self, genotypes: Sequence[Genotype]) -> list[tuple]:
+        """(log_prob, normalized) of each ``(key, row)`` pair, in order,
+        with one ``score_values`` call per depth key."""
+        by_key: dict[DepthKey, list[int]] = {}
+        for index, (key, _) in enumerate(genotypes):
+            by_key.setdefault(key, []).append(index)
+        scores: list = [None] * len(genotypes)
+        for key, indices in by_key.items():
+            batch = self.score_values(key, np.array(
+                [genotypes[i][1] for i in indices], dtype=np.int64))
+            for i, score in zip(indices, zip(*(a.tolist() for a in batch))):
+                scores[i] = score
+        return scores
 
     def score(self, gan: GanSpec) -> ScoreBreakdown:
         """Log probability of one genotype under the metamodel; bit for bit

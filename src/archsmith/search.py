@@ -21,6 +21,7 @@ from .errors import ValidationError
 from .genotype import (
     DepthKey,
     GanSpec,
+    Genotype,
     GenotypeConfig,
     ROLE_DISCRIMINATOR,
     ROLE_GENERATOR,
@@ -38,9 +39,6 @@ STRATEGY_RANDOM = "random"
 STRATEGY_FROM_FIRST = "from_first"
 STRATEGY_FROM_METAMODEL = "from_metamodel"
 STRATEGIES = (STRATEGY_RANDOM, STRATEGY_FROM_FIRST, STRATEGY_FROM_METAMODEL)
-
-# The flat genotype form: a depth key and one value per slot of its schema.
-Genotype = tuple[DepthKey, tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,27 @@ def test_archive_and_search_build_no_trees():
     assert sorted(set(_uses(modules["archive"], "unflatten_joint"))) == [
         "<module>", "Individual.gan"]
     assert _uses(modules["search"], "unflatten_joint") == []
+
+
+def test_read_path_builds_no_trees():
+    # Records are read straight into (key, row): the archive names
+    # ``GanSpec`` only for ``Individual.gan``, no module parses a genotype
+    # tree, and ``archsmith score`` reads no individual's tree.
+    modules = _modules()
+    assert sorted(set(_uses(modules["archive"], "GanSpec"))) == [
+        "<module>", "Individual.gan"]
+    trees = {"GanSpec", "DnnSpec", "LayerSpec"}
+    for name, tree in modules.items():
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "from_json_obj"
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id in trees]
+        assert not calls, f"{name} parses a genotype tree"
+    for name in trees:
+        assert "from_json_obj" not in vars(getattr(archsmith, name))
+    score = next(node for node in modules["cli"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "cmd_score")
+    assert not [node for node in ast.walk(score)
+                if isinstance(node, ast.Attribute) and node.attr == "gan"]

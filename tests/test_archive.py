@@ -26,11 +26,12 @@ from archsmith.genotype import (
     LayerSpec,
     _text_tables,
     flatten_joint,
+    parse_genotype,
     random_gan,
 )
 from archsmith.landscape import LandscapeConfig
 
-from test_genotype import SMALL, TINY, tree_hash
+from test_genotype import SMALL, TINY, gan_from_json, tree_hash
 
 CONFIG = GenotypeConfig.joint()
 PER_NET = GenotypeConfig.per_network()
@@ -87,11 +88,12 @@ class TestIndividual:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         ind = make_individual(rng, 0.25)
-        gan, fitness, run_id, problem_id = _parse_record(record_obj(ind),
-                                                         CONFIG)
-        again = individual(gan, fitness, run_id, problem_id)
+        obj = record_obj(ind)
+        _, fitness, run_id, problem_id = _parse_record(obj)
+        again = Individual(*parse_genotype(obj["gan"], CONFIG), fitness,
+                           run_id, problem_id, CONFIG)
         assert again == ind
-        assert again.gan == ind.gan == gan
+        assert again.gan == ind.gan == gan_from_json(obj["gan"])
 
     def test_nonfinite_fitness_rejected(self):
         rng = np.random.default_rng(0)
@@ -105,7 +107,7 @@ class TestIndividual:
         obj = record_obj(make_individual(rng, 1.0))
         del obj["fitness"]
         with pytest.raises(FormatError):
-            _parse_record(obj, CONFIG)
+            _parse_record(obj)
 
     def test_tree_built_on_first_read_only(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -271,6 +273,55 @@ class TestLoadSave:
                 zip(edits, loaded.diagnostics), start=2):
             assert message.startswith(f"line {lineno}: bad ")
             assert f"field {name!r} is {value!r}, not a valid" in message
+
+    def test_late_header_names_file_and_line(self, tmp_path):
+        # A header once re-typed every record read before it: 49 joint
+        # records followed by a per-network header loaded as per-network.
+        path = tmp_path / "runs.jsonl"
+        save_archive(make_archive(np.random.default_rng(9), 1, 49), path)
+        header = json.dumps({"format": "archive-v1",
+                             "config": PER_NET.to_json_obj()})
+        lines = path.read_text().splitlines()
+        for text, lineno in ((path.read_text() + header + "\n", 51),
+                             ("\n".join([header] + lines) + "\n", 2),
+                             ("{not json\n" + header + "\n", 2)):
+            path.write_text(text)
+            with pytest.raises(FormatError) as info:
+                load_archive(path)
+            assert str(info.value) == (
+                f"{path}: line {lineno}: archive-v1 header after line 1; "
+                f"a header must come first")
+        path.write_text("\n\n" + "\n".join(lines) + "\n")
+        assert load_archive(path).config == CONFIG
+
+    def test_rejections_follow_line_diagnostics_by_run(self, tmp_path):
+        rng = np.random.default_rng(10)
+        texts = {}
+        for run_id in ("b", "a"):
+            ok, out = (make_individual(rng, 1.0, run_id=run_id),
+                       make_individual(rng, 2.0, run_id=run_id))
+            obj = record_obj(out)
+            obj["gan"]["generator"]["layers"][0]["activation"] = "swish"
+            texts[run_id] = json.dumps(record_obj(ok)), json.dumps(obj)
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join([
+            texts["b"][1], texts["a"][1], "[", texts["a"][0], texts["b"][1],
+            texts["b"][0], '{"fitness": 1}', texts["a"][1]]) + "\n")
+        loaded = load_archive(path)
+        assert loaded.diagnostics == [
+            "line 3: not valid JSON (Expecting value)",
+            "line 7: bad archive record: 'gan'",
+        ] + ["run b: rejected record (unknown activation 'swish')"] * 2 + [
+            "run a: rejected record (unknown activation 'swish')"] * 2
+        assert loaded.rejected == 4 and loaded.n_individuals == 2
+        assert list(loaded.runs) == ["b", "a"]  # first seen first
+
+    def test_tables_looked_up_once_per_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "runs.jsonl"
+        save_archive(make_archive(np.random.default_rng(11), 3, 20), path)
+        calls = count_calls(monkeypatch, "_layer_values")
+        assert load_archive(path).n_individuals == 60
+        assert calls == [(CONFIG,)]
 
     def test_header_supplies_config(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -72,6 +72,17 @@ class TestIngest:
         assert main(["ingest", "--raw", str(raw),
                      "--out", str(tmp_path / "o.jsonl")]) == 1
 
+    def test_late_header_is_one_error_line(self, archive_path, tmp_path,
+                                           capsys):
+        raw = tmp_path / "raw.jsonl"
+        lines = archive_path.read_text().splitlines()
+        raw.write_text("\n".join(lines[1:4] + lines[:1]) + "\n")
+        capsys.readouterr()
+        assert main(["ingest", "--raw", str(raw),
+                     "--out", str(tmp_path / "o.jsonl")]) == 1
+        one_error_line(capsys, f"error: {raw}: line 4: archive-v1 header "
+                               f"after line 1")
+
     def test_missing_out_flag(self, archive_path):
         assert main(["ingest", "--raw", str(archive_path)]) == 1
 
@@ -166,6 +177,43 @@ class TestLearnScoreSample:
                      "--genotypes", str(genotypes),
                      "--out", str(tmp_path / "scores.csv")]) == 1
         one_error_line(capsys, "line 1", "'size_bin' is 1.9")
+
+    def test_score_out_of_space_genotype_names_file_and_line(
+            self, model_path, tmp_path, capsys):
+        obj = random_gan(np.random.default_rng(4), SMALL).to_json_obj()
+        good = json.dumps(obj)
+        obj["discriminator"]["layers"][-1]["activation"] = "swish"
+        genotypes = tmp_path / "gans.jsonl"
+        genotypes.write_text(good + "\n" + json.dumps(obj) + "\n")
+        capsys.readouterr()
+        assert main(["score", "--model", str(model_path),
+                     "--genotypes", str(genotypes),
+                     "--out", str(tmp_path / "scores.csv")]) == 1
+        one_error_line(capsys, f"error: {genotypes}: line 2: unknown "
+                               f"activation 'swish'")
+
+    def test_score_foreign_archive_in_the_model_space(self, model_path,
+                                                      tmp_path):
+        # The archive's rows are in another layout; each genotype is
+        # scored as the model's own row.
+        foreign = GenotypeConfig.joint(
+            arity=3, activations=("tanh", "elu", "relu"),
+            weight_inits=("normal", "xavier"), generator_depth_max=2,
+            discriminator_depth_max=2)
+        rng = np.random.default_rng(6)
+        gans = [random_gan(rng, SMALL) for _ in range(12)]
+        runs = {"r0": [individual(gan, float(i), "r0", "p", foreign)
+                       for i, gan in enumerate(gans)]}
+        path = tmp_path / "foreign.jsonl"
+        save_archive(RunArchive(runs=runs, config=foreign), path)
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--model", str(model_path),
+                     "--genotypes", str(path), "--out", str(out)]) == 0
+        model = load_metamodel(model_path)
+        want = [model.score(gan) for gan in gans]
+        assert [(float(row["log_prob"]), float(row["normalized"]))
+                for row in read_csv(out)] == [
+            (b.log_prob, b.normalized) for b in want]
 
     def test_sample_deterministic(self, model_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

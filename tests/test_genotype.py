@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from archsmith import archive
 from archsmith.archive import Individual, RunArchive, extract_sets
-from archsmith.errors import FormatError, ValidationError
+from archsmith.errors import FormatError, ValidationError, integer, parse_field
 from archsmith.genotype import (
     DepthKey,
     DnnSpec,
@@ -18,13 +18,13 @@ from archsmith.genotype import (
     GenotypeConfig,
     LayerSpec,
     _layer_table,
-    _layers_by_fields,
     dump_genotypes,
     flatten_joint,
     gan_hash,
     joint_schema,
     load_genotypes,
     network_schema,
+    parse_genotype,
     random_gan,
     sort_by_fitness,
     unflatten_joint,
@@ -86,6 +86,93 @@ def gan_strategy(config):
                      generator=network("generator"),
                      discriminator=network("discriminator"),
                      train_freq_bin=st.integers(0, config.arity - 1))
+
+
+# The tree parser and space check the package once had: the oracles of
+# ``parse_genotype``'s and ``flatten_joint``'s errors, fault for fault.
+
+
+def layer_from_json(obj):
+    try:
+        return LayerSpec(kind=obj["kind"], activation=obj["activation"],
+                         weight_init=obj["weight_init"],
+                         size_bin=parse_field(obj, "size_bin", integer,
+                                              "layer record"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad layer record: {exc}") from exc
+
+
+def network_from_json(obj):
+    try:
+        layers = tuple(layer_from_json(layer) for layer in obj["layers"])
+        return DnnSpec(role=obj["role"], layers=layers)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad network record: {exc}") from exc
+
+
+def gan_from_json(obj):
+    if not isinstance(obj, dict):
+        raise FormatError(f"genotype record must be a JSON object, "
+                          f"not {type(obj).__name__}")
+    version = obj.get("schema")
+    if version != "v1":
+        raise FormatError(f"unsupported genotype schema tag {version!r}")
+    try:
+        return GanSpec(
+            generator=network_from_json(obj["generator"]),
+            discriminator=network_from_json(obj["discriminator"]),
+            train_freq_bin=parse_field(obj, "train_freq_bin", integer,
+                                       "genotype record"))
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad genotype record: {exc}") from exc
+
+
+def validate_tree(gan, config):
+    """Raise ValidationError unless ``gan`` lies inside ``config``'s space."""
+    for net in (gan.generator, gan.discriminator):
+        if net.role not in ("generator", "discriminator"):
+            raise ValidationError(f"unknown role {net.role!r}")
+        if not 1 <= len(net.layers) <= config.depth_max(net.role):
+            raise ValidationError(
+                f"unsupported depth {len(net.layers)} for {net.role} "
+                f"(bounds 1..{config.depth_max(net.role)})")
+        kinds = config.kinds(net.role)
+        for i, layer in enumerate(net.layers):
+            if layer.kind not in kinds:
+                raise ValidationError(
+                    f"layer kind {layer.kind!r} not legal for {net.role} "
+                    f"(layer {i})")
+            if layer.activation not in config.activations:
+                raise ValidationError(f"unknown activation {layer.activation!r}")
+            if layer.weight_init not in config.weight_inits:
+                raise ValidationError(f"unknown weight_init {layer.weight_init!r}")
+            if not 0 <= layer.size_bin < config.arity:
+                raise ValidationError(
+                    f"size_bin {layer.size_bin} outside [0, {config.arity})")
+    if gan.generator.role != "generator":
+        raise ValidationError("first network must have the generator role")
+    if gan.discriminator.role != "discriminator":
+        raise ValidationError("second network must have the discriminator role")
+    if not 0 <= gan.train_freq_bin < config.arity:
+        raise ValidationError(
+            f"train_freq_bin {gan.train_freq_bin} outside [0, {config.arity})")
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the type and message of its ValidationError."""
+    try:
+        return call(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def oracle_parse(obj, config):
+    """The tree parse, the space check and ``flatten_joint`` of a record."""
+    def parse(obj):
+        tree = gan_from_json(obj)
+        validate_tree(tree, config)
+        return flatten_joint(tree, config)
+    return outcome(parse, obj)
 
 
 class TestFlatten:
@@ -197,7 +284,8 @@ class TestSerialization:
         gans = [make_gan(1, 1), make_gan(3, 4, train=2), make_gan(2, 2)]
         path = tmp_path / "gans.jsonl"
         dump_genotypes(gans, path)
-        assert list(load_genotypes(path)) == gans
+        assert list(load_genotypes(path, JOINT)) == [
+            flatten_joint(gan, JOINT) for gan in gans]
 
     def test_bytes_equal_json_dumps(self, tmp_path):
         gans = [random_gan(np.random.default_rng(seed), config)
@@ -220,13 +308,13 @@ class TestSerialization:
         obj["schema"] = "v9"
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(FormatError, match="schema tag"):
-            list(load_genotypes(path))
+            list(load_genotypes(path, JOINT))
 
     def test_corrupt_line_reports_line_number(self, tmp_path):
         path = tmp_path / "gans.jsonl"
         path.write_text("{not json\n")
         with pytest.raises(FormatError, match="line 1"):
-            list(load_genotypes(path))
+            list(load_genotypes(path, JOINT))
 
     @pytest.mark.parametrize("text", ["5", "[]", '"gan"', "null"])
     def test_non_object_line_reports_line_number(self, tmp_path, text):
@@ -234,14 +322,14 @@ class TestSerialization:
         path.write_text(canonical_json(make_gan()) + "\n" + text + "\n")
         with pytest.raises(FormatError, match="line 2: genotype record must "
                                               "be a JSON object"):
-            list(load_genotypes(path))
+            list(load_genotypes(path, JOINT))
 
     @given(gan_strategy(JOINT))
     @settings(max_examples=50)
     def test_hash_stable_under_json_round_trip(self, gan):
-        clone = GanSpec.from_json_obj(json.loads(canonical_json(gan)))
-        assert (gan_hash(*flatten_joint(clone, JOINT), JOINT)
-                == gan_hash(*flatten_joint(gan, JOINT), JOINT))
+        clone = parse_genotype(json.loads(canonical_json(gan)), JOINT)
+        assert gan_hash(*clone, JOINT) == gan_hash(*flatten_joint(gan, JOINT),
+                                                  JOINT)
 
 
 class TestConfig:
@@ -323,9 +411,8 @@ class TestGanHashCache:
     def test_cache_leaves_eq_hash_and_repr_alone(self):
         gan = make_gan(2, 3, train=1)
         ind = Individual(*flatten_joint(gan, JOINT), 0.5, "r0", "p0", JOINT)
-        twin = Individual(*flatten_joint(
-            GanSpec.from_json_obj(gan.to_json_obj()), JOINT), 0.5, "r0", "p0",
-            JOINT)
+        twin = Individual(*parse_genotype(gan.to_json_obj(), JOINT), 0.5,
+                          "r0", "p0", JOINT)
         before = (repr(ind), hash(ind))
         assert ind._hash == tree_hash(gan) and ind.gan == gan
         assert (repr(ind), hash(ind)) == before
@@ -339,49 +426,16 @@ class TestGanHashCache:
 
 
 def parse_layer(obj, config=JOINT):
-    """One layer record parsed as ``load_archive`` parses it."""
-    return DnnSpec.from_json_obj({"role": "generator", "layers": [obj]},
-                                 config).layers[0]
+    """One layer record read as ``load_archive`` reads it: as the first
+    generator layer of a record."""
+    record = make_gan().to_json_obj()
+    record["generator"]["layers"][0] = obj
+    return parse_genotype(record, config)
 
 
 class TestLayerPool:
-    """Parsed layers inside the vocabulary come from one shared pool, the
-    layer table's objects (``_layers_by_fields``)."""
-
-    def test_equal_layers_are_one_object(self):
-        obj = make_layer(JOINT.generator_kinds, 3).to_json_obj()
-        first = parse_layer(obj)
-        assert first == LayerSpec.from_json_obj(obj)
-        assert parse_layer(dict(obj)) is first
-        # An integral float parses to the same layer.  A string or a
-        # boolean size bin is rejected, even though "3" is the text of the
-        # shared size bin 3 and true compares equal to the shared 1.
-        assert parse_layer(dict(obj, size_bin=3.0)) is first
-        parse_layer(dict(obj, size_bin=1))
-        for bad in ("3", True):
-            with pytest.raises(FormatError, match="size_bin"):
-                parse_layer(dict(obj, size_bin=bad))
-
-    def test_holds_at_most_the_vocabulary(self):
-        kinds = sorted(set(JOINT.generator_kinds + JOINT.discriminator_kinds))
-        legal = [dict(kind=k, activation=a, weight_init=w, size_bin=b)
-                 for k, a, w, b in itertools.product(
-                     kinds, JOINT.activations, JOINT.weight_inits,
-                     range(JOINT.arity))]
-        shared = {id(parse_layer(dict(obj, size_bin=spelling(obj["size_bin"]))))
-                  for obj in legal
-                  for spelling in (int, float)}
-        assert len(shared) == len(legal) == 225
-        # Layers outside the vocabulary are parsed but never shared.
-        for i in range(3):
-            for bad in (dict(legal[0], activation=f"act{i}"),
-                        dict(legal[0], size_bin=JOINT.arity + i),
-                        dict(legal[0], kind=["dense"])):
-                assert parse_layer(bad) == LayerSpec.from_json_obj(bad)
-                assert parse_layer(bad) is not parse_layer(bad)
-        assert len(_layers_by_fields(JOINT)) == 225
-        assert shared == {id(layer) for layer in
-                          _layers_by_fields(JOINT).values()}
+    """Generated, unflattened and loaded genotypes take their layers from
+    the layer table; a layer record is read as the tree parse read it."""
 
     @pytest.mark.parametrize("bad", [
         {"kind": "dense", "activation": "relu", "weight_init": "xavier"},
@@ -392,7 +446,7 @@ class TestLayerPool:
     ])
     def test_malformed_record_raises_like_from_json_obj(self, bad):
         with pytest.raises(FormatError) as want:
-            LayerSpec.from_json_obj(bad)
+            layer_from_json(bad)
         with pytest.raises(FormatError) as got:
             parse_layer(bad)
         assert str(got.value) == str(want.value)
@@ -405,8 +459,9 @@ class TestLayerPool:
         for _ in range(20):
             gan = random_gan(rng, config)
             key, values = flatten_joint(gan, config)
+            loaded = parse_genotype(gan.to_json_obj(), config)
             for copy in (gan, unflatten_joint(key, values, config),
-                         GanSpec.from_json_obj(gan.to_json_obj(), config)):
+                         unflatten_joint(*loaded, config)):
                 for net in (copy.generator, copy.discriminator):
                     ids = {id(layer) for layer in tables[net.role]}
                     assert all(id(layer) in ids for layer in net.layers)
@@ -418,3 +473,152 @@ class TestLayerPool:
             config.activations.index(layer.activation),
             config.weight_inits.index(layer.weight_init), layer.size_bin)))
         assert len(set(table)) == len(table) == 2 * 5 * 3 * 5
+        # A layer both roles may hold (a dense one) is one object.
+        generator_ids = {id(layer) for layer in tables["generator"]}
+        assert sum(id(layer) in generator_ids for layer in table) == 5 * 3 * 5
+
+
+# Values a mutated record may hold: every vocabulary word of the test
+# spaces and both roles, numbers of each JSON kind, and nested containers.
+WORDS = sorted({word for config in SPACES for word in (
+    config.activations + config.weight_inits + config.generator_kinds
+    + config.discriminator_kinds)} | {"generator", "discriminator", "swish",
+                                      "v1", "v2"})
+FIELDS = ["kind", "activation", "weight_init", "size_bin", "role", "layers",
+          "generator", "discriminator", "train_freq_bin", "schema"]
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 7)
+          | st.sampled_from(WORDS) | st.floats(-2, 7)
+          | st.sampled_from([1.0, 2.0, float("nan"), float("inf")]))
+JSON_VALUES = st.recursive(
+    LEAVES, lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELDS), children, max_size=4),
+    max_leaves=6)
+# Mostly a bin or a word, so that most records stay well formed.
+REPLACEMENTS = st.integers(-2, 7) | st.sampled_from(WORDS) | JSON_VALUES
+
+
+def containers(obj):
+    """Every non-empty dict and list inside ``obj``, itself included."""
+    if isinstance(obj, (dict, list)) and obj:
+        yield obj
+        for value in (obj.values() if isinstance(obj, dict) else obj):
+            yield from containers(value)
+
+
+@st.composite
+def mutated_records(draw):
+    """A space, and a record of one of its genotypes with one to three
+    fields deleted, replaced or repeated, or the whole record replaced."""
+    config = draw(st.sampled_from(SPACES))
+    obj = draw(gan_strategy(config)).to_json_obj()
+    for _ in range(draw(st.integers(1, 3))):
+        found = list(containers(obj))
+        if not found:
+            break
+        target = draw(st.sampled_from(found))
+        key = draw(st.sampled_from(list(target) if isinstance(target, dict)
+                                   else range(len(target))))
+        action = draw(st.sampled_from(["delete", "replace", "repeat"]))
+        if action == "delete":
+            del target[key]
+        elif action == "replace":
+            target[key] = draw(REPLACEMENTS)
+        elif isinstance(target, list):
+            target.append(json.loads(json.dumps(target[key])))
+    if draw(st.integers(0, 19)) == 0:
+        obj = draw(JSON_VALUES)
+    return config, json.loads(json.dumps(obj))
+
+
+class TestParseGenotype:
+    @given(st.sampled_from(SPACES).flatmap(
+        lambda config: st.tuples(st.just(config), gan_strategy(config))),
+        st.booleans())
+    @settings(max_examples=150)
+    def test_inverts_the_writer(self, drawn, compact):
+        config, gan = drawn
+        text = json.dumps(gan.to_json_obj(), sort_keys=True,
+                          separators=(",", ":") if compact else None)
+        assert parse_genotype(json.loads(text), config) == flatten_joint(
+            gan, config)
+
+    @given(mutated_records())
+    @settings(max_examples=500)
+    def test_malformed_records_fail_as_the_tree_parse(self, drawn):
+        # Each record raises the exception type and message that the tree
+        # parse, its space check and ``flatten_joint`` raise, or reads as
+        # the same pair; the space check and ``flatten_joint`` agree on
+        # every parsed tree.
+        config, obj = drawn
+        assert outcome(parse_genotype, obj, config) == oracle_parse(obj,
+                                                                    config)
+        try:
+            tree = gan_from_json(obj)
+        except FormatError:
+            return
+        assert outcome(flatten_joint, tree, config) == outcome(
+            lambda: validate_tree(tree, config) or flatten_joint(tree, config))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda o: o["generator"].update(role="discriminator"),
+         "first network must have the generator role"),
+        (lambda o: (o["discriminator"].update(role="generator"),
+                    o["discriminator"]["layers"][1].update(kind="dense")),
+         "second network must have the discriminator role"),
+        (lambda o: (o["generator"].update(role="discriminator"),
+                    o["discriminator"].update(role="generator")),
+         "layer kind 'conv' not legal for generator (layer 1)"),
+        (lambda o: o["discriminator"].update(role="critic"),
+         "unknown role 'critic'"),
+        (lambda o: o.update(train_freq_bin=5), "train_freq_bin 5 outside"),
+        (lambda o: o["discriminator"]["layers"][1].update(size_bin=-1),
+         "size_bin -1 outside"),
+        (lambda o: o["generator"]["layers"].clear(),
+         "unsupported depth 0 for generator"),
+        (lambda o: o["discriminator"]["layers"].extend(
+            o["discriminator"]["layers"] * 2),
+         "unsupported depth 6 for discriminator"),
+        (lambda o: o["generator"]["layers"][0].update(kind="conv"),
+         "layer kind 'conv' not legal for generator (layer 0)"),
+        (lambda o: o["generator"]["layers"][0].update(weight_init="he"),
+         "unknown weight_init 'he'"),
+    ])
+    def test_space_faults_match_the_tree_check(self, edit, message):
+        gan = GanSpec(
+            generator=DnnSpec("generator", (
+                LayerSpec("dense", "tanh", "normal", 2),)),
+            discriminator=DnnSpec("discriminator", (
+                LayerSpec("dense", "relu", "xavier", 0),
+                LayerSpec("conv", "elu", "uniform", 4))),
+            train_freq_bin=3)
+        obj = gan.to_json_obj()
+        edit(obj)
+        got = outcome(parse_genotype, obj, JOINT)
+        assert got == oracle_parse(obj, JOINT)
+        assert got[0] is ValidationError and got[1].startswith(message)
+
+    def test_integral_float_bins_are_accepted(self):
+        obj = make_gan(2, 1, train=1).to_json_obj()
+        want = parse_genotype(obj, JOINT)
+        layer = obj["generator"]["layers"][1]
+        obj["train_freq_bin"] = layer["size_bin"] = 1.0
+        assert parse_genotype(obj, JOINT) == want
+        for holder, name in ((obj, "train_freq_bin"), (layer, "size_bin")):
+            for bad in (1.5, "1", True):
+                holder[name] = bad
+                with pytest.raises(FormatError, match=f"{name!r} is "
+                                                      f"{bad!r}, not a valid"):
+                    parse_genotype(obj, JOINT)
+            holder[name] = 1
+
+    def test_out_of_space_line_names_file_and_line(self, tmp_path):
+        obj = make_gan().to_json_obj()
+        good = json.dumps(obj)
+        obj["discriminator"]["layers"][0]["activation"] = "swish"
+        path = tmp_path / "gans.jsonl"
+        path.write_text(good + "\n\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValidationError) as info:
+            list(load_genotypes(path, JOINT))
+        assert type(info.value) is ValidationError
+        assert str(info.value) == (f"{path}: line 3: unknown activation "
+                                   f"'swish'")

@@ -11,7 +11,6 @@ import pytest
 from archsmith.errors import FormatError, ValidationError
 from archsmith.genotype import (
     DepthKey,
-    GanSpec,
     GenotypeConfig,
     flatten_joint,
     joint_schema,
@@ -25,6 +24,8 @@ from archsmith.landscape import (
     make_landscape,
     save_landscape,
 )
+
+from test_genotype import gan_from_json
 
 JOINT = GenotypeConfig.joint()
 TINY = GenotypeConfig.joint(
@@ -104,7 +105,7 @@ class TestDeterminism:
         rng = np.random.default_rng(2)
         gan = random_gan(rng, JOINT)
         first = land.evaluate(gan)
-        rebuilt = GanSpec.from_json_obj(gan.to_json_obj())
+        rebuilt = gan_from_json(gan.to_json_obj())
         assert land.evaluate(rebuilt) == first
         assert land.evaluate(gan) == first
 
@@ -149,7 +150,7 @@ class TestPlantedPattern:
         land = make_landscape(8, noiseless())
         rng = np.random.default_rng(3)
         gan = random_gan(rng, JOINT)
-        clone = GanSpec.from_json_obj(gan.to_json_obj())
+        clone = gan_from_json(gan.to_json_obj())
         assert gan is not clone
         assert land.evaluate(gan) == land.evaluate(clone)
 
@@ -365,8 +366,7 @@ class TestEvaluateValues:
             assert [float(land.evaluate_values(key, np.array([row]))[0])
                     for row in group] == want
         assert ([land.evaluate(g) for g in gans]
-                == [reference_fitness(land, g.depth_key,
-                                      flatten_joint(g, JOINT)[1])
+                == [reference_fitness(land, *flatten_joint(g, JOINT))
                     for g in gans])
 
     def test_empty_batch(self):

@@ -17,7 +17,6 @@ from archsmith.genotype import (
     flatten_joint,
     joint_schema,
     random_gan,
-    validate_gan,
 )
 from archsmith.metamodel import (
     Categorical,
@@ -32,6 +31,7 @@ from archsmith.metamodel import (
 )
 from test_archive import individual
 from test_bayesnet import bn_v1_document
+from test_genotype import validate_tree
 
 JOINT = GenotypeConfig.joint()
 TINY = GenotypeConfig.joint(arity=2, activations=("relu", "tanh"),
@@ -258,7 +258,7 @@ class TestSample:
         super_ = model.supermodels["joint"]
         freq = {tuple(k): 0 for k in super_.support}
         for gan in samples:
-            freq[tuple(gan.depth_key)] += 1
+            freq[flatten_joint(gan, JOINT)[0]] += 1
         tv = 0.5 * sum(abs(freq[tuple(k)] / 10_000 - super_.prob(k))
                        for k in super_.support)
         assert tv <= 0.02
@@ -272,14 +272,15 @@ class TestSample:
         inds = make_individuals(rng, config, 400)
         model = learn(inds, LearnConfig(genotype=config))
         for gan in model.sample_many(np.random.default_rng(1), count):
-            validate_gan(gan, config)
+            validate_tree(gan, config)
 
     def test_concentrated_supermodel_dominates_samples(self):
         rng = np.random.default_rng(14)
         inds = make_individuals(rng, JOINT, 500, depth_key=DepthKey(1, 1))
         model = learn(inds, LearnConfig(genotype=JOINT))
         samples = model.sample_many(np.random.default_rng(2), 2000)
-        share = np.mean([gan.depth_key == DepthKey(1, 1) for gan in samples])
+        share = np.mean([flatten_joint(gan, JOINT)[0] == DepthKey(1, 1)
+                         for gan in samples])
         assert share > 0.93
 
     def test_sampling_deterministic_given_seed(self):

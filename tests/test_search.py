@@ -35,7 +35,6 @@ from archsmith.genotype import (
     joint_schema,
     random_gan,
     unflatten_joint,
-    validate_gan,
 )
 from archsmith.landscape import LandscapeConfig, make_landscape
 from archsmith.metamodel import LearnConfig, Metamodel, learn
@@ -53,7 +52,7 @@ from archsmith.search import (
     simple_ea,
 )
 from test_archive import individual
-from test_genotype import tree_hash
+from test_genotype import tree_hash, validate_tree
 from test_landscape import planted_gan
 
 DEFAULT = GenotypeConfig.joint()
@@ -153,22 +152,22 @@ def apply_op(gan, op, config):
         result = replace(gan, train_freq_bin=op.value)
     elif isinstance(op, AddLayer):
         net = _net_of(gan, op.role)
-        if not 0 <= op.position <= net.depth:
+        if not 0 <= op.position <= len(net.layers):
             raise ValidationError(f"bad insert position {op.position}")
         layers = (net.layers[:op.position] + (op.layer,)
                   + net.layers[op.position:])
         result = _with_net(gan, op.role, replace(net, layers=layers))
     elif isinstance(op, DeleteLayer):
         net = _net_of(gan, op.role)
-        if net.depth <= 1:
+        if len(net.layers) <= 1:
             raise ValidationError("cannot delete the last layer")
-        if not 0 <= op.position < net.depth:
+        if not 0 <= op.position < len(net.layers):
             raise ValidationError(f"bad delete position {op.position}")
         layers = net.layers[:op.position] + net.layers[op.position + 1:]
         result = _with_net(gan, op.role, replace(net, layers=layers))
     elif isinstance(op, ChangeLayer):
         net = _net_of(gan, op.role)
-        if not 0 <= op.position < net.depth:
+        if not 0 <= op.position < len(net.layers):
             raise ValidationError(f"bad layer position {op.position}")
         layer = net.layers[op.position]
         if op.attr == "activation":
@@ -184,7 +183,7 @@ def apply_op(gan, op, config):
         result = _with_net(gan, op.role, replace(net, layers=layers))
     else:
         raise ValidationError(f"unknown operator {op!r}")
-    validate_gan(result, config)
+    validate_tree(result, config)
     return result
 
 
@@ -194,10 +193,10 @@ def mutate_oracle(gan, config, rng):
     Returns the mutated genotype and the operator applied.
     """
     kinds = ["change", "train_freq"]
-    if (gan.generator.depth < config.generator_depth_max
-            or gan.discriminator.depth < config.discriminator_depth_max):
+    if (len(gan.generator.layers) < config.generator_depth_max
+            or len(gan.discriminator.layers) < config.discriminator_depth_max):
         kinds.append("add")
-    if gan.generator.depth > 1 or gan.discriminator.depth > 1:
+    if len(gan.generator.layers) > 1 or len(gan.discriminator.layers) > 1:
         kinds.append("delete")
     kind = kinds[int(rng.integers(len(kinds)))]
     if kind == "train_freq":
@@ -206,22 +205,22 @@ def mutate_oracle(gan, config, rng):
     elif kind == "add":
         roles = [r for r, net in ((ROLE_GENERATOR, gan.generator),
                                   (ROLE_DISCRIMINATOR, gan.discriminator))
-                 if net.depth < config.depth_max(r)]
+                 if len(net.layers) < config.depth_max(r)]
         role = roles[int(rng.integers(len(roles)))]
         net = _net_of(gan, role)
         variants = _layer_variants(config, role)
-        op = AddLayer(role, int(rng.integers(net.depth + 1)),
+        op = AddLayer(role, int(rng.integers(len(net.layers) + 1)),
                       variants[int(rng.integers(len(variants)))])
     elif kind == "delete":
         roles = [r for r, net in ((ROLE_GENERATOR, gan.generator),
                                   (ROLE_DISCRIMINATOR, gan.discriminator))
-                 if net.depth > 1]
+                 if len(net.layers) > 1]
         role = roles[int(rng.integers(len(roles)))]
-        op = DeleteLayer(role, int(rng.integers(_net_of(gan, role).depth)))
+        op = DeleteLayer(role, int(rng.integers(len(_net_of(gan, role).layers))))
     else:
         role = (ROLE_GENERATOR, ROLE_DISCRIMINATOR)[int(rng.integers(2))]
         net = _net_of(gan, role)
-        position = int(rng.integers(net.depth))
+        position = int(rng.integers(len(net.layers)))
         attr = MUTABLE_LAYER_ATTRS[int(rng.integers(len(MUTABLE_LAYER_ATTRS)))]
         card = _attr_cardinality(config, attr)
         current = _attr_index(config, net.layers[position], attr)
@@ -243,7 +242,7 @@ def legal_ops(gan, config):
     bounds."""
     ops = []
     for net in (gan.generator, gan.discriminator):
-        role, depth = net.role, net.depth
+        role, depth = net.role, len(net.layers)
         if depth < config.depth_max(role):
             for position in range(depth + 1):
                 for layer in _layer_variants(config, role):
@@ -391,14 +390,14 @@ class TestOperators:
         key, row = flatten_joint(random_gan(rng, DEFAULT), DEFAULT)
         for _ in range(10_000):
             key, row = mutate(key, row, DEFAULT, rng)
-            validate_gan(unflatten_joint(key, row, DEFAULT), DEFAULT)
+            validate_tree(unflatten_joint(key, row, DEFAULT), DEFAULT)
 
     def test_all_ops_valid_everywhere(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             gan = random_gan(rng, TINY)
             for op in legal_ops(gan, TINY):
-                validate_gan(apply_op(gan, op, TINY), TINY)
+                validate_tree(apply_op(gan, op, TINY), TINY)
 
     def test_vector_groups_match_op_level(self):
         rng = np.random.default_rng(9)
@@ -493,8 +492,7 @@ class TestOperators:
     def test_random_minimal_gan(self):
         rng = np.random.default_rng(10)
         gan = random_minimal_gan(rng, DEFAULT)
-        assert gan.depth_key == (1, 1)
-        validate_gan(gan, DEFAULT)
+        assert flatten_joint(gan, DEFAULT)[0] == (1, 1)
 
 
 class TestRandomHc:
@@ -668,7 +666,7 @@ class TestPopulationAndEa:
         assert pop.size == 8
         for key, row, fitness in pop.members:
             gan = unflatten_joint(key, row, TINY)
-            validate_gan(gan, TINY)
+            validate_tree(gan, TINY)
             assert fitness == land.evaluate(gan)
 
     def test_init_from_first(self):
