@@ -8,7 +8,9 @@ only).  One more ``gen-archive`` plus ``initialization`` at the same scale
 runs in the default joint space (``DEFAULT_LAND``), whose arity and
 vocabularies reach every mutation kind.  On the first two archives the ``learn``, ``sample`` and ``score`` commands
 run as well (the archive and the sampled genotypes are both scored), and
-the saved uniform metamodel of each genotype mode is digested.  A change
+the saved uniform metamodel of each genotype mode is digested.  On the
+first archive ``search`` runs too, random and guided (under the CLI model),
+from the start genotype its ``--seed`` draws.  A change
 to any digest is a behaviour change: it needs a reason in ``CHANGES.md``
 and a re-baseline in the same change.  Two more digests pin the
 acceptance-scale archives: ``generate_archive`` with ``ArchiveGenConfig``
@@ -61,6 +63,8 @@ EXPERIMENTS = {
                       "n": 3},
 }
 PN_GUIDED = {"target_seed": 61, "replicates": 3, "budget": 12, "n": 3}
+# ``archsmith search`` flags of the joint run, digested per algorithm.
+SEARCH = ("--landscape-seed", 61, "--seed", 4, "--budget", 12)
 DEFAULT_LAND = LandscapeConfig(genotype=GenotypeConfig.joint(), family_seed=7)
 
 GOLDEN = {
@@ -80,6 +84,10 @@ GOLDEN = {
         "f447fdcca827df1f959cb52bf735b478d81bf075bb2827e353d8e0c72d6d832c",
     "joint/cli/score-samples.csv":
         "70e2cc51279ecf1f48472c4e959d1acb18077c3625cf3ba8dc6825893dc9982c",
+    "joint/cli/search-guided.csv":
+        "551a553acc8517040936e9f10324dc45d6298625d5649ea7c952898406bece6a",
+    "joint/cli/search-random.csv":
+        "f831ec7dc799337df9e8c7e3f9c9b2d7008de0d4f8bc2d7f6437db672c9acfbe",
     "joint/guided-search/steps.csv":
         "d389ccacc0f7e9a2d3b8499c86c919ac994bebf9a26121799c68130612855a20",
     "joint/guided-search/summary.json":
@@ -166,6 +174,15 @@ def compute_digests(workdir: Path) -> dict[str, str]:
                                       ("samples", cli["samples.jsonl"])):
                 _run("score", "--model", cli["model.json"], "--genotypes",
                      genotypes, "--out", cli[f"score-{scored}.csv"])
+            if label == "joint":
+                land_path = _write_json(workdir / f"{label}-land.json",
+                                        land_obj)
+                for algorithm in ("random", "guided"):
+                    cli[f"search-{algorithm}.csv"] = traces = (
+                        workdir / f"{label}-search-{algorithm}.csv")
+                    _run("search", "--algorithm", algorithm, "--model",
+                         cli["model.json"], "--landscape-config", land_path,
+                         *SEARCH, "--out", traces)
             for name, path in cli.items():
                 out[f"{label}/cli/{name}"] = _sha256(path.read_bytes())
             uniform = workdir / f"{label}-uniform.json"
