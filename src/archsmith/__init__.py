@@ -35,7 +35,7 @@ from .genotype import (
     flatten_joint,
     gan_hash,
     parse_genotype,
-    random_gan,
+    random_genotype,
     unflatten_joint,
 )
 from .landscape import (
@@ -63,7 +63,6 @@ from .search import (
     init_population,
     mutate,
     random_hc,
-    random_minimal_gan,
     save_traces,
     simple_ea,
 )
@@ -119,9 +118,8 @@ __all__ = [
     "parse_genotype",
     "pls_sample_many",
     "provenance_mismatch",
-    "random_gan",
+    "random_genotype",
     "random_hc",
-    "random_minimal_gan",
     "rank_sum",
     "save_archive",
     "save_landscape",

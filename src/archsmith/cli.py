@@ -39,15 +39,16 @@ from .experiments import (
     write_sampling_csv,
     write_sampling_tests_csv,
 )
-from .genotype import (GenotypeConfig, dump_genotypes, flatten_joint,
-                       load_genotypes, unflatten_joint)
+from .genotype import (DepthKey, GenotypeConfig, dump_genotypes,
+                       flatten_joint, load_genotypes, random_genotype,
+                       unflatten_joint)
 from .landscape import LandscapeConfig, load_landscape, make_landscape
 from .metamodel import (
     load_metamodel,
     provenance_mismatch,
     save_metamodel,
 )
-from .search import guided_hc, random_hc, random_minimal_gan, save_traces
+from .search import guided_hc, random_hc, save_traces
 from .stats import dunn, kruskal_wallis, rank_sum
 
 logger = logging.getLogger(__name__)
@@ -130,8 +131,8 @@ def cmd_score(args) -> int:
                 for ind in archive.runs[run_id]]
         genotypes = [(ind.key, ind.row) for ind in inds]
         if archive.config != model.config:  # rows of another space
-            genotypes = [flatten_joint(unflatten_joint(*pair, archive.config),
-                                       model.config) for pair in genotypes]
+            genotypes = [_respace(ind, model.config, args.genotypes)
+                         for ind in inds]
         rows = [(ind.run_id, ind.problem_id, *ind.key, lp, nz)
                 for ind, (lp, nz) in zip(inds, model.score_many(genotypes))]
         header = ["run_id", "problem_id", "d_g", "d_d", "log_prob",
@@ -143,6 +144,17 @@ def cmd_score(args) -> int:
         header = ["index", "d_g", "d_d", "log_prob", "normalized"]
     write_csv(args.out, header, rows)
     return 0
+
+
+def _respace(ind, config: GenotypeConfig, path):
+    """The key and row of individual ``ind`` in ``config``'s space; a
+    genotype outside it raises a ValidationError naming the file ``path``
+    and the run."""
+    try:
+        return flatten_joint(unflatten_joint(ind.key, ind.row, ind.config),
+                             config)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: run {ind.run_id}: {exc}") from None
 
 
 def cmd_sample(args) -> int:
@@ -169,8 +181,8 @@ def _load_search_landscape(args):
 
 def cmd_search(args) -> int:
     land = _load_search_landscape(args)
-    start = random_minimal_gan(np.random.default_rng([args.seed, 0]),
-                               land.config.genotype)
+    start = random_genotype(np.random.default_rng([args.seed, 0]),
+                            land.config.genotype, DepthKey(1, 1))
     rng = np.random.default_rng([args.seed, 1])
     if args.algorithm == "guided":
         if not args.model:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
 from .errors import ValidationError, integer, number, parse_field, seed
-from .genotype import DepthKey, random_gan
+from .genotype import DepthKey, random_genotype
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
 from .search import (
@@ -24,7 +24,6 @@ from .search import (
     guided_hc,
     init_population,
     random_hc,
-    random_minimal_gan,
     simple_ea,
 )
 from .stats import dunn, kruskal_wallis, rank_sum
@@ -394,7 +393,8 @@ def run_sampling(archive: RunArchive,
     """Learn on train-problem elites, compare three genotype sources.
 
     One batch of sampled / First-drawn / random genotypes is drawn up
-    front, then evaluated on every holdout landscape.
+    front, then evaluated on every holdout landscape, each batch with one
+    ``evaluate_values`` call per depth key.
     """
     learn_config = _default_learn(config.landscape, config.learn)
     train_ids = {str(s) for s in config.train_seeds}
@@ -410,10 +410,11 @@ def run_sampling(archive: RunArchive,
         RunArchive(runs=train_runs, config=archive.config), config.n,
         config.seed, learn_config)
     rng = np.random.default_rng([config.seed, len(config.train_seeds)])
-    sampled = model.sample_many(rng, config.n_each)
+    sampled = model.sample_genotypes(rng, config.n_each)
     picks = rng.integers(len(sets.first), size=config.n_each)
-    first_drawn = [sets.first[int(i)].gan for i in picks]
-    randoms = [random_gan(rng, config.landscape.genotype)
+    first_drawn = [(sets.first[int(i)].key, sets.first[int(i)].row)
+                   for i in picks]
+    randoms = [random_genotype(rng, config.landscape.genotype)
                for _ in range(config.n_each)]
     batches = (("sampled", sampled), ("first", first_drawn),
                ("random", randoms))
@@ -422,8 +423,8 @@ def run_sampling(archive: RunArchive,
     for holdout_seed in config.holdout_seeds:
         land = make_landscape(holdout_seed, config.landscape)
         fitness = {}
-        for set_name, gans in batches:
-            values = [land.evaluate(g) for g in gans]
+        for set_name, genotypes in batches:
+            values = land.evaluate_many(genotypes)
             fitness[set_name] = values
             rows.extend(SampleRow(holdout_seed=holdout_seed,
                                   set_name=set_name, index=i, fitness=v)
@@ -517,7 +518,7 @@ def run_initialization(archive: RunArchive,
             f"target seed {config.target_seed} appears in the archive")
     sets, model = learn_from_first(archive, config.n, config.seed,
                                    learn_config)
-    elite_gans = [ind.gan for ind in sets.first]
+    elite = [(ind.key, ind.row) for ind in sets.first]
     land = make_landscape(config.target_seed, config.landscape)
     rows: list[GenerationRow] = []
     finals: dict[str, list[float]] = {s: [] for s in STRATEGY_ORDER}
@@ -527,7 +528,7 @@ def run_initialization(archive: RunArchive,
             rng = np.random.default_rng(
                 [config.seed, replicate, strategy_index])
             population = init_population(strategy, config.population, land,
-                                         rng, elite=elite_gans,
+                                         rng, elite=elite,
                                          metamodel=model)
             result = simple_ea(land, population, config.generations, rng,
                                config=config.ea)
@@ -625,8 +626,9 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
     finals: dict[str, list[float]] = {a: [] for a in ALGORITHMS}
     improvements: dict[str, list[float]] = {a: [] for a in ALGORITHMS}
     for replicate in range(config.replicates):
-        start = random_minimal_gan(
-            np.random.default_rng([config.seed, replicate, 0]), gc)
+        start = random_genotype(
+            np.random.default_rng([config.seed, replicate, 0]), gc,
+            DepthKey(1, 1))
         for algo_index, algorithm in enumerate(ALGORITHMS, start=1):
             rng = np.random.default_rng([config.seed, replicate, algo_index])
             if algorithm == "random":

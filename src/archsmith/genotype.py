@@ -17,6 +17,8 @@ from itertools import groupby, product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
+import numpy as np
+
 from .errors import (FormatError, ValidationError, integer, parse_field,
                      vocabulary)
 
@@ -243,6 +245,23 @@ def sort_by_fitness(items: Iterable[_T], fitness: Callable[[_T], float],
     return result
 
 
+def _per_key(genotypes: Sequence[Genotype],
+             batch: Callable[[DepthKey, np.ndarray], Iterable[_T]]
+             ) -> list[_T]:
+    """``batch(key, rows)`` once per depth key of ``genotypes``, in the
+    order the keys first appear, with ``rows`` the int64 matrix of that
+    key's rows; its results, one per row, in the order of ``genotypes``."""
+    by_key: dict[DepthKey, list[int]] = {}
+    for index, (key, _) in enumerate(genotypes):
+        by_key.setdefault(key, []).append(index)
+    out: list = [None] * len(genotypes)
+    for key, indices in by_key.items():
+        rows = np.array([genotypes[i][1] for i in indices], dtype=np.int64)
+        for i, result in zip(indices, batch(key, rows)):
+            out[i] = result
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Layer table: the vocabulary's layers, listed once
 
@@ -257,9 +276,9 @@ def _layer_radix(config: GenotypeConfig, role: str) -> tuple[int, int, int, int]
 @lru_cache(maxsize=None)
 def _layer_table(config: GenotypeConfig,
                  role: str) -> tuple[LayerSpec, ...]:
-    """The layers ``role`` may hold, indexed by layer code; generated and
-    unflattened genotypes take their layers from here, and a layer both
-    roles may hold is one object."""
+    """The layers ``role`` may hold, indexed by layer code; unflattened
+    genotypes take their layers from here, and a layer both roles may hold
+    is one object."""
     shared = {} if role == ROLE_GENERATOR else dict(zip(
         _layer_values(config)[ROLE_GENERATOR],
         _layer_table(config, ROLE_GENERATOR)))
@@ -267,37 +286,20 @@ def _layer_table(config: GenotypeConfig,
                  for fields in _layer_values(config)[role])
 
 
-def _random_network(rng, config: GenotypeConfig, role: str,
-                    depth: int) -> DnnSpec:
-    table = _layer_table(config, role)
-    radix = _layer_radix(config, role)
-    layers = []
-    for _ in range(depth):
-        code = 0
-        for card in radix:
-            code = code * card + int(rng.integers(card))
-        layers.append(table[code])
-    return DnnSpec(role=role, layers=tuple(layers))
-
-
-def random_gan(rng, config: GenotypeConfig,
-               depth_key: DepthKey | None = None) -> GanSpec:
-    """Draw a genotype uniformly: a depth key first, then every slot.
-
-    Args:
-        rng: numpy Generator.
-        config: the genotype space to draw from.
-        depth_key: fix the architecture depths instead of drawing them.
-    """
+def random_genotype(rng, config: GenotypeConfig,
+                    depth_key: DepthKey | None = None) -> Genotype:
+    """The ``(key, row)`` of a uniform draw from ``config``'s space, made
+    with numpy Generator ``rng``: the key's index (unless ``depth_key``
+    fixes the depths), each generator layer's four values in slot order,
+    then each discriminator layer's, then the train bin."""
     if depth_key is None:
         keys = config.depth_keys()
         depth_key = keys[rng.integers(len(keys))]
-    return GanSpec(
-        generator=_random_network(rng, config, ROLE_GENERATOR, depth_key.d_g),
-        discriminator=_random_network(rng, config, ROLE_DISCRIMINATOR,
-                                      depth_key.d_d),
-        train_freq_bin=int(rng.integers(config.arity)),
-    )
+    layers = [int(rng.integers(card))
+              for role, depth in zip(ROLES, depth_key)
+              for _ in range(depth)
+              for card in _layer_radix(config, role)]
+    return DepthKey(*depth_key), (int(rng.integers(config.arity)), *layers)
 
 
 # ---------------------------------------------------------------------------

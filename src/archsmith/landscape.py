@@ -28,9 +28,9 @@ from .errors import (
 )
 from .genotype import (
     DepthKey,
-    GanSpec,
+    Genotype,
     GenotypeConfig,
-    flatten_joint,
+    _per_key,
     joint_schema,
 )
 
@@ -243,11 +243,18 @@ class SurrogateLandscape:
                 dtype=float, count=values.shape[0])
         return total
 
-    def evaluate(self, gan: GanSpec) -> float:
-        """Fitness of one genotype; raises on out-of-bounds depths."""
-        key, values = flatten_joint(gan, self.config.genotype)
+    def evaluate(self, genotype: Genotype) -> float:
+        """Fitness of one ``(key, row)``; raises on an unsupported key or
+        a row outside the key's schema."""
+        key, row = genotype
         return float(self.evaluate_values(
-            key, np.array([values], dtype=np.int64))[0])
+            key, np.array([row], dtype=np.int64))[0])
+
+    def evaluate_many(self, genotypes: Sequence[Genotype]) -> list[float]:
+        """Fitness of each ``(key, row)``, in order, with one
+        ``evaluate_values`` call per depth key."""
+        return _per_key(genotypes, lambda key, rows:
+                        self.evaluate_values(key, rows).tolist())
 
 
 def make_landscape(seed: int, config: LandscapeConfig) -> SurrogateLandscape:

@@ -49,6 +49,7 @@ from .genotype import (
     MODE_JOINT,
     ROLES,
     Schema,
+    _per_key,
     flatten_joint,
     joint_schema,
     network_schema,
@@ -356,16 +357,8 @@ class Metamodel:
     def score_many(self, genotypes: Sequence[Genotype]) -> list[tuple]:
         """(log_prob, normalized) of each ``(key, row)`` pair, in order,
         with one ``score_values`` call per depth key."""
-        by_key: dict[DepthKey, list[int]] = {}
-        for index, (key, _) in enumerate(genotypes):
-            by_key.setdefault(key, []).append(index)
-        scores: list = [None] * len(genotypes)
-        for key, indices in by_key.items():
-            batch = self.score_values(key, np.array(
-                [genotypes[i][1] for i in indices], dtype=np.int64))
-            for i, score in zip(indices, zip(*(a.tolist() for a in batch))):
-                scores[i] = score
-        return scores
+        return _per_key(genotypes, lambda key, rows: zip(
+            *(a.tolist() for a in self.score_values(key, rows))))
 
     def score(self, gan: GanSpec) -> ScoreBreakdown:
         """Log probability of one genotype under the metamodel; bit for bit
@@ -379,9 +372,10 @@ class Metamodel:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_many(self, rng: np.random.Generator,
-                    count: int) -> list[GanSpec]:
-        """Draw genotypes by ancestral sampling; deterministic given rng.
+    def sample_genotypes(self, rng: np.random.Generator,
+                         count: int) -> list[Genotype]:
+        """Draw ``(key, row)`` pairs by ancestral sampling; deterministic
+        given rng.
 
         Part by part, the supermodel draws every depth first, then each
         submodel samples the rows that drew its depth.
@@ -409,12 +403,15 @@ class Metamodel:
         # The depth key that each combination of part draws stands for.
         depth_keys = {tuple(part.index[key] for part in parts): key
                       for key in gc.depth_keys()}
-        out = []
-        for i in range(count):
-            key = depth_keys[tuple(int(drawn[i]) for drawn in picks)]
-            values = [v for rows in part_rows for v in rows[i]]
-            out.append(unflatten_joint(key, values, gc))
-        return out
+        return [(depth_keys[tuple(int(drawn[i]) for drawn in picks)],
+                 tuple(v for rows in part_rows for v in rows[i]))
+                for i in range(count)]
+
+    def sample_many(self, rng: np.random.Generator,
+                    count: int) -> list[GanSpec]:
+        """The trees of ``sample_genotypes``, from the same draws."""
+        return [unflatten_joint(key, row, self.config)
+                for key, row in self.sample_genotypes(rng, count)]
 
     def sample(self, rng: np.random.Generator) -> GanSpec:
         return self.sample_many(rng, 1)[0]

@@ -20,16 +20,14 @@ import numpy as np
 from .errors import ValidationError
 from .genotype import (
     DepthKey,
-    GanSpec,
     Genotype,
     GenotypeConfig,
     ROLE_DISCRIMINATOR,
     ROLE_GENERATOR,
     _layer_radix,
-    flatten_joint,
     gan_hash,
     joint_schema,
-    random_gan,
+    random_genotype,
     sort_by_fitness,
 )
 from .landscape import SurrogateLandscape
@@ -150,12 +148,6 @@ def _group_row(groups: list[tuple[DepthKey, np.ndarray]],
     return groups[slot][0], groups[slot][1][index - offsets[slot]]
 
 
-def random_minimal_gan(rng: np.random.Generator,
-                       config: GenotypeConfig) -> GanSpec:
-    """One-layer generator and discriminator with seeded random slots."""
-    return random_gan(rng, config, depth_key=DepthKey(1, 1))
-
-
 # ---------------------------------------------------------------------------
 # Hill climbing
 
@@ -196,7 +188,7 @@ class SearchTrace:
         return sum(1 for s in self.steps if not s.exhausted)
 
 
-def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
+def _climb(landscape: SurrogateLandscape, start: Genotype, budget: int,
            visits: Callable[[DepthKey, np.ndarray],
                             Iterator[tuple[DepthKey, np.ndarray]]]
            ) -> SearchTrace:
@@ -211,10 +203,10 @@ def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
-    key, values = flatten_joint(start, landscape.config.genotype)
     best = landscape.evaluate(start)
-    trace = SearchTrace(start=(key, values), start_fitness=best)
-    candidates = visits(key, np.array(values, dtype=np.int64))
+    trace = SearchTrace(start=start, start_fitness=best)
+    key, row = start
+    candidates = visits(key, np.array(row, dtype=np.int64))
     for step in range(1, budget + 1):
         candidate = next(candidates, None)
         if candidate is None:
@@ -240,7 +232,7 @@ def _climb(landscape: SurrogateLandscape, start: GanSpec, budget: int,
     return trace
 
 
-def random_hc(landscape: SurrogateLandscape, start: GanSpec, budget: int,
+def random_hc(landscape: SurrogateLandscape, start: Genotype, budget: int,
               rng: np.random.Generator) -> SearchTrace:
     """Uniform-neighbor hill climbing with strict-improvement acceptance.
 
@@ -261,7 +253,7 @@ def random_hc(landscape: SurrogateLandscape, start: GanSpec, budget: int,
 
 
 def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
-              start: GanSpec, budget: int,
+              start: Genotype, budget: int,
               rng: np.random.Generator) -> SearchTrace:
     """Metamodel-ranked hill climbing.
 
@@ -338,35 +330,34 @@ class EaResult:
 def init_population(strategy: str, size: int,
                     landscape: SurrogateLandscape,
                     rng: np.random.Generator,
-                    elite: Sequence[GanSpec] | None = None,
+                    elite: Sequence[Genotype] | None = None,
                     metamodel: Metamodel | None = None) -> Population:
     """Build and evaluate the starting population.
 
-    random draws uniform genotypes, from_first resamples the elite set, and
-    from_metamodel uses metamodel samples; every member is evaluated on the
-    target landscape.
+    random draws uniform genotypes, from_first resamples the elite set's
+    ``(key, row)`` pairs, and from_metamodel uses metamodel samples; every
+    member is evaluated on the target landscape.
     """
     if size < 1:
         raise ValidationError("size must be >= 1")
-    config = landscape.config.genotype
     if strategy == STRATEGY_RANDOM:
-        gans = [random_gan(rng, config) for _ in range(size)]
+        genotypes = [random_genotype(rng, landscape.config.genotype)
+                     for _ in range(size)]
     elif strategy == STRATEGY_FROM_FIRST:
         if not elite:
             raise ValidationError("from_first requires a non-empty elite set")
         picks = rng.integers(len(elite), size=size)
-        gans = [elite[int(i)] for i in picks]
+        genotypes = [elite[int(i)] for i in picks]
     elif strategy == STRATEGY_FROM_METAMODEL:
         if metamodel is None:
             raise ValidationError("from_metamodel requires a metamodel")
-        gans = metamodel.sample_many(rng, size)
+        genotypes = metamodel.sample_genotypes(rng, size)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    members = []
-    for gan in gans:
-        fitness = landscape.evaluate(gan)
-        members.append((*flatten_joint(gan, config), fitness))
-    return Population(members)
+    # One ``evaluate`` call per member, not a batch: the benchmark's
+    # tracer counts evaluations there (ROADMAP item 1).
+    return Population([(*genotype, landscape.evaluate(genotype))
+                       for genotype in genotypes])
 
 
 def _ranked(members, config: GenotypeConfig) -> list:
@@ -450,22 +441,6 @@ def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
     return key, tuple(values)
 
 
-def _evaluate_rows(landscape: SurrogateLandscape,
-                   genotypes: Sequence[Genotype]) -> list[float]:
-    """Fitness of each ``(key, row)``, with one ``evaluate_values`` call
-    per distinct key, in the order the keys first appear."""
-    by_key: dict[DepthKey, list[int]] = {}
-    for index, (key, _) in enumerate(genotypes):
-        by_key.setdefault(key, []).append(index)
-    out = [0.0] * len(genotypes)
-    for key, indices in by_key.items():
-        rows = np.array([genotypes[i][1] for i in indices], dtype=np.int64)
-        for i, fitness in zip(indices,
-                              landscape.evaluate_values(key, rows).tolist()):
-            out[i] = fitness
-    return out
-
-
 def simple_ea(landscape: SurrogateLandscape, population: Population,
               generations: int, rng: np.random.Generator,
               config: EaConfig = EaConfig(),
@@ -507,7 +482,7 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
                     key, row = mutate(key, row, gc, rng)
                 children.append((key, row))
         offspring = [(key, row, fitness) for (key, row), fitness
-                     in zip(children, _evaluate_rows(landscape, children))]
+                     in zip(children, landscape.evaluate_many(children))]
         if on_evaluate is not None:
             for member in offspring:
                 on_evaluate(*member)

@@ -35,7 +35,7 @@ from archsmith.experiments import (
     run_likelihood,
     run_sampling,
 )
-from archsmith.genotype import GenotypeConfig, random_gan
+from archsmith.genotype import GenotypeConfig, random_genotype, unflatten_joint
 from archsmith.landscape import LandscapeConfig
 from archsmith.metamodel import (
     LearnConfig,
@@ -330,7 +330,7 @@ def test_criterion_8_determinism_and_persistence(joint_archive, tmp_path):
     loaded = load_metamodel(model_path)
     rng = np.random.default_rng(8)
     for _ in range(100):
-        probe = random_gan(rng, JOINT)
+        probe = unflatten_joint(*random_genotype(rng, JOINT), JOINT)
         before = model.score(probe)
         after = loaded.score(probe)
         assert after.log_prob == before.log_prob

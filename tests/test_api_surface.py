@@ -234,3 +234,15 @@ def test_read_path_builds_no_trees():
                  and node.name == "cmd_score")
     assert not [node for node in ast.walk(score)
                 if isinstance(node, ast.Attribute) and node.attr == "gan"]
+
+
+def test_search_landscape_and_experiments_hold_no_trees():
+    # Draws, samples and elites reach search and evaluation as (key, row)
+    # pairs: these modules name no tree type or tree converter, and the
+    # experiments read no individual's tree.
+    modules = _modules()
+    for module in ("search", "landscape", "experiments"):
+        for name in ("GanSpec", "flatten_joint", "unflatten_joint",
+                     "random_gan"):
+            assert _uses(modules[module], name) == [], (module, name)
+    assert _uses(modules["experiments"], "gan") == []

@@ -27,7 +27,7 @@ from archsmith.genotype import (
     _text_tables,
     flatten_joint,
     parse_genotype,
-    random_gan,
+    random_genotype,
 )
 from archsmith.landscape import LandscapeConfig
 
@@ -52,7 +52,7 @@ def record_obj(ind):
 
 def make_individual(rng, fitness, run_id="r0", problem_id="p0",
                     depth_key=None, config=CONFIG):
-    return individual(random_gan(rng, config, depth_key=depth_key), fitness,
+    return Individual(*random_genotype(rng, config, depth_key), fitness,
                       run_id, problem_id, config)
 
 

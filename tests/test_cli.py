@@ -10,13 +10,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from archsmith.archive import RunArchive, load_archive, save_archive
+from archsmith.archive import (Individual, RunArchive, load_archive,
+                               save_archive)
 from archsmith.cli import main
 from archsmith.experiments import ArchiveGenConfig, generate_archive
-from archsmith.genotype import GenotypeConfig, random_gan
+from archsmith.genotype import DepthKey, GenotypeConfig
 from archsmith.landscape import LandscapeConfig, make_landscape, save_landscape
 from archsmith.metamodel import LearnConfig, load_metamodel
 from test_archive import individual
+from test_genotype import random_gan
 from test_metamodel import mm_v1_document
 
 SMALL = GenotypeConfig.joint(
@@ -214,6 +216,24 @@ class TestLearnScoreSample:
         assert [(float(row["log_prob"]), float(row["normalized"]))
                 for row in read_csv(out)] == [
             (b.log_prob, b.normalized) for b in want]
+
+    def test_score_archive_outside_the_model_space_names_file_and_run(
+            self, model_path, tmp_path, capsys):
+        # A default-joint archive under a two-activation model: run r1's
+        # generator layer is a leaky_relu one, which the model lacks.
+        joint = GenotypeConfig.joint()
+        runs = {run_id: [Individual(DepthKey(1, 1), (0, 0, activation, 0, 0,
+                                                    0, 0, 0, 0),
+                                    1.0, run_id, "p", joint)]
+                for run_id, activation in (("r0", 0), ("r1", 1))}
+        path = tmp_path / "joint.jsonl"
+        save_archive(RunArchive(runs=runs, config=joint), path)
+        capsys.readouterr()
+        assert main(["score", "--model", str(model_path),
+                     "--genotypes", str(path),
+                     "--out", str(tmp_path / "scores.csv")]) == 1
+        one_error_line(capsys, f"error: {path}: run r1: unknown activation "
+                               f"'leaky_relu'")
 
     def test_sample_deterministic(self, model_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

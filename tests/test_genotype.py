@@ -18,6 +18,7 @@ from archsmith.genotype import (
     GenotypeConfig,
     LayerSpec,
     _layer_table,
+    _per_key,
     dump_genotypes,
     flatten_joint,
     gan_hash,
@@ -25,7 +26,7 @@ from archsmith.genotype import (
     load_genotypes,
     network_schema,
     parse_genotype,
-    random_gan,
+    random_genotype,
     sort_by_fitness,
     unflatten_joint,
 )
@@ -86,6 +87,28 @@ def gan_strategy(config):
                      generator=network("generator"),
                      discriminator=network("discriminator"),
                      train_freq_bin=st.integers(0, config.arity - 1))
+
+
+def random_gan(rng, config, depth_key=None):
+    """The tree drawer the package once had, the oracle of
+    ``random_genotype``: a depth key unless ``depth_key`` is given, then
+    each layer's kind, activation, weight init and size bin, generator
+    first, then the train bin."""
+    if depth_key is None:
+        keys = config.depth_keys()
+        depth_key = keys[rng.integers(len(keys))]
+
+    def network(role, depth):
+        vocabularies = (config.kinds(role), config.activations,
+                        config.weight_inits, range(config.arity))
+        return DnnSpec(role, tuple(
+            LayerSpec(*[vocab[int(rng.integers(len(vocab)))]
+                        for vocab in vocabularies])
+            for _ in range(depth)))
+
+    return GanSpec(generator=network("generator", depth_key[0]),
+                   discriminator=network("discriminator", depth_key[1]),
+                   train_freq_bin=int(rng.integers(config.arity)))
 
 
 # The tree parser and space check the package once had: the oracles of
@@ -346,6 +369,40 @@ class TestConfig:
             GenotypeConfig(mode="stacked")
 
 
+class TestRandomGenotype:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SPACES), st.booleans(),
+           st.data())
+    @settings(max_examples=200)
+    def test_equals_the_flattened_tree_oracle(self, seed, config, fix_key,
+                                              data):
+        # The same draws in the same order: equal genotypes, and both
+        # generators left in the same state.
+        key = (data.draw(st.sampled_from(config.depth_keys()))
+               if fix_key else None)
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_genotype(rng, config, key)
+        assert got == flatten_joint(random_gan(oracle, config, key), config)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert type(got[0]) is DepthKey and type(got[1]) is tuple
+        assert all(type(v) is int for v in got[1])
+
+
+class TestPerKey:
+    def test_one_batch_per_key_in_first_seen_order(self):
+        genotypes = [(DepthKey(2, 1), (1, 2)), (DepthKey(1, 1), (3,)),
+                     (DepthKey(2, 1), (4, 5)), (DepthKey(1, 1), (6,))]
+        calls = []
+
+        def batch(key, rows):
+            calls.append((key, rows.dtype, rows.tolist()))
+            return [sum(row) for row in rows.tolist()]
+
+        assert _per_key(genotypes, batch) == [3, 3, 9, 6]
+        assert calls == [(DepthKey(2, 1), np.int64, [[1, 2], [4, 5]]),
+                         (DepthKey(1, 1), np.int64, [[3], [6]])]
+        assert _per_key([], batch) == [] and len(calls) == 2
+
+
 class TestSortByFitness:
     # Four distinct genotypes and three fitness values, so most draws hold
     # both duplicate genotypes and distinct genotypes of equal fitness.
@@ -434,8 +491,8 @@ def parse_layer(obj, config=JOINT):
 
 
 class TestLayerPool:
-    """Generated, unflattened and loaded genotypes take their layers from
-    the layer table; a layer record is read as the tree parse read it."""
+    """Unflattened genotypes take their layers from the layer table; a
+    layer record is read as the tree parse read it."""
 
     @pytest.mark.parametrize("bad", [
         {"kind": "dense", "activation": "relu", "weight_init": "xavier"},
@@ -452,7 +509,7 @@ class TestLayerPool:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("config", [JOINT, PER_NET])
-    def test_generated_and_loaded_layers_are_the_table_s(self, config):
+    def test_unflattened_layers_are_the_table_s(self, config):
         rng = np.random.default_rng(0)
         tables = {role: _layer_table(config, role)
                   for role in ("generator", "discriminator")}
@@ -460,7 +517,7 @@ class TestLayerPool:
             gan = random_gan(rng, config)
             key, values = flatten_joint(gan, config)
             loaded = parse_genotype(gan.to_json_obj(), config)
-            for copy in (gan, unflatten_joint(key, values, config),
+            for copy in (unflatten_joint(key, values, config),
                          unflatten_joint(*loaded, config)):
                 for net in (copy.generator, copy.discriminator):
                     ids = {id(layer) for layer in tables[net.role]}

@@ -12,9 +12,9 @@ from archsmith.errors import FormatError, ValidationError
 from archsmith.genotype import (
     DepthKey,
     GenotypeConfig,
-    flatten_joint,
     joint_schema,
-    random_gan,
+    parse_genotype,
+    random_genotype,
     unflatten_joint,
 )
 from archsmith.landscape import (
@@ -24,8 +24,6 @@ from archsmith.landscape import (
     make_landscape,
     save_landscape,
 )
-
-from test_genotype import gan_from_json
 
 JOINT = GenotypeConfig.joint()
 TINY = GenotypeConfig.joint(
@@ -41,7 +39,13 @@ def noiseless(genotype=JOINT, **overrides):
 
 
 def random_probes(rng, config, count):
-    return [random_gan(rng, config) for _ in range(count)]
+    return [random_genotype(rng, config) for _ in range(count)]
+
+
+def reparsed(genotype, config=JOINT):
+    """An equal ``(key, row)``, read back from the genotype's record."""
+    return parse_genotype(unflatten_joint(*genotype, config).to_json_obj(),
+                          config)
 
 
 def structure(land):
@@ -103,11 +107,10 @@ class TestDeterminism:
     def test_repeat_evaluation_is_pure(self):
         land = make_landscape(5, LandscapeConfig(genotype=JOINT))
         rng = np.random.default_rng(2)
-        gan = random_gan(rng, JOINT)
-        first = land.evaluate(gan)
-        rebuilt = gan_from_json(gan.to_json_obj())
-        assert land.evaluate(rebuilt) == first
-        assert land.evaluate(gan) == first
+        genotype = random_genotype(rng, JOINT)
+        first = land.evaluate(genotype)
+        assert land.evaluate(reparsed(genotype)) == first
+        assert land.evaluate(genotype) == first
 
 
 class TestPlantedPattern:
@@ -115,7 +118,7 @@ class TestPlantedPattern:
         land = make_landscape(11, noiseless())
         base = structure(land).base
         for key in JOINT.depth_keys():
-            fitness = land.evaluate(planted_gan(land, key))
+            fitness = land.evaluate((key, planted_values(land, key)))
             assert fitness == pytest.approx(base[key], abs=1e-12)
 
     def test_exhaustive_tiny_space_argmin_is_planted(self):
@@ -149,10 +152,10 @@ class TestPlantedPattern:
     def test_equal_contents_equal_fitness(self):
         land = make_landscape(8, noiseless())
         rng = np.random.default_rng(3)
-        gan = random_gan(rng, JOINT)
-        clone = gan_from_json(gan.to_json_obj())
-        assert gan is not clone
-        assert land.evaluate(gan) == land.evaluate(clone)
+        genotype = random_genotype(rng, JOINT)
+        clone = reparsed(genotype)
+        assert genotype[1] is not clone[1]
+        assert land.evaluate(genotype) == land.evaluate(clone)
 
 
 class TestAdditivity:
@@ -161,8 +164,7 @@ class TestAdditivity:
         land = make_landscape(9, noiseless())
         tables = structure(land)
         rng = np.random.default_rng(4)
-        for gan in random_probes(rng, JOINT, 200):
-            key, values = flatten_joint(gan, JOINT)
+        for key, values in random_probes(rng, JOINT, 200):
             schema = joint_schema(JOINT, key)
             pos = [(s.section, s.layer, s.attr) for s in schema.slots]
             expected = tables.base[key]
@@ -173,7 +175,8 @@ class TestAdditivity:
                 if a in index and b in index:
                     expected += tables.pairwise[(a, b)][
                         values[index[a]], values[index[b]]]
-            assert land.evaluate(gan) == pytest.approx(expected, abs=1e-9)
+            assert land.evaluate((key, values)) == pytest.approx(expected,
+                                                                 abs=1e-9)
 
     def test_pair_count_default(self):
         land = make_landscape(0, LandscapeConfig(genotype=JOINT))
@@ -191,9 +194,9 @@ class TestNoise:
         noisy = make_landscape(12, config)
         quiet = make_landscape(12, noiseless())
         rng = np.random.default_rng(5)
-        for gan in random_probes(rng, JOINT, 300):
-            f_noisy = noisy.evaluate(gan)
-            f_quiet = quiet.evaluate(gan)
+        for genotype in random_probes(rng, JOINT, 300):
+            f_noisy = noisy.evaluate(genotype)
+            f_quiet = quiet.evaluate(genotype)
             assert f_noisy >= 0.0
             assert 0.0 <= f_noisy - f_quiet < config.sigma_noise
 
@@ -225,8 +228,8 @@ class TestNoise:
         land = make_landscape(13, config)
         key = DepthKey(3, 4)
         rng = np.random.default_rng(6)
-        probes = [random_gan(rng, JOINT, depth_key=key) for _ in range(1000)]
-        values = np.array([flatten_joint(g, JOINT)[1] for g in probes])
+        probes = [random_genotype(rng, JOINT, key) for _ in range(1000)]
+        values = np.array([row for _, row in probes])
         hamming = (values != planted_values(land, key)).sum(axis=1)
         fitness = land.evaluate_values(key, values)
         assert np.corrcoef(hamming, fitness)[0, 1] > 0.6
@@ -269,7 +272,7 @@ class TestValidation:
         land = make_landscape(0, LandscapeConfig(genotype=JOINT))
         rng = np.random.default_rng(7)
         wide = GenotypeConfig.joint(generator_depth_max=6)
-        deep = random_gan(rng, wide, depth_key=DepthKey(6, 2))
+        deep = random_genotype(rng, wide, DepthKey(6, 2))
         with pytest.raises(ValidationError, match="depth"):
             land.evaluate(deep)
 
@@ -298,8 +301,8 @@ class TestSerialization:
         assert loaded.target_key == land.target_key
         assert loaded.pairs == land.pairs
         rng = np.random.default_rng(8)
-        for gan in random_probes(rng, JOINT, 100):
-            assert loaded.evaluate(gan) == land.evaluate(gan)
+        for genotype in random_probes(rng, JOINT, 100):
+            assert loaded.evaluate(genotype) == land.evaluate(genotype)
 
     def test_bytes_equal_json_dump(self, tmp_path):
         land = make_landscape(17, LandscapeConfig(genotype=JOINT,
@@ -354,9 +357,9 @@ class TestEvaluateValues:
         land = make_landscape(4, LandscapeConfig(genotype=JOINT,
                                                  family_seed=7,
                                                  sigma_noise=sigma))
-        gans = random_probes(np.random.default_rng(8), JOINT, 200)
+        genotypes = random_probes(np.random.default_rng(8), JOINT, 200)
         rows = {}
-        for key, values in (flatten_joint(g, JOINT) for g in gans):
+        for key, values in genotypes:
             rows.setdefault(key, []).append(values)
         assert len(rows) > 6
         for key, group in rows.items():
@@ -365,9 +368,9 @@ class TestEvaluateValues:
             assert batch.tolist() == want
             assert [float(land.evaluate_values(key, np.array([row]))[0])
                     for row in group] == want
-        assert ([land.evaluate(g) for g in gans]
-                == [reference_fitness(land, *flatten_joint(g, JOINT))
-                    for g in gans])
+        want = [reference_fitness(land, *g) for g in genotypes]
+        assert [land.evaluate(g) for g in genotypes] == want
+        assert land.evaluate_many(genotypes) == want
 
     def test_empty_batch(self):
         land = make_landscape(0, noiseless())

@@ -16,7 +16,8 @@ from archsmith.genotype import (
     GenotypeConfig,
     flatten_joint,
     joint_schema,
-    random_gan,
+    random_genotype,
+    unflatten_joint,
 )
 from archsmith.metamodel import (
     Categorical,
@@ -29,9 +30,8 @@ from archsmith.metamodel import (
     provenance_mismatch,
     save_metamodel,
 )
-from test_archive import individual
 from test_bayesnet import bn_v1_document
-from test_genotype import validate_tree
+from test_genotype import random_gan, validate_tree
 
 JOINT = GenotypeConfig.joint()
 TINY = GenotypeConfig.joint(arity=2, activations=("relu", "tanh"),
@@ -45,9 +45,9 @@ TINY_PN = GenotypeConfig.per_network(
 def make_individuals(rng, config, count, depth_key=None):
     out = []
     for i in range(count):
-        gan = random_gan(rng, config, depth_key=depth_key)
-        out.append(individual(gan, float(rng.uniform(0, 1)), f"r{i % 7}",
-                              "p0", config))
+        key, row = random_genotype(rng, config, depth_key)
+        out.append(Individual(key, row, float(rng.uniform(0, 1)),
+                              f"r{i % 7}", "p0", config))
     return out
 
 
@@ -290,6 +290,21 @@ class TestSample:
         a = model.sample_many(np.random.default_rng(42), 50)
         b = model.sample_many(np.random.default_rng(42), 50)
         assert a == b
+
+    @pytest.mark.parametrize("config", [JOINT, GenotypeConfig.per_network()],
+                             ids=["joint", "per_network"])
+    def test_sample_many_is_the_trees_of_sample_genotypes(self, config):
+        inds = make_individuals(np.random.default_rng(17), config, 200)
+        model = learn(inds, LearnConfig(genotype=config))
+        rng_pairs, rng_trees = (np.random.default_rng(5),
+                                np.random.default_rng(5))
+        pairs = model.sample_genotypes(rng_pairs, 300)
+        assert all(type(key) is DepthKey and type(row) is tuple
+                   and all(type(v) is int for v in row) for key, row in pairs)
+        assert model.sample_many(rng_trees, 300) == [
+            unflatten_joint(key, row, config) for key, row in pairs]
+        assert rng_pairs.bit_generator.state == rng_trees.bit_generator.state
+        assert model.sample_genotypes(rng_pairs, 0) == []
 
 
 class TestPersistence:

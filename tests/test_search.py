@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archsmith import search
+from archsmith.archive import Individual
 from archsmith.cli import _final_values
 from archsmith.errors import ValidationError
 from archsmith.genotype import (
@@ -33,10 +34,11 @@ from archsmith.genotype import (
     flatten_joint,
     gan_hash,
     joint_schema,
-    random_gan,
+    random_genotype,
     unflatten_joint,
 )
-from archsmith.landscape import LandscapeConfig, make_landscape
+from archsmith.landscape import (LandscapeConfig, SurrogateLandscape,
+                                 make_landscape)
 from archsmith.metamodel import LearnConfig, Metamodel, learn
 from archsmith.search import (
     EaConfig,
@@ -47,12 +49,11 @@ from archsmith.search import (
     mutate,
     neighbor_groups,
     random_hc,
-    random_minimal_gan,
     save_traces,
     simple_ea,
 )
 from test_archive import individual
-from test_genotype import tree_hash, validate_tree
+from test_genotype import random_gan, tree_hash, validate_tree
 from test_landscape import planted_gan
 
 DEFAULT = GenotypeConfig.joint()
@@ -489,17 +490,17 @@ class TestOperators:
         want = crossover_oracle(a, b)
         assert list(got) == [flatten_joint(g, config) for g in want]
 
-    def test_random_minimal_gan(self):
-        rng = np.random.default_rng(10)
-        gan = random_minimal_gan(rng, DEFAULT)
-        assert flatten_joint(gan, DEFAULT)[0] == (1, 1)
+    def test_random_genotype_at_minimal_key(self):
+        key, row = random_genotype(np.random.default_rng(10), DEFAULT,
+                                   DepthKey(1, 1))
+        assert key == (1, 1) and len(row) == len(joint_schema(DEFAULT, key))
 
 
 class TestRandomHc:
     def test_budget_and_step_numbering(self):
         land = tiny_landscape()
         rng = np.random.default_rng(0)
-        start = random_gan(rng, TINY)
+        start = random_genotype(rng, TINY)
         trace = random_hc(land, start, budget=25, rng=rng)
         assert len(trace.steps) == 25
         assert [s.step for s in trace.steps] == list(range(1, 26))
@@ -509,9 +510,9 @@ class TestRandomHc:
     def test_steps_record_the_rows_they_evaluated(self):
         land = tiny_landscape(seed=3)
         rng = np.random.default_rng(9)
-        start = random_gan(rng, TINY)
+        start = random_genotype(rng, TINY)
         trace = random_hc(land, start, budget=30, rng=rng)
-        assert trace.start == flatten_joint(start, TINY)
+        assert trace.start == start
         for s in trace.steps:
             key, row = s.genotype
             assert type(row) is tuple and all(type(v) is int for v in row)
@@ -520,7 +521,8 @@ class TestRandomHc:
     def test_best_is_monotone(self):
         land = tiny_landscape(seed=2)
         rng = np.random.default_rng(1)
-        trace = random_hc(land, random_gan(rng, TINY), budget=60, rng=rng)
+        trace = random_hc(land, random_genotype(rng, TINY), budget=60,
+                          rng=rng)
         series = [trace.start_fitness] + [s.best for s in trace.steps]
         assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
         for s in trace.steps:
@@ -528,7 +530,7 @@ class TestRandomHc:
 
     def test_start_at_optimum_accepts_nothing(self):
         land = tiny_landscape(seed=4)
-        start = planted_gan(land, land.target_key)
+        start = flatten_joint(planted_gan(land, land.target_key), TINY)
         rng = np.random.default_rng(2)
         trace = random_hc(land, start, budget=40, rng=rng)
         assert not any(s.accepted for s in trace.steps)
@@ -536,7 +538,7 @@ class TestRandomHc:
 
     def test_deterministic_given_seed(self):
         land = tiny_landscape(seed=5)
-        start = random_gan(np.random.default_rng(11), TINY)
+        start = random_genotype(np.random.default_rng(11), TINY)
         t1 = random_hc(land, start, 30, np.random.default_rng(42))
         t2 = random_hc(land, start, 30, np.random.default_rng(42))
         assert t1.steps == t2.steps
@@ -547,7 +549,8 @@ class TestRandomHc:
         allowed = {flatten_joint(h, TINY) for h in neighbors(start, TINY)}
         seen = set()
         for seed in range(30):
-            trace = random_hc(land, start, 1, np.random.default_rng(seed))
+            trace = random_hc(land, flatten_joint(start, TINY), 1,
+                              np.random.default_rng(seed))
             seen.add(trace.steps[0].genotype)
         assert seen <= allowed
         assert len(seen) > 5
@@ -555,8 +558,8 @@ class TestRandomHc:
     def test_rejects_zero_budget(self):
         land = tiny_landscape()
         with pytest.raises(ValidationError):
-            random_hc(land, random_gan(np.random.default_rng(0), TINY), 0,
-                      np.random.default_rng(0))
+            random_hc(land, random_genotype(np.random.default_rng(0), TINY),
+                      0, np.random.default_rng(0))
 
 
 def uniform_metamodel(config=TINY):
@@ -571,7 +574,8 @@ class TestGuidedHc:
         target = neighbors(start, TINY)[7]
         model = learn([individual(target, 1.0, "r", "p", TINY)],
                       LearnConfig(genotype=TINY, alpha=0.01))
-        trace = guided_hc(land, model, start, 3, np.random.default_rng(3))
+        trace = guided_hc(land, model, flatten_joint(start, TINY), 3,
+                          np.random.default_rng(3))
         assert trace.steps[0].genotype == flatten_joint(target, TINY)
 
     def test_accept_on_last_step_ranks_nothing_more(self, monkeypatch):
@@ -582,14 +586,16 @@ class TestGuidedHc:
         land = tiny_landscape(seed=7)
         start = random_gan(np.random.default_rng(13), TINY,
                            depth_key=DepthKey(1, 2))
-        target = min(neighbors(start, TINY), key=land.evaluate)
+        target = min(neighbors(start, TINY),
+                     key=lambda gan: land.evaluate(flatten_joint(gan, TINY)))
         model = learn([individual(target, 1.0, "r", "p", TINY)],
                       LearnConfig(genotype=TINY, alpha=0.01))
         calls = []
         build = search.neighbor_groups
         monkeypatch.setattr(search, "neighbor_groups",
                             lambda *args: calls.append(args) or build(*args))
-        trace = guided_hc(land, model, start, 1, np.random.default_rng(3))
+        trace = guided_hc(land, model, flatten_joint(start, TINY), 1,
+                          np.random.default_rng(3))
         assert trace.steps[-1].accepted
         assert trace.steps[-1].genotype == flatten_joint(target, TINY)
         assert len(calls) == 1
@@ -599,7 +605,8 @@ class TestGuidedHc:
         start = planted_gan(land, land.target_key)
         n_neighbors = len(neighbors(start, TINY))
         budget = n_neighbors + 10
-        trace = guided_hc(land, uniform_metamodel(), start, budget,
+        trace = guided_hc(land, uniform_metamodel(),
+                          flatten_joint(start, TINY), budget,
                           np.random.default_rng(4))
         assert len(trace.steps) == budget
         assert trace.evaluations == n_neighbors
@@ -617,7 +624,7 @@ class TestGuidedHc:
     def test_accept_resets_neighborhood(self):
         land = tiny_landscape(seed=9)
         rng = np.random.default_rng(14)
-        start = random_gan(rng, TINY)
+        start = random_genotype(rng, TINY)
         trace = guided_hc(land, uniform_metamodel(), start, 50,
                           np.random.default_rng(5))
         # after each acceptance the next candidates come from the new
@@ -629,7 +636,7 @@ class TestGuidedHc:
 
     def test_deterministic_given_seed(self):
         land = tiny_landscape(seed=10)
-        start = random_gan(np.random.default_rng(15), TINY)
+        start = random_genotype(np.random.default_rng(15), TINY)
         model = uniform_metamodel()
         t1 = guided_hc(land, model, start, 30, np.random.default_rng(6))
         t2 = guided_hc(land, model, start, 30, np.random.default_rng(6))
@@ -641,15 +648,16 @@ class TestGuidedHc:
         train_inds = []
         for seed in (20, 21):
             land_i = tiny_landscape(seed=seed)
-            best = min(enumerate_space(TINY), key=land_i.evaluate,
-                       default=None)
-            train_inds.append(individual(best, land_i.evaluate(best),
+            best = min((flatten_joint(gan, TINY)
+                        for gan in enumerate_space(TINY)),
+                       key=land_i.evaluate)
+            train_inds.append(Individual(*best, land_i.evaluate(best),
                                          f"r{seed}", str(seed), TINY))
         model = learn(train_inds, LearnConfig(genotype=TINY, alpha=0.5))
         land = tiny_landscape(seed=22)
         finals_guided, finals_uniform = [], []
         for rep in range(6):
-            start = random_gan(np.random.default_rng(100 + rep), TINY)
+            start = random_genotype(np.random.default_rng(100 + rep), TINY)
             g = guided_hc(land, model, start, 20,
                           np.random.default_rng(200 + rep))
             u = guided_hc(land, uniform_metamodel(), start, 20,
@@ -665,19 +673,16 @@ class TestPopulationAndEa:
         pop = init_population("random", 8, land, np.random.default_rng(7))
         assert pop.size == 8
         for key, row, fitness in pop.members:
-            gan = unflatten_joint(key, row, TINY)
-            validate_tree(gan, TINY)
-            assert fitness == land.evaluate(gan)
+            validate_tree(unflatten_joint(key, row, TINY), TINY)
+            assert fitness == land.evaluate((key, row))
 
     def test_init_from_first(self):
         land = tiny_landscape(seed=12)
         rng = np.random.default_rng(16)
-        elite = [random_gan(rng, TINY) for _ in range(5)]
+        elite = [random_genotype(rng, TINY) for _ in range(5)]
         pop = init_population("from_first", 10, land,
                               np.random.default_rng(8), elite=elite)
-        allowed = {tree_hash(g) for g in elite}
-        assert all(gan_hash(k, r, TINY) in allowed
-                   for k, r, _ in pop.members)
+        assert all((k, r) in elite for k, r, _ in pop.members)
         with pytest.raises(ValidationError):
             init_population("from_first", 4, land, np.random.default_rng(9),
                             elite=[])
@@ -715,7 +720,8 @@ class TestPopulationAndEa:
         land = tiny_landscape(seed=15)
         rng = np.random.default_rng(18)
         gans = [random_gan(rng, TINY) for _ in range(6)]
-        pop = Population([(*flatten_joint(g, TINY), land.evaluate(g))
+        pop = Population([(*flatten_joint(g, TINY),
+                           land.evaluate(flatten_joint(g, TINY)))
                           for g in gans])
         gen_pool = {(gan_hash_half(g.generator), g.train_freq_bin)
                     for g in gans}
@@ -854,9 +860,12 @@ class CountingLandscape:
         self.config = land.config
         self.calls = []
 
-    def evaluate(self, gan):
+    def evaluate(self, genotype):
         self.calls.append(("evaluate", None, 1))
-        return self.land.evaluate(gan)
+        return self.land.evaluate(genotype)
+
+    # The package's batching, over this class's evaluate_values.
+    evaluate_many = SurrogateLandscape.evaluate_many
 
     def evaluate_values(self, key, values):
         self.calls.append(("evaluate_values", key, len(values)))
@@ -870,8 +879,10 @@ class CoarseLandscape:
         self.land = land
         self.config = land.config
 
-    def evaluate(self, gan):
-        return float(round(self.land.evaluate(gan)))
+    def evaluate(self, genotype):
+        return float(round(self.land.evaluate(genotype)))
+
+    evaluate_many = SurrogateLandscape.evaluate_many
 
     def evaluate_values(self, key, values):
         # np.round rounds half to even, as round does.
@@ -910,7 +921,7 @@ def reference_ea(land, members, generations, rng, config, record):
                     break
                 if rng.random() < config.mutation_rate:
                     child, _ = mutate_oracle(child, TINY, rng)
-                fitness = land.evaluate(child)
+                fitness = land.evaluate(flatten_joint(child, TINY))
                 record((child, fitness))
                 offspring.append((child, fitness))
         members = sorted(members, key=rank)[:config.elitism] + offspring
@@ -945,7 +956,7 @@ class TestTraceIo:
         traces = []
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            start = random_gan(rng, TINY)
+            start = random_genotype(rng, TINY)
             traces.append((seed, random_hc(land, start, 15, rng)))
         path = tmp_path / "traces.csv"
         save_traces(traces, path)
@@ -964,7 +975,7 @@ class TestTraceIo:
     def test_rewrite_is_byte_identical(self, tmp_path):
         land = tiny_landscape(seed=19)
         rng = np.random.default_rng(26)
-        start = random_gan(rng, TINY)
+        start = random_genotype(rng, TINY)
         traces = [(0, random_hc(land, start, 10, rng))]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_traces(traces, a)
@@ -975,7 +986,8 @@ class TestTraceIo:
         land = tiny_landscape(seed=20)
         start = planted_gan(land, land.target_key)
         budget = len(neighbors(start, TINY)) + 5
-        trace = guided_hc(land, uniform_metamodel(), start, budget,
+        trace = guided_hc(land, uniform_metamodel(),
+                          flatten_joint(start, TINY), budget,
                           np.random.default_rng(27))
         path = tmp_path / "t.csv"
         save_traces([(0, trace)], path)
