@@ -95,8 +95,8 @@ def _value_json(value) -> str:
 
 def _record_texts(individuals: Iterable[Individual]) -> Iterator[str]:
     """The record of each individual: ``json.dumps`` with ``sort_keys`` of
-    ``{"fitness", "gan", "problem_id", "run_id"}``, the genotype as
-    ``gan.to_json_obj()``, written from its key and row.
+    ``{"fitness", "gan", "problem_id", "run_id"}``, the genotype as its
+    record, written from its key and row.
 
     The text is built from fragments in sorted-key order: layer texts
     from the config's table (``genotype._text_tables``), and network

@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -32,12 +32,7 @@ from .experiments import (
     run_likelihood,
     run_sampling,
     write_csv,
-    write_guided_csv,
-    write_initialization_csv,
-    write_likelihood_csv,
-    write_likelihood_tests_csv,
-    write_sampling_csv,
-    write_sampling_tests_csv,
+    write_rows,
 )
 from .genotype import (DepthKey, GenotypeConfig, dump_genotypes,
                        flatten_joint, load_genotypes, random_genotype,
@@ -53,17 +48,22 @@ from .stats import dunn, kruskal_wallis, rank_sum
 
 logger = logging.getLogger(__name__)
 
-EXPERIMENT_CONFIGS = {
-    "likelihood": LikelihoodConfig,
-    "sampling": SamplingConfig,
-    "initialization": InitializationConfig,
-    "guided-search": GuidedSearchConfig,
+# Experiment id -> (config class, runner).
+EXPERIMENTS = {
+    "likelihood": (LikelihoodConfig, run_likelihood),
+    "sampling": (SamplingConfig, run_sampling),
+    "initialization": (InitializationConfig, run_initialization),
+    "guided-search": (GuidedSearchConfig, run_guided_search),
 }
-EXPERIMENT_IDS = tuple(EXPERIMENT_CONFIGS)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage problems are validation errors (exit code 1, not 2)."""
+    """Usage problems are validation errors (exit code 1, not 2), and a
+    flag is never read as an abbreviation (``--out`` is not ``--out-dir``).
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)
@@ -160,8 +160,8 @@ def _respace(ind, config: GenotypeConfig, path):
 def cmd_sample(args) -> int:
     model = load_metamodel(args.model)
     rng = np.random.default_rng(args.seed)
-    gans = model.sample_many(rng, args.n)
-    dump_genotypes(gans, args.out)
+    dump_genotypes(model.sample_genotypes(rng, args.n), model.config,
+                   args.out)
     logger.info("sampled %d genotypes", args.n)
     return 0
 
@@ -206,57 +206,26 @@ def cmd_gen_archive(args) -> int:
     return 0
 
 
-def _write_summary(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
 def cmd_experiment(args) -> int:
     # The config is checked before the archive is parsed, so a bad config
     # fails fast.
-    config = EXPERIMENT_CONFIGS[args.id].from_json_obj(_read_json(args.config))
-    archive = load_archive(args.archive)
+    config_class, run = EXPERIMENTS[args.id]
+    config = config_class.from_json_obj(_read_json(args.config))
+    result = run(load_archive(args.archive), config)
     os.makedirs(args.out_dir, exist_ok=True)
-
-    def path(name):
-        return os.path.join(args.out_dir, name)
-
-    if args.id == "likelihood":
-        result = run_likelihood(archive, config)
-        write_likelihood_csv(result, path("scores.csv"))
-        write_likelihood_tests_csv(result, path("tests.csv"))
-        logger.info("likelihood: %d rows, %d tested keys",
-                    len(result.rows), len(result.key_tests))
-    elif args.id == "sampling":
-        result = run_sampling(archive, config)
-        write_sampling_csv(result, path("samples.csv"))
-        write_sampling_tests_csv(result, path("tests.csv"))
-        logger.info("sampling: %d rows over %d holdouts",
-                    len(result.rows), len(result.tests))
-    elif args.id == "initialization":
-        result = run_initialization(archive, config)
-        write_initialization_csv(result, path("generations.csv"))
-        _write_summary(
-            {"median_gen0": result.summary.median_gen0,
-             "median_final": result.summary.median_final,
-             "p_gen0_metamodel_vs_random":
-                 result.summary.p_gen0_metamodel_vs_random,
-             "p_final_random_vs_metamodel":
-                 result.summary.p_final_random_vs_metamodel},
-            path("summary.json"))
-        logger.info("initialization: %d rows", len(result.rows))
-    else:
-        result = run_guided_search(archive, config)
-        write_guided_csv(result, path("steps.csv"))
-        _write_summary(
-            {"median_final": result.summary.median_final,
-             "p_final_guided_vs_random":
-                 result.summary.p_final_guided_vs_random,
-             "median_half_improvement":
-                 result.summary.median_half_improvement},
-            path("summary.json"))
-        logger.info("guided-search: %d rows", len(result.rows))
+    written = []
+    for name, (row_type, rows) in result.tables().items():
+        write_rows(os.path.join(args.out_dir, name), row_type, rows)
+        written.append(f"{name} ({len(rows)} rows)")
+    if hasattr(result, "summary"):
+        with open(os.path.join(args.out_dir, "summary.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump(asdict(result.summary), handle, sort_keys=True,
+                      indent=2)
+            handle.write("\n")
+        written.append("summary.json")
+    logger.info("%s: wrote %s to %s", args.id, ", ".join(written),
+                args.out_dir)
     return 0
 
 
@@ -330,46 +299,46 @@ def cmd_analyze(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=seed, default=0,
-                        help="seed for every stochastic choice")
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output path")
-
     parser = _Parser(prog="archsmith",
                      description="Architecture metamodels over "
                                  "surrogate landscapes")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest",
                        help="validate a raw run log into an archive")
     p.add_argument("--raw", required=True)
+    p.add_argument("--config", help="genotype config JSON")
+    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("learn", parents=[common],
-                       help="fit a metamodel from archive elites")
+    p = sub.add_parser("learn", help="fit a metamodel from archive elites")
     p.add_argument("--archive", required=True)
     p.add_argument("--n", type=int, default=10,
                    help="elites per run for the First set")
     p.add_argument("--structure", choices=("aracne", "chow_liu"))
+    p.add_argument("--config", help="partial learn config JSON")
+    p.add_argument("--seed", type=seed, default=0,
+                   help="seed for every stochastic choice")
+    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_learn)
 
-    p = sub.add_parser("score", parents=[common],
-                       help="score genotypes under a metamodel")
+    p = sub.add_parser("score", help="score genotypes under a metamodel")
     p.add_argument("--model", required=True)
     p.add_argument("--genotypes", required=True,
                    help="archive file or JSONL of genotypes")
+    p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(handler=cmd_score)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw genotypes from a metamodel")
+    p = sub.add_parser("sample", help="draw genotypes from a metamodel")
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, default=100)
+    p.add_argument("--seed", type=seed, default=0,
+                   help="seed for every stochastic choice")
+    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_sample)
 
-    p = sub.add_parser("search", parents=[common],
-                       help="hill climb on a surrogate landscape")
+    p = sub.add_parser("search", help="hill climb on a surrogate landscape")
     p.add_argument("--algorithm", choices=("random", "guided"),
                    default="random")
     p.add_argument("--model")
@@ -377,26 +346,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landscape", help="saved landscape file")
     p.add_argument("--landscape-config", help="landscape config JSON")
     p.add_argument("--landscape-seed", type=seed, default=0)
+    p.add_argument("--seed", type=seed, default=0,
+                   help="seed for every stochastic choice")
+    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_search)
 
-    p = sub.add_parser("gen-archive", parents=[common],
+    p = sub.add_parser("gen-archive",
                        help="synthesize an archive of seeded EA runs")
+    p.add_argument("--config", required=True,
+                   help="archive config JSON; it holds the seeds")
+    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_gen_archive)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment",
                        help="run one of the replicated analyses")
-    p.add_argument("--id", required=True, choices=EXPERIMENT_IDS)
+    p.add_argument("--id", required=True, choices=tuple(EXPERIMENTS))
     p.add_argument("--archive", required=True)
+    p.add_argument("--config", required=True,
+                   help="experiment config JSON; it holds the seeds")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=cmd_experiment)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="statistical tests over trace CSVs")
+    p = sub.add_parser("analyze", help="statistical tests over trace CSVs")
     p.add_argument("--traces", required=True)
     p.add_argument("--test", required=True, choices=("kw", "dunn", "ranksum"))
     p.add_argument("--group-by")
     p.add_argument("--member")
     p.add_argument("--value", default="best")
+    p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(handler=cmd_analyze)
 
     return parser
@@ -405,17 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for name in ("config", "out"):
-            if not hasattr(args, name):
-                setattr(args, name, None)
-        if args.command in ("gen-archive", "experiment") and not args.config:
-            raise ValidationError(f"{args.command} needs --config")
-        if args.command in ("ingest", "learn", "sample", "search",
-                            "gen-archive") and not args.out:
-            raise ValidationError(f"{args.command} needs --out")
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 that raise them."""
 
 import math
+from dataclasses import fields
 
 
 class ArchsmithError(Exception):
@@ -72,6 +73,17 @@ def parse_value(value, parse, what: str):
     except (TypeError, ValueError, OverflowError):
         raise FormatError(f"bad {what} is {value!r}, not a valid "
                           f"{parse.__name__}") from None
+
+
+def known_keys(obj, cls, what: str) -> dict:
+    """``obj``, which must be a JSON object whose keys all name fields of
+    dataclass ``cls``; ``what`` names it in errors."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return obj
 
 
 def parse_field(obj: dict, name: str, parse, what: str):

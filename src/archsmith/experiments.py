@@ -1,7 +1,7 @@
 """Seeded experiment pipelines: archive synthesis and the three analyses.
 
 Each pipeline is a pure function of its configuration: the same config and
-seeds reproduce the same rows byte for byte.  CSV writers format floats
+seeds reproduce the same rows byte for byte.  The CSV writer formats floats
 with repr so reruns diff clean.
 """
 
@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
-from .errors import ValidationError, integer, number, parse_field, seed
+from .errors import (ValidationError, integer, known_keys, number,
+                     parse_field, seed)
 from .genotype import DepthKey, random_genotype
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
@@ -56,30 +58,16 @@ def parse_seed_range(value) -> tuple[int, ...]:
 
 def _required(obj: dict, name: str):
     """``obj[name]``, or a ValidationError naming the missing field."""
-    if not isinstance(obj, dict):
-        raise ValidationError("config must be a JSON object")
     if name not in obj:
         raise ValidationError(f"config has no {name!r} field")
     return obj[name]
-
-
-def _section(section, name: str, config_class) -> dict:
-    """``section``, which must be a JSON object whose keys all name fields
-    of ``config_class``; ``name`` names it in errors."""
-    if not isinstance(section, dict):
-        raise ValidationError(f"{name} config must be a JSON object")
-    unknown = sorted(set(section) - {f.name for f in fields(config_class)})
-    if unknown:
-        raise ValidationError(
-            f"unknown {name} config key(s): {', '.join(unknown)}")
-    return section
 
 
 def parse_learn_config(section, genotype) -> LearnConfig:
     """A partial learn config, a JSON object of ``LearnConfig`` fields;
     unstated keys take their defaults, ``genotype`` that of ``genotype``."""
     merged = LearnConfig(genotype=genotype).to_json_obj()
-    merged.update(_section(section, "learn", LearnConfig))
+    merged.update(known_keys(section, LearnConfig, "learn config"))
     return LearnConfig.from_json_obj(merged)
 
 
@@ -87,7 +75,7 @@ def _optional_ea(obj: dict) -> EaConfig:
     """Parse a partial EA config; unstated keys take their defaults."""
     if "ea" not in obj:
         return EaConfig()
-    section = _section(obj["ea"], "ea", EaConfig)
+    section = known_keys(obj["ea"], EaConfig, "ea config")
     ints = ("tournament_size", "elitism")
     return EaConfig(**{
         name: parse_field(section, name,
@@ -101,11 +89,7 @@ def _from_json_obj(cls, obj: dict):
     sections; ``*_seeds`` fields are seed lists or ranges; every other
     field is an int, and a ``seed`` or ``*_seed`` one is not negative.
     A key that names no field is rejected."""
-    if not isinstance(obj, dict):
-        raise ValidationError("config must be a JSON object")
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+    known_keys(obj, cls, "config")
     kwargs = {}
     for f in fields(cls):
         if f.name == "landscape":
@@ -128,7 +112,8 @@ def _from_json_obj(cls, obj: dict):
 
 
 def write_csv(path, header, rows) -> None:
-    """CSV with floats written by ``repr``; ``path`` None writes to stdout."""
+    """CSV with floats written by ``repr`` and bools as ints; ``path`` None
+    writes to stdout."""
     handle = sys.stdout if path is None else open(path, "w",
                                                   encoding="utf-8",
                                                   newline="")
@@ -136,11 +121,21 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
+            writer.writerow([repr(v) if isinstance(v, float)
+                             else int(v) if isinstance(v, bool) else v
                              for v in row])
     finally:
         if path is not None:
             handle.close()
+
+
+def write_rows(path, row_type, rows) -> None:
+    """CSV of dataclass ``rows`` of ``row_type``: a header of its fields,
+    each named by its ``column`` metadata or its name, then one line per
+    row."""
+    columns = fields(row_type)
+    write_csv(path, [f.metadata.get("column", f.name) for f in columns],
+              map(attrgetter(*(f.name for f in columns)), rows))
 
 
 def _default_learn(landscape: LandscapeConfig,
@@ -246,7 +241,7 @@ class LikelihoodConfig:
 
 @dataclass(frozen=True)
 class ScoreRow:
-    set_name: str
+    set_name: str = field(metadata={"column": "set"})
     run_id: str
     problem_id: str
     d_g: int
@@ -275,6 +270,10 @@ class LikelihoodResult:
     key_tests: list[KeyTest]
     sets: EliteSets
     metamodel: Metamodel
+
+    def tables(self) -> dict:
+        return {"scores.csv": (ScoreRow, self.rows),
+                "tests.csv": (KeyTest, self.key_tests)}
 
 
 def run_likelihood(archive: RunArchive,
@@ -321,23 +320,6 @@ def run_likelihood(archive: RunArchive,
                             metamodel=model)
 
 
-def write_likelihood_csv(result: LikelihoodResult, path) -> None:
-    write_csv(path,
-              ["set", "run_id", "problem_id", "d_g", "d_d", "log_prob",
-               "normalized"],
-              [(r.set_name, r.run_id, r.problem_id, r.d_g, r.d_d,
-                r.log_prob, r.normalized) for r in result.rows])
-
-
-def write_likelihood_tests_csv(result: LikelihoodResult, path) -> None:
-    write_csv(path,
-              ["d_g", "d_d", "n_first", "n_second", "n_random", "h", "p",
-               "p_first_second", "p_first_random", "p_second_random"],
-              [(t.d_g, t.d_d, t.n_first, t.n_second, t.n_random, t.h, t.p,
-                t.p_first_second, t.p_first_random, t.p_second_random)
-               for t in result.key_tests])
-
-
 # ---------------------------------------------------------------------------
 # Sampling quality on holdout problems
 
@@ -366,7 +348,7 @@ class SamplingConfig:
 @dataclass(frozen=True)
 class SampleRow:
     holdout_seed: int
-    set_name: str
+    set_name: str = field(metadata={"column": "set"})
     index: int
     fitness: float
 
@@ -386,6 +368,10 @@ class SamplingResult:
     rows: list[SampleRow]
     tests: list[HoldoutTest]
     metamodel: Metamodel
+
+    def tables(self) -> dict:
+        return {"samples.csv": (SampleRow, self.rows),
+                "tests.csv": (HoldoutTest, self.tests)}
 
 
 def run_sampling(archive: RunArchive,
@@ -441,21 +427,6 @@ def run_sampling(archive: RunArchive,
     return SamplingResult(rows=rows, tests=tests, metamodel=model)
 
 
-def write_sampling_csv(result: SamplingResult, path) -> None:
-    write_csv(path, ["holdout_seed", "set", "index", "fitness"],
-              [(r.holdout_seed, r.set_name, r.index, r.fitness)
-               for r in result.rows])
-
-
-def write_sampling_tests_csv(result: SamplingResult, path) -> None:
-    write_csv(path,
-              ["holdout_seed", "median_sampled", "median_first",
-               "median_random", "p_sampled_vs_random", "p_sampled_vs_first"],
-              [(t.holdout_seed, t.median_sampled, t.median_first,
-                t.median_random, t.p_sampled_vs_random,
-                t.p_sampled_vs_first) for t in result.tests])
-
-
 # ---------------------------------------------------------------------------
 # Initialization strategies under the EA
 
@@ -500,6 +471,9 @@ class InitializationResult:
     rows: list[GenerationRow]
     summary: InitSummary
     metamodel: Metamodel
+
+    def tables(self) -> dict:
+        return {"generations.csv": (GenerationRow, self.rows)}
 
 
 STRATEGY_ORDER = ("random", "from_first", "from_metamodel")
@@ -548,12 +522,6 @@ def run_initialization(archive: RunArchive,
     return InitializationResult(rows=rows, summary=summary, metamodel=model)
 
 
-def write_initialization_csv(result: InitializationResult, path) -> None:
-    write_csv(path, ["strategy", "replicate", "generation", "best"],
-              [(r.strategy, r.replicate, r.generation, r.best)
-               for r in result.rows])
-
-
 # ---------------------------------------------------------------------------
 # Guided vs random hill climbing
 
@@ -598,6 +566,9 @@ class GuidedSearchResult:
     traces: dict[str, list[SearchTrace]]
     summary: GuidedSummary
     metamodel: Metamodel
+
+    def tables(self) -> dict:
+        return {"steps.csv": (StepRow, self.rows)}
 
 
 def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
@@ -651,11 +622,3 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
                                  for a in ALGORITHMS})
     return GuidedSearchResult(rows=rows, traces=traces, summary=summary,
                               metamodel=metamodel)
-
-
-def write_guided_csv(result: GuidedSearchResult, path) -> None:
-    write_csv(path,
-              ["algorithm", "replicate", "step", "fitness", "best",
-               "accepted"],
-              [(r.algorithm, r.replicate, r.step, r.fitness, r.best,
-                int(r.accepted)) for r in result.rows])

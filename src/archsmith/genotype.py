@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (FormatError, ValidationError, integer, parse_field,
-                     vocabulary)
+from .errors import (FormatError, ValidationError, integer, known_keys,
+                     parse_field, vocabulary)
 
 _T = TypeVar("_T")
 
@@ -148,6 +148,7 @@ class GenotypeConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GenotypeConfig":
         what = "genotype config"
+        known_keys(obj, cls, what)
         try:
             return cls(
                 mode=obj["mode"],
@@ -181,10 +182,6 @@ class LayerSpec:
     weight_init: str
     size_bin: int
 
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "activation": self.activation,
-                "weight_init": self.weight_init, "size_bin": self.size_bin}
-
 
 @dataclass(frozen=True)
 class DnnSpec:
@@ -192,10 +189,6 @@ class DnnSpec:
 
     role: str
     layers: tuple[LayerSpec, ...]
-
-    def to_json_obj(self) -> dict:
-        return {"role": self.role,
-                "layers": [layer.to_json_obj() for layer in self.layers]}
 
 
 @dataclass(frozen=True)
@@ -206,20 +199,12 @@ class GanSpec:
     discriminator: DnnSpec
     train_freq_bin: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": GENOTYPE_SCHEMA_VERSION,
-            "train_freq_bin": self.train_freq_bin,
-            "generator": self.generator.to_json_obj(),
-            "discriminator": self.discriminator.to_json_obj(),
-        }
-
 
 def gan_hash(key: DepthKey, row: Sequence[int],
              config: GenotypeConfig) -> str:
     """A genotype's identity: the sha256 of its canonical JSON, the
-    compact, sorted-key ``json.dumps`` of the ``to_json_obj()`` of
-    ``unflatten_joint(key, row, config)``, written from the row."""
+    compact, sorted-key ``json.dumps`` of its record, written from the
+    row."""
     text = _gan_text(key, tuple(row), _text_tables(config, True), ({}, {}))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -357,7 +342,8 @@ def joint_schema(config: GenotypeConfig, key: DepthKey) -> Schema:
     return Schema(key=key, slots=gen.slots + disc.slots)
 
 
-_LAYER_FIELDS = attrgetter("kind", "activation", "weight_init", "size_bin")
+_LAYER_KEYS = ("kind", "activation", "weight_init", "size_bin")
+_LAYER_FIELDS = attrgetter(*_LAYER_KEYS)
 
 
 @lru_cache(maxsize=None)
@@ -494,7 +480,7 @@ def _text_tables(config: GenotypeConfig, compact: bool) -> _Texts:
     return _Texts(
         item=item,
         layers=tuple(
-            {values: json.dumps(LayerSpec(*fields).to_json_obj(),
+            {values: json.dumps(dict(zip(_LAYER_KEYS, fields)),
                                 sort_keys=True, separators=separators)
              for fields, values in _layer_values(config)[role].items()}
             for role in ROLES),
@@ -509,9 +495,9 @@ def _text_tables(config: GenotypeConfig, compact: bool) -> _Texts:
 
 def _gan_text(key: DepthKey, row: tuple[int, ...], texts: _Texts,
               networks: tuple[dict, dict]) -> str:
-    """``json.dumps(unflatten_joint(key, row, config).to_json_obj(),
-    sort_keys=True, separators=...)`` for ``texts = _text_tables(config,
-    compact)``, written from the row's layer texts; no tree is built.
+    """The sorted-key ``json.dumps`` text of the record of ``(key, row)``
+    with the separators of ``texts = _text_tables(config, compact)``,
+    written from the row's layer texts; no tree is built.
 
     ``networks`` is a pair of caches (generator, discriminator), kept by
     the caller for one encoding call over one config's texts, of each
@@ -586,12 +572,14 @@ def _bin(obj: dict, name: str, what: str) -> int:
                                                         what)
 
 
-def dump_genotypes(gans: Iterable[GanSpec], path) -> None:
-    """Write one ``json.dumps(gan.to_json_obj(), sort_keys=True)`` line per
-    genotype."""
+def dump_genotypes(genotypes: Iterable[Genotype], config: GenotypeConfig,
+                   path) -> None:
+    """Write each ``(key, row)`` pair of ``config``'s space as one line, its
+    record's ``json.dumps`` with ``sort_keys``, written from the row."""
+    texts, networks = _text_tables(config, False), ({}, {})
     with open(path, "w", encoding="utf-8") as handle:
-        for gan in gans:
-            handle.write(json.dumps(gan.to_json_obj(), sort_keys=True) + "\n")
+        for key, row in genotypes:
+            handle.write(_gan_text(key, tuple(row), texts, networks) + "\n")
 
 
 def load_genotypes(path, config: GenotypeConfig) -> Iterator[Genotype]:

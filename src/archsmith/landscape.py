@@ -21,6 +21,7 @@ from .errors import (
     FormatError,
     ValidationError,
     integer,
+    known_keys,
     number,
     parse_field,
     parse_value,
@@ -85,6 +86,7 @@ class LandscapeConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LandscapeConfig":
         what = "landscape config"
+        known_keys(obj, cls, what)
         try:
             return cls(
                 genotype=GenotypeConfig.from_json_obj(obj["genotype"]),

@@ -201,8 +201,11 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
     pooled = np.concatenate([first, second])
     n_total = n1 + n2
     ranks = rankdata(pooled)
-    r1 = float(ranks[:n1].sum())
-    u1 = r1 - n1 * (n1 + 1) / 2.0
+
+    def u_first(r) -> float:
+        return float(r[:n1].sum()) - n1 * (n1 + 1) / 2.0
+
+    u1 = u_first(ranks)
     mean_u = n1 * n2 / 2.0
     tie = _tie_term(pooled)
     variance = n1 * n2 / 12.0 * ((n_total + 1) - tie / (n_total * (n_total - 1)))
@@ -217,13 +220,6 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
         raise ValidationError(f"unknown method {method!r}")
     if n_total > EXACT_LIMIT:
         raise ValidationError(f"exact mode limited to N <= {EXACT_LIMIT}")
-    observed_dev = abs(u1 - mean_u)
-    count = 0
-    total = 0
-    for chosen in combinations(range(n_total), n1):
-        r = float(ranks[list(chosen)].sum())
-        u = r - n1 * (n1 + 1) / 2.0
-        total += 1
-        if abs(u - mean_u) >= observed_dev - 1e-12:
-            count += 1
-    return TestResult(u1, count / total, (n1, n2), tie, "exact")
+    at_least, total = _permute_statistic(
+        ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u), abs(u1 - mean_u))
+    return TestResult(u1, at_least / total, (n1, n2), tie, "exact")

@@ -246,3 +246,49 @@ def test_search_landscape_and_experiments_hold_no_trees():
                      "random_gan"):
             assert _uses(modules[module], name) == [], (module, name)
     assert _uses(modules["experiments"], "gan") == []
+
+
+def _reads(functions, name: str, seen=()) -> set[str]:
+    """The ``args.<name>`` attributes that module function ``name`` reads,
+    with those of the module functions it passes ``args`` to."""
+    found = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in functions and node.func.id not in seen
+              and any(isinstance(arg, ast.Name) and arg.id == "args"
+                      for arg in node.args)):
+            found |= _reads(functions, node.func.id, seen + (name,))
+    return found
+
+
+def test_every_cli_flag_is_read_by_its_handler():
+    # A flag its handler never reads would be accepted and then ignored
+    # (``gen-archive --seed 3`` once wrote the archive of base seed 0).
+    functions = {node.name: node for node in _modules()["cli"].body
+                 if isinstance(node, ast.FunctionDef)}
+    declared, handlers, command = {}, {}, None
+    for statement in functions["build_parser"].body:
+        for node in ast.walk(statement):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "add_parser":
+                assert all(k.arg != "parents" for k in node.keywords)
+                command = node.args[0].value
+                declared[command] = set()
+            elif node.func.attr == "add_argument":
+                flag = node.args[0].value
+                assert command, f"{flag} is declared outside a subcommand"
+                declared[command].add(flag.lstrip("-").replace("-", "_"))
+            elif node.func.attr == "set_defaults":
+                [keyword] = node.keywords
+                handlers[command] = keyword.value.id
+    assert set(handlers) == set(declared) == {
+        "ingest", "learn", "score", "sample", "search", "gen-archive",
+        "experiment", "analyze"}
+    for command, flags in declared.items():
+        assert _reads(functions, handlers[command]) == flags, command

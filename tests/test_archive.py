@@ -23,7 +23,6 @@ from archsmith.experiments import ArchiveGenConfig, generate_archive
 from archsmith.genotype import (
     DepthKey,
     GenotypeConfig,
-    LayerSpec,
     _text_tables,
     flatten_joint,
     parse_genotype,
@@ -31,7 +30,7 @@ from archsmith.genotype import (
 )
 from archsmith.landscape import LandscapeConfig
 
-from test_genotype import SMALL, TINY, gan_from_json, tree_hash
+from test_genotype import SMALL, TINY, gan_from_json, gan_json, tree_hash
 
 CONFIG = GenotypeConfig.joint()
 PER_NET = GenotypeConfig.per_network()
@@ -47,7 +46,7 @@ def record_obj(ind):
     """An individual's archive record as a JSON object, through its tree:
     the oracle of the row encoder."""
     return {"run_id": ind.run_id, "problem_id": ind.problem_id,
-            "fitness": ind.fitness, "gan": ind.gan.to_json_obj()}
+            "fitness": ind.fitness, "gan": gan_json(ind.gan)}
 
 
 def make_individual(rng, fitness, run_id="r0", problem_id="p0",
@@ -552,10 +551,15 @@ class TestRecordEncoding:
                                                     tmp_path, monkeypatch):
         # Layer texts come from one table per config and separators, so
         # each layer of the vocabulary is encoded once, then never again.
-        encode = LayerSpec.to_json_obj
+        encode = json.dumps
         calls = []
-        monkeypatch.setattr(LayerSpec, "to_json_obj",
-                            lambda layer: calls.append(layer) or encode(layer))
+
+        def dumps(obj, **kwargs):
+            if isinstance(obj, dict) and "size_bin" in obj:
+                calls.append(obj)
+            return encode(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
         _text_tables.cache_clear()
         try:
             extract_sets(acceptance_archive, n=10, seed=0)

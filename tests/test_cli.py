@@ -2,8 +2,10 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from hypothesis import strategies as st
 
 from archsmith.archive import (Individual, RunArchive, load_archive,
                                save_archive)
-from archsmith.cli import main
+from archsmith.cli import EXPERIMENTS, main
 from archsmith.experiments import ArchiveGenConfig, generate_archive
 from archsmith.genotype import DepthKey, GenotypeConfig
 from archsmith.landscape import LandscapeConfig, make_landscape, save_landscape
 from archsmith.metamodel import LearnConfig, load_metamodel
 from test_archive import individual
-from test_genotype import random_gan
+from test_genotype import gan_json, random_gan
 from test_metamodel import mm_v1_document
 
 SMALL = GenotypeConfig.joint(
@@ -144,7 +146,7 @@ class TestLearnScoreSample:
                      "--seed", "5", "--out", str(samples)]) == 0
         gans = load_metamodel(model_path).sample_many(
             np.random.default_rng(5), 20)
-        want = "".join(json.dumps(gan.to_json_obj(), sort_keys=True) + "\n"
+        want = "".join(json.dumps(gan_json(gan), sort_keys=True) + "\n"
                        for gan in gans)
         assert samples.read_bytes() == want.encode()
 
@@ -158,7 +160,7 @@ class TestLearnScoreSample:
         gan = random_gan(np.random.default_rng(4), SMALL)
         genotypes = tmp_path / "gans.jsonl"
         genotypes.write_text("".join(
-            (json.dumps(gan.to_json_obj()) if line == "GAN" else line) + "\n"
+            (json.dumps(gan_json(gan)) if line == "GAN" else line) + "\n"
             for line in lines))
         capsys.readouterr()
         assert main(["score", "--model", str(model_path),
@@ -170,7 +172,7 @@ class TestLearnScoreSample:
 
     def test_score_fractional_size_bin_is_one_error_line(
             self, model_path, tmp_path, capsys):
-        obj = random_gan(np.random.default_rng(4), SMALL).to_json_obj()
+        obj = gan_json(random_gan(np.random.default_rng(4), SMALL))
         obj["generator"]["layers"][0]["size_bin"] = 1.9
         genotypes = tmp_path / "gans.jsonl"
         genotypes.write_text(json.dumps(obj) + "\n")
@@ -182,7 +184,7 @@ class TestLearnScoreSample:
 
     def test_score_out_of_space_genotype_names_file_and_line(
             self, model_path, tmp_path, capsys):
-        obj = random_gan(np.random.default_rng(4), SMALL).to_json_obj()
+        obj = gan_json(random_gan(np.random.default_rng(4), SMALL))
         good = json.dumps(obj)
         obj["discriminator"]["layers"][-1]["activation"] = "swish"
         genotypes = tmp_path / "gans.jsonl"
@@ -1090,3 +1092,140 @@ class TestAnalyze:
 
     def test_unknown_flag_is_validation_error(self):
         assert main(["analyze", "--bogus"]) == 1
+
+
+class TestFlags:
+    """Each subcommand takes only the flags its handler reads: a flag it
+    would ignore is rejected with one error line, before any output."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, archive_path, model_path):
+        work = tmp_path_factory.mktemp("flags")
+        steps = work / "steps.csv"
+        steps.write_text("algorithm,replicate,step,best\n"
+                         "random,0,1,2.0\nguided,0,1,1.0\n")
+        return {
+            "archive": str(archive_path), "model": str(model_path),
+            "steps": str(steps),
+            "land": str(write(work / "land.json", LAND.to_json_obj())),
+            "gen": str(write(work / "gen.json", {
+                "landscape": LAND.to_json_obj(), "problem_seeds": [0],
+                "runs_per_problem": 1, "population": 6, "generations": 2})),
+            "likelihood": str(write(work / "exp.json", {
+                "landscape": LAND.to_json_obj(), "n": 3})),
+        }
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gen-archive", ["--seed", "3"]),
+        ("experiment", ["--seed", "3"]),
+        ("experiment", ["--out", "x"]),
+        ("score", ["--config", "c"]),
+        ("search", ["--config", "c"]),
+        ("ingest", ["--seed", "1"]),
+        ("analyze", ["--seed", "1"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_unread_flag_is_one_error_line(self, command, flag, inputs,
+                                           tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "gen-archive": ["--config", inputs["gen"], "--out", str(out)],
+            "experiment": ["--id", "likelihood", "--archive",
+                           inputs["archive"], "--config",
+                           inputs["likelihood"], "--out-dir", str(out)],
+            "score": ["--model", inputs["model"], "--genotypes",
+                      inputs["archive"], "--out", str(out)],
+            "search": ["--landscape-config", inputs["land"], "--budget", "3",
+                       "--out", str(out)],
+            "ingest": ["--raw", inputs["archive"], "--out", str(out)],
+            "analyze": ["--traces", inputs["steps"], "--test", "kw",
+                        "--out", str(out)],
+        }[command]
+        assert main([command] + argv) == 0
+        if out.is_dir():
+            shutil.rmtree(out)
+        else:
+            out.unlink()
+        capsys.readouterr()
+        assert main([command] + argv + flag) == 1
+        one_error_line(capsys, "unrecognized arguments", " ".join(flag))
+        assert not out.exists()
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["gen-archive", "--config", "gen.json"], "--out"),
+        (["experiment", "--id", "likelihood", "--archive", "a.jsonl",
+          "--out-dir", "o"], "--config"),
+        (["sample", "--model", "m.json"], "--out"),
+    ])
+    def test_missing_required_flag_is_one_error_line(self, argv, flag,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: the following arguments are required: {flag}"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exp_id,files", [
+        ("likelihood", ["scores.csv", "tests.csv"]),
+        ("sampling", ["samples.csv", "tests.csv"]),
+        ("initialization", ["generations.csv", "summary.json"]),
+        ("guided-search", ["steps.csv", "summary.json"]),
+    ])
+    def test_experiment_writes_its_files(self, exp_id, files, archive_path,
+                                         tmp_path, caplog):
+        cfg = {"landscape": LAND.to_json_obj(), "n": 3, "replicates": 2,
+               "budget": 4, "population": 6, "generations": 2,
+               "train_seeds": [0], "holdout_seeds": [50], "n_each": 5}
+        cfg = {key: value for key, value in cfg.items()
+               if key in {f.name for f in dataclasses.fields(
+                   EXPERIMENTS[exp_id][0])}}
+        out_dir = tmp_path / "o"
+        with caplog.at_level("INFO"):
+            assert main(["experiment", "--id", exp_id,
+                         "--archive", str(archive_path),
+                         "--config", str(write(tmp_path / "c.json", cfg)),
+                         "--out-dir", str(out_dir)]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == files
+        [message] = [r.getMessage() for r in caplog.records
+                     if r.name == "archsmith.cli"]
+        assert message.startswith(f"{exp_id}: wrote {files[0]} (")
+        assert message.endswith(f" to {out_dir}")
+
+
+@pytest.mark.parametrize("command,where,key,what", [
+    ("likelihood", "landscape", "n_pair", "landscape"),
+    ("likelihood", "genotype", "aritty", "genotype"),
+    ("gen-archive", "landscape", "jiter", "landscape"),
+    ("gen-archive", "genotype", "mod", "genotype"),
+    ("search", "landscape", "n_pair", "landscape"),
+    ("search", "genotype", "aritty", "genotype"),
+    ("ingest", "genotype", "aritty", "genotype"),
+])
+def test_stray_nested_key_is_named(command, where, key, what, archive_path,
+                                   tmp_path, capsys):
+    # A misspelt nested field once loaded silently with its default.
+    land = LAND.to_json_obj()
+    (land if where == "landscape" else land["genotype"])[key] = 3
+    out = tmp_path / "out"
+    argv = {
+        "likelihood": ["experiment", "--id", "likelihood",
+                       "--archive", str(archive_path), "--out-dir", str(out),
+                       "--config", {"landscape": land, "n": 3}],
+        "gen-archive": ["gen-archive", "--out", str(out), "--config",
+                        {"landscape": land, "problem_seeds": [0],
+                         "runs_per_problem": 1, "population": 6,
+                         "generations": 2}],
+        "search": ["search", "--budget", "3", "--out", str(out),
+                   "--landscape-config", land],
+        "ingest": ["ingest", "--raw", str(archive_path), "--out", str(out),
+                   "--config", land["genotype"]],
+    }[command]
+    argv[-1] = str(write(tmp_path / "cfg.json", argv[-1]))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: unknown {what} config key(s): {key}"]
+    assert not out.exists()

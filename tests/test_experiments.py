@@ -1,5 +1,8 @@
 """Tests for the experiment pipelines (small scale; stats use real data)."""
 
+import csv
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,12 +22,7 @@ from archsmith.experiments import (
     run_initialization,
     run_likelihood,
     run_sampling,
-    write_guided_csv,
-    write_initialization_csv,
-    write_likelihood_csv,
-    write_likelihood_tests_csv,
-    write_sampling_csv,
-    write_sampling_tests_csv,
+    write_rows,
 )
 
 SMALL = GenotypeConfig.joint(
@@ -35,6 +33,37 @@ SMALL = GenotypeConfig.joint(
     discriminator_depth_max=2,
 )
 LAND = LandscapeConfig(genotype=SMALL, family_seed=5, base_scale=10.0)
+
+
+def table_bytes(result, directory):
+    """The bytes of each table of ``result``, written by ``write_rows``
+    into ``directory``, by file name."""
+    directory.mkdir()
+    for name, (row_type, rows) in result.tables().items():
+        write_rows(directory / name, row_type, rows)
+    return {name: (directory / name).read_bytes() for name in result.tables()}
+
+
+def check_tables(result, directory, names):
+    """``result`` has the tables ``names``, and each round-trips through
+    ``write_rows``: a header of the row type's field names (``set`` for
+    ``set_name``), then one line per row whose cells read back as the
+    row's values, floats bit for bit and bools as 0 or 1."""
+    assert sorted(result.tables()) == sorted(names)
+    table_bytes(result, directory)
+    for name, (row_type, rows) in result.tables().items():
+        with open(directory / name, newline="") as handle:
+            header, *lines = csv.reader(handle)
+        columns = [f.name for f in fields(row_type)]
+        assert header == ["set" if c == "set_name" else c for c in columns]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            for cell, column in zip(line, columns):
+                value = getattr(row, column)
+                if isinstance(value, bool):
+                    assert cell in ("0", "1") and bool(int(cell)) == value
+                else:
+                    assert type(value)(cell) == value
 
 
 @pytest.fixture(scope="module")
@@ -127,15 +156,10 @@ class TestLikelihood:
     def test_csv_round(self, small_archive, tmp_path):
         config = LikelihoodConfig(landscape=LAND, n=3, seed=3, min_scored=6)
         result = run_likelihood(small_archive, config)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_likelihood_csv(result, p1)
-        write_likelihood_csv(result, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().strip().splitlines()
-        assert len(lines) == len(result.rows) + 1
-        write_likelihood_tests_csv(result, p1)
-        assert len(p1.read_text().strip().splitlines()) == \
-            len(result.key_tests) + 1
+        assert result.key_tests
+        check_tables(result, tmp_path / "a", ["scores.csv", "tests.csv"])
+        assert table_bytes(result, tmp_path / "b") == \
+            table_bytes(result, tmp_path / "c")
 
     def test_mismatched_learn_config_rejected(self, small_archive):
         other = LearnConfig(genotype=GenotypeConfig.per_network())
@@ -170,12 +194,9 @@ class TestSampling:
         a = run_sampling(small_archive, config)
         b = run_sampling(small_archive, config)
         assert a.rows == b.rows
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sampling_csv(a, p1)
-        write_sampling_csv(b, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        write_sampling_tests_csv(a, p1)
-        assert len(p1.read_text().strip().splitlines()) == 2
+        assert table_bytes(a, tmp_path / "a") == table_bytes(b, tmp_path / "b")
+        check_tables(a, tmp_path / "c", ["samples.csv", "tests.csv"])
+        assert len(a.tests) == 1
 
 
 class TestInitialization:
@@ -227,10 +248,8 @@ class TestInitialization:
         a = run_initialization(small_archive, config)
         b = run_initialization(small_archive, config)
         assert a.rows == b.rows
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_initialization_csv(a, p1)
-        write_initialization_csv(b, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert table_bytes(a, tmp_path / "a") == table_bytes(b, tmp_path / "b")
+        check_tables(a, tmp_path / "c", ["generations.csv"])
 
 
 class TestGuidedSearch:
@@ -264,10 +283,9 @@ class TestGuidedSearch:
         a = run_guided_search(small_archive, config)
         b = run_guided_search(small_archive, config)
         assert a.rows == b.rows
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_guided_csv(a, p1)
-        write_guided_csv(b, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert table_bytes(a, tmp_path / "a") == table_bytes(b, tmp_path / "b")
+        check_tables(a, tmp_path / "c", ["steps.csv"])
+        assert {r.accepted for r in a.rows} == {True, False}
 
     def test_target_seed_must_be_fresh(self, small_archive):
         config = GuidedSearchConfig(landscape=LAND, target_seed=2,

@@ -24,6 +24,7 @@ from archsmith.landscape import (
     make_landscape,
     save_landscape,
 )
+from test_genotype import gan_json
 
 JOINT = GenotypeConfig.joint()
 TINY = GenotypeConfig.joint(
@@ -44,7 +45,7 @@ def random_probes(rng, config, count):
 
 def reparsed(genotype, config=JOINT):
     """An equal ``(key, row)``, read back from the genotype's record."""
-    return parse_genotype(unflatten_joint(*genotype, config).to_json_obj(),
+    return parse_genotype(gan_json(unflatten_joint(*genotype, config)),
                           config)
 
 
