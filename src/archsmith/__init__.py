@@ -63,7 +63,6 @@ from .search import (
     init_population,
     mutate,
     random_hc,
-    save_traces,
     simple_ea,
 )
 from .stats import DunnResult, TestResult, dunn, kruskal_wallis, rank_sum
@@ -124,7 +123,6 @@ __all__ = [
     "save_archive",
     "save_landscape",
     "save_metamodel",
-    "save_traces",
     "simple_ea",
     "unflatten_joint",
 ]

@@ -222,7 +222,10 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                     raise FormatError(f"{path}: line {lineno}: "
                                       f"{ARCHIVE_FORMAT} header after line "
                                       f"{first}; a header must come first")
-                file_config = GenotypeConfig.from_json_obj(obj["config"])
+                try:
+                    file_config = GenotypeConfig.from_json_obj(obj["config"])
+                except ValidationError as exc:
+                    raise type(exc)(f"{path}: line {lineno}: {exc}") from None
                 continue
             if tables is None:
                 effective = config or file_config or GenotypeConfig.joint()

@@ -43,7 +43,7 @@ from .metamodel import (
     provenance_mismatch,
     save_metamodel,
 )
-from .search import guided_hc, random_hc, save_traces
+from .search import SearchTrace, guided_hc, random_hc
 from .stats import dunn, kruskal_wallis, rank_sum
 
 logger = logging.getLogger(__name__)
@@ -179,6 +179,13 @@ def _load_search_landscape(args):
     raise ValidationError("need --landscape or --landscape-config")
 
 
+def _trace_rows(seed: int, trace: SearchTrace):
+    """One row per evaluation of ``trace``, the start as an accepted step 0."""
+    yield seed, 0, trace.start_fitness, trace.start_fitness, True
+    for s in trace.steps:
+        yield seed, s.step, s.fitness, s.best, s.accepted
+
+
 def cmd_search(args) -> int:
     land = _load_search_landscape(args)
     start = random_genotype(np.random.default_rng([args.seed, 0]),
@@ -191,7 +198,8 @@ def cmd_search(args) -> int:
         trace = guided_hc(land, model, start, args.budget, rng)
     else:
         trace = random_hc(land, start, args.budget, rng)
-    save_traces([(args.seed, trace)], args.out)
+    write_csv(args.out, ("seed", "step", "fitness", "best", "accepted"),
+              _trace_rows(args.seed, trace))
     logger.info("%s search: start %s, final best %s", args.algorithm,
                 repr(trace.start_fitness), repr(trace.final_best))
     return 0

@@ -165,7 +165,9 @@ class GenotypeConfig:
                 discriminator_depth_max=parse_field(
                     obj, "discriminator_depth_max", integer, what),
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise FormatError(f"bad {what}: missing key {exc}") from exc
+        except TypeError as exc:
             raise FormatError(f"bad {what}: {exc}") from exc
 
     def fingerprint(self) -> str:

@@ -99,7 +99,9 @@ class LandscapeConfig:
                 n_pairs=(None if obj["n_pairs"] is None
                          else parse_field(obj, "n_pairs", integer, what)),
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise FormatError(f"bad {what}: missing key {exc}") from exc
+        except TypeError as exc:
             raise FormatError(f"bad {what}: {exc}") from exc
 
 

@@ -16,8 +16,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .archive import Individual
 from .bayesnet import (
@@ -122,7 +120,9 @@ class LearnConfig:
                 mi_correction=parse_field(obj, "mi_correction", boolean,
                                           what),
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise FormatError(f"bad {what}: missing key {exc}") from exc
+        except TypeError as exc:
             raise FormatError(f"bad {what}: {exc}") from exc
 
 
@@ -456,8 +456,12 @@ def _neutral_supermodels(
 
     Solves for the constant ``c`` with ``log p(key) = c * m + volume``
     summing to one jointly over all priors, so the normalized score of
-    any genotype equals ``c`` exactly.
+    any genotype equals ``c`` exactly.  scipy is imported here because
+    only ``Metamodel.uniform`` gets here, and it is slow to import.
     """
+    from scipy.optimize import brentq
+    from scipy.special import logsumexp
+
     def gap(c: float) -> float:
         return float(sum(logsumexp(c * m + s) for _, m, s in parts.values()))
 

@@ -9,7 +9,6 @@ deterministic given their generator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -492,24 +491,3 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
         trace.append(population.best_fitness)
     return EaResult(best_per_generation=trace, population=population,
                     evaluations=evaluations)
-
-
-# ---------------------------------------------------------------------------
-# Trace persistence
-
-
-TRACE_COLUMNS = ("seed", "step", "fitness", "best", "accepted")
-
-
-def save_traces(traces: Sequence[tuple[int, SearchTrace]], path) -> None:
-    """CSV with one row per evaluation; floats use repr for stable reruns."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for seed, trace in traces:
-            writer.writerow([seed, 0, repr(trace.start_fitness),
-                             repr(trace.start_fitness), 1])
-            for s in trace.steps:
-                writer.writerow([seed, s.step, repr(s.fitness), repr(s.best),
-                                 int(s.accepted)])
-

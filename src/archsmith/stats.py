@@ -5,6 +5,11 @@ against chi-square), Dunn's post-hoc z-tests (raw and Bonferroni-adjusted)
 and the Mann-Whitney rank-sum test (normal approximation with tie
 correction).  Kruskal-Wallis and rank-sum also offer an exact permutation
 mode for tiny samples, used as the oracle for the approximations.
+
+Ranks are computed here with numpy.  The two tail probabilities come from
+the ``scipy.special`` ufuncs that ``scipy.stats.chi2.sf`` and ``norm.sf``
+call, so p-values are bit-equal to ``scipy.stats``; ``scipy.special`` is
+imported on the first p-value, which keeps scipy off ``import archsmith``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
 
 from .errors import ValidationError
 
@@ -57,6 +61,24 @@ def _check_groups(groups: Sequence[Sequence[float]], minimum: int) -> list[np.nd
     return arrays
 
 
+def _special():
+    """``scipy.special``, imported on first use (it takes about 0.3 s)."""
+    import scipy.special
+
+    return scipy.special
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group sharing its mean rank (``rankdata``)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _tie_term(pooled: np.ndarray) -> float:
     """Sum of t^3 - t over tie groups."""
     _, counts = np.unique(pooled, return_counts=True)
@@ -96,11 +118,11 @@ def kruskal_wallis(groups: Sequence[Sequence[float]],
     correction = 1.0 - tie / (n_total ** 3 - n_total) if n_total > 1 else 0.0
     if correction == 0.0:
         return TestResult(0.0, 1.0, sizes, 0.0, method)
-    ranks = rankdata(pooled)
+    ranks = _average_ranks(pooled)
     h = _kw_statistic(ranks, sizes) / correction
     h = max(h, 0.0)
     if method == "approx":
-        p = float(chi2.sf(h, df=len(sizes) - 1))
+        p = float(_special().chdtrc(len(sizes) - 1, h))
         return TestResult(float(h), min(p, 1.0), sizes, correction, method)
     if method != "exact":
         raise ValidationError(f"unknown method {method!r}")
@@ -158,7 +180,7 @@ def dunn(groups: Sequence[Sequence[float]]) -> DunnResult:
     k = len(arrays)
     pooled = np.concatenate(arrays)
     n_total = pooled.size
-    ranks = rankdata(pooled)
+    ranks = _average_ranks(pooled)
     mean_ranks = []
     start = 0
     for size in sizes:
@@ -178,7 +200,7 @@ def dunn(groups: Sequence[Sequence[float]]) -> DunnResult:
         else:
             value = (mean_ranks[i] - mean_ranks[j]) / np.sqrt(variance)
         z[i, j], z[j, i] = value, -value
-        p = float(min(2.0 * norm.sf(abs(value)), 1.0))
+        p = float(min(2.0 * _special().ndtr(-abs(value)), 1.0))
         p_raw[i, j] = p_raw[j, i] = p
     p_bonf = np.minimum(p_raw * comparisons, 1.0)
     np.fill_diagonal(p_bonf, 1.0)
@@ -200,7 +222,7 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
     n1, n2 = len(first), len(second)
     pooled = np.concatenate([first, second])
     n_total = n1 + n2
-    ranks = rankdata(pooled)
+    ranks = _average_ranks(pooled)
 
     def u_first(r) -> float:
         return float(r[:n1].sum()) - n1 * (n1 + 1) / 2.0
@@ -214,7 +236,7 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
             return TestResult(u1, 1.0, (n1, n2), 0.0, method)
         deviation = max(abs(u1 - mean_u) - 0.5, 0.0)
         z = deviation / np.sqrt(variance)
-        p = float(min(2.0 * norm.sf(z), 1.0))
+        p = float(min(2.0 * _special().ndtr(-z), 1.0))
         return TestResult(u1, p, (n1, n2), tie, method)
     if method != "exact":
         raise ValidationError(f"unknown method {method!r}")

@@ -87,6 +87,21 @@ class TestIngest:
         one_error_line(capsys, f"error: {raw}: line 4: archive-v1 header "
                                f"after line 1")
 
+    @pytest.mark.parametrize("config,message", [
+        ({"arity": "x"}, "bad genotype config: missing key 'mode'"),
+        ({"aritty": 2}, "unknown genotype config key(s): aritty"),
+    ])
+    def test_bad_header_config_names_file_and_line(self, tmp_path, capsys,
+                                                   config, message):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps({"format": "archive-v1",
+                                   "config": config}) + "\n")
+        capsys.readouterr()
+        assert main(["ingest", "--raw", str(raw),
+                     "--out", str(tmp_path / "o.jsonl")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {raw}: line 1: {message}"]
+
     def test_missing_out_flag(self, archive_path):
         assert main(["ingest", "--raw", str(archive_path)]) == 1
 

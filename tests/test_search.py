@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from archsmith import search
 from archsmith.archive import Individual
-from archsmith.cli import _final_values
+from archsmith.cli import _final_values, _trace_rows
 from archsmith.errors import ValidationError
+from archsmith.experiments import write_csv
 from archsmith.genotype import (
     DepthKey,
     GanSpec,
@@ -49,7 +50,6 @@ from archsmith.search import (
     mutate,
     neighbor_groups,
     random_hc,
-    save_traces,
     simple_ea,
 )
 from test_archive import individual
@@ -933,13 +933,23 @@ def gan_hash_half(net):
     return (net.role, net.layers)
 
 
+TRACE_COLUMNS = ["seed", "step", "fitness", "best", "accepted"]
+
+
+def save_traces(traces, path):
+    """``(seed, trace)`` pairs in one file, written as ``archsmith search``
+    writes its trace."""
+    write_csv(path, TRACE_COLUMNS, (row for seed, trace in traces
+                                    for row in _trace_rows(seed, trace)))
+
+
 def read_traces(path):
     """Rows of a ``save_traces`` file grouped by seed, typed back into
     numbers."""
     out = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        assert reader.fieldnames == list(search.TRACE_COLUMNS)
+        assert reader.fieldnames == TRACE_COLUMNS
         for row in reader:
             out.setdefault(int(row["seed"]), []).append({
                 "step": int(row["step"]),

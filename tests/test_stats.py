@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import archsmith
 from archsmith.errors import ValidationError
-from archsmith.stats import DunnResult, TestResult, dunn, kruskal_wallis, rank_sum
+from archsmith.stats import (DunnResult, TestResult, _average_ranks, _special,
+                             dunn, kruskal_wallis, rank_sum)
 
 THREE_GROUPS = ([1, 2, 3], [4, 5, 6], [7, 8, 9])
 
@@ -193,3 +199,52 @@ class TestRankSum:
     def test_exact_mode_size_limit(self):
         with pytest.raises(ValidationError, match="exact"):
             rank_sum([1] * 7, [2] * 6, method="exact")
+
+
+class TestScipyOracles:
+    """The package computes ranks with numpy and tail probabilities with
+    the ``scipy.special`` ufuncs under ``scipy.stats``; each must be
+    bit-equal to ``scipy.stats``, so no p-value moves."""
+
+    @given(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.1, 0.3, 1e-300,
+                                     7.0, 1e300]),
+                    min_size=1, max_size=80))
+    @example([0.3])
+    @example([0.1] * 25)
+    @settings(max_examples=300)
+    def test_average_ranks_equal_rankdata(self, values):
+        values = np.array(values)
+        ours = _average_ranks(values)
+        theirs = scipy.stats.rankdata(values)
+        assert ours.dtype == theirs.dtype
+        assert ours.tolist() == theirs.tolist()
+
+    def test_chi2_tail_equals_scipy_stats(self):
+        grid = np.r_[-0.0, 0.0, 1e-300, 1e-12, np.linspace(0.0, 80.0, 3201),
+                     150.0, 500.0, 1e3, 1e4, 1e300]
+        for df in range(1, 8):
+            ours = _special().chdtrc(df, grid)
+            theirs = scipy.stats.chi2.sf(grid, df)
+            assert (ours == theirs).all(), df
+
+    def test_normal_tail_equals_scipy_stats(self):
+        grid = np.r_[0.0, 1e-300, 1e-12, np.linspace(0.0, 45.0, 4501),
+                     40.0, 1e3]
+        assert (_special().ndtr(-grid) == scipy.stats.norm.sf(grid)).all()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy takes about a second to import; it is loaded only where a
+    # function needs it, and p-values need only scipy.special.
+    code = (
+        "import sys\n"
+        "import archsmith, archsmith.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "archsmith.kruskal_wallis([[1.0, 2.0], [3.0, 4.0]])\n"
+        "archsmith.rank_sum([1.0, 2.0], [3.0, 4.0])\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.stats' not in sys.modules\n")
+    src = str(Path(archsmith.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
