@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -131,14 +132,26 @@ def _ranked(individuals: Iterable[Individual]) -> list[Individual]:
                            attrgetter("_hash"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunArchive:
-    """Individuals grouped by run, plus the configuration they live in."""
+    """Individuals grouped by run, plus the configuration they live in.
 
-    runs: dict[str, list[Individual]]
+    An archive is an immutable value: ``runs`` is a read-only mapping of
+    run ids to tuples, whatever mappings or lists it was built from, and
+    no attribute can be set.  So each run is ranked, the content hashed
+    and the problem ids collected at most once per archive object, on
+    first use, however many analyses read them.
+    """
+
+    runs: Mapping[str, tuple[Individual, ...]]
     config: GenotypeConfig
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: tuple[str, ...] = ()
     rejected: int = 0
+
+    def __post_init__(self) -> None:
+        runs = {run_id: tuple(run) for run_id, run in self.runs.items()}
+        object.__setattr__(self, "runs", MappingProxyType(runs))
+        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
 
     @property
     def n_runs(self) -> int:
@@ -151,13 +164,28 @@ class RunArchive:
     def all_individuals(self) -> list[Individual]:
         return [ind for run in self.runs.values() for ind in run]
 
-    def content_hash(self) -> str:
-        """sha256 of the record texts, runs by id, each run ranked."""
+    @cached_property
+    def problem_ids(self) -> frozenset[str]:
+        return frozenset(ind.problem_id for run in self.runs.values()
+                         for ind in run)
+
+    @cached_property
+    def _ranked_runs(self) -> tuple[tuple[str, tuple[Individual, ...]], ...]:
+        """``(run_id, ranked run)`` pairs, runs sorted by id."""
+        return tuple((run_id, tuple(_ranked(self.runs[run_id])))
+                     for run_id in sorted(self.runs))
+
+    @cached_property
+    def _digest(self) -> str:
         digest = hashlib.sha256()
-        for text in _record_texts(ind for run_id in sorted(self.runs)
-                                  for ind in _ranked(self.runs[run_id])):
+        for text in _record_texts(ind for _, run in self._ranked_runs
+                                  for ind in run):
             digest.update(text.encode())
         return digest.hexdigest()
+
+    def content_hash(self) -> str:
+        """sha256 of the record texts, runs by id, each run ranked."""
+        return self._digest
 
 
 @dataclass
@@ -279,8 +307,7 @@ def extract_sets(archive: RunArchive, n: int, seed: int) -> EliteSets:
     second: list[Individual] = []
     random_set: list[Individual] = []
     overlap = 0
-    for run_id in sorted(archive.runs):
-        individuals = _ranked(archive.runs[run_id])
+    for run_id, individuals in archive._ranked_runs:
         if len(individuals) < 2 * n:
             raise ValidationError(
                 f"run {run_id!r} has {len(individuals)} individuals, "

@@ -149,10 +149,6 @@ def _default_learn(landscape: LandscapeConfig,
     return learn_config
 
 
-def _archive_problem_ids(archive: RunArchive) -> set[str]:
-    return {ind.problem_id for ind in archive.all_individuals()}
-
-
 def learn_from_first(archive: RunArchive, n: int, seed: int,
                      learn_config: LearnConfig) -> tuple[EliteSets, Metamodel]:
     """The elite sets of ``archive``, and the metamodel learned on First.
@@ -384,7 +380,7 @@ def run_sampling(archive: RunArchive,
     """
     learn_config = _default_learn(config.landscape, config.learn)
     train_ids = {str(s) for s in config.train_seeds}
-    known = _archive_problem_ids(archive)
+    known = archive.problem_ids
     if not train_ids <= known:
         raise ValidationError(
             f"train seeds {sorted(train_ids - known)} not in the archive")
@@ -392,9 +388,12 @@ def run_sampling(archive: RunArchive,
                   if inds and inds[0].problem_id in train_ids}
     if not train_runs:
         raise ValidationError("no archive runs match the train seeds")
-    sets, model = learn_from_first(
-        RunArchive(runs=train_runs, config=archive.config), config.n,
-        config.seed, learn_config)
+    # Learning on the archive itself, when every run trains, reuses its
+    # ranking and hash; a sub-archive is a new object and pays for both.
+    if len(train_runs) < archive.n_runs:
+        archive = RunArchive(runs=train_runs, config=archive.config)
+    sets, model = learn_from_first(archive, config.n, config.seed,
+                                   learn_config)
     rng = np.random.default_rng([config.seed, len(config.train_seeds)])
     sampled = model.sample_genotypes(rng, config.n_each)
     picks = rng.integers(len(sets.first), size=config.n_each)
@@ -487,7 +486,7 @@ def run_initialization(archive: RunArchive,
     same problem would test memorization, not transfer.
     """
     learn_config = _default_learn(config.landscape, config.learn)
-    if str(config.target_seed) in _archive_problem_ids(archive):
+    if str(config.target_seed) in archive.problem_ids:
         raise ValidationError(
             f"target seed {config.target_seed} appears in the archive")
     sets, model = learn_from_first(archive, config.n, config.seed,
@@ -580,7 +579,7 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
     the same minimal genotype.
     """
     learn_config = _default_learn(config.landscape, config.learn)
-    if str(config.target_seed) in _archive_problem_ids(archive):
+    if str(config.target_seed) in archive.problem_ids:
         raise ValidationError(
             f"target seed {config.target_seed} appears in the archive")
     if metamodel is None:

@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
     boolean,
     integer,
+    known_keys,
     number,
     parse_field,
 )
@@ -108,6 +109,7 @@ class LearnConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LearnConfig":
         what = "learn config"
+        known_keys(obj, cls, what)
         try:
             return cls(
                 genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
@@ -568,7 +570,10 @@ def metamodel_from_json_obj(obj: dict) -> Metamodel:
         raise FormatError(f"expected a {MM_FORMAT} or {MM_FORMAT_V1} "
                           f"document")
     try:
-        learn_config = LearnConfig.from_json_obj(obj["learn"])
+        try:
+            learn_config = LearnConfig.from_json_obj(obj["learn"])
+        except ValidationError as exc:
+            raise type(exc)(f"learn: {exc}") from None
         parts = _parts(learn_config.genotype)
         names = [part.name for part in parts]
         if sorted(obj["supermodels"]) != sorted(names):
@@ -616,12 +621,16 @@ def save_metamodel(m: Metamodel, path) -> None:
 
 
 def load_metamodel(path) -> Metamodel:
+    """Read a model file; an error in its document names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise FormatError(f"corrupt metamodel file: {exc}") from exc
-    return metamodel_from_json_obj(doc)
+    try:
+        return metamodel_from_json_obj(doc)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def provenance_mismatch(m: Metamodel, archive_hash: str,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from archsmith.archive import (
     _record_texts,
 )
 from archsmith.errors import FormatError, ValidationError
-from archsmith.experiments import ArchiveGenConfig, generate_archive
+from archsmith.experiments import (
+    ArchiveGenConfig,
+    LikelihoodConfig,
+    SamplingConfig,
+    generate_archive,
+    run_likelihood,
+    run_sampling,
+)
 from archsmith.genotype import (
     DepthKey,
     GenotypeConfig,
@@ -230,7 +238,7 @@ class TestLoadSave:
         lines[5] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
         loaded = load_archive(path)
-        assert loaded.diagnostics[:3] == [
+        assert list(loaded.diagnostics[:3]) == [
             "line 3: bad layer record: 'activation'",
             "line 4: bad layer record: field 'size_bin' is 'x', not a "
             "valid integer",
@@ -307,7 +315,7 @@ class TestLoadSave:
             texts["b"][1], texts["a"][1], "[", texts["a"][0], texts["b"][1],
             texts["b"][0], '{"fitness": 1}', texts["a"][1]]) + "\n")
         loaded = load_archive(path)
-        assert loaded.diagnostics == [
+        assert list(loaded.diagnostics) == [
             "line 3: not valid JSON (Expecting value)",
             "line 7: bad archive record: 'gan'",
         ] + ["run b: rejected record (unknown activation 'swish')"] * 2 + [
@@ -576,3 +584,83 @@ class TestRecordEncoding:
                 assert calls == []
         finally:
             _text_tables.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# The archive as an immutable value, ranked and hashed once per object
+
+
+def count_archive_calls(monkeypatch, name):
+    """Count the calls of ``archive.<name>``."""
+    calls = []
+    original = getattr(archsmith.archive, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(archsmith.archive, name, counted)
+    return calls
+
+
+def small_generated_archive():
+    land = LandscapeConfig(genotype=SMALL, family_seed=5)
+    return generate_archive(ArchiveGenConfig(
+        landscape=land, problem_seeds=(0, 1), runs_per_problem=2,
+        population=8, generations=4))
+
+
+class TestFrozenArchive:
+    def test_records_encoded_and_runs_ranked_once(self, monkeypatch):
+        archive = small_generated_archive()
+        texts = count_archive_calls(monkeypatch, "_record_texts")
+        ranks = count_archive_calls(monkeypatch, "_ranked")
+        hashes = {archive.content_hash() for _ in range(3)}
+        for seed in range(3):
+            extract_sets(archive, n=3, seed=seed)
+        land = LandscapeConfig(genotype=SMALL, family_seed=5)
+        likelihood = run_likelihood(archive, LikelihoodConfig(
+            landscape=land, n=3, min_scored=6))
+        sampling = run_sampling(archive, SamplingConfig(
+            landscape=land, train_seeds=(0, 1), holdout_seeds=(50,), n=3,
+            n_each=10))
+        assert len(texts) == 1 and len(ranks) == archive.n_runs
+        assert hashes == {likelihood.metamodel.provenance["archive_hash"],
+                          sampling.metamodel.provenance["archive_hash"]}
+
+    def test_train_subset_hashes_its_own_runs(self, acceptance_archive):
+        land = LandscapeConfig(genotype=CONFIG, family_seed=7)
+        result = run_sampling(acceptance_archive, SamplingConfig(
+            landscape=land, train_seeds=(0, 1), holdout_seeds=(100,),
+            n_each=10))
+        subset = RunArchive(
+            runs={run_id: run for run_id, run in acceptance_archive.runs.items()
+                  if run[0].problem_id in ("0", "1")},
+            config=CONFIG)
+        assert subset.n_runs == 12
+        assert (result.metamodel.provenance["archive_hash"]
+                == subset.content_hash() == reference_content_hash(subset))
+
+    def test_runs_and_attributes_refuse_assignment(self):
+        archive = make_archive(np.random.default_rng(30), 2, 4)
+        with pytest.raises(TypeError):
+            archive.runs["run000"] = ()
+        with pytest.raises(TypeError):
+            del archive.runs["run000"]
+        with pytest.raises(AttributeError):
+            archive.runs["run000"].append(archive.runs["run001"][0])
+        for name, value in (("runs", {}), ("config", SMALL),
+                            ("rejected", 3), ("problem_ids", frozenset())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(archive, name, value)
+
+    def test_list_runs_come_back_as_tuples(self):
+        rng = np.random.default_rng(31)
+        runs = {"r0": [make_individual(rng, 1.0), make_individual(rng, 2.0)]}
+        archive = RunArchive(runs=runs, config=CONFIG,
+                             diagnostics=["line 1: x"])
+        assert archive.runs["r0"] == tuple(runs["r0"])
+        assert archive.diagnostics == ("line 1: x",)
+        runs["r0"].clear()
+        runs["r1"] = []
+        assert list(archive.runs) == ["r0"] and len(archive.runs["r0"]) == 2

@@ -3,7 +3,9 @@
 A ``BENCH_<n>.json`` at the repository root holds alternating pairs of
 ``perfbench/run.py --out`` figures for the parent commit and the change,
 taken on one machine.  A speed claim without the figures, or without the
-core count they were taken on, is not a claim the record supports.
+core count they were taken on, is not a claim the record supports; nor is
+a pair on a workload the benchmark does not declare, or a side whose run
+failed an operation.
 """
 
 import json
@@ -15,6 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 FIGURES = ("wall_s", "setup_s", "peak_rss_mb", "failed")
+WORKLOADS = {workload["name"] for workload in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]}
 
 
 def test_records_are_committed():
@@ -28,6 +32,9 @@ def test_record_is_complete(path):
     assert isinstance(nproc, int) and nproc >= 1
     assert record["pairs"], "a record without pairs"
     for index, pair in enumerate(record["pairs"]):
+        assert pair.get("workload") in WORKLOADS, (
+            f"pair {index}: workload {pair.get('workload')!r} is not in "
+            f"BENCHMARK.json")
         for side in ("parent", "change"):
             figures = pair[side]
             for name in FIGURES:
@@ -35,3 +42,6 @@ def test_record_is_complete(path):
                 assert (isinstance(value, numbers.Real)
                         and not isinstance(value, bool)), (
                     f"pair {index}: {side} lacks a number for {name!r}")
+            assert figures["failed"] == 0, (
+                f"pair {index}: {side} failed {figures['failed']} "
+                f"operation(s)")

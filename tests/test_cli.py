@@ -318,6 +318,18 @@ class TestNonFiniteNumbers:
         path.write_text(json.dumps(doc))
         return path
 
+    def test_stray_learn_key_in_model_file(self, model_path, tmp_path,
+                                          capsys):
+        doc = json.loads(model_path.read_text())
+        doc["learn"]["alpah"] = 5
+        path = tmp_path / "stray-model.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sample", "--model", str(path), "--n", "3",
+                     "--out", str(tmp_path / "out.jsonl")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {path}: learn: unknown learn config key(s): alpah"]
+
     def test_model_file_score(self, nan_model_path, archive_path, tmp_path,
                               capsys):
         out = tmp_path / "scores.csv"

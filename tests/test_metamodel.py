@@ -502,6 +502,22 @@ class TestModelFileChecks:
         with pytest.raises(FormatError, match="not a depth"):
             metamodel_from_json_obj(doc)
 
+    @pytest.mark.parametrize("section,key,what", [
+        ((), "alpah", "learn"), (("genotype",), "aritty", "genotype"),
+    ], ids=["learn", "genotype"])
+    def test_stray_learn_key_names_file_and_section(self, doc, tmp_path,
+                                                    section, key, what):
+        target = doc["learn"]
+        for name in section:
+            target = target[name]
+        target[key] = 5
+        path = tmp_path / "model.mm"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            load_metamodel(path)
+        assert str(info.value) == (f"{path}: learn: unknown {what} config "
+                                   f"key(s): {key}")
+
     @pytest.mark.parametrize("provenance", [[], "x", None])
     def test_provenance_must_be_an_object(self, doc, provenance):
         doc["provenance"] = provenance
