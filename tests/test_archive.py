@@ -63,11 +63,11 @@ def make_individual(rng, fitness, run_id="r0", problem_id="p0",
                       run_id, problem_id, config)
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls of ``genotype.<name>`` made through any package
+def count_calls(monkeypatch, name, module=archsmith.genotype):
+    """Count the calls of ``<module>.<name>`` made through any package
     module that imports it."""
     calls = []
-    original = getattr(archsmith.genotype, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -590,35 +590,17 @@ class TestRecordEncoding:
 # The archive as an immutable value, ranked and hashed once per object
 
 
-def count_archive_calls(monkeypatch, name):
-    """Count the calls of ``archive.<name>``."""
-    calls = []
-    original = getattr(archsmith.archive, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(archsmith.archive, name, counted)
-    return calls
-
-
-def small_generated_archive():
-    land = LandscapeConfig(genotype=SMALL, family_seed=5)
-    return generate_archive(ArchiveGenConfig(
-        landscape=land, problem_seeds=(0, 1), runs_per_problem=2,
-        population=8, generations=4))
-
-
 class TestFrozenArchive:
     def test_records_encoded_and_runs_ranked_once(self, monkeypatch):
-        archive = small_generated_archive()
-        texts = count_archive_calls(monkeypatch, "_record_texts")
-        ranks = count_archive_calls(monkeypatch, "_ranked")
+        land = LandscapeConfig(genotype=SMALL, family_seed=5)
+        archive = generate_archive(ArchiveGenConfig(
+            landscape=land, problem_seeds=(0, 1), runs_per_problem=2,
+            population=8, generations=4))
+        texts = count_calls(monkeypatch, "_record_texts", archsmith.archive)
+        ranks = count_calls(monkeypatch, "_ranked", archsmith.archive)
         hashes = {archive.content_hash() for _ in range(3)}
         for seed in range(3):
             extract_sets(archive, n=3, seed=seed)
-        land = LandscapeConfig(genotype=SMALL, family_seed=5)
         likelihood = run_likelihood(archive, LikelihoodConfig(
             landscape=land, n=3, min_scored=6))
         sampling = run_sampling(archive, SamplingConfig(
@@ -633,10 +615,10 @@ class TestFrozenArchive:
         result = run_sampling(acceptance_archive, SamplingConfig(
             landscape=land, train_seeds=(0, 1), holdout_seeds=(100,),
             n_each=10))
-        subset = RunArchive(
-            runs={run_id: run for run_id, run in acceptance_archive.runs.items()
-                  if run[0].problem_id in ("0", "1")},
-            config=CONFIG)
+        runs = acceptance_archive.runs
+        subset = RunArchive(runs={run_id: run for run_id, run in runs.items()
+                                  if run[0].problem_id in ("0", "1")},
+                            config=CONFIG)
         assert subset.n_runs == 12
         assert (result.metamodel.provenance["archive_hash"]
                 == subset.content_hash() == reference_content_hash(subset))
