@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, number, parse_field, string
+from .errors import (FormatError, ValidationError, number, open_text,
+                     parse_field, string)
 from .genotype import (
     DepthKey,
     GanSpec,
@@ -231,7 +232,7 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
     by_run: dict[str, tuple[list[Individual], list[str]]] = {}
     diagnostics: list[str] = []
     file_config = tables = first = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

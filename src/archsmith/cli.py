@@ -17,7 +17,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .archive import load_archive, save_archive
-from .errors import ValidationError, seed as parse_seed
+from .errors import ValidationError, open_text, read_json, seed as parse_seed
 from .experiments import (
     ArchiveGenConfig,
     GuidedSearchConfig,
@@ -74,14 +74,6 @@ def seed(text: str) -> int:
     return parse_seed(int(text))
 
 
-def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -89,7 +81,7 @@ def _read_json(path) -> dict:
 def cmd_ingest(args) -> int:
     config = None
     if args.config:
-        config = GenotypeConfig.from_json_obj(_read_json(args.config))
+        config = GenotypeConfig.from_json_obj(read_json(args.config))
     archive = load_archive(args.raw, config=config)
     save_archive(archive, args.out)
     logger.info("ingested %d runs, %d individuals (%d records rejected)",
@@ -100,10 +92,10 @@ def cmd_ingest(args) -> int:
 def cmd_learn(args) -> int:
     archive = load_archive(args.archive)
     learn_config = parse_learn_config(
-        _read_json(args.config) if args.config else {}, archive.config)
+        read_json(args.config) if args.config else {}, archive.config)
     if args.structure:
         learn_config = replace(learn_config, structure=args.structure)
-    if learn_config.genotype.fingerprint() != archive.config.fingerprint():
+    if learn_config.genotype != archive.config:
         raise ValidationError("config genotype does not match the archive")
     sets, model = learn_from_first(archive, args.n, args.seed, learn_config)
     save_metamodel(model, args.out)
@@ -114,7 +106,7 @@ def cmd_learn(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_metamodel(args.model)
-    with open(args.genotypes, "r", encoding="utf-8") as handle:
+    with open_text(args.genotypes) as handle:
         first_line = handle.readline()
     try:
         head = json.loads(first_line)
@@ -174,7 +166,7 @@ def _load_search_landscape(args):
         return load_landscape(args.landscape)
     if args.landscape_config:
         config = LandscapeConfig.from_json_obj(
-            _read_json(args.landscape_config))
+            read_json(args.landscape_config))
         return make_landscape(args.landscape_seed, config)
     raise ValidationError("need --landscape or --landscape-config")
 
@@ -206,7 +198,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen_archive(args) -> int:
-    config = ArchiveGenConfig.from_json_obj(_read_json(args.config))
+    config = ArchiveGenConfig.from_json_obj(read_json(args.config))
     archive = generate_archive(config)
     save_archive(archive, args.out)
     logger.info("generated %d runs, %d individuals", archive.n_runs,
@@ -218,7 +210,7 @@ def cmd_experiment(args) -> int:
     # The config is checked before the archive is parsed, so a bad config
     # fails fast.
     config_class, run = EXPERIMENTS[args.id]
-    config = config_class.from_json_obj(_read_json(args.config))
+    config = config_class.from_json_obj(read_json(args.config))
     result = run(load_archive(args.archive), config)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
@@ -249,7 +241,7 @@ def _cell(row, column, parse, path, reader):
 
 def _final_values(path, group_by, value, member):
     """One value per (group, member): the row with the largest step."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         if group_by is None:

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
 
 from .archive import EliteSets, Individual, RunArchive, extract_sets
-from .errors import (ValidationError, integer, known_keys, number,
-                     parse_field, seed)
+from .errors import (ValidationError, field_defaults, known_keys,
+                     read_config)
 from .genotype import DepthKey, random_genotype
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
@@ -34,81 +34,20 @@ SET_NAMES = ("first", "second", "random")
 ALGORITHMS = ("random", "guided")
 
 
-def parse_seed_range(value) -> tuple[int, ...]:
-    """Seeds as a list of ints or a "lo..hi" inclusive range string; no
-    seed may be negative."""
-    if isinstance(value, str):
-        parts = value.split("..")
-        if len(parts) != 2:
-            raise ValidationError(f"bad seed range {value!r}, want 'lo..hi'")
-        try:
-            lo, hi = seed(int(parts[0])), seed(int(parts[1]))
-        except ValueError as exc:
-            raise ValidationError(f"bad seed range {value!r}") from exc
-        if hi < lo:
-            raise ValidationError(f"empty seed range {value!r}")
-        return tuple(range(lo, hi + 1))
-    if isinstance(value, (list, tuple)):
-        try:
-            return tuple(seed(v) for v in value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"bad seed list {value!r}") from None
-    raise ValidationError(f"bad seed list {value!r}")
-
-
-def _required(obj: dict, name: str):
-    """``obj[name]``, or a ValidationError naming the missing field."""
-    if name not in obj:
-        raise ValidationError(f"config has no {name!r} field")
-    return obj[name]
-
-
 def parse_learn_config(section, genotype) -> LearnConfig:
     """A partial learn config, a JSON object of ``LearnConfig`` fields;
     unstated keys take their defaults, ``genotype`` that of ``genotype``."""
-    merged = LearnConfig(genotype=genotype).to_json_obj()
-    merged.update(known_keys(section, LearnConfig, "learn config"))
-    return LearnConfig.from_json_obj(merged)
-
-
-def _optional_ea(obj: dict) -> EaConfig:
-    """Parse a partial EA config; unstated keys take their defaults."""
-    if "ea" not in obj:
-        return EaConfig()
-    section = known_keys(obj["ea"], EaConfig, "ea config")
-    ints = ("tournament_size", "elitism")
-    return EaConfig(**{
-        name: parse_field(section, name,
-                          integer if name in ints else number, "ea config")
-        for name in section})
+    return read_config(LearnConfig, section, vars(LearnConfig(genotype)))
 
 
 def _from_json_obj(cls, obj: dict):
-    """An experiment config from its JSON object.  ``landscape`` and every
-    field without a default are required; ``learn`` and ``ea`` are partial
-    sections; ``*_seeds`` fields are seed lists or ranges; every other
-    field is an int, and a ``seed`` or ``*_seed`` one is not negative.
-    A key that names no field is rejected."""
-    known_keys(obj, cls, "config")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name == "landscape":
-            kwargs[f.name] = LandscapeConfig.from_json_obj(
-                _required(obj, f.name))
-        elif f.name == "learn":
-            if "learn" in obj:
-                kwargs[f.name] = parse_learn_config(
-                    obj["learn"], kwargs["landscape"].genotype)
-        elif f.name == "ea":
-            kwargs[f.name] = _optional_ea(obj)
-        elif f.name.endswith("_seeds"):
-            if f.name in obj or f.default is MISSING:
-                kwargs[f.name] = parse_seed_range(_required(obj, f.name))
-        elif f.name in obj:
-            kwargs[f.name] = parse_field(
-                obj, f.name, seed if f.name.endswith("seed") else integer,
-                "config")
-    return cls(**kwargs)
+    """An experiment config from its JSON object: a missing key takes its
+    field's default, and ``parse_learn_config`` reads a ``learn`` section."""
+    rest = dict(known_keys(obj, cls, "config"))
+    section = rest.pop("learn", None)
+    config = read_config(cls, rest, field_defaults(cls), "config")
+    return config if section is None else replace(config, learn=(
+        parse_learn_config(section, config.landscape.genotype)))
 
 
 def write_csv(path, header, rows) -> None:
@@ -142,8 +81,7 @@ def _default_learn(landscape: LandscapeConfig,
                    learn_config: LearnConfig | None) -> LearnConfig:
     if learn_config is None:
         return LearnConfig(genotype=landscape.genotype)
-    if (learn_config.genotype.fingerprint()
-            != landscape.genotype.fingerprint()):
+    if learn_config.genotype != landscape.genotype:
         raise ValidationError(
             "learn config genotype does not match the landscape genotype")
     return learn_config
@@ -585,8 +523,7 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
     if metamodel is None:
         _, metamodel = learn_from_first(archive, config.n, config.seed,
                                         learn_config)
-    elif (metamodel.config.fingerprint()
-          != config.landscape.genotype.fingerprint()):
+    elif metamodel.config != config.landscape.genotype:
         raise ValidationError("metamodel genotype does not match landscape")
     land = make_landscape(config.target_seed, config.landscape)
     gc = config.landscape.genotype

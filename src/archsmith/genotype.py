@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (FormatError, ValidationError, integer, known_keys,
-                     parse_field, vocabulary)
+from .errors import (FormatError, ValidationError, config_to_json, integer,
+                     open_text, parse_field, read_config)
 
 _T = TypeVar("_T")
 
@@ -133,42 +133,8 @@ class GenotypeConfig:
                      for g in range(1, self.generator_depth_max + 1)
                      for d in range(1, self.discriminator_depth_max + 1))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "arity": self.arity,
-            "activations": list(self.activations),
-            "weight_inits": list(self.weight_inits),
-            "generator_kinds": list(self.generator_kinds),
-            "discriminator_kinds": list(self.discriminator_kinds),
-            "generator_depth_max": self.generator_depth_max,
-            "discriminator_depth_max": self.discriminator_depth_max,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GenotypeConfig":
-        what = "genotype config"
-        known_keys(obj, cls, what)
-        try:
-            return cls(
-                mode=obj["mode"],
-                arity=parse_field(obj, "arity", integer, what),
-                activations=parse_field(obj, "activations", vocabulary, what),
-                weight_inits=parse_field(obj, "weight_inits", vocabulary,
-                                         what),
-                generator_kinds=parse_field(obj, "generator_kinds",
-                                            vocabulary, what),
-                discriminator_kinds=parse_field(obj, "discriminator_kinds",
-                                                vocabulary, what),
-                generator_depth_max=parse_field(obj, "generator_depth_max",
-                                                integer, what),
-                discriminator_depth_max=parse_field(
-                    obj, "discriminator_depth_max", integer, what),
-            )
-        except KeyError as exc:
-            raise FormatError(f"bad {what}: missing key {exc}") from exc
-        except TypeError as exc:
-            raise FormatError(f"bad {what}: {exc}") from exc
+    to_json_obj = config_to_json
+    from_json_obj = classmethod(read_config)
 
     def fingerprint(self) -> str:
         doc = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -588,7 +554,7 @@ def load_genotypes(path, config: GenotypeConfig) -> Iterator[Genotype]:
     """The ``parse_genotype`` of each non-blank line; a bad line raises a
     FormatError, or a ValidationError if its genotype lies outside
     ``config``'s space, naming the file and the line."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

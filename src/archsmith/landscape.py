@@ -20,11 +20,13 @@ import numpy as np
 from .errors import (
     FormatError,
     ValidationError,
+    config_to_json,
     integer,
-    known_keys,
     number,
     parse_field,
     parse_value,
+    read_config,
+    read_json,
     seed,
 )
 from .genotype import (
@@ -71,38 +73,8 @@ class LandscapeConfig:
         if self.base_scale < 0 or self.jitter < 0:
             raise ValidationError("base_scale and jitter must be >= 0")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "genotype": self.genotype.to_json_obj(),
-            "family_seed": self.family_seed,
-            "sigma_noise": self.sigma_noise,
-            "margin": self.margin,
-            "base_scale": self.base_scale,
-            "flip_prob": self.flip_prob,
-            "jitter": self.jitter,
-            "n_pairs": self.n_pairs,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LandscapeConfig":
-        what = "landscape config"
-        known_keys(obj, cls, what)
-        try:
-            return cls(
-                genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
-                family_seed=parse_field(obj, "family_seed", seed, what),
-                sigma_noise=parse_field(obj, "sigma_noise", number, what),
-                margin=parse_field(obj, "margin", number, what),
-                base_scale=parse_field(obj, "base_scale", number, what),
-                flip_prob=parse_field(obj, "flip_prob", number, what),
-                jitter=parse_field(obj, "jitter", number, what),
-                n_pairs=(None if obj["n_pairs"] is None
-                         else parse_field(obj, "n_pairs", integer, what)),
-            )
-        except KeyError as exc:
-            raise FormatError(f"bad {what}: missing key {exc}") from exc
-        except TypeError as exc:
-            raise FormatError(f"bad {what}: {exc}") from exc
+    to_json_obj = config_to_json
+    from_json_obj = classmethod(read_config)
 
 
 def _max_key(config: GenotypeConfig) -> DepthKey:
@@ -423,9 +395,9 @@ def save_landscape(land: SurrogateLandscape, path) -> None:
 
 
 def load_landscape(path) -> SurrogateLandscape:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"corrupt landscape file: {exc}") from exc
-    return landscape_from_json_obj(doc)
+    """Read a landscape file; an error in its document names the file."""
+    doc = read_json(path)
+    try:
+        return landscape_from_json_obj(doc)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

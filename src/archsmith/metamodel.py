@@ -34,11 +34,11 @@ from .bayesnet import (
 from .errors import (
     FormatError,
     ValidationError,
-    boolean,
+    config_to_json,
     integer,
-    known_keys,
-    number,
     parse_field,
+    read_config,
+    read_json,
 )
 from .genotype import (
     DepthKey,
@@ -95,37 +95,8 @@ class LearnConfig:
         if not 0 <= self.dpi_tolerance <= 1:
             raise ValidationError("dpi_tolerance must lie in [0, 1]")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "genotype": self.genotype.to_json_obj(),
-            "structure": self.structure,
-            "min_samples": self.min_samples,
-            "alpha": self.alpha,
-            "super_pseudocount": self.super_pseudocount,
-            "dpi_tolerance": self.dpi_tolerance,
-            "mi_correction": self.mi_correction,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LearnConfig":
-        what = "learn config"
-        known_keys(obj, cls, what)
-        try:
-            return cls(
-                genotype=GenotypeConfig.from_json_obj(obj["genotype"]),
-                structure=obj["structure"],
-                min_samples=parse_field(obj, "min_samples", integer, what),
-                alpha=parse_field(obj, "alpha", number, what),
-                super_pseudocount=parse_field(obj, "super_pseudocount",
-                                              number, what),
-                dpi_tolerance=parse_field(obj, "dpi_tolerance", number, what),
-                mi_correction=parse_field(obj, "mi_correction", boolean,
-                                          what),
-            )
-        except KeyError as exc:
-            raise FormatError(f"bad {what}: missing key {exc}") from exc
-        except TypeError as exc:
-            raise FormatError(f"bad {what}: {exc}") from exc
+    to_json_obj = config_to_json
+    from_json_obj = classmethod(read_config)
 
 
 @dataclass(frozen=True)
@@ -622,11 +593,7 @@ def save_metamodel(m: Metamodel, path) -> None:
 
 def load_metamodel(path) -> Metamodel:
     """Read a model file; an error in its document names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"corrupt metamodel file: {exc}") from exc
+    doc = read_json(path)
     try:
         return metamodel_from_json_obj(doc)
     except ValidationError as exc:

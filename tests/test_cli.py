@@ -1256,3 +1256,62 @@ def test_stray_nested_key_is_named(command, where, key, what, archive_path,
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: unknown {what} config key(s): {key}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--raw", "{bad}", "--out", "{out}"],
+    ["ingest", "--raw", "{archive}", "--config", "{bad}", "--out", "{out}"],
+    ["learn", "--archive", "{bad}", "--out", "{out}"],
+    ["learn", "--archive", "{archive}", "--config", "{bad}",
+     "--out", "{out}"],
+    ["sample", "--model", "{bad}", "--out", "{out}"],
+    ["search", "--landscape", "{bad}", "--out", "{out}"],
+    ["search", "--landscape-config", "{bad}", "--out", "{out}"],
+    ["gen-archive", "--config", "{bad}", "--out", "{out}"],
+    ["experiment", "--id", "likelihood", "--archive", "{archive}",
+     "--config", "{bad}", "--out-dir", "{out}"],
+    ["score", "--model", "{model}", "--genotypes", "{bad}",
+     "--out", "{out}"],
+    ["score", "--model", "{model}", "--genotypes", "{late}",
+     "--out", "{out}"],
+    ["analyze", "--traces", "{bad}", "--test", "kw", "--out", "{out}"],
+], ids=["ingest-raw", "ingest-config", "learn-archive", "learn-config",
+        "sample-model", "search-landscape", "search-landscape-config",
+        "gen-archive-config", "experiment-config", "score-genotypes",
+        "score-late-byte", "analyze-traces"])
+def test_non_utf8_input_is_one_error_line(argv, archive_path, model_path,
+                                          tmp_path, capsys):
+    # The bytes of a binary file; "late" holds valid genotype lines first,
+    # more than one read buffer of them, so the bad byte is met while
+    # the file is being parsed.
+    bad = tmp_path / "bin.dat"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    if "{late}" in argv:
+        bad = tmp_path / "late.jsonl"
+        assert main(["sample", "--model", str(model_path), "--n", "200",
+                     "--out", str(bad)]) == 0
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    out = tmp_path / "out"
+    names = {"bad": bad, "late": bad, "out": out, "archive": archive_path,
+             "model": model_path}
+    capsys.readouterr()
+    assert main([arg.format(**names) for arg in argv]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {bad}: not UTF-8 text (invalid start byte)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "{deep}", "--out", "{out}"],
+    ["search", "--landscape", "{deep}", "--out", "{out}"],
+    ["gen-archive", "--config", "{deep}", "--out", "{out}"],
+], ids=["sample-model", "search-landscape", "gen-archive-config"])
+def test_deeply_nested_json_is_one_error_line(argv, tmp_path, capsys):
+    # Python's JSON reader recurses once per nesting level.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([arg.format(deep=deep, out=out) for arg in argv]) == 1
+    one_error_line(capsys, f"{deep}: not valid JSON (maximum recursion")
+    assert not out.exists()

@@ -319,8 +319,9 @@ class TestSerialization:
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "land.json"
         path.write_text("{oops")
-        with pytest.raises(FormatError, match="corrupt"):
+        with pytest.raises(FormatError, match="not valid JSON") as info:
             load_landscape(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_wrong_tag_rejected(self, tmp_path):
         path = tmp_path / "land.json"

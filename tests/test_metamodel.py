@@ -348,8 +348,9 @@ class TestPersistence:
         save_metamodel(model, path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(FormatError, match="corrupt"):
+        with pytest.raises(FormatError, match="not valid JSON") as info:
             load_metamodel(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("config", [TINY, TINY_PN],
                              ids=["joint", "per_network"])
