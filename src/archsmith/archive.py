@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import (FormatError, ValidationError, number, open_text,
-                     parse_field, string)
+                     parse_field, read_json_line, string)
 from .genotype import (
     DepthKey,
     GanSpec,
@@ -239,9 +239,9 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                 continue
             first = first or lineno
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                diagnostics.append(f"line {lineno}: not valid JSON ({exc.msg})")
+                obj = read_json_line(line)
+            except FormatError as exc:
+                diagnostics.append(f"line {lineno}: {exc}")
                 continue
             if isinstance(obj, dict) and obj.get("format") == ARCHIVE_FORMAT:
                 if "config" not in obj:

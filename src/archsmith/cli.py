@@ -17,7 +17,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .archive import load_archive, save_archive
-from .errors import ValidationError, open_text, read_json, seed as parse_seed
+from .errors import (FormatError, ValidationError, open_text, read_json,
+                     read_json_line, seed as parse_seed)
 from .experiments import (
     ArchiveGenConfig,
     GuidedSearchConfig,
@@ -81,7 +82,7 @@ def seed(text: str) -> int:
 def cmd_ingest(args) -> int:
     config = None
     if args.config:
-        config = GenotypeConfig.from_json_obj(read_json(args.config))
+        config = read_json(args.config, GenotypeConfig.from_json_obj)
     archive = load_archive(args.raw, config=config)
     save_archive(archive, args.out)
     logger.info("ingested %d runs, %d individuals (%d records rejected)",
@@ -91,8 +92,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_learn(args) -> int:
     archive = load_archive(args.archive)
-    learn_config = parse_learn_config(
-        read_json(args.config) if args.config else {}, archive.config)
+    def read_learn(section):
+        return parse_learn_config(section, archive.config)
+
+    learn_config = (read_json(args.config, read_learn) if args.config
+                    else read_learn({}))
     if args.structure:
         learn_config = replace(learn_config, structure=args.structure)
     if learn_config.genotype != archive.config:
@@ -109,8 +113,8 @@ def cmd_score(args) -> int:
     with open_text(args.genotypes) as handle:
         first_line = handle.readline()
     try:
-        head = json.loads(first_line)
-    except json.JSONDecodeError:
+        head = read_json_line(first_line)
+    except FormatError:
         head = None  # not an archive; load_genotypes names the bad line
     if isinstance(head, dict) and "format" in head:
         archive = load_archive(args.genotypes)
@@ -165,8 +169,8 @@ def _load_search_landscape(args):
     if args.landscape:
         return load_landscape(args.landscape)
     if args.landscape_config:
-        config = LandscapeConfig.from_json_obj(
-            read_json(args.landscape_config))
+        config = read_json(args.landscape_config,
+                           LandscapeConfig.from_json_obj)
         return make_landscape(args.landscape_seed, config)
     raise ValidationError("need --landscape or --landscape-config")
 
@@ -198,7 +202,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen_archive(args) -> int:
-    config = ArchiveGenConfig.from_json_obj(read_json(args.config))
+    config = read_json(args.config, ArchiveGenConfig.from_json_obj)
     archive = generate_archive(config)
     save_archive(archive, args.out)
     logger.info("generated %d runs, %d individuals", archive.n_runs,
@@ -210,7 +214,7 @@ def cmd_experiment(args) -> int:
     # The config is checked before the archive is parsed, so a bad config
     # fails fast.
     config_class, run = EXPERIMENTS[args.id]
-    config = config_class.from_json_obj(read_json(args.config))
+    config = read_json(args.config, config_class.from_json_obj)
     result = run(load_archive(args.archive), config)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []

@@ -197,11 +197,26 @@ def open_text(path, newline=None):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_json(path):
-    """The JSON document in file ``path``; a file that is not UTF-8 text or
-    not JSON raises a FormatError naming it."""
+def read_json(path, read):
+    """``read`` of the JSON document in file ``path``.  A file that is not
+    UTF-8 text or not JSON raises a FormatError naming it, and an error
+    ``read`` raises on the document is raised again, naming the file."""
     with open_text(path) as handle:
         try:
-            return json.load(handle)
+            doc = json.load(handle)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return read(doc)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def read_json_line(line: str):
+    """The JSON value on one line of a JSON Lines file; a line that is not
+    JSON, or is nested too deeply to read, raises a FormatError."""
+    try:
+        return json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise FormatError(f"not valid JSON ({reason})") from None

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .errors import (FormatError, ValidationError, config_to_json, integer,
-                     open_text, parse_field, read_config)
+                     open_text, parse_field, read_config, read_json_line)
 
 _T = TypeVar("_T")
 
@@ -560,10 +560,7 @@ def load_genotypes(path, config: GenotypeConfig) -> Iterator[Genotype]:
             if not line:
                 continue
             try:
-                genotype = parse_genotype(json.loads(line), config)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: not valid JSON: "
-                                  f"{exc}") from exc
+                genotype = parse_genotype(read_json_line(line), config)
             except ValidationError as exc:
                 raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
             yield genotype

@@ -396,8 +396,4 @@ def save_landscape(land: SurrogateLandscape, path) -> None:
 
 def load_landscape(path) -> SurrogateLandscape:
     """Read a landscape file; an error in its document names the file."""
-    doc = read_json(path)
-    try:
-        return landscape_from_json_obj(doc)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return read_json(path, landscape_from_json_obj)

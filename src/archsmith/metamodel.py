@@ -429,28 +429,76 @@ def _neutral_supermodels(
 
     Solves for the constant ``c`` with ``log p(key) = c * m + volume``
     summing to one jointly over all priors, so the normalized score of
-    any genotype equals ``c`` exactly.  scipy is imported here because
-    only ``Metamodel.uniform`` gets here, and it is slow to import.
+    any genotype equals ``c`` exactly.
     """
-    from scipy.optimize import brentq
-    from scipy.special import logsumexp
-
     def gap(c: float) -> float:
-        return float(sum(logsumexp(c * m + s) for _, m, s in parts.values()))
+        return float(sum(_logsumexp(c * m + s) for _, m, s in parts.values()))
 
     lo, hi = -2.0, 2.0
     while gap(lo) > 0:
         lo *= 2.0
     while gap(hi) < 0:
         hi *= 2.0
-    c = brentq(gap, lo, hi, xtol=1e-14)
+    c = _brent_root(gap, lo, hi, xtol=1e-14)
     out: dict[str, Categorical] = {}
     for name, (support, m, s) in parts.items():
         weights = c * m + s
-        probs = np.exp(weights - logsumexp(weights))
+        probs = np.exp(weights - _logsumexp(weights))
         out[name] = Categorical(support=support,
                                 probs=tuple(probs / probs.sum()))
     return out
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """``log(sum(exp(a)))`` for a finite ``a``, as scipy's ``logsumexp``
+    computes it: the maxima are counted apart, and the rest are summed
+    relative to them through ``log1p``."""
+    top = a.max()
+    at_top = a == top
+    count = at_top.sum()
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum() / count
+    return np.log1p(rest) + np.log(count) + top
+
+
+def _brent_root(f, xpre: float, xcur: float, xtol: float) -> float:
+    """A root of ``f`` between ``xpre`` and ``xcur``, where ``f`` changes
+    sign, by Brent's method: a secant or inverse quadratic step where it
+    is short enough, else bisection, until the bracket is narrower than
+    ``xtol + 4 eps |x|``.  The steps are those of scipy's ``brentq``."""
+    rtol = 4 * np.finfo(float).eps
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ValidationError("root search did not converge in 100 steps")
 
 
 def learn(individuals: Sequence[Individual], config: LearnConfig,
@@ -593,11 +641,7 @@ def save_metamodel(m: Metamodel, path) -> None:
 
 def load_metamodel(path) -> Metamodel:
     """Read a model file; an error in its document names the file."""
-    doc = read_json(path)
-    try:
-        return metamodel_from_json_obj(doc)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return read_json(path, metamodel_from_json_obj)
 
 
 def provenance_mismatch(m: Metamodel, archive_hash: str,

@@ -6,14 +6,15 @@ and the Mann-Whitney rank-sum test (normal approximation with tie
 correction).  Kruskal-Wallis and rank-sum also offer an exact permutation
 mode for tiny samples, used as the oracle for the approximations.
 
-Ranks are computed here with numpy.  The two tail probabilities come from
-the ``scipy.special`` ufuncs that ``scipy.stats.chi2.sf`` and ``norm.sf``
-call, so p-values are bit-equal to ``scipy.stats``; ``scipy.special`` is
-imported on the first p-value, which keeps scipy off ``import archsmith``.
+Ranks are computed with numpy and tail probabilities with the standard
+library: the two-sided normal tail is ``math.erfc``, and the chi-square
+tail takes its closed form for integer degrees of freedom.  Both agree with
+``scipy.stats`` to 1e-12 relative, which the tests check against scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import ValidationError
 
 EXACT_LIMIT = 12  # permutation enumeration is only offered up to this N
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,28 @@ def _check_groups(groups: Sequence[Sequence[float]], minimum: int) -> list[np.nd
     return arrays
 
 
-def _special():
-    """``scipy.special``, imported on first use (it takes about 0.3 s)."""
-    import scipy.special
+def _chi2_sf(df: int, x: float) -> float:
+    """Chi-square survival function for integer ``df``: Q(df/2, x/2).
 
-    return scipy.special
+    Q(a, y) = e^-y sum y^i / i! over i < a for whole a, and erfc(sqrt(y))
+    plus the same sum over the half-integers i < a otherwise.  Each term is
+    summed from its logarithm, so a huge ``x`` gives 0 rather than inf * 0.
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2.0
+    half = df % 2 / 2.0
+    terms = [math.exp((i + half) * math.log(y) - y - math.lgamma(i + half + 1))
+             for i in range(df // 2)]
+    if half:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(math.fsum(terms), 1.0)
+
+
+def _two_sided_normal(z: float) -> float:
+    """2 P(Z > |z|) for a standard normal Z."""
+    return math.erfc(abs(z) * _SQRT_HALF)
+
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -122,8 +141,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]],
     h = _kw_statistic(ranks, sizes) / correction
     h = max(h, 0.0)
     if method == "approx":
-        p = float(_special().chdtrc(len(sizes) - 1, h))
-        return TestResult(float(h), min(p, 1.0), sizes, correction, method)
+        p = _chi2_sf(len(sizes) - 1, float(h))
+        return TestResult(float(h), p, sizes, correction, method)
     if method != "exact":
         raise ValidationError(f"unknown method {method!r}")
     if n_total > EXACT_LIMIT:
@@ -200,7 +219,7 @@ def dunn(groups: Sequence[Sequence[float]]) -> DunnResult:
         else:
             value = (mean_ranks[i] - mean_ranks[j]) / np.sqrt(variance)
         z[i, j], z[j, i] = value, -value
-        p = float(min(2.0 * _special().ndtr(-abs(value)), 1.0))
+        p = _two_sided_normal(value)
         p_raw[i, j] = p_raw[j, i] = p
     p_bonf = np.minimum(p_raw * comparisons, 1.0)
     np.fill_diagonal(p_bonf, 1.0)
@@ -236,7 +255,7 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
             return TestResult(u1, 1.0, (n1, n2), 0.0, method)
         deviation = max(abs(u1 - mean_u) - 0.5, 0.0)
         z = deviation / np.sqrt(variance)
-        p = float(min(2.0 * _special().ndtr(-z), 1.0))
+        p = _two_sided_normal(z)
         return TestResult(u1, p, (n1, n2), tie, method)
     if method != "exact":
         raise ValidationError(f"unknown method {method!r}")

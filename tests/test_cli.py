@@ -569,7 +569,7 @@ class TestMalformedInputs:
                      "--config", str(bad),
                      "--out", str(inputs["work"] / "m.json")]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: {needle}"]
+            f"error: {bad}: {needle}"]
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None,
@@ -846,7 +846,7 @@ class TestGenArchiveAndExperiment:
                      "--config", str(cfg_path),
                      "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {needle}"]
+        assert err == [f"error: {cfg_path}: {needle}"]
 
     @pytest.mark.parametrize("command,key", [
         ("gen-archive", "populaton"),
@@ -870,7 +870,7 @@ class TestGenArchiveAndExperiment:
                     "--out-dir", str(tmp_path / "o")]
         assert main(argv + ["--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: unknown config key(s): {key}, zz"]
+        assert err == [f"error: {cfg_path}: unknown config key(s): {key}, zz"]
         assert not (tmp_path / "a.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["gen-archive", "likelihood",
@@ -1250,11 +1250,11 @@ def test_stray_nested_key_is_named(command, where, key, what, archive_path,
         "ingest": ["ingest", "--raw", str(archive_path), "--out", str(out),
                    "--config", land["genotype"]],
     }[command]
-    argv[-1] = str(write(tmp_path / "cfg.json", argv[-1]))
+    argv[-1] = cfg_path = str(write(tmp_path / "cfg.json", argv[-1]))
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.strip().splitlines() == [
-        f"error: unknown {what} config key(s): {key}"]
+        f"error: {cfg_path}: unknown {what} config key(s): {key}"]
     assert not out.exists()
 
 
@@ -1314,4 +1314,45 @@ def test_deeply_nested_json_is_one_error_line(argv, tmp_path, capsys):
     capsys.readouterr()
     assert main([arg.format(deep=deep, out=out) for arg in argv]) == 1
     one_error_line(capsys, f"{deep}: not valid JSON (maximum recursion")
+    assert not out.exists()
+
+
+DEEP_LINE = "[" * 200_000
+
+
+def test_deeply_nested_archive_line_is_skipped(archive_path, tmp_path,
+                                               capsys, caplog):
+    # An archive reader skips a bad line with a diagnostic, as it does any
+    # line that is not JSON; here the header is the valid first line.
+    header, *records = archive_path.read_text().splitlines()
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("\n".join([header, DEEP_LINE, *records]) + "\n")
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        assert main(["ingest", "--raw", str(deep), "--out", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING"] == [
+        f"{deep}: line 2: not valid JSON (maximum recursion depth exceeded "
+        f"while decoding a JSON array from a unicode string)"]
+    assert out.read_bytes() == archive_path.read_bytes()
+
+
+@pytest.mark.parametrize("deep_at", [1, 2], ids=["first-line", "second-line"])
+def test_deeply_nested_genotype_line_is_one_error_line(
+        deep_at, model_path, tmp_path, capsys):
+    # ``score`` reads the first line to tell an archive from genotypes,
+    # then every line through the genotype reader.
+    samples = tmp_path / "samples.jsonl"
+    assert main(["sample", "--model", str(model_path), "--n", "2",
+                 "--out", str(samples)]) == 0
+    lines = samples.read_text().splitlines()
+    lines.insert(deep_at - 1, DEEP_LINE)
+    samples.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "scores.csv"
+    capsys.readouterr()
+    assert main(["score", "--model", str(model_path), "--genotypes",
+                 str(samples), "--out", str(out)]) == 1
+    one_error_line(capsys, f"{samples}: line {deep_at}: not valid JSON "
+                           f"(maximum recursion")
     assert not out.exists()

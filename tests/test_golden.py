@@ -99,11 +99,11 @@ GOLDEN = {
     "joint/likelihood/scores.csv":
         "9ba48a2cc165459e92a8dbc95bd0ca7b56135f4f7ca434d74334a3142d3fb7a0",
     "joint/likelihood/tests.csv":
-        "a105b8654db7295f1210ecf8149b67124d6f664f36ed9946665d11a98fa0f407",
+        "97bd496abe7c69eabc0e58a12e9d737030359e441da339040c7d5ca0d1e78e7b",
     "joint/sampling/samples.csv":
         "4f8631b949d76b57feed63053d9de73f9955c0a8d0c1a1e880a85f97d3953879",
     "joint/sampling/tests.csv":
-        "c7bc2846af0b1aa9c543838bd455ecb1133ff52a128213e2a637188afef18cc2",
+        "d05b4db248c56bf73972d4947d346f9bf892f01095e8973191a9e9c8b126a6c0",
     "joint/uniform.json":
         "f1d5b098ab9e05ab29477e5835cca605beeebc8a635ef08498ec6499ac257564",
     "per-network/archive.jsonl":

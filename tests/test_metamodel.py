@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from archsmith.archive import Individual
 from archsmith.bayesnet import BayesNet, Dag, pls_sample_many
@@ -23,6 +25,8 @@ from archsmith.metamodel import (
     Categorical,
     LearnConfig,
     Metamodel,
+    _parts,
+    _schema_volumes,
     learn,
     load_metamodel,
     metamodel_from_json_obj,
@@ -218,6 +222,29 @@ class TestScore:
         normalized = [model.score(random_gan(rng, config, depth_key=key)).normalized
                       for key in config.depth_keys() for _ in range(3)]
         assert max(normalized) - min(normalized) < 1e-9
+
+    @pytest.mark.parametrize("config", [JOINT, GenotypeConfig.per_network()],
+                             ids=["joint", "per_network"])
+    def test_uniform_model_matches_scipy_oracle(self, config):
+        # The depth priors solve sum(logsumexp(c * m + volume)) = 0 over
+        # the parts; scipy's brentq and logsumexp are the oracle.
+        model = Metamodel.uniform(LearnConfig(genotype=config))
+        parts = {part.name: _schema_volumes(part.schemas)
+                 for part in _parts(config)}
+        c = brentq(lambda c: sum(logsumexp(c * m + s)
+                                 for m, s in parts.values()),
+                   -64.0, 64.0, xtol=1e-14)
+        for name, (m, s) in parts.items():
+            want = np.exp(c * m + s - logsumexp(c * m + s))
+            got = np.array(model.supermodels[name].probs)
+            assert np.all(np.abs(got - want) <= 1e-12 * want), name
+        rng = np.random.default_rng(8)
+        keys = config.depth_keys()
+        normalized = [nz for _, nz in model.score_many(
+            [random_genotype(rng, config, key) for key in keys])]
+        assert len(normalized) == len(keys)
+        assert max(normalized) - min(normalized) <= 1e-12 * abs(c)
+        assert normalized[0] == pytest.approx(c, rel=1e-12)
 
     def test_per_network_denominator(self):
         model = Metamodel.uniform(LearnConfig(genotype=TINY_PN))
