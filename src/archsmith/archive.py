@@ -2,9 +2,13 @@
 
 An archive is a line-delimited file of records {run_id, problem_id, fitness,
 gan}; an optional first line tagged ``archive-v1`` carries the genotype
-configuration the runs were generated under.  Extraction slices each run
-into First (best n), Second (next n) and Random (n seeded uniform draws)
-sets, the inputs to metamodel learning and the likelihood analyses.
+configuration the runs were generated under.  A record line in exactly the
+form ``save_archive`` writes is read straight from its text, through the
+writer's own text tables; any other line is read as JSON.  Both give the
+same individuals, diagnostics and rejections for the same line.
+Extraction slices each run into First (best n), Second (next n) and Random
+(n seeded uniform draws) sets, the inputs to metamodel learning and the
+likelihood analyses.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from .genotype import (
     GanSpec,
     GenotypeConfig,
     _flatten_fields,
+    _gan_reader,
     _gan_text,
     _layer_values,
+    _read_gan_text,
     _record_fields,
     _text_tables,
     gan_hash,
@@ -125,6 +131,60 @@ def _record_texts(individuals: Iterable[Individual]) -> Iterator[str]:
                 tails[ids] = tail
         yield (f'{{"fitness": {_value_json(ind.fitness)}, '
                f'"gan": {_gan_text(ind.key, ind.row, tables, cache)}, {tail}')
+
+
+# The fixed text of a written record before its fitness, its genotype and
+# its ids.
+_FITNESS, _GAN, _IDS = '{"fitness": ', ', "gan": ', ', "problem_id": '
+
+
+def _read_record_text(line: str, reader, tails: dict) -> tuple | None:
+    """The ``(key, row, fitness, problem_id, run_id)`` of a record whose
+    line is exactly the text ``_record_texts`` writes for them, with a
+    float fitness, for ``reader = genotype._gan_reader(config)``; None for
+    any other line.  ``tails`` caches, for one load, the ids of each
+    ``problem_id``/``run_id`` tail read so far.
+
+    The line is cut at the first ``"gan"`` and ``"problem_id"`` keys, and
+    each piece must be the writer's text of its value, so ``json.loads``
+    of the line would give the same record.
+    """
+    gan = line.find(_GAN)
+    ids = line.find(_IDS, gan)
+    if gan < 0 or ids < 0 or not line.startswith(_FITNESS):
+        return None
+    text = line[len(_FITNESS):gan]
+    try:
+        fitness = float(text)
+    except ValueError:
+        return None
+    if not math.isfinite(fitness) or float.__repr__(fitness) != text:
+        return None
+    genotype = _read_gan_text(line[gan + len(_GAN):ids], reader)
+    if genotype is None:
+        return None
+    tail = line[ids + 2:]
+    pair = tails.get(tail)
+    if pair is None:
+        pair = _tail_ids(tail)
+        if pair is None:
+            return None
+        tails[tail] = pair
+    return *genotype, fitness, *pair
+
+
+def _tail_ids(tail: str) -> tuple[str, str] | None:
+    """The ``(problem_id, run_id)`` of a record tail, if ``tail`` is the
+    text ``_record_texts`` writes for two ``str`` ids; else None."""
+    try:
+        obj = json.loads("{" + tail)
+    except (ValueError, RecursionError):
+        return None
+    if (type(obj) is dict and obj.keys() == {"problem_id", "run_id"}
+            and type(obj["problem_id"]) is str and type(obj["run_id"]) is str
+            and json.dumps(obj, sort_keys=True)[1:] == tail):
+        return obj["problem_id"], obj["run_id"]
+    return None
 
 
 def _ranked(individuals: Iterable[Individual]) -> list[Individual]:
@@ -224,20 +284,32 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
 
     An ``archive-v1`` header, which must be the first line that is not
     blank, supplies the genotype configuration unless ``config``
-    overrides it.  Each record is read straight into its key and row.
-    Records whose genotypes fall outside the configured space are rejected
-    and counted, after every line's diagnostics, by run.  An archive with
-    no loadable runs at all is an error.
+    overrides it.  Each record is read straight into its key and row:
+    once the configuration is known, a line that is exactly the text
+    ``save_archive`` writes for a record with a float fitness and ``str``
+    ids is read from that text (``_read_record_text``), and any other line
+    through JSON.  Which path reads a line changes no individual,
+    diagnostic or rejection.  Records whose genotypes fall outside the
+    configured space are rejected and counted, after every line's
+    diagnostics, by run.  An archive with no loadable runs at all is an
+    error.
     """
     by_run: dict[str, tuple[list[Individual], list[str]]] = {}
     diagnostics: list[str] = []
-    file_config = tables = first = None
+    tails: dict[str, tuple[str, str]] = {}
+    file_config = tables = reader = first = None
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             first = first or lineno
+            record = reader and _read_record_text(line, reader, tails)
+            if record:
+                key, row, fitness, problem_id, run_id = record
+                by_run.setdefault(run_id, ([], []))[0].append(Individual(
+                    key, row, fitness, run_id, problem_id, effective))
+                continue
             try:
                 obj = read_json_line(line)
             except FormatError as exc:
@@ -259,6 +331,7 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
             if tables is None:
                 effective = config or file_config or GenotypeConfig.joint()
                 tables = _layer_values(effective)
+                reader = _gan_reader(effective)
             try:
                 fields, fitness, run_id, problem_id = _parse_record(obj)
             except FormatError as exc:

@@ -110,8 +110,8 @@ def cmd_learn(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_metamodel(args.model)
-    with open_text(args.genotypes) as handle:
-        first_line = handle.readline()
+    with open_text(args.genotypes) as handle:  # sniffed as load_archive does
+        first_line = next((line for line in handle if line.strip()), "")
     try:
         head = read_json_line(first_line)
     except FormatError:

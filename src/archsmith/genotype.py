@@ -5,6 +5,11 @@ plus one global train-frequency bin.  For model fitting the genotype is
 flattened into its depth key (generator depth, discriminator depth) and a
 row: a fixed-order tuple of small categorical values whose layout depends
 only on the depth key.
+
+A genotype's text is written from its row through fixed text tables, and
+text in exactly that form is read back through the same tables
+(``_read_gan_text``); any other text is read as JSON, with the same
+result and the same errors.
 """
 
 from __future__ import annotations
@@ -491,6 +496,74 @@ def _network_text(values: tuple[int, ...], layers: dict,
                                   range(0, len(values), 4)]) + around[1]
 
 
+class _Reader(NamedTuple):
+    """The inverse of ``_gan_text`` with default separators: the text
+    before the discriminator's layers, between the networks' layers and
+    after the generator's, each with the braces of the layer next to it;
+    the separator of two layers; per role, generator first, each layer's
+    four row values keyed by its text without braces; the train bins by
+    their text; and the depth keys, indexed by depths."""
+
+    head: str
+    middle: str
+    tail: str
+    separator: str
+    layers: tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]
+    bins: dict[str, int]
+    keys: tuple[tuple[DepthKey | None, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _gan_reader(config: GenotypeConfig) -> _Reader:
+    """The reader of ``config``'s genotype texts, built from the writer's
+    text tables, ``_text_tables(config, False)``."""
+    item, layers, around, (before, between, after) = _text_tables(config,
+                                                                  False)
+    (g_open, g_close), (d_open, d_close) = around
+    return _Reader(
+        head=before + d_open + "{",
+        middle="}" + d_close + between + g_open + "{",
+        tail="}" + g_close + after,
+        separator="}" + item + "{",
+        layers=tuple({text[1:-1]: values for values, text in table.items()}
+                     for table in layers),
+        bins={str(i): i for i in range(config.arity)},
+        keys=tuple(tuple(DepthKey(g, d) if g and d else None
+                         for d in range(config.discriminator_depth_max + 1))
+                   for g in range(config.generator_depth_max + 1)))
+
+
+def _read_gan_text(text: str, reader: _Reader) -> Genotype | None:
+    """The ``(key, row)`` whose ``_gan_text`` with default separators is
+    exactly ``text``, for ``reader = _gan_reader(config)``; None if
+    ``text`` is not that text for any genotype of ``config``'s space.
+
+    ``text`` is cut at the first occurrence of each fixed fragment, and
+    each cut piece must be a text of the writer's tables: so whenever a
+    genotype is returned, its text is ``text``, and ``json.loads(text)``
+    is its record.  Any other text is for the JSON reader to judge.
+    """
+    head, middle, tail, separator, (g_table, d_table), bins, keys = reader
+    mid = text.find(middle, len(head))
+    end = text.find(tail, mid + len(middle))
+    train = bins.get(text[end + len(tail):-1])
+    if (mid < 0 or end < 0 or train is None or not text.endswith("}")
+            or not text.startswith(head)):
+        return None
+    disc = text[len(head):mid].split(separator)
+    gen = text[mid + len(middle):end].split(separator)
+    try:
+        key = keys[len(gen)][len(disc)]
+        values = [train]
+        for layer in gen:
+            values += g_table[layer]
+        for layer in disc:
+            values += d_table[layer]
+    except (IndexError, KeyError):
+        return None
+    return key, tuple(values)
+
+
 def parse_genotype(obj, config: GenotypeConfig) -> Genotype:
     """The depth key and row of a genotype record (a ``json.loads``
     result), the inverse of the row writer.  A record of the wrong shape
@@ -553,14 +626,22 @@ def dump_genotypes(genotypes: Iterable[Genotype], config: GenotypeConfig,
 def load_genotypes(path, config: GenotypeConfig) -> Iterator[Genotype]:
     """The ``parse_genotype`` of each non-blank line; a bad line raises a
     FormatError, or a ValidationError if its genotype lies outside
-    ``config``'s space, naming the file and the line."""
+    ``config``'s space, naming the file and the line.
+
+    A line in the form ``dump_genotypes`` writes is read straight from
+    its text (``_read_gan_text``), and any other line through JSON; the
+    genotypes and errors are the same either way.
+    """
+    reader = _gan_reader(config)
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                genotype = parse_genotype(read_json_line(line), config)
-            except ValidationError as exc:
-                raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
+            genotype = _read_gan_text(line, reader)
+            if genotype is None:
+                try:
+                    genotype = parse_genotype(read_json_line(line), config)
+                except ValidationError as exc:
+                    raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
             yield genotype

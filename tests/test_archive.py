@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import archsmith
@@ -19,7 +19,7 @@ from archsmith.archive import (
     _parse_record,
     _record_texts,
 )
-from archsmith.errors import FormatError, ValidationError
+from archsmith.errors import FormatError, ValidationError, read_json_line
 from archsmith.experiments import (
     ArchiveGenConfig,
     LikelihoodConfig,
@@ -32,7 +32,9 @@ from archsmith.genotype import (
     DepthKey,
     GenotypeConfig,
     _text_tables,
+    dump_genotypes,
     flatten_joint,
+    load_genotypes,
     parse_genotype,
     random_genotype,
 )
@@ -485,7 +487,7 @@ def odd_archive():
 
 FITNESS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324]),
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324, 1e16]),
     st.integers(-2**63, 2**63 - 1),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     st.booleans(),
@@ -584,6 +586,121 @@ class TestRecordEncoding:
                 assert calls == []
         finally:
             _text_tables.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Reading: lines the writer emits straight from their text, others as JSON
+
+
+def compact_copy(path, out):
+    """``path`` with each JSON line re-serialised with compact separators,
+    which no line the writer emits has, so that every line of ``out`` is
+    read as JSON; a line that is not JSON is copied as it is."""
+    lines = []
+    for line in path.read_text().splitlines():
+        try:
+            line = json.dumps(json.loads(line), sort_keys=True,
+                              separators=(",", ":"))
+        except ValueError:
+            pass
+        lines.append(line + "\n")
+    out.write_text("".join(lines))
+
+
+def loaded(path, config=None):
+    """What ``load_archive`` makes of ``path``: the config, diagnostics
+    and rejection count, and each run's individuals as the ``repr`` of
+    their fields, which tells -0.0 from 0.0, a float from an int and a
+    ``DepthKey`` from a tuple; or the error, without the file name."""
+    try:
+        archive = load_archive(path, config)
+    except ValidationError as exc:
+        return type(exc), str(exc).replace(str(path), "<path>")
+    return (archive.config, archive.diagnostics, archive.rejected,
+            [(run_id, [(repr((ind.key, ind.row, ind.fitness, ind.run_id,
+                              ind.problem_id)), ind.config) for ind in run])
+             for run_id, run in archive.runs.items()])
+
+
+@st.composite
+def archives(draw):
+    individuals = draw(individual_lists())
+    runs = {}
+    for ind in individuals:
+        runs.setdefault(ind.run_id, []).append(ind)
+    return RunArchive(runs=runs, config=individuals[0].config)
+
+
+def edited_archive_lines():
+    """The lines ``save_archive`` writes for an archive with odd fitnesses
+    and ids, followed by every edit of one byte of its last record that
+    replaces or inserts a byte of ``EDIT_BYTES`` or deletes a byte, each
+    edit on a line of its own."""
+    rng = np.random.default_rng(16)
+    runs = {run_id: [make_individual(rng, fitness, run_id, problem_id,
+                                     DepthKey(2, 2))
+                     for fitness in (7, 0.25, 1e16, -0.0)]
+            for run_id, problem_id in (("r\u00e9", "p0"), ("r1", "p\"1"))}
+    header = {"format": "archive-v1", "config": CONFIG.to_json_obj()}
+    lines = [json.dumps(header, sort_keys=True), *_record_texts(
+        RunArchive(runs=runs, config=CONFIG).all_individuals())]
+    edits, line = {}, lines[-1]
+    for at in range(len(line) + 1):
+        edits[line[:at] + line[at + 1:]] = None
+        for byte in EDIT_BYTES:
+            edits[line[:at] + byte + line[at + 1:]] = None
+            edits[line[:at] + byte + line[at:]] = None
+    return lines + list(edits)
+
+
+# Bytes that keep an edited line JSON, or in the writer's form, more often.
+EDIT_BYTES = '09-.e" ,}x'
+# The default layer texts with other row values, and smaller depth bounds.
+SHIFTED = GenotypeConfig.joint(generator_kinds=("transposed_conv", "dense"),
+                               generator_depth_max=2,
+                               discriminator_depth_max=3)
+
+
+class TestReadPaths:
+    @given(archive=archives(), config=st.sampled_from(
+        [None, CONFIG, PER_NET, SMALL, TINY, SHIFTED]))
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_written_and_compact_copies_load_alike(self, archive, config,
+                                                   tmp_path):
+        written, compact = tmp_path / "written.jsonl", tmp_path / "c.jsonl"
+        save_archive(archive, written)
+        compact_copy(written, compact)
+        assert loaded(written, config) == loaded(compact, config)
+
+    def test_one_byte_edits_load_as_their_compact_copies(self, tmp_path):
+        lines = edited_archive_lines()
+        written, compact = tmp_path / "written.jsonl", tmp_path / "c.jsonl"
+        written.write_text("".join(line + "\n" for line in lines))
+        compact_copy(written, compact)
+        got = loaded(written)
+        assert got == loaded(compact)
+        diagnostics = set(got[1])
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                read_json_line(line)
+            except FormatError as exc:  # rejected as JSON rejects it
+                assert f"line {lineno}: {exc}" in diagnostics
+
+    @pytest.mark.parametrize("run_size", [5, 200])
+    def test_written_lines_are_read_without_json(self, run_size, tmp_path,
+                                                 monkeypatch):
+        archive = make_archive(np.random.default_rng(17), 3, run_size)
+        path, genotypes = tmp_path / "runs.jsonl", tmp_path / "gans.jsonl"
+        save_archive(archive, path)
+        pairs = [(ind.key, ind.row) for ind in archive.all_individuals()]
+        dump_genotypes(pairs, CONFIG, genotypes)
+        calls = count_calls(monkeypatch, "read_json_line", archsmith.errors)
+        assert load_archive(path) == archive
+        # The header, and the first record, read before the config is known.
+        assert len(calls) == 2
+        calls.clear()
+        assert list(load_genotypes(genotypes, CONFIG)) == pairs
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,20 @@ class TestLearnScoreSample:
         for row in rows[:5]:
             assert float(row["log_prob"]) < 0
 
+    def test_score_archive_after_blank_lines(self, model_path, archive_path,
+                                             tmp_path):
+        # load_archive takes the header from the first non-blank line, and
+        # so does score's sniff of the file.
+        path = tmp_path / "blank-first.jsonl"
+        path.write_text("\n  \n" + archive_path.read_text())
+        want, out = tmp_path / "want.csv", tmp_path / "scores.csv"
+        for genotypes, csv_path in ((archive_path, want), (path, out)):
+            assert main(["score", "--model", str(model_path),
+                         "--genotypes", str(genotypes),
+                         "--out", str(csv_path)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert list(read_csv(out)[0])[:2] == ["run_id", "problem_id"]
+
     def test_score_warns_on_foreign_archive(self, model_path, tmp_path,
                                             caplog):
         rng = np.random.default_rng(3)

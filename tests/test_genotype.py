@@ -17,7 +17,9 @@ from archsmith.genotype import (
     GanSpec,
     GenotypeConfig,
     LayerSpec,
+    _gan_reader,
     _layer_table,
+    _read_gan_text,
     _per_key,
     dump_genotypes,
     flatten_joint,
@@ -611,6 +613,31 @@ class TestParseGenotype:
                           separators=(",", ":") if compact else None)
         assert parse_genotype(json.loads(text), config) == flatten_joint(
             gan, config)
+
+    @given(st.sampled_from(SPACES).flatmap(
+        lambda config: st.tuples(st.just(config), gan_strategy(config))),
+        st.booleans())
+    @settings(max_examples=150)
+    def test_text_reader_inverts_the_default_writer(self, drawn, compact):
+        # Only the text dump_genotypes writes is read from its text; a
+        # compact one is left to the JSON reader.
+        config, gan = drawn
+        text = json.dumps(gan_json(gan), sort_keys=True,
+                          separators=(",", ":") if compact else None)
+        want = None if compact else flatten_joint(gan, config)
+        assert _read_gan_text(text, _gan_reader(config)) == want
+
+    @given(mutated_records(), st.sampled_from(SPACES))
+    @settings(max_examples=200)
+    def test_text_reader_reads_records_as_json_does(self, drawn, space):
+        # A record the text reader reads, in its own space or another,
+        # parses to the same key and row through JSON.
+        config, obj = drawn
+        text = json.dumps(obj, sort_keys=True)
+        got = _read_gan_text(text, _gan_reader(space))
+        assert got is None or outcome(parse_genotype, obj, space) == got
+        if got is not None:
+            assert type(got[0]) is DepthKey and type(got[1]) is tuple
 
     @given(mutated_records())
     @settings(max_examples=500)
