@@ -200,38 +200,81 @@ def _as_data(data) -> np.ndarray:
 # Mutual information
 
 
-def mutual_information(data, i: int, j: int,
-                       cardinalities: Sequence[int]) -> float:
-    """Plug-in mutual information (nats) between columns ``i`` and ``j``.
-
-    Zero-count cells contribute nothing; the result is clamped at 0 so
-    floating-point round-off cannot produce tiny negatives.
-    """
-    arr = _as_data(data)
-    if arr.shape[0] == 0:
-        raise ValidationError("mutual information needs at least one row")
-    ci, cj = int(cardinalities[i]), int(cardinalities[j])
-    counts = np.zeros((ci, cj), dtype=np.float64)
-    np.add.at(counts, (arr[:, i], arr[:, j]), 1.0)
-    n = counts.sum()
-    joint = counts / n
-    pi = joint.sum(axis=1, keepdims=True)
-    pj = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0
-    mi = float(np.sum(joint[mask] * np.log(joint[mask] / (pi @ pj)[mask])))
-    return max(mi, 0.0)
+# Pair codes built at once (64 KB of int64): a larger block adds to the
+# peak memory of a learn and saves no time.
+_PAIR_CODES = 1 << 13
 
 
 def mi_matrix(data, cardinalities: Sequence[int]) -> np.ndarray:
-    """Symmetric pairwise MI matrix with a zero diagonal."""
+    """Symmetric pairwise plug-in MI matrix (nats) with a zero diagonal.
+
+    Every value must lie in ``[0, cardinality)`` of its column.  Pairs are
+    grouped by their cardinalities ``(c_i, c_j)``.  Within a group, taken
+    ``_PAIR_CODES // n`` pairs at a time for ``n`` rows, pair ``p``'s row
+    codes ``p * c_i * c_j + x_i * c_j + x_j`` go through one
+    ``np.bincount``, which gives those pairs' contingency tables at once
+    as exact integer counts.  The floats are the plug-in expression evaluated
+    on the group's ``(pairs, c_i, c_j)`` arrays: ``joint = counts / n``,
+    row sums over the last axis, column sums over the middle one, and
+    ``joint * log(joint / (p_i * p_j))`` over the non-zero cells.  numpy
+    reduces each pair's slice of those arrays in the same order as it
+    reduces that pair's table on its own.  Each pair's non-zero terms are
+    packed in row-major order and summed with ``.sum(axis=1)`` together
+    with the pairs that have as many terms, so numpy's pairwise summation
+    runs over the same terms in the same order.  The result is clamped at
+    0 so that round-off cannot produce tiny negatives.
+    """
     arr = _as_data(data)
-    n_vars = arr.shape[1]
+    rows, n_vars = arr.shape
     if len(cardinalities) != n_vars:
         raise ValidationError("cardinalities must match the column count")
+    cards = np.asarray(cardinalities, dtype=np.int64)
+    # A negative value viewed as uint64 is huge: one test checks both ends.
+    bad = arr.view(np.uint64) >= cards.astype(np.uint64)
+    if bad.any():
+        column = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise ValidationError(f"value out of range in column {column}")
     out = np.zeros((n_vars, n_vars), dtype=np.float64)
-    for i, j in combinations(range(n_vars), 2):
-        value = mutual_information(arr, i, j, cardinalities)
-        out[i, j] = out[j, i] = value
+    first, second = np.triu_indices(n_vars, 1)
+    if first.size == 0:
+        return out
+    if rows == 0:
+        raise ValidationError("mutual information needs at least one row")
+    columns = np.ascontiguousarray(arr.T)
+    base = int(cards.max()) + 1
+    shapes = cards[first] * base + cards[second]
+    step = max(1, _PAIR_CODES // rows)
+    pairs, terms, sizes = [], [], []
+    for shape in np.flatnonzero(np.bincount(shapes)):
+        ci, cj = divmod(int(shape), base)
+        cells = ci * cj
+        same_shape = np.flatnonzero(shapes == shape)
+        for start in range(0, same_shape.size, step):
+            group = same_shape[start:start + step]
+            codes = columns[first[group]]
+            codes *= cj
+            codes += columns[second[group]]
+            codes += (np.arange(group.size) * cells)[:, None]
+            counts = np.bincount(codes.ravel(),
+                                 minlength=group.size * cells)
+            joint = counts.reshape(group.size, ci, cj) / rows
+            pi = joint.sum(axis=2, keepdims=True)
+            pj = joint.sum(axis=1, keepdims=True)
+            mask = joint > 0
+            terms.append(joint[mask]
+                         * np.log(joint[mask] / (pi * pj)[mask]))
+            sizes.append(mask.sum(axis=(1, 2)))
+            pairs.append(group)
+    pairs, terms, sizes = (np.concatenate(pairs), np.concatenate(terms),
+                           np.concatenate(sizes))
+    starts = np.cumsum(sizes) - sizes
+    mi = np.empty(first.size)
+    for size in np.flatnonzero(np.bincount(sizes)):
+        same = np.flatnonzero(sizes == size)
+        mi[pairs[same]] = terms[starts[same, None]
+                                + np.arange(size)].sum(axis=1)
+    mi = np.where(mi < 0.0, 0.0, mi)
+    out[first, second] = out[second, first] = mi
     return out
 
 
@@ -290,18 +333,30 @@ def aracne_skeleton(mi: np.ndarray, dpi_tolerance: float = 0.1,
                     ) -> list[tuple[int, int]]:
     """ARACNE skeleton: MI thresholding followed by DPI triangle pruning.
 
-    An edge survives thresholding when its (optionally bias-corrected) MI is
-    strictly positive.  Every triangle of surviving edges is
-    then scanned: the weakest edge (i, j) is marked for removal when
-    ``mi[i, j] < (1 - dpi_tolerance) * min(mi[i, k], mi[j, k])``.  Marks are
-    computed against the original MI matrix and applied only after all
-    triangles have been scanned.
+    An edge (i, j), i < j, survives thresholding when its (optionally
+    bias-corrected) MI ``mi[i, j]`` is strictly positive.  Every triangle
+    of surviving edges is then scanned: its weakest edge, the first of
+    (i, j), (i, k), (j, k) that holds its smallest MI, is marked for
+    removal when its MI is below ``(1 - dpi_tolerance)`` times the smaller
+    MI of the other two.  Marks are computed against the original MI
+    matrix and applied only after all triangles have been scanned.
+
+    The scan works on arrays.  The triangles are read off the boolean
+    upper-triangular matrix of surviving edges: edge (i, j) closes one
+    with each k whose edges (i, k) and (j, k) both survive.  Their MIs
+    form a ``(t, 3)`` array in the edge order above.
+    ``np.argmin`` along the rows returns the first minimum, which is the
+    smallest ``(mi, edge)`` because a triangle's edges are listed in
+    lexicographic order.  Only comparisons and one product per
+    triangle touch the floats, so the edges are those of the scan one
+    triangle at a time.
 
     Args:
         mi: symmetric pairwise MI matrix.
         dpi_tolerance: epsilon in [0, 1]; 1 disables pruning entirely.
         threshold_correction: per-pair penalty subtracted before
-            thresholding only (DPI still compares raw MI values).
+            thresholding only (DPI still compares raw MI values); the
+            same shape as ``mi``.
     """
     mi = np.asarray(mi, dtype=np.float64)
     n = mi.shape[0]
@@ -309,19 +364,29 @@ def aracne_skeleton(mi: np.ndarray, dpi_tolerance: float = 0.1,
         raise ValidationError("MI matrix must be square")
     if not 0.0 <= dpi_tolerance <= 1.0:
         raise ValidationError("dpi_tolerance must lie in [0, 1]")
-    corrected = mi if threshold_correction is None else mi - threshold_correction
-    edges = {(i, j) for i, j in combinations(range(n), 2)
-             if corrected[i, j] > 0.0}
-    marked: set[tuple[int, int]] = set()
-    for i, j, k in combinations(range(n), 3):
-        triangle = [(i, j), (i, k), (j, k)]
-        if any(e not in edges for e in triangle):
-            continue
-        weakest = min(triangle, key=lambda e: (mi[e[0], e[1]], e))
-        others = [mi[e[0], e[1]] for e in triangle if e != weakest]
-        if mi[weakest[0], weakest[1]] < (1.0 - dpi_tolerance) * min(others):
-            marked.add(weakest)
-    return sorted(edges - marked)
+    corrected = mi
+    if threshold_correction is not None:
+        correction = np.asarray(threshold_correction, dtype=np.float64)
+        if correction.shape != mi.shape:
+            raise ValidationError(
+                f"threshold_correction has shape {correction.shape}, "
+                f"not the MI matrix's {mi.shape}")
+        corrected = mi - correction
+    kept = np.triu(corrected > 0.0, 1)
+    # Edge (i, j) closes a triangle with every k that both i and j keep
+    # an edge to; k > j as ``kept`` is upper triangular.
+    i, j = np.nonzero(kept)
+    edge, k = np.nonzero(kept[i] & kept[j])
+    i, j = i[edge], j[edge]
+    rows, cols = np.stack([i, i, j], axis=1), np.stack([j, k, k], axis=1)
+    values = mi[rows, cols]
+    t = np.arange(len(values))
+    weakest = values.argmin(axis=1)
+    others = np.minimum(values[t, (weakest + 1) % 3],
+                        values[t, (weakest + 2) % 3])
+    prune = values[t, weakest] < (1.0 - dpi_tolerance) * others
+    kept[rows[prune, weakest[prune]], cols[prune, weakest[prune]]] = False
+    return list(zip(*(axis.tolist() for axis in np.nonzero(kept))))
 
 
 def orient(edges: Iterable[tuple[int, int]],

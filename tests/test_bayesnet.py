@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archsmith.bayesnet import (
@@ -19,7 +19,6 @@ from archsmith.bayesnet import (
     fit_cpts,
     log_likelihood_many,
     mi_matrix,
-    mutual_information,
     orient,
     pls_sample_many,
     small_sample_correction,
@@ -45,6 +44,69 @@ def brute_force_mi(column_a, column_b):
     return max(total, 0.0)
 
 
+def mutual_information(data, i, j, cardinalities):
+    """Per-pair plug-in MI oracle: the expression ``mi_matrix`` evaluates
+    on whole arrays, applied to one contingency table at a time."""
+    arr = np.asarray(data, dtype=np.int64)
+    ci, cj = int(cardinalities[i]), int(cardinalities[j])
+    counts = np.zeros((ci, cj), dtype=np.float64)
+    np.add.at(counts, (arr[:, i], arr[:, j]), 1.0)
+    n = counts.sum()
+    joint = counts / n
+    pi = joint.sum(axis=1, keepdims=True)
+    pj = joint.sum(axis=0, keepdims=True)
+    mask = joint > 0
+    mi = float(np.sum(joint[mask] * np.log(joint[mask] / (pi @ pj)[mask])))
+    return max(mi, 0.0)
+
+
+def mi_matrix_oracle(data, cardinalities):
+    n_vars = np.asarray(data).shape[1]
+    out = np.zeros((n_vars, n_vars))
+    for i, j in combinations(range(n_vars), 2):
+        out[i, j] = out[j, i] = mutual_information(data, i, j, cardinalities)
+    return out
+
+
+def aracne_oracle(mi, dpi_tolerance, threshold_correction=None):
+    """ARACNE one triangle at a time: the weakest edge of a triangle is
+    its smallest (mi, edge)."""
+    mi = np.asarray(mi, dtype=np.float64)
+    n = mi.shape[0]
+    corrected = (mi if threshold_correction is None
+                 else mi - threshold_correction)
+    edges = {(i, j) for i, j in combinations(range(n), 2)
+             if corrected[i, j] > 0.0}
+    marked = set()
+    for i, j, k in combinations(range(n), 3):
+        triangle = [(i, j), (i, k), (j, k)]
+        if any(e not in edges for e in triangle):
+            continue
+        weakest = min(triangle, key=lambda e: (mi[e[0], e[1]], e))
+        others = [mi[e[0], e[1]] for e in triangle if e != weakest]
+        if mi[weakest[0], weakest[1]] < (1.0 - dpi_tolerance) * min(others):
+            marked.add(weakest)
+    return sorted(edges - marked)
+
+
+@st.composite
+def categorical_data(draw):
+    """(rows x columns data, cardinalities): 1-29 columns of cardinality
+    1-16, each using only its first few values, and 1-400 rows."""
+    n_vars = draw(st.integers(1, 29))
+    cards = draw(st.lists(st.integers(1, 16), min_size=n_vars,
+                          max_size=n_vars))
+    used = [draw(st.integers(1, card)) for card in cards]
+    rows = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.integers(0, used, size=(rows, n_vars)), cards
+
+
+def pair_mi(data, cards):
+    """MI of the two columns of ``data``."""
+    return mi_matrix(data, cards)[0, 1]
+
+
 def chain_data(rng, n_rows, flip=0.1, cards=(2, 2, 2)):
     """a -> b -> c with each link copying its parent except with prob flip."""
     a = rng.integers(0, cards[0], size=n_rows)
@@ -59,12 +121,12 @@ class TestMutualInformation:
     def test_independent_uniform_near_zero(self):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 3, size=(50_000, 2))
-        assert mutual_information(data, 0, 1, (3, 3)) < 0.01
+        assert pair_mi(data, (3, 3)) < 0.01
 
     def test_identical_fair_binary_is_ln_two(self):
         x = np.array([0, 1] * 500)
         data = np.column_stack([x, x])
-        assert mutual_information(data, 0, 1, (2, 2)) == pytest.approx(
+        assert pair_mi(data, (2, 2)) == pytest.approx(
             math.log(2), abs=1e-12)
 
     def test_deterministic_three_level_is_ln_three(self):
@@ -73,7 +135,7 @@ class TestMutualInformation:
         data = np.column_stack([x, mapping[x]])
         expected = brute_force_mi(list(data[:, 0]), list(data[:, 1]))
         assert expected == pytest.approx(math.log(3), abs=1e-12)
-        assert mutual_information(data, 0, 1, (3, 3)) == pytest.approx(
+        assert pair_mi(data, (3, 3)) == pytest.approx(
             math.log(3), abs=1e-12)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
@@ -81,7 +143,7 @@ class TestMutualInformation:
     @settings(max_examples=60)
     def test_matches_brute_force_oracle(self, pairs):
         data = np.array(pairs)
-        ours = mutual_information(data, 0, 1, (4, 3))
+        ours = pair_mi(data, (4, 3))
         oracle = brute_force_mi([p[0] for p in pairs], [p[1] for p in pairs])
         assert ours == pytest.approx(oracle, abs=1e-12)
         assert ours >= 0.0
@@ -91,8 +153,8 @@ class TestMutualInformation:
     @settings(max_examples=40)
     def test_symmetry(self, pairs):
         data = np.array(pairs)
-        assert mutual_information(data, 0, 1, (3, 3)) == pytest.approx(
-            mutual_information(data, 1, 0, (3, 3)), abs=1e-12)
+        assert pair_mi(data, (3, 3)) == pytest.approx(
+            pair_mi(data[:, ::-1], (3, 3)), abs=1e-12)
 
     def test_matrix_is_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(1)
@@ -106,10 +168,44 @@ class TestMutualInformation:
                              ids=["tuple", "list", "ndarray"])
     def test_cardinality_sequence_types(self, cards):
         data = chain_data(np.random.default_rng(3), 500)
-        assert mutual_information(data, 0, 1, cards) == \
-            mutual_information(data, 0, 1, (2, 2, 2))
         assert np.array_equal(mi_matrix(data, cards),
                               mi_matrix(data, (2, 2, 2)))
+
+    @given(categorical_data())
+    @example((np.zeros((1, 29), dtype=np.int64), [1, 2, 16] * 9 + [3, 3]))
+    @settings(max_examples=100)
+    def test_matches_per_pair_oracle_bit_for_bit(self, case):
+        data, cards = case
+        assert np.array_equal(mi_matrix(data, cards),
+                              mi_matrix_oracle(data, cards))
+
+    def test_full_sixteen_by_sixteen_tables_bit_for_bit(self):
+        # 256 non-zero cells per pair: past numpy's 128-term summation block.
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 16, size=(3000, 4))
+        data[:, 1] = (data[:, 0] + rng.integers(0, 3, size=3000)) % 16
+        cards = (16, 16, 16, 16)
+        assert np.array_equal(mi_matrix(data, cards),
+                              mi_matrix_oracle(data, cards))
+
+    @pytest.mark.parametrize("data, column", [
+        ([[0, -1], [1, 0], [0, 1]], 1),
+        ([[0, 0], [2, 1]], 0),
+        ([[0, 0, 0], [1, 1, 5]], 2),
+    ], ids=["negative", "too-large", "far-too-large"])
+    def test_out_of_range_value_rejected(self, data, column):
+        cards = (2,) * len(data[0])
+        with pytest.raises(ValidationError) as info:
+            mi_matrix(data, cards)
+        assert str(info.value) == f"value out of range in column {column}"
+
+    def test_needs_a_row_once_there_is_a_pair(self):
+        with pytest.raises(ValidationError) as info:
+            mi_matrix(np.empty((0, 2), dtype=np.int64), (2, 2))
+        assert str(info.value) == "mutual information needs at least one row"
+        for columns in (0, 1):
+            empty = np.empty((0, columns), dtype=np.int64)
+            assert mi_matrix(empty, (2,) * columns).shape == (columns,) * 2
 
     def test_small_sample_correction_value(self):
         corr = small_sample_correction((2, 3), n_rows=100)
@@ -187,6 +283,41 @@ class TestAracne:
         corr = small_sample_correction((4, 4), n_rows=10)  # ln(16)/20 ~ 0.139
         assert aracne_skeleton(mi, threshold_correction=corr) == []
         assert aracne_skeleton(mi) == [(0, 1)]
+
+    @given(st.integers(0, 29), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.booleans())
+    @settings(max_examples=150)
+    def test_matches_triple_loop_oracle(self, n, seed, tolerance, corrected):
+        rng = np.random.default_rng(seed)
+        # One decimal: ties within and across triangles.  Values at or
+        # below zero fail the threshold, unless a negative correction
+        # keeps them; a tie for a negative minimum can then be pruned, so
+        # which edge of the tie is the weakest shows.
+        upper = np.triu(np.round(rng.uniform(-0.5, 1.0, (n, n)), 1), 1)
+        mi = upper + upper.T
+        correction = (np.round(rng.uniform(-1.0, 0.3, (n, n)), 1)
+                      if corrected else None)
+        assert aracne_skeleton(mi, tolerance, correction) == \
+            aracne_oracle(mi, tolerance, correction)
+
+    def test_tied_weakest_edge_is_the_first_in_order(self):
+        # Edges (0, 1) and (0, 2) tie for the triangle's smallest MI.  A
+        # tie is only pruned below zero, where a negative correction has
+        # kept both edges; the first of the two is the weakest.
+        mi = np.array([[0.0, -0.3, -0.3], [-0.3, 0.0, 0.5],
+                       [-0.3, 0.5, 0.0]])
+        correction = np.full((3, 3), -1.0)
+        assert aracne_skeleton(mi, 0.1, correction) == [(0, 2), (1, 2)]
+        assert aracne_oracle(mi, 0.1, correction) == [(0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 3, 1)],
+                             ids=["smaller", "row", "three-axes"])
+    def test_correction_shape_must_match(self, shape):
+        mi = np.full((3, 3), 0.2)
+        with pytest.raises(ValidationError) as info:
+            aracne_skeleton(mi, threshold_correction=np.zeros(shape))
+        assert str(info.value) == (f"threshold_correction has shape {shape}, "
+                                   f"not the MI matrix's (3, 3)")
 
     @given(st.integers(0, 500))
     @settings(max_examples=25)
