@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -189,11 +188,31 @@ class BayesNet:
         return self.dag.n_variables
 
 
-def _as_data(data) -> np.ndarray:
+def _as_rows(data, cards) -> np.ndarray:
+    """``data`` as an int64 array of rows, one column per cardinality in
+    ``cards``, after checking that every value lies in ``[0, cardinality)``
+    of its column.  Empty data that is not 2-D (``[]``) is zero rows."""
     arr = np.asarray(data, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValidationError("data must be a 2-D (rows x variables) array")
+    cards = np.asarray(cards).astype(np.uint64, copy=False)
+    if arr.size == 0 and arr.ndim != 2:
+        arr = arr.reshape(0, cards.size)
+    if arr.ndim != 2 or arr.shape[1] != cards.size:
+        raise ValidationError(f"data of shape {arr.shape} is not 2-D with "
+                              f"one column per variable ({cards.size})")
+    # A negative value viewed as uint64 is huge: one test checks both ends.
+    bad = arr.view(np.uint64) >= cards
+    if bad.any():
+        column = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise ValidationError(f"value out of range in column {column}")
     return arr
+
+
+def _square(mi) -> np.ndarray:
+    """``mi`` as a float64 square matrix."""
+    mi = np.asarray(mi, dtype=np.float64)
+    if mi.ndim != 2 or mi.shape[0] != mi.shape[1]:
+        raise ValidationError("MI matrix must be square")
+    return mi
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +243,9 @@ def mi_matrix(data, cardinalities: Sequence[int]) -> np.ndarray:
     runs over the same terms in the same order.  The result is clamped at
     0 so that round-off cannot produce tiny negatives.
     """
-    arr = _as_data(data)
-    rows, n_vars = arr.shape
-    if len(cardinalities) != n_vars:
-        raise ValidationError("cardinalities must match the column count")
     cards = np.asarray(cardinalities, dtype=np.int64)
-    # A negative value viewed as uint64 is huge: one test checks both ends.
-    bad = arr.view(np.uint64) >= cards.astype(np.uint64)
-    if bad.any():
-        column = int(np.flatnonzero(bad.any(axis=0))[0])
-        raise ValidationError(f"value out of range in column {column}")
+    arr = _as_rows(data, cards)
+    rows, n_vars = arr.shape
     out = np.zeros((n_vars, n_vars), dtype=np.float64)
     first, second = np.triu_indices(n_vars, 1)
     if first.size == 0:
@@ -291,41 +303,29 @@ def small_sample_correction(cardinalities: Sequence[int],
 # Structure learning
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def chow_liu(mi: np.ndarray) -> list[tuple[int, int]]:
-    """Maximum-weight spanning tree over the MI matrix.
+    """Maximum-weight spanning tree over the MI matrix (Kruskal).
 
-    Ties are broken lexicographically by edge index, so equal weights give
-    the lexicographically first tree (a star rooted at variable 0).
+    One ``np.lexsort`` orders the pairs i < j by decreasing ``mi[i, j]``,
+    then by ``(i, j)``, so equal weights give the lexicographically first
+    tree (a star rooted at variable 0).  A pair whose ends carry different
+    component labels joins the tree; the scan stops at n - 1 edges.
     """
-    mi = np.asarray(mi, dtype=np.float64)
+    mi = _square(mi)
     n = mi.shape[0]
-    if mi.shape != (n, n):
-        raise ValidationError("MI matrix must be square")
     if n < 2:
         raise ValidationError("need at least two variables for a tree")
-    candidates = sorted(((i, j) for i, j in combinations(range(n), 2)),
-                        key=lambda e: (-mi[e[0], e[1]], e[0], e[1]))
-    uf = _UnionFind(n)
-    edges = [e for e in candidates if uf.union(*e)]
-    return sorted(edges[: n - 1])
+    first, second = np.triu_indices(n, 1)
+    order = np.lexsort((second, first, -mi[first, second]))
+    label = np.arange(n)
+    edges = []
+    for i, j in zip(first[order].tolist(), second[order].tolist()):
+        if label[i] != label[j]:
+            label[label == label[j]] = label[i]
+            edges.append((i, j))
+            if len(edges) == n - 1:
+                break
+    return sorted(edges)
 
 
 def aracne_skeleton(mi: np.ndarray, dpi_tolerance: float = 0.1,
@@ -358,10 +358,7 @@ def aracne_skeleton(mi: np.ndarray, dpi_tolerance: float = 0.1,
             thresholding only (DPI still compares raw MI values); the
             same shape as ``mi``.
     """
-    mi = np.asarray(mi, dtype=np.float64)
-    n = mi.shape[0]
-    if mi.shape != (n, n):
-        raise ValidationError("MI matrix must be square")
+    mi = _square(mi)
     if not 0.0 <= dpi_tolerance <= 1.0:
         raise ValidationError("dpi_tolerance must lie in [0, 1]")
     corrected = mi
@@ -562,16 +559,7 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
     """
     if alpha <= 0:
         raise ValidationError("alpha must be > 0")
-    arr = np.asarray(data, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, dag.n_variables)
-    if arr.ndim != 2 or arr.shape[1] != dag.n_variables:
-        raise ValidationError("data must have one column per variable")
-    # A negative value viewed as uint64 is huge: one test checks both ends.
-    bad = arr.view(np.uint64) >= np.asarray(dag.cardinalities, np.uint64)
-    if bad.any():
-        column = int(np.flatnonzero(bad.any(axis=0))[0])
-        raise ValidationError(f"value out of range in column {column}")
+    arr = _as_rows(data, dag.cardinalities)
     cards, limit = dag.cardinalities, max(1, arr.shape[0])
     codes = [_NO_CODES if math.prod(cards[p] for p in ps) > limit else None
              for ps in dag.parents]
@@ -606,12 +594,7 @@ def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
     v = 0, 1, ...  Keyed tables cost one ``np.searchsorted`` over their
     codes; a network without them runs one gather.
     """
-    arr = _as_data(data)
-    if arr.shape[1] != bn.n_variables:
-        raise ValidationError("assignment must cover every variable")
-    # A negative value viewed as uint64 is huge: one test checks both ends.
-    if (arr.view(np.uint64) >= bn._cards).any():
-        raise ValidationError("assignment value out of range")
+    arr = _as_rows(data, bn._cards)
     probs = bn._flat[_cells(bn._plan, arr).astype(np.intp)]
     return np.add.accumulate(np.log(probs, out=probs), axis=0)[-1].copy()
 

@@ -110,13 +110,15 @@ def cmd_learn(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_metamodel(args.model)
+    # An archive starts with its header or, without one, with a record,
+    # which holds its genotype under "gan"; a genotype line holds none.
     with open_text(args.genotypes) as handle:  # sniffed as load_archive does
         first_line = next((line for line in handle if line.strip()), "")
     try:
         head = read_json_line(first_line)
     except FormatError:
         head = None  # not an archive; load_genotypes names the bad line
-    if isinstance(head, dict) and "format" in head:
+    if isinstance(head, dict) and ("format" in head or "gan" in head):
         archive = load_archive(args.genotypes)
         warning = provenance_mismatch(model,
                                       archive_hash=archive.content_hash(),

@@ -320,8 +320,9 @@ def landscape_to_json_obj(land: SurrogateLandscape) -> dict:
 def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
     """Parse a landscape document, checking it against its genotype config:
     ``unary``, ``master`` and ``planted`` hold one entry per slot position of
-    the deepest schema, ``base`` one per depth key, and every table's shape
-    matches its slots' cardinalities."""
+    the deepest schema, ``base`` one per depth key, ``pairs`` lists each pair
+    of two distinct positions at most once (in either order), and every
+    table's shape matches its slots' cardinalities."""
     what = f"{LANDSCAPE_FORMAT} document"
     if not isinstance(obj, dict) or obj.get("format") != LANDSCAPE_FORMAT:
         raise FormatError(f"expected a {what}")
@@ -367,6 +368,12 @@ def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
                                 for t in pair) for pair in pairs)):
             raise FormatError(f"bad {what}: pairs must list two slot "
                               f"positions per pairwise table")
+        seen: set[frozenset[str]] = set()
+        for a, b in pairs:
+            if a == b or frozenset((a, b)) in seen:
+                raise FormatError(f"bad {what}: pairs list {a}/{b} "
+                                  f"{'with itself' if a == b else 'twice'}")
+            seen.add(frozenset((a, b)))
         return SurrogateLandscape(
             seed=parse_field(obj, "seed", seed, what),
             config=config,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -49,9 +49,12 @@ class DunnResult:
     mean_ranks: tuple[float, ...]
 
 
-def _check_groups(groups: Sequence[Sequence[float]], minimum: int) -> list[np.ndarray]:
-    if len(groups) < minimum:
-        raise ValidationError(f"need at least {minimum} groups")
+def _pool(groups: Sequence[Sequence[float]],
+          ) -> tuple[tuple[int, ...], np.ndarray, float]:
+    """Check two or more samples; their sizes, and the average ranks and
+    tie term of the pooled values."""
+    if len(groups) < 2:
+        raise ValidationError("need at least 2 groups")
     arrays = []
     for g in groups:
         arr = np.asarray(g, dtype=np.float64)
@@ -60,7 +63,9 @@ def _check_groups(groups: Sequence[Sequence[float]], minimum: int) -> list[np.nd
         if not np.all(np.isfinite(arr)):
             raise ValidationError("group values must be finite")
         arrays.append(arr)
-    return arrays
+    pooled = np.concatenate(arrays)
+    return (tuple(len(a) for a in arrays), _average_ranks(pooled),
+            _tie_term(pooled))
 
 
 def _chi2_sf(df: int, x: float) -> float:
@@ -129,61 +134,52 @@ def kruskal_wallis(groups: Sequence[Sequence[float]],
         method: "approx" for the chi-square approximation, "exact" for full
             permutation enumeration (total N must not exceed 12).
     """
-    arrays = _check_groups(groups, minimum=2)
-    sizes = tuple(len(a) for a in arrays)
-    pooled = np.concatenate(arrays)
-    n_total = pooled.size
-    tie = _tie_term(pooled)
+    sizes, ranks, tie = _pool(groups)
+    n_total = ranks.size
     correction = 1.0 - tie / (n_total ** 3 - n_total) if n_total > 1 else 0.0
     if correction == 0.0:
         return TestResult(0.0, 1.0, sizes, 0.0, method)
-    ranks = _average_ranks(pooled)
     h = _kw_statistic(ranks, sizes) / correction
     h = max(h, 0.0)
     if method == "approx":
         p = _chi2_sf(len(sizes) - 1, float(h))
-        return TestResult(float(h), p, sizes, correction, method)
+    else:
+        p = _exact_p(method, ranks, sizes, lambda r: _kw_statistic(r, sizes))
+    return TestResult(float(h), p, sizes, correction, method)
+
+
+def _splits(sizes: Sequence[int]):
+    """Every split of the positions 0..N-1 into groups of ``sizes``, each
+    as the index order that lists the groups' positions in turn.
+
+    Each group but the last picks ``size`` of the positions that the groups
+    before it left, by their rank among those, and the last group takes
+    the rest.  ``itertools.product`` runs through the picks in
+    lexicographic order, which is the order of nested ``combinations``.
+    """
+    left = [sum(sizes[g:]) for g in range(len(sizes))]
+    for picks in product(*(combinations(range(n), size)
+                           for n, size in zip(left, sizes[:-1]))):
+        free, order = list(range(left[0])), []
+        for pick in picks:
+            order += [free[p] for p in pick]
+            free = [f for p, f in enumerate(free) if p not in pick]
+        yield order + free
+
+
+def _exact_p(method: str, ranks: np.ndarray, sizes: Sequence[int],
+             statistic) -> float:
+    """Exact mode: the share of all splits of ``ranks`` into groups of
+    ``sizes`` whose ``statistic`` reaches its observed value, that of
+    ``ranks`` as they are (within 1e-12)."""
     if method != "exact":
         raise ValidationError(f"unknown method {method!r}")
-    if n_total > EXACT_LIMIT:
+    if ranks.size > EXACT_LIMIT:
         raise ValidationError(f"exact mode limited to N <= {EXACT_LIMIT}")
-    at_least, total = _permute_statistic(ranks, sizes,
-                                         lambda r: _kw_statistic(r, sizes),
-                                         float(_kw_statistic(ranks, sizes)))
-    return TestResult(float(h), at_least / total, sizes, correction, "exact")
-
-
-def _permute_statistic(ranks, sizes, statistic, observed):
-    """Count label assignments whose statistic reaches the observed one.
-
-    Enumerates all distinct splits of the pooled ranks into the given group
-    sizes via nested index combinations.
-    """
-    n_total = ranks.size
-    count = 0
-    total = 0
-
-    def recurse(free: tuple[int, ...], group: int) -> None:
-        nonlocal count, total
-        if group == len(sizes) - 1:
-            order = []
-            for g_indices in assigned:
-                order.extend(g_indices)
-            order.extend(free)
-            permuted = ranks[np.array(order)]
-            total += 1
-            if statistic(permuted) >= observed - 1e-12:
-                count += 1
-            return
-        for chosen in combinations(free, sizes[group]):
-            assigned.append(chosen)
-            remaining = tuple(i for i in free if i not in chosen)
-            recurse(remaining, group + 1)
-            assigned.pop()
-
-    assigned: list[tuple[int, ...]] = []
-    recurse(tuple(range(n_total)), 0)
-    return count, total
+    observed, count = statistic(ranks), 0
+    for total, order in enumerate(_splits(sizes), start=1):
+        count += bool(statistic(ranks[order]) >= observed - 1e-12)
+    return count / total
 
 
 def dunn(groups: Sequence[Sequence[float]]) -> DunnResult:
@@ -194,18 +190,13 @@ def dunn(groups: Sequence[Sequence[float]]) -> DunnResult:
     Raw two-sided p-values and the Bonferroni adjustment over the k(k-1)/2
     comparisons are both reported; degenerate all-tied input gives p = 1.
     """
-    arrays = _check_groups(groups, minimum=2)
-    sizes = tuple(len(a) for a in arrays)
-    k = len(arrays)
-    pooled = np.concatenate(arrays)
-    n_total = pooled.size
-    ranks = _average_ranks(pooled)
+    sizes, ranks, tie = _pool(groups)
+    k, n_total = len(sizes), ranks.size
     mean_ranks = []
     start = 0
     for size in sizes:
         mean_ranks.append(float(ranks[start:start + size].mean()))
         start += size
-    tie = _tie_term(pooled)
     sigma2 = n_total * (n_total + 1) / 12.0
     if n_total > 1:
         sigma2 -= tie / (12.0 * (n_total - 1))
@@ -237,18 +228,14 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
     mode enumerates every split of the pooled sample (N <= 12) and counts
     splits whose U deviates from the mean at least as much as observed.
     """
-    first, second = _check_groups([a, b], minimum=2)
-    n1, n2 = len(first), len(second)
-    pooled = np.concatenate([first, second])
+    (n1, n2), ranks, tie = _pool([a, b])
     n_total = n1 + n2
-    ranks = _average_ranks(pooled)
 
     def u_first(r) -> float:
         return float(r[:n1].sum()) - n1 * (n1 + 1) / 2.0
 
     u1 = u_first(ranks)
     mean_u = n1 * n2 / 2.0
-    tie = _tie_term(pooled)
     variance = n1 * n2 / 12.0 * ((n_total + 1) - tie / (n_total * (n_total - 1)))
     if method == "approx":
         if variance <= 0:
@@ -257,10 +244,5 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
         z = deviation / np.sqrt(variance)
         p = _two_sided_normal(z)
         return TestResult(u1, p, (n1, n2), tie, method)
-    if method != "exact":
-        raise ValidationError(f"unknown method {method!r}")
-    if n_total > EXACT_LIMIT:
-        raise ValidationError(f"exact mode limited to N <= {EXACT_LIMIT}")
-    at_least, total = _permute_statistic(
-        ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u), abs(u1 - mean_u))
-    return TestResult(u1, at_least / total, (n1, n2), tie, "exact")
+    p = _exact_p(method, ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u))
+    return TestResult(u1, p, (n1, n2), tie, method)

@@ -89,6 +89,49 @@ def aracne_oracle(mi, dpi_tolerance, threshold_correction=None):
     return sorted(edges - marked)
 
 
+class _UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def chow_liu_oracle(mi):
+    """Kruskal's algorithm over every pair, sorted in Python by
+    ``(-mi, i, j)``, with a union-find."""
+    mi = np.asarray(mi, dtype=np.float64)
+    n = mi.shape[0]
+    candidates = sorted(((i, j) for i, j in combinations(range(n), 2)),
+                        key=lambda e: (-mi[e[0], e[1]], e[0], e[1]))
+    uf = _UnionFind(n)
+    edges = [e for e in candidates if uf.union(*e)]
+    return sorted(edges[: n - 1])
+
+
+@st.composite
+def mi_matrices(draw):
+    """Symmetric n x n matrices, n = 2-29, with a zero diagonal: uniform
+    floats, or values on a grid of ``levels`` steps so that many tie."""
+    n = draw(st.integers(2, 29))
+    levels = draw(st.sampled_from([None, 1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sym = (rng.random((n, n)) if levels is None
+           else rng.integers(0, levels + 1, size=(n, n)) / levels)
+    mi = np.triu(sym, 1)
+    return mi + mi.T
+
+
 @st.composite
 def categorical_data(draw):
     """(rows x columns data, cardinalities): 1-29 columns of cardinality
@@ -231,6 +274,31 @@ class TestChowLiu:
         mi = np.full((4, 4), 0.5)
         np.fill_diagonal(mi, 0.0)
         assert chow_liu(mi) == [(0, 1), (0, 2), (0, 3)]
+
+    @given(mi_matrices())
+    @settings(max_examples=150)
+    @example(np.zeros((29, 29)))
+    def test_matches_union_find_oracle(self, mi):
+        assert chow_liu(mi) == chow_liu_oracle(mi)
+
+    def test_tied_cycle_drops_its_last_pair_in_i_j_order(self):
+        # The cycle 0-2-3-1-4-0 ties: its last pair in (i, j) order,
+        # (2, 3), closes it.  In (j, i) order the last would be (1, 4).
+        mi = np.zeros((5, 5))
+        for i, j in ((0, 2), (2, 3), (1, 3), (1, 4), (0, 4)):
+            mi[i, j] = mi[j, i] = 0.9
+        want = [(0, 2), (0, 4), (1, 3), (1, 4)]
+        assert chow_liu(mi) == want
+        assert chow_liu_oracle(mi) == want
+
+    @pytest.mark.parametrize("learn", [chow_liu, aracne_skeleton],
+                             ids=["chow_liu", "aracne"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), ()],
+                             ids=["wide", "row", "scalar"])
+    def test_mi_matrix_must_be_square(self, learn, shape):
+        with pytest.raises(ValidationError) as info:
+            learn(np.zeros(shape))
+        assert str(info.value) == "MI matrix must be square"
 
     @given(st.integers(2, 7), st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -414,6 +482,42 @@ def random_bn(rng, max_vars=4, max_card=4):
         rows = int(np.prod([cards[p] for p in parents[v]])) if parents[v] else 1
         cpts.append(rng.dirichlet(np.ones(cards[v]), size=rows))
     return BayesNet(dag=dag, cpts=tuple(cpts), alpha=1.0)
+
+
+# One network over three variables and each entry point that checks rows.
+ROW_CARDS = (2, 3, 2)
+ROW_DAG = Dag(variables=(("a", 2), ("b", 3), ("c", 2)),
+              parents=((), (0,), (1,)))
+ROW_ENTRIES = {
+    "mi_matrix": lambda data: mi_matrix(data, ROW_CARDS),
+    "fit_cpts": lambda data: fit_cpts(ROW_DAG, data),
+    "log_likelihood_many": lambda data: log_likelihood_many(
+        fit_cpts(ROW_DAG, [[0, 0, 0]]), data),
+}
+
+
+class TestRowCheck:
+    @pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+    @pytest.mark.parametrize("data, message", [
+        ([[0, 0, 0], [1, -1, 0]], "value out of range in column 1"),
+        ([[0, 0, 0], [1, 2, 2]], "value out of range in column 2"),
+        ([[0, 0], [1, 2]], "data of shape (2, 2) is not 2-D with one "
+                           "column per variable (3)"),
+        ([0, 1, 0], "data of shape (3,) is not 2-D with one column per "
+                    "variable (3)"),
+    ], ids=["negative", "too-large", "wrong-width", "one-axis"])
+    def test_one_message_per_fault(self, entry, data, message):
+        with pytest.raises(ValidationError) as info:
+            ROW_ENTRIES[entry](data)
+        assert str(info.value) == message
+
+    def test_empty_list_is_zero_rows(self):
+        bn = fit_cpts(ROW_DAG, [])
+        assert bn == fit_cpts(ROW_DAG, np.empty((0, 3), dtype=np.int64))
+        assert log_likelihood_many(bn, []).shape == (0,)
+        with pytest.raises(ValidationError) as info:
+            mi_matrix([], ROW_CARDS)
+        assert str(info.value) == "mutual information needs at least one row"
 
 
 def one_row_log_likelihood(bn, assignment):

@@ -143,6 +143,26 @@ class TestLearnScoreSample:
         assert out.read_bytes() == want.read_bytes()
         assert list(read_csv(out)[0])[:2] == ["run_id", "problem_id"]
 
+    def test_score_headerless_archive(self, model_path, archive_path,
+                                      tmp_path, caplog):
+        # Without its header the archive is read in the default joint
+        # space, as load_archive reads it, and each row is scored as the
+        # model's own.
+        lines = archive_path.read_text().splitlines(keepends=True)
+        assert '"format": "archive-v1"' in lines[0]
+        path = tmp_path / "headerless.jsonl"
+        path.write_text("".join(lines[1:]))
+        want, out = tmp_path / "want.csv", tmp_path / "scores.csv"
+        assert main(["score", "--model", str(model_path),
+                     "--genotypes", str(archive_path),
+                     "--out", str(want)]) == 0
+        with caplog.at_level("WARNING"):
+            assert main(["score", "--model", str(model_path),
+                         "--genotypes", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert any("provenance mismatch" in r.message
+                   for r in caplog.records)
+
     def test_score_warns_on_foreign_archive(self, model_path, tmp_path,
                                             caplog):
         rng = np.random.default_rng(3)

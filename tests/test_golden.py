@@ -10,7 +10,10 @@ vocabularies reach every mutation kind.  On the first two archives the ``learn``
 run as well (the archive and the sampled genotypes are both scored), and
 the saved uniform metamodel of each genotype mode is digested.  On the
 first archive ``search`` runs too, random and guided (under the CLI model),
-from the start genotype its ``--seed`` draws.  A change
+from the start genotype its ``--seed`` draws; ``learn --structure chow_liu``
+runs and its model scores the archive; a landscape written by
+``save_landscape`` is digested and read back by ``search --landscape``; and
+``analyze`` runs each of its tests on the guided-search steps.  A change
 to any digest is a behaviour change: it needs a reason in ``CHANGES.md``
 and a re-baseline in the same change.  Two more digests pin the
 acceptance-scale archives: ``generate_archive`` with ``ArchiveGenConfig``
@@ -37,7 +40,8 @@ from archsmith.experiments import (
     run_guided_search,
 )
 from archsmith.genotype import GenotypeConfig, gan_hash
-from archsmith.landscape import LandscapeConfig
+from archsmith.landscape import (LandscapeConfig, make_landscape,
+                                 save_landscape)
 from archsmith.metamodel import LearnConfig, Metamodel, save_metamodel
 
 VOCAB = dict(arity=2, activations=("relu", "tanh"),
@@ -66,6 +70,8 @@ PN_GUIDED = {"target_seed": 61, "replicates": 3, "budget": 12, "n": 3}
 # ``archsmith search`` flags of the joint run, digested per algorithm.
 SEARCH = ("--landscape-seed", 61, "--seed", 4, "--budget", 12)
 DEFAULT_LAND = LandscapeConfig(genotype=GenotypeConfig.joint(), family_seed=7)
+# ``archsmith analyze`` tests run on the joint guided-search steps.
+ANALYZE_TESTS = ("kw", "dunn", "ranksum")
 
 GOLDEN = {
     "default/archive.jsonl":
@@ -74,18 +80,32 @@ GOLDEN = {
         "f57b08451904101263352c5ca6aeef8bf7a5d1dffe64c75c073225234828ef0d",
     "default/initialization/summary.json":
         "95d18a12b5103763479ffd65819e88e6ee2e0afae7fc37ccc5869bcb68efc01b",
+    "joint/analyze/dunn.csv":
+        "72b75d6e4115be1efc8b3158e65c69fe9281c050606c33a0465114976243067b",
+    "joint/analyze/kw.csv":
+        "74b5f76f4c65cc36fcce2b35d582ae03606b9d3047a89d126499e79f65a2a2ae",
+    "joint/analyze/ranksum.csv":
+        "ee1d16057bba70cacc932d4b50a600fe8bda52897d66633b97a0fac484e1ea57",
     "joint/archive.jsonl":
         "1f4ff4bef38ffacf9fee02cce5f6c37054f638fd602908bf7a7daa7c157dff9f",
+    "joint/cli/landscape-62.json":
+        "aff56fe36cf0a8d5dedf453b7b4c307e0b943da543e3441205552acda2a4d637",
+    "joint/cli/model-chow_liu.json":
+        "a93264c0ab452adee7ba621764ff3a68382a373bdc085b525610ead0694844f2",
     "joint/cli/model.json":
         "9032adbf4ad25b76a5b8c973dc98eed8d477a68ac84716510b066628003beb95",
     "joint/cli/samples.jsonl":
         "a36f9af9cdb9d0ae84657293e8d064025129579024cb22916853edc70cd5ca2c",
+    "joint/cli/score-archive-chow_liu.csv":
+        "20663d014de979bb6436302567897a54a1cd377b8118cb93af69c8a74d85685e",
     "joint/cli/score-archive.csv":
         "f447fdcca827df1f959cb52bf735b478d81bf075bb2827e353d8e0c72d6d832c",
     "joint/cli/score-samples.csv":
         "70e2cc51279ecf1f48472c4e959d1acb18077c3625cf3ba8dc6825893dc9982c",
     "joint/cli/search-guided.csv":
         "551a553acc8517040936e9f10324dc45d6298625d5649ea7c952898406bece6a",
+    "joint/cli/search-landscape-file.csv":
+        "5dcbfb939e00b0b8f86c7f1cd246a6daf2291bc1054eab0ec656f4c5da709428",
     "joint/cli/search-random.csv":
         "f831ec7dc799337df9e8c7e3f9c9b2d7008de0d4f8bc2d7f6437db672c9acfbe",
     "joint/guided-search/steps.csv":
@@ -183,6 +203,23 @@ def compute_digests(workdir: Path) -> dict[str, str]:
                     _run("search", "--algorithm", algorithm, "--model",
                          cli["model.json"], "--landscape-config", land_path,
                          *SEARCH, "--out", traces)
+                chow_liu = cli["model-chow_liu.json"] = (
+                    workdir / f"{label}-model-chow_liu.json")
+                _run("learn", "--archive", archive, "--n", 3, "--seed", 0,
+                     "--structure", "chow_liu", "--out", chow_liu)
+                cli["score-archive-chow_liu.csv"] = scores = (
+                    workdir / f"{label}-score-archive-chow_liu.csv")
+                _run("score", "--model", chow_liu, "--genotypes", archive,
+                     "--out", scores)
+                # A landscape file, written and then searched on.
+                saved = cli["landscape-62.json"] = (
+                    workdir / f"{label}-landscape-62.json")
+                save_landscape(make_landscape(62, land), saved)
+                cli["search-landscape-file.csv"] = traces = (
+                    workdir / f"{label}-search-landscape-file.csv")
+                _run("search", "--algorithm", "guided", "--model",
+                     cli["model.json"], "--landscape", saved, "--seed", 4,
+                     "--budget", 12, "--out", traces)
             for name, path in cli.items():
                 out[f"{label}/cli/{name}"] = _sha256(path.read_bytes())
             uniform = workdir / f"{label}-uniform.json"
@@ -199,6 +236,14 @@ def compute_digests(workdir: Path) -> dict[str, str]:
             for path in sorted(out_dir.iterdir()):
                 out[f"{label}/{exp_id}/{path.name}"] = _sha256(
                     path.read_bytes())
+        if label == "joint":
+            for test in ANALYZE_TESTS:
+                table = workdir / f"{label}-analyze-{test}.csv"
+                _run("analyze", "--traces",
+                     workdir / f"{label}-guided-search" / "steps.csv",
+                     "--test", test, "--out", table)
+                out[f"{label}/analyze/{test}.csv"] = _sha256(
+                    table.read_bytes())
 
     result = run_guided_search(
         load_archive(workdir / "per-network-archive.jsonl"),

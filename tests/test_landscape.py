@@ -323,6 +323,30 @@ class TestSerialization:
             load_landscape(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("pair, listed", [
+        (lambda a, b: [a, b], "twice"),
+        (lambda a, b: [b, a], "twice"),
+        (lambda a, b: [a, a], "with itself"),
+    ], ids=["repeated", "reversed", "one-slot"])
+    def test_pair_listed_twice_or_with_itself_rejected(self, pair, listed,
+                                                       tmp_path):
+        # A repeated pair used to load: its last table replaced the first,
+        # and the term was added twice.  The extra pair comes last, with a
+        # table of the right shape filled with 9.0.
+        land = make_landscape(17, LandscapeConfig(genotype=JOINT,
+                                                  family_seed=3))
+        doc = landscape_to_json_obj(land)
+        a, b = pair(*doc["pairs"][0])
+        doc["pairs"].append([a, b])
+        doc["pairwise"].append([[9.0] * len(doc["unary"][b])]
+                               * len(doc["unary"][a]))
+        path = tmp_path / "land.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as info:
+            load_landscape(path)
+        assert str(info.value) == (f"{path}: bad land-v1 document: pairs "
+                                   f"list {a}/{b} {listed}")
+
     def test_wrong_tag_rejected(self, tmp_path):
         path = tmp_path / "land.json"
         path.write_text('{"format": "other"}')

@@ -2,20 +2,22 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import archsmith
 from archsmith.errors import ValidationError
 from archsmith.stats import (DunnResult, TestResult, _average_ranks,
-                             _chi2_sf, _two_sided_normal, dunn,
-                             kruskal_wallis, rank_sum)
+                             _chi2_sf, _kw_statistic, _splits, _tie_term,
+                             _two_sided_normal, dunn, kruskal_wallis,
+                             rank_sum)
 
 THREE_GROUPS = ([1, 2, 3], [4, 5, 6], [7, 8, 9])
 
@@ -200,6 +202,121 @@ class TestRankSum:
     def test_exact_mode_size_limit(self):
         with pytest.raises(ValidationError, match="exact"):
             rank_sum([1] * 7, [2] * 6, method="exact")
+
+
+def permute_statistic_oracle(ranks, sizes, statistic, observed):
+    """Count the splits of ``ranks`` into groups of ``sizes`` whose
+    statistic reaches ``observed``: nested ``combinations``, one recursion
+    level per group, each split as the index order of its groups."""
+    n_total = ranks.size
+    count = 0
+    total = 0
+
+    def recurse(free: tuple[int, ...], group: int) -> None:
+        nonlocal count, total
+        if group == len(sizes) - 1:
+            order = []
+            for g_indices in assigned:
+                order.extend(g_indices)
+            order.extend(free)
+            permuted = ranks[np.array(order)]
+            total += 1
+            if statistic(permuted) >= observed - 1e-12:
+                count += 1
+            return
+        for chosen in combinations(free, sizes[group]):
+            assigned.append(chosen)
+            remaining = tuple(i for i in free if i not in chosen)
+            recurse(remaining, group + 1)
+            assigned.pop()
+
+    assigned: list[tuple[int, ...]] = []
+    recurse(tuple(range(n_total)), 0)
+    return count, total
+
+
+def kruskal_wallis_exact_oracle(groups):
+    approx = kruskal_wallis(groups)  # the statistic and tie correction
+    if approx.tie_correction == 0.0:
+        return replace(approx, method="exact")
+    sizes = approx.group_sizes
+    ranks = _average_ranks(np.concatenate(
+        [np.asarray(g, dtype=np.float64) for g in groups]))
+    at_least, total = permute_statistic_oracle(
+        ranks, sizes, lambda r: _kw_statistic(r, sizes),
+        float(_kw_statistic(ranks, sizes)))
+    return replace(approx, p_value=at_least / total, method="exact")
+
+
+def rank_sum_exact_oracle(a, b):
+    n1, n2 = len(a), len(b)
+    pooled = np.concatenate([np.asarray(a, dtype=np.float64),
+                             np.asarray(b, dtype=np.float64)])
+    ranks = _average_ranks(pooled)
+
+    def u_first(r):
+        return float(r[:n1].sum()) - n1 * (n1 + 1) / 2.0
+
+    mean_u = n1 * n2 / 2.0
+    at_least, total = permute_statistic_oracle(
+        ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u),
+        abs(u_first(ranks) - mean_u))
+    return TestResult(u_first(ranks), at_least / total, (n1, n2),
+                      _tie_term(pooled), "exact")
+
+
+@st.composite
+def exact_groups(draw, n_groups):
+    """2-4 groups, N <= 12 in all and at most 3,000 splits, of tied small
+    integers or of floats."""
+    k = draw(st.integers(*n_groups))
+    sizes = draw(st.lists(st.integers(1, 12 - k + 1), min_size=k,
+                          max_size=k))
+    assume(sum(sizes) <= 12 and math.factorial(sum(sizes)) // math.prod(
+        math.factorial(size) for size in sizes) <= 3000)
+    values = (st.integers(0, 4) if draw(st.booleans())
+              else st.floats(-1e3, 1e3, allow_nan=False))
+    return [draw(st.lists(values, min_size=size, max_size=size))
+            for size in sizes]
+
+
+class TestExactMode:
+    @pytest.mark.parametrize("sizes", [(3,), (2, 1), (1, 11), (6, 6),
+                                       (2, 2, 2, 2), (1, 2, 3, 4),
+                                       (4, 4, 4)])
+    def test_splits_come_in_the_recursion_order(self, sizes):
+        orders = []
+        permute_statistic_oracle(np.arange(sum(sizes)), sizes,
+                                 lambda r: orders.append(r.tolist()) or 0.0,
+                                 0.0)
+        assert list(_splits(sizes)) == orders
+
+    @given(exact_groups((2, 4)))
+    @settings(max_examples=60, deadline=None)
+    @example([[0.5, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 5.0],
+              [0.0, 4.0, 4.0, 1.5]])
+    @example([[1, 1], [1, 1, 1]])
+    def test_kruskal_wallis_matches_recursion_oracle(self, groups):
+        ours = kruskal_wallis(groups, method="exact")
+        assert ours == kruskal_wallis_exact_oracle(groups)
+        assert type(ours.p_value) is float
+
+    @given(exact_groups((2, 2)))
+    @settings(max_examples=60, deadline=None)
+    @example([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0], [2.0, 6.0, 5.0, 3.0, 5.0, 8.0]])
+    @example([[7], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]])
+    def test_rank_sum_matches_recursion_oracle(self, groups):
+        ours = rank_sum(*groups, method="exact")
+        assert ours == rank_sum_exact_oracle(*groups)
+        assert type(ours.p_value) is float
+
+    @pytest.mark.parametrize("test", [
+        lambda method: kruskal_wallis(THREE_GROUPS, method=method),
+        lambda method: rank_sum([1, 2], [3, 4, 5], method=method),
+    ], ids=["kw", "ranksum"])
+    def test_unknown_method_rejected(self, test):
+        with pytest.raises(ValidationError, match="unknown method 'exakt'"):
+            test("exakt")
 
 
 def assert_close_to(ours, theirs):
