@@ -87,6 +87,13 @@ def _default_learn(landscape: LandscapeConfig,
     return learn_config
 
 
+def _check_fresh(archive: RunArchive, target_seed: int) -> None:
+    """Learning and searching on one problem would test memorization."""
+    if str(target_seed) in archive.problem_ids:
+        raise ValidationError(
+            f"target seed {target_seed} appears in the archive")
+
+
 def learn_from_first(archive: RunArchive, n: int, seed: int,
                      learn_config: LearnConfig) -> tuple[EliteSets, Metamodel]:
     """The elite sets of ``archive``, and the metamodel learned on First.
@@ -420,13 +427,10 @@ def run_initialization(archive: RunArchive,
                        config: InitializationConfig) -> InitializationResult:
     """Replicated EA runs under the three initialization strategies.
 
-    The target landscape seed must be fresh: learning and searching on the
-    same problem would test memorization, not transfer.
+    The target landscape seed must not be in the archive.
     """
     learn_config = _default_learn(config.landscape, config.learn)
-    if str(config.target_seed) in archive.problem_ids:
-        raise ValidationError(
-            f"target seed {config.target_seed} appears in the archive")
+    _check_fresh(archive, config.target_seed)
     sets, model = learn_from_first(archive, config.n, config.seed,
                                    learn_config)
     elite = [(ind.key, ind.row) for ind in sets.first]
@@ -513,18 +517,15 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
     """Random vs metamodel-guided hill climbing from shared starts.
 
     Passing ``metamodel`` overrides learning from the archive (used for the
-    uniform-model null control).  Each replicate starts both climbers from
-    the same minimal genotype.
+    uniform-model null control); ``guided_hc`` rejects a model of another
+    genotype config.  Each replicate starts both climbers from the same
+    minimal genotype.
     """
     learn_config = _default_learn(config.landscape, config.learn)
-    if str(config.target_seed) in archive.problem_ids:
-        raise ValidationError(
-            f"target seed {config.target_seed} appears in the archive")
+    _check_fresh(archive, config.target_seed)
     if metamodel is None:
         _, metamodel = learn_from_first(archive, config.n, config.seed,
                                         learn_config)
-    elif metamodel.config != config.landscape.genotype:
-        raise ValidationError("metamodel genotype does not match landscape")
     land = make_landscape(config.target_seed, config.landscape)
     gc = config.landscape.genotype
     traces: dict[str, list[SearchTrace]] = {a: [] for a in ALGORITHMS}

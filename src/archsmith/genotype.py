@@ -315,6 +315,31 @@ def joint_schema(config: GenotypeConfig, key: DepthKey) -> Schema:
     return Schema(key=key, slots=gen.slots + disc.slots)
 
 
+@lru_cache(maxsize=None)
+def _slot_bounds(config: GenotypeConfig, key: DepthKey) -> np.ndarray:
+    return np.array(joint_schema(config, key).cardinalities, dtype=np.uint64)
+
+
+def _batch(config: GenotypeConfig, key, values) -> tuple[DepthKey, np.ndarray]:
+    """``key`` as a DepthKey and ``values`` as int64 rows of its joint
+    schema in ``config``, or the ValidationError of the first fault: the
+    key, the shape, or the first value (in row order) outside its slot."""
+    key = DepthKey(*key)
+    bounds = _slot_bounds(config, key)
+    values = np.asarray(values, dtype=np.int64)
+    if values.ndim != 2 or values.shape[1] != len(bounds):
+        raise ValidationError(f"rows of shape {values.shape} do not hold the "
+                              f"{len(bounds)} slots of depth key {tuple(key)}")
+    # A negative value viewed as uint64 is huge: one test checks both ends.
+    bad = values.view(np.uint64) >= bounds
+    if np.count_nonzero(bad):  # cheaper than bad.any() on a few rows
+        row, column = np.argwhere(bad)[0]
+        slot = joint_schema(config, key).slots[column]
+        raise ValidationError(f"value {values[row, column]} outside "
+                              f"cardinality of slot {slot.name}")
+    return key, values
+
+
 _LAYER_KEYS = ("kind", "activation", "weight_init", "size_bin")
 _LAYER_FIELDS = attrgetter(*_LAYER_KEYS)
 
@@ -408,16 +433,8 @@ def unflatten_joint(key: DepthKey, values: Sequence[int],
                     config: GenotypeConfig) -> GanSpec:
     """Inverse of flatten_joint: the genotype whose row at ``key`` is
     ``values`` (a sequence of ints or a 1-D integer array)."""
-    key = DepthKey(*key)
-    slots = joint_schema(config, key).slots
-    values = [int(v) for v in values]
-    if len(values) != len(slots):
-        raise ValidationError(f"{len(values)} values for the {len(slots)} "
-                              f"slots of depth key {tuple(key)}")
-    for value, slot in zip(values, slots):
-        if not 0 <= value < slot.cardinality:
-            raise ValidationError(
-                f"value {value} outside cardinality of slot {slot.name}")
+    key, rows = _batch(config, key, [values])
+    values = rows[0].tolist()
     split = 1 + 4 * key.d_g
     return GanSpec(
         generator=DnnSpec(ROLE_GENERATOR, _layers_from_values(

@@ -33,6 +33,7 @@ from .genotype import (
     DepthKey,
     Genotype,
     GenotypeConfig,
+    _batch,
     _per_key,
     joint_schema,
 )
@@ -103,7 +104,6 @@ class _Terms(NamedTuple):
     """
 
     base: float
-    cards: np.ndarray
     unary: np.ndarray
     unary_start: np.ndarray
     pair_a: np.ndarray
@@ -164,7 +164,6 @@ class SurrogateLandscape:
 
         compiled = _Terms(
             base=self._base[key],
-            cards=column(cards),
             unary=np.concatenate(unary),
             unary_start=column(np.cumsum(cards) - cards),
             pair_a=np.array([a for a, _, _ in pairs], dtype=np.int64),
@@ -195,18 +194,10 @@ class SurrogateLandscape:
         strictly in that order.  So a row's float depends on that row
         alone, whatever the batch size.
         """
-        key = DepthKey(*key)
-        if key not in self._base:
-            raise ValidationError(f"unsupported depth key {tuple(key)}")
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 2 or values.shape[1] != len(
-                joint_schema(self.config.genotype, key)):
-            raise ValidationError("values shape does not match the schema")
+        key, values = _batch(self.config.genotype, key, values)
         t = self._compile(key)
         columns = values.T
-        if not ((columns >= 0) & (columns < t.cards)).all():
-            raise ValidationError("slot value outside its cardinality")
-        n_unary = len(t.cards)
+        n_unary = len(t.unary_start)
         terms = np.empty((1 + n_unary + len(t.pair_a), values.shape[0]))
         terms[0] = t.base
         terms[1:1 + n_unary] = t.unary[columns + t.unary_start]
@@ -223,8 +214,7 @@ class SurrogateLandscape:
         """Fitness of one ``(key, row)``; raises on an unsupported key or
         a row outside the key's schema."""
         key, row = genotype
-        return float(self.evaluate_values(
-            key, np.array([row], dtype=np.int64))[0])
+        return float(self.evaluate_values(key, [row])[0])
 
     def evaluate_many(self, genotypes: Sequence[Genotype]) -> list[float]:
         """Fitness of each ``(key, row)``, in order, with one

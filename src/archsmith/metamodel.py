@@ -48,6 +48,7 @@ from .genotype import (
     MODE_JOINT,
     ROLES,
     Schema,
+    _batch,
     _per_key,
     flatten_joint,
     joint_schema,
@@ -318,14 +319,10 @@ class Metamodel:
     def score_values(self, key: DepthKey,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log_prob, normalized) for a batch of joint rows at one key."""
-        key = DepthKey(*key)
-        values = np.asarray(values, dtype=np.int64)
-        schema = joint_schema(self.config, key)
-        if values.ndim != 2 or values.shape[1] != len(schema):
-            raise ValidationError("values shape does not match the schema")
+        key, values = _batch(self.config, key, values)
         log_super, log_sub = self._log_parts(key, values)
         log_prob = log_super + log_sub
-        return log_prob, log_prob / (self.n_depth_variables + len(schema))
+        return log_prob, log_prob / (self.n_depth_variables + values.shape[1])
 
     def score_many(self, genotypes: Sequence[Genotype]) -> list[tuple]:
         """(log_prob, normalized) of each ``(key, row)`` pair, in order,

@@ -260,9 +260,11 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
     broken by a seeded uniform draw) and evaluated top-down; rejects stay
     visited for the current incumbent.  When every neighbor has been
     visited the search stops and the trace is padded with rows flagged
-    exhausted.
+    exhausted.  The metamodel must model the landscape's genotype config.
     """
     config = landscape.config.genotype
+    if metamodel.config != config:
+        raise ValidationError("metamodel genotype does not match landscape")
 
     def ranked(key, values):
         # Ranked at once, so the tie-break draw follows each acceptance.
@@ -350,6 +352,9 @@ def init_population(strategy: str, size: int,
     elif strategy == STRATEGY_FROM_METAMODEL:
         if metamodel is None:
             raise ValidationError("from_metamodel requires a metamodel")
+        if metamodel.config != landscape.config.genotype:
+            raise ValidationError("metamodel genotype does not match "
+                                  "landscape")
         genotypes = metamodel.sample_genotypes(rng, size)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ValidationError
 
 EXACT_LIMIT = 12  # permutation enumeration is only offered up to this N
+EXACT_SPLITS = 100_000  # and only when it has at most this many splits
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -132,7 +133,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]],
     Args:
         groups: two or more non-empty samples.
         method: "approx" for the chi-square approximation, "exact" for full
-            permutation enumeration (total N must not exceed 12).
+            permutation enumeration (total N at most 12, and at most
+            ``EXACT_SPLITS`` splits of the N values into the groups).
     """
     sizes, ranks, tie = _pool(groups)
     n_total = ranks.size
@@ -176,6 +178,11 @@ def _exact_p(method: str, ranks: np.ndarray, sizes: Sequence[int],
         raise ValidationError(f"unknown method {method!r}")
     if ranks.size > EXACT_LIMIT:
         raise ValidationError(f"exact mode limited to N <= {EXACT_LIMIT}")
+    splits = math.factorial(ranks.size) // math.prod(map(math.factorial,
+                                                         sizes))
+    if splits > EXACT_SPLITS:
+        raise ValidationError(f"exact mode would enumerate {splits} splits, "
+                              f"more than {EXACT_SPLITS}")
     observed, count = statistic(ranks), 0
     for total, order in enumerate(_splits(sizes), start=1):
         count += bool(statistic(ranks[order]) >= observed - 1e-12)

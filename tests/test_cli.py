@@ -18,7 +18,8 @@ from archsmith.cli import EXPERIMENTS, main
 from archsmith.experiments import ArchiveGenConfig, generate_archive
 from archsmith.genotype import DepthKey, GenotypeConfig
 from archsmith.landscape import LandscapeConfig, make_landscape, save_landscape
-from archsmith.metamodel import LearnConfig, load_metamodel
+from archsmith.metamodel import (LearnConfig, Metamodel, load_metamodel,
+                                 save_metamodel)
 from test_archive import individual
 from test_genotype import gan_json, random_gan
 from test_metamodel import mm_v1_document
@@ -717,6 +718,27 @@ class TestSearch:
                      "--budget", "10", "--seed", "3",
                      "--out", str(out)]) == 0
         assert len(read_csv(out)) == 11
+
+    @pytest.mark.parametrize("arity", [2, 4])
+    def test_guided_search_rejects_a_model_of_another_space(self, arity,
+                                                            tmp_path,
+                                                            capsys):
+        # The model is of arity 3; the landscape's slots have 2 or 4 values.
+        model = tmp_path / "model.json"
+        save_metamodel(Metamodel.uniform(LearnConfig(
+            genotype=dataclasses.replace(SMALL, arity=3))), model)
+        cfg = tmp_path / "land.json"
+        cfg.write_text(json.dumps(dataclasses.replace(
+            LAND, genotype=dataclasses.replace(SMALL, arity=arity)
+        ).to_json_obj()))
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert main(["search", "--landscape-config", str(cfg),
+                     "--algorithm", "guided", "--model", str(model),
+                     "--budget", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: metamodel genotype does not match landscape"]
+        assert not out.exists()
 
     def test_guided_requires_model(self, tmp_path):
         cfg = tmp_path / "land.json"

@@ -32,6 +32,8 @@ from archsmith.genotype import (
     sort_by_fitness,
     unflatten_joint,
 )
+from archsmith.landscape import LandscapeConfig, make_landscape
+from archsmith.metamodel import LearnConfig, Metamodel
 
 JOINT = GenotypeConfig.joint()
 PER_NET = GenotypeConfig.per_network()
@@ -312,6 +314,70 @@ class TestFlatten:
             unflatten_joint(DepthKey(1, 1), values, JOINT)
         with pytest.raises(ValidationError, match="unsupported depth"):
             unflatten_joint(DepthKey(4, 1), values, JOINT)
+
+
+def row_checkers(config):
+    """The callers of the one row check, each given a key and a batch:
+    landscape evaluation, metamodel scoring and the tree of each row."""
+    land = make_landscape(0, LandscapeConfig(genotype=config))
+    model = Metamodel.uniform(LearnConfig(genotype=config))
+    return {"evaluate_values": land.evaluate_values,
+            "score_values": model.score_values,
+            "unflatten_joint": lambda key, rows: [
+                unflatten_joint(key, row, config) for row in rows]}
+
+
+class TestOneRowCheck:
+    """Landscape evaluation, metamodel scoring (both modes) and
+    ``unflatten_joint`` give one message per fault, naming the joint
+    slot.  The bad value sits in the discriminator half, which
+    per-network mode scores as a part of its own."""
+
+    @pytest.mark.parametrize("config", [JOINT, PER_NET],
+                             ids=["joint", "per_network"])
+    @pytest.mark.parametrize("fault", ["unsupported-key", "one-axis",
+                                       "wrong-width", "negative",
+                                       "too-large"])
+    def test_one_message_per_fault(self, config, fault):
+        key = DepthKey(2, 3)
+        slots = joint_schema(config, key).slots
+        n = len(slots)
+        column = [slot.name for slot in slots].index("d1.size")
+        rows = np.zeros((1, n), dtype=np.int64)
+        checkers = row_checkers(config)
+        if fault == "unsupported-key":
+            key = DepthKey(config.generator_depth_max + 1, 1)
+            message = f"unsupported depth {key.d_g} for generator"
+        elif fault == "one-axis":
+            rows = rows[0]
+            del checkers["unflatten_joint"]  # its one row has one axis
+            message = (f"rows of shape ({n},) do not hold the {n} slots of "
+                       f"depth key (2, 3)")
+        elif fault == "wrong-width":
+            rows = rows[:, 1:]
+            message = (f"rows of shape (1, {n - 1}) do not hold the {n} "
+                       f"slots of depth key (2, 3)")
+        else:
+            rows[0, column] = -1 if fault == "negative" else 99
+            message = (f"value {rows[0, column]} outside cardinality of "
+                       f"slot d1.size")
+        for name, check in checkers.items():
+            with pytest.raises(ValidationError) as info:
+                check(key, rows)
+            assert str(info.value) == message, name
+
+    @pytest.mark.parametrize("config", [JOINT, PER_NET],
+                             ids=["joint", "per_network"])
+    def test_first_bad_value_in_row_order_is_named(self, config):
+        key = DepthKey(2, 3)
+        slots = joint_schema(config, key).slots
+        rows = np.zeros((2, len(slots)), dtype=np.int64)
+        rows[0, -1] = 7  # d2.size, the last slot
+        rows[1, 0] = -2  # train_freq, the first
+        for name, check in row_checkers(config).items():
+            with pytest.raises(ValidationError, match=(
+                    "^value 7 outside cardinality of slot d2.size$")):
+                check(key, rows)
 
 
 class TestSerialization:

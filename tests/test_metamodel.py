@@ -7,8 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from archsmith.archive import Individual
 from archsmith.bayesnet import BayesNet, Dag, pls_sample_many
@@ -227,7 +225,11 @@ class TestScore:
                              ids=["joint", "per_network"])
     def test_uniform_model_matches_scipy_oracle(self, config):
         # The depth priors solve sum(logsumexp(c * m + volume)) = 0 over
-        # the parts; scipy's brentq and logsumexp are the oracle.
+        # the parts; scipy's brentq and logsumexp are the oracle.  Imported
+        # here, so the rest of this module runs without scipy.
+        from scipy.optimize import brentq
+        from scipy.special import logsumexp
+
         model = Metamodel.uniform(LearnConfig(genotype=config))
         parts = {part.name: _schema_volumes(part.schemas)
                  for part in _parts(config)}

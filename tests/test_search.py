@@ -600,6 +600,17 @@ class TestGuidedHc:
         assert trace.steps[-1].genotype == flatten_joint(target, TINY)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("arity", [1, 3])
+    def test_model_of_another_space_rejected(self, arity):
+        land = tiny_landscape()
+        start = random_genotype(np.random.default_rng(0), TINY,
+                                DepthKey(1, 1))
+        foreign = Metamodel.uniform(LearnConfig(genotype=replace(
+            TINY, arity=arity)))
+        with pytest.raises(ValidationError, match="^metamodel genotype does "
+                                                  "not match landscape$"):
+            guided_hc(land, foreign, start, 5, np.random.default_rng(1))
+
     def test_exhaustion_pads_trace(self):
         land = tiny_landscape(seed=8)
         start = planted_gan(land, land.target_key)
@@ -700,6 +711,15 @@ class TestPopulationAndEa:
         with pytest.raises(ValidationError):
             init_population("from_metamodel", 4, land,
                             np.random.default_rng(11))
+
+    def test_init_from_metamodel_of_another_space_rejected(self):
+        land = tiny_landscape(seed=13)
+        foreign = Metamodel.uniform(LearnConfig(genotype=replace(TINY,
+                                                                 arity=3)))
+        with pytest.raises(ValidationError, match="^metamodel genotype does "
+                                                  "not match landscape$"):
+            init_population("from_metamodel", 4, land,
+                            np.random.default_rng(11), metamodel=foreign)
 
     def test_init_unknown_strategy(self):
         land = tiny_landscape()

@@ -310,6 +310,22 @@ class TestExactMode:
         assert ours == rank_sum_exact_oracle(*groups)
         assert type(ours.p_value) is float
 
+    @pytest.mark.parametrize("sizes,splits", [
+        ((1,) * 12, 479_001_600), ((3, 3, 3, 3), 369_600),
+        ((2, 2, 2, 2, 2, 1), 1_247_400)])
+    def test_too_many_splits_rejected_before_the_first(self, sizes, splits,
+                                                       monkeypatch):
+        def no_splits(sizes):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr("archsmith.stats._splits", no_splits)
+        values = iter(range(sum(sizes)))
+        groups = [[next(values) for _ in range(size)] for size in sizes]
+        with pytest.raises(ValidationError, match=(
+                f"^exact mode would enumerate {splits} splits, more than "
+                f"100000$")):
+            kruskal_wallis(groups, method="exact")
+
     @pytest.mark.parametrize("test", [
         lambda method: kruskal_wallis(THREE_GROUPS, method=method),
         lambda method: rank_sum([1, 2], [3, 4, 5], method=method),
