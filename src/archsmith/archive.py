@@ -256,17 +256,11 @@ class EliteSets:
     first: list[Individual]
     second: list[Individual]
     random: list[Individual]
-    n: int
-    seed: int
-    overlap_count: int
-    config: GenotypeConfig
 
     def by_name(self, name: str) -> list[Individual]:
-        try:
-            return {"first": self.first, "second": self.second,
-                    "random": self.random}[name]
-        except KeyError:
-            raise ValidationError(f"unknown set name {name!r}") from None
+        if name not in ("first", "second", "random"):
+            raise ValidationError(f"unknown set name {name!r}")
+        return getattr(self, name)
 
 
 def save_archive(archive: RunArchive, path) -> None:
@@ -369,8 +363,7 @@ def extract_sets(archive: RunArchive, n: int, seed: int) -> EliteSets:
     Individuals are ranked by ascending fitness with ties broken by the
     canonical genotype hash, so extraction is deterministic even if the
     archive lines were shuffled.  The Random set is drawn uniformly without
-    replacement from the whole run and may overlap the other two; the
-    overlap count is recorded.
+    replacement from the whole run and may overlap the other two.
 
     Raises:
         ValidationError: if any run holds fewer than 2n individuals.
@@ -380,7 +373,6 @@ def extract_sets(archive: RunArchive, n: int, seed: int) -> EliteSets:
     first: list[Individual] = []
     second: list[Individual] = []
     random_set: list[Individual] = []
-    overlap = 0
     for run_id, individuals in archive._ranked_runs:
         if len(individuals) < 2 * n:
             raise ValidationError(
@@ -390,9 +382,5 @@ def extract_sets(archive: RunArchive, n: int, seed: int) -> EliteSets:
         second.extend(individuals[n:2 * n])
         rng = _run_rng(seed, run_id)
         chosen = rng.choice(len(individuals), size=n, replace=False)
-        for index in sorted(int(i) for i in chosen):
-            if index < 2 * n:
-                overlap += 1
-            random_set.append(individuals[index])
-    return EliteSets(first=first, second=second, random=random_set, n=n,
-                     seed=seed, overlap_count=overlap, config=archive.config)
+        random_set.extend(individuals[int(i)] for i in sorted(chosen))
+    return EliteSets(first=first, second=second, random=random_set)

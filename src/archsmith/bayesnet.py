@@ -658,14 +658,15 @@ def bn_to_json_obj(bn: BayesNet) -> dict:
     }
 
 
-def bn_from_json_obj(obj: dict) -> BayesNet:
+def bn_dag_from_json_obj(obj: dict) -> Dag:
+    """The DAG of a network document, read without its tables."""
     tag = obj.get("format") if isinstance(obj, dict) else None
     if tag not in (BN_FORMAT, BN_FORMAT_V1):
         raise FormatError(f"expected a {BN_FORMAT} or {BN_FORMAT_V1} "
                           f"document")
     what = f"{tag} document"
     try:
-        dag = Dag(variables=tuple(
+        return Dag(variables=tuple(
             (str(name), parse_value(card, integer,
                                     f"{what}: cardinality of {name!r}"))
             for name, card in obj["variables"]),
@@ -674,8 +675,16 @@ def bn_from_json_obj(obj: dict) -> BayesNet:
                                   f"{what}: parent of variable {v}")
                       for p in ps)
                 for v, ps in enumerate(obj["parents"])))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
+
+
+def bn_from_json_obj(obj: dict) -> BayesNet:
+    dag = bn_dag_from_json_obj(obj)
+    what = f"{obj['format']} document"
+    try:
         codes = None
-        if tag == BN_FORMAT:
+        if obj["format"] == BN_FORMAT:
             codes = tuple(
                 None if code is None else np.array(
                     [parse_value(c, integer, f"{what}: code of variable {v}")

@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .archive import load_archive, save_archive
+from .archive import extract_sets, load_archive, save_archive
 from .errors import (FormatError, ValidationError, open_text, read_json,
                      read_json_line, seed as parse_seed)
 from .experiments import (
@@ -26,7 +26,6 @@ from .experiments import (
     LikelihoodConfig,
     SamplingConfig,
     generate_archive,
-    learn_from_first,
     parse_learn_config,
     run_guided_search,
     run_initialization,
@@ -40,6 +39,7 @@ from .genotype import (DepthKey, GenotypeConfig, dump_genotypes,
                        unflatten_joint)
 from .landscape import LandscapeConfig, load_landscape, make_landscape
 from .metamodel import (
+    learn,
     load_metamodel,
     provenance_mismatch,
     save_metamodel,
@@ -101,10 +101,13 @@ def cmd_learn(args) -> int:
         learn_config = replace(learn_config, structure=args.structure)
     if learn_config.genotype != archive.config:
         raise ValidationError("config genotype does not match the archive")
-    sets, model = learn_from_first(archive, args.n, args.seed, learn_config)
+    first = extract_sets(archive, args.n, args.seed).first
+    model = learn(first, learn_config,
+                  provenance={"archive_hash": archive.content_hash(),
+                              "elite_n": args.n, "elite_seed": args.seed})
     save_metamodel(model, args.out)
     logger.info("learned from %d elites (%d runs); structure=%s",
-                len(sets.first), archive.n_runs, learn_config.structure)
+                len(first), archive.n_runs, learn_config.structure)
     return 0
 
 

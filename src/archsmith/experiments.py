@@ -14,7 +14,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .archive import EliteSets, Individual, RunArchive, extract_sets
+from .archive import Individual, RunArchive, extract_sets
 from .errors import (ValidationError, field_defaults, known_keys,
                      read_config)
 from .genotype import DepthKey, random_genotype
@@ -92,20 +92,6 @@ def _check_fresh(archive: RunArchive, target_seed: int) -> None:
     if str(target_seed) in archive.problem_ids:
         raise ValidationError(
             f"target seed {target_seed} appears in the archive")
-
-
-def learn_from_first(archive: RunArchive, n: int, seed: int,
-                     learn_config: LearnConfig) -> tuple[EliteSets, Metamodel]:
-    """The elite sets of ``archive``, and the metamodel learned on First.
-
-    The model's provenance records the archive hash and the elite-set
-    parameters, so a later ``score`` can tell which archive it came from.
-    """
-    sets = extract_sets(archive, n, seed)
-    model = learn(sets.first, learn_config,
-                  provenance={"archive_hash": archive.content_hash(),
-                              "elite_n": n, "elite_seed": seed})
-    return sets, model
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +195,6 @@ class KeyTest:
 class LikelihoodResult:
     rows: list[ScoreRow]
     key_tests: list[KeyTest]
-    sets: EliteSets
-    metamodel: Metamodel
 
     def tables(self) -> dict:
         return {"scores.csv": (ScoreRow, self.rows),
@@ -227,9 +211,8 @@ def run_likelihood(archive: RunArchive,
     individuals were scored in total get a Kruskal-Wallis test over the
     per-set log probabilities plus Dunn pairwise p-values.
     """
-    sets, model = learn_from_first(
-        archive, config.n, config.seed,
-        _default_learn(config.landscape, config.learn))
+    sets = extract_sets(archive, config.n, config.seed)
+    model = learn(sets.first, _default_learn(config.landscape, config.learn))
     rows: list[ScoreRow] = []
     for set_name in SET_NAMES:
         individuals = sets.by_name(set_name)
@@ -257,8 +240,7 @@ def run_likelihood(archive: RunArchive,
             p_first_second=float(pairwise.p_raw[0, 1]),
             p_first_random=float(pairwise.p_raw[0, 2]),
             p_second_random=float(pairwise.p_raw[1, 2])))
-    return LikelihoodResult(rows=rows, key_tests=key_tests, sets=sets,
-                            metamodel=model)
+    return LikelihoodResult(rows=rows, key_tests=key_tests)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +290,6 @@ class HoldoutTest:
 class SamplingResult:
     rows: list[SampleRow]
     tests: list[HoldoutTest]
-    metamodel: Metamodel
 
     def tables(self) -> dict:
         return {"samples.csv": (SampleRow, self.rows),
@@ -334,11 +315,11 @@ def run_sampling(archive: RunArchive,
     if not train_runs:
         raise ValidationError("no archive runs match the train seeds")
     # Learning on the archive itself, when every run trains, reuses its
-    # ranking and hash; a sub-archive is a new object and pays for both.
+    # ranking; a sub-archive is a new object and re-ranks its runs.
     if len(train_runs) < archive.n_runs:
         archive = RunArchive(runs=train_runs, config=archive.config)
-    sets, model = learn_from_first(archive, config.n, config.seed,
-                                   learn_config)
+    sets = extract_sets(archive, config.n, config.seed)
+    model = learn(sets.first, learn_config)
     rng = np.random.default_rng([config.seed, len(config.train_seeds)])
     sampled = model.sample_genotypes(rng, config.n_each)
     picks = rng.integers(len(sets.first), size=config.n_each)
@@ -368,7 +349,7 @@ def run_sampling(archive: RunArchive,
                                          fitness["random"]).p_value,
             p_sampled_vs_first=rank_sum(fitness["sampled"],
                                         fitness["first"]).p_value))
-    return SamplingResult(rows=rows, tests=tests, metamodel=model)
+    return SamplingResult(rows=rows, tests=tests)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +395,6 @@ class InitSummary:
 class InitializationResult:
     rows: list[GenerationRow]
     summary: InitSummary
-    metamodel: Metamodel
 
     def tables(self) -> dict:
         return {"generations.csv": (GenerationRow, self.rows)}
@@ -431,9 +411,9 @@ def run_initialization(archive: RunArchive,
     """
     learn_config = _default_learn(config.landscape, config.learn)
     _check_fresh(archive, config.target_seed)
-    sets, model = learn_from_first(archive, config.n, config.seed,
-                                   learn_config)
-    elite = [(ind.key, ind.row) for ind in sets.first]
+    first = extract_sets(archive, config.n, config.seed).first
+    model = learn(first, learn_config)
+    elite = [(ind.key, ind.row) for ind in first]
     land = make_landscape(config.target_seed, config.landscape)
     rows: list[GenerationRow] = []
     finals: dict[str, list[float]] = {s: [] for s in STRATEGY_ORDER}
@@ -460,7 +440,7 @@ def run_initialization(archive: RunArchive,
                                             starts["random"]).p_value,
         p_final_random_vs_metamodel=rank_sum(finals["random"],
                                              finals["from_metamodel"]).p_value)
-    return InitializationResult(rows=rows, summary=summary, metamodel=model)
+    return InitializationResult(rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +486,6 @@ class GuidedSearchResult:
     rows: list[StepRow]
     traces: dict[str, list[SearchTrace]]
     summary: GuidedSummary
-    metamodel: Metamodel
 
     def tables(self) -> dict:
         return {"steps.csv": (StepRow, self.rows)}
@@ -524,8 +503,8 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
     learn_config = _default_learn(config.landscape, config.learn)
     _check_fresh(archive, config.target_seed)
     if metamodel is None:
-        _, metamodel = learn_from_first(archive, config.n, config.seed,
-                                        learn_config)
+        metamodel = learn(extract_sets(archive, config.n, config.seed).first,
+                          learn_config)
     land = make_landscape(config.target_seed, config.landscape)
     gc = config.landscape.genotype
     traces: dict[str, list[SearchTrace]] = {a: [] for a in ALGORITHMS}
@@ -557,5 +536,4 @@ def run_guided_search(archive: RunArchive, config: GuidedSearchConfig,
                                           finals["random"]).p_value,
         median_half_improvement={a: float(np.median(improvements[a]))
                                  for a in ALGORITHMS})
-    return GuidedSearchResult(rows=rows, traces=traces, summary=summary,
-                              metamodel=metamodel)
+    return GuidedSearchResult(rows=rows, traces=traces, summary=summary)

@@ -21,6 +21,7 @@ from .archive import Individual
 from .bayesnet import (
     BayesNet,
     aracne_skeleton,
+    bn_dag_from_json_obj,
     bn_from_json_obj,
     bn_to_json_obj,
     chow_liu,
@@ -145,9 +146,6 @@ class Submodel:
     method: str
 
     def __post_init__(self) -> None:
-        expected = tuple((s.name, s.cardinality) for s in self.schema.slots)
-        if self.bn.dag.variables != expected:
-            raise ValidationError("submodel variables do not match the schema")
         if self.n_train < 0:
             raise ValidationError(f"submodel {list(self.key)}: n_train is "
                                   f"{self.n_train}, not a count")
@@ -615,6 +613,11 @@ def metamodel_from_json_obj(obj: dict) -> Metamodel:
             key, schema = schemas[text]
             if key in submodels:
                 raise FormatError(f"submodel key {text} appears twice")
+            # The declared cardinalities size the tables: check them first.
+            if bn_dag_from_json_obj(entry["bn"]).variables != tuple(
+                    (s.name, s.cardinality) for s in schema.slots):
+                raise ValidationError(
+                    "submodel variables do not match the schema")
             submodels[key] = Submodel(
                 key=key, schema=schema, bn=bn_from_json_obj(entry["bn"]),
                 n_train=parse_field(entry, "n_train", integer,

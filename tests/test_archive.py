@@ -22,9 +22,13 @@ from archsmith.archive import (
 from archsmith.errors import FormatError, ValidationError, read_json_line
 from archsmith.experiments import (
     ArchiveGenConfig,
+    GuidedSearchConfig,
+    InitializationConfig,
     LikelihoodConfig,
     SamplingConfig,
     generate_archive,
+    run_guided_search,
+    run_initialization,
     run_likelihood,
     run_sampling,
 )
@@ -417,17 +421,6 @@ class TestExtractSets:
         assert sets.first == expected[:2]
         assert sets.second == expected[2:4]
 
-    def test_overlap_count_matches_definition(self):
-        rng = np.random.default_rng(12)
-        archive = make_archive(rng, n_runs=5, run_size=12)
-        n = 4
-        sets = extract_sets(archive, n=n, seed=2)
-        elite = {(i.fitness, tree_hash(i.gan))
-                 for i in sets.first + sets.second}
-        observed = sum(1 for i in sets.random
-                       if (i.fitness, tree_hash(i.gan)) in elite)
-        assert sets.overlap_count == observed
-
 
 # ---------------------------------------------------------------------------
 # Record encoding: the fragment encoder against the json.dumps formula
@@ -715,30 +708,35 @@ class TestFrozenArchive:
             population=8, generations=4))
         texts = count_calls(monkeypatch, "_record_texts", archsmith.archive)
         ranks = count_calls(monkeypatch, "_ranked", archsmith.archive)
-        hashes = {archive.content_hash() for _ in range(3)}
         for seed in range(3):
             extract_sets(archive, n=3, seed=seed)
-        likelihood = run_likelihood(archive, LikelihoodConfig(
-            landscape=land, n=3, min_scored=6))
-        sampling = run_sampling(archive, SamplingConfig(
+        run_likelihood(archive, LikelihoodConfig(landscape=land, n=3,
+                                                 min_scored=6))
+        run_sampling(archive, SamplingConfig(
             landscape=land, train_seeds=(0, 1), holdout_seeds=(50,), n=3,
             n_each=10))
+        run_initialization(archive, InitializationConfig(
+            landscape=land, replicates=1, population=4, generations=2, n=3))
+        run_guided_search(archive, GuidedSearchConfig(
+            landscape=land, replicates=1, budget=4, n=3))
+        # No experiment renders a record; each run is ranked once.
+        assert texts == [] and len(ranks) == archive.n_runs
+        hashes = {archive.content_hash() for _ in range(3)}
         assert len(texts) == 1 and len(ranks) == archive.n_runs
-        assert hashes == {likelihood.metamodel.provenance["archive_hash"],
-                          sampling.metamodel.provenance["archive_hash"]}
+        assert hashes == {reference_content_hash(archive)}
 
-    def test_train_subset_hashes_its_own_runs(self, acceptance_archive):
+    def test_train_subset_learns_from_its_own_runs(self, acceptance_archive):
         land = LandscapeConfig(genotype=CONFIG, family_seed=7)
-        result = run_sampling(acceptance_archive, SamplingConfig(
-            landscape=land, train_seeds=(0, 1), holdout_seeds=(100,),
-            n_each=10))
+        config = SamplingConfig(landscape=land, train_seeds=(0, 1),
+                                holdout_seeds=(100,), n_each=10)
         runs = acceptance_archive.runs
         subset = RunArchive(runs={run_id: run for run_id, run in runs.items()
                                   if run[0].problem_id in ("0", "1")},
                             config=CONFIG)
         assert subset.n_runs == 12
-        assert (result.metamodel.provenance["archive_hash"]
-                == subset.content_hash() == reference_content_hash(subset))
+        whole = run_sampling(acceptance_archive, config)
+        part = run_sampling(subset, config)
+        assert (whole.rows, whole.tests) == (part.rows, part.tests)
 
     def test_runs_and_attributes_refuse_assignment(self):
         archive = make_archive(np.random.default_rng(30), 2, 4)

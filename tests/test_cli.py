@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,32 @@ class TestStrictModelFiles:
                      "--out", str(out)]) == 1
         one_error_line(capsys, needle)
         assert not out.exists()
+
+
+    def test_declared_cardinality_checked_before_tables(self, archive_path,
+                                                         tmp_path, capsys):
+        # A keyed table without rows still holds its uniform row, so at
+        # 2,000,000 declared values the tables would take about 32 MB.
+        path = tmp_path / "huge.json"
+        save_metamodel(Metamodel.uniform(LearnConfig(genotype=SMALL)), path)
+        doc = json.loads(path.read_text())
+        bn = doc["submodels"][0]["bn"]
+        v = [name for name, _ in bn["variables"]].index("g0.kind")
+        bn["variables"][v][1] = 2_000_000
+        bn["codes"][v], bn["cpts"][v] = [], []
+        write(path, doc)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["score", "--model", str(path), "--genotypes",
+                         str(archive_path), "--out", str(tmp_path / "o.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {path}: submodel variables do not match the schema"]
+        assert peak < 4_000_000
 
 
 # Values of the wrong type for a field of each kind, and the fields that

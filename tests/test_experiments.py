@@ -6,10 +6,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from archsmith.archive import extract_sets
 from archsmith.errors import ValidationError
-from archsmith.genotype import GenotypeConfig
-from archsmith.landscape import LandscapeConfig
-from archsmith.metamodel import LearnConfig, Metamodel
+from archsmith.genotype import DepthKey, GenotypeConfig, random_genotype
+from archsmith.landscape import LandscapeConfig, make_landscape
+from archsmith.metamodel import LearnConfig, Metamodel, learn
+from archsmith.search import guided_hc
 from archsmith.experiments import (
     ArchiveGenConfig,
     GuidedSearchConfig,
@@ -130,10 +132,12 @@ class TestLikelihood:
         # one genotype at a time, and the floats must be the same bits.
         config = LikelihoodConfig(landscape=LAND, n=4, seed=5, min_scored=6)
         result = run_likelihood(small_archive, config)
+        sets = extract_sets(small_archive, 4, 5)
+        model = learn(sets.first, LearnConfig(genotype=SMALL))
         want = []
         for set_name in ("first", "second", "random"):
-            for ind in result.sets.by_name(set_name):
-                b = result.metamodel.score(ind.gan)
+            for ind in sets.by_name(set_name):
+                b = model.score(ind.gan)
                 want.append(ScoreRow(set_name, ind.run_id, ind.problem_id,
                                      b.depth_key.d_g, b.depth_key.d_d,
                                      b.log_prob, b.normalized))
@@ -271,7 +275,16 @@ class TestGuidedSearch:
                                     replicates=2, budget=8, n=3, seed=9)
         model = Metamodel.uniform(LearnConfig(genotype=SMALL))
         result = run_guided_search(small_archive, config, metamodel=model)
-        assert result.metamodel is model
+        # The guided climber searches under the given model, with the
+        # runner's seeds: a start from [seed, replicate, 0] and a climb
+        # from [seed, replicate, 2].
+        land = make_landscape(71, LAND)
+        assert len(result.traces["guided"]) == 2
+        for rep, trace in enumerate(result.traces["guided"]):
+            start = random_genotype(np.random.default_rng([9, rep, 0]),
+                                    SMALL, DepthKey(1, 1))
+            assert trace == guided_hc(land, model, start, 8,
+                                      np.random.default_rng([9, rep, 2]))
         wrong = Metamodel.uniform(
             LearnConfig(genotype=GenotypeConfig.per_network()))
         with pytest.raises(ValidationError):
