@@ -34,10 +34,10 @@ from .genotype import (
     _flatten_fields,
     _gan_reader,
     _gan_text,
-    _layer_values,
     _read_gan_text,
     _record_fields,
     _text_tables,
+    _value_tables,
     gan_hash,
     sort_by_fitness,
     unflatten_joint,
@@ -324,7 +324,7 @@ def load_archive(path, config: GenotypeConfig | None = None) -> RunArchive:
                 continue
             if tables is None:
                 effective = config or file_config or GenotypeConfig.joint()
-                tables = _layer_values(effective)
+                tables = _value_tables(effective)
                 reader = _gan_reader(effective)
             try:
                 fields, fitness, run_id, problem_id = _parse_record(obj)

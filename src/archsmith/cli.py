@@ -34,9 +34,9 @@ from .experiments import (
     write_csv,
     write_rows,
 )
-from .genotype import (DepthKey, GenotypeConfig, dump_genotypes,
-                       flatten_joint, load_genotypes, random_genotype,
-                       unflatten_joint)
+from .genotype import (DepthKey, GenotypeConfig, _LAYER_FIELDS,
+                       _flatten_fields, _networks, _value_tables,
+                       dump_genotypes, load_genotypes, random_genotype)
 from .landscape import LandscapeConfig, load_landscape, make_landscape
 from .metamodel import (
     learn,
@@ -123,8 +123,10 @@ def cmd_score(args) -> int:
         head = None  # not an archive; load_genotypes names the bad line
     if isinstance(head, dict) and ("format" in head or "gan" in head):
         archive = load_archive(args.genotypes)
-        warning = provenance_mismatch(model,
-                                      archive_hash=archive.content_hash(),
+        # Hashing renders every record: only a recorded hash needs it.
+        archive_hash = (archive.content_hash()
+                        if "archive_hash" in model.provenance else None)
+        warning = provenance_mismatch(model, archive_hash=archive_hash,
                                       genotype=archive.config)
         if warning:
             logger.warning("provenance mismatch: %s", warning)
@@ -132,7 +134,8 @@ def cmd_score(args) -> int:
                 for ind in archive.runs[run_id]]
         genotypes = [(ind.key, ind.row) for ind in inds]
         if archive.config != model.config:  # rows of another space
-            genotypes = [_respace(ind, model.config, args.genotypes)
+            tables = _value_tables(model.config)
+            genotypes = [_respace(ind, model.config, tables, args.genotypes)
                          for ind in inds]
         rows = [(ind.run_id, ind.problem_id, *ind.key, lp, nz)
                 for ind, (lp, nz) in zip(inds, model.score_many(genotypes))]
@@ -147,13 +150,14 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _respace(ind, config: GenotypeConfig, path):
-    """The key and row of individual ``ind`` in ``config``'s space; a
-    genotype outside it raises a ValidationError naming the file ``path``
-    and the run."""
+def _respace(ind, config: GenotypeConfig, tables, path):
+    """``ind``'s key and row in ``config``'s space: its layers' fields read
+    in ``tables = _value_tables(config)``.  A genotype outside it raises a
+    ValidationError naming the file ``path`` and the run."""
+    nets = [(role, list(map(_LAYER_FIELDS, layers)))
+            for role, layers in _networks(ind.key, ind.row, ind.config)]
     try:
-        return flatten_joint(unflatten_joint(ind.key, ind.row, ind.config),
-                             config)
+        return _flatten_fields(nets, ind.row[0], config, tables)
     except ValidationError as exc:
         raise ValidationError(f"{path}: run {ind.run_id}: {exc}") from None
 

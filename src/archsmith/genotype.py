@@ -221,7 +221,18 @@ def _per_key(genotypes: Sequence[Genotype],
 
 
 # ---------------------------------------------------------------------------
-# Layer table: the vocabulary's layers, listed once
+# Row layout and layer tables: the vocabulary's layers, listed once
+
+_LAYER_KEYS = ("kind", "activation", "weight_init", "size_bin")
+_LAYER_FIELDS = attrgetter(*_LAYER_KEYS)
+# A row is the train bin, then each generator layer's values, then each
+# discriminator layer's: one value per layer field.
+_LAYER_WIDTH = len(_LAYER_KEYS)
+
+
+def _layer_start(key, role: str) -> int:
+    """The column of ``role``'s first layer in a row of depth key ``key``."""
+    return 1 if role == ROLE_GENERATOR else 1 + _LAYER_WIDTH * key[0]
 
 
 def _layer_radix(config: GenotypeConfig, role: str) -> tuple[int, int, int, int]:
@@ -231,17 +242,31 @@ def _layer_radix(config: GenotypeConfig, role: str) -> tuple[int, int, int, int]
             len(config.weight_inits), config.arity)
 
 
+class _Layers(NamedTuple):
+    """The layers a role may hold, in code order: each one's row values by
+    its fields, its ``LayerSpec`` by its row values (one object for a layer
+    both roles may hold), and, as row c of the read-only ``blocks``, the
+    row values of code c."""
+
+    values: dict[tuple, tuple[int, ...]]
+    specs: dict[tuple[int, ...], LayerSpec]
+    blocks: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _layer_table(config: GenotypeConfig,
-                 role: str) -> tuple[LayerSpec, ...]:
-    """The layers ``role`` may hold, indexed by layer code; unflattened
-    genotypes take their layers from here, and a layer both roles may hold
-    is one object."""
-    shared = {} if role == ROLE_GENERATOR else dict(zip(
-        _layer_values(config)[ROLE_GENERATOR],
-        _layer_table(config, ROLE_GENERATOR)))
-    return tuple(shared.get(fields) or LayerSpec(*fields)
-                 for fields in _layer_values(config)[role])
+def _layers(config: GenotypeConfig, role: str) -> _Layers:
+    """``role``'s layers in ``config``, codes in lexicographic index order."""
+    values = dict(zip(product(config.kinds(role), config.activations,
+                              config.weight_inits, range(config.arity)),
+                      product(*map(range, _layer_radix(config, role)))))
+    shared = {} if role == ROLE_GENERATOR else {
+        _LAYER_FIELDS(spec): spec
+        for spec in _layers(config, ROLE_GENERATOR).specs.values()}
+    blocks = np.array(list(values.values()), dtype=np.int64)
+    blocks.flags.writeable = False
+    return _Layers(values=values, blocks=blocks, specs={
+        row: shared.get(fields) or LayerSpec(*fields)
+        for fields, row in values.items()})
 
 
 def random_genotype(rng, config: GenotypeConfig,
@@ -281,17 +306,10 @@ class Schema:
 
 def _layer_slots(config: GenotypeConfig, role: str, depth: int) -> list[Slot]:
     prefix = "g" if role == ROLE_GENERATOR else "d"
-    kinds = config.kinds(role)
-    slots = []
-    for i in range(depth):
-        slots.append(Slot(f"{prefix}{i}.kind", len(kinds), role, i, "kind"))
-        slots.append(Slot(f"{prefix}{i}.activation", len(config.activations),
-                          role, i, "activation"))
-        slots.append(Slot(f"{prefix}{i}.weight_init", len(config.weight_inits),
-                          role, i, "weight_init"))
-        slots.append(Slot(f"{prefix}{i}.size", config.arity, role, i,
-                          "size_bin"))
-    return slots
+    return [Slot(f"{prefix}{i}.{attr.removesuffix('_bin')}", card, role, i,
+                 attr)
+            for i in range(depth)
+            for attr, card in zip(_LAYER_KEYS, _layer_radix(config, role))]
 
 
 @lru_cache(maxsize=None)
@@ -340,19 +358,10 @@ def _batch(config: GenotypeConfig, key, values) -> tuple[DepthKey, np.ndarray]:
     return key, values
 
 
-_LAYER_KEYS = ("kind", "activation", "weight_init", "size_bin")
-_LAYER_FIELDS = attrgetter(*_LAYER_KEYS)
-
-
-@lru_cache(maxsize=None)
-def _layer_values(config: GenotypeConfig) -> dict[str, dict[tuple, tuple]]:
-    """Per role, the four row values of each layer the role may hold,
-    keyed by the layer's fields (kind, activation, weight_init,
-    size_bin)."""
-    return {role: dict(zip(product(config.kinds(role), config.activations,
-                                   config.weight_inits, range(config.arity)),
-                           product(*map(range, _layer_radix(config, role)))))
-            for role in ROLES}
+def _value_tables(config: GenotypeConfig) -> tuple[dict, dict]:
+    """Each role's ``_layers(config, role).values``, generator first."""
+    return (_layers(config, ROLE_GENERATOR).values,
+            _layers(config, ROLE_DISCRIMINATOR).values)
 
 
 def flatten_joint(gan: GanSpec, config: GenotypeConfig) -> Genotype:
@@ -362,20 +371,20 @@ def flatten_joint(gan: GanSpec, config: GenotypeConfig) -> Genotype:
     nets = tuple((net.role, list(map(_LAYER_FIELDS, net.layers)))
                  for net in (gan.generator, gan.discriminator))
     return _flatten_fields(nets, gan.train_freq_bin, config,
-                           _layer_values(config))
+                           _value_tables(config))
 
 
 def _flatten_fields(nets, train, config: GenotypeConfig, tables) -> Genotype:
     """The key and row of a genotype given as ``nets``, ``((role, layers),
     (role, layers))`` with each layer its fields, and its train bin, for
-    ``tables = _layer_values(config)``: one lookup per layer, and only on
+    ``tables = _value_tables(config)``: one lookup per layer, and only on
     a miss the checks of ``_space_error``, whose fault is raised."""
     (g_role, g_layers), (d_role, d_layers) = nets
     if (g_role == ROLE_GENERATOR and d_role == ROLE_DISCRIMINATOR
             and 0 < len(g_layers) <= config.generator_depth_max
             and 0 < len(d_layers) <= config.discriminator_depth_max
             and train in range(config.arity)):
-        g_table, d_table = tables[ROLE_GENERATOR], tables[ROLE_DISCRIMINATOR]
+        g_table, d_table = tables
         values = [train]
         try:
             for fields in g_layers:
@@ -420,13 +429,14 @@ def _space_error(nets, train, config: GenotypeConfig) -> ValidationError:
     return ValidationError("layer fields outside the layer tables")
 
 
-def _layers_from_values(config: GenotypeConfig, role: str,
-                        values: Sequence[int]) -> tuple[LayerSpec, ...]:
-    table = _layer_table(config, role)
-    _, n_act, n_init, arity = _layer_radix(config, role)
-    return tuple(table[((values[offset] * n_act + values[offset + 1]) * n_init
-                        + values[offset + 2]) * arity + values[offset + 3]]
-                 for offset in range(0, len(values), 4))
+def _networks(key: DepthKey, row: tuple[int, ...],
+              config: GenotypeConfig) -> Iterator[tuple[str, tuple]]:
+    """Each network of ``(key, row)``, a genotype of ``config``'s space,
+    generator first: its role and its layers, ``_layers``' specs."""
+    for role, depth in zip(ROLES, key):
+        specs, start = _layers(config, role).specs, _layer_start(key, role)
+        yield role, tuple(specs[row[c:c + _LAYER_WIDTH]] for c in range(
+            start, start + _LAYER_WIDTH * depth, _LAYER_WIDTH))
 
 
 def unflatten_joint(key: DepthKey, values: Sequence[int],
@@ -434,15 +444,9 @@ def unflatten_joint(key: DepthKey, values: Sequence[int],
     """Inverse of flatten_joint: the genotype whose row at ``key`` is
     ``values`` (a sequence of ints or a 1-D integer array)."""
     key, rows = _batch(config, key, [values])
-    values = rows[0].tolist()
-    split = 1 + 4 * key.d_g
-    return GanSpec(
-        generator=DnnSpec(ROLE_GENERATOR, _layers_from_values(
-            config, ROLE_GENERATOR, values[1:split])),
-        discriminator=DnnSpec(ROLE_DISCRIMINATOR, _layers_from_values(
-            config, ROLE_DISCRIMINATOR, values[split:])),
-        train_freq_bin=values[0],
-    )
+    row = tuple(rows[0].tolist())
+    nets = [DnnSpec(*net) for net in _networks(key, row, config)]
+    return GanSpec(*nets, train_freq_bin=row[0])
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +476,7 @@ def _text_tables(config: GenotypeConfig, compact: bool) -> _Texts:
         layers=tuple(
             {values: json.dumps(dict(zip(_LAYER_KEYS, fields)),
                                 sort_keys=True, separators=separators)
-             for fields, values in _layer_values(config)[role].items()}
+             for fields, values in _layers(config, role).values.items()}
             for role in ROLES),
         around_layers=tuple((f'{{"layers"{colon}[',
                              f']{item}"role"{colon}{json.dumps(role)}}}')
@@ -494,7 +498,7 @@ def _gan_text(key: DepthKey, row: tuple[int, ...], texts: _Texts,
     distinct network's text by its values.
     """
     item, layers, around, (before, between, after) = texts
-    split = 1 + 4 * key[0]
+    split = _layer_start(key, ROLE_DISCRIMINATOR)
     gen, disc = row[1:split], row[split:]
     gen_text = networks[0].get(gen)
     if gen_text is None:
@@ -509,8 +513,9 @@ def _gan_text(key: DepthKey, row: tuple[int, ...], texts: _Texts,
 
 def _network_text(values: tuple[int, ...], layers: dict,
                   around: tuple[str, str], item: str) -> str:
-    return around[0] + item.join([layers[values[i:i + 4]] for i in
-                                  range(0, len(values), 4)]) + around[1]
+    return around[0] + item.join([
+        layers[values[i:i + _LAYER_WIDTH]]
+        for i in range(0, len(values), _LAYER_WIDTH)]) + around[1]
 
 
 class _Reader(NamedTuple):
@@ -586,7 +591,7 @@ def parse_genotype(obj, config: GenotypeConfig) -> Genotype:
     result), the inverse of the row writer.  A record of the wrong shape
     raises a FormatError, and a genotype outside ``config``'s space a
     ValidationError, each naming its first fault."""
-    return _flatten_fields(*_record_fields(obj), config, _layer_values(config))
+    return _flatten_fields(*_record_fields(obj), config, _value_tables(config))
 
 
 def _record_fields(obj) -> tuple[tuple, int]:

@@ -644,7 +644,7 @@ def load_metamodel(path) -> Metamodel:
     return read_json(path, metamodel_from_json_obj)
 
 
-def provenance_mismatch(m: Metamodel, archive_hash: str,
+def provenance_mismatch(m: Metamodel, archive_hash: str | None,
                         genotype: GenotypeConfig) -> str | None:
     """Describe a provenance mismatch, or None when everything lines up."""
     problems = []

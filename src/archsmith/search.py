@@ -10,7 +10,6 @@ deterministic given their generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -23,7 +22,11 @@ from .genotype import (
     GenotypeConfig,
     ROLE_DISCRIMINATOR,
     ROLE_GENERATOR,
+    ROLES,
+    _LAYER_WIDTH,
     _layer_radix,
+    _layer_start,
+    _layers,
     gan_hash,
     joint_schema,
     random_genotype,
@@ -40,18 +43,6 @@ STRATEGIES = (STRATEGY_RANDOM, STRATEGY_FROM_FIRST, STRATEGY_FROM_METAMODEL)
 
 # ---------------------------------------------------------------------------
 # Vectorized neighborhoods (for scoring and evaluation in bulk)
-
-
-@lru_cache(maxsize=None)
-def _layer_blocks(config: GenotypeConfig, role: str) -> np.ndarray:
-    """Row c is the (kind, activation, init, size) indices of layer code c,
-    the layer ``genotype._layer_table`` lists at c; so the rows are in
-    lexicographic order.  The array is shared, hence read-only.
-    """
-    radix = _layer_radix(config, role)
-    out = np.indices(radix, dtype=np.int64).reshape(len(radix), -1).T
-    out.flags.writeable = False
-    return out
 
 
 def neighbor_groups(key: DepthKey, values: np.ndarray,
@@ -89,9 +80,8 @@ def neighbor_groups(key: DepthKey, values: np.ndarray,
         out.append((key, change))
 
     flat = values.tolist()
-    sections = ((ROLE_GENERATOR, key.d_g, 1),
-                (ROLE_DISCRIMINATOR, key.d_d, 1 + 4 * key.d_g))
-    for role, depth, offset in sections:
+    for role, depth in zip(ROLES, key):
+        offset = _layer_start(key, role)
         if depth < config.depth_max(role):
             grow = (DepthKey(key.d_g + 1, key.d_d) if role == ROLE_GENERATOR
                     else DepthKey(key.d_g, key.d_d + 1))
@@ -100,8 +90,9 @@ def neighbor_groups(key: DepthKey, values: np.ndarray,
         if depth > 1:
             shrink = (DepthKey(key.d_g - 1, key.d_d) if role == ROLE_GENERATOR
                       else DepthKey(key.d_g, key.d_d - 1))
-            cuts = range(offset, offset + 4 * depth, 4)
-            rows = sorted({tuple(flat[:c] + flat[c + 4:]) for c in cuts})
+            cuts = range(offset, offset + _LAYER_WIDTH * depth, _LAYER_WIDTH)
+            rows = sorted({tuple(flat[:c] + flat[c + _LAYER_WIDTH:])
+                           for c in cuts})
             out.append((shrink, np.array(rows, dtype=np.int64)))
     # The five keys (change, grow and shrink per network) never collide.
     out.sort(key=lambda group: group[0])
@@ -114,23 +105,22 @@ def _grow_rows(values: np.ndarray, depth: int, offset: int,
 
     The network's ``depth`` layers start at column ``offset`` of ``values``.
     """
-    blocks = _layer_blocks(config, role)
-    radix = _layer_radix(config, role)
-    layers = values[offset:offset + 4 * depth].reshape(depth, 4)
-    codes = np.ravel_multi_index(layers.T, radix).tolist()
+    blocks = _layers(config, role).blocks
+    layers = values[offset:offset + _LAYER_WIDTH * depth].reshape(depth, -1)
+    codes = np.ravel_multi_index(layers.T, _layer_radix(config, role)).tolist()
     runs = ([(p, 0, codes[p]) for p in range(depth)]
             + [(depth, 0, len(blocks))]
             + [(p, codes[p] + 1, len(blocks))
                for p in range(depth - 1, -1, -1)])
     out = np.empty((depth * (len(blocks) - 1) + len(blocks),
-                    len(values) + 4), dtype=np.int64)
+                    len(values) + _LAYER_WIDTH), dtype=np.int64)
     start = 0
     for position, lo, hi in runs:
         stop = start + hi - lo
-        cut = offset + 4 * position
+        cut = offset + _LAYER_WIDTH * position
         out[start:stop, :cut] = values[:cut]
-        out[start:stop, cut:cut + 4] = blocks[lo:hi]
-        out[start:stop, cut + 4:] = values[cut:]
+        out[start:stop, cut:cut + _LAYER_WIDTH] = blocks[lo:hi]
+        out[start:stop, cut + _LAYER_WIDTH:] = values[cut:]
         start = stop
     return out
 
@@ -386,7 +376,8 @@ def _tournament(population: Population, rng: np.random.Generator, k: int,
 def _crossover(a: Genotype, b: Genotype):
     """Swap whole networks; train frequency travels with the generator."""
     (key_a, row_a), (key_b, row_b) = a, b
-    cut_a, cut_b = 1 + 4 * key_a.d_g, 1 + 4 * key_b.d_g
+    cut_a = _layer_start(key_a, ROLE_DISCRIMINATOR)
+    cut_b = _layer_start(key_b, ROLE_DISCRIMINATOR)
     return ((DepthKey(key_a.d_g, key_b.d_d), row_a[:cut_a] + row_b[cut_b:]),
             (DepthKey(key_b.d_g, key_a.d_d), row_b[:cut_b] + row_a[cut_a:]))
 
@@ -404,7 +395,6 @@ def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
     key = DepthKey(*key)
     values = list(row)
     depths = {ROLE_GENERATOR: key.d_g, ROLE_DISCRIMINATOR: key.d_d}
-    offsets = {ROLE_GENERATOR: 1, ROLE_DISCRIMINATOR: 1 + 4 * key.d_g}
     kinds = ["change", "train_freq"]
     if any(depths[r] < config.depth_max(r) for r in depths):
         kinds.append("add")
@@ -427,12 +417,12 @@ def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
     role = roles[int(rng.integers(len(roles)))]
     depth = depths[role]
     position = int(rng.integers(depth + 1 if grow > 0 else depth))
-    cut = offsets[role] + 4 * position
+    cut = _layer_start(key, role) + _LAYER_WIDTH * position
     if grow > 0:
-        blocks = _layer_blocks(config, role)
+        blocks = _layers(config, role).blocks
         values[cut:cut] = blocks[int(rng.integers(len(blocks)))].tolist()
     elif grow < 0:
-        del values[cut:cut + 4]
+        del values[cut:cut + _LAYER_WIDTH]
     else:
         attr = int(rng.integers(3))
         card = _layer_radix(config, role)[1 + attr]

@@ -332,9 +332,9 @@ class TestLoadSave:
     def test_tables_looked_up_once_per_load(self, tmp_path, monkeypatch):
         path = tmp_path / "runs.jsonl"
         save_archive(make_archive(np.random.default_rng(11), 3, 20), path)
-        calls = count_calls(monkeypatch, "_layer_values")
+        calls = count_calls(monkeypatch, "_layers")
         assert load_archive(path).n_individuals == 60
-        assert calls == [(CONFIG,)]
+        assert calls == [(CONFIG, "generator"), (CONFIG, "discriminator")]
 
     def test_header_supplies_config(self, tmp_path):
         rng = np.random.default_rng(4)

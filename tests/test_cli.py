@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from archsmith import archive as archive_module
 from archsmith.archive import (Individual, RunArchive, load_archive,
                                save_archive)
 from archsmith.cli import EXPERIMENTS, main
@@ -178,7 +179,24 @@ class TestLearnScoreSample:
             assert main(["score", "--model", str(model_path),
                          "--genotypes", str(other_path),
                          "--out", str(out)]) == 0
-        assert any("provenance" in r.message for r in caplog.records)
+        assert "provenance mismatch: archive hash differs from the one " \
+            "learned from" in [r.getMessage() for r in caplog.records]
+
+    def test_score_hashes_no_archive_for_a_model_without_its_hash(
+            self, archive_path, tmp_path, monkeypatch):
+        # A uniform model records no archive hash, so there is nothing to
+        # compare the archive's against, and no record text to render.
+        path = tmp_path / "uniform.json"
+        save_metamodel(Metamodel.uniform(LearnConfig(genotype=SMALL)), path)
+        rendered = []
+        original = archive_module._record_texts
+        monkeypatch.setattr(archive_module, "_record_texts",
+                            lambda inds: rendered.append(1) or original(inds))
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--model", str(path), "--genotypes",
+                     str(archive_path), "--out", str(out)]) == 0
+        assert len(read_csv(out)) == load_archive(archive_path).n_individuals
+        assert rendered == []
 
     def test_sample_then_score_jsonl(self, model_path, tmp_path):
         samples = tmp_path / "samples.jsonl"

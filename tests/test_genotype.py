@@ -18,7 +18,10 @@ from archsmith.genotype import (
     GenotypeConfig,
     LayerSpec,
     _gan_reader,
-    _layer_table,
+    _LAYER_WIDTH,
+    _layer_radix,
+    _layer_start,
+    _layers,
     _read_gan_text,
     _per_key,
     dump_genotypes,
@@ -229,6 +232,16 @@ class TestFlatten:
         sections = [slot.section for slot in schema.slots]
         assert sections == (["global"] + ["generator"] * 8
                             + ["discriminator"] * 4)
+
+    @pytest.mark.parametrize("config", [JOINT, PER_NET],
+                             ids=["joint", "per_network"])
+    def test_layer_start_gives_each_role_s_schema_slots(self, config):
+        for key in config.depth_keys():
+            slots = joint_schema(config, key).slots
+            for role, depth in zip(("generator", "discriminator"), key):
+                start = _layer_start(key, role)
+                assert list(range(start, start + _LAYER_WIDTH * depth)) == [
+                    j for j, slot in enumerate(slots) if slot.section == role]
 
     def test_per_network_halves_partition_joint_vector(self):
         joint = joint_schema(PER_NET, DepthKey(2, 3))
@@ -592,7 +605,7 @@ class TestLayerPool:
     @pytest.mark.parametrize("config", [JOINT, PER_NET])
     def test_unflattened_layers_are_the_table_s(self, config):
         rng = np.random.default_rng(0)
-        tables = {role: _layer_table(config, role)
+        tables = {role: tuple(_layers(config, role).specs.values())
                   for role in ("generator", "discriminator")}
         for _ in range(20):
             gan = random_gan(rng, config)
@@ -614,6 +627,14 @@ class TestLayerPool:
         # A layer both roles may hold (a dense one) is one object.
         generator_ids = {id(layer) for layer in tables["generator"]}
         assert sum(id(layer) in generator_ids for layer in table) == 5 * 3 * 5
+        # Every table of a role lists the same row values, code by code.
+        for role in ("generator", "discriminator"):
+            layers = _layers(config, role)
+            rows = list(map(tuple, layers.blocks.tolist()))
+            assert rows == list(layers.values.values()) == list(layers.specs)
+            assert not layers.blocks.flags.writeable
+            assert np.ravel_multi_index(layers.blocks.T, _layer_radix(
+                config, role)).tolist() == list(range(len(rows)))
 
 
 # Values a mutated record may hold: every vocabulary word of the test
