@@ -98,7 +98,8 @@ class BayesNet:
     Construction compiles the network once.  All stored rows (arrays or
     nested lists), each keyed table followed by its uniform row, are
     copied end to end into one read-only float64 array, and ``cpts[i]``
-    become 2-D views into it.  A row ``x`` reads, for a whole table, cell
+    become 2-D views into it, and a second read-only array holds the log of
+    every cell, taken once here.  A row ``x`` reads, for a whole table, cell
     ``offset_i + config * card_i + x_i``: the cells of a batch are
     ``x @ M + offsets`` with the mixed-radix index matrix
     ``M[p, i] = stride_p * card_i`` for each parent ``p`` of ``i`` and
@@ -114,6 +115,7 @@ class BayesNet:
     alpha: float
     codes: tuple[np.ndarray | None, ...] | None = None
     _flat: np.ndarray = field(init=False, repr=False)
+    _log: np.ndarray = field(init=False, repr=False)
     _plan: "_Plan" = field(init=False, repr=False)
     _cards: np.ndarray = field(init=False, repr=False)
     _order: tuple[int, ...] = field(init=False, repr=False)
@@ -167,7 +169,10 @@ class BayesNet:
         row_sums = np.add.reduceat(flat, np.cumsum(row_cards) - row_cards)
         if not np.allclose(row_sums, 1.0, atol=1e-9):
             raise ValidationError("CPT rows must sum to 1")
+        log = np.log(flat)
+        log.flags.writeable = False
         object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_log", log)
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_cards",
                            np.asarray(self.dag.cardinalities, dtype=np.uint64))
@@ -585,18 +590,33 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
                     codes=tuple(codes))
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered (terms, columns) float64 block, each
+    column added strictly from the first term to the last.
+
+    ``np.add.reduce`` down the first axis of such a block adds its rows one
+    after another, column by column, and writes no partial sums.  A single
+    column is one contiguous run, which numpy sums pairwise, so it keeps
+    ``np.add.accumulate``, which adds in order whatever the shape.
+    """
+    if terms.shape[1] < 2:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
 def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
     """Vectorized joint log-likelihood, one value per row.
 
-    The cells are gathered one column per row, and the log-probabilities are
-    added strictly in variable order (``np.add.accumulate``), so each value
-    is bit for bit the running sum ``total += log P(x_v | pa_v)`` over
-    v = 0, 1, ...  Keyed tables cost one ``np.searchsorted`` over their
-    codes; a network without them runs one gather.
+    The log-probabilities are gathered from the network's log table, one
+    column per row, and added strictly in variable order (``_ordered_sum``),
+    so each value is bit for bit the running sum
+    ``total += log P(x_v | pa_v)`` over v = 0, 1, ...  The table holds
+    ``np.log`` of every cell, so a gathered term has the bits of the log of
+    the gathered probability.  Keyed tables cost one ``np.searchsorted``
+    over their codes; a network without them runs one gather.
     """
     arr = _as_rows(data, bn._cards)
-    probs = bn._flat[_cells(bn._plan, arr).astype(np.intp)]
-    return np.add.accumulate(np.log(probs, out=probs), axis=0)[-1].copy()
+    return _ordered_sum(bn._log[_cells(bn._plan, arr).astype(np.intp)])
 
 
 def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -338,6 +338,22 @@ def _slot_bounds(config: GenotypeConfig, key: DepthKey) -> np.ndarray:
     return np.array(joint_schema(config, key).cardinalities, dtype=np.uint64)
 
 
+@lru_cache(maxsize=None)
+def _change_moves(config: GenotypeConfig,
+                  key: DepthKey) -> tuple[np.ndarray, np.ndarray]:
+    """Every value of every slot a change move may set at ``key``, as the
+    slots' columns and the values, slots in schema order and values
+    ascending.  A layer's kind is fixed at creation, so its slot is left
+    out.  The arrays are cached and shared, so callers only read them."""
+    slots = [(j, slot.cardinality)
+             for j, slot in enumerate(joint_schema(config, key).slots)
+             if slot.attr != "kind"]
+    cols = np.repeat([j for j, _ in slots], [card for _, card in slots])
+    new = np.concatenate([np.arange(card) for _, card in slots])
+    cols.flags.writeable = new.flags.writeable = False
+    return cols, new
+
+
 def _batch(config: GenotypeConfig, key, values) -> tuple[DepthKey, np.ndarray]:
     """``key`` as a DepthKey and ``values`` as int64 rows of its joint
     schema in ``config``, or the ValidationError of the first fault: the

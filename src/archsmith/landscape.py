@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .bayesnet import _ordered_sum
 from .errors import (
     FormatError,
     ValidationError,
@@ -94,23 +95,20 @@ def _position_str(pos: Position) -> str:
 
 
 class _Terms(NamedTuple):
-    """One depth key's term tables, laid out for gathering.
+    """One depth key's terms, laid out for gathering.
 
-    ``unary`` holds every slot's table end to end, and slot j's value v
-    sits at ``unary[unary_start[j] + v]``.  ``pairwise`` holds every pair
-    table, raveled, end to end: pair k over slots (a, b) keeps its value
-    for (u, v) at ``pairwise[pair_start[k] + u * pair_stride[k] + v]``.
-    The per-slot and per-pair arrays are columns, to broadcast over rows.
+    ``table`` holds the key's base, every slot's unary table and every pair
+    table, raveled, end to end, in term order.  Term t of a row ``x`` reads
+    ``table[(radix @ x)[t] + offsets[t]]``: the base term's row of
+    ``radix`` is zero, slot j's unary term has 1 in column j, and a pair
+    term over slots (a, b) has the cardinality of b in column a and 1 in
+    column b.  ``prefix`` starts the noise text of every row at the key.
     """
 
-    base: float
-    unary: np.ndarray
-    unary_start: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    pair_stride: np.ndarray
-    pairwise: np.ndarray
-    pair_start: np.ndarray
+    table: np.ndarray
+    radix: np.ndarray     # (terms, slots)
+    offsets: np.ndarray   # (terms, 1)
+    prefix: str
 
 
 class SurrogateLandscape:
@@ -150,35 +148,28 @@ class SurrogateLandscape:
         if cached is not None:
             return cached
         schema = joint_schema(self.config.genotype, key)
-        pos_list = [(s.section, s.layer, s.attr) for s in schema.slots]
-        index = {p: i for i, p in enumerate(pos_list)}
-        unary = [self._unary[p] for p in pos_list]
-        pairs = [(index[a], index[b], self._pairwise[(a, b)])
-                 for a, b in self._pairs if a in index and b in index]
-        cards = np.array([len(t) for t in unary], dtype=np.int64)
-        pair_tables = [t.ravel() for _, _, t in pairs]
-        pair_sizes = np.array([len(t) for t in pair_tables], dtype=np.int64)
-
-        def column(items):
-            return np.array(items, dtype=np.int64).reshape(-1, 1)
-
+        index = {(s.section, s.layer, s.attr): i
+                 for i, s in enumerate(schema.slots)}
+        pairs = [(a, b) for a, b in self._pairs if a in index and b in index]
+        tables = ([np.array([self._base[key]])]
+                  + [self._unary[p] for p in index]
+                  + [self._pairwise[pair].ravel() for pair in pairs])
+        radix = np.zeros((len(tables), len(index)))
+        radix[np.arange(1, 1 + len(index)), np.arange(len(index))] = 1
+        for term, (a, b) in enumerate(pairs, start=1 + len(index)):
+            radix[term, index[a]] = self._pairwise[(a, b)].shape[1]
+            radix[term, index[b]] = 1
+        sizes = np.array([t.size for t in tables], dtype=np.float64)
         compiled = _Terms(
-            base=self._base[key],
-            unary=np.concatenate(unary),
-            unary_start=column(np.cumsum(cards) - cards),
-            pair_a=np.array([a for a, _, _ in pairs], dtype=np.int64),
-            pair_b=np.array([b for _, b, _ in pairs], dtype=np.int64),
-            pair_stride=column([t.shape[1] for _, _, t in pairs]),
-            pairwise=np.concatenate(pair_tables + [np.empty(0)]),
-            pair_start=column(np.cumsum(pair_sizes) - pair_sizes))
+            table=np.concatenate(tables), radix=radix,
+            offsets=(np.cumsum(sizes) - sizes)[:, None],
+            prefix=(f"{self.config.family_seed}|{self.seed}|"
+                    f"{key.d_g}|{key.d_d}|"))
         self._compiled[key] = compiled
         return compiled
 
-    def _noise(self, key: DepthKey, row: Sequence[int]) -> float:
-        if self.config.sigma_noise == 0:
-            return 0.0
-        text = (f"{self.config.family_seed}|{self.seed}|{key.d_g}|{key.d_d}|"
-                + ",".join(map(str, row)))
+    def _noise(self, prefix: str, row: Sequence[int]) -> float:
+        text = prefix + ",".join(map(str, row))
         digest = hashlib.sha256(text.encode()).digest()
         u = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return self.config.sigma_noise * u
@@ -189,24 +180,19 @@ class SurrogateLandscape:
 
         A row's fitness is base + each unary term in slot order + each
         pairwise term in pair order + noise, added left to right.  The
-        terms of all rows are gathered into one (term, row) array and
-        summed with ``np.add.accumulate`` down the term axis, which adds
-        strictly in that order.  So a row's float depends on that row
-        alone, whatever the batch size.
+        terms of all rows are gathered from the key's compiled table into
+        one (term, row) array, with one matrix product for their cells, and
+        summed down the term axis by ``_ordered_sum``, which adds strictly
+        in that order.  So a row's float depends on that row alone,
+        whatever the batch size.
         """
         key, values = _batch(self.config.genotype, key, values)
         t = self._compile(key)
-        columns = values.T
-        n_unary = len(t.unary_start)
-        terms = np.empty((1 + n_unary + len(t.pair_a), values.shape[0]))
-        terms[0] = t.base
-        terms[1:1 + n_unary] = t.unary[columns + t.unary_start]
-        terms[1 + n_unary:] = t.pairwise[columns[t.pair_a] * t.pair_stride
-                                         + columns[t.pair_b] + t.pair_start]
-        total = np.add.accumulate(terms, axis=0)[-1]
+        cells = t.radix @ values.T + t.offsets
+        total = _ordered_sum(t.table[cells.astype(np.intp)])
         if self.config.sigma_noise > 0:
             total += np.fromiter(
-                (self._noise(key, row) for row in values.tolist()),
+                (self._noise(t.prefix, row) for row in values.tolist()),
                 dtype=float, count=values.shape[0])
         return total
 

@@ -273,6 +273,14 @@ class Metamodel:
         self.submodels = dict(submodels)
         self.provenance = dict(provenance or {})
         self._validate()
+        # Each key's supermodel log mass, added in plan order.
+        self._log_super = {}
+        for key, plan in self._plans.items():
+            log_super = 0.0
+            for part, index, _ in plan:
+                log_super += self.supermodels[part.name].log_prob(
+                    part.support[index])
+            self._log_super[key] = log_super
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Metamodel):
@@ -302,13 +310,11 @@ class Metamodel:
                    values: np.ndarray) -> tuple[float, np.ndarray]:
         """The supermodels' log mass of ``key`` and the submodels' log
         likelihood of each row of ``values``, each summed in plan order."""
-        log_super, log_sub = 0.0, 0.0
+        log_sub = 0.0
         for part, index, cols in self._plans[key]:
-            log_super += self.supermodels[part.name].log_prob(
-                part.support[index])
             log_sub += log_likelihood_many(
                 self.submodels[part.keys[index]].bn, values[:, cols])
-        return log_super, log_sub
+        return self._log_super[key], log_sub
 
     @property
     def n_depth_variables(self) -> int:

@@ -24,11 +24,11 @@ from .genotype import (
     ROLE_GENERATOR,
     ROLES,
     _LAYER_WIDTH,
+    _change_moves,
     _layer_radix,
     _layer_start,
     _layers,
     gan_hash,
-    joint_schema,
     random_genotype,
     sort_by_fitness,
 )
@@ -65,14 +65,9 @@ def neighbor_groups(key: DepthKey, values: np.ndarray,
     """
     key = DepthKey(*key)
     values = np.asarray(values, dtype=np.int64)
-    schema = joint_schema(config, key)
     out: list[tuple[DepthKey, np.ndarray]] = []
 
-    # layer kind is fixed at creation; only add/delete changes it
-    slots = [j for j, slot in enumerate(schema.slots) if slot.attr != "kind"]
-    cards = [schema.slots[j].cardinality for j in slots]
-    cols = np.repeat(slots, cards)
-    new = np.concatenate([np.arange(card) for card in cards])
+    cols, new = _change_moves(config, key)
     keep = new != values[cols]
     if keep.any():
         change = np.tile(values, (int(keep.sum()), 1))
@@ -135,6 +130,21 @@ def _group_row(groups: list[tuple[DepthKey, np.ndarray]],
     """Key and row of the ``index``-th row across the concatenated groups."""
     slot = int(np.searchsorted(offsets, index, side="right") - 1)
     return groups[slot][0], groups[slot][1][index - offsets[slot]]
+
+
+def _ranking(score: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort((tiebreak, -score))``: by descending
+    score, then ascending tie break, then position.
+
+    One stable ``np.argsort`` of a complex key whose real part is the
+    negated score and whose imaginary part is the tie break: numpy orders
+    complex values by real part, then imaginary part.  Equal floats (0.0
+    and -0.0 among them) compare equal in both, so ties fall through alike.
+    """
+    key = np.empty(len(score), dtype=np.complex128)
+    key.real = -score
+    key.imag = tiebreak
+    return np.argsort(key, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +245,8 @@ def random_hc(landscape: SurrogateLandscape, start: Genotype, budget: int,
         # A generator: the neighborhood is built at the first draw.
         groups = neighbor_groups(key, values, config)
         offsets = _row_offsets(groups)
+        if not offsets[-1]:
+            return  # no neighbours: the climb pads its trace
         while True:
             yield _group_row(groups, offsets, int(rng.integers(offsets[-1])))
 
@@ -248,9 +260,12 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
 
     Neighbors of the incumbent are ranked once by normalized score (ties
     broken by a seeded uniform draw) and evaluated top-down; rejects stay
-    visited for the current incumbent.  When every neighbor has been
-    visited the search stops and the trace is padded with rows flagged
-    exhausted.  The metamodel must model the landscape's genotype config.
+    visited for the current incumbent.  The ranking is the order of
+    ``np.lexsort((tiebreak, -score))``, scores in quanta of 1e-6, taken by
+    one stable sort of a complex key (``_ranking``).  When every neighbor
+    has been visited, or there is none, the search stops and the trace is
+    padded with rows flagged exhausted.  The metamodel must model the
+    landscape's genotype config.
     """
     config = landscape.config.genotype
     if metamodel.config != config:
@@ -259,13 +274,14 @@ def guided_hc(landscape: SurrogateLandscape, metamodel: Metamodel,
     def ranked(key, values):
         # Ranked at once, so the tie-break draw follows each acceptance.
         groups = neighbor_groups(key, values, config)
+        if not groups:
+            return iter(())  # no neighbours: the climb pads its trace
         scores = [metamodel.score_values(group_key, group_rows)[1]
                   for group_key, group_rows in groups]
         # Scores within 1e-6 count as tied so float summation noise
         # cannot leak a deterministic order into the tie break.
         score_vec = np.round(np.concatenate(scores) / 1e-6)
-        tiebreak = rng.random(len(score_vec))
-        order = np.lexsort((tiebreak, -score_vec))
+        order = _ranking(score_vec, rng.random(len(score_vec)))
         offsets = _row_offsets(groups)
         return (_group_row(groups, offsets, int(index)) for index in order)
 

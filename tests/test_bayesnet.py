@@ -742,7 +742,7 @@ class TestIndexPlan:
         rebuilt = BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=bn.alpha)
         assert rebuilt == bn
         assert repr(rebuilt) == repr(bn)
-        for name in ("_flat", "_plan", "_cards", "_order"):
+        for name in ("_flat", "_log", "_plan", "_cards", "_order"):
             assert name not in repr(bn)
         assert BayesNet(dag=bn.dag, cpts=bn.cpts, alpha=2.0) != bn
 

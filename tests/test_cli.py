@@ -785,6 +785,28 @@ class TestSearch:
             "error: metamodel genotype does not match landscape"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithm", ["random", "guided"])
+    def test_search_without_neighbours_pads_trace(self, algorithm, tmp_path):
+        # Every slot has one value and both depths are fixed, so the start
+        # is the only genotype: each step is padding, not a traceback.
+        point = GenotypeConfig.joint(
+            arity=1, activations=("relu",), weight_inits=("xavier",),
+            generator_kinds=("dense",), discriminator_kinds=("dense",),
+            generator_depth_max=1, discriminator_depth_max=1)
+        cfg = tmp_path / "land.json"
+        cfg.write_text(json.dumps(LandscapeConfig(genotype=point)
+                                  .to_json_obj()))
+        model = tmp_path / "model.json"
+        save_metamodel(Metamodel.uniform(LearnConfig(genotype=point)), model)
+        out = tmp_path / "trace.csv"
+        assert main(["search", "--landscape-config", str(cfg),
+                     "--algorithm", algorithm, "--model", str(model),
+                     "--budget", "3", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row["step"] for row in rows] == ["0", "1", "2", "3"]
+        assert all(row["fitness"] == "nan" and row["accepted"] == "0"
+                   and row["best"] == rows[0]["best"] for row in rows[1:])
+
     def test_guided_requires_model(self, tmp_path):
         cfg = tmp_path / "land.json"
         cfg.write_text(json.dumps(LAND.to_json_obj()))

@@ -67,6 +67,24 @@ TINY = GenotypeConfig.joint(
 )
 
 
+# One genotype only: every slot has one value and both depths are fixed.
+POINT = GenotypeConfig.joint(
+    arity=1, activations=("relu",), weight_inits=("xavier",),
+    generator_kinds=("dense",), discriminator_kinds=("dense",),
+    generator_depth_max=1, discriminator_depth_max=1)
+
+
+def assert_all_padding(trace, land, start, budget):
+    """The trace of a climb from a genotype without neighbours."""
+    assert trace.start == start
+    assert trace.start_fitness == land.evaluate(start)
+    assert [s.step for s in trace.steps] == list(range(1, budget + 1))
+    assert all(s.exhausted and not s.accepted and s.genotype is None
+               and math.isnan(s.fitness) and s.best == trace.start_fitness
+               for s in trace.steps)
+    assert trace.evaluations == 0
+
+
 def tiny_landscape(seed=0, family_seed=3, sigma=0.0, **overrides):
     config = LandscapeConfig(genotype=TINY, family_seed=family_seed,
                              sigma_noise=sigma, **overrides)
@@ -555,6 +573,16 @@ class TestRandomHc:
         assert seen <= allowed
         assert len(seen) > 5
 
+    def test_no_neighbours_pads_trace(self):
+        land = make_landscape(0, LandscapeConfig(genotype=POINT))
+        start = random_genotype(np.random.default_rng(0), POINT)
+        assert neighbor_groups(*start, POINT) == []
+        rng = np.random.default_rng(1)
+        trace = random_hc(land, start, 4, rng)
+        assert_all_padding(trace, land, start, 4)
+        # Nothing was drawn for the missing neighbours.
+        assert rng.random() == np.random.default_rng(1).random()
+
     def test_rejects_zero_budget(self):
         land = tiny_landscape()
         with pytest.raises(ValidationError):
@@ -631,6 +659,13 @@ class TestGuidedHc:
         # every neighbor evaluated exactly once
         assert ({s.genotype for s in real}
                 == {flatten_joint(h, TINY) for h in neighbors(start, TINY)})
+
+    def test_no_neighbours_pads_trace(self):
+        land = make_landscape(0, LandscapeConfig(genotype=POINT))
+        start = random_genotype(np.random.default_rng(0), POINT)
+        trace = guided_hc(land, uniform_metamodel(POINT), start, 4,
+                          np.random.default_rng(1))
+        assert_all_padding(trace, land, start, 4)
 
     def test_accept_resets_neighborhood(self):
         land = tiny_landscape(seed=9)
