@@ -1,9 +1,10 @@
-"""Bit-equality oracles for the kernels on the guided climb's hot path.
+"""Bit-equality oracles for the kernels on the search hot paths.
 
 Each kernel must give the same bits as the plainer form it replaced, kept
 here as the oracle: ``log_likelihood_many`` gathers from a table of logs and
 sums each row in order, ``evaluate_values`` sums a row's gathered terms in
-order, and ``guided_hc`` ranks with one sort of a complex key.  The same
+order, ``guided_hc`` ranks with one sort of a complex key, and the EA's
+tournaments draw ``rng.choice``'s picks from scalar draws.  The same
 bits must hold at every numpy dispatch level, so the CI workflow runs this
 file a second time with numpy's dispatched SIMD kernels switched off
 (``NPY_DISABLE_CPU_FEATURES``).
@@ -18,7 +19,7 @@ from archsmith.bayesnet import (Dag, _cells, _ordered_sum, fit_cpts,
                                 log_likelihood_many)
 from archsmith.genotype import GenotypeConfig, random_genotype
 from archsmith.landscape import LandscapeConfig, make_landscape
-from archsmith.search import _ranking
+from archsmith.search import _distinct_picks, _ranking
 from test_bayesnet import nets_with_data
 from test_landscape import reference_fitness
 
@@ -141,3 +142,26 @@ class TestRanking:
         tiebreak[rng.integers(0, 1000, 50)] = tiebreak[:50]
         assert (_ranking(score, tiebreak).tolist()
                 == np.lexsort((tiebreak, -score)).tolist())
+
+
+class TestDistinctPicks:
+    # Scalar draws serve m <= 2 and rng.choice the rest; n = 10,001 with
+    # m = 201 is in numpy's other method, which shuffles an arange.
+    @pytest.mark.parametrize("n,m", [
+        (n, m) for n in (1, 2, 3, 20, 10_000, 10_001, 20_000)
+        for m in range(1, min(n, 5) + 1)] + [(10_001, 201)])
+    def test_equals_choice_and_leaves_the_same_state(self, n, m):
+        got = np.random.default_rng([n, m])
+        want = np.random.default_rng([n, m])
+        for step in range(300):
+            picks = _distinct_picks(got, n, m)
+            assert picks == want.choice(n, size=m, replace=False).tolist()
+            assert all(type(i) is int for i in picks)
+            # The whole state, has_uint32 and its buffered half included.
+            assert got.bit_generator.state == want.bit_generator.state
+            # A 64-bit draw, and a 32-bit one that fills or empties the
+            # buffer, so that picks start from either buffer state.
+            if step % 2:
+                assert got.random() == want.random()
+            if step % 3:
+                assert got.integers(1000) == want.integers(1000)

@@ -830,6 +830,12 @@ class TestPopulationAndEa:
         (30, EaConfig()),
         (31, EaConfig(crossover_rate=1.0, mutation_rate=0.3, elitism=2)),
         (32, EaConfig(tournament_size=3, mutation_rate=0.5, elitism=0)),
+        # One entrant: each tournament is one uniform pick.
+        (35, EaConfig(tournament_size=1, elitism=0)),
+        (36, EaConfig(tournament_size=1, elitism=2)),
+        # More entrants than members: all 7 enter, in drawn order.
+        (37, EaConfig(tournament_size=25, elitism=0)),
+        (38, EaConfig(tournament_size=25, elitism=2)),
     ])
     @pytest.mark.parametrize("coarse", [False, True])
     def test_ea_matches_per_child_reference(self, seed, config, coarse):
