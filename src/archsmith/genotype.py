@@ -56,6 +56,13 @@ class DepthKey(NamedTuple):
 Genotype = tuple[DepthKey, tuple[int, ...]]
 
 
+@lru_cache(maxsize=None)
+def _depth_key(d_g: int, d_d: int) -> DepthKey:
+    """The one shared DepthKey of the depths ``(d_g, d_d)``, made when they
+    are first read: one object per key read, not one per record."""
+    return DepthKey(d_g, d_d)
+
+
 class Slot(NamedTuple):
     """One categorical position in a flattened genotype.
 
@@ -245,12 +252,14 @@ def _layer_radix(config: GenotypeConfig, role: str) -> tuple[int, int, int, int]
 class _Layers(NamedTuple):
     """The layers a role may hold, in code order: each one's row values by
     its fields, its ``LayerSpec`` by its row values (one object for a layer
-    both roles may hold), and, as row c of the read-only ``blocks``, the
-    row values of code c."""
+    both roles may hold), and the row values of code c as row c of the
+    read-only ``blocks`` and as item c of ``rows`` (the tuples ``values``
+    holds)."""
 
     values: dict[tuple, tuple[int, ...]]
     specs: dict[tuple[int, ...], LayerSpec]
     blocks: np.ndarray
+    rows: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -262,9 +271,10 @@ def _layers(config: GenotypeConfig, role: str) -> _Layers:
     shared = {} if role == ROLE_GENERATOR else {
         _LAYER_FIELDS(spec): spec
         for spec in _layers(config, ROLE_GENERATOR).specs.values()}
-    blocks = np.array(list(values.values()), dtype=np.int64)
+    rows = tuple(values.values())
+    blocks = np.array(rows, dtype=np.int64)
     blocks.flags.writeable = False
-    return _Layers(values=values, blocks=blocks, specs={
+    return _Layers(values=values, blocks=blocks, rows=rows, specs={
         row: shared.get(fields) or LayerSpec(*fields)
         for fields, row in values.items()})
 
@@ -354,6 +364,47 @@ def _change_moves(config: GenotypeConfig,
     return cols, new
 
 
+class _Move(NamedTuple):
+    """One role a mutation move may act on at a depth key: the role's
+    depth, the column of its first layer, its ``_layer_radix``, the depth
+    key after the move and, for an add, the role's ``_layers`` rows."""
+
+    depth: int
+    start: int
+    radix: tuple[int, int, int, int]
+    key: DepthKey
+    blocks: tuple[tuple[int, ...], ...] = ()
+
+
+@lru_cache(maxsize=None)
+def _mutation_moves(config: GenotypeConfig,
+                    key: DepthKey) -> tuple[tuple[str, tuple[_Move, ...]],
+                                            ...]:
+    """The move kinds a mutation may draw at ``key``, in draw order, each
+    with the roles it may act on, generator first: change (either role),
+    train_freq, then add (roles below their depth bound) and delete (roles
+    deeper than one layer) where some role allows them.  train_freq acts
+    on the train bin, not on a role: its one entry only keeps the key.
+    The tables are cached and shared, and hold only tuples."""
+    key = DepthKey(*key)
+
+    def moves(grow: int) -> tuple[_Move, ...]:
+        return tuple(
+            _Move(depth, _layer_start(key, role), _layer_radix(config, role),
+                  DepthKey(key.d_g + grow, key.d_d) if role == ROLE_GENERATOR
+                  else DepthKey(key.d_g, key.d_d + grow),
+                  _layers(config, role).rows if grow > 0 else ())
+            for role, depth in zip(ROLES, key)
+            if not grow or 1 <= depth + grow <= config.depth_max(role))
+
+    change = moves(0)
+    kinds = [("change", change), ("train_freq", change[:1])]
+    kinds += [(kind, roles) for kind, roles in (("add", moves(1)),
+                                                ("delete", moves(-1)))
+              if roles]
+    return tuple(kinds)
+
+
 def _batch(config: GenotypeConfig, key, values) -> tuple[DepthKey, np.ndarray]:
     """``key`` as a DepthKey and ``values`` as int64 rows of its joint
     schema in ``config``, or the ValidationError of the first fault: the
@@ -407,7 +458,7 @@ def _flatten_fields(nets, train, config: GenotypeConfig, tables) -> Genotype:
                 values += g_table[fields]
             for fields in d_layers:
                 values += d_table[fields]
-            return DepthKey(len(g_layers), len(d_layers)), tuple(values)
+            return _depth_key(len(g_layers), len(d_layers)), tuple(values)
         except (KeyError, TypeError):  # a layer outside the vocabulary
             pass
     raise _space_error(nets, train, config)
@@ -540,7 +591,7 @@ class _Reader(NamedTuple):
     after the generator's, each with the braces of the layer next to it;
     the separator of two layers; per role, generator first, each layer's
     four row values keyed by its text without braces; the train bins by
-    their text; and the depth keys, indexed by depths."""
+    their text; and the depth bounds, generator first."""
 
     head: str
     middle: str
@@ -548,7 +599,7 @@ class _Reader(NamedTuple):
     separator: str
     layers: tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]
     bins: dict[str, int]
-    keys: tuple[tuple[DepthKey | None, ...], ...]
+    depth_max: tuple[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -566,9 +617,8 @@ def _gan_reader(config: GenotypeConfig) -> _Reader:
         layers=tuple({text[1:-1]: values for values, text in table.items()}
                      for table in layers),
         bins={str(i): i for i in range(config.arity)},
-        keys=tuple(tuple(DepthKey(g, d) if g and d else None
-                         for d in range(config.discriminator_depth_max + 1))
-                   for g in range(config.generator_depth_max + 1)))
+        depth_max=(config.generator_depth_max,
+                   config.discriminator_depth_max))
 
 
 def _read_gan_text(text: str, reader: _Reader) -> Genotype | None:
@@ -581,7 +631,7 @@ def _read_gan_text(text: str, reader: _Reader) -> Genotype | None:
     genotype is returned, its text is ``text``, and ``json.loads(text)``
     is its record.  Any other text is for the JSON reader to judge.
     """
-    head, middle, tail, separator, (g_table, d_table), bins, keys = reader
+    head, middle, tail, separator, (g_table, d_table), bins, bounds = reader
     mid = text.find(middle, len(head))
     end = text.find(tail, mid + len(middle))
     train = bins.get(text[end + len(tail):-1])
@@ -590,16 +640,18 @@ def _read_gan_text(text: str, reader: _Reader) -> Genotype | None:
         return None
     disc = text[len(head):mid].split(separator)
     gen = text[mid + len(middle):end].split(separator)
+    # Each network holds at least one piece, so only the bounds can fail.
+    if len(gen) > bounds[0] or len(disc) > bounds[1]:
+        return None
     try:
-        key = keys[len(gen)][len(disc)]
         values = [train]
         for layer in gen:
             values += g_table[layer]
         for layer in disc:
             values += d_table[layer]
-    except (IndexError, KeyError):
+    except KeyError:
         return None
-    return key, tuple(values)
+    return _depth_key(len(gen), len(disc)), tuple(values)
 
 
 def parse_genotype(obj, config: GenotypeConfig) -> Genotype:

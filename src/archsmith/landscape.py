@@ -136,6 +136,10 @@ class SurrogateLandscape:
                           for p, t in pairwise.items()}
         self._base = dict(base)
         self._compiled: dict[DepthKey, _Terms] = {}
+        # Each value's text in the noise text: a row holds no value at or
+        # above its slot's cardinality, as ``_batch`` checks.
+        self._digits = tuple(map(str, range(max(
+            card for _, card in _all_positions(config.genotype)))))
 
     @property
     def pairs(self) -> tuple[tuple[Position, Position], ...]:
@@ -169,7 +173,10 @@ class SurrogateLandscape:
         return compiled
 
     def _noise(self, prefix: str, row: Sequence[int]) -> float:
-        text = prefix + ",".join(map(str, row))
+        """sigma_noise times a uniform draw from the sha256 of the text
+        ``prefix + ",".join(map(str, row))``, built from ``_digits``."""
+        digits = self._digits
+        text = prefix + ",".join([digits[v] for v in row])
         digest = hashlib.sha256(text.encode()).digest()
         u = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return self.config.sigma_noise * u

@@ -28,6 +28,7 @@ from .genotype import (
     _layer_radix,
     _layer_start,
     _layers,
+    _mutation_moves,
     gan_hash,
     random_genotype,
     sort_by_fitness,
@@ -377,6 +378,20 @@ def _ranked(members, config: GenotypeConfig) -> list:
                            lambda m: gan_hash(m[0], m[1], config))
 
 
+def _elite(members, count: int, config: GenotypeConfig) -> list:
+    """``_ranked(members, config)[:count]``, hashing only the fitness ties
+    that reach into the first ``count``: the members fitter than the last
+    of them, ranked among themselves, then the best of that last one's
+    ties."""
+    if count < 1:
+        return []
+    cut = sorted(members, key=itemgetter(2))[:count]
+    last = cut[-1][2]
+    head = [m for m in cut if m[2] < last]
+    tied = [m for m in members if m[2] == last]
+    return _ranked(head, config) + _ranked(tied, config)[:count - len(head)]
+
+
 def _distinct_picks(rng: np.random.Generator, n: int, m: int) -> list[int]:
     """``rng.choice(n, size=m, replace=False)`` as ints, from scalar draws
     when that is cheaper.
@@ -407,10 +422,20 @@ def _distinct_picks(rng: np.random.Generator, n: int, m: int) -> list[int]:
 
 def _tournament(population: Population, rng: np.random.Generator, k: int,
                 config: GenotypeConfig) -> Genotype:
-    """The fittest of k distinct picks; ``_ranked`` orders only exact ties."""
-    n = population.size
-    entrants = [population.members[i]
-                for i in _distinct_picks(rng, n, min(k, n))]
+    """The fittest of k distinct picks; ``_ranked`` orders only exact ties.
+
+    Two entrants, the default, are compared directly."""
+    members = population.members
+    n = len(members)
+    picks = _distinct_picks(rng, n, min(k, n))
+    if len(picks) == 2:
+        a, b = members[picks[0]], members[picks[1]]
+        if a[2] != b[2]:
+            key, row, _ = a if a[2] < b[2] else b
+            return key, row
+        key, row, _ = _ranked((a, b), config)[0]
+        return key, row
+    entrants = [members[i] for i in picks]
     best = min(fitness for _, _, fitness in entrants)
     tied = [m for m in entrants if m[2] == best]
     key, row, _ = tied[0] if len(tied) == 1 else _ranked(tied, config)[0]
@@ -435,48 +460,29 @@ def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
     bin), train_freq, add (a layer of the vocabulary, inserted) and delete
     (one layer).  A change or train_freq shift is uniform over the other
     values of its slot.  Returns the new genotype's key and row.
+
+    The kinds, roles and their columns come from a table cached per config
+    and key (``_mutation_moves``); only the draws are made per call.
     """
-    key = DepthKey(*key)
-    values = list(row)
-    depths = {ROLE_GENERATOR: key.d_g, ROLE_DISCRIMINATOR: key.d_d}
-    kinds = ["change", "train_freq"]
-    if any(depths[r] < config.depth_max(r) for r in depths):
-        kinds.append("add")
-    if any(d > 1 for d in depths.values()):
-        kinds.append("delete")
-    kind = kinds[int(rng.integers(len(kinds)))]
+    row = tuple(row)
+    kinds = _mutation_moves(config, key)
+    kind, moves = kinds[int(rng.integers(len(kinds)))]
     if kind == "train_freq":
         shift = int(rng.integers(1, config.arity)) if config.arity > 1 else 0
-        values[0] = (values[0] + shift) % config.arity
-        return key, tuple(values)
+        return moves[0].key, ((row[0] + shift) % config.arity, *row[1:])
+    depth, start, radix, key, blocks = moves[int(rng.integers(len(moves)))]
     if kind == "add":
-        roles = [r for r in depths if depths[r] < config.depth_max(r)]
-        grow = 1
-    elif kind == "delete":
-        roles = [r for r in depths if depths[r] > 1]
-        grow = -1
-    else:
-        roles = [ROLE_GENERATOR, ROLE_DISCRIMINATOR]
-        grow = 0
-    role = roles[int(rng.integers(len(roles)))]
-    depth = depths[role]
-    position = int(rng.integers(depth + 1 if grow > 0 else depth))
-    cut = _layer_start(key, role) + _LAYER_WIDTH * position
-    if grow > 0:
-        blocks = _layers(config, role).blocks
-        values[cut:cut] = blocks[int(rng.integers(len(blocks)))].tolist()
-    elif grow < 0:
-        del values[cut:cut + _LAYER_WIDTH]
-    else:
-        attr = int(rng.integers(3))
-        card = _layer_radix(config, role)[1 + attr]
-        shift = int(rng.integers(1, card)) if card > 1 else 0
-        values[cut + 1 + attr] = (values[cut + 1 + attr] + shift) % card
-    if role == ROLE_GENERATOR:
-        key = DepthKey(key.d_g + grow, key.d_d)
-    else:
-        key = DepthKey(key.d_g, key.d_d + grow)
-    return key, tuple(values)
+        cut = start + _LAYER_WIDTH * int(rng.integers(depth + 1))
+        block = blocks[int(rng.integers(len(blocks)))]
+        return key, row[:cut] + block + row[cut:]
+    cut = start + _LAYER_WIDTH * int(rng.integers(depth))
+    if kind == "delete":
+        return key, row[:cut] + row[cut + _LAYER_WIDTH:]
+    attr = 1 + int(rng.integers(3))
+    card = radix[attr]
+    shift = int(rng.integers(1, card)) if card > 1 else 0
+    cut += attr
+    return key, (*row[:cut], (row[cut] + shift) % card, *row[cut + 1:])
 
 
 def simple_ea(landscape: SurrogateLandscape, population: Population,
@@ -525,7 +531,7 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
             for member in offspring:
                 on_evaluate(*member)
         evaluations += len(offspring)
-        elite = _ranked(population.members, gc)[:config.elitism]
+        elite = _elite(population.members, config.elitism, gc)
         population = Population(elite + offspring)
         trace.append(population.best_fitness)
     return EaResult(best_per_generation=trace, population=population,

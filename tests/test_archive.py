@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -198,6 +199,45 @@ class TestLoadSave:
         loaded = load_archive(path, config=CONFIG)
         assert loaded.n_individuals == 1
         assert loaded.rejected == 1
+
+    def test_large_declared_depth_bounds_stay_small(self, tmp_path):
+        # A header may declare depth bounds far above its records' depths.
+        # Depth keys are read by arithmetic and bounds, so the load's
+        # memory does not grow with the (d_g + 1) x (d_d + 1) key space.
+        archive = make_archive(np.random.default_rng(11), n_runs=1,
+                               run_size=3)
+        path = tmp_path / "runs.jsonl"
+        save_archive(archive, path)
+        header, *records = path.read_text().splitlines()
+        obj = json.loads(header)
+        obj["config"].update(generator_depth_max=1000,
+                             discriminator_depth_max=1000)
+        path.write_text("\n".join([json.dumps(obj, sort_keys=True),
+                                   *records]) + "\n")
+        tracemalloc.start()
+        try:
+            loaded = load_archive(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.config.generator_depth_max == 1000
+        assert ([(ind.key, ind.row) for ind in loaded.all_individuals()]
+                == [(ind.key, ind.row) for ind in archive.all_individuals()])
+        assert peak < 2_000_000
+
+    def test_records_of_one_key_share_one_depth_key(self, tmp_path):
+        archive = make_archive(np.random.default_rng(12), n_runs=2,
+                               run_size=40)
+        path = tmp_path / "runs.jsonl"
+        save_archive(archive, path)
+        compact_copy(path, tmp_path / "compact.jsonl")
+        for source in (path, tmp_path / "compact.jsonl"):
+            keys = {}
+            individuals = list(load_archive(source).all_individuals())
+            assert all(type(ind.key) is DepthKey for ind in individuals)
+            assert all(keys.setdefault(ind.key, ind.key) is ind.key
+                       for ind in individuals)
+            assert len(keys) < len(individuals)
 
     def test_header_without_config_names_file_and_line(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -3,7 +3,8 @@
 Each kernel must give the same bits as the plainer form it replaced, kept
 here as the oracle: ``log_likelihood_many`` gathers from a table of logs and
 sums each row in order, ``evaluate_values`` sums a row's gathered terms in
-order, ``guided_hc`` ranks with one sort of a complex key, and the EA's
+order and hashes each row's noise text through a table of value texts,
+``guided_hc`` ranks with one sort of a complex key, and the EA's
 tournaments draw ``rng.choice``'s picks from scalar draws.  The same
 bits must hold at every numpy dispatch level, so the CI workflow runs this
 file a second time with numpy's dispatched SIMD kernels switched off
@@ -119,6 +120,24 @@ class TestEvaluateValues:
                     batch = rows[start:start + size]
                     assert (land.evaluate_values(key, batch).tobytes()
                             == want[start:start + size].tobytes())
+
+
+    def test_noise_text_of_two_digit_values(self):
+        # Arity 12 puts size and train bins of 10 and 11 in the rows: the
+        # noise text of each value must be its str, "10" and "11" too.
+        config = GenotypeConfig.joint(arity=12)
+        land = make_landscape(5, LandscapeConfig(
+            genotype=config, family_seed=7, sigma_noise=0.05))
+        rng = np.random.default_rng(10)
+        wide = 0
+        for key in config.depth_keys():
+            rows = np.array([random_genotype(rng, config, key)[1]
+                             for _ in range(7)])
+            wide += int((rows >= 10).any(axis=1).sum())
+            want = np.array([reference_fitness(land, key, row)
+                             for row in rows.tolist()])
+            assert land.evaluate_values(key, rows).tobytes() == want.tobytes()
+        assert wide > 20
 
 
 class TestRanking:

@@ -32,6 +32,9 @@ from archsmith.genotype import (
     LayerSpec,
     ROLE_DISCRIMINATOR,
     ROLE_GENERATOR,
+    ROLES,
+    _layers,
+    _mutation_moves,
     flatten_joint,
     gan_hash,
     joint_schema,
@@ -45,6 +48,9 @@ from archsmith.search import (
     EaConfig,
     Population,
     _crossover,
+    _elite,
+    _ranked,
+    _tournament,
     guided_hc,
     init_population,
     mutate,
@@ -72,6 +78,10 @@ POINT = GenotypeConfig.joint(
     arity=1, activations=("relu",), weight_inits=("xavier",),
     generator_kinds=("dense",), discriminator_kinds=("dense",),
     generator_depth_max=1, discriminator_depth_max=1)
+
+
+# One value in some layer slot: a change there may only keep the value.
+ONE_ACTIVATION = GenotypeConfig.joint(activations=("relu",))
 
 
 def assert_all_padding(trace, land, start, budget):
@@ -464,8 +474,10 @@ class TestOperators:
                 assert np.all(step[np.arange(len(step)), first] > 0), \
                     f"group {group_key} is not strictly increasing"
 
-    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY],
-                             ids=["joint", "per_network", "tiny"])
+    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY, POINT,
+                                        ONE_ACTIVATION],
+                             ids=["joint", "per_network", "tiny", "point",
+                                  "one_activation"])
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
     def test_row_mutate_matches_oracle(self, config, seed, steps):
@@ -482,9 +494,14 @@ class TestOperators:
             assert type(key) is DepthKey and type(row) is tuple
             assert rng_row.bit_generator.state == rng_obj.bit_generator.state
 
-    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY],
-                             ids=["joint", "per_network", "tiny"])
+    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY, POINT,
+                                        ONE_ACTIVATION],
+                             ids=["joint", "per_network", "tiny", "point",
+                                  "one_activation"])
     def test_row_mutate_reaches_every_kind(self, config):
+        # POINT fixes both depths, so it has no add or delete to reach.
+        want = ({ChangeLayer, ChangeTrainFreq} if config is POINT
+                else {AddLayer, DeleteLayer, ChangeLayer, ChangeTrainFreq})
         kinds = set()
         rng_row, rng_obj = np.random.default_rng(40), np.random.default_rng(40)
         gan = random_gan(np.random.default_rng(41), config)
@@ -495,7 +512,36 @@ class TestOperators:
             assert (key, row) == flatten_joint(gan, config)
             kinds.add(type(op))
         assert rng_row.bit_generator.state == rng_obj.bit_generator.state
-        assert kinds == {AddLayer, DeleteLayer, ChangeLayer, ChangeTrainFreq}
+        assert kinds == want
+
+    @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY, POINT,
+                                        ONE_ACTIVATION],
+                             ids=["joint", "per_network", "tiny", "point",
+                                  "one_activation"])
+    def test_move_tables_are_shared_immutable_tuples(self, config):
+        # mutate reads these tables for every child the EA breeds: they
+        # must not be changed in place, and the add move's blocks are one
+        # tuple per role, whatever the key.
+        for key in config.depth_keys():
+            table = _mutation_moves(config, key)
+            assert _mutation_moves(config, tuple(key)) is table
+            assert type(table) is tuple
+            kinds = [kind for kind, _ in table]
+            assert kinds[:2] == ["change", "train_freq"]
+            assert kinds[2:] in ([], ["add"], ["delete"], ["add", "delete"])
+            for kind, moves in table:
+                assert type(moves) is tuple and moves
+                for move in moves:
+                    assert isinstance(move, tuple)
+                    assert all(isinstance(f, (int, tuple)) for f in move)
+                    assert type(move.radix) is tuple
+                    assert type(move.key) is DepthKey
+                    role = ROLES[move.start != 1]
+                    if kind == "add":
+                        assert move.blocks is _layers(config, role).rows
+                        assert all(type(b) is tuple for b in move.blocks)
+                    else:
+                        assert move.blocks == ()
 
     @pytest.mark.parametrize("config", [DEFAULT, PER_NET, TINY],
                              ids=["joint", "per_network", "tiny"])
@@ -791,6 +837,78 @@ class TestPopulationAndEa:
             assert (gan_hash_half(gan.generator),
                     gan.train_freq_bin) in gen_pool
             assert gan_hash_half(gan.discriminator) in disc_pool
+
+    @pytest.mark.parametrize("elitism", range(4))
+    @pytest.mark.parametrize("fitness", [
+        # A tie across the boundary at elitism 2, inside it at 3.
+        [2.0, 1.0, 1.0, 3.0, 2.0, 2.0, 0.5],
+        # A run of four ties that every boundary past the first cuts.
+        [1.0, 1.0, 0.0, 1.0, 5.0, 1.0],
+        # Ties that end exactly at elitism 2, then a tie across 3.
+        [1.0, 0.0, 2.0, 0.0, 1.0],
+        # Signed zeros tie; so do copies of one genotype.
+        [0.0, -0.0, 1.0, -0.0, 1.0],
+    ], ids=["across", "long_run", "at_boundary", "signed_zeros"])
+    def test_elite_equals_ranked_prefix(self, fitness, elitism, monkeypatch):
+        rng = np.random.default_rng(len(fitness))
+        genotypes = [random_genotype(rng, TINY) for _ in fitness]
+        genotypes[-1] = genotypes[0]
+        members = [(*g, f) for g, f in zip(genotypes, fitness)]
+        want = _ranked(members, TINY)[:elitism]
+        hashed = []
+
+        def counted(key, row, config):
+            hashed.append((key, row))
+            return gan_hash(key, row, config)
+
+        monkeypatch.setattr(search, "gan_hash", counted)
+        got = _elite(members, elitism, TINY)
+        assert len(got) == len(want) and all(
+            a is b for a, b in zip(got, want))
+        # Only the ties that reach into the elite are hashed.
+        last = sorted(fitness)[elitism - 1] if elitism else -math.inf
+        assert sorted(hashed) == sorted(
+            (k, r) for k, r, f in members
+            if f <= last and fitness.count(f) > 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fitness=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]),
+                            min_size=1, max_size=12),
+           elitism=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_elite_equals_ranked_prefix_on_random_ties(self, fitness,
+                                                       elitism, seed):
+        # TINY's space is small enough that copies of a genotype occur.
+        rng = np.random.default_rng(seed)
+        members = [(*random_genotype(rng, TINY), f) for f in fitness]
+        got = _elite(members, elitism, TINY)
+        want = _ranked(members, TINY)[:elitism]
+        assert len(got) == len(want) and all(
+            a is b for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("fitness", [
+        (1.0, 1.0), (0.0, -0.0), (1.0, 2.0), (2.0, 1.0), "copies"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_two_entrant_tournament_equals_generic_path(self, n, fitness):
+        # With k = 2 entrants the tournament compares the two directly;
+        # the generic path ranks every entrant and hashes exact ties.
+        rng = np.random.default_rng(n)
+        genotypes = [random_genotype(rng, TINY) for _ in range(2)]
+        if fitness == "copies":
+            genotypes[1], fitness = genotypes[0], (1.0, 1.0)
+        members = [(*g, f) for g, f in zip(genotypes, fitness)][:n]
+        population = Population(members)
+        got_rng, want_rng = (np.random.default_rng(7),
+                             np.random.default_rng(7))
+        winners = set()
+        for _ in range(40):
+            got = _tournament(population, got_rng, 2, TINY)
+            picks = want_rng.choice(n, size=min(2, n), replace=False)
+            key, row, _ = _ranked([members[int(i)] for i in picks],
+                                  TINY)[0]
+            assert got == (key, row)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            winners.add(got)
+        assert len(winners) == 1
 
     def test_ea_accounting(self):
         land = tiny_landscape(seed=16)
