@@ -595,13 +595,15 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     column added strictly from the first term to the last.
 
     ``np.add.reduce`` down the first axis of such a block adds its rows one
-    after another, column by column, and writes no partial sums.  A single
-    column is one contiguous run, which numpy sums pairwise, so it keeps
-    ``np.add.accumulate``, which adds in order whatever the shape.
+    after another, column by column, and writes no partial sums.  It adds
+    them onto ``initial``: −0.0, since −0.0 + x is x for every double,
+    where the default +0.0 would sum a column of −0.0 terms to +0.0.  A
+    single column is one contiguous run, which numpy sums pairwise, so it
+    keeps ``np.add.accumulate``, which adds in order whatever the shape.
     """
     if terms.shape[1] < 2:
         return np.add.accumulate(terms, axis=0)[-1]
-    return np.add.reduce(terms, axis=0)
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:

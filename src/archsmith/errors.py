@@ -173,10 +173,12 @@ def read_config(cls, obj, base: dict | None = None, what: str | None = None):
 
 def config_to_json(config) -> dict:
     """The JSON object of a config, which ``read_config`` reads back: one
-    key per field, tuples as lists and nested configs as objects."""
-    return {name: value if isinstance(value, (str, int, float, type(None)))
+    key per field, tuples as lists and nested configs as objects.  Only
+    fields are read, so a value an instance caches (a hash) is not."""
+    return {f.name: value if isinstance(value, (str, int, float, type(None)))
             else list(value) if isinstance(value, tuple)
-            else config_to_json(value) for name, value in vars(config).items()}
+            else config_to_json(value)
+            for f in fields(config) for value in (getattr(config, f.name),)}
 
 
 def field_defaults(cls) -> dict:

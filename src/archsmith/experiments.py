@@ -302,7 +302,7 @@ def run_sampling(archive: RunArchive,
 
     One batch of sampled / First-drawn / random genotypes is drawn up
     front, then evaluated on every holdout landscape, each batch with one
-    ``evaluate_values`` call per depth key.
+    ``evaluate_many`` call.
     """
     learn_config = _default_learn(config.landscape, config.learn)
     train_ids = {str(s) for s in config.train_seeds}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import lru_cache
 from itertools import groupby, product
 from operator import attrgetter
@@ -144,6 +144,21 @@ class GenotypeConfig:
         return tuple(DepthKey(g, d)
                      for g in range(1, self.generator_depth_max + 1)
                      for d in range(1, self.discriminator_depth_max + 1))
+
+    def __hash__(self) -> int:
+        # Every lru_cache on the hot paths is keyed by a config: hash its
+        # fields once, not on each lookup.  The cached value is not a
+        # field, so ``config_to_json`` does not write it.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(astuple(self))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # A str's hash differs between processes: a copy hashes afresh.
+        return asdict(self)
 
     to_json_obj = config_to_json
     from_json_obj = classmethod(read_config)

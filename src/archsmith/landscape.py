@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,8 +35,9 @@ from .genotype import (
     DepthKey,
     Genotype,
     GenotypeConfig,
+    ROLE_DISCRIMINATOR,
     _batch,
-    _per_key,
+    _layer_start,
     joint_schema,
 )
 
@@ -94,21 +96,58 @@ def _position_str(pos: Position) -> str:
     return f"{pos[0]}:{pos[1]}:{pos[2]}"
 
 
-class _Terms(NamedTuple):
-    """One depth key's terms, laid out for gathering.
+class _Layout(NamedTuple):
+    """A landscape's terms at every depth key, laid out for one gather.
 
-    ``table`` holds the key's base, every slot's unary table and every pair
-    table, raveled, end to end, in term order.  Term t of a row ``x`` reads
-    ``table[(radix @ x)[t] + offsets[t]]``: the base term's row of
-    ``radix`` is zero, slot j's unary term has 1 in column j, and a pair
-    term over slots (a, b) has the cardinality of b in column a and 1 in
-    column b.  ``prefix`` starts the noise text of every row at the key.
+    ``table`` holds, end to end: every depth key's base, by key index; each
+    slot position's unary table followed by one −0.0 cell; and each pair's
+    table with a −0.0 row and a −0.0 column added, raveled.  A padded row
+    holds a key's index, then one value per slot position of the deepest
+    schema, where a position the key lacks holds its cardinality, which
+    selects its −0.0 cell.  Term t of a padded row ``x`` reads
+    ``table[(radix @ x)[t] + offsets[t]]``: the base term has 1 in column
+    0, position j's unary term has 1 in column 1 + j, and a pair term over
+    positions (a, b) has the cardinality of b plus one in column 1 + a and
+    1 in column 1 + b.  Terms run base, unaries in position order, pairs in
+    ``pairs`` order, so a key reads its own terms in its order with −0.0
+    terms between them; as x + (−0.0) is x bit for bit, a padded row sums
+    to the bits of its key's own terms.
+
+    ``bounds`` holds, per key index, one above the largest value each
+    column of its padded rows may hold.  ``texts`` holds the noise text of
+    each base and unary cell: a key's text prefix, a value's digits (after
+    a comma, but for the first position), and "" for a −0.0 cell, so a
+    row's noise text is the texts of its base and unary cells, end to end.
     """
+
+    table: np.ndarray
+    radix: np.ndarray     # (terms, 1 + positions)
+    offsets: np.ndarray   # (terms, 1)
+    bounds: np.ndarray    # (keys, 1 + positions), uint64
+    texts: np.ndarray     # object
+    pads: dict            # DepthKey -> _Pad
+
+
+class _Pad(NamedTuple):
+    """How a row of one depth key becomes a padded row: its key's index,
+    the row's column where the discriminator starts (``split``), the pad
+    values after its generator layers and after its discriminator layers,
+    and the padded columns that hold its slots."""
+
+    index: int
+    split: int
+    gen_pad: tuple[int, ...]
+    disc_pad: tuple[int, ...]
+    cols: np.ndarray
+
+
+class _Terms(NamedTuple):
+    """One depth key's own terms in the layout's table: a row ``x`` of
+    the key reads ``table[(radix @ x)[t] + offsets[t]]`` for term t."""
 
     table: np.ndarray
     radix: np.ndarray     # (terms, slots)
     offsets: np.ndarray   # (terms, 1)
-    prefix: str
 
 
 class SurrogateLandscape:
@@ -136,10 +175,6 @@ class SurrogateLandscape:
                           for p, t in pairwise.items()}
         self._base = dict(base)
         self._compiled: dict[DepthKey, _Terms] = {}
-        # Each value's text in the noise text: a row holds no value at or
-        # above its slot's cardinality, as ``_batch`` checks.
-        self._digits = tuple(map(str, range(max(
-            card for _, card in _all_positions(config.genotype)))))
 
     @property
     def pairs(self) -> tuple[tuple[Position, Position], ...]:
@@ -147,39 +182,84 @@ class SurrogateLandscape:
 
     # -- evaluation ----------------------------------------------------------
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        """The padded term layout, built on first use."""
+        gc = self.config.genotype
+        positions = _all_positions(gc)
+        column = {pos: j for j, (pos, _) in enumerate(positions)}
+        cards = [card for _, card in positions]
+        keys = gc.depth_keys()
+        n = len(positions)
+        pairs = [(column[a], column[b]) for a, b in self._pairs]
+        sizes = ([len(keys)] + [card + 1 for card in cards]
+                 + [(cards[a] + 1) * (cards[b] + 1) for a, b in pairs])
+        starts = np.cumsum(sizes) - sizes
+        table = np.full(starts[-1] + sizes[-1], -0.0)
+        table[:len(keys)] = [self._base[key] for key in keys]
+        texts = np.full(starts[1 + n], "", dtype=object)
+        texts[:len(keys)] = [f"{self.config.family_seed}|{self.seed}|"
+                             f"{key.d_g}|{key.d_d}|" for key in keys]
+        digits = [f",{v}" for v in range(max(cards))]
+        for j, (pos, card) in enumerate(positions):
+            table[starts[1 + j]:starts[1 + j] + card] = self._unary[pos]
+            texts[starts[1 + j]:starts[1 + j] + card] = (
+                digits[:card] if j else [str(v) for v in range(card)])
+        radix = np.zeros((len(sizes), 1 + n))
+        radix[np.arange(1 + n), np.arange(1 + n)] = 1
+        for term, (a, b), pair in zip(range(1 + n, len(sizes)), pairs,
+                                      self._pairs):
+            block = table[starts[term]:starts[term] + sizes[term]]
+            block.reshape(cards[a] + 1, cards[b] + 1)[:-1, :-1] = \
+                self._pairwise[pair]
+            radix[term, 1 + a] = cards[b] + 1
+            radix[term, 1 + b] = 1
+        # A key's slots are the deepest schema's up to its own split, then
+        # as many from the deepest schema's split on.
+        deep = _layer_start(_max_key(gc), ROLE_DISCRIMINATOR)
+        bounds = np.array([[len(keys)] + [card + 1 for card in cards]]
+                          * len(keys), dtype=np.uint64)
+        pads = {}
+        for index, key in enumerate(keys):
+            split = _layer_start(key, ROLE_DISCRIMINATOR)
+            end = deep + len(joint_schema(gc, key)) - split
+            cols = np.array([*range(1, 1 + split), *range(1 + deep, 1 + end)])
+            bounds[index, cols] -= 1
+            pads[key] = _Pad(index, split, tuple(cards[split:deep]),
+                             tuple(cards[end:]), cols)
+        return _Layout(table=table, radix=radix,
+                       offsets=starts.astype(np.float64)[:, None],
+                       bounds=bounds, texts=texts, pads=pads)
+
     def _compile(self, key: DepthKey) -> _Terms:
+        """``key``'s own terms: the layout's, read from the key's slots."""
         cached = self._compiled.get(key)
         if cached is not None:
             return cached
-        schema = joint_schema(self.config.genotype, key)
-        index = {(s.section, s.layer, s.attr): i
-                 for i, s in enumerate(schema.slots)}
-        pairs = [(a, b) for a, b in self._pairs if a in index and b in index]
-        tables = ([np.array([self._base[key]])]
-                  + [self._unary[p] for p in index]
-                  + [self._pairwise[pair].ravel() for pair in pairs])
-        radix = np.zeros((len(tables), len(index)))
-        radix[np.arange(1, 1 + len(index)), np.arange(len(index))] = 1
-        for term, (a, b) in enumerate(pairs, start=1 + len(index)):
-            radix[term, index[a]] = self._pairwise[(a, b)].shape[1]
-            radix[term, index[b]] = 1
-        sizes = np.array([t.size for t in tables], dtype=np.float64)
-        compiled = _Terms(
-            table=np.concatenate(tables), radix=radix,
-            offsets=(np.cumsum(sizes) - sizes)[:, None],
-            prefix=(f"{self.config.family_seed}|{self.seed}|"
-                    f"{key.d_g}|{key.d_d}|"))
+        layout = self._layout
+        pad = layout.pads[key]
+        # The base, and each term that reads none of the key's pad columns.
+        absent = np.ones(layout.radix.shape[1], dtype=bool)
+        absent[0] = absent[pad.cols] = False
+        terms = np.flatnonzero(~layout.radix[:, absent].any(axis=1))
+        offsets = layout.offsets[terms]
+        offsets[0] += pad.index
+        compiled = _Terms(table=layout.table,
+                          radix=layout.radix[np.ix_(terms, pad.cols)],
+                          offsets=offsets)
         self._compiled[key] = compiled
         return compiled
 
-    def _noise(self, prefix: str, row: Sequence[int]) -> float:
-        """sigma_noise times a uniform draw from the sha256 of the text
-        ``prefix + ",".join(map(str, row))``, built from ``_digits``."""
-        digits = self._digits
-        text = prefix + ",".join([digits[v] for v in row])
-        digest = hashlib.sha256(text.encode()).digest()
-        u = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        return self.config.sigma_noise * u
+    def _noise(self, cells: np.ndarray) -> np.ndarray:
+        """sigma_noise times a uniform draw per column of ``cells``, a
+        batch's base and unary cells: from the sha256 of the row's noise
+        text, the ``texts`` of its cells end to end, which is the key's
+        prefix and then ``",".join(map(str, row))``."""
+        sigma, sha256 = self.config.sigma_noise, hashlib.sha256
+        return np.array([
+            sigma * (int.from_bytes(sha256("".join(texts).encode())
+                                    .digest()[:8], "big") / 2.0 ** 64)
+            for texts in self._layout.texts[cells.T].tolist()], dtype=float)
 
     def evaluate_values(self, key: DepthKey,
                         values: np.ndarray) -> np.ndarray:
@@ -187,20 +267,18 @@ class SurrogateLandscape:
 
         A row's fitness is base + each unary term in slot order + each
         pairwise term in pair order + noise, added left to right.  The
-        terms of all rows are gathered from the key's compiled table into
-        one (term, row) array, with one matrix product for their cells, and
-        summed down the term axis by ``_ordered_sum``, which adds strictly
-        in that order.  So a row's float depends on that row alone,
-        whatever the batch size.
+        terms of all rows are gathered from the layout's table through the
+        key's own terms into one (term, row) array, with one matrix product
+        for their cells, and summed down the term axis by ``_ordered_sum``,
+        which adds strictly in that order.  So a row's float depends on
+        that row alone, whatever the batch size.
         """
         key, values = _batch(self.config.genotype, key, values)
         t = self._compile(key)
-        cells = t.radix @ values.T + t.offsets
-        total = _ordered_sum(t.table[cells.astype(np.intp)])
+        cells = (t.radix @ values.T + t.offsets).astype(np.intp)
+        total = _ordered_sum(t.table[cells])
         if self.config.sigma_noise > 0:
-            total += np.fromiter(
-                (self._noise(t.prefix, row) for row in values.tolist()),
-                dtype=float, count=values.shape[0])
+            total += self._noise(cells[:1 + values.shape[1]])
         return total
 
     def evaluate(self, genotype: Genotype) -> float:
@@ -210,10 +288,47 @@ class SurrogateLandscape:
         return float(self.evaluate_values(key, [row])[0])
 
     def evaluate_many(self, genotypes: Sequence[Genotype]) -> list[float]:
-        """Fitness of each ``(key, row)``, in order, with one
-        ``evaluate_values`` call per depth key."""
-        return _per_key(genotypes, lambda key, rows:
-                        self.evaluate_values(key, rows).tolist())
+        """Fitness of each ``(key, row)``, in order, whatever their keys:
+        one padded row each, with one range check, one matrix product, one
+        gather and one ``_ordered_sum`` for the whole batch, so each value
+        has the bits ``evaluate_values`` gives its row.  A fault (a key,
+        a row's width or a value) raises ``evaluate_values``' error for
+        the first faulty key, keys in the order they first appear."""
+        if not genotypes:
+            return []
+        layout = self._layout
+        pads = layout.pads
+        try:
+            rows = []
+            for key, row in genotypes:
+                pad = pads[key]
+                rows.append((pad.index, *row[:pad.split], *pad.gen_pad,
+                             *row[pad.split:], *pad.disc_pad))
+            padded = np.array(rows, dtype=np.int64)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return self._by_key(genotypes)
+        if (padded.ndim != 2 or padded.shape[1] != layout.radix.shape[1]
+                or np.count_nonzero(padded.view(np.uint64)
+                                    >= layout.bounds[padded[:, 0]])):
+            return self._by_key(genotypes)
+        cells = (layout.radix @ padded.T + layout.offsets).astype(np.intp)
+        total = _ordered_sum(layout.table[cells])
+        if self.config.sigma_noise > 0:
+            total += self._noise(cells[:padded.shape[1]])
+        return total.tolist()
+
+    def _by_key(self, genotypes: Sequence[Genotype]) -> list[float]:
+        """``evaluate_many`` for a batch the padded rows refused: each
+        key's rows through ``evaluate_values``, keys in the order they first
+        appear, which raises the first faulty key's error.  Should every
+        key pass there, each row is evaluated alone, which gives the same
+        floats, as a row's float does not depend on its batch."""
+        by_key: dict = {}
+        for key, row in genotypes:
+            by_key.setdefault(key, []).append(row)
+        for key, rows in by_key.items():
+            self.evaluate_values(key, np.array(rows, dtype=np.int64))
+        return [self.evaluate(genotype) for genotype in genotypes]
 
 
 def make_landscape(seed: int, config: LandscapeConfig) -> SurrogateLandscape:

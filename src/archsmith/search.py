@@ -495,9 +495,9 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     evaluates (size − elitism) fresh offspring and carries the elite over
     unevaluated, so total evaluations stay predictable.  A generation
     breeds all its offspring first, then evaluates them with one
-    ``evaluate_values`` call per depth key.  Evaluation draws nothing from
-    ``rng``, and a row's fitness does not depend on its batch, so the
-    result is that of evaluating each child as it is bred.
+    ``evaluate_many`` call, whatever their depth keys.  Evaluation draws
+    nothing from ``rng``, and a row's fitness does not depend on its
+    batch, so the result is that of evaluating each child as it is bred.
     ``on_evaluate`` is called with (key, row, fitness) for every fresh
     evaluation, after the generation's batch, in breeding order.
     """

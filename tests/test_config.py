@@ -4,6 +4,7 @@ error, and a partial section takes the missing key's default."""
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -101,3 +102,36 @@ def test_read_policy(config, path, expected):
             read(doc)
     else:
         assert read(doc) == expected
+
+
+@pytest.mark.parametrize("config", (*STRICT, *EXPERIMENT_CONFIGS),
+                         ids=lambda config: type(config).__name__)
+def test_a_hashed_config_writes_the_same_json(config):
+    # A genotype config caches its hash on first use; the cached value
+    # is not a field and never reaches the JSON or a copy.
+    genotypes = [config] if isinstance(config, GenotypeConfig) else []
+    genotypes += [getattr(config, "genotype", None),
+                  getattr(getattr(config, "landscape", None), "genotype",
+                          None)]
+    fresh = type(config).from_json_obj(config_to_json(config))
+    before = json.dumps(config_to_json(fresh))
+    for genotype in filter(None, genotypes):
+        hash(genotype)
+    hash(fresh)
+    assert json.dumps(config_to_json(fresh)) == before
+    assert json.dumps(config_to_json(config)) == before
+
+
+def test_equal_genotype_configs_hash_equally():
+    a = GenotypeConfig.per_network(arity=3)
+    b = GenotypeConfig.from_json_obj(json.loads(json.dumps(
+        config_to_json(a))))
+    assert a is not b and a == b
+    assert hash(a) == hash(a) == hash(b)
+    assert hash(a) == hash(dataclasses.astuple(a))
+    assert {a: 1}[b] == 1
+    c = dataclasses.replace(a, arity=4)
+    assert c != a and "_hash" not in vars(c)
+    copied = pickle.loads(pickle.dumps(a))
+    assert copied == a and "_hash" not in vars(copied)
+    assert hash(copied) == hash(a)

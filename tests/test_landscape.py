@@ -12,6 +12,7 @@ from archsmith.errors import FormatError, ValidationError
 from archsmith.genotype import (
     DepthKey,
     GenotypeConfig,
+    _per_key,
     joint_schema,
     parse_genotype,
     random_genotype,
@@ -414,3 +415,85 @@ class TestEvaluateValues:
                       else value)
         with pytest.raises(ValidationError, match="cardinality"):
             land.evaluate_values(key, row)
+
+
+def per_key_oracle(land, genotypes):
+    """``evaluate_many`` as it was: one ``evaluate_values`` call per depth
+    key, keys in the order they first appear."""
+    return _per_key(genotypes, lambda key, rows:
+                    land.evaluate_values(key, rows).tolist())
+
+
+def outcome(evaluate, genotypes):
+    """What ``evaluate(genotypes)`` returns, or the type and message of
+    what it raises."""
+    try:
+        return evaluate(genotypes)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+
+
+class TestEvaluateManyFaults:
+    """A faulty batch raises exactly what the per-key oracle raises."""
+
+    @staticmethod
+    def batches():
+        rng = np.random.default_rng(21)
+        a, b = DepthKey(1, 2), DepthKey(3, 1)
+        rows = {key: [list(random_genotype(rng, JOINT, key)[1])
+                      for _ in range(4)] for key in (a, b)}
+
+        def batch(*faults):
+            """a, b, a, b, ... with ``faults`` as (key, i, column, value)."""
+            out = {key: [list(row) for row in rows[key]] for key in rows}
+            for key, i, column, value in faults:
+                out[key][i][column] = value
+            return [(key, tuple(out[key][i]))
+                    for i in range(4) for key in (a, b)]
+
+        card = joint_schema(JOINT, a).slots[-1].cardinality
+        yield "two key groups, first key's fault later", batch(
+            (a, 3, -1, card), (b, 0, 2, -1))
+        yield "two key groups, same row", batch((a, 1, 0, 99), (b, 1, 5, 7))
+        yield "second key only", batch((b, 2, -1, 1000))
+        yield "negative value", batch((a, 0, 3, -5))
+        yield "unsupported key", [*batch(), (DepthKey(4, 1), (0,) * 21)]
+        yield "zero depth", [(DepthKey(0, 1), (0,) * 5), *batch()]
+        short = batch()
+        short[5] = (short[5][0], short[5][1][:-1])
+        yield "short row", short
+        yield "every row of a key short", [
+            (key, row[:-1] if key == b else row) for key, row in batch()]
+        yield "every row short", [(key, row[:-1]) for key, row in batch()
+                                  if key == b]
+        long = batch()
+        long[2] = (long[2][0], long[2][1] + (0,))
+        yield "long row", long
+        # Rows one too short and one too long at two keys: the batch
+        # holds the right number of values, but not in the right rows.
+        both = batch()
+        both[0] = (both[0][0], both[0][1][:-1])
+        both[1] = (both[1][0], both[1][1] + (0,))
+        yield "short and long rows", both
+        yield "non-integer value", [(a, (None, *rows[a][0][1:]))]
+        yield "not a pair", [(a,)]
+        yield "three-depth key", [((1, 2, 3), tuple(rows[a][0]))]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_raises_what_the_per_key_oracle_raises(self, sigma):
+        land = make_landscape(3, LandscapeConfig(genotype=JOINT,
+                                                 family_seed=7,
+                                                 sigma_noise=sigma))
+        for name, genotypes in self.batches():
+            want = outcome(lambda g: per_key_oracle(land, g), genotypes)
+            assert isinstance(want, tuple), name
+            assert outcome(land.evaluate_many, genotypes) == want, name
+
+    def test_first_faulty_key_in_order_of_first_appearance(self):
+        land = make_landscape(3, noiseless())
+        batches = dict(self.batches())
+        with pytest.raises(ValidationError, match="slot d1.size"):
+            land.evaluate_many(batches["two key groups, first key's fault "
+                                       "later"])
+        with pytest.raises(ValidationError, match="unsupported depth 4"):
+            land.evaluate_many(batches["unsupported key"])

@@ -4,12 +4,16 @@ Each kernel must give the same bits as the plainer form it replaced, kept
 here as the oracle: ``log_likelihood_many`` gathers from a table of logs and
 sums each row in order, ``evaluate_values`` sums a row's gathered terms in
 order and hashes each row's noise text through a table of value texts,
+``evaluate_many`` pads every row of a batch to the deepest schema and
+sums the batch's terms, −0.0 pad terms among them, in one gather,
 ``guided_hc`` ranks with one sort of a complex key, and the EA's
 tournaments draw ``rng.choice``'s picks from scalar draws.  The same
 bits must hold at every numpy dispatch level, so the CI workflow runs this
 file a second time with numpy's dispatched SIMD kernels switched off
 (``NPY_DISABLE_CPU_FEATURES``).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +23,9 @@ from hypothesis import strategies as st
 from archsmith.bayesnet import (Dag, _cells, _ordered_sum, fit_cpts,
                                 log_likelihood_many)
 from archsmith.genotype import GenotypeConfig, random_genotype
-from archsmith.landscape import LandscapeConfig, make_landscape
+from archsmith.landscape import (LandscapeConfig, SurrogateLandscape,
+                                 landscape_from_json_obj,
+                                 landscape_to_json_obj, make_landscape)
 from archsmith.search import _distinct_picks, _ranking
 from test_bayesnet import nets_with_data
 from test_landscape import reference_fitness
@@ -59,6 +65,18 @@ class TestOrderedSum:
             block = spread(rng, (v, n))
             assert (_ordered_sum(block).tobytes()
                     == left_to_right(block).tobytes())
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_signed_zeros_add_as_in_python(self, n):
+        # A plain reduce starts from +0.0, so a column of −0.0 terms would
+        # sum to +0.0 where adding left to right gives −0.0.
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            block = rng.choice([-0.0, 0.0, -0.0, -1.5, 1.5], size=(6, n))
+            assert (_ordered_sum(block).tobytes()
+                    == left_to_right(block).tobytes())
+        assert _ordered_sum(np.full((3, n), -0.0)).tobytes() == \
+            np.full(n, -0.0).tobytes()
 
     def test_a_plain_reduce_of_one_column_is_not_in_order(self):
         # numpy sums one contiguous run pairwise, which is why a single
@@ -138,6 +156,107 @@ class TestEvaluateValues:
                              for row in rows.tolist()])
             assert land.evaluate_values(key, rows).tobytes() == want.tobytes()
         assert wide > 20
+
+
+def signed_landscape(sigma, cells, share):
+    """A joint landscape read from a document whose base, unary and
+    pairwise cells are, each with chance ``share``, drawn from ``cells``
+    in place of the usual ones, so that pad terms of −0.0 meet every
+    sign."""
+    obj = landscape_to_json_obj(make_landscape(6, LandscapeConfig(
+        genotype=GenotypeConfig.joint(), family_seed=7, sigma_noise=sigma)))
+    rng = np.random.default_rng(11)
+
+    def signed(table):
+        values = np.array(table, dtype=float)
+        pick = rng.random(values.shape) < share
+        values[pick] = rng.choice(cells, size=int(pick.sum()))
+        return values.tolist()
+
+    obj["base"] = dict(zip(obj["base"], signed(list(obj["base"].values()))))
+    obj["unary"] = {pos: signed(table) for pos, table in obj["unary"].items()}
+    obj["pairwise"] = [signed(table) for table in obj["pairwise"]]
+    assert any(math.copysign(1.0, v) < 0 and v == 0
+               for v in obj["base"].values())
+    return landscape_from_json_obj(obj)
+
+
+ROW_FORMS = {
+    "tuples": lambda key, row: (key, tuple(row)),
+    "lists": lambda key, row: (key, list(row)),
+    "numpy ints": lambda key, row: (key, tuple(np.int64(v) for v in row)),
+    "arrays": lambda key, row: (key, np.array(row)),
+    "tuple keys": lambda key, row: (tuple(key), tuple(row)),
+}
+
+
+class TestEvaluateMany:
+    """``evaluate_many`` on shuffled batches of mixed depth keys against
+    ``reference_fitness``, row by row, bit for bit."""
+
+    CASES = {
+        "joint": lambda sigma: make_landscape(4, LandscapeConfig(
+            genotype=GenotypeConfig.joint(), family_seed=7,
+            sigma_noise=sigma)),
+        "per_network": lambda sigma: make_landscape(4, LandscapeConfig(
+            genotype=GenotypeConfig.per_network(), family_seed=7,
+            sigma_noise=sigma)),
+        "arity_12": lambda sigma: make_landscape(5, LandscapeConfig(
+            genotype=GenotypeConfig.joint(arity=12), family_seed=7,
+            sigma_noise=sigma)),
+    }
+
+    @staticmethod
+    def check(land, seed, monkeypatch):
+        # A valid batch never takes the key-by-key path.
+        def no_fallback(self, genotypes):
+            raise AssertionError("evaluate_many fell back on a valid batch")
+
+        monkeypatch.setattr(SurrogateLandscape, "_by_key", no_fallback)
+        config = land.config.genotype
+        rng = np.random.default_rng(seed)
+        genotypes = [random_genotype(rng, config, key)
+                     for key in config.depth_keys() for _ in range(5)]
+        order = rng.permutation(len(genotypes))
+        genotypes = [genotypes[i] for i in order]
+        want = np.array([reference_fitness(land, key, row)
+                         for key, row in genotypes])
+        forms = list(ROW_FORMS.values())
+        for size in (len(genotypes), 1, 2, 7, 19):
+            for start in range(0, len(genotypes), size):
+                batch = [forms[int(rng.integers(len(forms)))](key, row)
+                         for key, row in genotypes[start:start + size]]
+                got = land.evaluate_many(batch)
+                assert all(type(v) is float for v in got)
+                assert (np.array(got).tobytes()
+                        == want[start:start + size].tobytes())
+        # Each row form alone, and integral floats, whose noise text is
+        # that of their ints.
+        for form in [*forms, lambda key, row: (key, tuple(map(float, row)))]:
+            batch = [form(key, row) for key, row in genotypes]
+            assert np.array(land.evaluate_many(batch)).tobytes() == \
+                want.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_reference_on_shuffled_mixed_batches(self, case, sigma,
+                                                        monkeypatch):
+        self.check(self.CASES[case](sigma), 12, monkeypatch)
+
+    def test_signed_tables_from_a_document(self, monkeypatch):
+        self.check(signed_landscape(0.05, [-0.0, 0.0, -0.0, -2.5, -1e-9,
+                                           0.75], 0.5), 13, monkeypatch)
+
+    def test_negative_zero_sums_stay_negative_zero(self, monkeypatch):
+        # Mostly −0.0 cells and no noise: many rows sum to −0.0, which a
+        # +0.0 pad term would turn into +0.0.
+        land = signed_landscape(0.0, [-0.0] * 19 + [0.0], 1.0)
+        rng = np.random.default_rng(15)
+        rows = [random_genotype(rng, land.config.genotype)
+                for _ in range(200)]
+        assert sum(math.copysign(1.0, reference_fitness(land, *g)) < 0
+                   for g in rows) > 20
+        self.check(land, 15, monkeypatch)
 
 
 class TestRanking:

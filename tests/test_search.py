@@ -10,7 +10,6 @@ the EA's crossover are checked against.
 import csv
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Union
@@ -41,8 +40,7 @@ from archsmith.genotype import (
     random_genotype,
     unflatten_joint,
 )
-from archsmith.landscape import (LandscapeConfig, SurrogateLandscape,
-                                 make_landscape)
+from archsmith.landscape import LandscapeConfig, make_landscape
 from archsmith.metamodel import LearnConfig, Metamodel, learn
 from archsmith.search import (
     EaConfig,
@@ -988,8 +986,9 @@ class TestPopulationAndEa:
     ])
     def test_ea_evaluates_one_batch_per_key_per_generation(self, seed, config,
                                                            monkeypatch):
-        # Every child is mutated once, so mutate's results are the children
-        # in the order they were bred.
+        # One evaluate_many call per generation, whatever depth keys its
+        # children hold.  Every child is mutated once, so mutate's results
+        # are the children in the order they were bred.
         land = make_landscape(seed, LandscapeConfig(genotype=DEFAULT,
                                                     family_seed=7))
         pop = init_population("random", 12, land, np.random.default_rng(seed))
@@ -1010,29 +1009,24 @@ class TestPopulationAndEa:
         simple_ea(counting, pop, generations, np.random.default_rng(seed + 1),
                   config=config, on_evaluate=record)
         assert [(k, r) for k, r, _ in seen] == bred
-        assert not any(name == "evaluate" for name, _, _ in counting.calls)
         need = pop.size - config.elitism
         assert len(seen) == generations * need
-        start = 0
-        for gen in range(generations):
-            children = seen[gen * need:(gen + 1) * need]
-            stop = calls_before[gen * need]
-            # Every child of the generation is evaluated before the first
-            # is reported, and none of the next generation's is.
-            assert calls_before[gen * need:(gen + 1) * need] == [stop] * need
-            calls = counting.calls[start:stop]
-            counts = Counter(key for key, _, _ in children)
-            assert len(calls) == len(counts)
-            assert {key: n for _, key, n in calls} == counts
-            for key, row, fitness in children:
-                assert fitness == float(land.evaluate_values(
-                    key, np.array([row]))[0])
-            start = stop
-        assert start == len(counting.calls)
+        # Every child of a generation is evaluated before the first is
+        # reported, in one call that holds them all in breeding order.
+        assert calls_before == [gen + 1 for gen in range(generations)
+                                for _ in range(need)]
+        assert counting.calls == [
+            ("evaluate_many", [(k, r) for k, r, _ in
+                               seen[gen * need:(gen + 1) * need]])
+            for gen in range(generations)]
+        assert len({k for k, _, _ in seen}) > 1
+        for key, row, fitness in seen:
+            assert fitness == float(land.evaluate_values(
+                key, np.array([row]))[0])
 
 
 class CountingLandscape:
-    """A landscape that logs each evaluation call as (name, key, rows)."""
+    """A landscape that logs each evaluation call as (name, genotypes)."""
 
     def __init__(self, land):
         self.land = land
@@ -1040,15 +1034,12 @@ class CountingLandscape:
         self.calls = []
 
     def evaluate(self, genotype):
-        self.calls.append(("evaluate", None, 1))
+        self.calls.append(("evaluate", [genotype]))
         return self.land.evaluate(genotype)
 
-    # The package's batching, over this class's evaluate_values.
-    evaluate_many = SurrogateLandscape.evaluate_many
-
-    def evaluate_values(self, key, values):
-        self.calls.append(("evaluate_values", key, len(values)))
-        return self.land.evaluate_values(key, values)
+    def evaluate_many(self, genotypes):
+        self.calls.append(("evaluate_many", list(genotypes)))
+        return self.land.evaluate_many(genotypes)
 
 
 class CoarseLandscape:
@@ -1061,11 +1052,8 @@ class CoarseLandscape:
     def evaluate(self, genotype):
         return float(round(self.land.evaluate(genotype)))
 
-    evaluate_many = SurrogateLandscape.evaluate_many
-
-    def evaluate_values(self, key, values):
-        # np.round rounds half to even, as round does.
-        return np.round(self.land.evaluate_values(key, values))
+    def evaluate_many(self, genotypes):
+        return [float(round(f)) for f in self.land.evaluate_many(genotypes)]
 
 
 def reference_ea(land, members, generations, rng, config, record):
