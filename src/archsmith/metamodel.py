@@ -328,6 +328,48 @@ class Metamodel:
         log_prob = log_super + log_sub
         return log_prob, log_prob / (self.n_depth_variables + values.shape[1])
 
+    def _neighbor_scores(self, key: DepthKey, values: np.ndarray,
+                         groups: list[tuple[DepthKey, np.ndarray]]
+                         ) -> np.ndarray:
+        """The normalized scores of ``groups``, the neighbourhood that
+        ``search.neighbor_groups`` gives for ``(key, values)``, end to end:
+        bit for bit ``score_values``' of each group, concatenated.
+
+        The change group keeps the key and goes through ``score_values``.
+        Every other group grows or shrinks one network, so in its rows a
+        part whose submodel is the incumbent's holds the incumbent's
+        slots.  That part is scored once per call, from the incumbent's
+        row, and its ``(1,)`` term broadcasts.  The terms are added as
+        ``_log_parts`` adds them, from 0.0 in plan order, and a row's log
+        likelihood does not depend on its batch, so each row reads the
+        float its own ``score_values`` would give.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        own_plan = self._plans[key]
+        own_terms: dict[int, np.ndarray] = {}
+        scores = []
+        for group_key, rows in groups:
+            if group_key == key:
+                scores.append(self.score_values(group_key, rows)[1])
+                continue
+            log_sub = 0.0
+            for at, (part, index, cols) in enumerate(self._plans[group_key]):
+                bn = self.submodels[part.keys[index]].bn
+                _, own_index, own_cols = own_plan[at]
+                if index != own_index:
+                    term = log_likelihood_many(bn, rows[:, cols])
+                elif at in own_terms:
+                    term = own_terms[at]
+                else:
+                    term = own_terms[at] = log_likelihood_many(
+                        bn, values[None, own_cols])
+                # Not +=: an in-place add cannot broadcast a (1,) sum.
+                log_sub = log_sub + term
+            log_prob = self._log_super[group_key] + log_sub
+            scores.append(log_prob
+                          / (self.n_depth_variables + rows.shape[1]))
+        return np.concatenate(scores)
+
     def score_many(self, genotypes: Sequence[Genotype]) -> list[tuple]:
         """(log_prob, normalized) of each ``(key, row)`` pair, in order,
         with one ``score_values`` call per depth key."""

@@ -561,6 +561,54 @@ class TestLearnConfig:
         with pytest.raises(ValidationError, match="dpi_tolerance"):
             LearnConfig(genotype=TINY, dpi_tolerance=tolerance)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("min_samples", 0, "min_samples must be >= 1"),
+        ("alpha", 0, "alpha must be > 0"),
+        ("super_pseudocount", 0, "super_pseudocount must be > 0"),
+    ])
+    def test_bad_counts_rejected(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            LearnConfig(genotype=TINY, **{field: value})
+
+
+class TestValidate:
+    """The one-line messages of ``Metamodel._validate``, on the parts of
+    a uniform per-network model with one of them broken."""
+
+    @staticmethod
+    def parts():
+        model = Metamodel.uniform(LearnConfig(genotype=TINY_PN))
+        return model.learn_config, model.supermodels, model.submodels
+
+    def test_missing_supermodel_rejected(self):
+        config, supers, subs = self.parts()
+        del supers["discriminator"]
+        with pytest.raises(ValidationError, match="^per_network mode needs "
+                           "the supermodels generator, discriminator$"):
+            Metamodel(config, supers, subs)
+
+    def test_reordered_support_rejected(self):
+        config, supers, subs = self.parts()
+        cat = supers["discriminator"]
+        supers["discriminator"] = Categorical(support=cat.support[::-1],
+                                              probs=cat.probs[::-1])
+        with pytest.raises(ValidationError, match="^supermodel "
+                           "'discriminator' does not cover the configured "
+                           "depths in order$"):
+            Metamodel(config, supers, subs)
+
+    def test_missing_submodel_rejected(self):
+        config, supers, subs = self.parts()
+        del subs[("discriminator", 2)]
+        with pytest.raises(ValidationError,
+                           match="^every supported key needs a submodel$"):
+            Metamodel(config, supers, subs)
+
+    def test_negative_sample_count_rejected(self):
+        model = Metamodel.uniform(LearnConfig(genotype=TINY_PN))
+        with pytest.raises(ValidationError, match="^count must be >= 0$"):
+            model.sample_genotypes(np.random.default_rng(0), -1)
+
 
 class TestCategorical:
     def test_validation(self):

@@ -6,13 +6,16 @@ sums each row in order, ``evaluate_values`` sums a row's gathered terms in
 order and hashes each row's noise text through a table of value texts,
 ``evaluate_many`` pads every row of a batch to the deepest schema and
 sums the batch's terms, −0.0 pad terms among them, in one gather,
-``guided_hc`` ranks with one sort of a complex key, and the EA's
-tournaments draw ``rng.choice``'s picks from scalar draws.  The same
+``guided_hc`` scores a neighbourhood once per network a group changes
+and ranks it with sorts of a complex key, as far as the climb reads, and
+the EA's tournaments draw ``rng.choice``'s picks from scalar draws.  The
+same
 bits must hold at every numpy dispatch level, so the CI workflow runs this
 file a second time with numpy's dispatched SIMD kernels switched off
 (``NPY_DISABLE_CPU_FEATURES``).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,15 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archsmith import metamodel
 from archsmith.bayesnet import (Dag, _cells, _ordered_sum, fit_cpts,
                                 log_likelihood_many)
 from archsmith.genotype import GenotypeConfig, random_genotype
 from archsmith.landscape import (LandscapeConfig, SurrogateLandscape,
                                  landscape_from_json_obj,
                                  landscape_to_json_obj, make_landscape)
-from archsmith.search import _distinct_picks, _ranking
+from archsmith.metamodel import LearnConfig, Metamodel, learn
+from archsmith.search import (_RANKED_HEAD, _distinct_picks, _ranked_prefix,
+                              _ranking, neighbor_groups)
 from test_bayesnet import nets_with_data
 from test_landscape import reference_fitness
+from test_metamodel import make_individuals
 
 
 def left_to_right(block):
@@ -280,6 +287,105 @@ class TestRanking:
         tiebreak[rng.integers(0, 1000, 50)] = tiebreak[:50]
         assert (_ranking(score, tiebreak).tolist()
                 == np.lexsort((tiebreak, -score)).tolist())
+
+
+def concatenated_scores(model, groups):
+    """The oracle of ``_neighbor_scores``: each group's normalized
+    ``score_values``, concatenated."""
+    return np.concatenate([model.score_values(key, rows)[1]
+                           for key, rows in groups])
+
+
+def learned_model(config):
+    """A model learned from 40 genotypes of random depth keys with
+    ``min_samples`` 2, so that most submodels have a structure learned
+    from a few rows, and some of their tables are keyed."""
+    rng = np.random.default_rng(24)
+    model = learn(make_individuals(rng, config, 40),
+                  LearnConfig(genotype=config, min_samples=2, alpha=0.7))
+    assert any(code is not None for sub in model.submodels.values()
+               for code in sub.bn.codes)
+    return model
+
+
+MODELS = {
+    "uniform": lambda config: Metamodel.uniform(LearnConfig(genotype=config)),
+    "learned": learned_model,
+}
+CONFIGS = {"joint": GenotypeConfig.joint(),
+           "per_network": GenotypeConfig.per_network()}
+
+
+class TestNeighborScores:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_equals_score_values_at_every_depth_key(self, config, model):
+        # Every depth key, depth 1 and the depth bounds among them, with
+        # random incumbents at each.
+        config = CONFIGS[config]
+        model = MODELS[model](config)
+        rng = np.random.default_rng(25)
+        for key in config.depth_keys():
+            for _ in range(3):
+                _, row = random_genotype(rng, config, key)
+                values = np.array(row, dtype=np.int64)
+                groups = neighbor_groups(key, values, config)
+                assert (model._neighbor_scores(key, values, groups).tobytes()
+                        == concatenated_scores(model, groups).tobytes())
+
+    def test_each_unchanged_network_is_scored_once(self, monkeypatch):
+        # Per-network mode, away from the depth bounds: the change group
+        # scores both networks of its rows; a grow or shrink group scores
+        # the network it changes, and the other network's term is the
+        # incumbent's, scored once per call.
+        config = CONFIGS["per_network"]
+        model = learned_model(config)
+        key, row = random_genotype(np.random.default_rng(26), config, (3, 3))
+        values = np.array(row, dtype=np.int64)
+        groups = neighbor_groups(key, values, config)
+        assert [k for k, _ in groups] == [(2, 3), (3, 2), (3, 3), (3, 4),
+                                         (4, 3)]
+        scored = []
+        score = metamodel.log_likelihood_many
+        monkeypatch.setattr(metamodel, "log_likelihood_many",
+                            lambda bn, rows: scored.append(len(rows))
+                            or score(bn, rows))
+        model._neighbor_scores(key, values, groups)
+        sizes = {k: len(rows) for k, rows in groups}
+        assert sorted(scored) == sorted([1, 1, sizes[(2, 3)], sizes[(3, 2)],
+                                         sizes[(3, 3)], sizes[(3, 3)],
+                                         sizes[(3, 4)], sizes[(4, 3)]])
+
+
+class TestRankedPrefix:
+    @given(st.lists(st.tuples(
+        st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0, math.nan]),
+        st.sampled_from([-0.0, 0.0, 0.25, 0.5])), max_size=40),
+        st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_ranking_around_the_head(self, pairs, read):
+        score = np.array([s for s, _ in pairs], dtype=float)
+        tiebreak = np.array([t for _, t in pairs], dtype=float)
+        want = _ranking(score, tiebreak).tolist()
+        got = list(_ranked_prefix(score, tiebreak))
+        assert got == want
+        assert all(type(i) is int for i in got)
+        assert (list(itertools.islice(_ranked_prefix(score, tiebreak), read))
+                == want[:read])
+
+    @pytest.mark.parametrize("n", [_RANKED_HEAD - 1, _RANKED_HEAD,
+                                   _RANKED_HEAD + 1, 1000])
+    def test_equals_ranking_on_a_neighbourhood_of_scores(self, n):
+        # Score quanta as guided_hc ranks them, with ties across the
+        # head's last place.
+        rng = np.random.default_rng(n)
+        score = np.round(rng.normal(-1.5, 1e-5, n) / 1e-6)
+        last = np.sort(score)[max(0, n - _RANKED_HEAD)]
+        score[rng.integers(0, n, n // 3)] = last
+        tiebreak = rng.random(n)
+        tiebreak[rng.integers(0, n, n // 4)] = tiebreak[:n // 4]
+        assert (list(_ranked_prefix(score, tiebreak))
+                == _ranking(score, tiebreak).tolist())
 
 
 class TestDistinctPicks:

@@ -757,6 +757,40 @@ class TestGuidedHc:
         assert np.median(finals_guided) <= np.median(finals_uniform) + 1e-9
 
 
+class TestGuards:
+    """One-line messages of the search module's argument checks."""
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^population cannot be empty$"):
+            Population([])
+
+    def test_mutation_rate_outside_unit_interval_rejected(self):
+        with pytest.raises(ValidationError, match=r"^mutation_rate must lie "
+                                                  r"in \[0, 1\]$"):
+            EaConfig(mutation_rate=1.5)
+
+    @pytest.mark.parametrize("field,value", [("tournament_size", 0),
+                                             ("elitism", -1)])
+    def test_bad_tournament_size_or_elitism_rejected(self, field, value):
+        with pytest.raises(ValidationError,
+                           match="^bad tournament_size or elitism$"):
+            EaConfig(**{field: value})
+
+    def test_empty_start_population_rejected(self):
+        with pytest.raises(ValidationError, match="^size must be >= 1$"):
+            init_population("random", 0, tiny_landscape(),
+                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_best_before_the_first_step_is_the_start(self, step):
+        land = tiny_landscape(seed=4)
+        start = random_genotype(np.random.default_rng(2), TINY)
+        trace = random_hc(land, start, 20, np.random.default_rng(3))
+        assert trace.final_best < trace.start_fitness
+        assert trace.best_at(step) == trace.start_fitness
+
+
 class TestPopulationAndEa:
     def test_init_random(self):
         land = tiny_landscape(seed=11)
