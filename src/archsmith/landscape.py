@@ -38,6 +38,7 @@ from .genotype import (
     ROLE_DISCRIMINATOR,
     _batch,
     _layer_start,
+    _per_key,
     joint_schema,
 )
 
@@ -320,15 +321,9 @@ class SurrogateLandscape:
     def _by_key(self, genotypes: Sequence[Genotype]) -> list[float]:
         """``evaluate_many`` for a batch the padded rows refused: each
         key's rows through ``evaluate_values``, keys in the order they first
-        appear, which raises the first faulty key's error.  Should every
-        key pass there, each row is evaluated alone, which gives the same
-        floats, as a row's float does not depend on its batch."""
-        by_key: dict = {}
-        for key, row in genotypes:
-            by_key.setdefault(key, []).append(row)
-        for key, rows in by_key.items():
-            self.evaluate_values(key, np.array(rows, dtype=np.int64))
-        return [self.evaluate(genotype) for genotype in genotypes]
+        appear, which raises the first faulty key's error."""
+        return _per_key(genotypes, lambda key, rows:
+                        self.evaluate_values(key, rows).tolist())
 
 
 def make_landscape(seed: int, config: LandscapeConfig) -> SurrogateLandscape:

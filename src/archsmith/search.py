@@ -29,9 +29,7 @@ from .genotype import (
     _layer_start,
     _layers,
     _mutation_moves,
-    gan_hash,
     random_genotype,
-    sort_by_fitness,
 )
 from .landscape import SurrogateLandscape
 from .metamodel import Metamodel
@@ -400,25 +398,9 @@ def init_population(strategy: str, size: int,
                        for genotype in genotypes])
 
 
-def _ranked(members, config: GenotypeConfig) -> list:
-    """``(key, row, fitness)`` members by ascending fitness, ties broken by
-    the hash of the genotype, computed only for tied rows."""
-    return sort_by_fitness(members, itemgetter(2),
-                           lambda m: gan_hash(m[0], m[1], config))
-
-
-def _elite(members, count: int, config: GenotypeConfig) -> list:
-    """``_ranked(members, config)[:count]``, hashing only the fitness ties
-    that reach into the first ``count``: the members fitter than the last
-    of them, ranked among themselves, then the best of that last one's
-    ties."""
-    if count < 1:
-        return []
-    cut = sorted(members, key=itemgetter(2))[:count]
-    last = cut[-1][2]
-    head = [m for m in cut if m[2] < last]
-    tied = [m for m in members if m[2] == last]
-    return _ranked(head, config) + _ranked(tied, config)[:count - len(head)]
+# Orders ``(key, row, fitness)`` members: by fitness, an exact tie going to
+# the smaller ``(key, row)``.
+_RANK = itemgetter(2, 0, 1)
 
 
 def _distinct_picks(rng: np.random.Generator, n: int, m: int) -> list[int]:
@@ -449,9 +431,10 @@ def _distinct_picks(rng: np.random.Generator, n: int, m: int) -> list[int]:
     return [first, second] if draw(2) else [second, first]
 
 
-def _tournament(population: Population, rng: np.random.Generator, k: int,
-                config: GenotypeConfig) -> Genotype:
-    """The fittest of k distinct picks; ``_ranked`` orders only exact ties.
+def _tournament(population: Population, rng: np.random.Generator,
+                k: int) -> Genotype:
+    """The fittest of k distinct picks, an exact tie going to the smaller
+    ``(key, row)``.
 
     Two entrants, the default, are compared directly."""
     members = population.members
@@ -459,16 +442,10 @@ def _tournament(population: Population, rng: np.random.Generator, k: int,
     picks = _distinct_picks(rng, n, min(k, n))
     if len(picks) == 2:
         a, b = members[picks[0]], members[picks[1]]
-        if a[2] != b[2]:
-            key, row, _ = a if a[2] < b[2] else b
-            return key, row
-        key, row, _ = _ranked((a, b), config)[0]
-        return key, row
-    entrants = [members[i] for i in picks]
-    best = min(fitness for _, _, fitness in entrants)
-    tied = [m for m in entrants if m[2] == best]
-    key, row, _ = tied[0] if len(tied) == 1 else _ranked(tied, config)[0]
-    return key, row
+        best = a if a[2] < b[2] or (a[2] == b[2] and a[:2] <= b[:2]) else b
+    else:
+        best = min((members[i] for i in picks), key=_RANK)
+    return best[:2]
 
 
 def _crossover(a: Genotype, b: Genotype):
@@ -542,8 +519,8 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     for _ in range(generations):
         children: list[Genotype] = []
         while len(children) < need:
-            parent_a = _tournament(population, rng, config.tournament_size, gc)
-            parent_b = _tournament(population, rng, config.tournament_size, gc)
+            parent_a = _tournament(population, rng, config.tournament_size)
+            parent_b = _tournament(population, rng, config.tournament_size)
             if rng.random() < config.crossover_rate:
                 pair = _crossover(parent_a, parent_b)
             else:
@@ -560,7 +537,7 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
             for member in offspring:
                 on_evaluate(*member)
         evaluations += len(offspring)
-        elite = _elite(population.members, config.elitism, gc)
+        elite = sorted(population.members, key=_RANK)[:config.elitism]
         population = Population(elite + offspring)
         trace.append(population.best_fitness)
     return EaResult(best_per_generation=trace, population=population,

@@ -230,13 +230,15 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
     """Two-sided Mann-Whitney rank-sum test.
 
     The statistic is U for the first sample; the approximate p-value uses
-    the normal approximation with continuity correction and tie-corrected
-    variance ``n1 n2 / 12 * ((N + 1) - sum(t^3 - t) / (N (N - 1)))``.  Exact
+    the normal approximation with continuity correction and variance
+    ``n1 n2 (N + 1) / 12 * c``, with ``c = 1 - sum(t^3 - t) / (N^3 - N)`` the
+    tie correction that both modes report, as ``kruskal_wallis`` does.  Exact
     mode enumerates every split of the pooled sample (N <= 12) and counts
     splits whose U deviates from the mean at least as much as observed.
     """
     (n1, n2), ranks, tie = _pool([a, b])
     n_total = n1 + n2
+    correction = 1.0 - tie / (n_total ** 3 - n_total)
 
     def u_first(r) -> float:
         return float(r[:n1].sum()) - n1 * (n1 + 1) / 2.0
@@ -246,10 +248,10 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
     variance = n1 * n2 / 12.0 * ((n_total + 1) - tie / (n_total * (n_total - 1)))
     if method == "approx":
         if variance <= 0:
-            return TestResult(u1, 1.0, (n1, n2), 0.0, method)
+            return TestResult(u1, 1.0, (n1, n2), correction, method)
         deviation = max(abs(u1 - mean_u) - 0.5, 0.0)
         z = deviation / np.sqrt(variance)
         p = _two_sided_normal(z)
-        return TestResult(u1, p, (n1, n2), tie, method)
+        return TestResult(u1, p, (n1, n2), correction, method)
     p = _exact_p(method, ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u))
-    return TestResult(u1, p, (n1, n2), tie, method)
+    return TestResult(u1, p, (n1, n2), correction, method)

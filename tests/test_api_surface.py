@@ -212,6 +212,14 @@ def test_archive_and_search_build_no_trees():
     assert _uses(modules["search"], "unflatten_joint") == []
 
 
+def test_ea_breaks_ties_without_hashing():
+    # EA selection breaks an exact fitness tie by the smaller (key, row):
+    # search names neither the genotype hash nor the hashing sort.
+    modules = _modules()
+    for name in ("gan_hash", "sort_by_fitness"):
+        assert _uses(modules["search"], name) == [], name
+
+
 def test_read_path_builds_no_trees():
     # Records are read straight into (key, row): the archive names
     # ``GanSpec`` only for ``Individual.gan``, no module parses a genotype

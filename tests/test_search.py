@@ -12,11 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import itemgetter
 from typing import Union
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from archsmith import search
@@ -46,8 +47,6 @@ from archsmith.search import (
     EaConfig,
     Population,
     _crossover,
-    _elite,
-    _ranked,
     _tournament,
     guided_hc,
     init_population,
@@ -881,27 +880,15 @@ class TestPopulationAndEa:
         # Signed zeros tie; so do copies of one genotype.
         [0.0, -0.0, 1.0, -0.0, 1.0],
     ], ids=["across", "long_run", "at_boundary", "signed_zeros"])
-    def test_elite_equals_ranked_prefix(self, fitness, elitism, monkeypatch):
+    def test_elite_equals_ranked_prefix(self, fitness, elitism):
         rng = np.random.default_rng(len(fitness))
         genotypes = [random_genotype(rng, TINY) for _ in fitness]
         genotypes[-1] = genotypes[0]
         members = [(*g, f) for g, f in zip(genotypes, fitness)]
-        want = _ranked(members, TINY)[:elitism]
-        hashed = []
-
-        def counted(key, row, config):
-            hashed.append((key, row))
-            return gan_hash(key, row, config)
-
-        monkeypatch.setattr(search, "gan_hash", counted)
-        got = _elite(members, elitism, TINY)
+        got = carried_elite(members, elitism)
+        want = sorted(members, key=itemgetter(2, 0, 1))[:elitism]
         assert len(got) == len(want) and all(
             a is b for a, b in zip(got, want))
-        # Only the ties that reach into the elite are hashed.
-        last = sorted(fitness)[elitism - 1] if elitism else -math.inf
-        assert sorted(hashed) == sorted(
-            (k, r) for k, r, f in members
-            if f <= last and fitness.count(f) > 1)
 
     @settings(max_examples=200, deadline=None)
     @given(fitness=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]),
@@ -910,10 +897,11 @@ class TestPopulationAndEa:
     def test_elite_equals_ranked_prefix_on_random_ties(self, fitness,
                                                        elitism, seed):
         # TINY's space is small enough that copies of a genotype occur.
+        assume(elitism < len(fitness))
         rng = np.random.default_rng(seed)
         members = [(*random_genotype(rng, TINY), f) for f in fitness]
-        got = _elite(members, elitism, TINY)
-        want = _ranked(members, TINY)[:elitism]
+        got = carried_elite(members, elitism)
+        want = sorted(members, key=itemgetter(2, 0, 1))[:elitism]
         assert len(got) == len(want) and all(
             a is b for a, b in zip(got, want))
 
@@ -922,7 +910,7 @@ class TestPopulationAndEa:
     @pytest.mark.parametrize("n", [1, 2])
     def test_two_entrant_tournament_equals_generic_path(self, n, fitness):
         # With k = 2 entrants the tournament compares the two directly;
-        # the generic path ranks every entrant and hashes exact ties.
+        # the generic path takes the least (fitness, key, row).
         rng = np.random.default_rng(n)
         genotypes = [random_genotype(rng, TINY) for _ in range(2)]
         if fitness == "copies":
@@ -933,10 +921,10 @@ class TestPopulationAndEa:
                              np.random.default_rng(7))
         winners = set()
         for _ in range(40):
-            got = _tournament(population, got_rng, 2, TINY)
+            got = _tournament(population, got_rng, 2)
             picks = want_rng.choice(n, size=min(2, n), replace=False)
-            key, row, _ = _ranked([members[int(i)] for i in picks],
-                                  TINY)[0]
+            key, row, _ = min((members[int(i)] for i in picks),
+                              key=itemgetter(2, 0, 1))
             assert got == (key, row)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             winners.add(got)
@@ -1059,6 +1047,15 @@ class TestPopulationAndEa:
                 key, np.array([row]))[0])
 
 
+def carried_elite(members, elitism):
+    """The members ``simple_ea`` carries over unevaluated after one
+    generation from ``members``, at ``elitism``."""
+    result = simple_ea(tiny_landscape(), Population(list(members)), 1,
+                       np.random.default_rng(0),
+                       config=EaConfig(elitism=elitism))
+    return result.population.members[:elitism]
+
+
 class CountingLandscape:
     """A landscape that logs each evaluation call as (name, genotypes)."""
 
@@ -1092,13 +1089,14 @@ class CoarseLandscape:
 
 def reference_ea(land, members, generations, rng, config, record):
     """simple_ea on ``(gan, fitness)`` members, with the object operators
-    and one ``evaluate`` per bred child, hashing every tie-break.
+    and one ``evaluate`` per bred child, an exact fitness tie going to the
+    smaller flattened ``(key, row)``.
 
     Returns the best fitness per generation and the final members; calls
     ``record`` with each (gan, fitness) as it is evaluated.
     """
     def rank(member):
-        return member[1], tree_hash(member[0])
+        return (member[1], *flatten_joint(member[0], TINY))
 
     members = list(members)
     trace = [min(f for _, f in members)]

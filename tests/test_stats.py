@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +19,13 @@ from archsmith.stats import (DunnResult, TestResult, _average_ranks,
                              rank_sum)
 
 THREE_GROUPS = ([1, 2, 3], [4, 5, 6], [7, 8, 9])
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    """``scipy.stats`` for the tests that compare against it; they skip
+    where scipy is not installed, and the rest of this file runs."""
+    return pytest.importorskip("scipy.stats")
 
 
 class TestKruskalWallis:
@@ -34,13 +40,13 @@ class TestKruskalWallis:
         assert result.statistic == 0.0
         assert result.p_value == 1.0
 
-    def test_matches_scipy_reference(self):
+    def test_matches_scipy_reference(self, scipy_stats):
         rng = np.random.default_rng(4)
         for _ in range(30):
             groups = [rng.integers(0, 8, size=int(rng.integers(3, 12)))
                       for _ in range(int(rng.integers(2, 5)))]
             ours = kruskal_wallis(groups)
-            theirs = scipy.stats.kruskal(*groups)
+            theirs = scipy_stats.kruskal(*groups)
             assert ours.statistic == pytest.approx(theirs.statistic, abs=1e-9)
             assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-9)
 
@@ -150,13 +156,13 @@ class TestRankSum:
         # Oracle: 20 equally likely splits, the two extremes reach |U-bar|=4.5.
         assert exact.p_value == pytest.approx(2 / 20, abs=1e-12)
 
-    def test_exact_matches_brute_force_enumeration(self):
+    def test_exact_matches_brute_force_enumeration(self, scipy_stats):
         rng = np.random.default_rng(3)
         a = rng.normal(size=4)
         b = rng.normal(size=5)
         ours = rank_sum(a, b, method="exact")
         pooled = np.concatenate([a, b])
-        ranks = scipy.stats.rankdata(pooled)
+        ranks = scipy_stats.rankdata(pooled)
         mean_u = len(a) * len(b) / 2
         observed = abs(ours.statistic - mean_u)
         hits = total = 0
@@ -167,13 +173,13 @@ class TestRankSum:
                 hits += 1
         assert ours.p_value == pytest.approx(hits / total, abs=1e-12)
 
-    def test_matches_scipy_reference(self):
+    def test_matches_scipy_reference(self, scipy_stats):
         rng = np.random.default_rng(12)
         for _ in range(30):
             a = rng.integers(0, 10, size=int(rng.integers(5, 20)))
             b = rng.integers(0, 10, size=int(rng.integers(5, 20)))
             ours = rank_sum(a, b)
-            theirs = scipy.stats.mannwhitneyu(a, b, use_continuity=True,
+            theirs = scipy_stats.mannwhitneyu(a, b, use_continuity=True,
                                               method="asymptotic")
             assert ours.statistic == pytest.approx(theirs.statistic, abs=1e-9)
             assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-9)
@@ -202,6 +208,20 @@ class TestRankSum:
     def test_exact_mode_size_limit(self):
         with pytest.raises(ValidationError, match="exact"):
             rank_sum([1] * 7, [2] * 6, method="exact")
+
+    @pytest.mark.parametrize("a,b,want", [
+        # The pooled 2 occurs three times: 1 - (3^3 - 3) / (7^3 - 7).
+        ([1, 2, 2, 3], [2, 4, 5], 1 - 24 / 336),
+        ([1, 2, 3], [4, 5], 1.0),
+        ([5, 5, 5], [5, 5], 0.0),
+    ], ids=["ties", "no_ties", "all_tied"])
+    def test_tie_correction_is_kruskal_wallis_factor(self, a, b, want):
+        # Both modes report the factor 1 - sum(t^3 - t) / (N^3 - N), as
+        # kruskal_wallis does, not the raw tie term.
+        got = {rank_sum(a, b, method=method).tie_correction
+               for method in ("approx", "exact")}
+        assert got == {kruskal_wallis([a, b]).tie_correction}
+        assert got.pop() == pytest.approx(want, abs=1e-15)
 
 
 def permute_statistic_oracle(ranks, sizes, statistic, observed):
@@ -261,8 +281,10 @@ def rank_sum_exact_oracle(a, b):
     at_least, total = permute_statistic_oracle(
         ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u),
         abs(u_first(ranks) - mean_u))
+    n_total = n1 + n2
     return TestResult(u_first(ranks), at_least / total, (n1, n2),
-                      _tie_term(pooled), "exact")
+                      1.0 - _tie_term(pooled) / (n_total ** 3 - n_total),
+                      "exact")
 
 
 @st.composite
@@ -357,25 +379,25 @@ class TestScipyOracles:
     @example([0.3])
     @example([0.1] * 25)
     @settings(max_examples=300)
-    def test_average_ranks_equal_rankdata(self, values):
+    def test_average_ranks_equal_rankdata(self, scipy_stats, values):
         values = np.array(values)
         ours = _average_ranks(values)
-        theirs = scipy.stats.rankdata(values)
+        theirs = scipy_stats.rankdata(values)
         assert ours.dtype == theirs.dtype
         assert ours.tolist() == theirs.tolist()
 
-    def test_chi2_tail_matches_scipy_stats(self):
+    def test_chi2_tail_matches_scipy_stats(self, scipy_stats):
         grid = np.r_[-0.0, 0.0, 1e-300, 1e-12, np.linspace(0.0, 80.0, 3201),
                      150.0, 500.0, 1e3, 1e4, 1e300]
         for df in range(1, 8):
             assert_close_to([_chi2_sf(df, x) for x in grid],
-                            scipy.stats.chi2.sf(grid, df))
+                            scipy_stats.chi2.sf(grid, df))
 
-    def test_normal_tail_matches_scipy_stats(self):
+    def test_normal_tail_matches_scipy_stats(self, scipy_stats):
         grid = np.r_[0.0, 1e-300, 1e-12, np.linspace(0.0, 45.0, 4501),
                      40.0, 1e3]
         ours = np.array([_two_sided_normal(z) for z in grid])
-        theirs = 2.0 * scipy.stats.norm.sf(grid)
+        theirs = 2.0 * scipy_stats.norm.sf(grid)
         # scipy's ndtr flushes a tail below 1e-300 to 0 (from z = 37.7 on
         # here) where erfc still gives its subnormal value.
         flushed = theirs == 0
