@@ -133,29 +133,24 @@ class _Pad(NamedTuple):
     """How a row of one depth key becomes a padded row: its key's index,
     the row's column where the discriminator starts (``split``), the pad
     values after its generator layers and after its discriminator layers,
-    and the padded columns that hold its slots."""
+    the padded columns that hold its slots, and ``template``, one padded
+    row of the key's index and every position's cardinality."""
 
     index: int
     split: int
     gen_pad: tuple[int, ...]
     disc_pad: tuple[int, ...]
     cols: np.ndarray
-
-
-class _Terms(NamedTuple):
-    """One depth key's own terms in the layout's table: a row ``x`` of
-    the key reads ``table[(radix @ x)[t] + offsets[t]]`` for term t."""
-
-    table: np.ndarray
-    radix: np.ndarray     # (terms, slots)
-    offsets: np.ndarray   # (terms, 1)
+    template: np.ndarray
 
 
 class SurrogateLandscape:
     """Additive planted-pattern fitness: base(depth) + unary + pairwise + noise.
 
-    Pure and immutable; evaluation may run concurrently.  Lower is better
-    and fitness is always >= 0.
+    Pure and immutable; evaluation may run concurrently.  Lower is better.
+    ``make_landscape`` draws no negative cell, so its fitness is >= 0; a
+    loaded document's cells may have either sign, but not a sum of their
+    largest sizes that overflows.
     """
 
     def __init__(self, seed: int, config: LandscapeConfig,
@@ -175,7 +170,15 @@ class SurrogateLandscape:
         self._pairwise = {p: np.asarray(t, dtype=float)
                           for p, t in pairwise.items()}
         self._base = dict(base)
-        self._compiled: dict[DepthKey, _Terms] = {}
+        # Rounding is monotone: no fitness is larger in size than its
+        # terms' largest cells, added in evaluation order, and sigma_noise.
+        bound = max(map(abs, self._base.values()))
+        for table in [*(self._unary[p] for p, _ in _all_positions(
+                config.genotype)), *map(self._pairwise.get, self._pairs)]:
+            bound += float(np.abs(table).max())
+        if not np.isfinite(bound + config.sigma_noise):
+            raise ValidationError("landscape cells too large: a fitness "
+                                  "could overflow to infinity")
 
     @property
     def pairs(self) -> tuple[tuple[Position, Position], ...]:
@@ -227,60 +230,38 @@ class SurrogateLandscape:
             cols = np.array([*range(1, 1 + split), *range(1 + deep, 1 + end)])
             bounds[index, cols] -= 1
             pads[key] = _Pad(index, split, tuple(cards[split:deep]),
-                             tuple(cards[end:]), cols)
+                             tuple(cards[end:]), cols,
+                             np.array([[index, *cards]], dtype=np.int64))
         return _Layout(table=table, radix=radix,
                        offsets=starts.astype(np.float64)[:, None],
                        bounds=bounds, texts=texts, pads=pads)
-
-    def _compile(self, key: DepthKey) -> _Terms:
-        """``key``'s own terms: the layout's, read from the key's slots."""
-        cached = self._compiled.get(key)
-        if cached is not None:
-            return cached
-        layout = self._layout
-        pad = layout.pads[key]
-        # The base, and each term that reads none of the key's pad columns.
-        absent = np.ones(layout.radix.shape[1], dtype=bool)
-        absent[0] = absent[pad.cols] = False
-        terms = np.flatnonzero(~layout.radix[:, absent].any(axis=1))
-        offsets = layout.offsets[terms]
-        offsets[0] += pad.index
-        compiled = _Terms(table=layout.table,
-                          radix=layout.radix[np.ix_(terms, pad.cols)],
-                          offsets=offsets)
-        self._compiled[key] = compiled
-        return compiled
-
-    def _noise(self, cells: np.ndarray) -> np.ndarray:
-        """sigma_noise times a uniform draw per column of ``cells``, a
-        batch's base and unary cells: from the sha256 of the row's noise
-        text, the ``texts`` of its cells end to end, which is the key's
-        prefix and then ``",".join(map(str, row))``."""
-        sigma, sha256 = self.config.sigma_noise, hashlib.sha256
-        return np.array([
-            sigma * (int.from_bytes(sha256("".join(texts).encode())
-                                    .digest()[:8], "big") / 2.0 ** 64)
-            for texts in self._layout.texts[cells.T].tolist()], dtype=float)
 
     def evaluate_values(self, key: DepthKey,
                         values: np.ndarray) -> np.ndarray:
         """Fitness for a batch of slot-value rows at one depth key.
 
         A row's fitness is base + each unary term in slot order + each
-        pairwise term in pair order + noise, added left to right.  The
-        terms of all rows are gathered from the layout's table through the
-        key's own terms into one (term, row) array, with one matrix product
-        for their cells, and summed down the term axis by ``_ordered_sum``,
-        which adds strictly in that order.  So a row's float depends on
-        that row alone, whatever the batch size.
+        pairwise term in pair order + noise, added left to right, so its
+        float depends on that row alone.  The rows are written into copies
+        of the key's ``template`` and range-checked and summed as
+        ``evaluate_many``'s are.  Only a fault, or a key form only it reads,
+        runs ``_batch``, which raises the fault: the key, then the rows'
+        shape, then the first value outside its slot, in row order.
         """
-        key, values = _batch(self.config.genotype, key, values)
-        t = self._compile(key)
-        cells = (t.radix @ values.T + t.offsets).astype(np.intp)
-        total = _ordered_sum(t.table[cells])
-        if self.config.sigma_noise > 0:
-            total += self._noise(cells[:1 + values.shape[1]])
-        return total
+        layout = self._layout
+        try:
+            pad = layout.pads[key]
+            values = np.asarray(values, dtype=np.int64)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pad = None
+        if pad is not None and values.shape[1:] == pad.cols.shape:
+            padded = pad.template.repeat(len(values), axis=0)
+            padded[:, pad.cols] = values
+            if not np.count_nonzero(padded.view(np.uint64)
+                                    >= layout.bounds[pad.index]):
+                return self._fitness(padded)
+        return self.evaluate_values(*_batch(self.config.genotype, key,
+                                            values))
 
     def evaluate(self, genotype: Genotype) -> float:
         """Fitness of one ``(key, row)``; raises on an unsupported key or
@@ -290,11 +271,11 @@ class SurrogateLandscape:
 
     def evaluate_many(self, genotypes: Sequence[Genotype]) -> list[float]:
         """Fitness of each ``(key, row)``, in order, whatever their keys:
-        one padded row each, with one range check, one matrix product, one
-        gather and one ``_ordered_sum`` for the whole batch, so each value
-        has the bits ``evaluate_values`` gives its row.  A fault (a key,
-        a row's width or a value) raises ``evaluate_values``' error for
-        the first faulty key, keys in the order they first appear."""
+        one padded row each, with one range check and one ``_fitness``
+        for the whole batch, so each value has the bits
+        ``evaluate_values`` gives its row.  A fault (a key, a row's width
+        or a value) raises ``evaluate_values``' error for the first faulty
+        key, keys in the order they first appear."""
         if not genotypes:
             return []
         layout = self._layout
@@ -308,20 +289,28 @@ class SurrogateLandscape:
             padded = np.array(rows, dtype=np.int64)
         except (KeyError, TypeError, ValueError, OverflowError):
             return self._by_key(genotypes)
-        if (padded.ndim != 2 or padded.shape[1] != layout.radix.shape[1]
+        if (padded.shape[1:] != layout.radix.shape[1:]
                 or np.count_nonzero(padded.view(np.uint64)
                                     >= layout.bounds[padded[:, 0]])):
             return self._by_key(genotypes)
-        cells = (layout.radix @ padded.T + layout.offsets).astype(np.intp)
+        return self._fitness(padded).tolist()
+
+    def _fitness(self, padded: np.ndarray) -> np.ndarray:
+        """Fitness of in-range padded rows: one product for their cells, one
+        gather into a (term, row) array, ``_ordered_sum``, and sigma_noise
+        times a uniform draw per row from the sha256 of its noise text."""
+        layout, sigma = self._layout, self.config.sigma_noise
+        cells = (layout.radix.dot(padded.T) + layout.offsets).astype(np.intp)
         total = _ordered_sum(layout.table[cells])
-        if self.config.sigma_noise > 0:
-            total += self._noise(cells[:padded.shape[1]])
-        return total.tolist()
+        if sigma > 0:
+            total += [sigma * (int.from_bytes(hashlib.sha256(
+                "".join(texts).encode()).digest()[:8], "big") / 2.0 ** 64)
+                for texts in layout.texts[cells[:padded.shape[1]].T].tolist()]
+        return total
 
     def _by_key(self, genotypes: Sequence[Genotype]) -> list[float]:
-        """``evaluate_many`` for a batch the padded rows refused: each
-        key's rows through ``evaluate_values``, keys in the order they first
-        appear, which raises the first faulty key's error."""
+        """``evaluate_many`` for a refused batch: each key's rows through
+        ``evaluate_values``, so the first faulty key to appear raises."""
         return _per_key(genotypes, lambda key, rows:
                         self.evaluate_values(key, rows).tolist())
 

@@ -220,6 +220,17 @@ def test_ea_breaks_ties_without_hashing():
         assert _uses(modules["search"], name) == [], name
 
 
+def test_landscape_evaluates_rows_one_way():
+    # Every fitness comes from one kernel that gathers from the padded
+    # term table; no per-key view of the table is built beside it.
+    tree = _modules()["landscape"]
+    assert sorted(set(_uses(tree, "_ordered_sum"))) == [
+        "<module>", "SurrogateLandscape._fitness"]
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_Terms", "_compile"}
+
+
 def test_read_path_builds_no_trees():
     # Records are read straight into (key, row): the archive names
     # ``GanSpec`` only for ``Individual.gan``, no module parses a genotype

@@ -865,6 +865,25 @@ class TestSearch:
         assert field in err[0]
         assert not (tmp_path / "t.csv").exists()
 
+    def test_landscape_whose_cells_overflow_is_one_error_line(self, tmp_path,
+                                                              capsys):
+        # Every cell is finite, but a fitness would overflow to infinity.
+        land_path = tmp_path / "land.json"
+        save_landscape(make_landscape(12, LAND), land_path)
+        doc = json.loads(land_path.read_text())
+        for table in doc["unary"].values():
+            table[:] = [1e308] * len(table)
+        land_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["search", "--landscape", str(land_path),
+                     "--algorithm", "random", "--budget", "3",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {land_path}: landscape cells too large: a fitness "
+            f"could overflow to infinity"]
+        assert not (tmp_path / "t.csv").exists()
+
     def test_landscape_source_required(self, tmp_path):
         assert main(["search", "--algorithm", "random",
                      "--out", str(tmp_path / "t.csv")]) == 1
@@ -884,6 +903,21 @@ class TestGenArchiveAndExperiment:
             landscape=LAND, problem_seeds=(0, 1), runs_per_problem=1,
             population=6, generations=2))
         assert got.content_hash() == want.content_hash()
+
+    def test_gen_archive_with_zero_arity_is_one_error_line(self, tmp_path,
+                                                           capsys):
+        land = LAND.to_json_obj()
+        land["genotype"]["arity"] = 0
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({
+            "landscape": land, "problem_seeds": [0], "runs_per_problem": 1,
+            "population": 6, "generations": 2}))
+        capsys.readouterr()
+        assert main(["gen-archive", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "arch.jsonl")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {cfg_path}: arity must be >= 1"]
+        assert not (tmp_path / "arch.jsonl").exists()
 
     def test_gen_archive_byte_identical_rerun(self, tmp_path):
         cfg = {"landscape": LAND.to_json_obj(), "problem_seeds": [0],

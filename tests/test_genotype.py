@@ -462,6 +462,20 @@ class TestConfig:
         with pytest.raises(ValidationError):
             GenotypeConfig(mode="stacked")
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"arity": 0}, "arity must be >= 1"),
+        ({"generator_depth_max": 0}, "depth bounds must be >= 1"),
+        ({"discriminator_depth_max": 0}, "depth bounds must be >= 1"),
+        ({"activations": ()}, "vocabularies must be non-empty and unique"),
+        ({"weight_inits": ("xavier", "normal", "xavier")},
+         "vocabularies must be non-empty and unique"),
+    ], ids=["arity-0", "generator-depth-0", "discriminator-depth-0",
+            "empty-vocabulary", "duplicate-entry"])
+    def test_bad_field_rejected(self, overrides, message):
+        with pytest.raises(ValidationError) as info:
+            GenotypeConfig(**overrides)
+        assert str(info.value) == message
+
 
 class TestRandomGenotype:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(SPACES), st.booleans(),

@@ -20,6 +20,7 @@ from archsmith.genotype import (
 )
 from archsmith.landscape import (
     LandscapeConfig,
+    landscape_from_json_obj,
     landscape_to_json_obj,
     load_landscape,
     make_landscape,
@@ -291,6 +292,59 @@ class TestValidation:
         with pytest.raises(ValidationError, match="shape"):
             land.evaluate_values(DepthKey(1, 1), np.zeros((3, 4), dtype=int))
 
+    @pytest.mark.parametrize("field", ["base_scale", "jitter"])
+    def test_negative_scale_rejected(self, field):
+        with pytest.raises(ValidationError) as info:
+            LandscapeConfig(genotype=JOINT, **{field: -0.5})
+        assert str(info.value) == "base_scale and jitter must be >= 0"
+
+    @pytest.mark.parametrize("n_pairs", [-1, 37])
+    def test_pair_count_outside_all_pairs_rejected(self, n_pairs):
+        # TINY has 9 slot positions, so 36 pairs of them.
+        assert make_landscape(0, noiseless(TINY, n_pairs=36)).pairs
+        with pytest.raises(ValidationError) as info:
+            make_landscape(0, noiseless(TINY, n_pairs=n_pairs))
+        assert str(info.value) == "n_pairs must lie in [0, 36]"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.pop("base"), "'base'"),
+        (lambda doc: doc.update(target_key=5),
+         "'int' object is not iterable"),
+    ], ids=["no-base", "int-target_key"])
+    def test_document_error_becomes_format_error(self, edit, message):
+        doc = landscape_to_json_obj(make_landscape(0, noiseless(TINY)))
+        edit(doc)
+        with pytest.raises(FormatError) as info:
+            landscape_from_json_obj(doc)
+        assert str(info.value) == f"bad land-v1 document: {message}"
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_cells_whose_sizes_overflow_rejected(self, sigma):
+        # Each cell is finite; their largest sizes added in evaluation
+        # order are not.  Negative cells count by their size.
+        doc = landscape_to_json_obj(make_landscape(0, noiseless(TINY)))
+        doc["config"]["sigma_noise"] = sigma
+        landscape_from_json_obj(doc)
+        doc["base"]["1,1"] = -1e308
+        first = next(iter(doc["unary"]))
+        doc["unary"][first][-1] = 1e308
+        with pytest.raises(ValidationError) as info:
+            landscape_from_json_obj(doc)
+        assert str(info.value) == ("landscape cells too large: a fitness "
+                                   "could overflow to infinity")
+
+    def test_largest_finite_sizes_accepted(self):
+        # Cells of either sign whose sizes add up to a finite bound load,
+        # and every fitness stays finite.
+        doc = landscape_to_json_obj(make_landscape(0, noiseless(TINY)))
+        doc["base"] = {key: -1e307 for key in doc["base"]}
+        doc["unary"] = {pos: [1e306 * (-1) ** v for v in range(len(table))]
+                        for pos, table in doc["unary"].items()}
+        land = landscape_from_json_obj(doc)
+        rng = np.random.default_rng(3)
+        fitness = land.evaluate_many(random_probes(rng, TINY, 50))
+        assert np.isfinite(fitness).all()
+
 
 class TestSerialization:
     def test_round_trip_exact_on_probes(self, tmp_path):
@@ -404,6 +458,22 @@ class TestEvaluateValues:
         key = DepthKey(2, 3)
         empty = np.zeros((0, len(joint_schema(JOINT, key))), dtype=np.int64)
         assert land.evaluate_values(key, empty).shape == (0,)
+        assert land.evaluate_many([]) == []
+
+    def test_key_and_row_forms(self):
+        # A key given as a tuple or a list, and rows given as lists of
+        # tuples or of floats, read as the DepthKey and int64 rows.
+        land = make_landscape(2, LandscapeConfig(genotype=JOINT))
+        rng = np.random.default_rng(5)
+        key = DepthKey(2, 3)
+        rows = np.array([random_genotype(rng, JOINT, key)[1]
+                         for _ in range(3)])
+        want = land.evaluate_values(key, rows).tobytes()
+        for form in ((2, 3), [2, 3], np.array([2, 3])):
+            assert land.evaluate_values(form, rows).tobytes() == want
+        assert land.evaluate_values(key, [tuple(row) for row in
+                                          rows.tolist()]).tobytes() == want
+        assert land.evaluate_values(key, rows.astype(float)).tobytes() == want
 
     @pytest.mark.parametrize("value", [-1, "card"])
     def test_value_outside_cardinality_rejected(self, value):

@@ -2,17 +2,15 @@
 
 Each kernel must give the same bits as the plainer form it replaced, kept
 here as the oracle: ``log_likelihood_many`` gathers from a table of logs and
-sums each row in order, ``evaluate_values`` sums a row's gathered terms in
-order and hashes each row's noise text through a table of value texts,
-``evaluate_many`` pads every row of a batch to the deepest schema and
-sums the batch's terms, −0.0 pad terms among them, in one gather,
+sums each row in order, ``evaluate_values`` and ``evaluate_many`` pad every
+row to the deepest schema and sum its terms, −0.0 pad terms among them, in
+one gather, and hash each row's noise text through a table of value texts,
 ``guided_hc`` scores a neighbourhood once per network a group changes
 and ranks it with sorts of a complex key, as far as the climb reads, and
 the EA's tournaments draw ``rng.choice``'s picks from scalar draws.  The
-same
-bits must hold at every numpy dispatch level, so the CI workflow runs this
-file a second time with numpy's dispatched SIMD kernels switched off
-(``NPY_DISABLE_CPU_FEATURES``).
+same bits must hold at every numpy dispatch level, so the CI workflow runs
+this file and ``tests/test_landscape.py`` a second time with numpy's
+dispatched SIMD kernels switched off (``NPY_DISABLE_CPU_FEATURES``).
 """
 
 import itertools
