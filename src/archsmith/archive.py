@@ -44,6 +44,7 @@ from .genotype import (
 )
 
 ARCHIVE_FORMAT = "archive-v1"
+SET_NAMES = ("first", "second", "random")
 
 logger = logging.getLogger(__name__)
 
@@ -251,14 +252,14 @@ class RunArchive:
 
 @dataclass
 class EliteSets:
-    """First/Second/Random slices of an archive, n per run each."""
+    """The ``SET_NAMES`` slices of an archive, n per run each."""
 
     first: list[Individual]
     second: list[Individual]
     random: list[Individual]
 
     def by_name(self, name: str) -> list[Individual]:
-        if name not in ("first", "second", "random"):
+        if name not in SET_NAMES:
             raise ValidationError(f"unknown set name {name!r}")
         return getattr(self, name)
 

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, integer, parse_value
+from .errors import FormatError, ValidationError, integer, integers, parse_value
 
 BN_FORMAT = "bn-v2"
 BN_FORMAT_V1 = "bn-v1"
@@ -195,15 +195,16 @@ class BayesNet:
 
 def _as_rows(data, cards) -> np.ndarray:
     """``data`` as an int64 array of rows, one column per cardinality in
-    ``cards``, after checking that every value lies in ``[0, cardinality)``
-    of its column.  Empty data that is not 2-D (``[]``) is zero rows."""
-    arr = np.asarray(data, dtype=np.int64)
+    ``cards``, after checking that every value is an integer (``integers``)
+    in ``[0, cardinality)``.  Empty non-2-D data (``[]``) is zero rows."""
+    arr = np.asarray(data)
     cards = np.asarray(cards).astype(np.uint64, copy=False)
     if arr.size == 0 and arr.ndim != 2:
         arr = arr.reshape(0, cards.size)
     if arr.ndim != 2 or arr.shape[1] != cards.size:
         raise ValidationError(f"data of shape {arr.shape} is not 2-D with "
                               f"one column per variable ({cards.size})")
+    arr = integers(arr, "column {}".format)
     # A negative value viewed as uint64 is huge: one test checks both ends.
     bad = arr.view(np.uint64) >= cards
     if bad.any():

@@ -20,6 +20,7 @@ from .archive import extract_sets, load_archive, save_archive
 from .errors import (FormatError, ValidationError, open_text, read_json,
                      read_json_line, seed as parse_seed)
 from .experiments import (
+    ALGORITHMS,
     ArchiveGenConfig,
     GuidedSearchConfig,
     InitializationConfig,
@@ -38,12 +39,8 @@ from .genotype import (DepthKey, GenotypeConfig, _LAYER_FIELDS,
                        _flatten_fields, _networks, _value_tables,
                        dump_genotypes, load_genotypes, random_genotype)
 from .landscape import LandscapeConfig, load_landscape, make_landscape
-from .metamodel import (
-    learn,
-    load_metamodel,
-    provenance_mismatch,
-    save_metamodel,
-)
+from .metamodel import (STRUCTURES, learn, load_metamodel, provenance_mismatch,
+                        save_metamodel)
 from .search import SearchTrace, guided_hc, random_hc
 from .stats import dunn, kruskal_wallis, rank_sum
 
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archive", required=True)
     p.add_argument("--n", type=int, default=10,
                    help="elites per run for the First set")
-    p.add_argument("--structure", choices=("aracne", "chow_liu"))
+    p.add_argument("--structure", choices=STRUCTURES)
     p.add_argument("--config", help="partial learn config JSON")
     p.add_argument("--seed", type=seed, default=0,
                    help="seed for every stochastic choice")
@@ -352,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("search", help="hill climb on a surrogate landscape")
-    p.add_argument("--algorithm", choices=("random", "guided"),
-                   default="random")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="random")
     p.add_argument("--model")
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--landscape", help="saved landscape file")

@@ -8,6 +8,8 @@ from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 
 class ArchsmithError(Exception):
     """Base class for errors raised by this package."""
@@ -28,6 +30,19 @@ def integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
+
+
+def integers(values: np.ndarray, place) -> np.ndarray:
+    """2-D ``values`` as int64, each float read as ``integer`` reads one;
+    the first non-integer, in row order, raises naming ``place(column)``."""
+    if values.dtype.kind == "f":
+        wrong = ~np.isfinite(values) | (np.trunc(values) != values)
+        if wrong.any():
+            row, column = np.argwhere(wrong)[0]
+            raise ValidationError(f"value {values[row, column]} of "
+                                  f"{place(column)} is not an integer")
+        values = np.clip(values, -1, 2.0 ** 62)  # a huge one stays too big
+    return values.astype(np.int64, copy=False)
 
 
 def seed(value) -> int:

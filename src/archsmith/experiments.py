@@ -14,13 +14,14 @@ from operator import attrgetter
 
 import numpy as np
 
-from .archive import Individual, RunArchive, extract_sets
+from .archive import SET_NAMES, Individual, RunArchive, extract_sets
 from .errors import (ValidationError, field_defaults, known_keys,
                      read_config)
 from .genotype import DepthKey, random_genotype
 from .landscape import LandscapeConfig, make_landscape
 from .metamodel import LearnConfig, Metamodel, learn
 from .search import (
+    STRATEGIES as STRATEGY_ORDER,
     EaConfig,
     SearchTrace,
     guided_hc,
@@ -30,7 +31,6 @@ from .search import (
 )
 from .stats import dunn, kruskal_wallis, rank_sum
 
-SET_NAMES = ("first", "second", "random")
 ALGORITHMS = ("random", "guided")
 
 
@@ -398,9 +398,6 @@ class InitializationResult:
 
     def tables(self) -> dict:
         return {"generations.csv": (GenerationRow, self.rows)}
-
-
-STRATEGY_ORDER = ("random", "from_first", "from_metamodel")
 
 
 def run_initialization(archive: RunArchive,

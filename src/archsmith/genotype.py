@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .errors import (FormatError, ValidationError, config_to_json, integer,
-                     open_text, parse_field, read_config, read_json_line)
+                     integers, open_text, parse_field, read_config,
+                     read_json_line)
 
 _T = TypeVar("_T")
 
@@ -229,14 +230,14 @@ def _per_key(genotypes: Sequence[Genotype],
              batch: Callable[[DepthKey, np.ndarray], Iterable[_T]]
              ) -> list[_T]:
     """``batch(key, rows)`` once per depth key of ``genotypes``, in the
-    order the keys first appear, with ``rows`` the int64 matrix of that
-    key's rows; its results, one per row, in the order of ``genotypes``."""
+    order the keys first appear, with ``rows`` the array of that key's rows
+    (uncast: ``batch`` checks them); its results, one per row, in order."""
     by_key: dict[DepthKey, list[int]] = {}
     for index, (key, _) in enumerate(genotypes):
         by_key.setdefault(key, []).append(index)
     out: list = [None] * len(genotypes)
     for key, indices in by_key.items():
-        rows = np.array([genotypes[i][1] for i in indices], dtype=np.int64)
+        rows = np.array([genotypes[i][1] for i in indices])
         for i, result in zip(indices, batch(key, rows)):
             out[i] = result
     return out
@@ -382,12 +383,13 @@ def _change_moves(config: GenotypeConfig,
 class _Move(NamedTuple):
     """One role a mutation move may act on at a depth key: the role's
     depth, the column of its first layer, its ``_layer_radix``, the depth
-    key after the move and, for an add, the role's ``_layers`` rows."""
+    key after the move, the role and, for an add, its ``_layers`` rows."""
 
     depth: int
     start: int
     radix: tuple[int, int, int, int]
     key: DepthKey
+    role: str
     blocks: tuple[tuple[int, ...], ...] = ()
 
 
@@ -400,44 +402,43 @@ def _mutation_moves(config: GenotypeConfig,
     train_freq, then add (roles below their depth bound) and delete (roles
     deeper than one layer) where some role allows them.  train_freq acts
     on the train bin, not on a role: its one entry only keeps the key.
-    The tables are cached and shared, and hold only tuples."""
+    The tables are cached and shared, and hold only tuples, ints and strs."""
     key = DepthKey(*key)
 
     def moves(grow: int) -> tuple[_Move, ...]:
         return tuple(
             _Move(depth, _layer_start(key, role), _layer_radix(config, role),
                   DepthKey(key.d_g + grow, key.d_d) if role == ROLE_GENERATOR
-                  else DepthKey(key.d_g, key.d_d + grow),
+                  else DepthKey(key.d_g, key.d_d + grow), role,
                   _layers(config, role).rows if grow > 0 else ())
             for role, depth in zip(ROLES, key)
             if not grow or 1 <= depth + grow <= config.depth_max(role))
 
-    change = moves(0)
-    kinds = [("change", change), ("train_freq", change[:1])]
-    kinds += [(kind, roles) for kind, roles in (("add", moves(1)),
-                                                ("delete", moves(-1)))
-              if roles]
-    return tuple(kinds)
+    kinds = (("change", moves(0)), ("train_freq", moves(0)[:1]),
+             ("add", moves(1)), ("delete", moves(-1)))
+    return tuple((kind, roles) for kind, roles in kinds if roles)
 
 
 def _batch(config: GenotypeConfig, key, values) -> tuple[DepthKey, np.ndarray]:
     """``key`` as a DepthKey and ``values`` as int64 rows of its joint
     schema in ``config``, or the ValidationError of the first fault: the
-    key, the shape, or the first value (in row order) outside its slot."""
+    key, the shape, a non-integer value, then a value outside its slot."""
     key = DepthKey(*key)
     bounds = _slot_bounds(config, key)
-    values = np.asarray(values, dtype=np.int64)
+    values = np.asarray(values)
     if values.ndim != 2 or values.shape[1] != len(bounds):
         raise ValidationError(f"rows of shape {values.shape} do not hold the "
                               f"{len(bounds)} slots of depth key {tuple(key)}")
+    rows = integers(values, lambda column:
+                    f"slot {joint_schema(config, key).slots[column].name}")
     # A negative value viewed as uint64 is huge: one test checks both ends.
-    bad = values.view(np.uint64) >= bounds
+    bad = rows.view(np.uint64) >= bounds
     if np.count_nonzero(bad):  # cheaper than bad.any() on a few rows
         row, column = np.argwhere(bad)[0]
         slot = joint_schema(config, key).slots[column]
         raise ValidationError(f"value {values[row, column]} outside "
                               f"cardinality of slot {slot.name}")
-    return key, values
+    return key, rows
 
 
 def _value_tables(config: GenotypeConfig) -> tuple[dict, dict]:

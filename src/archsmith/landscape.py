@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     config_to_json,
     integer,
+    integers,
     number,
     parse_field,
     parse_value,
@@ -244,15 +245,15 @@ class SurrogateLandscape:
         pairwise term in pair order + noise, added left to right, so its
         float depends on that row alone.  The rows are written into copies
         of the key's ``template`` and range-checked and summed as
-        ``evaluate_many``'s are.  Only a fault, or a key form only it reads,
-        runs ``_batch``, which raises the fault: the key, then the rows'
-        shape, then the first value outside its slot, in row order.
+        ``evaluate_many``'s are.  Only a fault, a key form only it reads or
+        rows that are not int64 run ``_batch``, which casts the rows or
+        raises their first fault.
         """
         layout = self._layout
         try:
-            pad = layout.pads[key]
-            values = np.asarray(values, dtype=np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError):
+            values = np.asarray(values)
+            pad = layout.pads[key] if values.dtype == np.int64 else None
+        except (KeyError, TypeError, ValueError):
             pad = None
         if pad is not None and values.shape[1:] == pad.cols.shape:
             padded = pad.template.repeat(len(values), axis=0)
@@ -271,11 +272,11 @@ class SurrogateLandscape:
 
     def evaluate_many(self, genotypes: Sequence[Genotype]) -> list[float]:
         """Fitness of each ``(key, row)``, in order, whatever their keys:
-        one padded row each, with one range check and one ``_fitness``
-        for the whole batch, so each value has the bits
-        ``evaluate_values`` gives its row.  A fault (a key, a row's width
-        or a value) raises ``evaluate_values``' error for the first faulty
-        key, keys in the order they first appear."""
+        one padded row each (an integral float read as its int), with one
+        range check and one ``_fitness`` for the whole batch, so each value
+        has the bits ``evaluate_values`` gives its row.  A fault (a key, a
+        row's width or a value) raises ``evaluate_values``' error for the
+        first faulty key, keys in the order they first appear."""
         if not genotypes:
             return []
         layout = self._layout
@@ -286,8 +287,9 @@ class SurrogateLandscape:
                 pad = pads[key]
                 rows.append((pad.index, *row[:pad.split], *pad.gen_pad,
                              *row[pad.split:], *pad.disc_pad))
-            padded = np.array(rows, dtype=np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError):
+            padded = integers(np.array(rows), "column {}".format)
+        except (KeyError, TypeError, ValueError, OverflowError,
+                ValidationError):
             return self._by_key(genotypes)
         if (padded.shape[1:] != layout.radix.shape[1:]
                 or np.count_nonzero(padded.view(np.uint64)
@@ -431,14 +433,15 @@ def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
         return lambda value, text: parse_value(
             value, integer, f"{what}: {name} value {text!r}")
 
+    def depth_key(value) -> DepthKey:  # raises unless two integers
+        return DepthKey(*map(integer, value))
+
     try:
         config = LandscapeConfig.from_json_obj(obj["config"])
         slots = _all_positions(config.genotype)
         positions = {_position_str(p): p for p, _ in slots}
         cards = {_position_str(p): card for p, card in slots}
-        target_key = DepthKey(*(parse_value(d, integer,
-                                            f"{what}: target_key entry")
-                                for d in obj["target_key"]))
+        target_key = parse_field(obj, "target_key", depth_key, what)
         if target_key not in config.genotype.depth_keys():
             raise FormatError(f"bad {what}: target_key {list(target_key)} "
                               f"is not a depth key of its genotype config")
@@ -473,7 +476,9 @@ def landscape_from_json_obj(obj: dict) -> SurrogateLandscape:
                                 for k in config.genotype.depth_keys()},
                        lambda value, text: parse_value(
                            value, number, f"{what}: base value {text!r}")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:  # only a top-level key is read unchecked
+        raise FormatError(f"bad {what}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
 
 

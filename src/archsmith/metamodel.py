@@ -116,15 +116,6 @@ class Categorical:
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValidationError("probabilities must sum to 1")
 
-    def prob(self, key) -> float:
-        try:
-            return self.probs[self.support.index(key)]
-        except ValueError:
-            raise ValidationError(f"unsupported depth {key}") from None
-
-    def log_prob(self, key) -> float:
-        return float(np.log(self.prob(key)))
-
     def sample_indices(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.choice(len(self.support), size=count, p=np.asarray(self.probs))
 
@@ -182,7 +173,7 @@ def learn_submodel(schema: Schema, rows: np.ndarray,
 
     Pure; groups may be learned concurrently.
     """
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(schema))
+    rows = np.asarray(rows).reshape(-1, len(schema))  # fit_cpts checks it
     n = rows.shape[0]
     if n < config.min_samples:
         # Independent smoothed marginals; uniform rows when n is 0.
@@ -278,8 +269,8 @@ class Metamodel:
         for key, plan in self._plans.items():
             log_super = 0.0
             for part, index, _ in plan:
-                log_super += self.supermodels[part.name].log_prob(
-                    part.support[index])
+                log_super += float(np.log(
+                    self.supermodels[part.name].probs[index]))
             self._log_super[key] = log_super
 
     def __eq__(self, other) -> bool:

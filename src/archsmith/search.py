@@ -21,11 +21,9 @@ from .genotype import (
     Genotype,
     GenotypeConfig,
     ROLE_DISCRIMINATOR,
-    ROLE_GENERATOR,
-    ROLES,
     _LAYER_WIDTH,
+    _Move,
     _change_moves,
-    _layer_radix,
     _layer_start,
     _layers,
     _mutation_moves,
@@ -48,10 +46,10 @@ def neighbor_groups(key: DepthKey, values: np.ndarray,
                     config: GenotypeConfig) -> list[tuple[DepthKey, np.ndarray]]:
     """One-mutation neighbors as per-depth-key int64 row matrices.
 
-    Every genotype one ``mutate`` move away (any kind, any parameters):
-    rows are distinct and the incumbent itself is excluded.  Groups come
-    back sorted by key; the change group lists slots in schema order and
-    values ascending, and every grow and shrink group is in strictly
+    Every genotype one move of ``mutate``'s table (``_mutation_moves``)
+    away: rows are distinct and the incumbent itself is excluded.  Groups
+    come back sorted by key; the change group lists slots in schema order
+    and values ascending, and every grow and shrink group is in strictly
     ascending lexicographic row order.
 
     No sort is needed for that order.  Inserting block B at position p
@@ -73,35 +71,29 @@ def neighbor_groups(key: DepthKey, values: np.ndarray,
         change[np.arange(len(change)), cols[keep]] = new[keep]
         out.append((key, change))
 
+    moves = dict(_mutation_moves(config, key))
+    for move in moves.get("add", ()):
+        out.append((move.key, _grow_rows(values, move, config)))
     flat = values.tolist()
-    for role, depth in zip(ROLES, key):
-        offset = _layer_start(key, role)
-        if depth < config.depth_max(role):
-            grow = (DepthKey(key.d_g + 1, key.d_d) if role == ROLE_GENERATOR
-                    else DepthKey(key.d_g, key.d_d + 1))
-            out.append((grow, _grow_rows(values, depth, offset,
-                                         config, role)))
-        if depth > 1:
-            shrink = (DepthKey(key.d_g - 1, key.d_d) if role == ROLE_GENERATOR
-                      else DepthKey(key.d_g, key.d_d - 1))
-            cuts = range(offset, offset + _LAYER_WIDTH * depth, _LAYER_WIDTH)
-            rows = sorted({tuple(flat[:c] + flat[c + _LAYER_WIDTH:])
-                           for c in cuts})
-            out.append((shrink, np.array(rows, dtype=np.int64)))
+    for depth, start, _, shrink, _, _ in moves.get("delete", ()):
+        cuts = range(start, start + _LAYER_WIDTH * depth, _LAYER_WIDTH)
+        rows = sorted({(*flat[:c], *flat[c + _LAYER_WIDTH:]) for c in cuts})
+        out.append((shrink, np.array(rows, dtype=np.int64)))
     # The five keys (change, grow and shrink per network) never collide.
     out.sort(key=lambda group: group[0])
     return out
 
 
-def _grow_rows(values: np.ndarray, depth: int, offset: int,
-               config: GenotypeConfig, role: str) -> np.ndarray:
+def _grow_rows(values: np.ndarray, move: _Move,
+               config: GenotypeConfig) -> np.ndarray:
     """Distinct one-layer inserts into one network, lexicographically sorted.
 
-    The network's ``depth`` layers start at column ``offset`` of ``values``.
-    """
-    blocks = _layers(config, role).blocks
+    ``move`` is the network's add move: its ``depth`` layers start at
+    column ``start`` of ``values``, and ``_layers`` lists its blocks."""
+    depth, offset = move.depth, move.start
+    blocks = _layers(config, move.role).blocks
     layers = values[offset:offset + _LAYER_WIDTH * depth].reshape(depth, -1)
-    codes = np.ravel_multi_index(layers.T, _layer_radix(config, role)).tolist()
+    codes = np.ravel_multi_index(layers.T, move.radix).tolist()
     runs = ([(p, 0, codes[p]) for p in range(depth)]
             + [(depth, 0, len(blocks))]
             + [(p, codes[p] + 1, len(blocks))
@@ -476,7 +468,7 @@ def mutate(key: DepthKey, row: Sequence[int], config: GenotypeConfig,
     if kind == "train_freq":
         shift = int(rng.integers(1, config.arity)) if config.arity > 1 else 0
         return moves[0].key, ((row[0] + shift) % config.arity, *row[1:])
-    depth, start, radix, key, blocks = moves[int(rng.integers(len(moves)))]
+    depth, start, radix, key, _, blocks = moves[int(rng.integers(len(moves)))]
     if kind == "add":
         cut = start + _LAYER_WIDTH * int(rng.integers(depth + 1))
         block = blocks[int(rng.integers(len(blocks)))]

@@ -220,6 +220,17 @@ def test_ea_breaks_ties_without_hashing():
         assert _uses(modules["search"], name) == [], name
 
 
+def test_search_reads_its_moves_from_the_move_table():
+    # neighbor_groups lists the add and delete moves mutate draws
+    # (``_mutation_moves``): search re-derives no role, depth bound or
+    # next key of its own.
+    tree = _modules()["search"]
+    for name in ("ROLE_GENERATOR", "ROLES", "depth_max", "_layer_radix"):
+        assert _uses(tree, name) == [], name
+    assert sorted(set(_uses(tree, "_mutation_moves"))) == [
+        "<module>", "mutate", "neighbor_groups"]
+
+
 def test_landscape_evaluates_rows_one_way():
     # Every fitness comes from one kernel that gathers from the padded
     # term table; no per-key view of the table is built beside it.

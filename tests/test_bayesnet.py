@@ -511,6 +511,51 @@ class TestRowCheck:
             ROW_ENTRIES[entry](data)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+    @pytest.mark.parametrize("data, message", [
+        ([[0, 0, 0], [1, 0.5, 0]], "value 0.5 of column 1 is not an integer"),
+        ([[0, 0, math.nan], [1, 2.5, 0]],
+         "value nan of column 2 is not an integer"),
+        ([[0, 0, 0], [1, math.inf, 0]],
+         "value inf of column 1 is not an integer"),
+    ], ids=["fraction", "nan", "infinity"])
+    def test_non_integer_value_named(self, entry, data, message):
+        with pytest.raises(ValidationError) as info:
+            ROW_ENTRIES[entry](data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+    def test_integral_floats_read_as_ints(self, entry):
+        data = np.array([[0, 2, 1], [1, 1, 0], [0, 0, 1]])
+        want, got = (ROW_ENTRIES[entry](rows)
+                     for rows in (data, data.astype(np.float64)))
+        if entry == "fit_cpts":
+            assert bn_to_json_obj(got) == bn_to_json_obj(want)
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 40], ids=["marginals", "aracne"])
+    def test_submodel_rows_are_checked_not_truncated(self, n):
+        gc = GenotypeConfig.joint()
+        schema = joint_schema(gc, DepthKey(1, 1))
+        rows = np.random.default_rng(3).integers(0, schema.cardinalities,
+                                                 size=(n, len(schema)))
+        config = LearnConfig(genotype=gc)
+        want = learn_submodel(schema, rows, config)
+        assert learn_submodel(schema, rows.astype(float), config) == want
+        rows = rows.astype(float)
+        rows[-1, 2] += 0.5
+        with pytest.raises(ValidationError) as info:
+            learn_submodel(schema, rows, config)
+        assert str(info.value) == (f"value {rows[-1, 2]} of column 2 is not "
+                                   f"an integer")
+
+    def test_integral_float_beyond_every_cardinality_is_out_of_range(self):
+        with pytest.raises(ValidationError) as info:
+            log_likelihood_many(fit_cpts(ROW_DAG, [[0, 0, 0]]),
+                                [[0, 1e300, 0]])
+        assert str(info.value) == "value out of range in column 1"
+
     def test_empty_list_is_zero_rows(self):
         bn = fit_cpts(ROW_DAG, [])
         assert bn == fit_cpts(ROW_DAG, np.empty((0, 3), dtype=np.int64))

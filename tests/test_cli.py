@@ -884,6 +884,21 @@ class TestSearch:
             f"could overflow to infinity"]
         assert not (tmp_path / "t.csv").exists()
 
+    def test_landscape_without_a_key_names_it(self, tmp_path, capsys):
+        land_path = tmp_path / "land.json"
+        save_landscape(make_landscape(12, LAND), land_path)
+        doc = json.loads(land_path.read_text())
+        del doc["base"]
+        land_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["search", "--landscape", str(land_path),
+                     "--algorithm", "random", "--budget", "3",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {land_path}: bad land-v1 document: missing key 'base'"]
+        assert not (tmp_path / "t.csv").exists()
+
     def test_landscape_source_required(self, tmp_path):
         assert main(["search", "--algorithm", "random",
                      "--out", str(tmp_path / "t.csv")]) == 1

@@ -393,6 +393,77 @@ class TestOneRowCheck:
                 check(key, rows)
 
 
+def row_entries(config):
+    """Each entry point that casts rows given as numbers, given a key and
+    a batch: one-row and batched evaluation, one-genotype evaluation,
+    scoring by key and by genotype, and the tree of each row."""
+    land = make_landscape(0, LandscapeConfig(genotype=config, family_seed=7))
+    model = Metamodel.uniform(LearnConfig(genotype=config))
+
+    def pairs(key, rows):
+        return [(key, tuple(row)) for row in rows.tolist()]
+
+    return {"evaluate_values": land.evaluate_values,
+            "evaluate": lambda key, rows: [land.evaluate((key, row))
+                                           for row in rows],
+            "evaluate_many": lambda key, rows: land.evaluate_many(
+                pairs(key, rows)),
+            "score_values": lambda key, rows: model.score_values(key, rows)[0],
+            "score_many": lambda key, rows: model.score_many(
+                pairs(key, rows)),
+            "unflatten_joint": lambda key, rows: [
+                unflatten_joint(key, row, config) for row in rows]}
+
+
+class TestNonIntegerRows:
+    """A row value with a fractional part, or NaN, is refused by every
+    entry point with one message naming the value and its slot.  An
+    integral float reads as its int."""
+
+    @staticmethod
+    def row():
+        key = DepthKey(2, 3)
+        return key, np.array([random_genotype(np.random.default_rng(0),
+                                              JOINT, key)[1]])
+
+    @pytest.mark.parametrize("entry", sorted(row_entries(JOINT)))
+    @pytest.mark.parametrize("fault", ["fraction", "nan"])
+    def test_refused_with_its_slot(self, entry, fault):
+        key, rows = self.row()
+        rows = rows.astype(np.float64)
+        if fault == "fraction":
+            rows += 0.9
+            message = (f"value {rows[0, 0]} of slot train_freq is not an "
+                       f"integer")
+        else:
+            rows[0, 3] = np.nan
+            message = "value nan of slot g0.weight_init is not an integer"
+        with pytest.raises(ValidationError) as info:
+            row_entries(JOINT)[entry](key, rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", sorted(row_entries(JOINT)))
+    def test_integral_floats_read_as_ints(self, entry):
+        key, rows = self.row()
+        check = row_entries(JOINT)[entry]
+        want, got = (check(key, r) for r in (rows, rows.astype(np.float64)))
+        assert list(got) == list(want)
+
+    def test_first_fault_in_row_order_of_its_kind(self):
+        # Every value is checked for being an integer before any is
+        # checked against its slot.
+        key, rows = self.row()
+        rows = np.vstack([rows, rows]).astype(np.float64)
+        rows[0, -1] = 7  # outside d2.size
+        rows[1, 1] = 0.5  # g0.kind
+        entries = row_entries(JOINT)
+        for name in ("evaluate_values", "score_values", "evaluate_many"):
+            with pytest.raises(ValidationError) as info:
+                entries[name](key, rows)
+            assert str(info.value) == ("value 0.5 of slot g0.kind is not "
+                                       "an integer"), name
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         gans = [make_gan(1, 1), make_gan(3, 4, train=2), make_gan(2, 2)]

@@ -307,11 +307,14 @@ class TestValidation:
         assert str(info.value) == "n_pairs must lie in [0, 36]"
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda doc: doc.pop("base"), "'base'"),
+        (lambda doc: doc.pop("base"), "missing key 'base'"),
         (lambda doc: doc.update(target_key=5),
-         "'int' object is not iterable"),
-    ], ids=["no-base", "int-target_key"])
+         "field 'target_key' is 5, not a valid depth_key"),
+        (lambda doc: doc.update(target_key=[1, 2, 3]),
+         "field 'target_key' is [1, 2, 3], not a valid depth_key"),
+    ], ids=["no-base", "int-target_key", "three-target_key"])
     def test_document_error_becomes_format_error(self, edit, message):
+        # Each message names the faulty field, as a config reader's does.
         doc = landscape_to_json_obj(make_landscape(0, noiseless(TINY)))
         edit(doc)
         with pytest.raises(FormatError) as info:

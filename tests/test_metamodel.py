@@ -75,8 +75,11 @@ class TestLearn:
         model = learn(inds, LearnConfig(genotype=JOINT))
         super_ = model.supermodels["joint"]
         # 12 keys, pseudocount 1: (50 + 1) / (50 + 12) on the occupied key.
-        assert super_.prob(DepthKey(1, 1)) == pytest.approx(51 / 62, abs=1e-12)
-        assert super_.prob(DepthKey(3, 4)) == pytest.approx(1 / 62, abs=1e-12)
+        probs, support = super_.probs, super_.support
+        assert probs[support.index(DepthKey(1, 1))] == pytest.approx(
+            51 / 62, abs=1e-12)
+        assert probs[support.index(DepthKey(3, 4))] == pytest.approx(
+            1 / 62, abs=1e-12)
 
     @pytest.mark.parametrize("other", [JOINT, TINY_PN], ids=["vocabulary",
                                                          "mode"])
@@ -120,7 +123,8 @@ class TestLearn:
         assert model.submodels[("generator", 2)].n_train == 40
         assert model.submodels[("discriminator", 5)].n_train == 40
         assert model.submodels[("generator", 1)].n_train == 0
-        assert model.supermodels["generator"].prob(2) == pytest.approx(
+        generator = model.supermodels["generator"]
+        assert generator.probs[generator.support.index(2)] == pytest.approx(
             41 / 46, abs=1e-12)
 
 
@@ -288,8 +292,8 @@ class TestSample:
         freq = {tuple(k): 0 for k in super_.support}
         for gan in samples:
             freq[flatten_joint(gan, JOINT)[0]] += 1
-        tv = 0.5 * sum(abs(freq[tuple(k)] / 10_000 - super_.prob(k))
-                       for k in super_.support)
+        tv = 0.5 * sum(abs(freq[tuple(k)] / 10_000 - p)
+                       for k, p in zip(super_.support, super_.probs))
         assert tv <= 0.02
 
     @pytest.mark.parametrize("config,count",
@@ -623,8 +627,3 @@ class TestCategorical:
     def test_non_finite_probability_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             Categorical(support=(1, 2), probs=(bad, 0.5))
-
-    def test_unknown_key(self):
-        cat = Categorical(support=(1, 2), probs=(0.5, 0.5))
-        with pytest.raises(ValidationError, match="unsupported depth"):
-            cat.prob(3)

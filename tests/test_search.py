@@ -530,12 +530,16 @@ class TestOperators:
                 assert type(moves) is tuple and moves
                 for move in moves:
                     assert isinstance(move, tuple)
-                    assert all(isinstance(f, (int, tuple)) for f in move)
+                    assert type(move.role) is str
+                    assert all(isinstance(f, (int, tuple))
+                               for f in move._replace(role=()))
                     assert type(move.radix) is tuple
                     assert type(move.key) is DepthKey
-                    role = ROLES[move.start != 1]
+                    # The generator's layers start after the train bin.
+                    assert move.role == ROLES[move.start != 1]
                     if kind == "add":
-                        assert move.blocks is _layers(config, role).rows
+                        assert move.blocks is _layers(config,
+                                                      move.role).rows
                         assert all(type(b) is tuple for b in move.blocks)
                     else:
                         assert move.blocks == ()
