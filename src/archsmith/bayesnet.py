@@ -15,7 +15,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, integer, integers, parse_value
+from .errors import (FormatError, ValidationError, cell_array, integer,
+                     integers, parse_value)
 
 BN_FORMAT = "bn-v2"
 BN_FORMAT_V1 = "bn-v1"
@@ -197,7 +198,7 @@ def _as_rows(data, cards) -> np.ndarray:
     """``data`` as an int64 array of rows, one column per cardinality in
     ``cards``, after checking that every value is an integer (``integers``)
     in ``[0, cardinality)``.  Empty non-2-D data (``[]``) is zero rows."""
-    arr = np.asarray(data)
+    arr = cell_array(data)
     cards = np.asarray(cards).astype(np.uint64, copy=False)
     if arr.size == 0 and arr.ndim != 2:
         arr = arr.reshape(0, cards.size)

@@ -3,9 +3,10 @@ them, and the one reader and writer of configs and JSON input files."""
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
-from functools import cache
+from functools import cache, partial
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -32,17 +33,36 @@ def integer(value) -> int:
     return int(value)
 
 
+def cell_array(values) -> np.ndarray:
+    """``values`` as an array, of Python objects unless numpy reads every
+    cell as a number, so that ``integers`` can name a faulty cell."""
+    array = np.asarray(values)
+    return (array if array.dtype.kind in "iuf"
+            else np.asarray(values, dtype=object))
+
+
 def integers(values: np.ndarray, place) -> np.ndarray:
-    """2-D ``values`` as int64, each float read as ``integer`` reads one;
-    the first non-integer, in row order, raises naming ``place(column)``."""
-    if values.dtype.kind == "f":
-        wrong = ~np.isfinite(values) | (np.trunc(values) != values)
-        if wrong.any():
-            row, column = np.argwhere(wrong)[0]
-            raise ValidationError(f"value {values[row, column]} of "
-                                  f"{place(column)} is not an integer")
-        values = np.clip(values, -1, 2.0 ** 62)  # a huge one stays too big
-    return values.astype(np.int64, copy=False)
+    """2-D ``values`` as int64, each cell read as ``integer`` reads one;
+    the first other cell in row order (a fraction, NaN, a bool, a string,
+    bytes, a complex number or None) raises naming ``place(column)``."""
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    read = (values if values.dtype.kind == "f"
+            else np.vectorize(_real, otypes="d")(values))
+    wrong = ~np.isfinite(read) | (np.trunc(read) != read)
+    if wrong.any():
+        row, column = np.argwhere(wrong)[0]
+        raise ValidationError(f"value {values.item(row, column)!r} of "
+                              f"{place(column)} is not an integer")
+    read = np.clip(read, -1, 2.0 ** 62)  # a huge one stays too big
+    return read.astype(np.int64)
+
+
+def _real(value) -> float:
+    """A cell as a float, an int beyond int64 as 2**62; NaN for a cell
+    that is not an int or a float, or is a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return float(min(max(value, -1), 2 ** 62)) if real else math.nan
 
 
 def seed(value) -> int:
@@ -166,7 +186,8 @@ def read_config(cls, obj, base: dict | None = None, what: str | None = None):
     """A ``cls`` config from JSON object ``obj``, each field read by the
     parser its type names; a key that names no field is rejected.  A
     missing field takes its value from dict ``base``, or else is an error;
-    a nested config is read as a section onto the base's value for it.
+    a nested config is read as a section onto the base's value for it, by
+    its class's ``from_json_obj`` if it has one.
     ``what`` names the config in errors, by default after its class."""
     what = what or cls.__name__.removesuffix("Config").lower() + " config"
     known_keys(obj, cls, what)
@@ -180,7 +201,8 @@ def read_config(cls, obj, base: dict | None = None, what: str | None = None):
             kwargs[name] = None
         elif nested:
             inner = base and base.get(name)
-            kwargs[name] = read_config(parse, obj[name], inner and vars(inner))
+            read = getattr(parse, "from_json_obj", partial(read_config, parse))
+            kwargs[name] = read(obj[name], inner and vars(inner))
         else:
             kwargs[name] = parse_field(obj, name, parse, what)
     return cls(**kwargs)

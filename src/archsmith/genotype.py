@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import asdict, astuple, dataclass
 from functools import lru_cache
 from itertools import groupby, product
@@ -24,9 +25,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (FormatError, ValidationError, config_to_json, integer,
-                     integers, open_text, parse_field, read_config,
-                     read_json_line)
+from .errors import (FormatError, ValidationError, cell_array,
+                     config_to_json, integer, integers, open_text,
+                     parse_field, read_config, read_json_line)
 
 _T = TypeVar("_T")
 
@@ -113,18 +114,15 @@ class GenotypeConfig:
     @classmethod
     def joint(cls, **overrides) -> "GenotypeConfig":
         """Joint-mode default: one vector per GAN, depths up to 3/4."""
-        params = dict(mode=MODE_JOINT, generator_depth_max=3,
-                      discriminator_depth_max=4)
-        params.update(overrides)
-        return cls(**params)
+        return _shared(cls(**{"mode": MODE_JOINT, "generator_depth_max": 3,
+                              "discriminator_depth_max": 4, **overrides}))
 
     @classmethod
     def per_network(cls, **overrides) -> "GenotypeConfig":
         """Per-network default: split vectors, depths up to 6/6."""
-        params = dict(mode=MODE_PER_NETWORK, generator_depth_max=6,
-                      discriminator_depth_max=6)
-        params.update(overrides)
-        return cls(**params)
+        return _shared(cls(**{"mode": MODE_PER_NETWORK,
+                              "generator_depth_max": 6,
+                              "discriminator_depth_max": 6, **overrides}))
 
     def kinds(self, role: str) -> tuple[str, ...]:
         if role == ROLE_GENERATOR:
@@ -140,6 +138,7 @@ class GenotypeConfig:
             return self.discriminator_depth_max
         raise ValidationError(f"unknown role {role!r}")
 
+    @lru_cache(maxsize=None)
     def depth_keys(self) -> tuple[DepthKey, ...]:
         """All supported depth keys, row-major in (d_g, d_d)."""
         return tuple(DepthKey(g, d)
@@ -162,11 +161,24 @@ class GenotypeConfig:
         return asdict(self)
 
     to_json_obj = config_to_json
-    from_json_obj = classmethod(read_config)
+
+    @classmethod
+    def from_json_obj(cls, *args) -> "GenotypeConfig":
+        return _shared(read_config(cls, *args))
 
     def fingerprint(self) -> str:
         doc = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(doc.encode()).hexdigest()
+
+
+# The live configs ``joint``, ``per_network`` and ``from_json_obj`` return,
+# by their fields (held weakly): equal ones are one object, so lru_caches
+# keyed by a config hit by identity instead of comparing eight fields.
+_SHARED = weakref.WeakValueDictionary()
+
+
+def _shared(config: GenotypeConfig) -> GenotypeConfig:
+    return _SHARED.setdefault(astuple(config), config)
 
 
 @dataclass(frozen=True)
@@ -237,7 +249,7 @@ def _per_key(genotypes: Sequence[Genotype],
         by_key.setdefault(key, []).append(index)
     out: list = [None] * len(genotypes)
     for key, indices in by_key.items():
-        rows = np.array([genotypes[i][1] for i in indices])
+        rows = cell_array([genotypes[i][1] for i in indices])
         for i, result in zip(indices, batch(key, rows)):
             out[i] = result
     return out
@@ -299,16 +311,19 @@ def random_genotype(rng, config: GenotypeConfig,
                     depth_key: DepthKey | None = None) -> Genotype:
     """The ``(key, row)`` of a uniform draw from ``config``'s space, made
     with numpy Generator ``rng``: the key's index (unless ``depth_key``
-    fixes the depths), each generator layer's four values in slot order,
-    then each discriminator layer's, then the train bin."""
+    fixes the depths), then in one broadcast call, which draws each as a
+    scalar call would, each generator layer's four values in slot order,
+    each discriminator layer's, then the train bin."""
     if depth_key is None:
         keys = config.depth_keys()
         depth_key = keys[rng.integers(len(keys))]
-    layers = [int(rng.integers(card))
-              for role, depth in zip(ROLES, depth_key)
-              for _ in range(depth)
-              for card in _layer_radix(config, role)]
-    return DepthKey(*depth_key), (int(rng.integers(config.arity)), *layers)
+    *layers, train = rng.integers(_draw_highs(config, depth_key)).tolist()
+    return DepthKey(*depth_key), (train, *layers)
+
+
+@lru_cache(maxsize=None)
+def _draw_highs(config: GenotypeConfig, depth_key: tuple) -> np.ndarray:
+    return np.roll(_slot_bounds(config, depth_key), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +440,7 @@ def _batch(config: GenotypeConfig, key, values) -> tuple[DepthKey, np.ndarray]:
     key, the shape, a non-integer value, then a value outside its slot."""
     key = DepthKey(*key)
     bounds = _slot_bounds(config, key)
-    values = np.asarray(values)
+    values = cell_array(values)
     if values.ndim != 2 or values.shape[1] != len(bounds):
         raise ValidationError(f"rows of shape {values.shape} do not hold the "
                               f"{len(bounds)} slots of depth key {tuple(key)}")

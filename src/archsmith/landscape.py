@@ -22,6 +22,7 @@ from .bayesnet import _ordered_sum
 from .errors import (
     FormatError,
     ValidationError,
+    cell_array,
     config_to_json,
     integer,
     integers,
@@ -251,7 +252,7 @@ class SurrogateLandscape:
         """
         layout = self._layout
         try:
-            values = np.asarray(values)
+            values = cell_array(values)
             pad = layout.pads[key] if values.dtype == np.int64 else None
         except (KeyError, TypeError, ValueError):
             pad = None
@@ -288,8 +289,7 @@ class SurrogateLandscape:
                 rows.append((pad.index, *row[:pad.split], *pad.gen_pad,
                              *row[pad.split:], *pad.disc_pad))
             padded = integers(np.array(rows), "column {}".format)
-        except (KeyError, TypeError, ValueError, OverflowError,
-                ValidationError):
+        except (KeyError, TypeError, ValueError, ValidationError):
             return self._by_key(genotypes)
         if (padded.shape[1:] != layout.radix.shape[1:]
                 or np.count_nonzero(padded.view(np.uint64)

@@ -552,7 +552,7 @@ def learn(individuals: Sequence[Individual], config: LearnConfig,
     rows_by_key: dict[tuple, list] = {key: [] for part in parts
                                       for key in part.keys}
     for ind in individuals:
-        if ind.config != gc:
+        if ind.config is not gc and ind.config != gc:
             raise ValidationError(
                 "an individual's genotype config differs from the learn "
                 "config's genotype config")

@@ -9,8 +9,10 @@ deterministic given their generator.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import partialmethod
+from operator import index, itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -395,6 +397,57 @@ def init_population(strategy: str, size: int,
 _RANK = itemgetter(2, 0, 1)
 
 
+class _Draws:
+    """A PCG64 Generator's own ``random`` and ``choice``, and its scalar
+    ``integers`` replayed at a third of numpy's cost: for n = high − low in
+    [2, 2**32], low + (w·n >> 32) of a 32-bit word w, redrawn while w·n mod
+    2**32 < (2**32 − n) % n (Lemire, ACM TOMACS 2019).  w is the high half
+    of PCG64's last output if it holds one (``has_uint32``, ``uinteger``),
+    else a fresh output's low half.  The held half is read on entering the
+    context, and written back on leaving it and around numpy's own draws:
+    ``choice``, and ``integers`` of any other n."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng, self.random = rng, rng.random
+        self._raw = rng.bit_generator.random_raw
+
+    def __enter__(self) -> "_Draws":
+        state = self._rng.bit_generator.state
+        self._has, self._half = state["has_uint32"], state["uinteger"]
+        return self
+
+    def __exit__(self, *exc) -> None:
+        bits = self._rng.bit_generator
+        bits.state = {**bits.state, "has_uint32": self._has,
+                      "uinteger": self._half}
+
+    def _numpy(self, name: str, *args, **kwargs):
+        self.__exit__()
+        out = getattr(self._rng, name)(*args, **kwargs)
+        self.__enter__()
+        return out
+
+    choice = partialmethod(_numpy, "choice")
+
+    def integers(self, low, high=None) -> int:
+        # Python ints: an int64 n would overflow ``word * n``.
+        lo, hi = (0, index(low)) if high is None else (index(low),
+                                                        index(high))
+        n = hi - lo
+        if not (0 < n <= 1 << 32 and -1 << 63 <= lo and hi <= 1 << 63):
+            return self._numpy("integers", low, high)
+        while n > 1:
+            if self._has:
+                self._has, word = 0, self._half
+            else:
+                raw = self._raw()
+                self._has, self._half, word = 1, raw >> 32, raw & 0xFFFFFFFF
+            m = word * n
+            if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (2**32 - n) % n:
+                return lo + (m >> 32)
+        return lo
+
+
 def _distinct_picks(rng: np.random.Generator, n: int, m: int) -> list[int]:
     """``rng.choice(n, size=m, replace=False)`` as ints, from scalar draws
     when that is cheaper.
@@ -405,10 +458,11 @@ def _distinct_picks(rng: np.random.Generator, n: int, m: int) -> list[int]:
     Every step is one bounded draw, which a scalar ``rng.integers`` makes
     the same way (Lemire's method), so the picks, their order and the
     generator's state after them are ``choice``'s.  That takes 2m − 1
-    scalar draws of about 1.5 µs each, against about 7 µs for one
-    ``choice`` call, so only m <= 2 gains; larger m goes to ``choice``
-    itself, and with it numpy's other method (shuffling an ``arange`` when
-    n > 10,000 and m > n // 50).
+    scalar draws, of about 0.6 µs each in the EA (``_Draws``) and 1.4 µs
+    through numpy, against about 7 µs for one ``choice`` call.  At numpy's
+    cost only m <= 2 gains, so larger m goes to ``choice`` itself, and
+    with it numpy's other method (shuffling an ``arange`` when n > 10,000
+    and m > n // 50).
     """
     if m > 2:
         return rng.choice(n, size=m, replace=False).tolist()
@@ -496,6 +550,7 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     ``evaluate_many`` call, whatever their depth keys.  Evaluation draws
     nothing from ``rng``, and a row's fitness does not depend on its
     batch, so the result is that of evaluating each child as it is bred.
+    A PCG64 ``rng`` breeds through ``_Draws``: numpy's draws and state.
     ``on_evaluate`` is called with (key, row, fitness) for every fresh
     evaluation, after the generation's batch, in breeding order.
     """
@@ -508,21 +563,22 @@ def simple_ea(landscape: SurrogateLandscape, population: Population,
     need = size - config.elitism
     trace = [population.best_fitness]
     evaluations = 0
+    k = config.tournament_size
+    pcg64 = type(rng.bit_generator) is np.random.PCG64
     for _ in range(generations):
         children: list[Genotype] = []
-        while len(children) < need:
-            parent_a = _tournament(population, rng, config.tournament_size)
-            parent_b = _tournament(population, rng, config.tournament_size)
-            if rng.random() < config.crossover_rate:
-                pair = _crossover(parent_a, parent_b)
-            else:
-                pair = (parent_a, parent_b)
-            for key, row in pair:
-                if len(children) >= need:
-                    break
-                if rng.random() < config.mutation_rate:
-                    key, row = mutate(key, row, gc, rng)
-                children.append((key, row))
+        with _Draws(rng) if pcg64 else nullcontext(rng) as draws:
+            while len(children) < need:
+                pair = (_tournament(population, draws, k),
+                        _tournament(population, draws, k))
+                if draws.random() < config.crossover_rate:
+                    pair = _crossover(*pair)
+                for key, row in pair:
+                    if len(children) >= need:
+                        break
+                    if draws.random() < config.mutation_rate:
+                        key, row = mutate(key, row, gc, draws)
+                    children.append((key, row))
         offspring = [(key, row, fitness) for (key, row), fitness
                      in zip(children, landscape.evaluate_many(children))]
         if on_evaluate is not None:

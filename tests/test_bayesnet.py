@@ -525,6 +525,21 @@ class TestRowCheck:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+    @pytest.mark.parametrize("data, message", [
+        ([["0", "1", "0"]], "value '0' of column 0 is not an integer"),
+        ([[0, 0, 0], [1, b"1", 0]], "value b'1' of column 1 is not an integer"),
+        ([[0, 0, 0], [1, 0, 1 + 0j]],
+         "value (1+0j) of column 2 is not an integer"),
+        ([[0, 0, 0], [1, None, 0]], "value None of column 1 is not an integer"),
+        ([[False, True, False]], "value False of column 0 is not an integer"),
+        ([[0, 0, 0], [1, 2**70, 0]], "value out of range in column 1"),
+    ], ids=["digits", "bytes", "complex", "none", "bools", "beyond-int64"])
+    def test_non_number_named(self, entry, data, message):
+        with pytest.raises(ValidationError) as info:
+            ROW_ENTRIES[entry](data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
     def test_integral_floats_read_as_ints(self, entry):
         data = np.array([[0, 2, 1], [1, 1, 0], [0, 0, 1]])
         want, got = (ROW_ENTRIES[entry](rows)

@@ -3,12 +3,14 @@
 error, and a partial section takes the missing key's default."""
 
 import dataclasses
+import gc
 import json
 import pickle
+import weakref
 
 import pytest
 
-from archsmith.errors import FormatError, config_to_json
+from archsmith.errors import FormatError, config_to_json, read_config
 from archsmith.experiments import (
     ArchiveGenConfig,
     GuidedSearchConfig,
@@ -123,8 +125,10 @@ def test_a_hashed_config_writes_the_same_json(config):
 
 
 def test_equal_genotype_configs_hash_equally():
+    # ``from_json_obj`` returns the live equal config itself, so a config
+    # read by ``read_config`` alone is the distinct equal one.
     a = GenotypeConfig.per_network(arity=3)
-    b = GenotypeConfig.from_json_obj(json.loads(json.dumps(
+    b = read_config(GenotypeConfig, json.loads(json.dumps(
         config_to_json(a))))
     assert a is not b and a == b
     assert hash(a) == hash(a) == hash(b)
@@ -135,3 +139,32 @@ def test_equal_genotype_configs_hash_equally():
     copied = pickle.loads(pickle.dumps(a))
     assert copied == a and "_hash" not in vars(copied)
     assert hash(copied) == hash(a)
+
+
+def test_equal_genotype_configs_are_one_object():
+    # The lru_caches keyed by a config then hit by identity.  Pickled and
+    # directly built copies stay equal, distinct objects.
+    config = GenotypeConfig.per_network(arity=3)
+    doc = json.loads(json.dumps(config_to_json(config)))
+    assert GenotypeConfig.per_network(arity=3) is config
+    assert GenotypeConfig.from_json_obj(doc) is config
+    assert GenotypeConfig.joint(mode="per_network", arity=3,
+                                generator_depth_max=6,
+                                discriminator_depth_max=6) is config
+    for nested in (LANDSCAPE, LEARN):
+        read = type(nested).from_json_obj(json.loads(json.dumps(
+            config_to_json(nested))))
+        assert read.genotype is GENOTYPE
+    for copy in (pickle.loads(pickle.dumps(config)),
+                 dataclasses.replace(config)):
+        assert copy == config and copy is not config
+    assert GenotypeConfig.joint() is not GenotypeConfig.per_network()
+
+
+def test_shared_genotype_configs_are_not_kept_alive():
+    config = GenotypeConfig.joint(arity=97)
+    ref = weakref.ref(config)
+    del config
+    gc.collect()
+    assert ref() is None
+    assert GenotypeConfig.joint(arity=97).arity == 97

@@ -443,6 +443,34 @@ class TestNonIntegerRows:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("entry", sorted(row_entries(JOINT)))
+    @pytest.mark.parametrize("fault", [
+        "digits", "bytes", "complex", "none", "bools", "beyond_int64"])
+    def test_non_number_refused_with_its_slot(self, entry, fault, request):
+        # A cell numpy would read as a string, a complex number or an
+        # object is named where it stands; a huge int is out of range.
+        if (entry, fault) == ("evaluate_many", "bools"):
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "evaluate_many pads rows with ints, and numpy reads a bool "
+                "among ints as its int")))
+        key, rows = self.row()
+        cells = rows.astype(object)
+        message = "value {!r} of slot g0.weight_init is not an integer"
+        if fault in ("digits", "bools"):
+            cells = rows.astype(str) if fault == "digits" else rows % 2 == 1
+            message = (f"value {cells.tolist()[0][0]!r} of slot train_freq "
+                       f"is not an integer")
+        else:
+            cells[0, 3] = {"bytes": b"1", "complex": 1 + 0j, "none": None,
+                           "beyond_int64": 2**70}[fault]
+            message = message.format(cells[0, 3])
+            if fault == "beyond_int64":
+                message = (f"value {2**70} outside cardinality of slot "
+                           f"g0.weight_init")
+        with pytest.raises(ValidationError) as info:
+            row_entries(JOINT)[entry](key, cells)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", sorted(row_entries(JOINT)))
     def test_integral_floats_read_as_ints(self, entry):
         key, rows = self.row()
         check = row_entries(JOINT)[entry]

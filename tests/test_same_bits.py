@@ -6,9 +6,13 @@ sums each row in order, ``evaluate_values`` and ``evaluate_many`` pad every
 row to the deepest schema and sum its terms, −0.0 pad terms among them, in
 one gather, and hash each row's noise text through a table of value texts,
 ``guided_hc`` scores a neighbourhood once per network a group changes
-and ranks it with sorts of a complex key, as far as the climb reads, and
-the EA's tournaments draw ``rng.choice``'s picks from scalar draws.  The
-same bits must hold at every numpy dispatch level, so the CI workflow runs
+and ranks it with sorts of a complex key, as far as the climb reads, the
+EA's tournaments draw ``rng.choice``'s picks from scalar draws, the EA
+replays numpy's bounded integers from PCG64's raw outputs (``_Draws``),
+and ``random_genotype`` draws a genotype's slots in one broadcast call.
+The replay is checked against the installed numpy, so a numpy release
+that changes ``integers`` fails here instead of forking the EA's stream.
+The same bits must hold at every numpy dispatch level, so the CI workflow runs
 this file and ``tests/test_landscape.py`` a second time with numpy's
 dispatched SIMD kernels switched off (``NPY_DISABLE_CPU_FEATURES``).
 """
@@ -24,16 +28,22 @@ from hypothesis import strategies as st
 from archsmith import metamodel
 from archsmith.bayesnet import (Dag, _cells, _ordered_sum, fit_cpts,
                                 log_likelihood_many)
-from archsmith.genotype import GenotypeConfig, random_genotype
+from archsmith import search
+from archsmith.genotype import (ROLES, DepthKey, GenotypeConfig,
+                                _layer_radix, random_genotype,
+                                unflatten_joint)
 from archsmith.landscape import (LandscapeConfig, SurrogateLandscape,
                                  landscape_from_json_obj,
                                  landscape_to_json_obj, make_landscape)
 from archsmith.metamodel import LearnConfig, Metamodel, learn
-from archsmith.search import (_RANKED_HEAD, _distinct_picks, _ranked_prefix,
-                              _ranking, neighbor_groups)
+from archsmith.search import (_RANKED_HEAD, EaConfig, _distinct_picks,
+                              _Draws, _ranked_prefix, _ranking,
+                              init_population, neighbor_groups, simple_ea)
 from test_bayesnet import nets_with_data
 from test_landscape import reference_fitness
 from test_metamodel import make_individuals
+from test_search import (POINT, TINY, CoarseLandscape, reference_ea,
+                         tiny_landscape)
 
 
 def left_to_right(block):
@@ -407,3 +417,155 @@ class TestDistinctPicks:
                 assert got.random() == want.random()
             if step % 3:
                 assert got.integers(1000) == want.integers(1000)
+
+
+class NumpyPcg64(np.random.PCG64):
+    """PCG64 under another type: ``simple_ea`` draws it through numpy."""
+
+
+# Bounds around the edges of the replay: n = 1 draws nothing, 2**32 is its
+# widest word, and beyond it numpy draws 64-bit words.
+EDGE_BOUNDS = [1, 2, 3, 3000, 2**31, 2**31 + 5, 2**32 - 1, 2**32,
+               2**32 + 1, 2**40]
+DRAW_OPS = st.lists(st.one_of(
+    st.tuples(st.just("integers"),
+              st.one_of(st.integers(1, 3000), st.sampled_from(EDGE_BOUNDS))),
+    st.tuples(st.just("integers"),
+              st.one_of(st.integers(-2**63, 2**63 - 2**41),
+                        st.sampled_from([-2**63, 0, 2**62])),
+              st.one_of(st.integers(-2, 3000), st.sampled_from(EDGE_BOUNDS))),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("choice"), st.integers(1, 30), st.integers(1, 30))),
+    max_size=40)
+
+
+def apply_draw(rng, op, as_numpy):
+    """``op`` drawn from ``rng``: its value, or the type of its error.  A
+    two-bound op holds the low bound and the width; ``as_numpy`` passes
+    the bounds as numpy int64s."""
+    name, *args = op
+    if name == "integers" and len(args) == 2:
+        args = [args[0], min(args[0] + args[1], 2**63)]
+    if as_numpy:
+        args = [np.int64(min(a, 2**63 - 1)) for a in args]
+    try:
+        if name == "choice":
+            return rng.choice(args[0], size=args[1], replace=False).tolist()
+        return getattr(rng, name)(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ops=DRAW_OPS,
+           as_numpy=st.booleans())
+    def test_equals_numpy_and_leaves_the_same_state(self, seed, ops,
+                                                    as_numpy):
+        got = np.random.default_rng(seed)
+        want = np.random.default_rng(seed)
+        with _Draws(got) as draws:
+            for op in ops:
+                value = apply_draw(draws, op, as_numpy)
+                assert value == apply_draw(want, op, as_numpy), op
+        assert got.bit_generator.state == want.bit_generator.state
+        # The next draws use the written-back half-word, then fresh ones.
+        for _ in range(3):
+            assert got.integers(7) == want.integers(7)
+        assert got.random() == want.random()
+
+    def test_a_held_half_word_is_written_back(self):
+        # An odd number of 32-bit draws leaves the high half held.
+        got, want = np.random.default_rng(5), np.random.default_rng(5)
+        with _Draws(got) as draws:
+            draws.integers(10)
+        want.integers(10)
+        assert want.bit_generator.state["has_uint32"] == 1
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+class TestEaStream:
+    """``simple_ea`` draws the stream numpy would draw, whatever its bit
+    generator, and leaves numpy's state even when it is interrupted."""
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, NumpyPcg64])
+    @pytest.mark.parametrize("seed,config", [
+        (30, EaConfig()),
+        (32, EaConfig(tournament_size=3, mutation_rate=0.5, elitism=0)),
+        (37, EaConfig(tournament_size=25, elitism=0)),
+    ])
+    def test_numpy_draws_match_per_child_reference(self, bits, seed,
+                                                   config):
+        land = CoarseLandscape(tiny_landscape(seed=seed, sigma=0.05))
+        pop = init_population("random", 7, land, np.random.default_rng(seed))
+        got = []
+        result = simple_ea(land, pop, 6, np.random.Generator(bits(seed + 1)),
+                           config=config, on_evaluate=lambda k, r, f:
+                           got.append((unflatten_joint(k, r, TINY), f)))
+        want = []
+        start = [(unflatten_joint(k, r, TINY), f) for k, r, f in pop.members]
+        trace, _ = reference_ea(land, start, 6,
+                                np.random.Generator(bits(seed + 1)), config,
+                                want.append)
+        assert got == want
+        assert result.best_per_generation == trace
+
+    def test_interrupted_breeding_leaves_numpy_state(self, monkeypatch):
+        # An exception raised in the k-th crossover escapes simple_ea
+        # mid-breeding; the half-word the replay held is written back,
+        # whichever way the count of 32-bit draws falls.
+        land = tiny_landscape(seed=3)
+        pop = init_population("random", 8, land, np.random.default_rng(3))
+        real, held = search._crossover, set()
+        for calls in range(1, 9):
+            states = []
+            for bits in (np.random.PCG64, NumpyPcg64):
+                count = iter(range(calls))
+
+                def crossover(a, b):
+                    if next(count, None) is None:
+                        raise KeyboardInterrupt
+                    return real(a, b)
+
+                monkeypatch.setattr(search, "_crossover", crossover)
+                rng = np.random.Generator(bits(4))
+                with pytest.raises(KeyboardInterrupt):
+                    simple_ea(land, pop, 3, rng,
+                              config=EaConfig(crossover_rate=1.0))
+                states.append({**rng.bit_generator.state,
+                               "bit_generator": "PCG64"})
+            assert states[0] == states[1]
+            held.add(states[0]["has_uint32"])
+        assert held == {0, 1}
+
+
+def scalar_random_genotype(rng, config, depth_key=None):
+    """``random_genotype`` as one scalar draw per slot: the key's index,
+    each layer's values in slot order, then the train bin."""
+    if depth_key is None:
+        keys = config.depth_keys()
+        depth_key = keys[rng.integers(len(keys))]
+    layers = [int(rng.integers(card))
+              for role, depth in zip(ROLES, depth_key)
+              for _ in range(depth)
+              for card in _layer_radix(config, role)]
+    return DepthKey(*depth_key), (int(rng.integers(config.arity)), *layers)
+
+
+class TestRandomGenotype:
+    @pytest.mark.parametrize("config", [
+        GenotypeConfig.joint(), GenotypeConfig.per_network(), POINT,
+        GenotypeConfig.joint(arity=1)], ids=["joint", "per_network",
+                                             "point", "arity_1"])
+    def test_equals_scalar_draws_at_every_depth_key(self, config):
+        for key in (None, *config.depth_keys()):
+            got = np.random.default_rng([7, *(key or ())])
+            want = np.random.default_rng([7, *(key or ())])
+            for step in range(20):
+                genotype = random_genotype(got, config, key)
+                assert genotype == scalar_random_genotype(want, config, key)
+                assert type(genotype[0]) is DepthKey
+                assert all(type(v) is int for v in genotype[1])
+                assert got.bit_generator.state == want.bit_generator.state
+                if step % 3 == 0:
+                    assert got.random() == want.random()
