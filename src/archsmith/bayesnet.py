@@ -9,7 +9,6 @@ All information quantities are in nats.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,15 +28,15 @@ class Dag:
     """Directed acyclic graph over named categorical variables.
 
     ``parents[i]`` lists the parent indices of variable ``i`` in the order
-    used to index its CPT rows.
+    used to index its CPT rows.  Every parent index is below its child's,
+    as ``orient`` writes them, so the variable order is a topological one.
     """
 
     variables: tuple[tuple[str, int], ...]
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.variables)
-        if len(self.parents) != n:
+        if len(self.parents) != len(self.variables):
             raise ValidationError("parents list must match variable count")
         for name, card in self.variables:
             if card < 1:
@@ -45,10 +44,8 @@ class Dag:
         for child, ps in enumerate(self.parents):
             if len(set(ps)) != len(ps):
                 raise ValidationError("duplicate parent")
-            for p in ps:
-                if not 0 <= p < n or p == child:
-                    raise ValidationError("parent index out of range")
-        self.topological_order()  # raises on cycles
+            if not all(0 <= p < child for p in ps):
+                raise ValidationError("parent index out of range")
 
     @property
     def n_variables(self) -> int:
@@ -57,28 +54,6 @@ class Dag:
     @property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(card for _, card in self.variables)
-
-    def topological_order(self) -> tuple[int, ...]:
-        """Kahn's algorithm, smallest index first for determinism."""
-        n = len(self.variables)
-        children: list[list[int]] = [[] for _ in range(n)]
-        indegree = [0] * n
-        for child, ps in enumerate(self.parents):
-            indegree[child] = len(ps)
-            for p in ps:
-                children[p].append(child)
-        ready = sorted(i for i in range(n) if indegree[i] == 0)
-        order: list[int] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            for child in children[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    insort(ready, child)
-        if len(order) != n:
-            raise ValidationError("graph contains a cycle")
-        return tuple(order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +94,6 @@ class BayesNet:
     _log: np.ndarray = field(init=False, repr=False)
     _plan: "_Plan" = field(init=False, repr=False)
     _cards: np.ndarray = field(init=False, repr=False)
-    _order: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
@@ -177,7 +151,6 @@ class BayesNet:
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_cards",
                            np.asarray(self.dag.cardinalities, dtype=np.uint64))
-        object.__setattr__(self, "_order", self.dag.topological_order())
 
     def __eq__(self, other) -> bool:
         """Same DAG, alpha, keyed codes and table bytes."""
@@ -624,7 +597,7 @@ def log_likelihood_many(bn: BayesNet, data) -> np.ndarray:
 
 
 def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Forward-sample ``n`` full assignments in topological order.
+    """Forward-sample ``n`` full assignments in variable order.
 
     Each variable draws one uniform per row and takes the number of
     cumulative CPT-row probabilities below it as its value.
@@ -634,7 +607,7 @@ def pls_sample_many(bn: BayesNet, n: int, rng: np.random.Generator) -> np.ndarra
     cards = bn.dag.cardinalities
     plan = bn._plan
     out = np.zeros((bn.n_variables, n))  # one row per variable
-    for v in bn._order:
+    for v in range(bn.n_variables):
         # Variables not yet sampled are 0, so M's column gives each row's
         # first cell (whole table) or configuration code (keyed table).
         first = plan.radix[:, v] @ out + plan.offsets[v, 0]

@@ -416,6 +416,13 @@ class TestExtractSets:
         c = extract_sets(archive, n=5, seed=10)
         assert a.random != c.random
 
+    def test_unknown_set_name_rejected(self):
+        archive = make_archive(np.random.default_rng(8), n_runs=1, run_size=4)
+        sets = extract_sets(archive, n=2, seed=0)
+        assert sets.by_name("second") is sets.second
+        with pytest.raises(ValidationError, match="unknown set name 'best'"):
+            sets.by_name("best")
+
     def test_short_run_error_names_run(self):
         rng = np.random.default_rng(8)
         archive = make_archive(rng, n_runs=1, run_size=9)

@@ -14,14 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from archsmith import archive as archive_module
-from archsmith.archive import (Individual, RunArchive, load_archive,
-                               save_archive)
+from archsmith.archive import (SET_NAMES, Individual, RunArchive,
+                               extract_sets, load_archive, save_archive)
 from archsmith.cli import EXPERIMENTS, main
 from archsmith.experiments import ArchiveGenConfig, generate_archive
 from archsmith.genotype import DepthKey, GenotypeConfig
 from archsmith.landscape import LandscapeConfig, make_landscape, save_landscape
-from archsmith.metamodel import (LearnConfig, Metamodel, load_metamodel,
-                                 save_metamodel)
+from archsmith.metamodel import (LearnConfig, Metamodel, learn,
+                                 load_metamodel, save_metamodel)
 from test_archive import individual
 from test_genotype import gan_json, random_gan
 from test_metamodel import mm_v1_document
@@ -419,7 +419,7 @@ class TestStrictModelFiles:
 
     @pytest.fixture(params=["n_train-float", "n_train-negative",
                             "cardinality-float", "parent-out-of-range",
-                            "codes-unsorted", "codes-repeated",
+                            "parent-after-child", "codes-unsorted", "codes-repeated",
                             "code-too-big", "code-float"])
     def edited(self, request, model_path, tmp_path):
         doc = json.loads(model_path.read_text())
@@ -435,6 +435,16 @@ class TestStrictModelFiles:
             bn["variables"][v][1], needle = 2.9, "cardinality"
         elif edit == "parent-out-of-range":
             bn["parents"][v][0], needle = 99, "parent index out of range"
+        elif edit == "parent-after-child":
+            # A later variable that does not descend from v becomes v's
+            # parent: the graph stays acyclic, but a parent follows its
+            # child.
+            below = {v}
+            for child in range(v + 1, len(bn["parents"])):
+                if below.intersection(bn["parents"][child]):
+                    below.add(child)
+            after = max(set(range(v + 1, len(bn["parents"]))) - below)
+            bn["parents"][v][0], needle = after, "parent index out of range"
         elif edit == "codes-unsorted":
             codes.reverse()
             needle = "increasing"
@@ -1020,6 +1030,28 @@ class TestGenArchiveAndExperiment:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {cfg_path}: {needle}"]
 
+    def test_valid_learn_section_is_used(self, archive_path, tmp_path):
+        base = {"landscape": LAND.to_json_obj(), "n": 3, "seed": 1}
+        scores = {}
+        for name, cfg in (("default", base),
+                          ("chow_liu", dict(base,
+                                            learn={"structure": "chow_liu"}))):
+            out_dir = tmp_path / name
+            assert main(["experiment", "--id", "likelihood",
+                         "--archive", str(archive_path),
+                         "--config", str(write(tmp_path / f"{name}.json",
+                                               cfg)),
+                         "--out-dir", str(out_dir)]) == 0
+            scores[name] = [(float(row["log_prob"]), float(row["normalized"]))
+                            for row in read_csv(out_dir / "scores.csv")]
+        sets = extract_sets(load_archive(archive_path), 3, 1)
+        model = learn(sets.first, LearnConfig(genotype=SMALL,
+                                              structure="chow_liu"))
+        want = [score for name in SET_NAMES for score in model.score_many(
+            [(ind.key, ind.row) for ind in sets.by_name(name)])]
+        assert scores["chow_liu"] == want
+        assert scores["default"] != want
+
     @pytest.mark.parametrize("command,key", [
         ("gen-archive", "populaton"),
         ("likelihood", "min_scorde"),
@@ -1528,3 +1560,120 @@ def test_deeply_nested_genotype_line_is_one_error_line(
     one_error_line(capsys, f"{samples}: line {deep_at}: not valid JSON "
                            f"(maximum recursion")
     assert not out.exists()
+
+
+def config_argv(command, cfg, archive_path, tmp_path):
+    """The argv that runs ``gen-archive`` or an experiment on ``cfg``."""
+    cfg_path = write(tmp_path / "cfg.json", cfg)
+    if command == "gen-archive":
+        return ["gen-archive", "--config", str(cfg_path),
+                "--out", str(tmp_path / "a.jsonl")]
+    return ["experiment", "--id", command, "--archive", str(archive_path),
+            "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]
+
+
+class TestUserChecks:
+    """Each check on a value a user gives fails with one error line and
+    exit code 1."""
+
+    @pytest.mark.parametrize("command,field,value,needle", [
+        ("gen-archive", "problem_seeds", "1..2..3",
+         "bad seed range '1..2..3', want 'lo..hi'"),
+        ("gen-archive", "problem_seeds", "5..2", "empty seed range '5..2'"),
+        ("gen-archive", "runs_per_problem", 0,
+         "bad runs_per_problem or population"),
+        ("gen-archive", "generations", 0, "generations must be >= 1"),
+        ("sampling", "train_seeds", [], "need train and holdout seeds"),
+        ("sampling", "n_each", 0, "n_each must be >= 1"),
+        ("initialization", "replicates", 0, "replicates must be >= 1"),
+        ("guided-search", "budget", 1, "bad replicates or budget"),
+    ])
+    def test_config_bound(self, command, field, value, needle, archive_path,
+                          tmp_path, capsys):
+        cfg = {"landscape": LAND.to_json_obj()}
+        if command == "gen-archive":
+            cfg.update(problem_seeds=[0], runs_per_problem=1, population=6,
+                       generations=2)
+        if command == "sampling":
+            cfg["train_seeds"] = [0]
+        cfg[field] = value
+        argv = config_argv(command, cfg, archive_path, tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        one_error_line(capsys, needle)
+        assert not (tmp_path / "a.jsonl").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_no_run_starts_on_a_train_problem(self, archive_path, tmp_path,
+                                              capsys):
+        # Each run of problem 1 opens with a record of problem 0, so
+        # problem 1 is in the archive but no run trains on it.
+        header, *records = archive_path.read_text().splitlines()
+        seen = set()
+        for i, line in enumerate(records):
+            obj = json.loads(line)
+            if obj["problem_id"] == "1" and obj["run_id"] not in seen:
+                seen.add(obj["run_id"])
+                obj["problem_id"] = "0"
+                records[i] = json.dumps(obj, sort_keys=True)
+        assert seen
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join([header, *records]) + "\n")
+        argv = config_argv("sampling", {"landscape": LAND.to_json_obj(),
+                                        "train_seeds": [1]}, mixed, tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        one_error_line(capsys, "no archive runs match the train seeds")
+
+    def test_learn_config_of_another_genotype(self, archive_path, tmp_path,
+                                              capsys):
+        other = dataclasses.replace(SMALL, arity=3)
+        cfg_path = write(tmp_path / "learn.json",
+                         {"genotype": other.to_json_obj()})
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(["learn", "--archive", str(archive_path), "--config",
+                     str(cfg_path), "--out", str(out)]) == 1
+        one_error_line(capsys, "config genotype does not match the archive")
+        assert not out.exists()
+
+    def test_learn_needs_one_elite(self, archive_path, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(["learn", "--archive", str(archive_path), "--n", "0",
+                     "--out", str(out)]) == 1
+        one_error_line(capsys, "n must be >= 1")
+        assert not out.exists()
+
+    def test_search_given_both_landscape_flags(self, tmp_path, capsys):
+        land = write(tmp_path / "land.json", LAND.to_json_obj())
+        out = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["search", "--landscape", str(land),
+                     "--landscape-config", str(land),
+                     "--out", str(out)]) == 1
+        one_error_line(capsys, "give either --landscape or "
+                               "--landscape-config, not both")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("test,groups,cell,needle", [
+        ("kw", ["random"], "1.5", "need at least two groups to compare"),
+        ("ranksum", ["random", "guided", "other"], "1.5",
+         "ranksum compares exactly two groups"),
+        ("kw", ["random", "guided"], "inf", "group values must be finite"),
+    ], ids=["one-group", "ranksum-three-groups", "inf-value"])
+    def test_analyze_groups(self, test, groups, cell, needle, tmp_path,
+                            capsys):
+        rows = [["algorithm", "replicate", "step", "best"]]
+        rows += [[group, rep, 1, float(rep)] for group in groups
+                 for rep in range(3)]
+        rows[1][3] = cell
+        traces = tmp_path / "steps.csv"
+        with open(traces, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main(["analyze", "--traces", str(traces), "--test", test,
+                     "--out", str(out)]) == 1
+        one_error_line(capsys, needle)
+        assert not out.exists()

@@ -177,6 +177,20 @@ class TestPlantedRecovery:
                 assert np.abs(learned - true).sum(axis=1).max() <= 0.05
 
 
+# A wide space: its neutral constant lies below -2, so the uniform prior
+# widens its root bracket.
+WIDE = dict(arity=30,
+            activations=("relu", "leaky_relu", "tanh", "sigmoid", "elu",
+                         "selu", "gelu", "swish", "mish", "softplus",
+                         "hardtanh", "prelu"),
+            weight_inits=("xavier", "normal", "uniform", "he", "lecun",
+                          "orthogonal", "kaiming", "zeros"))
+UNIFORM_CONFIGS = [JOINT, GenotypeConfig.per_network(),
+                   GenotypeConfig.joint(**WIDE),
+                   GenotypeConfig.per_network(**WIDE)]
+UNIFORM_IDS = ["joint", "per_network", "wide-joint", "wide-per_network"]
+
+
 class TestScore:
     def test_single_training_example_scores_highest(self):
         rng = np.random.default_rng(6)
@@ -216,8 +230,7 @@ class TestScore:
         assert a.n_variables == 1 + 9
         assert b.n_variables == 1 + 13
 
-    @pytest.mark.parametrize("config", [JOINT, GenotypeConfig.per_network()],
-                             ids=["joint", "per_network"])
+    @pytest.mark.parametrize("config", UNIFORM_CONFIGS, ids=UNIFORM_IDS)
     def test_uniform_model_is_score_neutral(self, config):
         model = Metamodel.uniform(LearnConfig(genotype=config))
         rng = np.random.default_rng(8)
@@ -225,8 +238,7 @@ class TestScore:
                       for key in config.depth_keys() for _ in range(3)]
         assert max(normalized) - min(normalized) < 1e-9
 
-    @pytest.mark.parametrize("config", [JOINT, GenotypeConfig.per_network()],
-                             ids=["joint", "per_network"])
+    @pytest.mark.parametrize("config", UNIFORM_CONFIGS, ids=UNIFORM_IDS)
     def test_uniform_model_matches_scipy_oracle(self, config):
         # The depth priors solve sum(logsumexp(c * m + volume)) = 0 over
         # the parts; scipy's brentq and logsumexp are the oracle.  Imported

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archsmith import metamodel
@@ -447,7 +447,7 @@ def apply_draw(rng, op, as_numpy):
     if name == "integers" and len(args) == 2:
         args = [args[0], min(args[0] + args[1], 2**63)]
     if as_numpy:
-        args = [np.int64(min(a, 2**63 - 1)) for a in args]
+        args = [np.int64(min(max(a, -2**63), 2**63 - 1)) for a in args]
     try:
         if name == "choice":
             return rng.choice(args[0], size=args[1], replace=False).tolist()
@@ -460,6 +460,8 @@ class TestDraws:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ops=DRAW_OPS,
            as_numpy=st.booleans())
+    # A high bound below int64's range, clamped to an empty range.
+    @example(seed=0, ops=[("integers", -2**63, -1)], as_numpy=True)
     def test_equals_numpy_and_leaves_the_same_state(self, seed, ops,
                                                     as_numpy):
         got = np.random.default_rng(seed)

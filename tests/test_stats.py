@@ -77,6 +77,11 @@ class TestKruskalWallis:
         with pytest.raises(ValidationError):
             kruskal_wallis(([1, 2], []))
 
+    @pytest.mark.parametrize("test", [kruskal_wallis, dunn])
+    def test_one_group_rejected(self, test):
+        with pytest.raises(ValidationError, match="need at least 2 groups"):
+            test([[1.0, 2.0, 3.0]])
+
     def test_p_uniform_under_null(self):
         # Exchangeable pooled data relabeled 1000 times: p-values should be
         # close to uniform (Kolmogorov distance under 0.1).
