@@ -497,14 +497,10 @@ def _uniform_row(card: int, alpha: float) -> np.ndarray:
     return row / row.sum(axis=1, keepdims=True)
 
 
-def _views(flat: np.ndarray, plan: _Plan,
-           uniform: bool = False) -> tuple[np.ndarray, ...]:
-    """Each table's stored rows (with its uniform row, if asked) as a
-    2-D view of ``flat``."""
-    rows = plan.rows if uniform else [stored for stored, _ in plan.shapes]
-    return tuple(flat[start:start + r * card].reshape(r, card)
-                 for start, r, (_, card) in zip(plan.starts, rows,
-                                                plan.shapes))
+def _views(flat: np.ndarray, plan: _Plan) -> tuple[np.ndarray, ...]:
+    """Each table's stored rows as a 2-D view of ``flat``."""
+    return tuple(flat[start:start + rows * card].reshape(rows, card)
+                 for start, (rows, card) in zip(plan.starts, plan.shapes))
 
 
 def _cells(plan: _Plan, arr: np.ndarray) -> np.ndarray:
@@ -529,8 +525,9 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
     configurations for ``n`` rows of data; a larger one is keyed and keeps
     only the rows of the configurations the data holds, so no table has
     more than ``max(1, n)`` rows.  All cells are counted with one
-    ``np.bincount`` over the flat layout, and each table's rows are
-    normalised in place in the flat array.
+    ``np.bincount`` over the flat layout, and each table's stored rows are
+    normalised in place in the flat array (``BayesNet`` writes the uniform
+    rows).
 
     Args:
         dag: network structure.
@@ -559,9 +556,10 @@ def fit_cpts(dag: Dag, data, alpha: float = 1.0) -> BayesNet:
     flat = np.bincount(cells, weights=np.ones(cells.size),
                        minlength=plan.size).astype(np.float64, copy=False)
     flat += alpha
-    for table in _views(flat, plan, uniform=True):
+    cpts = _views(flat, plan)
+    for table in cpts:
         table /= table.sum(axis=1, keepdims=True)
-    return BayesNet(dag=dag, cpts=_views(flat, plan), alpha=float(alpha),
+    return BayesNet(dag=dag, cpts=cpts, alpha=float(alpha),
                     codes=tuple(codes))
 
 

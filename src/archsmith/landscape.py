@@ -40,7 +40,6 @@ from .genotype import (
     ROLE_DISCRIMINATOR,
     _batch,
     _layer_start,
-    _per_key,
     joint_schema,
 )
 
@@ -277,7 +276,8 @@ class SurrogateLandscape:
         range check and one ``_fitness`` for the whole batch, so each value
         has the bits ``evaluate_values`` gives its row.  A fault (a key, a
         row's width or a value) raises ``evaluate_values``' error for the
-        first faulty key, keys in the order they first appear."""
+        first faulty key, keys in the order they first appear, and no row
+        is evaluated."""
         if not genotypes:
             return []
         layout = self._layout
@@ -290,11 +290,14 @@ class SurrogateLandscape:
                              *row[pad.split:], *pad.disc_pad))
             padded = integers(np.array(rows), "column {}".format)
         except (KeyError, TypeError, ValueError, ValidationError):
-            return self._by_key(genotypes)
-        if (padded.shape[1:] != layout.radix.shape[1:]
+            padded = None
+        if (padded is None or padded.shape[1:] != layout.radix.shape[1:]
                 or np.count_nonzero(padded.view(np.uint64)
                                     >= layout.bounds[padded[:, 0]])):
-            return self._by_key(genotypes)
+            # Each refusal is a fault that ``_batch`` finds in a key's rows.
+            for key in dict.fromkeys(key for key, _ in genotypes):
+                _batch(self.config.genotype, key,
+                       [row for k, row in genotypes if k == key])
         return self._fitness(padded).tolist()
 
     def _fitness(self, padded: np.ndarray) -> np.ndarray:
@@ -309,12 +312,6 @@ class SurrogateLandscape:
                 "".join(texts).encode()).digest()[:8], "big") / 2.0 ** 64)
                 for texts in layout.texts[cells[:padded.shape[1]].T].tolist()]
         return total
-
-    def _by_key(self, genotypes: Sequence[Genotype]) -> list[float]:
-        """``evaluate_many`` for a refused batch: each key's rows through
-        ``evaluate_values``, so the first faulty key to appear raises."""
-        return _per_key(genotypes, lambda key, rows:
-                        self.evaluate_values(key, rows).tolist())
 
 
 def make_landscape(seed: int, config: LandscapeConfig) -> SurrogateLandscape:

@@ -128,10 +128,9 @@ class Categorical:
 
 @dataclass(frozen=True)
 class Submodel:
-    """One depth group: its schema, fitted network and training count."""
+    """One depth group: its key, fitted network and training count."""
 
     key: tuple
-    schema: Schema
     bn: BayesNet
     n_train: int
     method: str
@@ -155,7 +154,6 @@ class ScoreBreakdown:
 
     log_super: float
     log_sub: float
-    depth_key: DepthKey
     n_variables: int
 
     @property
@@ -191,8 +189,7 @@ def learn_submodel(schema: Schema, rows: np.ndarray,
         method = config.structure
     variables = tuple((s.name, s.cardinality) for s in schema.slots)
     bn = fit_cpts(orient(edges, variables), rows, alpha=config.alpha)
-    return Submodel(key=tuple(schema.key), schema=schema, bn=bn,
-                    n_train=n, method=method)
+    return Submodel(key=tuple(schema.key), bn=bn, n_train=n, method=method)
 
 
 class _Part(NamedTuple):
@@ -374,7 +371,6 @@ class Metamodel:
         log_super, log_sub = self._log_parts(
             key, np.array([values], dtype=np.int64))
         return ScoreBreakdown(log_super=log_super, log_sub=float(log_sub[0]),
-                              depth_key=key,
                               n_variables=self.n_depth_variables + len(values))
 
     # -- sampling ------------------------------------------------------------
@@ -468,12 +464,11 @@ def _neutral_supermodels(
     def gap(c: float) -> float:
         return float(sum(_logsumexp(c * m + s) for _, m, s in parts.values()))
 
-    lo, hi = -2.0, 2.0
+    # gap(2) > 0, as every term 2 * m + s is at least 10 (m >= 5, s >= 0).
+    lo = -2.0
     while gap(lo) > 0:
         lo *= 2.0
-    while gap(hi) < 0:
-        hi *= 2.0
-    c = _brent_root(gap, lo, hi, xtol=1e-14)
+    c = _brent_root(gap, lo, 2.0, xtol=1e-14)
     out: dict[str, Categorical] = {}
     for name, (support, m, s) in parts.items():
         weights = c * m + s
@@ -658,7 +653,7 @@ def metamodel_from_json_obj(obj: dict) -> Metamodel:
                 raise ValidationError(
                     "submodel variables do not match the schema")
             submodels[key] = Submodel(
-                key=key, schema=schema, bn=bn_from_json_obj(entry["bn"]),
+                key=key, bn=bn_from_json_obj(entry["bn"]),
                 n_train=parse_field(entry, "n_train", integer,
                                     f"submodel {text}"),
                 method=entry["method"])

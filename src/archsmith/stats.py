@@ -34,8 +34,6 @@ class TestResult:
 
     statistic: float
     p_value: float
-    group_sizes: tuple[int, ...]
-    tie_correction: float
     method: str
 
 
@@ -46,8 +44,6 @@ class DunnResult:
     z: np.ndarray
     p_raw: np.ndarray
     p_bonferroni: np.ndarray
-    group_sizes: tuple[int, ...]
-    mean_ranks: tuple[float, ...]
 
 
 def _pool(groups: Sequence[Sequence[float]],
@@ -140,14 +136,14 @@ def kruskal_wallis(groups: Sequence[Sequence[float]],
     n_total = ranks.size
     correction = 1.0 - tie / (n_total ** 3 - n_total) if n_total > 1 else 0.0
     if correction == 0.0:
-        return TestResult(0.0, 1.0, sizes, 0.0, method)
+        return TestResult(0.0, 1.0, method)
     h = _kw_statistic(ranks, sizes) / correction
     h = max(h, 0.0)
     if method == "approx":
         p = _chi2_sf(len(sizes) - 1, float(h))
     else:
         p = _exact_p(method, ranks, sizes, lambda r: _kw_statistic(r, sizes))
-    return TestResult(float(h), p, sizes, correction, method)
+    return TestResult(float(h), p, method)
 
 
 def _splits(sizes: Sequence[int]):
@@ -221,8 +217,7 @@ def dunn(groups: Sequence[Sequence[float]]) -> DunnResult:
         p_raw[i, j] = p_raw[j, i] = p
     p_bonf = np.minimum(p_raw * comparisons, 1.0)
     np.fill_diagonal(p_bonf, 1.0)
-    return DunnResult(z=z, p_raw=p_raw, p_bonferroni=p_bonf,
-                      group_sizes=sizes, mean_ranks=tuple(mean_ranks))
+    return DunnResult(z=z, p_raw=p_raw, p_bonferroni=p_bonf)
 
 
 def rank_sum(a: Sequence[float], b: Sequence[float],
@@ -232,13 +227,12 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
     The statistic is U for the first sample; the approximate p-value uses
     the normal approximation with continuity correction and variance
     ``n1 n2 (N + 1) / 12 * c``, with ``c = 1 - sum(t^3 - t) / (N^3 - N)`` the
-    tie correction that both modes report, as ``kruskal_wallis`` does.  Exact
-    mode enumerates every split of the pooled sample (N <= 12) and counts
-    splits whose U deviates from the mean at least as much as observed.
+    tie correction that ``kruskal_wallis`` applies too.  Exact mode
+    enumerates every split of the pooled sample (N <= 12) and counts splits
+    whose U deviates from the mean at least as much as observed.
     """
     (n1, n2), ranks, tie = _pool([a, b])
     n_total = n1 + n2
-    correction = 1.0 - tie / (n_total ** 3 - n_total)
 
     def u_first(r) -> float:
         return float(r[:n1].sum()) - n1 * (n1 + 1) / 2.0
@@ -248,10 +242,10 @@ def rank_sum(a: Sequence[float], b: Sequence[float],
     variance = n1 * n2 / 12.0 * ((n_total + 1) - tie / (n_total * (n_total - 1)))
     if method == "approx":
         if variance <= 0:
-            return TestResult(u1, 1.0, (n1, n2), correction, method)
+            return TestResult(u1, 1.0, method)
         deviation = max(abs(u1 - mean_u) - 0.5, 0.0)
         z = deviation / np.sqrt(variance)
         p = _two_sided_normal(z)
-        return TestResult(u1, p, (n1, n2), correction, method)
+        return TestResult(u1, p, method)
     p = _exact_p(method, ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u))
-    return TestResult(u1, p, (n1, n2), correction, method)
+    return TestResult(u1, p, method)

@@ -1,7 +1,8 @@
 """Public API surface: every public module-level function and class has a
 caller in the package itself or in the benchmark harness, every public
-method and property of a public class has a user there, and every private
-module-level function, class and constant has a user in the package.
+method, property and field of a public class has a user there, and every
+private module-level function, class and constant has a user in the
+package.
 
 A public name that only tests call is dead weight: it has to be kept
 working and documented, yet nothing the tool does depends on it.  The
@@ -162,6 +163,59 @@ def test_every_public_member_has_a_user():
     assert not unused, (
         f"public methods and properties that only tests use: {unused}; "
         f"delete them or make them private")
+
+
+# Classes whose fields are written whole, so no code names them one by one.
+ALLOWED_FIELDS = {
+    "KeyTest": "a row of an experiment CSV, written through "
+               "dataclasses.fields",
+    "SampleRow": "a row of an experiment CSV, written through "
+                 "dataclasses.fields",
+    "HoldoutTest": "a row of an experiment CSV, written through "
+                   "dataclasses.fields",
+    "InitSummary": "the initialization summary JSON, written through "
+                   "dataclasses.asdict",
+    "GuidedSummary": "the guided-search summary JSON, written through "
+                     "dataclasses.asdict",
+}
+
+
+def _unused_fields() -> list[str]:
+    """Public fields (annotated names in the class body) of public package
+    classes whose name appears nowhere in the package or the benchmark
+    harness as an attribute or a string; a field only tests read."""
+    names = {node.attr if isinstance(node, ast.Attribute) else node.value
+             for tree in [*_modules().values(), *_harness_trees()]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             or (isinstance(node, ast.Constant)
+                 and isinstance(node.value, str))}
+    unused = []
+    for module, tree in _modules().items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            unused += [f"{module}.{cls.name}.{member.target.id}"
+                       for member in cls.body
+                       if isinstance(member, ast.AnnAssign)
+                       and isinstance(member.target, ast.Name)
+                       and not member.target.id.startswith("_")
+                       and member.target.id not in names]
+    return unused
+
+
+def test_every_public_field_has_a_reader():
+    unused = [name for name in _unused_fields()
+              if name.split(".")[1] not in ALLOWED_FIELDS]
+    assert not unused, (
+        f"public fields that only tests read: {unused}; delete them, or add "
+        f"their class to ALLOWED_FIELDS with a reason")
+
+
+def test_field_allowlist_is_current():
+    # A class goes from the list once every field of it has a reader.
+    classes = {name.split(".")[1] for name in _unused_fields()}
+    assert sorted(classes & set(ALLOWED_FIELDS)) == sorted(ALLOWED_FIELDS)
 
 
 def test_tracer_patch_list_names_existing_members():

@@ -952,6 +952,28 @@ class TestBayesNetChecks:
             BayesNet(dag=Dag(variables=(), parents=()), cpts=(), alpha=1.0)
 
 
+class TestPublicRefusals:
+    """A call outside a function's domain raises one exact message."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: chow_liu(np.zeros((1, 1))),
+         "need at least two variables for a tree"),
+        (lambda: aracne_skeleton(np.zeros((3, 3)), dpi_tolerance=1.5),
+         "dpi_tolerance must lie in [0, 1]"),
+        (lambda: orient([(0, 2)], (("a", 2), ("b", 2))), "bad edge (0, 2)"),
+        (lambda: small_sample_correction((2, 3), n_rows=0),
+         "n_rows must be >= 1"),
+        (lambda: pls_sample_many(manual_chain_bn(), -1,
+                                 np.random.default_rng(0)),
+         "sample count must be >= 0"),
+    ], ids=["chow_liu-one-variable", "aracne-tolerance-above-one",
+            "orient-edge-to-n", "correction-no-rows", "sample-negative-n"])
+    def test_message(self, call, message):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestEnumerateJoint:
     def test_two_fair_coins(self):
         dag = Dag(variables=(("a", 2), ("b", 2)), parents=((), ()))

@@ -415,12 +415,15 @@ def keyed_entry(doc):
 
 class TestStrictModelFiles:
     """Hand-edited model files with a non-integral, negative or out-of-range
-    integer field, or bad configuration codes, are rejected."""
+    integer field, a network missing a list entry, a repeated parent, or
+    bad configuration codes, are rejected."""
 
     @pytest.fixture(params=["n_train-float", "n_train-negative",
                             "cardinality-float", "parent-out-of-range",
                             "parent-after-child", "codes-unsorted", "codes-repeated",
-                            "code-too-big", "code-float"])
+                            "code-too-big", "code-float", "parents-short",
+                            "cardinality-zero", "parent-repeated",
+                            "cpt-missing", "codes-missing"])
     def edited(self, request, model_path, tmp_path):
         doc = json.loads(model_path.read_text())
         i, v = keyed_entry(doc)
@@ -452,8 +455,22 @@ class TestStrictModelFiles:
             codes[1], needle = codes[0], "distinct"
         elif edit == "code-too-big":
             codes[-1], needle = 10**6, "below"
-        else:
+        elif edit == "code-float":
             codes[0], needle = 0.5, "code of variable"
+        elif edit == "parents-short":
+            bn["parents"].pop()
+            needle = "parents list must match variable count"
+        elif edit == "cardinality-zero":
+            bn["variables"][v][1], needle = 0, "has cardinality < 1"
+        elif edit == "parent-repeated":
+            bn["parents"][v].append(bn["parents"][v][0])
+            needle = "duplicate parent"
+        elif edit == "cpt-missing":
+            bn["cpts"].pop()
+            needle = "one CPT per variable required"
+        else:
+            bn["codes"].pop()
+            needle = "one code list (or None) per variable required"
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
         return path, needle

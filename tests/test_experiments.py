@@ -139,7 +139,7 @@ class TestLikelihood:
             for ind in sets.by_name(set_name):
                 b = model.score(ind.gan)
                 want.append(ScoreRow(set_name, ind.run_id, ind.problem_id,
-                                     b.depth_key.d_g, b.depth_key.d_d,
+                                     ind.key.d_g, ind.key.d_d,
                                      b.log_prob, b.normalized))
         assert len({(r.d_g, r.d_d) for r in want}) > 1
         assert result.rows == want

@@ -20,6 +20,7 @@ from archsmith.genotype import (
 )
 from archsmith.landscape import (
     LandscapeConfig,
+    SurrogateLandscape,
     landscape_from_json_obj,
     landscape_to_json_obj,
     load_landscape,
@@ -560,6 +561,21 @@ class TestEvaluateManyFaults:
         for name, genotypes in self.batches():
             want = outcome(lambda g: per_key_oracle(land, g), genotypes)
             assert isinstance(want, tuple), name
+            assert outcome(land.evaluate_many, genotypes) == want, name
+
+    def test_refusal_evaluates_no_row(self, monkeypatch):
+        # A refused batch is diagnosed key by key without evaluating a row,
+        # so it raises the oracle's error even with the kernel broken.
+        land = make_landscape(3, noiseless())
+        cases = [(name, genotypes,
+                  outcome(lambda g: per_key_oracle(land, g), genotypes))
+                 for name, genotypes in self.batches()]
+
+        def broken(self, padded):
+            raise AssertionError("a refused batch evaluated a row")
+
+        monkeypatch.setattr(SurrogateLandscape, "_fitness", broken)
+        for name, genotypes, want in cases:
             assert outcome(land.evaluate_many, genotypes) == want, name
 
     def test_first_faulty_key_in_order_of_first_appearance(self):

@@ -238,13 +238,33 @@ class TestScore:
                       for key in config.depth_keys() for _ in range(3)]
         assert max(normalized) - min(normalized) < 1e-9
 
+    @pytest.mark.parametrize("mode,depths,want", [
+        ("joint", (1, 1), 0.0), ("per_network", (1, 1), 0.0),
+        ("joint", (3, 2), -0.11830), ("per_network", (3, 2), -0.11060)])
+    def test_uniform_model_on_the_smallest_spaces(self, mode, depths, want):
+        # One value per slot: each key holds one genotype and has log
+        # volume 0, yet at least 5 variables, so the constant is below 2.
+        config = getattr(GenotypeConfig, mode)(
+            arity=1, activations=("relu",), weight_inits=("xavier",),
+            generator_kinds=("dense",), discriminator_kinds=("dense",),
+            generator_depth_max=depths[0], discriminator_depth_max=depths[1])
+        model = Metamodel.uniform(LearnConfig(genotype=config))
+        scores = model.score_many([(key, (0,) * len(joint_schema(config, key)))
+                                   for key in config.depth_keys()])
+        normalized = [nz for _, nz in scores]
+        assert max(normalized) - min(normalized) <= 1e-12
+        assert normalized[0] == pytest.approx(want, abs=1e-5)
+        assert math.fsum(math.exp(lp) for lp, _ in scores) == pytest.approx(
+            1.0, abs=1e-12)
+
     @pytest.mark.parametrize("config", UNIFORM_CONFIGS, ids=UNIFORM_IDS)
     def test_uniform_model_matches_scipy_oracle(self, config):
         # The depth priors solve sum(logsumexp(c * m + volume)) = 0 over
-        # the parts; scipy's brentq and logsumexp are the oracle.  Imported
-        # here, so the rest of this module runs without scipy.
-        from scipy.optimize import brentq
-        from scipy.special import logsumexp
+        # the parts; scipy's brentq and logsumexp are the oracle.  The test
+        # skips where scipy is not installed, and the rest of this module
+        # runs.
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        logsumexp = pytest.importorskip("scipy.special").logsumexp
 
         model = Metamodel.uniform(LearnConfig(genotype=config))
         parts = {part.name: _schema_volumes(part.schemas)

@@ -25,15 +25,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from archsmith import metamodel
+from archsmith import landscape, metamodel
 from archsmith.bayesnet import (Dag, _cells, _ordered_sum, fit_cpts,
                                 log_likelihood_many)
 from archsmith import search
 from archsmith.genotype import (ROLES, DepthKey, GenotypeConfig,
                                 _layer_radix, random_genotype,
                                 unflatten_joint)
-from archsmith.landscape import (LandscapeConfig, SurrogateLandscape,
-                                 landscape_from_json_obj,
+from archsmith.landscape import (LandscapeConfig, landscape_from_json_obj,
                                  landscape_to_json_obj, make_landscape)
 from archsmith.metamodel import LearnConfig, Metamodel, learn
 from archsmith.search import (_RANKED_HEAD, EaConfig, _distinct_picks,
@@ -223,11 +222,11 @@ class TestEvaluateMany:
 
     @staticmethod
     def check(land, seed, monkeypatch):
-        # A valid batch never takes the key-by-key path.
-        def no_fallback(self, genotypes):
-            raise AssertionError("evaluate_many fell back on a valid batch")
+        # A valid batch never takes the refusal path.
+        def no_refusal(*args):
+            raise AssertionError("evaluate_many refused a valid batch")
 
-        monkeypatch.setattr(SurrogateLandscape, "_by_key", no_fallback)
+        monkeypatch.setattr(landscape, "_batch", no_refusal)
         config = land.config.genotype
         rng = np.random.default_rng(seed)
         genotypes = [random_genotype(rng, config, key)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import archsmith
 from archsmith.errors import ValidationError
 from archsmith.stats import (DunnResult, TestResult, _average_ranks,
-                             _chi2_sf, _kw_statistic, _splits, _tie_term,
+                             _chi2_sf, _kw_statistic, _splits,
                              _two_sided_normal, dunn, kruskal_wallis,
                              rank_sum)
 
@@ -115,9 +115,10 @@ class TestDunn:
     def test_exact_permutation_cross_check(self):
         # Enumerate every 3/3/3 split of the pooled ranks and compare the
         # tail mass of the mean-rank difference with the normal approximation.
+        # The values 1..9 are their own ranks: the mean ranks are 2, 5, 8.
         result = dunn(THREE_GROUPS)
         values = list(range(1, 10))
-        observed = abs(result.mean_ranks[2] - result.mean_ranks[0])
+        observed = abs(np.mean(THREE_GROUPS[2]) - np.mean(THREE_GROUPS[0]))
         hits = total = 0
         for g0 in combinations(values, 3):
             rest = [v for v in values if v not in g0]
@@ -221,12 +222,20 @@ class TestRankSum:
         ([5, 5, 5], [5, 5], 0.0),
     ], ids=["ties", "no_ties", "all_tied"])
     def test_tie_correction_is_kruskal_wallis_factor(self, a, b, want):
-        # Both modes report the factor 1 - sum(t^3 - t) / (N^3 - N), as
-        # kruskal_wallis does, not the raw tie term.
-        got = {rank_sum(a, b, method=method).tie_correction
-               for method in ("approx", "exact")}
-        assert got == {kruskal_wallis([a, b]).tie_correction}
-        assert got.pop() == pytest.approx(want, abs=1e-15)
+        # The normal approximation's variance n1 n2 (N + 1) / 12 takes the
+        # factor 1 - sum(t^3 - t) / (N^3 - N), which kruskal_wallis divides
+        # its raw H by; a zero factor gives p = 1 and H = 0.
+        n1, n2 = len(a), len(b)
+        result = rank_sum(a, b)
+        variance = n1 * n2 * (n1 + n2 + 1) / 12 * want
+        deviation = max(abs(result.statistic - n1 * n2 / 2) - 0.5, 0.0)
+        assert result.p_value == pytest.approx(
+            math.erfc(deviation / math.sqrt(2 * variance)) if want else 1.0,
+            rel=1e-12)
+        raw = _kw_statistic(_average_ranks(np.array(a + b, dtype=float)),
+                            (n1, n2))
+        assert kruskal_wallis([a, b]).statistic * want == pytest.approx(
+            raw, rel=1e-12, abs=1e-12)
 
 
 def permute_statistic_oracle(ranks, sizes, statistic, observed):
@@ -261,12 +270,12 @@ def permute_statistic_oracle(ranks, sizes, statistic, observed):
 
 
 def kruskal_wallis_exact_oracle(groups):
-    approx = kruskal_wallis(groups)  # the statistic and tie correction
-    if approx.tie_correction == 0.0:
+    approx = kruskal_wallis(groups)  # the statistic
+    pooled = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
+    if np.unique(pooled).size == 1:  # all tied: no tie-corrected H
         return replace(approx, method="exact")
-    sizes = approx.group_sizes
-    ranks = _average_ranks(np.concatenate(
-        [np.asarray(g, dtype=np.float64) for g in groups]))
+    sizes = tuple(map(len, groups))
+    ranks = _average_ranks(pooled)
     at_least, total = permute_statistic_oracle(
         ranks, sizes, lambda r: _kw_statistic(r, sizes),
         float(_kw_statistic(ranks, sizes)))
@@ -286,10 +295,7 @@ def rank_sum_exact_oracle(a, b):
     at_least, total = permute_statistic_oracle(
         ranks, (n1, n2), lambda r: abs(u_first(r) - mean_u),
         abs(u_first(ranks) - mean_u))
-    n_total = n1 + n2
-    return TestResult(u_first(ranks), at_least / total, (n1, n2),
-                      1.0 - _tie_term(pooled) / (n_total ** 3 - n_total),
-                      "exact")
+    return TestResult(u_first(ranks), at_least / total, "exact")
 
 
 @st.composite
